@@ -53,6 +53,7 @@ from .rates import (
 )
 from .posterior import (
     GaussianModel,
+    MultiplierBall,
     PosteriorGaussian,
     SolverError,
     credible_ball_prob,
@@ -96,7 +97,7 @@ __all__ = [
     "GaussianModel", "PosteriorGaussian", "SolverError", "map_estimate",
     "map_estimate_discrete", "posterior", "posterior_covariance",
     "posterior_covariance_update", "posterior_trace", "sample_posterior",
-    "credible_ball_prob",
+    "credible_ball_prob", "MultiplierBall",
     "ExperimentConfig", "RateTable", "TruthField", "CurveSet", "default_config",
     "fit_loglog_slope", "make_hat_truth", "run_bayes_convergence",
     "run_frequentist_convergence", "run_contraction", "run_credible",

@@ -1,4 +1,4 @@
-"""Monte-Carlo experiment runners and the deterministic deblurring sweep.
+"""Experiment runners over noise grids and the deterministic deblurring sweep.
 
 Each runner measures an empirical quantity over a decreasing noise grid,
 fits a log-log slope on the pre-saturation rows, and attaches the
@@ -18,12 +18,22 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import GaussianPrior, gaussian_prior, sample_prior, sobolev_norm
+from .fields import (
+    GaussianPrior,
+    gaussian_prior,
+    operator_sqrt,
+    sample_prior,
+    sample_white_noise,
+    sobolev_norm,
+)
 from .lattice import FrequencyLattice, SpectralField, build_lattice, forward_transform
 from .operators import MultiplierOp, Operator, apply, bessel_op, compose, symbol_values
 from .posterior import (
     GaussianModel,
+    MultiplierBall,
+    PosteriorGaussian,
     SolverError,
+    _mc_ball_hits,
     credible_ball_prob,
     map_estimate,
     posterior,
@@ -222,11 +232,6 @@ def _replicate_seed(master_seed: int, stream: int, index: int) -> np.random.Gene
     return np.random.default_rng((master_seed, stream, index))
 
 
-def _white_coeffs(lattice: FrequencyLattice, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(lattice.shape)
-    return np.fft.fftn(z).ravel() / np.sqrt(lattice.size)
-
-
 def _run_replicates(n, threads, work):
     """Run work(i) for i in range(n), preserving index order in the output."""
     if threads <= 1:
@@ -254,7 +259,7 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
 
     def work(i: int):
         u = sample_prior(cfg.prior, lattice, _replicate_seed(cfg.master_seed, 0, i))
-        e = _white_coeffs(lattice, _replicate_seed(cfg.master_seed, 1, i))
+        e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
         au = apply(cfg.fwd, u)
         errs = np.empty((len(deltas), len(zetas)))
         bias = np.empty_like(errs)
@@ -326,7 +331,7 @@ def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None 
     pred = frequentist_rate(cfg.model(deltas[0]).params())
 
     def work(i: int):
-        e = _white_coeffs(lattice, _replicate_seed(cfg.master_seed, 1, i))
+        e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
         out = np.empty(len(deltas))
         for j, (delta, model) in enumerate(zip(deltas, models)):
             m = SpectralField(lattice, au.coeffs + delta * e)
@@ -364,38 +369,16 @@ def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None 
     return RateTable("frequentist", tuple(rows), fits, dropped, extras)
 
 
-def _ball_miss_prob(post, center_offset, radius, n_mc, rng):
-    """MC estimate of P(|V - center| >= radius) in L2, batched like the ball prob."""
-    lattice = post.mean.lattice
-    k = lattice.size
-    if isinstance(post.sqrt_cov, MultiplierOp):
-        root, root_mat = symbol_values(post.sqrt_cov, lattice), None
-    else:
-        root, root_mat = None, post.sqrt_cov.matrix
-    hits = 0
-    batch = max(1, min(n_mc, (1 << 22) // k))
-    done = 0
-    axes = tuple(range(1, lattice.dim + 1))
-    while done < n_mc:
-        b = min(batch, n_mc - done)
-        z = rng.standard_normal((b, *lattice.shape))
-        noise = np.fft.fftn(z, axes=axes).reshape(b, k) / np.sqrt(k)
-        if root is not None:
-            w = noise * root[None, :] + center_offset[None, :]
-        else:
-            w = noise @ root_mat.T + center_offset[None, :]
-        norms_sq = np.sum(np.abs(w) ** 2, axis=1)
-        hits += int(np.count_nonzero(norms_sq >= radius**2))
-        done += b
-    return hits / n_mc
-
-
 def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> RateTable:
     """Posterior mass escaping an L2 ball of radius c0 delta^kappa around the truth.
 
-    Nested Monte Carlo: outer replicates draw the noise in the data, inner
-    draws sample the posterior.  Reports the direct escape probability per
-    delta together with the Markov-inequality estimate
+    Outer replicates draw the noise in the data.  For a multiplier
+    posterior the escape probability of each replicate is computed exactly
+    by :class:`MultiplierBall`, whose stated error bound per delta goes to
+    ``extras["ball_prob_error"]``; a dense covariance root is sampled with
+    ``n_mc`` posterior draws instead, and the maximum binomial standard
+    error goes there.  Reports the escape probability per delta together
+    with the Markov-inequality estimate
     (Tr(C_delta) + |mean - truth|^2) / radius^2, which must dominate it.
     If ``c0`` is not set it is calibrated at the middle delta so the radius
     there equals the root-mean-square posterior deviation from the truth.
@@ -410,8 +393,13 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     pred = contraction_rate(cfg.model(deltas[0]).params(), cfg.kappa)
     au = apply(cfg.fwd, u)
     models = [cfg.model(d) for d in deltas]
-    traces = [posterior_trace(posterior_covariance(mod, lattice), 0.0, lattice)
-              for mod in models]
+    # data-independent posterior pieces, once per delta
+    covs = [posterior_covariance(mod, lattice) for mod in models]
+    traces = [posterior_trace(cov, 0.0, lattice) for cov in covs]
+    roots = [operator_sqrt(cov) for cov in covs]
+    balls = [MultiplierBall(symbol_values(root, lattice), lattice)
+             if isinstance(root, MultiplierOp) else None for root in roots]
+    exact = all(ball is not None for ball in balls)
 
     c0 = cfg.c0
     if c0 is None:
@@ -419,30 +407,38 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         rng = _replicate_seed(cfg.master_seed, 2, 0)
         sq = []
         for _ in range(4):
-            e = _white_coeffs(lattice, rng)
+            e = sample_white_noise(lattice, rng).coeffs
             m = SpectralField(lattice, au.coeffs + deltas[mid] * e)
             mean = map_estimate(models[mid], m)
             sq.append(traces[mid] + np.sum(np.abs(mean.coeffs - u.coeffs) ** 2))
         c0 = float(np.sqrt(np.mean(sq)) / deltas[mid] ** cfg.kappa)
 
     def work(i: int):
-        e = _white_coeffs(lattice, _replicate_seed(cfg.master_seed, 1, i))
+        e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
         inner_rng = _replicate_seed(cfg.master_seed, 3, i)
         direct = np.empty(len(deltas))
         markov = np.empty(len(deltas))
+        error = np.empty(len(deltas))
         for j, (delta, model) in enumerate(zip(deltas, models)):
             radius = c0 * delta**cfg.kappa
             m = SpectralField(lattice, au.coeffs + delta * e)
-            post = posterior(model, m)
-            offset = post.mean.coeffs - u.coeffs
+            mean = map_estimate(model, m)
+            offset = mean.coeffs - u.coeffs
             sq_dev = traces[j] + float(np.sum(np.abs(offset) ** 2))
             markov[j] = min(1.0, sq_dev / radius**2)
-            direct[j] = _ball_miss_prob(post, offset, radius, cfg.n_mc, inner_rng)
-        return direct, markov
+            if balls[j] is not None:
+                direct[j], error[j] = balls[j].escape_prob(radius, offset)
+            else:
+                post = PosteriorGaussian(mean, covs[j], roots[j], model)
+                hits = _mc_ball_hits(post, 0.0, radius, cfg.n_mc, inner_rng, offset)
+                direct[j] = (cfg.n_mc - hits) / cfg.n_mc
+                error[j] = np.sqrt(direct[j] * (1.0 - direct[j]) / cfg.n_mc)
+        return direct, markov, error
 
     results = _run_replicates(cfg.n_replicates, cfg.threads, work)
     direct = np.stack([r[0] for r in results])
     markov = np.stack([r[1] for r in results])
+    error = np.stack([r[2] for r in results])
     rows = []
     for j, delta in enumerate(deltas):
         vals = direct[:, j]
@@ -469,6 +465,8 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         "kappa": cfg.kappa,
         "kappa0": pred.extra["kappa0"],
         "markov_mean": markov.mean(axis=0).tolist(),
+        "ball_prob_method": "exact" if exact else "mc",
+        "ball_prob_error": error.max(axis=0).tolist(),
         "deltas": list(deltas),
     }
     return RateTable("contraction", tuple(rows), fits, 0, extras)
@@ -478,9 +476,13 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
     """Escape probability of the credible ball B_{zeta1}(0, C1 delta^alpha).
 
     The ball is centred at the posterior mean, so the probability depends
-    only on delta and no data is needed.  Per row the Markov bound
-    trace / radius^2 is attached; the slope is fitted on rows whose
-    probability is resolvable by the MC sample (p in [10/n_mc, 0.9]).
+    only on delta and no data is needed.  A multiplier posterior gets the
+    exact probability of :class:`MultiplierBall`, with its error bound in
+    the ``stderr`` column and ``n`` = 0; a dense covariance root is sampled
+    with ``n_mc`` posterior draws (binomial ``stderr``, ``n`` = n_mc).  Per
+    row the Markov bound trace / radius^2 is attached; the slope is fitted
+    on rows with p in [10/n_mc, 0.9], the band a Monte Carlo sample of that
+    size resolves, so exact and sampled runs fit comparable rows.
     """
     if cfg.zeta1 is None:
         raise ValueError("credible experiment needs zeta1")
@@ -505,16 +507,25 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
 
     rows = []
     markov = []
+    errors = []
+    exact = all(isinstance(post.sqrt_cov, MultiplierOp) for post in posts)
     for j, delta in enumerate(deltas):
         radius = c1 * delta**alpha
-        p_in, stderr = credible_ball_prob(
-            posts[j], cfg.zeta1, radius, cfg.n_mc,
-            _replicate_seed(cfg.master_seed, 3, j),
-        )
-        p_out = 1.0 - p_in
+        if exact:
+            root = symbol_values(posts[j].sqrt_cov, lattice)
+            p_out, stderr = MultiplierBall(root, lattice, cfg.zeta1).escape_prob(radius)
+            n = 0
+        else:
+            p_in, stderr = credible_ball_prob(
+                posts[j], cfg.zeta1, radius, cfg.n_mc,
+                _replicate_seed(cfg.master_seed, 3, j),
+            )
+            p_out = 1.0 - p_in
+            n = cfg.n_mc
         markov.append(min(1.0, traces[j] / radius**2))
+        errors.append(stderr)
         rows.append(RateRow("credible", delta, cfg.zeta1, p_out, stderr,
-                            cfg.n_mc, pred.extra["decay"], pred.regime))
+                            n, pred.extra["decay"], pred.regime))
     probs = np.array([r.mean_error for r in rows])
     band = (probs >= 10.0 / cfg.n_mc) & (probs <= 0.9)
     fits = ()
@@ -535,6 +546,8 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
         "gamma": gamma,
         "markov_bound": markov,
         "trace_zeta1": traces,
+        "ball_prob_method": "exact" if exact else "mc",
+        "ball_prob_error": errors,
         "deltas": list(deltas),
     }
     return RateTable("credible", tuple(rows), fits, 0, extras)

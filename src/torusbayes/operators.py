@@ -260,7 +260,7 @@ def variable_coeff_op(
         vals = np.fft.ifftn(block, axes=axes) * K
         out = np.fft.fftn(phi[None] * vals, axes=axes) / K
         mat[:, lo:hi] = out.reshape(hi - lo, K).T
-    return DenseOp(lattice, mat @ np.diag(sym), m.order_t, m.order_t0, f"phi*{m.label}")
+    return DenseOp(lattice, mat * sym[None, :], m.order_t, m.order_t0, f"phi*{m.label}")
 
 
 # ---------------------------------------------------------------------------

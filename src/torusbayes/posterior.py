@@ -13,12 +13,14 @@ conjugate gradients and the covariance is formed densely.
 
 from __future__ import annotations
 
+import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GaussianPrior, operator_sqrt, sample_white_noise
+from .fields import GaussianPrior, _rng, operator_sqrt, sample_white_noise
 from .lattice import FrequencyLattice, SpectralField
 from .operators import (
     DenseOp,
@@ -42,6 +44,7 @@ __all__ = [
     "posterior",
     "sample_posterior",
     "credible_ball_prob",
+    "MultiplierBall",
 ]
 
 CG_TOL = 1e-10
@@ -104,12 +107,12 @@ def _is_diagonal(model: GaussianModel) -> bool:
 
 
 def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
-    """Per-frequency |a|^2 and delta^2 / c_U of the normal operator."""
+    """Per-frequency forward symbol a, |a|^2 and delta^2 / c_U of the normal operator."""
     a = symbol_values(model.fwd, lattice)
     c_u = symbol_values(model.prior.cov, lattice).real
     if np.any(c_u <= 0):
         raise ValueError("prior covariance symbol must be strictly positive")
-    return np.abs(a) ** 2, model.delta**2 / c_u
+    return a, np.abs(a) ** 2, model.delta**2 / c_u
 
 
 def _pcg(mat: np.ndarray, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
@@ -171,8 +174,7 @@ def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     """
     lattice = m.lattice
     if _is_diagonal(model):
-        asq, prec = _diag_weights(model, lattice)
-        a = symbol_values(model.fwd, lattice)
+        a, asq, prec = _diag_weights(model, lattice)
         return SpectralField(lattice, np.conj(a) * m.coeffs / (asq + prec))
     normal, diag = _normal_system(model, lattice)
     b = densify(model.fwd, lattice).matrix.conj().T @ m.coeffs
@@ -286,25 +288,12 @@ def sample_posterior(post: PosteriorGaussian, seed=None) -> SpectralField:
     return post.mean + apply(post.sqrt_cov, noise)
 
 
-def credible_ball_prob(
-    post: PosteriorGaussian,
-    zeta1: float,
-    radius: float,
-    n_mc: int,
-    seed=None,
-) -> tuple[float, float]:
-    """Monte-Carlo posterior probability of the H^zeta1 ball of given radius.
 
-    Centred at the mean, so only the fluctuation W = C^{1/2} xi matters and
-    the result is independent of the measurement.  Returns (probability,
-    binomial standard error).
-    """
-    if n_mc < 100:
-        raise ValueError(f"n_mc must be at least 100, got {n_mc}")
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+
+def _mc_ball_hits(post: PosteriorGaussian, zeta1: float, radius: float, n_mc: int,
+                  rng: np.random.Generator, offset=None) -> int:
+    """Count of n_mc draws W = C^{1/2} xi (+ offset) inside the H^zeta1 ball."""
     lattice = post.mean.lattice
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     weights = (1.0 + lattice.weights) ** zeta1
     k = lattice.size
     hits = 0
@@ -325,9 +314,305 @@ def credible_ball_prob(
             w = noise * root[None, :]
         else:
             w = noise @ dense_root.T
+        if offset is not None:
+            w = w + offset[None, :]
         norms_sq = np.sum(weights[None, :] * np.abs(w) ** 2, axis=1)
         hits += int(np.count_nonzero(norms_sq <= radius**2))
         done += b
-    p = hits / n_mc
+    return hits
+
+
+def credible_ball_prob(
+    post: PosteriorGaussian,
+    zeta1: float,
+    radius: float,
+    n_mc: int,
+    seed=None,
+    offset=None,
+) -> tuple[float, float]:
+    """Monte-Carlo posterior probability of the H^zeta1 ball of given radius.
+
+    The ball is centred at the posterior mean minus ``offset`` (coefficients,
+    default zero), so the draws are W = C^{1/2} xi + offset.  Centred at the
+    mean, the result is independent of the measurement.  Returns
+    (probability, binomial standard error).  Works for dense and multiplier
+    roots; :class:`MultiplierBall` gives the exact value for the latter.
+    """
+    if n_mc < 100:
+        raise ValueError(f"n_mc must be at least 100, got {n_mc}")
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    if offset is not None:
+        offset = np.asarray(offset, dtype=np.complex128)
+    p = _mc_ball_hits(post, zeta1, radius, n_mc, _rng(seed), offset) / n_mc
     stderr = float(np.sqrt(p * (1.0 - p) / n_mc))
     return p, stderr
+
+
+# Shares of the error bound stated by MultiplierBall.escape_prob, each an
+# absolute probability: aliasing on either side of the integration period,
+# truncation of the integral, the Gaussian convergence factor, and the
+# Chernoff bound below which a far tail is settled as exactly 0 or 1.
+_ALIAS_TOL = 1e-11
+_TRUNC_TOL = 1e-11
+_SMOOTH_TOL = 1e-11
+_TAIL_TOL = 1e-11
+# A grid holds at most this many (group, node) terms; where the cut-off
+# needs more, the larger truncation bound is stated as it is.
+_MAX_TERMS = 1 << 22
+# Chernoff parameters in units of 1 / (2 max lambda): the upper tail needs
+# 0 < t < 1 / (2 max lambda), the lower tail any t > 0.
+_S_UPPER = np.concatenate([np.geomspace(1e-9, 0.5, 120), 1.0 - np.geomspace(0.5, 1e-12, 101)[1:]])
+_S_LOWER = np.geomspace(1e-9, 1e15, 250)
+
+
+class _Grid:
+    """Midpoint nodes u_k = (k + 1/2) 2 pi / span and the central part of log phi."""
+
+    def __init__(self, ball: "MultiplierBall", span: float):
+        step = 2.0 * math.pi / span
+        n = min(math.ceil(ball.cutoff / step - 0.5) + 1, _MAX_TERMS // ball.lam.size)
+        self.k_half = np.arange(n) + 0.5
+        self.u = self.k_half * step
+        terms = np.outer(ball.lam, -2j * self.u)
+        terms += 1.0
+        self.log_phi = -0.5 * (ball.dof @ np.log(terms, out=terms))
+        self.log_phi -= 0.5 * (ball.tau * self.u) ** 2
+        self.truncation = ball._truncation_bound(self.u[-1], ball.tau)
+        # i lambda u / (1 - 2 i lambda u) per group and node, built on the
+        # first call with an offset: log phi gains nc @ this
+        self.noncentral = None
+
+
+class MultiplierBall:
+    """Exact tail of the weighted squared norm of a multiplier Gaussian draw.
+
+    For a root symbol rho, weights w_l = (1 + |l|^2)^zeta and spectral white
+    noise xi with the law of ``fftn(z) / sqrt(K)``, the statistic
+    S = sum_l w_l |rho_l xi_l + o_l|^2 equals R + Q, where
+    Q = sum_g lambda_g chi^2(h_g, nc_g) is a sum of independent noncentral
+    chi-squares.  A self-conjugate mode has a real N(0, 1) entry: lambda =
+    w |rho|^2, one degree of freedom, noncentrality (Re(conj(rho) o) / |rho|^2)^2,
+    and the rest of w |o|^2 goes into the shift R.  A pair l, -l shares one
+    complex entry xi_l = conj(xi_-l); with A = w_1 |rho_1|^2 + w_2 |rho_2|^2
+    and B = w_1 conj(rho_1) o_1 + w_2 rho_2 conj(o_2) it contributes
+    A |xi_l + B / A|^2 + w_1 |o_1|^2 + w_2 |o_2|^2 - |B|^2 / A: lambda = A / 2,
+    two degrees of freedom, noncentrality 2 |B / A|^2.  This holds for any
+    rho and o, even or Hermitian or not.  Equal lambdas are merged, adding
+    degrees of freedom and noncentralities.
+
+    The groups, the Chernoff tables and the truncation point depend only on
+    the root and zeta, and integration grids are cached per period (a
+    power of two); only nc_g and R depend on the offset, so one instance
+    serves every replicate.
+    """
+
+    def __init__(self, root, lattice: FrequencyLattice, zeta: float = 0.0):
+        root = np.asarray(root, dtype=np.complex128)
+        if root.shape != (lattice.size,):
+            raise ValueError(f"root has shape {root.shape}, lattice needs ({lattice.size},)")
+        idx = np.arange(lattice.size)
+        conj = lattice.conj_index
+        self._real = idx[conj == idx]
+        self._pair = idx[idx < conj]
+        self._mate = conj[self._pair]
+        self._w = (1.0 + lattice.weights) ** zeta
+        self._wroot = self._w * np.conj(root)
+        wr2 = self._w * np.abs(root) ** 2
+        quad = np.concatenate([wr2[self._real], wr2[self._pair] + wr2[self._mate]])
+        dof = np.concatenate([np.ones(self._real.size), np.full(self._pair.size, 2.0)])
+        self._live = quad > 0
+        self._quad, self._term_dof = quad[self._live], dof[self._live]
+        self.lam, self._group = np.unique(self._quad / self._term_dof, return_inverse=True)
+        self.dof = np.bincount(self._group, weights=self._term_dof, minlength=self.lam.size)
+        self._grids: dict[int, _Grid] = {}
+        self._lock = threading.Lock()
+        self.tau = 0.0
+        self._kink = 0.0
+        if self.lam.size:
+            self._chernoff_tables()
+            self._choose_cutoff()
+
+    def _chernoff_tables(self):
+        """Log moment generating function of Q on fixed grids of t and -t."""
+        scale = 2.0 * self.lam[-1]
+        self._t_up = _S_UPPER / scale
+        self._t_lo = _S_LOWER / scale
+        x_up = np.outer(2.0 * self.lam, self._t_up)
+        x_lo = np.outer(2.0 * self.lam, self._t_lo)
+        self._k_up = -0.5 * (self.dof @ np.log1p(-x_up))
+        self._kn_up = 0.5 * x_up / (1.0 - x_up)
+        self._k_lo = -0.5 * (self.dof @ np.log1p(x_lo))
+        self._kn_lo = -0.5 * x_lo / (1.0 + x_lo)
+
+    def _log_mgf(self, nc: np.ndarray, tau: float):
+        """log E exp(t (Q + tau Z)) on the upper grid and at -t on the lower one."""
+        k_up = self._k_up + nc @ self._kn_up + 0.5 * (tau * self._t_up) ** 2
+        k_lo = self._k_lo + nc @ self._kn_lo + 0.5 * (tau * self._t_lo) ** 2
+        return k_up, k_lo
+
+    def _log_tails(self, k_up, k_lo, y: float):
+        """Chernoff log bounds on P(X >= y) and P(X <= y) for the given log MGF."""
+        return (min(0.0, float(np.min(k_up - self._t_up * y))),
+                min(0.0, float(np.min(k_lo + self._t_lo * y))))
+
+    def _truncation_bound(self, u: float, tau: float) -> float:
+        """Bound on (1/pi) int_u^inf |phi(v)| exp(-tau^2 v^2 / 2) / v dv.
+
+        |phi(v)| <= prod_g (1 + 4 lambda_g^2 v^2)^(-h_g / 4).  For v >= u
+        each factor is at most its value at u, and for the groups with
+        x_g = 2 lambda_g u > 1 also at most (2 lambda_g v)^(-h_g / 2); the
+        power law integrates to the plain bound, the convergence factor to
+        the Gaussian one (int_u^inf exp(-a v^2) / v dv <= exp(-a u^2) / (2 a u^2)).
+        """
+        x = 2.0 * self.lam * u
+        big = x > 1.0
+        log_rest = -0.25 * float(self.dof[~big] @ np.log1p(x[~big] ** 2))
+        h_big = float(self.dof[big].sum())
+        best = math.inf
+        if h_big > 0:
+            log_big = -0.5 * float(self.dof[big] @ np.log(x[big]))
+            best = 2.0 / (math.pi * h_big) * math.exp(log_rest + log_big)
+        if tau > 0:
+            log_phi = log_rest - 0.25 * float(self.dof[big] @ np.log1p(x[big] ** 2))
+            v = (tau * u) ** 2
+            best = min(best, math.exp(log_phi - 0.5 * v) / (math.pi * v))
+        return best
+
+    def _cutoff_for(self, tau: float) -> float:
+        """Smallest node u (to 1%) whose truncation bound is below _TRUNC_TOL."""
+        hi = 1.0 / (2.0 * self.lam[-1])
+        while self._truncation_bound(hi, tau) > _TRUNC_TOL:
+            hi *= 2.0
+            if hi * self.lam[-1] > 1e30:
+                return math.inf
+        lo = hi / 2.0
+        while hi > 1.01 * lo:
+            mid = math.sqrt(lo * hi)
+            if self._truncation_bound(mid, tau) > _TRUNC_TOL:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    def _choose_cutoff(self):
+        """Plain truncation, or a Gaussian convergence factor when that is shorter.
+
+        With Z ~ N(0, 1) independent, P(Q + tau Z < c) differs from
+        P(Q < c) by at most tau^2 sup|f_Q'| / 2 when f_Q is Lipschitz.  A
+        group A = lambda chi^2(h, nc) gives sup|f_A'| <= 1 / (4 lambda^2) for
+        h = 2 or h >= 4 (f_h' = (f_{h-2} - f_h) / 2 with 0 <= f_k <= 1/2),
+        and f_Q' = f_A' * law(Q - A).  For h = 2 the density of A jumps by
+        kink <= 1 / (2 lambda) at 0, which adds kink tau^2 sup f_B when the
+        rest B has a bounded density (another group with h >= 2), or
+        kink tau phi(c / tau) when A is all of Q.
+        """
+        self.cutoff = self._cutoff_for(0.0)
+        eligible = np.flatnonzero((self.dof == 2) | (self.dof >= 4))
+        if eligible.size == 0:
+            return
+        a = eligible[-1]
+        curvature = 1.0 / (4.0 * self.lam[a] ** 2)
+        kink = 0.0
+        coef = 0.5 * curvature
+        if self.dof[a] == 2:
+            kink = 1.0 / (2.0 * self.lam[a])
+            others = np.flatnonzero(self.dof >= 2)
+            others = others[others != a]
+            if others.size:
+                coef += kink / (2.0 * self.lam[others[-1]])
+            elif self.lam.size > 1:
+                return
+        tau = math.sqrt(_SMOOTH_TOL / coef)
+        cutoff = self._cutoff_for(tau)
+        if cutoff < self.cutoff:
+            self.cutoff, self.tau = cutoff, tau
+            self._kink = kink if self.lam.size == 1 else 0.0
+
+    def noncentrality(self, offset) -> tuple[np.ndarray, float]:
+        """Per-group noncentralities nc_g and the constant shift R for offset o."""
+        o = np.asarray(offset, dtype=np.complex128)
+        if o.shape != self._w.shape:
+            raise ValueError(f"offset has shape {o.shape}, expected {self._w.shape}")
+        b = self._wroot * o
+        b_terms = np.concatenate([b[self._real].real, b[self._pair] + np.conj(b[self._mate])])
+        bsq = np.abs(b_terms[self._live]) ** 2
+        nc = np.bincount(self._group, weights=self._term_dof * bsq / self._quad**2,
+                         minlength=self.lam.size)
+        shift = float(np.sum(self._w * np.abs(o) ** 2) - np.sum(bsq / self._quad))
+        return nc, shift
+
+    def _grid(self, exponent: int, noncentral: bool) -> _Grid:
+        with self._lock:
+            grid = self._grids.get(exponent)
+            if grid is None:
+                grid = self._grids[exponent] = _Grid(self, 2.0**exponent)
+            if noncentral and grid.noncentral is None:
+                x = 1j * np.outer(self.lam, grid.u)
+                grid.noncentral = x / (1.0 - 2.0 * x)
+            return grid
+
+    def escape_prob(self, radius: float, offset=None) -> tuple[float, float]:
+        """P(S >= radius^2) and a bound on its absolute error.
+
+        The tail of Q is the Gil-Pelaez integral of its characteristic
+        function phi, summed by the midpoint rule with step 2 pi / span
+        (Imhof 1961; Davies 1973, 1980).  The sum is exact up to the aliased
+        mass P(X >= c + span) + P(X < c - span), bounded by Chernoff; the
+        cut-off of the sum comes from the truncation bound.  The result is
+        clamped to [0, 1] and to the Chernoff bounds of Q, which settle far
+        tails as exactly 0 or 1.  The stated bound adds aliasing,
+        truncation, the convergence factor and a floating-point allowance.
+        """
+        if radius < 0:
+            raise ValueError(f"radius must be nonnegative, got {radius}")
+        if offset is None:
+            nc, shift = np.zeros(self.lam.size), 0.0
+        else:
+            nc, shift = self.noncentrality(offset)
+        c = radius**2 - shift
+        if c <= 0:
+            return 1.0, 0.0
+        if self.lam.size == 0:
+            return 0.0, 0.0
+        if self.dof.sum() == 1:
+            # a lone real mode: lambda (Z + mu)^2 with Z ~ N(0, 1)
+            a, mu = math.sqrt(c / self.lam[0]), math.sqrt(nc[0])
+            p = 0.5 * (math.erfc((a - mu) / math.sqrt(2.0)) + math.erfc((a + mu) / math.sqrt(2.0)))
+            return p, 8.0 * np.finfo(float).eps
+        log_up, log_lo = self._log_tails(*self._log_mgf(nc, 0.0), c)
+        if log_up <= math.log(_TAIL_TOL):
+            return 0.0, math.exp(log_up)
+        if log_lo <= math.log(_TAIL_TOL):
+            return 1.0, math.exp(log_lo)
+
+        tau = self.tau
+        k_up, k_lo = self._log_mgf(nc, tau)
+        log_eps = math.log(_ALIAS_TOL)
+        y_up = float(np.min((k_up - log_eps) / self._t_up))
+        y_lo = float(np.max((log_eps - k_lo) / self._t_lo))
+        floor = y_lo if tau > 0 else max(y_lo, 0.0)
+        exponent = math.ceil(math.log2(max(y_up - c, c - floor)))
+        span = 2.0**exponent
+        alias = math.exp(self._log_tails(k_up, k_lo, c + span)[0])
+        if tau > 0 or c > span:
+            alias += math.exp(self._log_tails(k_up, k_lo, c - span)[1])
+
+        grid = self._grid(exponent, noncentral=offset is not None)
+        log_phi = grid.log_phi - 1j * grid.u * c
+        if offset is not None:
+            log_phi += nc @ grid.noncentral
+        z = np.exp(log_phi)
+        total = float(np.sum(z.imag / grid.k_half))
+        # floating-point allowance: phase errors of about eps (H + sum nc + u c)
+        # per term, and the pairwise sum of the terms
+        scale = 4.0 * (float(self.dof.sum()) + float(nc.sum()) + grid.u * c) + math.log2(grid.u.size)
+        rounding = float(np.sum(np.abs(z) * scale / grid.k_half))
+        p = 0.5 + total / math.pi
+        p = min(max(p, 0.0), 1.0, math.exp(log_up))
+        p = max(p, 1.0 - math.exp(log_lo))
+        smoothing = _SMOOTH_TOL if tau > 0 else 0.0
+        if self._kink:
+            smoothing += self._kink * tau * math.exp(-0.5 * (c / tau) ** 2) / math.sqrt(2 * math.pi)
+        eps = np.finfo(float).eps
+        return p, alias + grid.truncation + smoothing + eps * rounding / math.pi

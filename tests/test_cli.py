@@ -182,6 +182,23 @@ class TestExperiment:
         assert curve.shape == (6, 2)
         assert abs(curve[-1, 1] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("mode, keys", [
+        ("contraction", "kappa = 0.2\nn_mc = 200"),
+        ("credible", "zeta1 = -3\nn_mc = 200"),
+    ], ids=["contraction", "credible"])
+    def test_ball_probability_telemetry(self, tmp_path, capsys, mode, keys):
+        text = EXPERIMENT_INI.replace("mode = bayes", f"mode = {mode}\n{keys}")
+        cfg = write_ini(tmp_path, text.replace("zetas = -3.01, 0", "zetas = 0"))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        extras = manifest["extras"]
+        assert extras["ball_prob_method"] == "exact"
+        assert len(extras["ball_prob_error"]) == 6
+        assert max(extras["ball_prob_error"]) <= 1e-10
+        lines = (out / "results.csv").read_text().strip().splitlines()
+        assert all(len(line.split(",")) == 8 for line in lines)
+
     def test_experiment_overwrite_refused(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, EXPERIMENT_INI)
         out = tmp_path / "run"

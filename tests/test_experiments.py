@@ -20,7 +20,7 @@ from torusbayes.experiments import (
 )
 from torusbayes.fields import gaussian_prior, sobolev_norm
 from torusbayes.lattice import SpectralField, build_lattice, inverse_transform
-from torusbayes.operators import bessel_op, compose
+from torusbayes.operators import bessel_op, compose, variable_coeff_op
 
 
 def small_cfg(mode="bayes", **overrides):
@@ -204,6 +204,28 @@ class TestContractionExperiment:
         table = run_contraction(cfg)
         assert all(r.mean_error == 0.0 for r in table.rows)
 
+    def test_rows_independent_of_thread_count(self):
+        t1 = run_contraction(small_cfg("contraction"))
+        t2 = run_contraction(small_cfg("contraction", threads=2))
+        assert t1.rows == t2.rows and t1.extras == t2.extras
+
+    def test_exact_for_multiplier_posterior(self):
+        cfg = small_cfg("contraction")
+        table = run_contraction(cfg)
+        assert table.extras["ball_prob_method"] == "exact"
+        errors = table.extras["ball_prob_error"]
+        assert len(errors) == len(cfg.deltas) and max(errors) <= 1e-10
+
+    def test_dense_root_is_sampled(self):
+        lat = build_lattice(2, 8)
+        x = lat.grid_axes()[0]
+        fwd = variable_coeff_op(1.0 + 0.5 * np.outer(np.sin(x), np.cos(x)), bessel_op(-1.0), lat)
+        cfg = small_cfg("contraction", fwd=fwd, n_per_dim=8, n_mc=200)
+        table = run_contraction(cfg)
+        assert table.extras["ball_prob_method"] == "mc"
+        for row, bound in zip(table.rows, table.extras["markov_mean"]):
+            assert row.mean_error <= bound + 1e-12
+
 
 class TestCredibleExperiment:
     def test_requires_zeta1(self):
@@ -216,6 +238,13 @@ class TestCredibleExperiment:
         table = run_credible(cfg)
         for row, bound in zip(table.rows, table.extras["markov_bound"]):
             assert row.mean_error <= bound + 1e-12
+
+    def test_exact_rows_carry_error_bound(self):
+        cfg = small_cfg("credible")
+        table = run_credible(cfg)
+        assert table.extras["ball_prob_method"] == "exact"
+        assert [r.stderr for r in table.rows] == table.extras["ball_prob_error"]
+        assert all(r.stderr <= 1e-10 and r.n == 0 for r in table.rows)
 
     def test_huge_constant_gives_full_coverage(self):
         cfg = small_cfg("credible", n_mc=200, c1=1e9, alpha=0.0)

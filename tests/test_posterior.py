@@ -1,5 +1,6 @@
 """MAP estimation, posterior covariance forms, sampling, ball probabilities."""
 
+import math
 import warnings
 
 import numpy as np
@@ -19,6 +20,8 @@ from torusbayes.operators import (
 )
 from torusbayes.posterior import (
     GaussianModel,
+    MultiplierBall,
+    PosteriorGaussian,
     SolverError,
     _pcg,
     credible_ball_prob,
@@ -355,3 +358,125 @@ class TestCredibleBallProb:
         post = self.build_post()
         p, se = credible_ball_prob(post, 0.0, 0.5, 400, 19)
         assert abs(se - np.sqrt(p * (1 - p) / 400)) < 1e-15
+
+
+def lone_modes_ball(values: dict, n=8, zeta=0.0):
+    """MultiplierBall on T^1 whose root is nonzero only at the given indices."""
+    lat = build_lattice(1, n)
+    root = np.zeros(lat.size, dtype=complex)
+    for index, value in values.items():
+        root[index] = value
+    return MultiplierBall(root, lat, zeta), lat
+
+
+def mc_vs_exact_case(name):
+    """(posterior with a multiplier root, zeta, offset) for the cross-check."""
+    lat = build_lattice(2, 16)
+    rng = np.random.default_rng(31)
+    zeta, offset = 0.0, None
+    if name == "noncentral":
+        symbol = lambda f: (1.0 + np.sum(f.astype(float) ** 2, 1)) ** -1.0 + 0j
+        field = apply(bessel_op(-1.5), sample_white_noise(lat, rng))
+        offset = 0.6 * field.coeffs
+    elif name == "zeta1":
+        symbol = lambda f: (1.0 + np.sum(f.astype(float) ** 2, 1)) ** -0.5 + 0j
+        zeta = -1.5
+    else:  # complex, non-even root and a non-Hermitian offset
+        def symbol(f):
+            w = np.sum(f.astype(float) ** 2, 1)
+            return (1.0 + w) ** -0.75 * (1.0 + 0.5 * np.tanh(f[:, 0] + 0.5 * f[:, 1])) \
+                * np.exp(0.3j * f[:, 0])
+        field = apply(bessel_op(-1.5), sample_white_noise(lat, rng))
+        offset = 0.6 * field.coeffs + 0.05 * (rng.standard_normal(lat.size)
+                                              + 1j * rng.standard_normal(lat.size))
+    root = MultiplierOp(symbol, 0.0, 0.0)
+    zero = SpectralField(lat, np.zeros(lat.size, dtype=complex))
+    model = quiet_model(bessel_op(-1.0), gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1)
+    return PosteriorGaussian(zero, root, root, model), zeta, offset
+
+
+class TestMultiplierBall:
+    def test_lone_real_mode_is_a_folded_normal(self):
+        ball, _ = lone_modes_ball({0: 1.0})
+        p, bound = ball.escape_prob(1.0)
+        assert abs((1.0 - p) - 0.6826894921370859) <= 1e-10 and bound <= 1e-10
+
+    def test_real_mode_offset_splits_into_noncentrality_and_shift(self):
+        """|xi + 0.5 + 0.3i|^2 <= 1 iff |xi + 0.5| <= sqrt(0.91), xi ~ N(0, 1) real."""
+        ball, lat = lone_modes_ball({0: 1.0})
+        offset = np.zeros(lat.size, dtype=complex)
+        offset[0] = 0.5 + 0.3j
+        p, _ = ball.escape_prob(1.0, offset)
+        a = np.sqrt(0.91)
+        inside = 0.5 * (math.erf((a - 0.5) / np.sqrt(2)) + math.erf((a + 0.5) / np.sqrt(2)))
+        assert abs((1.0 - p) - inside) <= 1e-10
+
+    @pytest.mark.parametrize("x", [0.1, 1.0, 3.0])
+    def test_central_pair_is_exponential(self, x):
+        # rho(1) != rho(-1): lambda = (0.6^2 + 0.8^2) / 2 = 0.5, two degrees of freedom
+        ball, _ = lone_modes_ball({1: 0.6, 7: 0.8})
+        assert ball.lam.tolist() == [0.5] and ball.dof.tolist() == [2.0]
+        p, bound = ball.escape_prob(np.sqrt(x))
+        assert abs(p - np.exp(-x / (2 * 0.5))) <= 1e-10 and bound <= 1e-10
+
+    def test_groups_merge_equal_lambdas(self):
+        """64^2 radial root: 4096 modes collapse to one group per distinct |l|^2."""
+        lat = build_lattice(2, 64)
+        root = symbol_values(bessel_op(-1.0), lat)
+        ball = MultiplierBall(root, lat)
+        assert ball.dof.sum() == lat.size
+        assert ball.lam.size == np.unique(lat.weights).size
+
+    def test_cumulants_match_grid_quadratic_form(self):
+        """S as a real quadratic form z^T A z + b^T z + c in the grid noise z.
+
+        Its first three cumulants, tr A + c, 2 tr A^2 + |b|^2 and
+        8 tr A^3 + 6 b^T A b, must equal those of R + sum_g lambda_g
+        chi^2(h_g, nc_g), 2^(k-1) (k-1)! sum_g lambda_g^k (h_g + k nc_g).
+        Complex non-even root, non-Hermitian offset, zeta != 0.
+        """
+        lat = build_lattice(2, 6)
+        rng = np.random.default_rng(5)
+        k = lat.size
+        root = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        offset = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        zeta = -0.7
+        w = (1.0 + lat.weights) ** zeta
+        # xi = fftn(z) / sqrt(K) as a matrix on the flattened grid
+        fourier = np.fft.fftn(np.eye(k).reshape(k, *lat.shape), axes=(1, 2)).reshape(k, k).T
+        m = root[:, None] * fourier / np.sqrt(k)
+        a = (m.conj().T @ (w[:, None] * m)).real
+        b = 2.0 * (m.conj().T @ (w * offset)).real
+        c = float(np.sum(w * np.abs(offset) ** 2))
+        expected = [np.trace(a) + c, 2.0 * np.trace(a @ a) + b @ b,
+                    8.0 * np.trace(a @ a @ a) + 6.0 * b @ a @ b]
+        ball = MultiplierBall(root, lat, zeta)
+        nc, shift = ball.noncentrality(offset)
+        lam, dof = ball.lam, ball.dof
+        got = [np.sum(lam * (dof + nc)) + shift, 2.0 * np.sum(lam**2 * (dof + 2 * nc)),
+               8.0 * np.sum(lam**3 * (dof + 3 * nc))]
+        np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("case", ["noncentral", "zeta1", "non_even"])
+    def test_exact_matches_monte_carlo(self, case):
+        post, zeta, offset = mc_vs_exact_case(case)
+        lat = post.mean.lattice
+        ball = MultiplierBall(symbol_values(post.sqrt_cov, lat), lat, zeta)
+        # radius at the mean of S, where the escape probability is far from 0 and 1
+        w = (1.0 + lat.weights) ** zeta
+        mean_s = np.sum(w * np.abs(symbol_values(post.sqrt_cov, lat)) ** 2)
+        if offset is not None:
+            mean_s += np.sum(w * np.abs(offset) ** 2)
+        radius = float(np.sqrt(mean_s))
+        p, bound = ball.escape_prob(radius, offset)
+        p_in, se = credible_ball_prob(post, zeta, radius, 20000, 41, offset=offset)
+        assert 0.05 < p < 0.95 and bound <= 1e-10
+        assert abs(p - (1.0 - p_in)) <= 4.0 * se
+
+    def test_far_tails_are_exact_zero_and_one(self):
+        post, zeta, offset = mc_vs_exact_case("noncentral")
+        lat = post.mean.lattice
+        ball = MultiplierBall(symbol_values(post.sqrt_cov, lat), lat, zeta)
+        assert ball.escape_prob(100.0, offset)[0] == 0.0
+        assert ball.escape_prob(1e-3)[0] == 1.0
+        assert ball.escape_prob(0.0, offset) == (1.0, 0.0)
