@@ -34,7 +34,6 @@ from .operators import (
 )
 from .fields import (
     GaussianPrior,
-    NoiseSpec,
     gaussian_prior,
     operator_sqrt,
     prior_trace_check,
@@ -90,7 +89,7 @@ __all__ = [
     "MultiplierOp", "DenseOp", "bessel_op", "heat_op", "apply", "compose",
     "adjoint", "invert", "densify", "symbol_values", "variable_coeff_op",
     "hypoellipticity_check", "hypoellipticity_refinement", "norm_sandwich_check",
-    "GaussianPrior", "NoiseSpec", "gaussian_prior", "operator_sqrt",
+    "GaussianPrior", "gaussian_prior", "operator_sqrt",
     "sample_prior", "sample_white_noise", "sobolev_norm", "prior_trace_check",
     "HypothesisWarning", "RatePrediction", "SmoothnessParams", "bayes_rate",
     "contraction_rate", "credible_rate", "frequentist_rate",

@@ -254,9 +254,8 @@ def cmd_experiment(args) -> int:
             ]
             manifest["dropped"] = result.dropped
             manifest["extras"] = result.extras
-            total = sum(r.n for r in result.rows) + result.dropped
-            drop_rate = result.dropped / max(1, total)
-            failed_drops = drop_rate >= 0.01
+            # a dropped (replicate, delta) pair counts once, however many zetas
+            failed_drops = result.dropped / (cfg.n_replicates * len(cfg.deltas)) >= 0.01
         else:
             outputs.extend(write_curve_files(result, args.out))
             manifest["normalizers"] = {f"{z:g}": result.normalizers[z]
@@ -313,8 +312,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
         p.add_argument("--force", action="store_true", help="overwrite outputs")
-        p.add_argument("--threads", type=int, default=None,
-                       help="replicate worker threads")
+        if name == "experiment":
+            p.add_argument("--threads", type=int, default=None,
+                           help="replicate worker threads")
         p.set_defaults(func=func)
     return parser
 

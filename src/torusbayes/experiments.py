@@ -33,10 +33,11 @@ from .posterior import (
     MultiplierBall,
     PosteriorGaussian,
     SolverError,
+    _diag_weights,
+    _is_diagonal,
     _mc_ball_hits,
     credible_ball_prob,
     map_estimate,
-    posterior,
     posterior_covariance,
     posterior_trace,
 )
@@ -202,13 +203,40 @@ def fit_loglog_slope(deltas, values) -> LoglogFit:
             break
     if keep < 3:
         raise ValueError(f"only {keep} usable rows after saturation filter, need 3")
-    x = np.log(deltas[:keep])
-    y = np.log(values[:keep])
+    return LoglogFit(*_ols(np.log(deltas[:keep]), np.log(values[:keep])),
+                     tuple(order[:keep].tolist()))
+
+
+def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y = slope x + intercept: (slope, intercept, R^2)."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return LoglogFit(float(slope), float(intercept), r2, tuple(order[:keep].tolist()))
+    return float(slope), float(intercept), r2
+
+
+def _zeta_fit(zeta: float, deltas, values, pred: RatePrediction,
+              fit=fit_loglog_slope) -> ZetaFit:
+    """ZetaFit of ``fit(deltas, values)``; NaN slope, intercept and R^2 if it raises."""
+    try:
+        res = fit(deltas, values)
+    except ValueError:
+        return ZetaFit(zeta, float("nan"), float("nan"), float("nan"), (), pred)
+    return ZetaFit(zeta, res.slope, res.intercept, res.r2,
+                   tuple(deltas[i] for i in res.used_rows), pred)
+
+
+def _rate_rows(experiment: str, deltas, zeta: float, samples: np.ndarray,
+               exponent: float, regime: str) -> list[RateRow]:
+    """Rows of a (replicate, delta) array: mean, stderr and count of each column's non-NaNs."""
+    rows = []
+    for j, delta in enumerate(deltas):
+        vals = samples[~np.isnan(samples[:, j]), j]
+        rows.append(RateRow(experiment, delta, zeta, float(vals.mean()),
+                            float(vals.std(ddof=1) / np.sqrt(vals.size)), vals.size,
+                            exponent, regime))
+    return rows
 
 
 def make_hat_truth(lattice: FrequencyLattice) -> TruthField:
@@ -240,6 +268,40 @@ def _run_replicates(n, threads, work):
         return list(pool.map(work, range(n)))
 
 
+def _checked_truth(truth: TruthField | None, lattice: FrequencyLattice) -> TruthField:
+    """The given truth (hat function by default), which must live on ``lattice``."""
+    if truth is None:
+        truth = make_hat_truth(lattice)
+    if truth.u_dagger.lattice != lattice:
+        raise ValueError("truth lives on a different lattice than the config")
+    return truth
+
+
+@dataclass(frozen=True)
+class _DeltaSetup:
+    """Data-independent posterior pieces at one noise level; ``ball`` is None for a dense root."""
+
+    model: GaussianModel
+    cov: Operator
+    trace: float
+    root: Operator
+    ball: MultiplierBall | None
+
+
+def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
+                  zeta: float) -> list[_DeltaSetup]:
+    """Model, covariance, H^zeta trace, root and ball for each delta of the grid."""
+    setups = []
+    for delta in cfg.deltas:
+        model = cfg.model(delta)
+        cov = posterior_covariance(model, lattice)
+        root = operator_sqrt(cov)
+        ball = (MultiplierBall(symbol_values(root, lattice), lattice, zeta)
+                if isinstance(root, MultiplierOp) else None)
+        setups.append(_DeltaSetup(model, cov, posterior_trace(cov, zeta, lattice), root, ball))
+    return setups
+
+
 def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
     """Prior-draw experiment: U ~ prior, M = AU + delta E, error of the mean.
 
@@ -250,64 +312,50 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
     """
     lattice = cfg.lattice()
     deltas, zetas = cfg.deltas, cfg.zetas
-    a_vals = None
-    if isinstance(cfg.fwd, MultiplierOp) and isinstance(cfg.prior.cov, MultiplierOp):
-        a_vals = symbol_values(cfg.fwd, lattice)
-        c_vals = symbol_values(cfg.prior.cov, lattice).real
     models = [cfg.model(d) for d in deltas]
+    # per-delta factors of u (bias) and e (noise) in mean - u, diagonal models only
+    split = []
+    if _is_diagonal(models[0]):
+        for delta, model in zip(deltas, models):
+            a, asq, prec = _diag_weights(model, lattice)
+            denom = asq + prec
+            split.append((prec / denom, delta * np.conj(a) / denom))
     zw = np.stack([(1.0 + lattice.weights) ** z for z in zetas])
 
     def work(i: int):
         u = sample_prior(cfg.prior, lattice, _replicate_seed(cfg.master_seed, 0, i))
         e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
         au = apply(cfg.fwd, u)
-        errs = np.empty((len(deltas), len(zetas)))
-        bias = np.empty_like(errs)
-        noise = np.empty_like(errs)
+        errs = np.full((len(deltas), len(zetas)), np.nan)
+        bias = errs.copy()
+        noise = errs.copy()
         for j, (delta, model) in enumerate(zip(deltas, models)):
             m = SpectralField(lattice, au.coeffs + delta * e)
             try:
                 est = map_estimate(model, m)
             except SolverError:
-                errs[j] = np.nan
-                bias[j] = np.nan
-                noise[j] = np.nan
                 continue
             diff = np.abs(est.coeffs - u.coeffs) ** 2
             errs[j] = np.sqrt(zw @ diff)
-            if a_vals is not None:
-                denom = np.abs(a_vals) ** 2 + delta**2 / c_vals
-                bias[j] = np.sqrt(zw @ np.abs(delta**2 / c_vals / denom * u.coeffs) ** 2)
-                noise[j] = np.sqrt(zw @ np.abs(delta * np.conj(a_vals) / denom * e) ** 2)
-            else:
-                bias[j] = np.nan
-                noise[j] = np.nan
+            if split:
+                bias_w, noise_w = split[j]
+                bias[j] = np.sqrt(zw @ np.abs(bias_w * u.coeffs) ** 2)
+                noise[j] = np.sqrt(zw @ np.abs(noise_w * e) ** 2)
         return errs, bias, noise
 
     results = _run_replicates(cfg.n_replicates, cfg.threads, work)
     err_stack = np.stack([r[0] for r in results])
     bias_stack = np.stack([r[1] for r in results])
     noise_stack = np.stack([r[2] for r in results])
-    good = ~np.isnan(err_stack[:, :, 0])
 
     rows, fits = [], []
-    dropped = int(cfg.n_replicates * len(deltas) - good.sum())
+    dropped = int(np.isnan(err_stack[:, :, 0]).sum())
     for k, zeta in enumerate(zetas):
         pred = bayes_rate(cfg.model(deltas[0]).params(zeta))
-        means, errs = [], []
-        for j, delta in enumerate(deltas):
-            vals = err_stack[good[:, j], j, k]
-            mean = float(vals.mean())
-            stderr = float(vals.std(ddof=1) / np.sqrt(vals.size))
-            rows.append(RateRow("bayes", delta, zeta, mean, stderr, vals.size,
-                                pred.exponent, pred.regime))
-            means.append(mean)
-        try:
-            fit = fit_loglog_slope(deltas, means)
-            fits.append(ZetaFit(zeta, fit.slope, fit.intercept, fit.r2,
-                                tuple(deltas[i] for i in fit.used_rows), pred))
-        except ValueError:
-            fits.append(ZetaFit(zeta, float("nan"), float("nan"), float("nan"), (), pred))
+        zeta_rows = _rate_rows("bayes", deltas, zeta, err_stack[:, :, k],
+                               pred.exponent, pred.regime)
+        rows.extend(zeta_rows)
+        fits.append(_zeta_fit(zeta, deltas, [r.mean_error for r in zeta_rows], pred))
     extras = {
         "bias_mean": np.nanmean(bias_stack, axis=0).tolist(),
         "noise_mean": np.nanmean(noise_stack, axis=0).tolist(),
@@ -320,11 +368,8 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
 def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None = None) -> RateTable:
     """Fixed-truth experiment: M = A u_true + delta E, squared-L2 risk (MISE)."""
     lattice = cfg.lattice()
-    if truth is None:
-        truth = make_hat_truth(lattice)
+    truth = _checked_truth(truth, lattice)
     u = truth.u_dagger
-    if u.lattice != lattice:
-        raise ValueError("truth lives on a different lattice than the config")
     deltas = cfg.deltas
     models = [cfg.model(d) for d in deltas]
     au = apply(cfg.fwd, u)
@@ -332,40 +377,26 @@ def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None 
 
     def work(i: int):
         e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
-        out = np.empty(len(deltas))
+        out = np.full(len(deltas), np.nan)
         for j, (delta, model) in enumerate(zip(deltas, models)):
             m = SpectralField(lattice, au.coeffs + delta * e)
             try:
                 est = map_estimate(model, m)
             except SolverError:
-                out[j] = np.nan
                 continue
             out[j] = np.sum(np.abs(est.coeffs - u.coeffs) ** 2)
         return out
 
     results = np.stack(_run_replicates(cfg.n_replicates, cfg.threads, work))
-    good = ~np.isnan(results)
-    rows, means = [], []
-    for j, delta in enumerate(deltas):
-        vals = results[good[:, j], j]
-        mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / np.sqrt(vals.size))
-        rows.append(RateRow("frequentist", delta, 0.0, mean, stderr, vals.size,
-                            pred.exponent, pred.regime))
-        means.append(mean)
-    try:
-        fit = fit_loglog_slope(deltas, means)
-        fits = (ZetaFit(0.0, fit.slope, fit.intercept, fit.r2,
-                        tuple(deltas[i] for i in fit.used_rows), pred),)
-    except ValueError:
-        fits = (ZetaFit(0.0, float("nan"), float("nan"), float("nan"), (), pred),)
+    rows = _rate_rows("frequentist", deltas, 0.0, results, pred.exponent, pred.regime)
+    fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
     tau = cfg.model(deltas[0]).params().tau
     extras = {
         "truth": truth.description,
         "truth_h_tau_norm": sobolev_norm(u, tau),
         "deltas": list(deltas),
     }
-    dropped = int(results.size - good.sum())
+    dropped = int(np.isnan(results).sum())
     return RateTable("frequentist", tuple(rows), fits, dropped, extras)
 
 
@@ -386,20 +417,12 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     if cfg.kappa is None:
         raise ValueError("contraction experiment needs kappa")
     lattice = cfg.lattice()
-    if truth is None:
-        truth = make_hat_truth(lattice)
-    u = truth.u_dagger
+    u = _checked_truth(truth, lattice).u_dagger
     deltas = cfg.deltas
     pred = contraction_rate(cfg.model(deltas[0]).params(), cfg.kappa)
     au = apply(cfg.fwd, u)
-    models = [cfg.model(d) for d in deltas]
-    # data-independent posterior pieces, once per delta
-    covs = [posterior_covariance(mod, lattice) for mod in models]
-    traces = [posterior_trace(cov, 0.0, lattice) for cov in covs]
-    roots = [operator_sqrt(cov) for cov in covs]
-    balls = [MultiplierBall(symbol_values(root, lattice), lattice)
-             if isinstance(root, MultiplierOp) else None for root in roots]
-    exact = all(ball is not None for ball in balls)
+    setups = _delta_setups(cfg, lattice, 0.0)
+    exact = all(st.ball is not None for st in setups)
 
     c0 = cfg.c0
     if c0 is None:
@@ -409,8 +432,8 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         for _ in range(4):
             e = sample_white_noise(lattice, rng).coeffs
             m = SpectralField(lattice, au.coeffs + deltas[mid] * e)
-            mean = map_estimate(models[mid], m)
-            sq.append(traces[mid] + np.sum(np.abs(mean.coeffs - u.coeffs) ** 2))
+            mean = map_estimate(setups[mid].model, m)
+            sq.append(setups[mid].trace + np.sum(np.abs(mean.coeffs - u.coeffs) ** 2))
         c0 = float(np.sqrt(np.mean(sq)) / deltas[mid] ** cfg.kappa)
 
     def work(i: int):
@@ -419,17 +442,17 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         direct = np.empty(len(deltas))
         markov = np.empty(len(deltas))
         error = np.empty(len(deltas))
-        for j, (delta, model) in enumerate(zip(deltas, models)):
+        for j, (delta, st) in enumerate(zip(deltas, setups)):
             radius = c0 * delta**cfg.kappa
             m = SpectralField(lattice, au.coeffs + delta * e)
-            mean = map_estimate(model, m)
+            mean = map_estimate(st.model, m)
             offset = mean.coeffs - u.coeffs
-            sq_dev = traces[j] + float(np.sum(np.abs(offset) ** 2))
+            sq_dev = st.trace + float(np.sum(np.abs(offset) ** 2))
             markov[j] = min(1.0, sq_dev / radius**2)
-            if balls[j] is not None:
-                direct[j], error[j] = balls[j].escape_prob(radius, offset)
+            if st.ball is not None:
+                direct[j], error[j] = st.ball.escape_prob(radius, offset)
             else:
-                post = PosteriorGaussian(mean, covs[j], roots[j], model)
+                post = PosteriorGaussian(mean, st.cov, st.root, st.model)
                 hits = _mc_ball_hits(post, 0.0, radius, cfg.n_mc, inner_rng, offset)
                 direct[j] = (cfg.n_mc - hits) / cfg.n_mc
                 error[j] = np.sqrt(direct[j] * (1.0 - direct[j]) / cfg.n_mc)
@@ -439,27 +462,10 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     direct = np.stack([r[0] for r in results])
     markov = np.stack([r[1] for r in results])
     error = np.stack([r[2] for r in results])
-    rows = []
-    for j, delta in enumerate(deltas):
-        vals = direct[:, j]
-        rows.append(RateRow(
-            "contraction", delta, 0.0, float(vals.mean()),
-            float(vals.std(ddof=1) / np.sqrt(vals.size)), vals.size,
-            pred.extra["decay"], pred.regime,
-        ))
+    rows = _rate_rows("contraction", deltas, 0.0, direct, pred.extra["decay"], pred.regime)
     means = np.array([r.mean_error for r in rows])
     positive = means > 0
-    fits = ()
-    if positive.sum() >= 3:
-        try:
-            fit = fit_loglog_slope(np.asarray(deltas)[positive], means[positive])
-            fits = (ZetaFit(0.0, fit.slope, fit.intercept, fit.r2,
-                            tuple(np.asarray(deltas)[positive][i] for i in fit.used_rows),
-                            pred),)
-        except ValueError:
-            pass
-    if not fits:
-        fits = (ZetaFit(0.0, float("nan"), float("nan"), float("nan"), (), pred),)
+    fits = (_zeta_fit(0.0, np.asarray(deltas)[positive], means[positive], pred),)
     extras = {
         "c0": c0,
         "kappa": cfg.kappa,
@@ -493,13 +499,8 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
     alpha = cfg.alpha if cfg.alpha is not None else gamma / 4.0
     pred = credible_rate(cfg.model(deltas[0]).params(), cfg.zeta1, alpha)
     zero = SpectralField(lattice, np.zeros(lattice.size, dtype=complex))
-
-    traces = []
-    posts = []
-    for delta in deltas:
-        post = posterior(cfg.model(delta), zero)
-        posts.append(post)
-        traces.append(posterior_trace(post.cov, cfg.zeta1, lattice))
+    setups = _delta_setups(cfg, lattice, cfg.zeta1)
+    traces = [st.trace for st in setups]
     c1 = cfg.c1
     if c1 is None:
         mid = len(deltas) // 2
@@ -508,17 +509,16 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
     rows = []
     markov = []
     errors = []
-    exact = all(isinstance(post.sqrt_cov, MultiplierOp) for post in posts)
-    for j, delta in enumerate(deltas):
+    exact = all(st.ball is not None for st in setups)
+    for j, (delta, st) in enumerate(zip(deltas, setups)):
         radius = c1 * delta**alpha
         if exact:
-            root = symbol_values(posts[j].sqrt_cov, lattice)
-            p_out, stderr = MultiplierBall(root, lattice, cfg.zeta1).escape_prob(radius)
+            p_out, stderr = st.ball.escape_prob(radius)
             n = 0
         else:
             p_in, stderr = credible_ball_prob(
-                posts[j], cfg.zeta1, radius, cfg.n_mc,
-                _replicate_seed(cfg.master_seed, 3, j),
+                PosteriorGaussian(zero, st.cov, st.root, st.model), cfg.zeta1, radius,
+                cfg.n_mc, _replicate_seed(cfg.master_seed, 3, j),
             )
             p_out = 1.0 - p_in
             n = cfg.n_mc
@@ -526,20 +526,16 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
         errors.append(stderr)
         rows.append(RateRow("credible", delta, cfg.zeta1, p_out, stderr,
                             n, pred.extra["decay"], pred.regime))
+
+    def band_fit(xs, ps) -> LoglogFit:
+        band = np.flatnonzero((ps >= 10.0 / cfg.n_mc) & (ps <= 0.9))
+        if band.size < 3:
+            raise ValueError(f"only {band.size} rows in the fit band, need 3")
+        return LoglogFit(*_ols(np.log(np.asarray(xs)[band]), np.log(ps[band])),
+                         tuple(band.tolist()))
+
     probs = np.array([r.mean_error for r in rows])
-    band = (probs >= 10.0 / cfg.n_mc) & (probs <= 0.9)
-    fits = ()
-    if band.sum() >= 3:
-        x = np.log(np.asarray(deltas)[band])
-        y = np.log(probs[band])
-        slope, intercept = np.polyfit(x, y, 1)
-        resid = y - (slope * x + intercept)
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-        fits = (ZetaFit(cfg.zeta1, float(slope), float(intercept), r2,
-                        tuple(np.asarray(deltas)[band].tolist()), pred),)
-    else:
-        fits = (ZetaFit(cfg.zeta1, float("nan"), float("nan"), float("nan"), (), pred),)
+    fits = (_zeta_fit(cfg.zeta1, deltas, probs, pred, band_fit),)
     extras = {
         "c1": c1,
         "alpha": alpha,
@@ -562,9 +558,7 @@ def run_appendix_b(cfg: ExperimentConfig, truth: TruthField | None = None) -> Cu
     convergence is predicted.
     """
     lattice = cfg.lattice()
-    if truth is None:
-        truth = make_hat_truth(lattice)
-    u = truth.u_dagger
+    u = _checked_truth(truth, lattice).u_dagger
     m = apply(cfg.fwd, u)
     deltas = np.asarray(cfg.deltas)
     errors = {z: np.empty(len(deltas)) for z in cfg.zetas}

@@ -9,12 +9,11 @@ grid array, which is how we draw it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FrequencyLattice, SpectralField
+from .lattice import FrequencyLattice, SpectralField, sobolev_norm
 from .operators import DenseOp, MultiplierOp, Operator, apply, symbol_values
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "gaussian_prior",
     "sample_prior",
     "sobolev_norm",
-    "NoiseSpec",
     "prior_trace_check",
     "TraceCheck",
 ]
@@ -112,31 +110,6 @@ def gaussian_prior(cov: Operator, r: float | None = None) -> GaussianPrior:
 def sample_prior(prior: GaussianPrior, lattice: FrequencyLattice, seed=None) -> SpectralField:
     """Draw from the prior as sqrt_cov applied to white noise."""
     return apply(prior.sqrt_cov, sample_white_noise(lattice, seed))
-
-
-def sobolev_norm(u: SpectralField, q: float) -> float:
-    """H^q norm: sqrt of sum over modes of (1 + |l|^2)^q |u_l|^2."""
-    w = u.lattice.weights
-    return float(np.sqrt(np.sum((1.0 + w) ** q * np.abs(u.coeffs) ** 2)))
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Noise level and the Sobolev index the noise is measured in."""
-
-    delta: float
-    s: float
-    d: int
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if self.s <= self.d / 2:
-            warnings.warn(
-                f"white noise is not in H^-s for s <= d/2 (s={self.s}, d={self.d})",
-                UserWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ __all__ = [
     "build_lattice",
     "forward_transform",
     "inverse_transform",
+    "sobolev_norm",
 ]
 
 # Tolerance for the Hermitian-symmetry check in inverse_transform, relative
@@ -149,6 +150,12 @@ def forward_transform(lattice: FrequencyLattice, values) -> SpectralField:
     v = v.reshape(lattice.shape)
     coeffs = np.fft.fftn(v) / lattice.size
     return SpectralField(lattice, coeffs.ravel())
+
+
+def sobolev_norm(u: SpectralField, q: float) -> float:
+    """H^q norm: sqrt of sum over modes of (1 + |l|^2)^q |u_l|^2."""
+    w = u.lattice.weights
+    return float(np.sqrt(np.sum((1.0 + w) ** q * np.abs(u.coeffs) ** 2)))
 
 
 def hermitian_defect(field: SpectralField) -> float:

@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .lattice import FrequencyLattice, SpectralField, build_lattice
+from .lattice import FrequencyLattice, SpectralField, build_lattice, sobolev_norm
 
 __all__ = [
     "MultiplierOp",
@@ -352,10 +352,6 @@ class SandwichReport:
     passed: bool
 
 
-def _hnorm(coeffs: np.ndarray, weights: np.ndarray, q: float) -> float:
-    return float(np.sqrt(np.sum((1.0 + weights) ** q * np.abs(coeffs) ** 2)))
-
-
 def norm_sandwich_check(
     op: Operator,
     r: float,
@@ -400,16 +396,18 @@ def norm_sandwich_check(
             up = float(np.max(absa * (1.0 + w) ** t))
             lo = float(np.max((1.0 + w) ** (-t0) / absa))
             for c in probes:
-                ac = vals * c
-                up = max(up, _hnorm(ac, w, r + 2 * t) / _hnorm(c, w, r))
-                lo = max(lo, _hnorm(c, w, r) / _hnorm(ac, w, r + 2 * t0))
+                u, au = SpectralField(lat, c), SpectralField(lat, vals * c)
+                up = max(up, sobolev_norm(au, r + 2 * t) / sobolev_norm(u, r))
+                lo = max(lo, sobolev_norm(u, r) / sobolev_norm(au, r + 2 * t0))
         else:
             unit = np.eye(lat.size, dtype=np.complex128)
+            # wrap one probe at a time: wrapping all K unit probes up front
+            # would copy the K x K identity
             for c in list(unit) + probes:
-                ac = op.matrix @ c
-                nu = _hnorm(ac, w, r + 2 * t)
-                nl = _hnorm(ac, w, r + 2 * t0)
-                nr = _hnorm(c, w, r)
+                u, au = SpectralField(lat, c), SpectralField(lat, op.matrix @ c)
+                nu = sobolev_norm(au, r + 2 * t)
+                nl = sobolev_norm(au, r + 2 * t0)
+                nr = sobolev_norm(u, r)
                 if nr > 0 and nu > 0:
                     up = max(up, nu / nr)
                 if nl > 0:

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import torusbayes
+import torusbayes.experiments
 from torusbayes.cli import main, read_field_csv, write_field_csv
 from torusbayes.fields import sample_white_noise
 from torusbayes.lattice import build_lattice
+from torusbayes.posterior import SolverError
 
 RATES_ARGS = ["rates", "--r", "2", "--s", "1.01", "--t", "2", "--t0", "2",
               "--d", "2", "--zeta", "0"]
@@ -148,6 +150,11 @@ class TestEstimate:
         assert manifest["status"] == "failed"
         assert "no_such" in manifest["error"]
 
+    def test_threads_flag_is_usage_error(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, ESTIMATE_INI)
+        out = tmp_path / "run"
+        assert main(["estimate", "--config", cfg, "--out", str(out), "--threads", "2"]) == 1
+
     def test_seed_flag_changes_data(self, tmp_path):
         prior_ini = ESTIMATE_INI.replace("truth = hat", "truth = prior")
         cfg = write_ini(tmp_path, prior_ini)
@@ -198,6 +205,27 @@ class TestExperiment:
         assert max(extras["ball_prob_error"]) <= 1e-10
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert all(len(line.split(",")) == 8 for line in lines)
+
+    def test_drop_rate_counts_each_pair_once(self, tmp_path, capsys, monkeypatch):
+        # 2 failed map estimates of 16 replicates x 7 deltas = 1.8%, with two zetas
+        real = torusbayes.experiments.map_estimate
+        calls = []
+
+        def flaky(model, m):
+            calls.append(model.delta)
+            if len(calls) in (3, 40):
+                raise SolverError("injected failure", [1.0])
+            return real(model, m)
+
+        monkeypatch.setattr(torusbayes.experiments, "map_estimate", flaky)
+        text = (EXPERIMENT_INI.replace("geom(1e-1, 1e-3, 6)", "geom(1e-1, 1e-3, 7)")
+                .replace("replicates = 8", "replicates = 16"))
+        cfg = write_ini(tmp_path, text)
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", cfg, "--out", str(out), "--threads", "1"]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["dropped"] == 2
+        assert len(manifest["fits"]) == 2 and len(calls) == 16 * 7
 
     def test_experiment_overwrite_refused(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, EXPERIMENT_INI)

@@ -7,6 +7,7 @@ import pytest
 
 from torusbayes.experiments import (
     ExperimentConfig,
+    TruthField,
     default_config,
     fit_loglog_slope,
     make_hat_truth,
@@ -21,12 +22,34 @@ from torusbayes.experiments import (
 from torusbayes.fields import gaussian_prior, sobolev_norm
 from torusbayes.lattice import SpectralField, build_lattice, inverse_transform
 from torusbayes.operators import bessel_op, compose, variable_coeff_op
+from torusbayes.posterior import credible_ball_prob, posterior
 
 
 def small_cfg(mode="bayes", **overrides):
     base = dict(n_per_dim=16, n_replicates=8, deltas=tuple(np.geomspace(1e-1, 1e-3, 5)))
     base.update(overrides)
     return default_config(mode, **base)
+
+
+def dense_fwd(lat):
+    """bessel(-1) with a smooth positive coefficient: a dense, non-commuting forward map."""
+    x = lat.grid_axes()[0]
+    return variable_coeff_op(1.0 + 0.5 * np.outer(np.sin(x), np.cos(x)), bessel_op(-1.0), lat)
+
+
+@pytest.mark.parametrize("mode, run", [
+    ("frequentist", run_frequentist_convergence),
+    ("contraction", run_contraction),
+    ("appendix_b", run_appendix_b),
+], ids=["frequentist", "contraction", "appendix_b"])
+def test_truth_on_other_lattice_rejected(mode, run):
+    # same number of modes (16), different torus
+    lat = build_lattice(1, 16)
+    truth = TruthField(SpectralField(lat, np.zeros(lat.size, dtype=complex)), "zero on T^1")
+    cfg = small_cfg(mode, n_per_dim=4)
+    assert cfg.lattice().size == lat.size
+    with pytest.raises(ValueError, match="different lattice"):
+        run(cfg, truth)
 
 
 class TestFitLoglogSlope:
@@ -217,10 +240,8 @@ class TestContractionExperiment:
         assert len(errors) == len(cfg.deltas) and max(errors) <= 1e-10
 
     def test_dense_root_is_sampled(self):
-        lat = build_lattice(2, 8)
-        x = lat.grid_axes()[0]
-        fwd = variable_coeff_op(1.0 + 0.5 * np.outer(np.sin(x), np.cos(x)), bessel_op(-1.0), lat)
-        cfg = small_cfg("contraction", fwd=fwd, n_per_dim=8, n_mc=200)
+        cfg = small_cfg("contraction", fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8,
+                        n_mc=200)
         table = run_contraction(cfg)
         assert table.extras["ball_prob_method"] == "mc"
         for row, bound in zip(table.rows, table.extras["markov_mean"]):
@@ -245,6 +266,19 @@ class TestCredibleExperiment:
         assert table.extras["ball_prob_method"] == "exact"
         assert [r.stderr for r in table.rows] == table.extras["ball_prob_error"]
         assert all(r.stderr <= 1e-10 and r.n == 0 for r in table.rows)
+
+    def test_dense_root_is_sampled(self):
+        lat = build_lattice(2, 8)
+        cfg = small_cfg("credible", fwd=dense_fwd(lat), n_per_dim=8, n_mc=200)
+        table = run_credible(cfg)
+        assert table.extras["ball_prob_method"] == "mc"
+        zero = SpectralField(lat, np.zeros(lat.size, dtype=complex))
+        for j, row in enumerate(table.rows):
+            radius = table.extras["c1"] * row.delta ** table.extras["alpha"]
+            p_in, stderr = credible_ball_prob(posterior(cfg.model(row.delta), zero), cfg.zeta1,
+                                              radius, cfg.n_mc, (cfg.master_seed, 3, j))
+            assert row.n == cfg.n_mc
+            assert row.mean_error == 1.0 - p_in and row.stderr == stderr
 
     def test_huge_constant_gives_full_coverage(self):
         cfg = small_cfg("credible", n_mc=200, c1=1e9, alpha=0.0)

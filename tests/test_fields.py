@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from torusbayes.fields import (
-    NoiseSpec,
     gaussian_prior,
     operator_sqrt,
     prior_trace_check,
@@ -152,23 +151,6 @@ class TestSobolevNorm:
         lat = build_lattice(1, 16)
         u = sample_white_noise(lat, 10)
         assert sobolev_norm(u, -1.0) < sobolev_norm(u, 0.0) < sobolev_norm(u, 1.0)
-
-
-class TestNoiseSpec:
-    def test_warns_below_white_noise_threshold(self):
-        with pytest.warns(UserWarning, match="not in H"):
-            NoiseSpec(delta=0.1, s=0.5, d=2)
-
-    def test_silent_when_admissible(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            NoiseSpec(delta=0.1, s=1.01, d=2)
-
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(delta=0.0, s=1.01, d=2)
 
 
 class TestPriorTraceCheck:
