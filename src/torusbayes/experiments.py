@@ -21,7 +21,6 @@ import numpy as np
 from .fields import (
     GaussianPrior,
     gaussian_prior,
-    operator_sqrt,
     sample_prior,
     sample_white_noise,
     sobolev_norm,
@@ -36,9 +35,9 @@ from .posterior import (
     _diag_weights,
     _is_diagonal,
     _mc_ball_hits,
+    _posterior_cov_root,
     credible_ball_prob,
     map_estimate,
-    posterior_covariance,
     posterior_trace,
 )
 from .rates import RatePrediction, bayes_rate, contraction_rate, credible_rate, frequentist_rate
@@ -294,8 +293,7 @@ def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
     setups = []
     for delta in cfg.deltas:
         model = cfg.model(delta)
-        cov = posterior_covariance(model, lattice)
-        root = operator_sqrt(cov)
+        cov, root = _posterior_cov_root(model, lattice)
         ball = (MultiplierBall(symbol_values(root, lattice), lattice, zeta)
                 if isinstance(root, MultiplierOp) else None)
         setups.append(_DeltaSetup(model, cov, posterior_trace(cov, zeta, lattice), root, ball))
@@ -307,8 +305,9 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
 
     One (U, E) pair per replicate is reused across the whole delta grid
     (common random numbers), which removes draw-to-draw jitter from the
-    fitted slope.  Per delta the H^zeta error is decomposed into its bias
-    and noise parts, reported in ``extras``.
+    fitted slope.  For a diagonal model the H^zeta error per delta is
+    decomposed into its bias and noise parts, reported in ``extras``; other
+    models have no such split and report neither.
     """
     lattice = cfg.lattice()
     deltas, zetas = cfg.deltas, cfg.zetas
@@ -327,8 +326,8 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
         e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
         au = apply(cfg.fwd, u)
         errs = np.full((len(deltas), len(zetas)), np.nan)
-        bias = errs.copy()
-        noise = errs.copy()
+        bias = errs.copy() if split else None
+        noise = errs.copy() if split else None
         for j, (delta, model) in enumerate(zip(deltas, models)):
             m = SpectralField(lattice, au.coeffs + delta * e)
             try:
@@ -345,8 +344,6 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
 
     results = _run_replicates(cfg.n_replicates, cfg.threads, work)
     err_stack = np.stack([r[0] for r in results])
-    bias_stack = np.stack([r[1] for r in results])
-    noise_stack = np.stack([r[2] for r in results])
 
     rows, fits = [], []
     dropped = int(np.isnan(err_stack[:, :, 0]).sum())
@@ -356,12 +353,13 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
                                pred.exponent, pred.regime)
         rows.extend(zeta_rows)
         fits.append(_zeta_fit(zeta, deltas, [r.mean_error for r in zeta_rows], pred))
-    extras = {
-        "bias_mean": np.nanmean(bias_stack, axis=0).tolist(),
-        "noise_mean": np.nanmean(noise_stack, axis=0).tolist(),
-        "deltas": list(deltas),
-        "zetas": list(zetas),
-    }
+    extras = {"deltas": list(deltas), "zetas": list(zetas)}
+    if split:
+        extras = {
+            "bias_mean": np.nanmean(np.stack([r[1] for r in results]), axis=0).tolist(),
+            "noise_mean": np.nanmean(np.stack([r[2] for r in results]), axis=0).tolist(),
+            **extras,
+        }
     return RateTable("bayes", tuple(rows), tuple(fits), dropped, extras)
 
 

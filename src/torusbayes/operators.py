@@ -17,6 +17,7 @@ capped at MAX_DENSE unknowns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -400,10 +401,9 @@ def norm_sandwich_check(
                 up = max(up, sobolev_norm(au, r + 2 * t) / sobolev_norm(u, r))
                 lo = max(lo, sobolev_norm(u, r) / sobolev_norm(au, r + 2 * t0))
         else:
-            unit = np.eye(lat.size, dtype=np.complex128)
-            # wrap one probe at a time: wrapping all K unit probes up front
-            # would copy the K x K identity
-            for c in list(unit) + probes:
+            # one unit vector at a time: a K x K identity would hold K^2 entries
+            units = (np.eye(1, lat.size, i, dtype=np.complex128)[0] for i in range(lat.size))
+            for c in itertools.chain(units, probes):
                 u, au = SpectralField(lat, c), SpectralField(lat, op.matrix @ c)
                 nu = sobolev_norm(au, r + 2 * t)
                 nl = sobolev_norm(au, r + 2 * t0)

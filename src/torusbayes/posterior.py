@@ -7,8 +7,9 @@ posterior is Gaussian with mean
 
 and covariance C = delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.  When both A
 and C_U are Fourier multipliers everything is a per-frequency scalar
-formula; otherwise the normal equations are solved by preconditioned
-conjugate gradients and the covariance is formed densely.
+formula.  Otherwise the mean comes from preconditioned conjugate gradients
+that apply A and A^H to vectors, never forming A^H A, and the covariance
+and its root come from one eigendecomposition of the dense normal matrix.
 """
 
 from __future__ import annotations
@@ -115,8 +116,11 @@ def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
     return a, np.abs(a) ** 2, model.delta**2 / c_u
 
 
-def _pcg(mat: np.ndarray, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
-    """Conjugate gradients with Jacobi preconditioner on a Hermitian PD system."""
+def _pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
+    """Conjugate gradients with Jacobi preconditioner on a Hermitian PD system.
+
+    ``matvec(p)`` applies the system matrix to a vector.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     bnorm = np.linalg.norm(b)
@@ -130,7 +134,7 @@ def _pcg(mat: np.ndarray, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: 
     for _ in range(maxiter):
         if residuals[-1] <= tol:
             return x, residuals
-        q = mat @ p
+        q = matvec(p)
         alpha = rz / np.vdot(p, q).real
         x += alpha * p
         r -= alpha * q
@@ -148,37 +152,57 @@ def _pcg(mat: np.ndarray, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: 
     )
 
 
-def _normal_system(model: GaussianModel, lattice: FrequencyLattice):
-    """Dense N = A^H A + delta^2 C_U^{-1} plus its multiplier-part diagonal."""
+def _adjoint_matvec(a_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A^H v, computed through the transpose view so no conjugate copy of A is made."""
+    return (a_mat.T @ v.conj()).conj()
+
+
+def _prior_precision(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
+    """delta^2 C_U^{-1}: per-frequency values for a multiplier prior, else a dense matrix."""
+    if isinstance(model.prior.cov, MultiplierOp):
+        return model.delta**2 / symbol_values(model.prior.cov, lattice).real
+    return model.delta**2 * np.linalg.inv(densify(model.prior.cov, lattice).matrix)
+
+
+def _normal_matrix(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
+    """Dense N = A^H A + delta^2 C_U^{-1}."""
     a_mat = densify(model.fwd, lattice).matrix
     normal = a_mat.conj().T @ a_mat
-    if isinstance(model.prior.cov, MultiplierOp):
-        prec = model.delta**2 / symbol_values(model.prior.cov, lattice).real
-        normal = normal + np.diag(prec.astype(complex))
-    else:
-        c_mat = densify(model.prior.cov, lattice).matrix
-        normal = normal + model.delta**2 * np.linalg.inv(c_mat)
-    # Jacobi diagonal; the multiplier parts dominate it as delta -> 0
-    diag = np.abs(np.diag(normal).real)
-    diag = np.maximum(diag, 1e-300)
-    return normal, diag
+    prec = _prior_precision(model, lattice)
+    if prec.ndim == 1:
+        normal[np.diag_indices(lattice.size)] += prec
+        return normal
+    return normal + prec
 
 
 def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     """Posterior mean (equals the MAP point for this Gaussian conjugate pair).
 
     Diagonal models use the per-frequency formula
-    conj(a) m_hat / (|a|^2 + delta^2 / c_U); anything dense goes through
-    preconditioned conjugate gradients on the normal equations with
-    relative residual 1e-10 and an iteration cap of 10 K.
+    conj(a) m_hat / (|a|^2 + delta^2 / c_U).  Otherwise preconditioned
+    conjugate gradients solve the normal equations matrix-free: each
+    iteration applies A and then A^H to a vector (two K^2 products) plus
+    the prior precision, and A^H A is never formed.  The Jacobi diagonal is
+    the squared column norms of A plus the diagonal of delta^2 C_U^{-1};
+    relative residual 1e-10, iteration cap 10 K.  A dense prior costs one
+    inverse of C_U per call.
     """
     lattice = m.lattice
     if _is_diagonal(model):
         a, asq, prec = _diag_weights(model, lattice)
         return SpectralField(lattice, np.conj(a) * m.coeffs / (asq + prec))
-    normal, diag = _normal_system(model, lattice)
-    b = densify(model.fwd, lattice).matrix.conj().T @ m.coeffs
-    x, _ = _pcg(normal, b, diag, CG_TOL, 10 * lattice.size)
+    a_mat = densify(model.fwd, lattice).matrix
+    prec = _prior_precision(model, lattice)
+    dense_prior = prec.ndim == 2
+
+    def normal_matvec(p: np.ndarray) -> np.ndarray:
+        return _adjoint_matvec(a_mat, a_mat @ p) + (prec @ p if dense_prior else prec * p)
+
+    # Jacobi diagonal; the multiplier parts dominate it as delta -> 0
+    prec_diag = np.diag(prec).real if dense_prior else prec
+    diag = np.maximum(np.abs(np.sum(np.abs(a_mat) ** 2, axis=0) + prec_diag), 1e-300)
+    b = _adjoint_matvec(a_mat, m.coeffs)
+    x, _ = _pcg(normal_matvec, b, diag, CG_TOL, 10 * lattice.size)
     return SpectralField(lattice, x)
 
 
@@ -206,7 +230,11 @@ def map_estimate_discrete(a_mat, c_mat, delta: float, mvec) -> np.ndarray:
 
 
 def posterior_covariance(model: GaussianModel, lattice: FrequencyLattice | None = None) -> Operator:
-    """Posterior covariance delta^2 (A^H A + delta^2 C_U^{-1})^{-1}."""
+    """Posterior covariance delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.
+
+    A dense covariance is one inverse of the normal matrix; :func:`posterior`,
+    which also needs the root, takes both from one eigendecomposition.
+    """
     if _is_diagonal(model):
         fwd_sym, cov_sym, delta = model.fwd.symbol, model.prior.cov.symbol, model.delta
 
@@ -222,8 +250,7 @@ def posterior_covariance(model: GaussianModel, lattice: FrequencyLattice | None 
             label=f"postcov({model.fwd.label})",
         )
     lattice = _dense_lattice(model, lattice)
-    normal, _ = _normal_system(model, lattice)
-    c_mat = model.delta**2 * np.linalg.inv(normal)
+    c_mat = model.delta**2 * np.linalg.inv(_normal_matrix(model, lattice))
     c_mat = 0.5 * (c_mat + c_mat.conj().T)
     return DenseOp(
         lattice, c_mat, model.prior.cov.order_t, model.prior.cov.order_t0,
@@ -275,11 +302,40 @@ def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | N
     return float(np.sum((1.0 + lattice.weights) ** q * diag))
 
 
+def _posterior_cov_root(model: GaussianModel,
+                        lattice: FrequencyLattice) -> tuple[Operator, Operator]:
+    """Posterior covariance and its Hermitian root.
+
+    Multipliers are rooted per frequency.  Otherwise one eigendecomposition
+    N = V diag(lam) V^H of the dense normal matrix gives both:
+    C = V diag(delta^2 / lam) V^H (symmetrised) and
+    C^{1/2} = V diag(delta / sqrt(lam)) V^H.
+    """
+    if _is_diagonal(model):
+        cov = posterior_covariance(model, lattice)
+        return cov, operator_sqrt(cov)
+    lattice = _dense_lattice(model, lattice)
+    evals, evecs = np.linalg.eigh(_normal_matrix(model, lattice))
+    if evals.min() <= 0:
+        raise ValueError(f"covariance not positive definite (min eig of the normal "
+                         f"matrix {evals.min():g})")
+    c_mat = (evecs * (model.delta**2 / evals)) @ evecs.conj().T
+    c_mat = 0.5 * (c_mat + c_mat.conj().T)
+    root_mat = (evecs * (model.delta / np.sqrt(evals))) @ evecs.conj().T
+    t, t0 = model.prior.cov.order_t, model.prior.cov.order_t0
+    label = f"postcov({model.fwd.label})"
+    return (DenseOp(lattice, c_mat, t, t0, label),
+            DenseOp(lattice, root_mat, t / 2.0, t0 / 2.0, f"sqrt({label})"))
+
+
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:
-    """Assemble mean, covariance, and covariance root for one measurement."""
+    """Assemble mean, covariance, and covariance root for one measurement.
+
+    The mean is exactly ``map_estimate(model, m)``; a dense covariance and
+    its root come from one eigendecomposition of the normal matrix.
+    """
     mean = map_estimate(model, m)
-    cov = posterior_covariance(model, m.lattice)
-    return PosteriorGaussian(mean, cov, operator_sqrt(cov), model)
+    return PosteriorGaussian(mean, *_posterior_cov_root(model, m.lattice), model)
 
 
 def sample_posterior(post: PosteriorGaussian, seed=None) -> SpectralField:

@@ -1,6 +1,7 @@
 """Experiment runners: fits, hat truth, reproducibility, table plumbing."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ class TestBayesExperiment:
         for k, zeta in enumerate(cfg.zetas):
             means = np.array([r.mean_error for r in table.rows if r.zeta == zeta])
             assert np.all(means <= bias[:, k] + noise[:, k] + 1e-12)
+
+    def test_dense_model_warns_nothing(self):
+        """No bias/noise split exists off the diagonal path, so none is averaged."""
+        cfg = small_cfg(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = run_bayes_convergence(cfg)
+        assert table.dropped == 0
+        assert "bias_mean" not in table.extras and "noise_mean" not in table.extras
+
+    def test_dense_rows_independent_of_thread_count(self):
+        cfg = small_cfg(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
+        t1 = run_bayes_convergence(cfg)
+        t2 = run_bayes_convergence(small_cfg(fwd=cfg.fwd, n_per_dim=8, threads=2))
+        assert t1.rows == t2.rows
 
     def test_out_of_regime_zeta_does_not_converge(self):
         cfg = small_cfg(zetas=(2.0,), n_per_dim=32)

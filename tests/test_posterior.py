@@ -6,7 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from torusbayes.fields import gaussian_prior, sample_prior, sample_white_noise, sobolev_norm
+from torusbayes.fields import (
+    GaussianPrior,
+    gaussian_prior,
+    sample_prior,
+    sample_white_noise,
+    sobolev_norm,
+)
 from torusbayes.lattice import SpectralField, build_lattice
 from torusbayes.operators import (
     DenseOp,
@@ -145,11 +151,27 @@ class TestMapEstimate:
             norms.append(np.sqrt(np.sum(inv_c * np.abs(est.coeffs) ** 2)))
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
+    @pytest.mark.parametrize("dense_prior", [False, True], ids=["multiplier_prior", "dense_prior"])
+    def test_matrix_free_matches_direct_solve(self, dense_model, dense_prior):
+        lat, model = dense_model
+        if dense_prior:
+            # C = B B^H with B another variable-coefficient map: dense, not diagonal
+            phi = 1.0 + 0.3 * np.cos(lat.grid_axes()[0])
+            b = variable_coeff_op(phi, bessel_op(-1.0), lat).matrix
+            cmat = b @ b.conj().T
+            prior = gaussian_prior(DenseOp(lat, 0.5 * (cmat + cmat.conj().T), 4.0, 4.0))
+            model = quiet_model(model.fwd, prior, 0.51, 1, model.delta)
+        m = SpectralField(lat, sample_white_noise(lat, 3).coeffs)
+        est = map_estimate(model, m).coeffs
+        ref = map_estimate_discrete(densify(model.fwd, lat).matrix,
+                                    densify(model.prior.cov, lat).matrix, model.delta, m.coeffs)
+        assert np.linalg.norm(est - ref) <= 1e-9 * np.linalg.norm(ref)
+
     def test_pcg_nonconvergence_raises_with_history(self):
         mat = np.diag(np.array([1.0, 1e8], dtype=complex))
         b = np.array([1.0, 1.0], dtype=complex)
         with pytest.raises(SolverError) as err:
-            _pcg(mat, b, np.array([1.0, 1.0]), tol=1e-30, maxiter=2)
+            _pcg(mat.__matmul__, b, np.array([1.0, 1.0]), tol=1e-30, maxiter=2)
         assert len(err.value.residuals) >= 1
 
 
@@ -232,6 +254,28 @@ class TestPosteriorCovariance:
 
         with pytest.raises(ValueError):
             posterior_covariance_update(model, None)
+
+
+class TestDensePosterior:
+    def test_cov_root_and_mean(self, dense_model):
+        lat, model = dense_model
+        m = SpectralField(lat, sample_white_noise(lat, 16).coeffs)
+        post = posterior(model, m)
+        cov, root = post.cov.matrix, post.sqrt_cov.matrix
+        assert np.abs(cov - posterior_covariance_update(model, lat).matrix).max() < 1e-9
+        assert np.abs(root @ root.conj().T - cov).max() < 1e-12
+        assert np.abs(root - root.conj().T).max() < 1e-12
+        assert np.array_equal(cov, cov.conj().T)
+        assert np.array_equal(post.mean.coeffs, map_estimate(model, m).coeffs)
+
+    def test_indefinite_normal_matrix_raises(self):
+        lat = build_lattice(1, 8)
+        eye = np.eye(lat.size, dtype=complex)
+        # a negative prior covariance makes A^H A + delta^2 C_U^{-1} = 0.01 I - I indefinite
+        prior = GaussianPrior(DenseOp(lat, -eye), 1.0, DenseOp(lat, eye))
+        model = quiet_model(DenseOp(lat, 0.1 * eye), prior, 0.51, 1, 1.0)
+        with pytest.raises(ValueError, match="not positive definite"):
+            posterior(model, SpectralField(lat, np.zeros(lat.size, dtype=complex)))
 
 
 class TestPosteriorTrace:
