@@ -232,8 +232,8 @@ def map_estimate_discrete(a_mat, c_mat, delta: float, mvec) -> np.ndarray:
 def posterior_covariance(model: GaussianModel, lattice: FrequencyLattice | None = None) -> Operator:
     """Posterior covariance delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.
 
-    A dense covariance is one inverse of the normal matrix; :func:`posterior`,
-    which also needs the root, takes both from one eigendecomposition.
+    A dense covariance comes from one eigendecomposition of the normal
+    matrix, the same one that gives :func:`posterior` its root.
     """
     if _is_diagonal(model):
         fwd_sym, cov_sym, delta = model.fwd.symbol, model.prior.cov.symbol, model.delta
@@ -249,13 +249,7 @@ def posterior_covariance(model: GaussianModel, lattice: FrequencyLattice | None 
             c_symbol, model.prior.cov.order_t, model.prior.cov.order_t0,
             label=f"postcov({model.fwd.label})",
         )
-    lattice = _dense_lattice(model, lattice)
-    c_mat = model.delta**2 * np.linalg.inv(_normal_matrix(model, lattice))
-    c_mat = 0.5 * (c_mat + c_mat.conj().T)
-    return DenseOp(
-        lattice, c_mat, model.prior.cov.order_t, model.prior.cov.order_t0,
-        label=f"postcov({model.fwd.label})",
-    )
+    return _dense_cov_root(model, _dense_lattice(model, lattice))[0]
 
 
 def posterior_covariance_update(
@@ -302,19 +296,14 @@ def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | N
     return float(np.sum((1.0 + lattice.weights) ** q * diag))
 
 
-def _posterior_cov_root(model: GaussianModel,
-                        lattice: FrequencyLattice) -> tuple[Operator, Operator]:
-    """Posterior covariance and its Hermitian root.
+def _dense_cov_root(model: GaussianModel,
+                    lattice: FrequencyLattice) -> tuple[DenseOp, DenseOp]:
+    """Dense posterior covariance and its Hermitian root from one ``eigh``.
 
-    Multipliers are rooted per frequency.  Otherwise one eigendecomposition
-    N = V diag(lam) V^H of the dense normal matrix gives both:
+    With N = V diag(lam) V^H the dense normal matrix,
     C = V diag(delta^2 / lam) V^H (symmetrised) and
     C^{1/2} = V diag(delta / sqrt(lam)) V^H.
     """
-    if _is_diagonal(model):
-        cov = posterior_covariance(model, lattice)
-        return cov, operator_sqrt(cov)
-    lattice = _dense_lattice(model, lattice)
     evals, evecs = np.linalg.eigh(_normal_matrix(model, lattice))
     if evals.min() <= 0:
         raise ValueError(f"covariance not positive definite (min eig of the normal "
@@ -326,6 +315,15 @@ def _posterior_cov_root(model: GaussianModel,
     label = f"postcov({model.fwd.label})"
     return (DenseOp(lattice, c_mat, t, t0, label),
             DenseOp(lattice, root_mat, t / 2.0, t0 / 2.0, f"sqrt({label})"))
+
+
+def _posterior_cov_root(model: GaussianModel,
+                        lattice: FrequencyLattice) -> tuple[Operator, Operator]:
+    """Posterior covariance and its Hermitian root; multipliers are rooted per frequency."""
+    if _is_diagonal(model):
+        cov = posterior_covariance(model, lattice)
+        return cov, operator_sqrt(cov)
+    return _dense_cov_root(model, _dense_lattice(model, lattice))
 
 
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:

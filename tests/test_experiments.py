@@ -151,11 +151,13 @@ class TestBayesExperiment:
         assert table.dropped == 0
 
     def test_reproducible_across_runs_and_threads(self):
-        t1 = run_bayes_convergence(small_cfg())
-        t2 = run_bayes_convergence(small_cfg())
-        t4 = run_bayes_convergence(small_cfg(threads=4))
-        assert t1.rows == t2.rows == t4.rows
-        assert t1.fits[0].slope == t4.fits[0].slope
+        dense = dict(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
+        for overrides in ({}, dense):
+            t1 = run_bayes_convergence(small_cfg(**overrides))
+            t2 = run_bayes_convergence(small_cfg(**overrides))
+            t4 = run_bayes_convergence(small_cfg(threads=4, **overrides))
+            assert t1.rows == t2.rows == t4.rows
+            assert t1.fits[0].slope == t4.fits[0].slope
 
     def test_error_bounded_by_bias_plus_noise(self):
         cfg = small_cfg()
@@ -174,12 +176,6 @@ class TestBayesExperiment:
             table = run_bayes_convergence(cfg)
         assert table.dropped == 0
         assert "bias_mean" not in table.extras and "noise_mean" not in table.extras
-
-    def test_dense_rows_independent_of_thread_count(self):
-        cfg = small_cfg(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
-        t1 = run_bayes_convergence(cfg)
-        t2 = run_bayes_convergence(small_cfg(fwd=cfg.fwd, n_per_dim=8, threads=2))
-        assert t1.rows == t2.rows
 
     def test_out_of_regime_zeta_does_not_converge(self):
         cfg = small_cfg(zetas=(2.0,), n_per_dim=32)
