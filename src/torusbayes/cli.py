@@ -8,7 +8,6 @@ that reaches the runtime stage, success or not.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -54,41 +53,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _field_header(d: int) -> str:
+    return ",".join([f"l{i + 1}" for i in range(d)] + ["re", "im"])
+
+
 def write_field_csv(field: SpectralField, path):
-    """Frequency-indexed coefficients: columns l1..ld, re, im at 17 digits."""
+    """Frequency-indexed coefficients: columns l1..ld, re, im at 17 digits, CRLF line ends."""
     d = field.lattice.dim
+    table = np.column_stack([field.lattice.freqs, field.coeffs.real, field.coeffs.imag])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"l{i + 1}" for i in range(d)] + ["re", "im"])
-        for freq, c in zip(field.lattice.freqs, field.coeffs):
-            writer.writerow([*(int(x) for x in freq), f"{c.real:.17g}", f"{c.imag:.17g}"])
+        np.savetxt(fh, table, fmt=["%d"] * d + ["%.17g"] * 2, delimiter=",",
+                   newline="\r\n", header=_field_header(d), comments="")
 
 
 def read_field_csv(path, lattice) -> SpectralField:
     """Read a field written by write_field_csv; rows must match the lattice order."""
     d = lattice.dim
-    coeffs = np.empty(lattice.size, dtype=complex)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = [f"l{i + 1}" for i in range(d)] + ["re", "im"]
-        if header != expected:
-            raise ValueError(f"bad field CSV header {header}, expected {expected}")
-        count = 0
-        for i, row in enumerate(reader):
-            if i >= lattice.size:
-                raise ValueError("field CSV has more rows than the lattice")
-            freq = tuple(int(x) for x in row[:d])
-            if freq != tuple(int(x) for x in lattice.freqs[i]):
-                raise ValueError(
-                    f"field CSV row {i + 2}: frequency {freq} does not match "
-                    f"lattice order {tuple(lattice.freqs[i])}"
-                )
-            coeffs[i] = complex(float(row[d]), float(row[d + 1]))
-            count += 1
-    if count != lattice.size:
-        raise ValueError(f"field CSV has {count} rows, lattice needs {lattice.size}")
-    return SpectralField(lattice, coeffs)
+        header = fh.readline().rstrip("\r\n")
+        if header != _field_header(d):
+            raise ValueError(f"bad field CSV header {header!r}, expected {_field_header(d)!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file without rows fails the shape check
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if table.shape != (lattice.size, d + 2):
+        raise ValueError(f"field CSV has shape {table.shape}, need {(lattice.size, d + 2)}")
+    bad = np.flatnonzero(np.any(table[:, :d] != lattice.freqs, axis=1))
+    if bad.size:
+        raise ValueError(f"field CSV row {bad[0] + 2}: frequency not in lattice order")
+    # each (re, im) pair read as one complex number: exact, signed zeros kept
+    return SpectralField(lattice, np.ascontiguousarray(table[:, d:]).view(np.complex128)[:, 0])
 
 
 def _overwrite_guard(paths, force: bool):

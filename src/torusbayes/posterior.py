@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 CG_TOL = 1e-10
+_DIAG_LOCK = threading.Lock()  # guards GaussianModel._diag
 
 
 class SolverError(RuntimeError):
@@ -66,6 +67,10 @@ class GaussianModel:
     Rate-prediction hypotheses (s > d/2, t > max(0, s - tau), t0 < 2t + r) are
     checked at construction; violations are warnings stored in
     ``hypothesis_messages``, never errors, so off-regime experiments run.
+
+    A diagonal model keeps a, |a|^2 and delta^2 / c_U per lattice, read-only,
+    so each symbol is evaluated once per noise level.  A dense model keeps
+    none: its pieces are K x K matrices, held for as long as the model lives.
     """
 
     fwd: Operator
@@ -74,6 +79,7 @@ class GaussianModel:
     d: int
     delta: float
     hypothesis_messages: tuple[str, ...] = field(init=False)
+    _diag: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -108,12 +114,18 @@ def _is_diagonal(model: GaussianModel) -> bool:
 
 
 def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
-    """Per-frequency forward symbol a, |a|^2 and delta^2 / c_U of the normal operator."""
-    a = symbol_values(model.fwd, lattice)
-    c_u = symbol_values(model.prior.cov, lattice).real
-    if np.any(c_u <= 0):
-        raise ValueError("prior covariance symbol must be strictly positive")
-    return a, np.abs(a) ** 2, model.delta**2 / c_u
+    """Per-frequency forward symbol a, |a|^2 and delta^2 / c_U, evaluated once per lattice."""
+    with _DIAG_LOCK:
+        weights = model._diag.get(lattice)
+        if weights is None:
+            a = symbol_values(model.fwd, lattice).copy()  # owned, so freezing it is safe
+            c_u = symbol_values(model.prior.cov, lattice).real
+            if np.any(c_u <= 0):
+                raise ValueError("prior covariance symbol must be strictly positive")
+            weights = model._diag[lattice] = (a, np.abs(a) ** 2, model.delta**2 / c_u)
+            for arr in weights:
+                arr.setflags(write=False)
+    return weights
 
 
 def _pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
@@ -340,8 +352,6 @@ def sample_posterior(post: PosteriorGaussian, seed=None) -> SpectralField:
     """One draw mean + C^{1/2} xi with xi spectral white noise."""
     noise = sample_white_noise(post.mean.lattice, seed)
     return post.mean + apply(post.sqrt_cov, noise)
-
-
 
 
 def _mc_ball_hits(post: PosteriorGaussian, zeta1: float, radius: float, n_mc: int,

@@ -13,7 +13,7 @@ import torusbayes
 import torusbayes.experiments
 from torusbayes.cli import main, read_field_csv, write_field_csv
 from torusbayes.fields import sample_white_noise
-from torusbayes.lattice import build_lattice
+from torusbayes.lattice import SpectralField, build_lattice
 from torusbayes.posterior import SolverError
 
 RATES_ARGS = ["rates", "--r", "2", "--s", "1.01", "--t", "2", "--t0", "2",
@@ -234,14 +234,51 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 2
 
 
+def _field_lines(tmp_path, lat):
+    """Lines of a written 2-D field CSV, without their CRLF ends, and its path."""
+    path = tmp_path / "field.csv"
+    write_field_csv(sample_white_noise(lat, np.random.default_rng(0)), path)
+    return path.read_bytes().split(b"\r\n")[:-1], path
+
+
 class TestFieldCsv:
     def test_round_trip(self, tmp_path):
         lat = build_lattice(2, 8)
-        field = sample_white_noise(lat, np.random.default_rng(0))
+        coeffs = sample_white_noise(lat, np.random.default_rng(0)).coeffs * 1e-7
+        coeffs[:4] = [complex(-0.0, 0.0), complex(5e-324, -1.7976931348623157e308),
+                      complex(np.inf, -np.inf), 1 / 3 - 2j / 3]
+        field = SpectralField(lat, coeffs)
         path = tmp_path / "field.csv"
         write_field_csv(field, path)
         back = read_field_csv(path, lat)
-        assert np.allclose(back.coeffs, field.coeffs, atol=1e-16)
+        assert back.coeffs.tobytes() == field.coeffs.tobytes()
+
+    def test_format_pinned(self, tmp_path):
+        lat = build_lattice(1, 4)
+        path = tmp_path / "field.csv"
+        write_field_csv(SpectralField(lat, [1.0, 0.1 - 2.5e-20j, -0.0, 1 / 3]), path)
+        assert path.read_bytes() == (
+            b"l1,re,im\r\n"
+            b"0,1,0\r\n"
+            b"1,0.10000000000000001,-2.4999999999999999e-20\r\n"
+            b"-2,-0,0\r\n"
+            b"-1,0.33333333333333331,0\r\n"
+        )
+
+    @pytest.mark.parametrize("edit", [
+        lambda ls: [b"l1,l2,real,imag"] + ls[1:],
+        lambda ls: ls[:-1],
+        lambda ls: ls + ls[-1:],
+        lambda ls: ls[:1] + ls[2:3] + ls[1:2] + ls[3:],
+        lambda ls: ls[:3] + [b",".join(ls[3].split(b",")[:2] + [b"one", b"0"])] + ls[4:],
+    ], ids=["bad_header", "row_short", "row_extra", "rows_swapped", "non_numeric"])
+    def test_malformed_rejected(self, tmp_path, edit):
+        lat = build_lattice(2, 4)
+        lines, path = _field_lines(tmp_path, lat)
+        assert read_field_csv(path, lat).coeffs.shape == (lat.size,)
+        path.write_bytes(b"\r\n".join(edit(lines)) + b"\r\n")
+        with pytest.raises(ValueError):
+            read_field_csv(path, lat)
 
     def test_wrong_lattice_rejected(self, tmp_path):
         lat = build_lattice(2, 8)

@@ -22,7 +22,7 @@ from torusbayes.experiments import (
 )
 from torusbayes.fields import gaussian_prior, sobolev_norm
 from torusbayes.lattice import SpectralField, build_lattice, inverse_transform
-from torusbayes.operators import bessel_op, compose, variable_coeff_op
+from torusbayes.operators import MultiplierOp, bessel_op, compose, variable_coeff_op
 from torusbayes.posterior import credible_ball_prob, posterior
 
 
@@ -219,6 +219,21 @@ class TestFrequentistExperiment:
     def test_truth_norm_recorded(self):
         table = run_frequentist_convergence(small_cfg("frequentist"))
         assert table.extras["truth_h_tau_norm"] > 0
+
+    def test_forward_symbol_evaluated_once_per_delta(self):
+        # once for A u, then once per noise level however many replicates
+        calls = []
+        base = bessel_op(-1.0)
+
+        def counting(freqs):
+            calls.append(len(freqs))
+            return base.symbol(freqs)
+
+        fwd = MultiplierOp(counting, base.order_t, base.order_t0, "counting")
+        cfg = small_cfg("frequentist", fwd=fwd, n_replicates=8, threads=2,
+                        deltas=tuple(np.geomspace(1e-1, 1e-3, 4)))
+        run_frequentist_convergence(cfg)
+        assert 0 < len(calls) <= len(cfg.deltas) + 1
 
 
 class TestContractionExperiment:

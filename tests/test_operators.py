@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from torusbayes.lattice import SpectralField, build_lattice, forward_transform
+from torusbayes.lattice import SpectralField, build_lattice, forward_transform, sobolev_norm
 from torusbayes.operators import (
     MAX_DENSE,
     DenseOp,
@@ -244,3 +244,30 @@ class TestNormSandwich:
         op = compose(adjoint(bessel_op(-1.0)), bessel_op(-1.0))
         rep = norm_sandwich_check(op, r=1.0, t=2.5, t0=2.0, dim=2)
         assert not rep.passed
+
+    def test_dense_branch_matches_multiplier_branch(self):
+        op = compose(adjoint(heat_op(1)), heat_op(1))
+        lat = build_lattice(2, 16)
+        dense = norm_sandwich_check(densify(op, lat), r=1.0, t=1.0, t0=2.0, seed=3)
+        mult = norm_sandwich_check(op, r=1.0, t=1.0, t0=2.0, dim=2, sizes=(16,), seed=3)
+        assert dense.sizes == mult.sizes == (16,)
+        np.testing.assert_allclose(dense.upper_max, mult.upper_max, rtol=1e-12)
+        np.testing.assert_allclose(dense.lower_max, mult.lower_max, rtol=1e-12)
+
+    def test_dense_branch_matches_probe_loop(self):
+        # a non-Hermitian matrix, whose rows and columns have different norms
+        lat = build_lattice(2, 8)
+        x = lat.grid_axes()[0]
+        op = variable_coeff_op(1.0 + 0.5 * np.outer(np.sin(x), np.cos(x)), bessel_op(-1.0), lat)
+        r, t, t0 = 1.0, 0.5, 1.5
+        rep = norm_sandwich_check(op, r=r, t=t, t0=t0, n_samples=3, seed=5)
+        rng = np.random.default_rng(5)
+        probes = [np.fft.fftn(rng.standard_normal(lat.shape)).ravel() / 8.0 for _ in range(3)]
+        up = lo = 0.0
+        for c in [*np.eye(lat.size), *probes]:
+            u = SpectralField(lat, c)
+            au = apply(op, u)
+            up = max(up, sobolev_norm(au, r + 2 * t) / sobolev_norm(u, r))
+            lo = max(lo, sobolev_norm(u, r) / sobolev_norm(au, r + 2 * t0))
+        assert rep.upper_max[0] == pytest.approx(up, rel=1e-12)
+        assert rep.lower_max[0] == pytest.approx(lo, rel=1e-12)

@@ -1,6 +1,8 @@
 """MAP estimation, posterior covariance forms, sampling, ball probabilities."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -98,6 +100,49 @@ class TestGaussianModel:
 
 
 class TestMapEstimate:
+    def test_diagonal_weights_kept_frozen_per_lattice(self, dense_model):
+        lat = build_lattice(1, 16)
+        model = quiet_model(bessel_op(-1.0), gaussian_prior(bessel_op(-1.0)), 0.51, 1, 0.05)
+        m = SpectralField(lat, sample_white_noise(lat, 5).coeffs)
+        first = map_estimate(model, m)
+        stored = model._diag[lat]
+        assert len(stored) == 3 and not any(arr.flags.writeable for arr in stored)
+        assert map_estimate(model, m).coeffs.tobytes() == first.coeffs.tobytes()
+        assert model._diag[lat] is stored
+        dense_lat, dense = dense_model
+        map_estimate(dense, SpectralField(dense_lat, sample_white_noise(dense_lat, 5).coeffs))
+        assert dense._diag == {}
+
+    def test_diagonal_weights_evaluated_once_across_threads(self):
+        calls = []
+        base = bessel_op(-1.0)
+
+        def counting(freqs):
+            calls.append(len(freqs))
+            return base.symbol(freqs)
+
+        lat = build_lattice(2, 32)
+        model = quiet_model(MultiplierOp(counting, 2.0, 2.0), gaussian_prior(base), 1.01, 2, 0.05)
+        m = SpectralField(lat, sample_white_noise(lat, 5).coeffs)
+        results = [None] * 8
+
+        def work(i):
+            results[i] = map_estimate(model, m).coeffs
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(calls) == 1
+        assert all(r.tobytes() == results[0].tobytes() for r in results)
+
     def test_identity_single_mode_halves(self):
         lat, model = identity_model(1.0)
         coeffs = np.zeros(lat.size, dtype=complex)
