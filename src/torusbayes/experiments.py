@@ -18,27 +18,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import (
-    GaussianPrior,
-    gaussian_prior,
-    sample_prior,
-    sample_white_noise,
-    sobolev_norm,
-)
+from .fields import GaussianPrior, gaussian_prior, sample_white_noise, sobolev_norm
 from .lattice import FrequencyLattice, SpectralField, build_lattice, forward_transform
-from .operators import MultiplierOp, Operator, apply, bessel_op, compose, symbol_values
+from .operators import Operator, _evaluated, apply, bessel_op, compose
 from .posterior import (
     GaussianModel,
     MultiplierBall,
-    PosteriorGaussian,
     SolverError,
+    _cov_diag_root,
     _diag_weights,
     _is_diagonal,
     _mc_ball_hits,
-    _posterior_cov_root,
-    credible_ball_prob,
     map_estimate,
-    posterior_trace,
 )
 from .rates import RatePrediction, bayes_rate, contraction_rate, credible_rate, frequentist_rate
 
@@ -278,25 +269,30 @@ def _checked_truth(truth: TruthField | None, lattice: FrequencyLattice) -> Truth
 
 @dataclass(frozen=True)
 class _DeltaSetup:
-    """Data-independent posterior pieces at one noise level; ``ball`` is None for a dense root."""
+    """Data-independent posterior pieces at one noise level, as evaluated arrays.
+
+    ``root`` holds K values, or a K x K matrix for a dense model, whose ``ball`` is None.
+    """
 
     model: GaussianModel
-    cov: Operator
     trace: float
-    root: Operator
+    root: np.ndarray
     ball: MultiplierBall | None
 
 
 def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
                   zeta: float) -> list[_DeltaSetup]:
-    """Model, covariance, H^zeta trace, root and ball for each delta of the grid."""
+    """Model, H^zeta trace, covariance root and exact ball for each delta of the grid.
+
+    Diagonal pieces come from the model's stored weights, dense ones from one ``eigh``.
+    """
     setups = []
     for delta in cfg.deltas:
         model = cfg.model(delta)
-        cov, root = _posterior_cov_root(model, lattice)
-        ball = (MultiplierBall(symbol_values(root, lattice), lattice, zeta)
-                if isinstance(root, MultiplierOp) else None)
-        setups.append(_DeltaSetup(model, cov, posterior_trace(cov, zeta, lattice), root, ball))
+        diag, root = _cov_diag_root(model, lattice)
+        trace = float(np.sum((1.0 + lattice.weights) ** zeta * diag))
+        ball = MultiplierBall(root, lattice, zeta) if root.ndim == 1 else None
+        setups.append(_DeltaSetup(model, trace, root, ball))
     return setups
 
 
@@ -320,25 +316,28 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
             denom = asq + prec
             split.append((prec / denom, delta * np.conj(a) / denom))
     zw = np.stack([(1.0 + lattice.weights) ** z for z in zetas])
+    # prior root and forward map evaluated once per run: K values, or a K x K matrix
+    root, fwd = _evaluated(cfg.prior.sqrt_cov, lattice), _evaluated(cfg.fwd, lattice)
 
     def work(i: int):
-        u = sample_prior(cfg.prior, lattice, _replicate_seed(cfg.master_seed, 0, i))
+        xi = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 0, i)).coeffs
+        u = root * xi if root.ndim == 1 else root @ xi
         e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
-        au = apply(cfg.fwd, u)
+        au = fwd * u if fwd.ndim == 1 else fwd @ u
         errs = np.full((len(deltas), len(zetas)), np.nan)
         bias = errs.copy() if split else None
         noise = errs.copy() if split else None
         for j, (delta, model) in enumerate(zip(deltas, models)):
-            m = SpectralField(lattice, au.coeffs + delta * e)
+            m = SpectralField(lattice, au + delta * e)
             try:
                 est = map_estimate(model, m)
             except SolverError:
                 continue
-            diff = np.abs(est.coeffs - u.coeffs) ** 2
+            diff = np.abs(est.coeffs - u) ** 2
             errs[j] = np.sqrt(zw @ diff)
             if split:
                 bias_w, noise_w = split[j]
-                bias[j] = np.sqrt(zw @ np.abs(bias_w * u.coeffs) ** 2)
+                bias[j] = np.sqrt(zw @ np.abs(bias_w * u) ** 2)
                 noise[j] = np.sqrt(zw @ np.abs(noise_w * e) ** 2)
         return errs, bias, noise
 
@@ -450,8 +449,7 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
             if st.ball is not None:
                 direct[j], error[j] = st.ball.escape_prob(radius, offset)
             else:
-                post = PosteriorGaussian(mean, st.cov, st.root, st.model)
-                hits = _mc_ball_hits(post, 0.0, radius, cfg.n_mc, inner_rng, offset)
+                hits = _mc_ball_hits(st.root, lattice, 0.0, radius, cfg.n_mc, inner_rng, offset)
                 direct[j] = (cfg.n_mc - hits) / cfg.n_mc
                 error[j] = np.sqrt(direct[j] * (1.0 - direct[j]) / cfg.n_mc)
         return direct, markov, error
@@ -496,7 +494,6 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
     gamma = pred0.extra["gamma"]
     alpha = cfg.alpha if cfg.alpha is not None else gamma / 4.0
     pred = credible_rate(cfg.model(deltas[0]).params(), cfg.zeta1, alpha)
-    zero = SpectralField(lattice, np.zeros(lattice.size, dtype=complex))
     setups = _delta_setups(cfg, lattice, cfg.zeta1)
     traces = [st.trace for st in setups]
     c1 = cfg.c1
@@ -514,10 +511,9 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
             p_out, stderr = st.ball.escape_prob(radius)
             n = 0
         else:
-            p_in, stderr = credible_ball_prob(
-                PosteriorGaussian(zero, st.cov, st.root, st.model), cfg.zeta1, radius,
-                cfg.n_mc, _replicate_seed(cfg.master_seed, 3, j),
-            )
+            p_in = _mc_ball_hits(st.root, lattice, cfg.zeta1, radius, cfg.n_mc,
+                                 _replicate_seed(cfg.master_seed, 3, j)) / cfg.n_mc
+            stderr = float(np.sqrt(p_in * (1.0 - p_in) / cfg.n_mc))
             p_out = 1.0 - p_in
             n = cfg.n_mc
         markov.append(min(1.0, traces[j] / radius**2))

@@ -105,6 +105,13 @@ def symbol_values(op: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
     return vals.astype(np.complex128, copy=False)
 
 
+def _evaluated(op: Operator, lattice: FrequencyLattice) -> np.ndarray:
+    """Symbol values of a multiplier on ``lattice`` (K), or the matrix of a dense operator on it."""
+    if isinstance(op, MultiplierOp):
+        return symbol_values(op, lattice)
+    return densify(op, lattice).matrix
+
+
 def bessel_op(a: float) -> MultiplierOp:
     """Bessel-type multiplier ``(1 + |l|^2)^a``.
 
@@ -238,29 +245,24 @@ def variable_coeff_op(
 
     ``phi_values`` is a strictly positive real field on the grid; the result
     is ``F diag(phi) F^{-1} diag(symbol)`` acting on coefficient vectors.
-    Multiplication by a smooth positive function preserves the decay-order
-    pair of ``m``.
+    Its entry (k, l) is gathered as phi_hat(k - l), phi_hat = fftn(phi) / K,
+    frequency differences taken mod n per axis.  Multiplication by a smooth
+    positive function preserves the decay-order pair of ``m``.
     """
     phi = np.asarray(phi_values, dtype=np.float64)
     if phi.size != lattice.size:
         raise ValueError(f"phi has {phi.size} samples, lattice needs {lattice.size}")
     if np.min(phi) <= 0:
         raise ValueError("phi must be strictly positive")
-    phi = phi.reshape(lattice.shape)
-    K = lattice.size
-    sym = symbol_values(m, lattice)
-    axes = tuple(range(1, lattice.dim + 1))
-    mat = np.empty((K, K), dtype=np.complex128)
-    # columns of F diag(phi) F^{-1}, built in chunks to bound memory
-    step = max(1, min(K, (1 << 22) // K))
-    eye = np.eye(K, dtype=np.complex128)
-    for lo in range(0, K, step):
-        hi = min(K, lo + step)
-        block = eye[lo:hi].reshape(hi - lo, *lattice.shape)
-        vals = np.fft.ifftn(block, axes=axes) * K
-        out = np.fft.fftn(phi[None] * vals, axes=axes) / K
-        mat[:, lo:hi] = out.reshape(hi - lo, K).T
-    return DenseOp(lattice, mat * sym[None, :], m.order_t, m.order_t0, f"phi*{m.label}")
+    n, d = lattice.n_per_dim, lattice.dim
+    phi_hat = np.fft.fftn(phi.reshape(lattice.shape)) / lattice.size
+    # (k_j - l_j) mod n, broadcast to axes j (of k) and d + j (of l) of an (n,)^(2d) array
+    diff = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    index = tuple(diff.reshape((1,) * j + (n,) + (1,) * (d - 1) + (n,) + (1,) * (d - 1 - j))
+                  for j in range(d))
+    mat = phi_hat[index].reshape(lattice.size, lattice.size)
+    mat *= symbol_values(m, lattice)[None, :]
+    return DenseOp(lattice, mat, m.order_t, m.order_t0, f"phi*{m.label}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .operators import (
     DenseOp,
     MultiplierOp,
     Operator,
+    _evaluated,
     apply,
     densify,
     symbol_values,
@@ -95,11 +96,6 @@ class GaussianModel:
             t0=self.fwd.order_t0, d=self.d, zeta=zeta,
         )
 
-    def with_delta(self, delta: float) -> "GaussianModel":
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return GaussianModel(self.fwd, self.prior, self.s, self.d, delta)
-
 
 @dataclass(frozen=True)
 class PosteriorGaussian:
@@ -119,10 +115,7 @@ def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
         weights = model._diag.get(lattice)
         if weights is None:
             a = symbol_values(model.fwd, lattice).copy()  # owned, so freezing it is safe
-            c_u = symbol_values(model.prior.cov, lattice).real
-            if np.any(c_u <= 0):
-                raise ValueError("prior covariance symbol must be strictly positive")
-            weights = model._diag[lattice] = (a, np.abs(a) ** 2, model.delta**2 / c_u)
+            weights = model._diag[lattice] = (a, np.abs(a) ** 2, _prior_precision(model, lattice))
             for arr in weights:
                 arr.setflags(write=False)
     return weights
@@ -172,7 +165,10 @@ def _adjoint_matvec(a_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _prior_precision(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
     """delta^2 C_U^{-1}: per-frequency values for a multiplier prior, else a dense matrix."""
     if isinstance(model.prior.cov, MultiplierOp):
-        return model.delta**2 / symbol_values(model.prior.cov, lattice).real
+        c_u = symbol_values(model.prior.cov, lattice).real
+        if np.any(c_u <= 0):
+            raise ValueError("prior covariance symbol must be strictly positive")
+        return model.delta**2 / c_u
     return model.delta**2 * np.linalg.inv(densify(model.prior.cov, lattice).matrix)
 
 
@@ -261,7 +257,7 @@ def posterior_covariance(model: GaussianModel, lattice: FrequencyLattice | None 
             c_symbol, model.prior.cov.order_t, model.prior.cov.order_t0,
             label=f"postcov({model.fwd.label})",
         )
-    return _dense_cov_root(model, _dense_lattice(model, lattice))[0]
+    return _dense_cov_root(model, lattice)[0]
 
 
 def posterior_covariance_update(
@@ -309,13 +305,14 @@ def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | N
 
 
 def _dense_cov_root(model: GaussianModel,
-                    lattice: FrequencyLattice) -> tuple[DenseOp, DenseOp]:
+                    lattice: FrequencyLattice | None) -> tuple[DenseOp, DenseOp]:
     """Dense posterior covariance and its Hermitian root from one ``eigh``.
 
     With N = V diag(lam) V^H the dense normal matrix,
     C = V diag(delta^2 / lam) V^H (symmetrised) and
     C^{1/2} = V diag(delta / sqrt(lam)) V^H.
     """
+    lattice = _dense_lattice(model, lattice)
     evals, evecs = np.linalg.eigh(_normal_matrix(model, lattice))
     if evals.min() <= 0:
         raise ValueError(f"covariance not positive definite (min eig of the normal "
@@ -329,13 +326,19 @@ def _dense_cov_root(model: GaussianModel,
             DenseOp(lattice, root_mat, t / 2.0, t0 / 2.0, f"sqrt({label})"))
 
 
-def _posterior_cov_root(model: GaussianModel,
-                        lattice: FrequencyLattice) -> tuple[Operator, Operator]:
-    """Posterior covariance and its Hermitian root; multipliers are rooted per frequency."""
+def _cov_diag_root(model: GaussianModel,
+                   lattice: FrequencyLattice) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior covariance diagonal and root, as arrays on ``lattice``.
+
+    A diagonal model gives c = delta^2 / (|a|^2 + delta^2 / c_U) and sqrt(c) from its
+    stored weights; a dense one the diagonal and the K x K root of the single ``eigh``.
+    """
     if _is_diagonal(model):
-        cov = posterior_covariance(model, lattice)
-        return cov, operator_sqrt(cov)
-    return _dense_cov_root(model, _dense_lattice(model, lattice))
+        _, asq, prec = _diag_weights(model, lattice)
+        c = model.delta**2 / (asq + prec)
+        return c, np.sqrt(c)
+    cov, root = _dense_cov_root(model, lattice)
+    return np.diag(cov.matrix).real, root.matrix
 
 
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:
@@ -345,7 +348,10 @@ def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:
     its root come from one eigendecomposition of the normal matrix.
     """
     mean = map_estimate(model, m)
-    return PosteriorGaussian(mean, *_posterior_cov_root(model, m.lattice), model)
+    if _is_diagonal(model):
+        cov = posterior_covariance(model, m.lattice)
+        return PosteriorGaussian(mean, cov, operator_sqrt(cov), model)
+    return PosteriorGaussian(mean, *_dense_cov_root(model, m.lattice), model)
 
 
 def sample_posterior(post: PosteriorGaussian, seed=None) -> SpectralField:
@@ -354,30 +360,23 @@ def sample_posterior(post: PosteriorGaussian, seed=None) -> SpectralField:
     return post.mean + apply(post.sqrt_cov, noise)
 
 
-def _mc_ball_hits(post: PosteriorGaussian, zeta1: float, radius: float, n_mc: int,
-                  rng: np.random.Generator, offset=None) -> int:
-    """Count of n_mc draws W = C^{1/2} xi (+ offset) inside the H^zeta1 ball."""
-    lattice = post.mean.lattice
+def _mc_ball_hits(root: np.ndarray, lattice: FrequencyLattice, zeta1: float, radius: float,
+                  n_mc: int, rng: np.random.Generator, offset=None) -> int:
+    """Count of n_mc draws W = C^{1/2} xi (+ offset) inside the H^zeta1 ball.
+
+    ``root`` is C^{1/2} on ``lattice``: K symbol values or a K x K matrix.
+    """
     weights = (1.0 + lattice.weights) ** zeta1
     k = lattice.size
     hits = 0
     batch = max(1, min(n_mc, (1 << 22) // k))
-    if isinstance(post.sqrt_cov, MultiplierOp):
-        root = symbol_values(post.sqrt_cov, lattice)
-        dense_root = None
-    else:
-        root = None
-        dense_root = post.sqrt_cov.matrix
     done = 0
     axes = tuple(range(1, lattice.dim + 1))
     while done < n_mc:
         b = min(batch, n_mc - done)
         z = rng.standard_normal((b, *lattice.shape))
         noise = np.fft.fftn(z, axes=axes).reshape(b, k) / np.sqrt(k)
-        if root is not None:
-            w = noise * root[None, :]
-        else:
-            w = noise @ dense_root.T
+        w = noise * root[None, :] if root.ndim == 1 else noise @ root.T
         if offset is not None:
             w = w + offset[None, :]
         norms_sq = np.sum(weights[None, :] * np.abs(w) ** 2, axis=1)
@@ -399,8 +398,8 @@ def credible_ball_prob(
     The ball is centred at the posterior mean minus ``offset`` (coefficients,
     default zero), so the draws are W = C^{1/2} xi + offset.  Centred at the
     mean, the result is independent of the measurement.  Returns
-    (probability, binomial standard error).  Works for dense and multiplier
-    roots; :class:`MultiplierBall` gives the exact value for the latter.
+    (probability, binomial standard error).  The root, dense or multiplier, is
+    evaluated once on the mean's lattice; :class:`MultiplierBall` is exact for the latter.
     """
     if n_mc < 100:
         raise ValueError(f"n_mc must be at least 100, got {n_mc}")
@@ -408,7 +407,9 @@ def credible_ball_prob(
         raise ValueError(f"radius must be nonnegative, got {radius}")
     if offset is not None:
         offset = np.asarray(offset, dtype=np.complex128)
-    p = _mc_ball_hits(post, zeta1, radius, n_mc, _rng(seed), offset) / n_mc
+    lattice = post.mean.lattice
+    p = _mc_ball_hits(_evaluated(post.sqrt_cov, lattice), lattice, zeta1, radius, n_mc,
+                      _rng(seed), offset) / n_mc
     stderr = float(np.sqrt(p * (1.0 - p) / n_mc))
     return p, stderr
 

@@ -22,7 +22,7 @@ from torusbayes.experiments import (
 )
 from torusbayes.fields import gaussian_prior, sobolev_norm
 from torusbayes.lattice import SpectralField, build_lattice, inverse_transform
-from torusbayes.operators import MultiplierOp, bessel_op, compose, variable_coeff_op
+from torusbayes.operators import MultiplierOp, bessel_op, compose, densify, variable_coeff_op
 from torusbayes.posterior import credible_ball_prob, posterior
 
 
@@ -177,6 +177,14 @@ class TestBayesExperiment:
         assert table.dropped == 0
         assert "bias_mean" not in table.extras and "noise_mean" not in table.extras
 
+    def test_dense_prior_root_applied_as_matrix(self):
+        # the densified prior draws the same fields, so rows agree to solver precision
+        cfg = small_cfg(n_per_dim=8)
+        dense = small_cfg(n_per_dim=8, prior=gaussian_prior(densify(cfg.prior.cov, cfg.lattice()),
+                                                            cfg.prior.r))
+        for a, b in zip(run_bayes_convergence(cfg).rows, run_bayes_convergence(dense).rows):
+            assert abs(a.mean_error - b.mean_error) <= 1e-8 * a.mean_error
+
     def test_out_of_regime_zeta_does_not_converge(self):
         cfg = small_cfg(zetas=(2.0,), n_per_dim=32)
         table = run_bayes_convergence(cfg)
@@ -220,20 +228,26 @@ class TestFrequentistExperiment:
         table = run_frequentist_convergence(small_cfg("frequentist"))
         assert table.extras["truth_h_tau_norm"] > 0
 
-    def test_forward_symbol_evaluated_once_per_delta(self):
-        # once for A u, then once per noise level however many replicates
-        calls = []
-        base = bessel_op(-1.0)
+    @pytest.mark.parametrize("mode", ["frequentist", "bayes", "contraction", "credible"])
+    def test_forward_symbol_evaluated_once_per_delta(self, mode):
+        # once per noise level however many replicates, plus once per run for
+        # A u (forward) or the prior root (prior covariance)
+        calls = {"forward": 0, "prior": 0}
 
-        def counting(freqs):
-            calls.append(len(freqs))
-            return base.symbol(freqs)
+        def counting(name, op):
+            def symbol(freqs):
+                calls[name] += 1
+                return op.symbol(freqs)
+            return MultiplierOp(symbol, op.order_t, op.order_t0, name)
 
-        fwd = MultiplierOp(counting, base.order_t, base.order_t0, "counting")
-        cfg = small_cfg("frequentist", fwd=fwd, n_replicates=8, threads=2,
+        prior = default_config(mode).prior
+        cfg = small_cfg(mode, fwd=counting("forward", bessel_op(-1.0)),
+                        prior=gaussian_prior(counting("prior", prior.cov), prior.r),
+                        n_replicates=8, threads=2, n_mc=200,
                         deltas=tuple(np.geomspace(1e-1, 1e-3, 4)))
-        run_frequentist_convergence(cfg)
-        assert 0 < len(calls) <= len(cfg.deltas) + 1
+        run_experiment(cfg)
+        for name, count in calls.items():
+            assert 0 < count <= len(cfg.deltas) + 1, (name, count)
 
 
 class TestContractionExperiment:

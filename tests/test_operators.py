@@ -174,8 +174,10 @@ class TestVariableCoeff:
         expected = densify(bessel_op(-1.0), lat)
         assert np.abs(op.matrix - expected.matrix).max() < 1e-13
 
-    def test_acts_as_multiply_after_smoothing(self):
-        lat = build_lattice(1, 16)
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 4)], ids=["d1", "d2", "d3"])
+    def test_acts_as_multiply_after_smoothing(self, dim, n):
+        # a random phi has every Fourier mode, so each axis of the gather is exercised
+        lat = build_lattice(dim, n)
         rng = np.random.default_rng(14)
         phi = 1.0 + rng.random(lat.shape)
         op = variable_coeff_op(phi, bessel_op(-1.0), lat)

@@ -88,11 +88,6 @@ class TestGaussianModel:
             )
         assert model.hypothesis_messages == ()
 
-    def test_with_delta_keeps_everything_else(self):
-        lat, model = identity_model(1.0)
-        other = model.with_delta(0.5)
-        assert other.delta == 0.5 and other.fwd is model.fwd
-
     def test_params_carries_orders(self):
         _, model = identity_model(1.0)
         p = model.params(zeta=-1.0)
@@ -209,6 +204,16 @@ class TestMapEstimate:
         ref = map_estimate_discrete(densify(model.fwd, lat).matrix,
                                     densify(model.prior.cov, lat).matrix, model.delta, m.coeffs)
         assert np.linalg.norm(est - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_nonpositive_prior_symbol_rejected_on_dense_path(self, dense_model):
+        lat, model = dense_model
+        # c_U(0) = 0: a bad config, not a solver failure after 10 K iterations
+        flat = MultiplierOp(lambda f: np.where(np.any(f != 0, axis=1), 1.0, 0.0), 0.0, 0.0)
+        model = quiet_model(model.fwd, gaussian_prior(flat, r=1.0), 0.51, 1, model.delta)
+        m = SpectralField(lat, sample_white_noise(lat, 3).coeffs)
+        for estimate in (map_estimate, posterior):
+            with pytest.raises(ValueError, match="strictly positive"):
+                estimate(model, m)
 
     def test_pcg_nonconvergence_raises_with_history(self):
         mat = np.diag(np.array([1.0, 1e8], dtype=complex))
