@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import FrequencyLattice, SpectralField, sobolev_norm
+from .lattice import (
+    FrequencyLattice,
+    SpectralField,
+    _from_cosine_sine,
+    _to_cosine_sine,
+    sobolev_norm,
+)
 from .operators import DenseOp, MultiplierOp, Operator, apply, symbol_values
 
 __all__ = [
@@ -56,12 +62,38 @@ class GaussianPrior:
     sqrt_cov: Operator
 
 
+def _hermitian_power(lattice: FrequencyLattice, mat: np.ndarray, power: float,
+                     scale: float = 1.0, square: bool = False):
+    """scale M^power for M Hermitian positive definite, given in the cosine/sine basis.
+
+    One ``eigh`` M = V diag(lam) V^H: real symmetric for a real ``mat``, and
+    then every product is real too.  The result W V^H, W = V diag(scale
+    lam^power), is mapped back to the exponential basis.  With ``square``
+    the pair (W V^H, W W^H) is returned, the second Hermitian-symmetrised
+    exactly.  Raises ValueError unless M is positive definite.
+    """
+    evals, evecs = np.linalg.eigh(mat)
+    del mat  # each K x K temporary is dropped as soon as it is used
+    if evals.min() <= 0:
+        raise ValueError(f"covariance not positive definite (min eig {evals.min():g})")
+    w = evecs * (scale * evals**power)
+    root = _from_cosine_sine(lattice, w @ evecs.conj().T)
+    if not square:
+        return root
+    del evecs
+    sq = _from_cosine_sine(lattice, w @ w.conj().T)
+    sq += sq.conj().T
+    sq *= 0.5
+    return root, sq
+
+
 def operator_sqrt(cov: Operator) -> Operator:
     """Hermitian square root of a positive operator.
 
     Multiplier symbols must be strictly positive real and are rooted
     pointwise; dense matrices must be Hermitian positive definite and are
-    factored by eigendecomposition.
+    factored by one eigendecomposition in the cosine/sine basis, a real
+    symmetric one when the matrix maps real fields to real fields.
     """
     if isinstance(cov, MultiplierOp):
         base = cov.symbol
@@ -83,10 +115,7 @@ def operator_sqrt(cov: Operator) -> Operator:
         herm_defect = np.abs(m - m.conj().T).max()
         if herm_defect > 1e-10 * max(1.0, np.abs(m).max()):
             raise ValueError("dense covariance must be Hermitian")
-        evals, evecs = np.linalg.eigh(m)
-        if evals.min() <= 0:
-            raise ValueError(f"covariance not positive definite (min eig {evals.min():g})")
-        root_mat = (evecs * np.sqrt(evals)) @ evecs.conj().T
+        root_mat = _hermitian_power(cov.lattice, _to_cosine_sine(cov.lattice, m), 0.5)
         return DenseOp(
             cov.lattice, root_mat, cov.order_t / 2.0, cov.order_t0 / 2.0,
             label=f"sqrt({cov.label})",

@@ -180,3 +180,76 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
         )
     w = np.fft.ifftn(field.coeffs.reshape(lat.shape)) * lat.size
     return np.real(w)
+
+
+# ---------------------------------------------------------------------------
+# cosine/sine basis
+#
+# The unitary Q maps exponential coefficients u to real coordinates for real
+# fields: a self-conjugate mode keeps u_l, and each pair l, -l gives
+# (u_l + u_-l) / sqrt(2) and -i (u_l - u_-l) / sqrt(2), listed as
+# [self-conjugate modes, cosines of the pairs, sines of the pairs].  An
+# operator X that maps real fields to real fields, X_{-k,-l} = conj(X_{k,l}),
+# is the real matrix Q X Q^H in this basis.  Both directions below cost one
+# permuting copy and a few in-place passes over K^2 entries.
+
+# A matrix in the cosine/sine basis counts as real when its imaginary part is
+# at most this much of its largest entry.
+_CS_REAL_TOL = 1e-12
+
+
+def _cosine_sine_modes(lattice: FrequencyLattice) -> tuple[np.ndarray, int, int]:
+    """Flat indices of the self-conjugate modes, the l < -l member of each pair
+    and its mate -l, concatenated; and the counts of the first two groups."""
+    idx = np.arange(lattice.size)
+    conj = lattice.conj_index
+    pair = idx[idx < conj]
+    real = idx[conj == idx]
+    return np.concatenate([real, pair, conj[pair]]), real.size, pair.size
+
+
+def _butterfly(a: np.ndarray, b: np.ndarray):
+    """(a, b) <- ((a + b) / sqrt(2), (a - b) / sqrt(2)) in place."""
+    a *= np.sqrt(0.5)
+    b *= np.sqrt(0.5)
+    a += b
+    b *= -2.0
+    b += a
+
+
+def _to_cosine_sine(lattice: FrequencyLattice, x: np.ndarray) -> np.ndarray:
+    """Q X Q^H for a K x K matrix X; real when its imaginary part is at rounding level."""
+    order, ns, npair = _cosine_sine_modes(lattice)
+    y = np.asarray(x, dtype=np.complex128)[np.ix_(order, order)]
+    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
+    _butterfly(y[cos], y[sin])
+    y[sin] *= -1j
+    _butterfly(y[:, cos], y[:, sin])
+    y[:, sin] *= 1j
+    return _real_if_rounding(y)
+
+
+def _from_cosine_sine(lattice: FrequencyLattice, y: np.ndarray) -> np.ndarray:
+    """Q^H Y Q, the inverse of :func:`_to_cosine_sine`, as a complex K x K matrix."""
+    order, ns, npair = _cosine_sine_modes(lattice)
+    z = y.astype(np.complex128)
+    del y
+    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
+    z[sin] *= 1j
+    _butterfly(z[cos], z[sin])
+    z[:, sin] *= -1j
+    _butterfly(z[:, cos], z[:, sin])
+    back = np.argsort(order)
+    return z[np.ix_(back, back)]
+
+
+def _real_if_rounding(y: np.ndarray) -> np.ndarray:
+    """The real part of ``y`` when its imaginary part is at rounding level, else ``y``."""
+    if not np.iscomplexobj(y):
+        return y
+    re, im = y.real, y.imag
+    size = max(re.max(initial=0.0), -re.min(initial=0.0))
+    residue = max(im.max(initial=0.0), -im.min(initial=0.0))
+    if residue > _CS_REAL_TOL * max(size, residue):
+        return y
+    return np.ascontiguousarray(re)

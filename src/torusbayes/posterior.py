@@ -9,7 +9,11 @@ and covariance C = delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.  When both A
 and C_U are Fourier multipliers everything is a per-frequency scalar
 formula.  Otherwise the mean comes from preconditioned conjugate gradients
 that apply A and A^H to vectors, never forming A^H A, and the covariance
-and its root come from one eigendecomposition of the dense normal matrix.
+and its root come from one eigendecomposition of the dense normal matrix,
+written in the cosine/sine basis of real fields.  There it is real
+symmetric whenever A and C_U map real fields to real fields, so one real
+``eigh`` and real products do the work; a model that does not keeps the
+same steps in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -21,8 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GaussianPrior, _rng, operator_sqrt, sample_white_noise
-from .lattice import FrequencyLattice, SpectralField
+from .fields import GaussianPrior, _hermitian_power, _rng, operator_sqrt, sample_white_noise
+from .lattice import (
+    _CS_REAL_TOL,
+    FrequencyLattice,
+    SpectralField,
+    _cosine_sine_modes,
+    _real_if_rounding,
+    _to_cosine_sine,
+)
 from .operators import (
     DenseOp,
     MultiplierOp,
@@ -69,9 +80,9 @@ class GaussianModel:
     checked at construction; violations are warnings stored in
     ``hypothesis_messages``, never errors, so off-regime experiments run.
 
-    A diagonal model keeps a, |a|^2 and delta^2 / c_U per lattice, read-only,
-    so each symbol is evaluated once per noise level.  A dense model keeps
-    none: its pieces are K x K matrices, held for as long as the model lives.
+    Each model keeps its per-frequency weights per lattice, read-only (see
+    :func:`_diag_weights`), so each symbol is evaluated once per noise level.
+    They are K values each; no K x K matrix is kept.
     """
 
     fwd: Operator
@@ -110,14 +121,26 @@ def _is_diagonal(model: GaussianModel) -> bool:
 
 
 def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
-    """Per-frequency forward symbol a, |a|^2 and delta^2 / c_U, evaluated once per lattice."""
+    """Forward symbol a, diag(A^H A) and delta^2 / c_U on ``lattice``, evaluated once per lattice.
+
+    A dense forward map has no symbol (a is None) and diag(A^H A) is its
+    squared column norms; a dense prior has no per-frequency precision
+    (None), as its precision is a K x K inverse.
+    """
     with _DIAG_LOCK:
         weights = model._diag.get(lattice)
         if weights is None:
-            a = symbol_values(model.fwd, lattice).copy()  # owned, so freezing it is safe
-            weights = model._diag[lattice] = (a, np.abs(a) ** 2, _prior_precision(model, lattice))
+            if isinstance(model.fwd, MultiplierOp):
+                a = symbol_values(model.fwd, lattice).copy()  # owned, so freezing it is safe
+                asq = np.abs(a) ** 2
+            else:
+                a, asq = None, np.sum(np.abs(densify(model.fwd, lattice).matrix) ** 2, axis=0)
+            prec = (_prior_precision(model, lattice)
+                    if isinstance(model.prior.cov, MultiplierOp) else None)
+            weights = model._diag[lattice] = (a, asq, prec)
             for arr in weights:
-                arr.setflags(write=False)
+                if arr is not None:
+                    arr.setflags(write=False)
     return weights
 
 
@@ -172,15 +195,24 @@ def _prior_precision(model: GaussianModel, lattice: FrequencyLattice) -> np.ndar
     return model.delta**2 * np.linalg.inv(densify(model.prior.cov, lattice).matrix)
 
 
-def _normal_matrix(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """Dense N = A^H A + delta^2 C_U^{-1}."""
-    a_mat = densify(model.fwd, lattice).matrix
-    normal = a_mat.conj().T @ a_mat
-    prec = _prior_precision(model, lattice)
-    if prec.ndim == 1:
-        normal[np.diag_indices(lattice.size)] += prec
-        return normal
-    return normal + prec
+def _normal_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
+    """N = A^H A + delta^2 C_U^{-1} in the cosine/sine basis, real when it is to rounding.
+
+    A_cs^T A_cs is one real product when A maps real fields to real fields.
+    A multiplier precision even in l (delta^2 / c_U(-l) = delta^2 / c_U(l))
+    stays diagonal there; any other precision is changed to the basis whole.
+    """
+    a_cs = _to_cosine_sine(lattice, densify(model.fwd, lattice).matrix)
+    normal = a_cs.conj().T @ a_cs
+    del a_cs
+    prec = _diag_weights(model, lattice)[2]
+    if prec is None:
+        normal = normal + _to_cosine_sine(lattice, _prior_precision(model, lattice))
+    elif np.abs(prec - prec[lattice.conj_index]).max() <= _CS_REAL_TOL * prec.max():
+        normal[np.diag_indices(lattice.size)] += prec[_cosine_sine_modes(lattice)[0]]
+    else:
+        normal = normal + _to_cosine_sine(lattice, np.diag(prec))
+    return _real_if_rounding(normal)
 
 
 def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
@@ -192,23 +224,25 @@ def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     iteration applies A and then A^H to a vector (two K^2 products) plus
     the prior precision, and A^H A is never formed.  The Jacobi diagonal is
     the squared column norms of A plus the diagonal of delta^2 C_U^{-1};
-    relative residual 1e-10, iteration cap 10 K.  A dense prior costs one
-    inverse of C_U per call.
+    relative residual 1e-10, iteration cap 10 K.  Both diagonals come from
+    the model's stored weights; a dense prior costs one inverse of C_U per
+    call.
     """
     lattice = m.lattice
+    a, asq, prec = _diag_weights(model, lattice)
     if _is_diagonal(model):
-        a, asq, prec = _diag_weights(model, lattice)
         return SpectralField(lattice, np.conj(a) * m.coeffs / (asq + prec))
     a_mat = densify(model.fwd, lattice).matrix
-    prec = _prior_precision(model, lattice)
-    dense_prior = prec.ndim == 2
+    dense_prior = prec is None
+    if dense_prior:
+        prec = _prior_precision(model, lattice)
 
     def normal_matvec(p: np.ndarray) -> np.ndarray:
         return _adjoint_matvec(a_mat, a_mat @ p) + (prec @ p if dense_prior else prec * p)
 
     # Jacobi diagonal; the multiplier parts dominate it as delta -> 0
     prec_diag = np.diag(prec).real if dense_prior else prec
-    diag = np.maximum(np.abs(np.sum(np.abs(a_mat) ** 2, axis=0) + prec_diag), 1e-300)
+    diag = np.maximum(np.abs(asq + prec_diag), 1e-300)
     b = _adjoint_matvec(a_mat, m.coeffs)
     x, _ = _pcg(normal_matvec, b, diag, CG_TOL, 10 * lattice.size)
     return SpectralField(lattice, x)
@@ -270,10 +304,20 @@ def posterior_covariance_update(
     """
     lattice = _dense_lattice(model, lattice)
     a_mat = densify(model.fwd, lattice).matrix
-    c_mat = densify(model.prior.cov, lattice).matrix
-    gram = a_mat @ c_mat @ a_mat.conj().T + model.delta**2 * np.eye(lattice.size)
-    ac = a_mat @ c_mat
-    c_post = c_mat - ac.conj().T @ np.linalg.solve(gram, ac)
+    diag = np.diag_indices(lattice.size)
+    if isinstance(model.prior.cov, MultiplierOp):
+        c_u = symbol_values(model.prior.cov, lattice)
+        ac = a_mat * c_u[None, :]  # A C_U: the columns of A scaled
+    else:
+        c_u = densify(model.prior.cov, lattice).matrix
+        ac = a_mat @ c_u
+    gram = ac @ a_mat.conj().T
+    gram[diag] += model.delta**2
+    c_post = -(ac.conj().T @ np.linalg.solve(gram, ac))
+    if c_u.ndim == 1:
+        c_post[diag] += c_u
+    else:
+        c_post += c_u
     c_post = 0.5 * (c_post + c_post.conj().T)
     return DenseOp(
         lattice, c_post, model.prior.cov.order_t, model.prior.cov.order_t0,
@@ -308,22 +352,19 @@ def _dense_cov_root(model: GaussianModel,
                     lattice: FrequencyLattice | None) -> tuple[DenseOp, DenseOp]:
     """Dense posterior covariance and its Hermitian root from one ``eigh``.
 
-    With N = V diag(lam) V^H the dense normal matrix,
-    C = V diag(delta^2 / lam) V^H (symmetrised) and
-    C^{1/2} = V diag(delta / sqrt(lam)) V^H.
+    With N = V diag(lam) V^H the normal matrix in the cosine/sine basis
+    (real for a model that maps real fields to real fields, so V is real),
+    C^{1/2} = V diag(delta / sqrt(lam)) V^H and C = V diag(delta^2 / lam) V^H
+    (symmetrised), both mapped back to the exponential basis.
     """
     lattice = _dense_lattice(model, lattice)
-    evals, evecs = np.linalg.eigh(_normal_matrix(model, lattice))
-    if evals.min() <= 0:
-        raise ValueError(f"covariance not positive definite (min eig of the normal "
-                         f"matrix {evals.min():g})")
-    c_mat = (evecs * (model.delta**2 / evals)) @ evecs.conj().T
-    c_mat = 0.5 * (c_mat + c_mat.conj().T)
-    root_mat = (evecs * (model.delta / np.sqrt(evals))) @ evecs.conj().T
+    root_mat, c_mat = _hermitian_power(lattice, _normal_cs(model, lattice), -0.5,
+                                       model.delta, square=True)
     t, t0 = model.prior.cov.order_t, model.prior.cov.order_t0
     label = f"postcov({model.fwd.label})"
-    return (DenseOp(lattice, c_mat, t, t0, label),
-            DenseOp(lattice, root_mat, t / 2.0, t0 / 2.0, f"sqrt({label})"))
+    cov = DenseOp(lattice, c_mat, t, t0, label)
+    del c_mat  # DenseOp keeps a copy
+    return cov, DenseOp(lattice, root_mat, t / 2.0, t0 / 2.0, f"sqrt({label})")
 
 
 def _cov_diag_root(model: GaussianModel,

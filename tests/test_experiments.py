@@ -177,6 +177,23 @@ class TestBayesExperiment:
         assert table.dropped == 0
         assert "bias_mean" not in table.extras and "noise_mean" not in table.extras
 
+    def test_dense_run_evaluates_prior_symbol_once_per_delta(self):
+        calls = []
+        base = compose(bessel_op(-1.0), bessel_op(-1.0))
+
+        def counting(freqs):
+            calls.append(len(freqs))
+            return base.symbol(freqs)
+
+        prior = gaussian_prior(MultiplierOp(counting, 4.0, 4.0))
+        deltas = tuple(np.geomspace(1e-1, 1e-3, 4))
+        cfg = small_cfg(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8, prior=prior,
+                        deltas=deltas, n_replicates=8, threads=2)
+        table = run_bayes_convergence(cfg)
+        assert table.dropped == 0
+        # one precision per delta, shared by every replicate, plus the prior root
+        assert 0 < len(calls) <= len(deltas) + 1
+
     def test_dense_prior_root_applied_as_matrix(self):
         # the densified prior draws the same fields, so rows agree to solver precision
         cfg = small_cfg(n_per_dim=8)

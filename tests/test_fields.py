@@ -90,6 +90,13 @@ class TestOperatorSqrt:
         root = operator_sqrt(cov)
         assert np.abs(root.matrix @ root.matrix.conj().T - mat).max() < 1e-10
 
+    def test_dense_sqrt_of_densified_multiplier_matches_symbol_root(self):
+        lat = build_lattice(2, 8)
+        cov = compose(bessel_op(-1.0), bessel_op(-1.0))
+        root = operator_sqrt(densify(cov, lat)).matrix
+        expected = np.diag(symbol_values(operator_sqrt(cov), lat))
+        assert np.abs(root - expected).max() < 1e-14
+
     def test_dense_sqrt_rejects_non_hermitian(self):
         lat = build_lattice(1, 8)
         mat = np.triu(np.ones((lat.size, lat.size))).astype(complex)

@@ -6,11 +6,14 @@ import pytest
 from torusbayes.lattice import (
     FrequencyLattice,
     SpectralField,
+    _from_cosine_sine,
+    _to_cosine_sine,
     build_lattice,
     forward_transform,
     hermitian_defect,
     inverse_transform,
 )
+from torusbayes.operators import bessel_op, densify, heat_op, variable_coeff_op
 
 
 class TestFrequencyLattice:
@@ -142,3 +145,52 @@ class TestSpectralField:
         lat = build_lattice(1, 8)
         with pytest.raises(ValueError):
             SpectralField(lat, np.zeros(7, dtype=complex))
+
+
+def explicit_q(lat):
+    """Q from its definition: self-conjugate modes, then (e_l + e_-l) / sqrt 2 and
+    -i (e_l - e_-l) / sqrt 2 for each pair l < -l, in flat index order."""
+    idx, conj = np.arange(lat.size), lat.conj_index
+    real, pair = idx[conj == idx], idx[idx < conj]
+    q = np.zeros((lat.size, lat.size), dtype=complex)
+    q[np.arange(real.size), real] = 1.0
+    cos = real.size + np.arange(pair.size)
+    sin = cos + pair.size
+    h = np.sqrt(0.5)
+    q[cos, pair], q[cos, conj[pair]] = h, h
+    q[sin, pair], q[sin, conj[pair]] = -1j * h, 1j * h
+    return q
+
+
+class TestCosineSineBasis:
+    SHAPES = [(1, 4), (1, 8), (2, 4), (2, 6), (3, 4)]
+
+    @pytest.mark.parametrize("dim, n", SHAPES)
+    def test_unitary_and_round_trip(self, dim, n):
+        lat = build_lattice(dim, n)
+        q = explicit_q(lat)
+        assert np.abs(q @ q.conj().T - np.eye(lat.size)).max() < 1e-14
+        # n = 4 has 2^dim self-conjugate modes: zero and the Nyquist corners
+        assert np.count_nonzero(lat.conj_index == np.arange(lat.size)) == 2**dim
+        rng = np.random.default_rng(dim * n)
+        x = rng.standard_normal((lat.size, lat.size)) + 1j * rng.standard_normal((lat.size,) * 2)
+        y = _to_cosine_sine(lat, x)
+        assert np.abs(y - q @ x @ q.conj().T).max() < 1e-14 * np.abs(x).max()
+        assert np.abs(_from_cosine_sine(lat, y) - x).max() < 1e-14 * np.abs(x).max()
+        # a real field has real coordinates
+        u = forward_transform(lat, rng.standard_normal(lat.shape)).coeffs
+        assert np.abs((q @ u).imag).max() < 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_real_for_operators_preserving_real_fields(self, dim):
+        lat = build_lattice(dim, 8)
+        phi = 1.0 + 0.5 * np.random.default_rng(3).random(lat.shape)
+        for op in (variable_coeff_op(phi, bessel_op(-1.0), lat), densify(bessel_op(-1.0), lat)):
+            y = _to_cosine_sine(lat, op.matrix)
+            assert y.dtype == np.float64
+            assert np.abs(y - (explicit_q(lat) @ op.matrix @ explicit_q(lat).conj().T).real).max() < 1e-15
+
+    def test_heat_keeps_complex_nyquist_entries(self):
+        # the time-Nyquist modes are self-conjugate but 1 / (1 + i l_t + |l_x|^2) is not real there
+        lat = build_lattice(2, 8)
+        assert _to_cosine_sine(lat, densify(heat_op(1), lat).matrix).dtype == np.complex128

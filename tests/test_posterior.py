@@ -15,7 +15,7 @@ from torusbayes.fields import (
     sample_white_noise,
     sobolev_norm,
 )
-from torusbayes.lattice import SpectralField, build_lattice
+from torusbayes.lattice import SpectralField, _to_cosine_sine, build_lattice
 from torusbayes.operators import (
     DenseOp,
     MultiplierOp,
@@ -23,6 +23,7 @@ from torusbayes.operators import (
     bessel_op,
     compose,
     densify,
+    heat_op,
     symbol_values,
     variable_coeff_op,
 )
@@ -31,6 +32,7 @@ from torusbayes.posterior import (
     MultiplierBall,
     PosteriorGaussian,
     SolverError,
+    _normal_cs,
     _pcg,
     credible_ball_prob,
     map_estimate,
@@ -104,9 +106,16 @@ class TestMapEstimate:
         assert len(stored) == 3 and not any(arr.flags.writeable for arr in stored)
         assert map_estimate(model, m).coeffs.tobytes() == first.coeffs.tobytes()
         assert model._diag[lat] is stored
+        # a dense model keeps K values, not K x K: no symbol, column norms, precision
         dense_lat, dense = dense_model
-        map_estimate(dense, SpectralField(dense_lat, sample_white_noise(dense_lat, 5).coeffs))
-        assert dense._diag == {}
+        dense_m = SpectralField(dense_lat, sample_white_noise(dense_lat, 5).coeffs)
+        first = map_estimate(dense, dense_m)
+        a, asq, prec = stored = dense._diag[dense_lat]
+        assert a is None and asq.shape == prec.shape == (dense_lat.size,)
+        assert not asq.flags.writeable and not prec.flags.writeable
+        assert np.array_equal(asq, np.sum(np.abs(dense.fwd.matrix) ** 2, axis=0))
+        assert map_estimate(dense, dense_m).coeffs.tobytes() == first.coeffs.tobytes()
+        assert dense._diag[dense_lat] is stored
 
     def test_diagonal_weights_evaluated_once_across_threads(self):
         calls = []
@@ -324,6 +333,69 @@ class TestDensePosterior:
         model = quiet_model(DenseOp(lat, 0.1 * eye), prior, 0.51, 1, 1.0)
         with pytest.raises(ValueError, match="not positive definite"):
             posterior(model, SpectralField(lat, np.zeros(lat.size, dtype=complex)))
+
+
+class TestCosineSineNormal:
+    """The dense normal matrix in the cosine/sine basis, real or complex."""
+
+    def normal(self, model, lat):
+        a = densify(model.fwd, lat).matrix
+        return a.conj().T @ a + model.delta**2 * np.linalg.inv(densify(model.prior.cov, lat).matrix)
+
+    def test_real_for_variable_coeff_and_heat_models(self):
+        lat = build_lattice(2, 8)
+        x = lat.grid_axes()[0]
+        phi = 1.0 + 0.5 * np.outer(np.sin(x), np.cos(x))
+        prior = gaussian_prior(bessel_op(-1.0))
+        for fwd in (variable_coeff_op(phi, bessel_op(-1.0), lat), densify(heat_op(1), lat)):
+            model = quiet_model(fwd, prior, 1.01, 2, 0.05)
+            normal = _normal_cs(model, lat)
+            assert normal.dtype == np.float64
+            ref = _to_cosine_sine(lat, self.normal(model, lat))
+            assert np.abs(normal - ref).max() < 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("symbol", [
+        lambda f: np.full(len(f), 1.0 + 0.5j),  # complex A, real A^H A
+        lambda f: 1.0 + 0.25 * np.sign(f[:, 0]),  # |a(l)| != |a(-l)|: complex A^H A too
+    ], ids=["constant-complex", "odd-modulus"])
+    def test_complex_fallback_for_maps_not_preserving_real_fields(self, symbol):
+        lat = build_lattice(2, 8)
+        fwd = densify(MultiplierOp(symbol, 0.0, 0.0), lat)
+        model = quiet_model(fwd, gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1)
+        assert _to_cosine_sine(lat, fwd.matrix).dtype == np.complex128
+        post = posterior(model, SpectralField(lat, sample_white_noise(lat, 4).coeffs))
+        cov, root = post.cov.matrix, post.sqrt_cov.matrix
+        assert np.abs(cov - posterior_covariance_update(model, lat).matrix).max() < 1e-9
+        assert np.abs(root - root.conj().T).max() < 1e-12
+        assert np.abs(root @ root.conj().T - cov).max() < 1e-12
+        assert np.array_equal(cov, cov.conj().T)
+
+    @pytest.mark.parametrize("kind, dtype", [("dense", np.float64), ("uneven", np.complex128)])
+    def test_prior_precision_forms(self, kind, dtype):
+        lat = build_lattice(2, 8)
+        x = lat.grid_axes()[0]
+        fwd = variable_coeff_op(1.0 + 0.5 * np.outer(np.sin(x), np.cos(x)), bessel_op(-1.0), lat)
+        bessel = bessel_op(-1.0)
+        if kind == "dense":
+            cov = densify(bessel, lat)
+        else:  # c_U(l) != c_U(-l): a real symbol that does not map real fields to real fields
+            cov = MultiplierOp(lambda f: bessel.symbol(f) * (1.0 + 0.25 * np.sign(f[:, 0])), 2.0, 2.0)
+        model = quiet_model(fwd, gaussian_prior(cov, 1.0), 1.01, 2, 0.05)
+        normal = _normal_cs(model, lat)
+        assert normal.dtype == dtype
+        ref = _to_cosine_sine(lat, self.normal(model, lat))
+        assert np.abs(normal - ref).max() < 1e-13 * np.abs(ref).max()
+        post = posterior(model, SpectralField(lat, sample_white_noise(lat, 6).coeffs))
+        assert np.abs(post.cov.matrix - posterior_covariance_update(model, lat).matrix).max() < 1e-9
+
+    def test_odd_modulus_normal_matrix_stays_complex(self):
+        lat = build_lattice(2, 8)
+        fwd = densify(MultiplierOp(lambda f: 1.0 + 0.25 * np.sign(f[:, 0]), 0.0, 0.0), lat)
+        model = quiet_model(fwd, gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1)
+        normal = _normal_cs(model, lat)
+        assert normal.dtype == np.complex128
+        ref = _to_cosine_sine(lat, self.normal(model, lat))
+        assert np.abs(normal - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 class TestPosteriorTrace:
