@@ -275,9 +275,21 @@ class _DeltaSetup:
     """
 
     model: GaussianModel
+    lattice: FrequencyLattice
+    zeta: float
     trace: float
     root: np.ndarray
     ball: MultiplierBall | None
+
+    def escape_prob(self, radius: float, n_mc: int, rng: np.random.Generator,
+                    offset=None) -> tuple[float, float]:
+        """P(|C^{1/2} xi + offset|_{H^zeta} > radius): exact with the error bound of
+        the ball if there is one, else from ``n_mc`` draws of ``rng`` with the binomial SE."""
+        if self.ball is not None:
+            return self.ball.escape_prob(radius, offset)
+        p_in, stderr = _mc_ball_hits(self.root, self.lattice, self.zeta, radius, n_mc, rng,
+                                     offset)
+        return 1.0 - p_in, stderr
 
 
 def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
@@ -292,7 +304,7 @@ def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
         diag, root = _cov_diag_root(model, lattice)
         trace = float(np.sum((1.0 + lattice.weights) ** zeta * diag))
         ball = MultiplierBall(root, lattice, zeta) if root.ndim == 1 else None
-        setups.append(_DeltaSetup(model, trace, root, ball))
+        setups.append(_DeltaSetup(model, lattice, zeta, trace, root, ball))
     return setups
 
 
@@ -347,7 +359,7 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
     rows, fits = [], []
     dropped = int(np.isnan(err_stack[:, :, 0]).sum())
     for k, zeta in enumerate(zetas):
-        pred = bayes_rate(cfg.model(deltas[0]).params(zeta))
+        pred = bayes_rate(models[0].params(zeta))
         zeta_rows = _rate_rows("bayes", deltas, zeta, err_stack[:, :, k],
                                pred.exponent, pred.regime)
         rows.extend(zeta_rows)
@@ -370,7 +382,8 @@ def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None 
     deltas = cfg.deltas
     models = [cfg.model(d) for d in deltas]
     au = apply(cfg.fwd, u)
-    pred = frequentist_rate(cfg.model(deltas[0]).params())
+    params = models[0].params()
+    pred = frequentist_rate(params)
 
     def work(i: int):
         e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
@@ -387,10 +400,9 @@ def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None 
     results = np.stack(_run_replicates(cfg.n_replicates, cfg.threads, work))
     rows = _rate_rows("frequentist", deltas, 0.0, results, pred.exponent, pred.regime)
     fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
-    tau = cfg.model(deltas[0]).params().tau
     extras = {
         "truth": truth.description,
-        "truth_h_tau_norm": sobolev_norm(u, tau),
+        "truth_h_tau_norm": sobolev_norm(u, params.tau),
         "deltas": list(deltas),
     }
     dropped = int(np.isnan(results).sum())
@@ -416,10 +428,9 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     lattice = cfg.lattice()
     u = _checked_truth(truth, lattice).u_dagger
     deltas = cfg.deltas
-    pred = contraction_rate(cfg.model(deltas[0]).params(), cfg.kappa)
     au = apply(cfg.fwd, u)
     setups = _delta_setups(cfg, lattice, 0.0)
-    exact = all(st.ball is not None for st in setups)
+    pred = contraction_rate(setups[0].model.params(), cfg.kappa)
 
     c0 = cfg.c0
     if c0 is None:
@@ -446,12 +457,7 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
             offset = mean.coeffs - u.coeffs
             sq_dev = st.trace + float(np.sum(np.abs(offset) ** 2))
             markov[j] = min(1.0, sq_dev / radius**2)
-            if st.ball is not None:
-                direct[j], error[j] = st.ball.escape_prob(radius, offset)
-            else:
-                hits = _mc_ball_hits(st.root, lattice, 0.0, radius, cfg.n_mc, inner_rng, offset)
-                direct[j] = (cfg.n_mc - hits) / cfg.n_mc
-                error[j] = np.sqrt(direct[j] * (1.0 - direct[j]) / cfg.n_mc)
+            direct[j], error[j] = st.escape_prob(radius, cfg.n_mc, inner_rng, offset)
         return direct, markov, error
 
     results = _run_replicates(cfg.n_replicates, cfg.threads, work)
@@ -467,7 +473,7 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         "kappa": cfg.kappa,
         "kappa0": pred.extra["kappa0"],
         "markov_mean": markov.mean(axis=0).tolist(),
-        "ball_prob_method": "exact" if exact else "mc",
+        "ball_prob_method": "mc" if setups[0].ball is None else "exact",
         "ball_prob_error": error.max(axis=0).tolist(),
         "deltas": list(deltas),
     }
@@ -490,11 +496,11 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
         raise ValueError("credible experiment needs zeta1")
     lattice = cfg.lattice()
     deltas = cfg.deltas
-    pred0 = credible_rate(cfg.model(deltas[0]).params(), cfg.zeta1)
-    gamma = pred0.extra["gamma"]
-    alpha = cfg.alpha if cfg.alpha is not None else gamma / 4.0
-    pred = credible_rate(cfg.model(deltas[0]).params(), cfg.zeta1, alpha)
     setups = _delta_setups(cfg, lattice, cfg.zeta1)
+    params = setups[0].model.params()
+    gamma = credible_rate(params, cfg.zeta1).extra["gamma"]
+    alpha = cfg.alpha if cfg.alpha is not None else gamma / 4.0
+    pred = credible_rate(params, cfg.zeta1, alpha)
     traces = [st.trace for st in setups]
     c1 = cfg.c1
     if c1 is None:
@@ -504,18 +510,10 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
     rows = []
     markov = []
     errors = []
-    exact = all(st.ball is not None for st in setups)
+    n = cfg.n_mc if setups[0].ball is None else 0
     for j, (delta, st) in enumerate(zip(deltas, setups)):
         radius = c1 * delta**alpha
-        if exact:
-            p_out, stderr = st.ball.escape_prob(radius)
-            n = 0
-        else:
-            p_in = _mc_ball_hits(st.root, lattice, cfg.zeta1, radius, cfg.n_mc,
-                                 _replicate_seed(cfg.master_seed, 3, j)) / cfg.n_mc
-            stderr = float(np.sqrt(p_in * (1.0 - p_in) / cfg.n_mc))
-            p_out = 1.0 - p_in
-            n = cfg.n_mc
+        p_out, stderr = st.escape_prob(radius, cfg.n_mc, _replicate_seed(cfg.master_seed, 3, j))
         markov.append(min(1.0, traces[j] / radius**2))
         errors.append(stderr)
         rows.append(RateRow("credible", delta, cfg.zeta1, p_out, stderr,
@@ -536,7 +534,7 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
         "gamma": gamma,
         "markov_bound": markov,
         "trace_zeta1": traces,
-        "ball_prob_method": "exact" if exact else "mc",
+        "ball_prob_method": "mc" if setups[0].ball is None else "exact",
         "ball_prob_error": errors,
         "deltas": list(deltas),
     }
@@ -557,13 +555,14 @@ def run_appendix_b(cfg: ExperimentConfig, truth: TruthField | None = None) -> Cu
     deltas = np.asarray(cfg.deltas)
     errors = {z: np.empty(len(deltas)) for z in cfg.zetas}
     for j, delta in enumerate(deltas):
-        est = map_estimate(cfg.model(delta), m)
+        model = cfg.model(delta)
+        est = map_estimate(model, m)
         diff = SpectralField(lattice, est.coeffs - u.coeffs)
         for z in cfg.zetas:
             errors[z][j] = sobolev_norm(diff, z)
     curves, bounds, normalizers, predictions = {}, {}, {}, {}
     for z in cfg.zetas:
-        pred = bayes_rate(cfg.model(deltas[0]).params(z))
+        pred = bayes_rate(model.params(z))  # the same for every delta
         predictions[z] = pred
         normalizers[z] = 1.0 / errors[z][-1]
         curves[z] = (errors[z] * normalizers[z]).tolist()

@@ -4,7 +4,8 @@ White noise is sampled so that the basis coefficients are i.i.d. standard
 complex-normal subject to the Hermitian pairing: real modes get variance 1,
 conjugate pairs get independent N(0, 1/2) real and imaginary parts.  This is
 exactly the law of ``fftn(z) / sqrt(K)`` for ``z`` an i.i.d. standard normal
-grid array, which is how we draw it.
+grid array, drawn for every sampler by the one kernel ``lattice._white_coeffs``:
+:func:`sample_white_noise`, Monte Carlo ball counts and norm-check probes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .lattice import (
     SpectralField,
     _from_cosine_sine,
     _to_cosine_sine,
+    _white_coeffs,
     sobolev_norm,
 )
 from .operators import DenseOp, MultiplierOp, Operator, apply, symbol_values
@@ -42,10 +44,7 @@ def _rng(seed) -> np.random.Generator:
 
 def sample_white_noise(lattice: FrequencyLattice, seed=None) -> SpectralField:
     """Draw spectral white noise with unit-variance coefficients."""
-    rng = _rng(seed)
-    z = rng.standard_normal(lattice.shape)
-    coeffs = np.fft.fftn(z).ravel() / np.sqrt(lattice.size)
-    return SpectralField(lattice, coeffs)
+    return SpectralField(lattice, _white_coeffs(lattice, _rng(seed)))
 
 
 @dataclass(frozen=True)

@@ -152,6 +152,19 @@ def forward_transform(lattice: FrequencyLattice, values) -> SpectralField:
     return SpectralField(lattice, coeffs.ravel())
 
 
+def _white_coeffs(lattice: FrequencyLattice, rng: np.random.Generator,
+                  batch: int | None = None) -> np.ndarray:
+    """Spectral white noise ``fftn(z) / sqrt(K)``, z i.i.d. N(0, 1) on the grid.
+
+    Shape (K,), or (batch, K) whose row i equals bit for bit the i-th of
+    ``batch`` single draws from the same generator.
+    """
+    lead = () if batch is None else (batch,)
+    z = rng.standard_normal((*lead, *lattice.shape))
+    coeffs = np.fft.fftn(z, axes=tuple(range(len(lead), z.ndim)))
+    return coeffs.reshape(*lead, lattice.size) / np.sqrt(lattice.size)
+
+
 def sobolev_norm(u: SpectralField, q: float) -> float:
     """H^q norm: sqrt of sum over modes of (1 + |l|^2)^q |u_l|^2."""
     w = u.lattice.weights

@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .lattice import FrequencyLattice, SpectralField, build_lattice
+from .lattice import FrequencyLattice, SpectralField, _white_coeffs, build_lattice
 
 __all__ = [
     "MultiplierOp",
@@ -393,8 +393,7 @@ def norm_sandwich_check(
     for n in sizes:
         lat = op.lattice if isinstance(op, DenseOp) else build_lattice(dim, n)
         w = 1.0 + lat.weights
-        z = rng.standard_normal((n_samples, *lat.shape))
-        probes = np.fft.fftn(z, axes=range(1, z.ndim)).reshape(n_samples, -1).T / np.sqrt(lat.size)
+        probes = _white_coeffs(lat, rng, n_samples).T
         if isinstance(op, MultiplierOp):
             vals = symbol_values(op, lat)
             absa = np.abs(vals)

@@ -33,6 +33,7 @@ from .lattice import (
     _cosine_sine_modes,
     _real_if_rounding,
     _to_cosine_sine,
+    _white_coeffs,
 )
 from .operators import (
     DenseOp,
@@ -82,7 +83,8 @@ class GaussianModel:
 
     Each model keeps its per-frequency weights per lattice, read-only (see
     :func:`_diag_weights`), so each symbol is evaluated once per noise level.
-    They are K values each; no K x K matrix is kept.
+    They are K values each, except the prior precision of a dense prior,
+    which is kept as the K x K matrix delta^2 C_U^{-1}.
     """
 
     fwd: Operator
@@ -121,11 +123,11 @@ def _is_diagonal(model: GaussianModel) -> bool:
 
 
 def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
-    """Forward symbol a, diag(A^H A) and delta^2 / c_U on ``lattice``, evaluated once per lattice.
+    """Forward symbol a, diag(A^H A) and delta^2 C_U^{-1}, evaluated once per ``lattice``.
 
     A dense forward map has no symbol (a is None) and diag(A^H A) is its
-    squared column norms; a dense prior has no per-frequency precision
-    (None), as its precision is a K x K inverse.
+    squared column norms.  The prior precision is the K values
+    delta^2 / c_U of a multiplier prior, or the K x K matrix of a dense one.
     """
     with _DIAG_LOCK:
         weights = model._diag.get(lattice)
@@ -135,8 +137,13 @@ def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
                 asq = np.abs(a) ** 2
             else:
                 a, asq = None, np.sum(np.abs(densify(model.fwd, lattice).matrix) ** 2, axis=0)
-            prec = (_prior_precision(model, lattice)
-                    if isinstance(model.prior.cov, MultiplierOp) else None)
+            if isinstance(model.prior.cov, MultiplierOp):
+                c_u = symbol_values(model.prior.cov, lattice).real
+                if np.any(c_u <= 0):
+                    raise ValueError("prior covariance symbol must be strictly positive")
+                prec = model.delta**2 / c_u
+            else:
+                prec = model.delta**2 * np.linalg.inv(densify(model.prior.cov, lattice).matrix)
             weights = model._diag[lattice] = (a, asq, prec)
             for arr in weights:
                 if arr is not None:
@@ -185,16 +192,6 @@ def _adjoint_matvec(a_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a_mat.T @ v.conj()).conj()
 
 
-def _prior_precision(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """delta^2 C_U^{-1}: per-frequency values for a multiplier prior, else a dense matrix."""
-    if isinstance(model.prior.cov, MultiplierOp):
-        c_u = symbol_values(model.prior.cov, lattice).real
-        if np.any(c_u <= 0):
-            raise ValueError("prior covariance symbol must be strictly positive")
-        return model.delta**2 / c_u
-    return model.delta**2 * np.linalg.inv(densify(model.prior.cov, lattice).matrix)
-
-
 def _normal_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
     """N = A^H A + delta^2 C_U^{-1} in the cosine/sine basis, real when it is to rounding.
 
@@ -206,8 +203,8 @@ def _normal_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
     normal = a_cs.conj().T @ a_cs
     del a_cs
     prec = _diag_weights(model, lattice)[2]
-    if prec is None:
-        normal = normal + _to_cosine_sine(lattice, _prior_precision(model, lattice))
+    if prec.ndim == 2:
+        normal = normal + _to_cosine_sine(lattice, prec)
     elif np.abs(prec - prec[lattice.conj_index]).max() <= _CS_REAL_TOL * prec.max():
         normal[np.diag_indices(lattice.size)] += prec[_cosine_sine_modes(lattice)[0]]
     else:
@@ -224,18 +221,16 @@ def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     iteration applies A and then A^H to a vector (two K^2 products) plus
     the prior precision, and A^H A is never formed.  The Jacobi diagonal is
     the squared column norms of A plus the diagonal of delta^2 C_U^{-1};
-    relative residual 1e-10, iteration cap 10 K.  Both diagonals come from
-    the model's stored weights; a dense prior costs one inverse of C_U per
-    call.
+    relative residual 1e-10, iteration cap 10 K.  Both diagonals and the
+    precision come from the model's stored weights, so a dense prior's C_U
+    is inverted once per model and lattice.
     """
     lattice = m.lattice
     a, asq, prec = _diag_weights(model, lattice)
     if _is_diagonal(model):
         return SpectralField(lattice, np.conj(a) * m.coeffs / (asq + prec))
     a_mat = densify(model.fwd, lattice).matrix
-    dense_prior = prec is None
-    if dense_prior:
-        prec = _prior_precision(model, lattice)
+    dense_prior = prec.ndim == 2
 
     def normal_matvec(p: np.ndarray) -> np.ndarray:
         return _adjoint_matvec(a_mat, a_mat @ p) + (prec @ p if dense_prior else prec * p)
@@ -402,28 +397,23 @@ def sample_posterior(post: PosteriorGaussian, seed=None) -> SpectralField:
 
 
 def _mc_ball_hits(root: np.ndarray, lattice: FrequencyLattice, zeta1: float, radius: float,
-                  n_mc: int, rng: np.random.Generator, offset=None) -> int:
-    """Count of n_mc draws W = C^{1/2} xi (+ offset) inside the H^zeta1 ball.
+                  n_mc: int, rng: np.random.Generator, offset=None) -> tuple[float, float]:
+    """Share of n_mc draws W = C^{1/2} xi (+ offset) in the H^zeta1 ball, and its binomial SE.
 
     ``root`` is C^{1/2} on ``lattice``: K symbol values or a K x K matrix.
     """
     weights = (1.0 + lattice.weights) ** zeta1
-    k = lattice.size
     hits = 0
-    batch = max(1, min(n_mc, (1 << 22) // k))
-    done = 0
-    axes = tuple(range(1, lattice.dim + 1))
-    while done < n_mc:
-        b = min(batch, n_mc - done)
-        z = rng.standard_normal((b, *lattice.shape))
-        noise = np.fft.fftn(z, axes=axes).reshape(b, k) / np.sqrt(k)
+    batch = max(1, (1 << 22) // lattice.size)
+    for done in range(0, n_mc, batch):
+        noise = _white_coeffs(lattice, rng, min(batch, n_mc - done))
         w = noise * root[None, :] if root.ndim == 1 else noise @ root.T
         if offset is not None:
             w = w + offset[None, :]
         norms_sq = np.sum(weights[None, :] * np.abs(w) ** 2, axis=1)
         hits += int(np.count_nonzero(norms_sq <= radius**2))
-        done += b
-    return hits
+    p = hits / n_mc
+    return p, float(np.sqrt(p * (1.0 - p) / n_mc))
 
 
 def credible_ball_prob(
@@ -449,10 +439,8 @@ def credible_ball_prob(
     if offset is not None:
         offset = np.asarray(offset, dtype=np.complex128)
     lattice = post.mean.lattice
-    p = _mc_ball_hits(_evaluated(post.sqrt_cov, lattice), lattice, zeta1, radius, n_mc,
-                      _rng(seed), offset) / n_mc
-    stderr = float(np.sqrt(p * (1.0 - p) / n_mc))
-    return p, stderr
+    return _mc_ball_hits(_evaluated(post.sqrt_cov, lattice), lattice, zeta1, radius, n_mc,
+                         _rng(seed), offset)
 
 
 # Shares of the error bound stated by MultiplierBall.escape_prob, each an
@@ -494,7 +482,8 @@ class MultiplierBall:
     """Exact tail of the weighted squared norm of a multiplier Gaussian draw.
 
     For a root symbol rho, weights w_l = (1 + |l|^2)^zeta and spectral white
-    noise xi with the law of ``fftn(z) / sqrt(K)``, the statistic
+    noise xi with the law of ``fftn(z) / sqrt(K)`` that ``lattice._white_coeffs``
+    draws for every sampler, the statistic
     S = sum_l w_l |rho_l xi_l + o_l|^2 equals R + Q, where
     Q = sum_g lambda_g chi^2(h_g, nc_g) is a sum of independent noncentral
     chi-squares.  A self-conjugate mode has a real N(0, 1) entry: lambda =

@@ -2,12 +2,14 @@
 
 import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from torusbayes.experiments import (
     ExperimentConfig,
+    _delta_setups,
     TruthField,
     default_config,
     fit_loglog_slope,
@@ -20,9 +22,16 @@ from torusbayes.experiments import (
     run_frequentist_convergence,
     write_rate_csv,
 )
-from torusbayes.fields import gaussian_prior, sobolev_norm
+from torusbayes.fields import gaussian_prior, sample_white_noise, sobolev_norm
 from torusbayes.lattice import SpectralField, build_lattice, inverse_transform
-from torusbayes.operators import MultiplierOp, bessel_op, compose, densify, variable_coeff_op
+from torusbayes.operators import (
+    MultiplierOp,
+    apply,
+    bessel_op,
+    compose,
+    densify,
+    variable_coeff_op,
+)
 from torusbayes.posterior import credible_ball_prob, posterior
 
 
@@ -304,6 +313,26 @@ class TestContractionExperiment:
         assert table.extras["ball_prob_method"] == "mc"
         for row, bound in zip(table.rows, table.extras["markov_mean"]):
             assert row.mean_error <= bound + 1e-12
+
+
+class TestEscapeProb:
+    @pytest.mark.parametrize("scale, noncentral", [(0.8, False), (1.2, False), (1.2, True)],
+                             ids=["inner", "outer", "outer-offset"])
+    def test_sampled_branch_agrees_with_exact(self, scale, noncentral):
+        cfg = small_cfg("credible", n_per_dim=8)
+        lat = cfg.lattice()
+        exact = _delta_setups(cfg, lat, cfg.zeta1)[2]
+        sampled = replace(exact, ball=None)  # draws C^{1/2} xi from the root sqrt(c)
+        assert exact.root.shape == (lat.size,)
+        offset = None
+        if noncentral:
+            field = apply(bessel_op(-1.0), sample_white_noise(lat, 3))
+            offset = 0.5 * np.sqrt(exact.trace) * field.coeffs
+        radius = scale * np.sqrt(exact.trace)
+        p, bound = exact.escape_prob(radius, 4000, None, offset)
+        p_mc, se = sampled.escape_prob(radius, 4000, np.random.default_rng(11), offset)
+        assert bound < 1e-10 and 0.02 < p_mc < 0.98
+        assert abs(p - p_mc) <= 4.0 * se
 
 
 class TestCredibleExperiment:

@@ -11,7 +11,7 @@ from torusbayes.fields import (
     sample_white_noise,
     sobolev_norm,
 )
-from torusbayes.lattice import SpectralField, build_lattice, hermitian_defect
+from torusbayes.lattice import SpectralField, _white_coeffs, build_lattice, hermitian_defect
 from torusbayes.operators import DenseOp, bessel_op, compose, densify, symbol_values
 
 
@@ -61,6 +61,16 @@ class TestWhiteNoise:
         a = sample_white_noise(lat, rng)
         b = sample_white_noise(lat, np.random.default_rng(5))
         assert np.array_equal(a.coeffs, b.coeffs)
+
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 4)])
+    def test_batched_kernel_matches_consecutive_draws(self, dim, n):
+        lat = build_lattice(dim, n)
+        batch = _white_coeffs(lat, np.random.default_rng(7), 5)
+        assert batch.shape == (5, lat.size)
+        rng = np.random.default_rng(7)
+        for row in batch:
+            assert row.tobytes() == sample_white_noise(lat, rng).coeffs.tobytes()
 
 
 class TestOperatorSqrt:

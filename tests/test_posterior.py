@@ -214,6 +214,19 @@ class TestMapEstimate:
                                     densify(model.prior.cov, lat).matrix, model.delta, m.coeffs)
         assert np.linalg.norm(est - ref) <= 1e-9 * np.linalg.norm(ref)
 
+    def test_dense_prior_inverted_once_per_model(self, dense_model, monkeypatch):
+        lat, model = dense_model
+        prior = gaussian_prior(densify(bessel_op(-1.0), lat))
+        model = quiet_model(model.fwd, prior, 0.51, 1, model.delta)
+        m = SpectralField(lat, sample_white_noise(lat, 3).coeffs)
+        inv, calls = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        first = map_estimate(model, m)
+        second = map_estimate(model, m)
+        assert calls == [(lat.size, lat.size)]
+        assert first.coeffs.tobytes() == second.coeffs.tobytes()
+        assert model._diag[lat][2].shape == (lat.size, lat.size)
+
     def test_nonpositive_prior_symbol_rejected_on_dense_path(self, dense_model):
         lat, model = dense_model
         # c_U(0) = 0: a bad config, not a solver failure after 10 K iterations
