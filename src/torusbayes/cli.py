@@ -25,6 +25,7 @@ from .config import (
 )
 from .experiments import (
     RateTable,
+    _write_series,
     make_hat_truth,
     run_experiment,
     write_curve_files,
@@ -236,9 +237,7 @@ def cmd_experiment(args) -> int:
             for fit in result.fits:
                 series_path = os.path.join(args.out, f"series_zeta{fit.zeta:+g}.dat")
                 rows = [r for r in result.rows if r.zeta == fit.zeta]
-                with open(series_path, "w") as fh:
-                    for r in rows:
-                        fh.write(f"{r.delta:.17g} {r.mean_error:.17g}\n")
+                _write_series(series_path, [r.delta for r in rows], [r.mean_error for r in rows])
                 outputs.append(series_path)
             manifest["fits"] = [
                 {"zeta": fit.zeta, "slope": fit.slope, "r2": fit.r2,

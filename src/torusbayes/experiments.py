@@ -20,6 +20,7 @@ import numpy as np
 
 from .fields import GaussianPrior, gaussian_prior, sample_white_noise, sobolev_norm
 from .lattice import FrequencyLattice, SpectralField, build_lattice, forward_transform
+from .lattice import sobolev_weight
 from .operators import Operator, _evaluated, apply, bessel_op, compose
 from .posterior import (
     GaussianModel,
@@ -302,7 +303,7 @@ def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
     for delta in cfg.deltas:
         model = cfg.model(delta)
         diag, root = _cov_diag_root(model, lattice)
-        trace = float(np.sum((1.0 + lattice.weights) ** zeta * diag))
+        trace = float(np.sum(sobolev_weight(lattice, zeta) * diag))
         ball = MultiplierBall(root, lattice, zeta) if root.ndim == 1 else None
         setups.append(_DeltaSetup(model, lattice, zeta, trace, root, ball))
     return setups
@@ -327,7 +328,7 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
             a, asq, prec = _diag_weights(model, lattice)
             denom = asq + prec
             split.append((prec / denom, delta * np.conj(a) / denom))
-    zw = np.stack([(1.0 + lattice.weights) ** z for z in zetas])
+    zw = np.stack([sobolev_weight(lattice, z) for z in zetas])
     # prior root and forward map evaluated once per run: K values, or a K x K matrix
     root, fwd = _evaluated(cfg.prior.sqrt_cov, lattice), _evaluated(cfg.fwd, lattice)
 
@@ -420,6 +421,7 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     error goes there.  Reports the escape probability per delta together
     with the Markov-inequality estimate
     (Tr(C_delta) + |mean - truth|^2) / radius^2, which must dominate it.
+    A failed solve leaves its (replicate, delta) pair NaN, counted in ``dropped``.
     If ``c0`` is not set it is calibrated at the middle delta so the radius
     there equals the root-mean-square posterior deviation from the truth.
     """
@@ -447,23 +449,22 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     def work(i: int):
         e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
         inner_rng = _replicate_seed(cfg.master_seed, 3, i)
-        direct = np.empty(len(deltas))
-        markov = np.empty(len(deltas))
-        error = np.empty(len(deltas))
+        direct, markov, error = np.full((3, len(deltas)), np.nan)
         for j, (delta, st) in enumerate(zip(deltas, setups)):
             radius = c0 * delta**cfg.kappa
             m = SpectralField(lattice, au.coeffs + delta * e)
-            mean = map_estimate(st.model, m)
+            try:
+                mean = map_estimate(st.model, m)
+            except SolverError:
+                continue
             offset = mean.coeffs - u.coeffs
             sq_dev = st.trace + float(np.sum(np.abs(offset) ** 2))
             markov[j] = min(1.0, sq_dev / radius**2)
             direct[j], error[j] = st.escape_prob(radius, cfg.n_mc, inner_rng, offset)
         return direct, markov, error
 
-    results = _run_replicates(cfg.n_replicates, cfg.threads, work)
-    direct = np.stack([r[0] for r in results])
-    markov = np.stack([r[1] for r in results])
-    error = np.stack([r[2] for r in results])
+    # (replicate, delta) arrays, NaN where a solve failed
+    direct, markov, error = np.stack(_run_replicates(cfg.n_replicates, cfg.threads, work), axis=1)
     rows = _rate_rows("contraction", deltas, 0.0, direct, pred.extra["decay"], pred.regime)
     means = np.array([r.mean_error for r in rows])
     positive = means > 0
@@ -472,12 +473,12 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         "c0": c0,
         "kappa": cfg.kappa,
         "kappa0": pred.extra["kappa0"],
-        "markov_mean": markov.mean(axis=0).tolist(),
+        "markov_mean": np.nanmean(markov, axis=0).tolist(),
         "ball_prob_method": "mc" if setups[0].ball is None else "exact",
-        "ball_prob_error": error.max(axis=0).tolist(),
+        "ball_prob_error": np.nanmax(error, axis=0).tolist(),
         "deltas": list(deltas),
     }
-    return RateTable("contraction", tuple(rows), fits, 0, extras)
+    return RateTable("contraction", tuple(rows), fits, int(np.isnan(direct).sum()), extras)
 
 
 def run_credible(cfg: ExperimentConfig) -> RateTable:
@@ -663,14 +664,19 @@ def write_rate_csv(table: RateTable, path):
             ])
 
 
+def _write_series(path, deltas, values):
+    """Two-column ``delta value`` lines at 17 significant digits."""
+    with open(path, "w") as fh:
+        for delta, value in zip(deltas, values):
+            fh.write(f"{delta:.17g} {value:.17g}\n")
+
+
 def write_curve_files(curves: CurveSet, out_dir):
     """One two-column (delta, value) file per curve and per bound series."""
     paths = []
     for z in curves.zetas:
         for kind, series in (("curve", curves.curves[z]), ("bound", curves.bounds[z])):
             path = os.path.join(out_dir, f"{kind}_zeta{z:+g}.dat")
-            with open(path, "w") as fh:
-                for delta, value in zip(curves.deltas, series):
-                    fh.write(f"{delta:.17g} {value:.17g}\n")
+            _write_series(path, curves.deltas, series)
             paths.append(path)
     return paths

@@ -20,7 +20,9 @@ from .lattice import (
     _from_cosine_sine,
     _to_cosine_sine,
     _white_coeffs,
+    build_lattice,
     sobolev_norm,
+    sobolev_weight,
 )
 from .operators import DenseOp, MultiplierOp, Operator, apply, symbol_values
 
@@ -97,11 +99,9 @@ def operator_sqrt(cov: Operator) -> Operator:
     if isinstance(cov, MultiplierOp):
         base = cov.symbol
 
-        def sqrt_symbol(freqs: np.ndarray) -> np.ndarray:
-            vals = np.asarray(base(freqs), dtype=complex)
-            if np.any(np.abs(vals.imag) > 1e-12 * np.abs(vals).max()) or np.any(
-                vals.real <= 0
-            ):
+        def sqrt_symbol(lat: FrequencyLattice) -> np.ndarray:
+            vals = np.asarray(base(lat), dtype=complex)
+            if np.any(np.abs(vals.imag) > 1e-12 * np.abs(vals).max()) or np.any(vals.real <= 0):
                 raise ValueError("covariance symbol must be strictly positive real")
             return np.sqrt(vals.real).astype(complex)
 
@@ -165,15 +165,13 @@ def prior_trace_check(
     decay fit compared with the Weyl prediction -2 (r - tau) / d for the
     k-th largest weighted symbol value.
     """
-    from .lattice import build_lattice
-
     if not isinstance(prior.cov, MultiplierOp):
         raise TypeError("prior_trace_check needs a multiplier covariance")
     traces = []
     for n in sizes:
         lat = build_lattice(dim, n)
         vals = symbol_values(prior.cov, lat).real
-        traces.append(float(np.sum((1.0 + lat.weights) ** tau * vals)))
+        traces.append(float(np.sum(sobolev_weight(lat, tau) * vals)))
     incs = np.diff(traces)
     if np.any(incs <= 0):
         # nonincreasing partial traces: trivially summable tail
@@ -187,9 +185,7 @@ def prior_trace_check(
     theory = tau < prior.r - dim / 2.0
 
     lat = build_lattice(dim, max(sizes))
-    weighted = np.sort(
-        (1.0 + lat.weights) ** tau * symbol_values(prior.cov, lat).real
-    )[::-1]
+    weighted = np.sort(sobolev_weight(lat, tau) * symbol_values(prior.cov, lat).real)[::-1]
     k = np.arange(1, weighted.size + 1)
     # middle window dodges the flat head and the aliased corner tail
     lo, hi = weighted.size // 16 + 1, weighted.size // 4

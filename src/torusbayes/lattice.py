@@ -26,6 +26,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "sobolev_norm",
+    "sobolev_weight",
 ]
 
 # Tolerance for the Hermitian-symmetry check in inverse_transform, relative
@@ -165,10 +166,14 @@ def _white_coeffs(lattice: FrequencyLattice, rng: np.random.Generator,
     return coeffs.reshape(*lead, lattice.size) / np.sqrt(lattice.size)
 
 
+def sobolev_weight(lattice: FrequencyLattice, q: float) -> np.ndarray:
+    """Bessel weights (1 + |l|^2)^q on every mode, the one H^q bracket of the package."""
+    return (1.0 + lattice.weights) ** q
+
+
 def sobolev_norm(u: SpectralField, q: float) -> float:
     """H^q norm: sqrt of sum over modes of (1 + |l|^2)^q |u_l|^2."""
-    w = u.lattice.weights
-    return float(np.sqrt(np.sum((1.0 + w) ** q * np.abs(u.coeffs) ** 2)))
+    return float(np.sqrt(np.sum(sobolev_weight(u.lattice, q) * np.abs(u.coeffs) ** 2)))
 
 
 def hermitian_defect(field: SpectralField) -> float:

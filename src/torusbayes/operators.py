@@ -1,14 +1,17 @@
 """Fourier multiplier operators and small dense operators on lattice fields.
 
-A :class:`MultiplierOp` acts diagonally in frequency, ``(Au)^(l) = a(l) u^(l)``,
-and carries a declared decay-order pair ``(t, t0)`` with ``t <= t0``: the
-symbol is supposed to satisfy the two-sided bound
+A :class:`MultiplierOp` acts diagonally in frequency, ``(Au)^(l) = a(l) u^(l)``.
+Its symbol takes the whole :class:`FrequencyLattice`, so it reads |l|^2 and the
+Sobolev weights from ``lattice.py`` instead of squaring frequencies again.  It
+carries a declared decay-order pair ``(t, t0)`` with ``t <= t0``: the symbol is
+supposed to satisfy the two-sided bound
 
     c1 (1 + |l|)^{-t0}  <=  |a(l)|  <=  c2 (1 + |l|)^{-t).
 
 An operator with ``t = t0`` is elliptic; ``t < t0`` means the decay is
 direction dependent (hypoelliptic), as for the inverse heat operator whose
-symbol is ``(1 + i l_t + |l_x|^2)^{-1}`` with orders (1, 2).
+symbol is ``(1 + i l_t + |l_x|^2)^{-1}`` with orders (1, 2), real on the
+time-Nyquist plane so that it maps real fields to real fields.
 
 A :class:`DenseOp` is an explicit matrix acting on the flat coefficient
 vector; it is the backend for variable-coefficient perturbations and is
@@ -22,7 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .lattice import FrequencyLattice, SpectralField, _white_coeffs, build_lattice
+from .lattice import FrequencyLattice, SpectralField, _white_coeffs, build_lattice, sobolev_weight
 
 __all__ = [
     "MultiplierOp",
@@ -49,12 +52,12 @@ MAX_DENSE = 4096
 class MultiplierOp:
     """Fourier multiplier with declared decay orders.
 
-    ``symbol`` maps an integer frequency array of shape (K, dim) to K symbol
-    values.  ``order_t`` is the upper decay order (the weakest decay the
-    symbol is allowed), ``order_t0 >= order_t`` the lower one.
+    ``symbol`` maps a :class:`FrequencyLattice` to its K symbol values, one
+    per mode in lattice order.  ``order_t`` is the upper decay order (the
+    weakest decay the symbol is allowed), ``order_t0 >= order_t`` the lower one.
     """
 
-    symbol: Callable[[np.ndarray], np.ndarray]
+    symbol: Callable[[FrequencyLattice], np.ndarray]
     order_t: float
     order_t0: float
     label: str = ""
@@ -97,7 +100,7 @@ Operator = Union[MultiplierOp, DenseOp]
 
 def symbol_values(op: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
     """Evaluate the symbol on all lattice frequencies."""
-    vals = np.asarray(op.symbol(lattice.freqs))
+    vals = np.asarray(op.symbol(lattice))
     if vals.shape != (lattice.size,):
         raise ValueError(
             f"symbol returned shape {vals.shape}, expected ({lattice.size},)"
@@ -118,32 +121,29 @@ def bessel_op(a: float) -> MultiplierOp:
     Smoothing of order ``-2a``: for ``a <= 0`` this is the standard order
     pair ``(-2a, -2a)`` elliptic example; ``bessel_op(0)`` is the identity.
     """
-
-    def sym(freqs: np.ndarray) -> np.ndarray:
-        w = np.sum(freqs.astype(np.float64) ** 2, axis=1)
-        return (1.0 + w) ** a
-
-    return MultiplierOp(sym, order_t=-2.0 * a, order_t0=-2.0 * a, label=f"bessel({a:g})")
+    return MultiplierOp(lambda lat: sobolev_weight(lat, a), order_t=-2.0 * a, order_t0=-2.0 * a,
+                        label=f"bessel({a:g})")
 
 
 def heat_op(spatial_dim: int) -> MultiplierOp:
     """Inverse heat-type multiplier ``(1 + i l_t + |l_x|^2)^{-1}``.
 
     Acts on a lattice of dimension ``spatial_dim + 1`` whose last axis is
-    time.  Decay is anisotropic, order pair (1, 2): like ``(1+|l|)^{-1}``
-    along the time axis but ``(1+|l|)^{-2}`` in space.
+    time, with |l_x|^2 = |l|^2 - l_t^2.  Decay is anisotropic, order pair
+    (1, 2): like ``(1+|l|)^{-1}`` along the time axis but ``(1+|l|)^{-2}`` in
+    space.  On the time-Nyquist plane l_t = -n/2, where l and -l share l_t, the
+    grid mode samples the real cos(n t / 2), on which the continuum operator
+    acts as Re a; taking Re a there maps real fields to real fields.
     """
     if spatial_dim not in (1, 2):
         raise ValueError("spatial_dim must be 1 or 2 (lattice dim is spatial_dim + 1)")
 
-    def sym(freqs: np.ndarray) -> np.ndarray:
-        if freqs.shape[1] != spatial_dim + 1:
-            raise ValueError(
-                f"heat_op({spatial_dim}) needs a lattice of dimension {spatial_dim + 1}"
-            )
-        lx2 = np.sum(freqs[:, :-1].astype(np.float64) ** 2, axis=1)
-        lt = freqs[:, -1].astype(np.float64)
-        return 1.0 / (1.0 + 1j * lt + lx2)
+    def sym(lat: FrequencyLattice) -> np.ndarray:
+        if lat.dim != spatial_dim + 1:
+            raise ValueError(f"heat_op({spatial_dim}) needs a dim-{spatial_dim + 1} lattice")
+        lt = lat.freqs[:, -1].astype(np.float64)
+        vals = 1.0 / (1.0 + 1j * lt + (lat.weights - lt**2))
+        return np.where(lt == -lat.n_per_dim / 2, vals.real, vals)
 
     return MultiplierOp(sym, order_t=1.0, order_t0=2.0, label=f"heat({spatial_dim})")
 
@@ -168,11 +168,7 @@ def compose(op1: Operator, op2: Operator) -> Operator:
     label = f"{op1.label}*{op2.label}"
     if isinstance(op1, MultiplierOp) and isinstance(op2, MultiplierOp):
         s1, s2 = op1.symbol, op2.symbol
-
-        def sym(freqs: np.ndarray) -> np.ndarray:
-            return np.asarray(s1(freqs)) * np.asarray(s2(freqs))
-
-        return MultiplierOp(sym, t, t0, label)
+        return MultiplierOp(lambda lat: np.asarray(s1(lat)) * np.asarray(s2(lat)), t, t0, label)
     if isinstance(op1, DenseOp) and isinstance(op2, DenseOp):
         if op1.lattice != op2.lattice:
             raise ValueError("cannot compose dense operators on different lattices")
@@ -188,11 +184,8 @@ def adjoint(op: Operator) -> Operator:
     """L2 adjoint: conjugate symbol, or conjugate transpose matrix."""
     if isinstance(op, MultiplierOp):
         s = op.symbol
-
-        def sym(freqs: np.ndarray) -> np.ndarray:
-            return np.conj(np.asarray(s(freqs)))
-
-        return MultiplierOp(sym, op.order_t, op.order_t0, f"adj({op.label})")
+        return MultiplierOp(lambda lat: np.conj(np.asarray(s(lat))), op.order_t, op.order_t0,
+                            f"adj({op.label})")
     return DenseOp(
         op.lattice, op.matrix.conj().T, op.order_t, op.order_t0, f"adj({op.label})"
     )
@@ -203,8 +196,8 @@ def invert(op: Operator) -> Operator:
     if isinstance(op, MultiplierOp):
         s = op.symbol
 
-        def sym(freqs: np.ndarray) -> np.ndarray:
-            vals = np.asarray(s(freqs))
+        def sym(lat: FrequencyLattice) -> np.ndarray:
+            vals = np.asarray(s(lat))
             if np.any(vals == 0):
                 raise ValueError("symbol vanishes on the lattice, not invertible")
             return 1.0 / vals
@@ -381,18 +374,17 @@ def norm_sandwich_check(
         sizes = (op.lattice.n_per_dim,)
         dim = op.lattice.dim
 
-    def ratio_maxima(w, u_norms, images):
-        """Largest |A*A u|_{r+2t} / |u|_r and |u|_r / |A*A u|_{r+2t0}; w = 1 + |l|^2."""
+    def ratio_maxima(lat, u_norms, images):
+        """Largest |A*A u|_{r+2t} / |u|_r and |u|_r / |A*A u|_{r+2t0}."""
         sq = np.abs(images)
         sq *= sq
-        nu, nl = np.sqrt(w ** (r + 2 * t) @ sq), np.sqrt(w ** (r + 2 * t0) @ sq)
+        nu, nl = (np.sqrt(sobolev_weight(lat, r + 2 * s) @ sq) for s in (t, t0))
         return (float(np.max(nu[nu > 0] / u_norms[nu > 0], initial=0.0)),
                 float(np.max(u_norms[nl > 0] / nl[nl > 0], initial=0.0)))
 
     up_max, lo_max = [], []
     for n in sizes:
         lat = op.lattice if isinstance(op, DenseOp) else build_lattice(dim, n)
-        w = 1.0 + lat.weights
         probes = _white_coeffs(lat, rng, n_samples).T
         if isinstance(op, MultiplierOp):
             vals = symbol_values(op, lat)
@@ -400,13 +392,15 @@ def norm_sandwich_check(
             if np.any(absa == 0):
                 raise ValueError("normal operator symbol vanishes on the lattice")
             # single-mode ratios in closed form; the H^r weight cancels
-            up, lo = float(np.max(absa * w**t)), float(np.max(w ** (-t0) / absa))
+            up = float(np.max(absa * sobolev_weight(lat, t)))
+            lo = float(np.max(sobolev_weight(lat, -t0) / absa))
             images = vals[:, None] * probes
         else:
             # the image of single mode i is column i of the matrix
-            up, lo = ratio_maxima(w, w ** (r / 2), op.matrix)
+            up, lo = ratio_maxima(lat, sobolev_weight(lat, r / 2), op.matrix)
             images = op.matrix @ probes
-        up_p, lo_p = ratio_maxima(w, np.sqrt(w**r @ np.abs(probes) ** 2), images)
+        u_norms = np.sqrt(sobolev_weight(lat, r) @ np.abs(probes) ** 2)
+        up_p, lo_p = ratio_maxima(lat, u_norms, images)
         up_max.append(max(up, up_p))
         lo_max.append(max(lo, lo_p))
     up_growth = up_max[-1] / up_max[0]

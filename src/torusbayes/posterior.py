@@ -34,6 +34,7 @@ from .lattice import (
     _real_if_rounding,
     _to_cosine_sine,
     _white_coeffs,
+    sobolev_weight,
 )
 from .operators import (
     DenseOp,
@@ -62,7 +63,8 @@ __all__ = [
 ]
 
 CG_TOL = 1e-10
-_DIAG_LOCK = threading.Lock()  # guards GaussianModel._diag
+# guards GaussianModel._diag; re-entrant, as a prior may be another model's posterior
+_DIAG_LOCK = threading.RLock()
 
 
 class SolverError(RuntimeError):
@@ -149,6 +151,12 @@ def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
                 if arr is not None:
                     arr.setflags(write=False)
     return weights
+
+
+def _diag_cov(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
+    """Diagonal posterior covariance delta^2 / (|a|^2 + delta^2 / c_U) from the stored weights."""
+    _, asq, prec = _diag_weights(model, lattice)
+    return model.delta**2 / (asq + prec)
 
 
 def _pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
@@ -269,23 +277,14 @@ def map_estimate_discrete(a_mat, c_mat, delta: float, mvec) -> np.ndarray:
 def posterior_covariance(model: GaussianModel, lattice: FrequencyLattice | None = None) -> Operator:
     """Posterior covariance delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.
 
-    A dense covariance comes from one eigendecomposition of the normal
-    matrix, the same one that gives :func:`posterior` its root.
+    A diagonal one reads the model's stored weights; a dense one comes from one
+    eigendecomposition of the normal matrix, the same one that gives
+    :func:`posterior` its root.
     """
     if _is_diagonal(model):
-        fwd_sym, cov_sym, delta = model.fwd.symbol, model.prior.cov.symbol, model.delta
-
-        def c_symbol(freqs: np.ndarray) -> np.ndarray:
-            a = np.asarray(fwd_sym(freqs), dtype=complex)
-            c_u = np.asarray(cov_sym(freqs), dtype=complex).real
-            if np.any(c_u <= 0):
-                raise ValueError("prior covariance symbol must be strictly positive")
-            return (delta**2 / (np.abs(a) ** 2 + delta**2 / c_u)).astype(complex)
-
-        return MultiplierOp(
-            c_symbol, model.prior.cov.order_t, model.prior.cov.order_t0,
-            label=f"postcov({model.fwd.label})",
-        )
+        return MultiplierOp(lambda lat: _diag_cov(model, lat).astype(complex),
+                            model.prior.cov.order_t, model.prior.cov.order_t0,
+                            label=f"postcov({model.fwd.label})")
     return _dense_cov_root(model, lattice)[0]
 
 
@@ -340,7 +339,7 @@ def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | N
         if lattice is None:
             raise ValueError("lattice required for a multiplier covariance")
         diag = symbol_values(cov, lattice).real
-    return float(np.sum((1.0 + lattice.weights) ** q * diag))
+    return float(np.sum(sobolev_weight(lattice, q) * diag))
 
 
 def _dense_cov_root(model: GaussianModel,
@@ -370,8 +369,7 @@ def _cov_diag_root(model: GaussianModel,
     stored weights; a dense one the diagonal and the K x K root of the single ``eigh``.
     """
     if _is_diagonal(model):
-        _, asq, prec = _diag_weights(model, lattice)
-        c = model.delta**2 / (asq + prec)
+        c = _diag_cov(model, lattice)
         return c, np.sqrt(c)
     cov, root = _dense_cov_root(model, lattice)
     return np.diag(cov.matrix).real, root.matrix
@@ -402,7 +400,7 @@ def _mc_ball_hits(root: np.ndarray, lattice: FrequencyLattice, zeta1: float, rad
 
     ``root`` is C^{1/2} on ``lattice``: K symbol values or a K x K matrix.
     """
-    weights = (1.0 + lattice.weights) ** zeta1
+    weights = sobolev_weight(lattice, zeta1)
     hits = 0
     batch = max(1, (1 << 22) // lattice.size)
     for done in range(0, n_mc, batch):
@@ -511,7 +509,7 @@ class MultiplierBall:
         self._real = idx[conj == idx]
         self._pair = idx[idx < conj]
         self._mate = conj[self._pair]
-        self._w = (1.0 + lattice.weights) ** zeta
+        self._w = sobolev_weight(lattice, zeta)
         self._wroot = self._w * np.conj(root)
         wr2 = self._w * np.abs(root) ** 2
         quad = np.concatenate([wr2[self._real], wr2[self._pair] + wr2[self._mate]])

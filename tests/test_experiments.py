@@ -32,7 +32,8 @@ from torusbayes.operators import (
     densify,
     variable_coeff_op,
 )
-from torusbayes.posterior import credible_ball_prob, posterior
+from torusbayes import experiments
+from torusbayes.posterior import SolverError, credible_ball_prob, posterior
 
 
 def small_cfg(mode="bayes", **overrides):
@@ -190,9 +191,9 @@ class TestBayesExperiment:
         calls = []
         base = compose(bessel_op(-1.0), bessel_op(-1.0))
 
-        def counting(freqs):
-            calls.append(len(freqs))
-            return base.symbol(freqs)
+        def counting(lat):
+            calls.append(lat.size)
+            return base.symbol(lat)
 
         prior = gaussian_prior(MultiplierOp(counting, 4.0, 4.0))
         deltas = tuple(np.geomspace(1e-1, 1e-3, 4))
@@ -261,9 +262,9 @@ class TestFrequentistExperiment:
         calls = {"forward": 0, "prior": 0}
 
         def counting(name, op):
-            def symbol(freqs):
+            def symbol(lat):
                 calls[name] += 1
-                return op.symbol(freqs)
+                return op.symbol(lat)
             return MultiplierOp(symbol, op.order_t, op.order_t0, name)
 
         prior = default_config(mode).prior
@@ -305,6 +306,31 @@ class TestContractionExperiment:
         assert table.extras["ball_prob_method"] == "exact"
         errors = table.extras["ball_prob_error"]
         assert len(errors) == len(cfg.deltas) and max(errors) <= 1e-10
+
+    def test_failed_solve_drops_one_pair(self, monkeypatch):
+        # a SolverError in the replicate loop drops that (replicate, delta), as in bayes
+        ref = run_contraction(small_cfg("contraction"))
+        cfg = small_cfg("contraction", c0=ref.extras["c0"])  # no calibration solves
+        real = experiments.map_estimate
+        calls = []
+
+        def flaky(model, m):
+            calls.append(model.delta)
+            if len(calls) == 3:
+                raise SolverError("injected failure", [1.0])
+            return real(model, m)
+
+        monkeypatch.setattr(experiments, "map_estimate", flaky)
+        table = run_contraction(cfg)
+        assert table.dropped == 1 and len(calls) == cfg.n_replicates * len(cfg.deltas)
+        for row, base in zip(table.rows, ref.rows):
+            assert np.isfinite(row.mean_error) and np.isfinite(row.stderr)
+            if row.delta == calls[2]:
+                assert row.n == base.n - 1
+            else:
+                assert row == base
+        assert np.all(np.isfinite(table.extras["markov_mean"]))
+        assert np.all(np.isfinite(table.extras["ball_prob_error"]))
 
     def test_dense_root_is_sampled(self):
         cfg = small_cfg("contraction", fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8,

@@ -87,7 +87,7 @@ class TestOperatorSqrt:
         from torusbayes.operators import MultiplierOp
 
         lat = build_lattice(1, 8)
-        neg = MultiplierOp(lambda f: -np.ones(len(f), dtype=complex), 0.0, 0.0)
+        neg = MultiplierOp(lambda lat: -np.ones(lat.size, dtype=complex), 0.0, 0.0)
         with pytest.raises(ValueError):
             symbol_values(operator_sqrt(neg), lat)
 

@@ -13,7 +13,7 @@ from torusbayes.lattice import (
     hermitian_defect,
     inverse_transform,
 )
-from torusbayes.operators import bessel_op, densify, heat_op, variable_coeff_op
+from torusbayes.operators import apply, bessel_op, densify, heat_op, variable_coeff_op
 
 
 class TestFrequencyLattice:
@@ -190,7 +190,13 @@ class TestCosineSineBasis:
             assert y.dtype == np.float64
             assert np.abs(y - (explicit_q(lat) @ op.matrix @ explicit_q(lat).conj().T).real).max() < 1e-15
 
-    def test_heat_keeps_complex_nyquist_entries(self):
-        # the time-Nyquist modes are self-conjugate but 1 / (1 + i l_t + |l_x|^2) is not real there
-        lat = build_lattice(2, 8)
-        assert _to_cosine_sine(lat, densify(heat_op(1), lat).matrix).dtype == np.complex128
+    @pytest.mark.parametrize("spatial_dim, n", [(1, 8), (1, 16), (2, 4)])
+    def test_heat_maps_real_fields_to_real_fields(self, spatial_dim, n):
+        # on the time-Nyquist plane l and -l share l_t, so only a real symbol keeps fields real
+        lat = build_lattice(spatial_dim + 1, n)
+        op = heat_op(spatial_dim)
+        u = forward_transform(lat, np.random.default_rng(n).standard_normal(lat.shape))
+        image = apply(op, u)
+        assert hermitian_defect(image) < 1e-16
+        assert np.all(np.isfinite(inverse_transform(image)))
+        assert _to_cosine_sine(lat, densify(op, lat).matrix).dtype == np.float64

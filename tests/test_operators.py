@@ -41,6 +41,12 @@ class TestConstructors:
         assert op.order_t == 2.0 and op.order_t0 == 2.0
         assert bessel_op(0.5).order_t == -1.0
 
+    @pytest.mark.parametrize("a", [-2.5, -1.0, -0.5, 0.0, 0.75, 2.0])
+    def test_bessel_symbol_is_the_sobolev_weight(self, a):
+        for lat in (build_lattice(1, 16), build_lattice(2, 8), build_lattice(3, 4)):
+            expected = (1.0 + np.sum(lat.freqs.astype(np.float64) ** 2, axis=1)) ** a
+            assert np.array_equal(symbol_values(bessel_op(a), lat), expected)
+
     def test_bessel_zero_is_identity(self):
         lat = build_lattice(1, 8)
         u = random_field(lat, 0)
@@ -51,7 +57,12 @@ class TestConstructors:
         op = heat_op(1)
         vals = symbol_values(op, lat)
         lx, lt = lat.freqs[:, 0], lat.freqs[:, 1]
-        assert np.allclose(vals, 1.0 / (1.0 + 1j * lt + lx**2))
+        expected = 1.0 / (1.0 + 1j * lt + lx**2)
+        # Re a on the time-Nyquist plane l_t = -n/2, where l and -l share l_t
+        nyquist = lt == -lat.n_per_dim // 2
+        expected[nyquist] = expected[nyquist].real
+        assert np.allclose(vals, expected)
+        assert np.all(vals[nyquist].imag == 0)
         assert op.order_t == 1.0 and op.order_t0 == 2.0
 
     def test_heat_rejects_wrong_lattice_dim(self):
@@ -63,7 +74,7 @@ class TestConstructors:
 
     def test_multiplier_requires_t_le_t0(self):
         with pytest.raises(ValueError):
-            MultiplierOp(lambda f: np.ones(len(f), dtype=complex), 2.0, 1.0)
+            MultiplierOp(lambda lat: np.ones(lat.size, dtype=complex), 2.0, 1.0)
 
     def test_dense_size_cap(self):
         lat = build_lattice(2, 80)  # 6400 > MAX_DENSE
@@ -128,7 +139,7 @@ class TestAlgebra:
 
     def test_invert_rejects_vanishing_symbol(self):
         lat = build_lattice(1, 8)
-        op = MultiplierOp(lambda f: (f[:, 0] != 0).astype(complex), 0.0, 0.0)
+        op = MultiplierOp(lambda lat: (lat.freqs[:, 0] != 0).astype(complex), 0.0, 0.0)
         with pytest.raises(ValueError):
             symbol_values(invert(op), lat)
 

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ class TestGaussianModel:
     def test_hypothesis_messages_recorded(self):
         with pytest.warns(UserWarning) as rec:
             model = GaussianModel(
-                MultiplierOp(lambda f: (1.0 + np.sum(f**2, 1)) ** (-0.5), 1.0, 5.0),
+                MultiplierOp(lambda lat: (1.0 + np.sum(lat.freqs**2, 1)) ** (-0.5), 1.0, 5.0),
                 gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1,
             )
         assert any("t0 < 2t" in str(w.message) for w in rec)
@@ -121,9 +122,9 @@ class TestMapEstimate:
         calls = []
         base = bessel_op(-1.0)
 
-        def counting(freqs):
-            calls.append(len(freqs))
-            return base.symbol(freqs)
+        def counting(lat):
+            calls.append(lat.size)
+            return base.symbol(lat)
 
         lat = build_lattice(2, 32)
         model = quiet_model(MultiplierOp(counting, 2.0, 2.0), gaussian_prior(base), 1.01, 2, 0.05)
@@ -230,7 +231,8 @@ class TestMapEstimate:
     def test_nonpositive_prior_symbol_rejected_on_dense_path(self, dense_model):
         lat, model = dense_model
         # c_U(0) = 0: a bad config, not a solver failure after 10 K iterations
-        flat = MultiplierOp(lambda f: np.where(np.any(f != 0, axis=1), 1.0, 0.0), 0.0, 0.0)
+        flat = MultiplierOp(lambda lat: np.where(np.any(lat.freqs != 0, axis=1), 1.0, 0.0),
+                            0.0, 0.0)
         model = quiet_model(model.fwd, gaussian_prior(flat, r=1.0), 0.51, 1, model.delta)
         m = SpectralField(lat, sample_white_noise(lat, 3).coeffs)
         for estimate in (map_estimate, posterior):
@@ -318,6 +320,55 @@ class TestPosteriorCovariance:
         assert np.abs(cov.matrix - cov.matrix.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(cov.matrix).min() > 0
 
+    def test_diagonal_form_reads_stored_weights(self):
+        # once the MAP has evaluated a and c_U, the covariance and a draw evaluate neither again
+        calls = {"forward": 0, "prior": 0}
+
+        def counting(name, op):
+            def symbol(lat):
+                calls[name] += 1
+                return op.symbol(lat)
+            return MultiplierOp(symbol, op.order_t, op.order_t0, name)
+
+        lat = build_lattice(2, 16)
+        prior_cov = compose(bessel_op(-1.0), bessel_op(-1.0))
+        model = quiet_model(counting("forward", bessel_op(-1.0)),
+                            gaussian_prior(counting("prior", prior_cov), 2.0), 1.01, 2, 0.05)
+        m = SpectralField(lat, sample_white_noise(lat, 3).coeffs)
+        map_estimate(model, m)
+        assert calls == {"forward": 1, "prior": 1}
+        cov = symbol_values(posterior_covariance(model), lat)
+        sample_posterior(posterior(model, m), 4)
+        assert calls == {"forward": 1, "prior": 1}
+        a, c_u = symbol_values(bessel_op(-1.0), lat), symbol_values(prior_cov, lat).real
+        assert np.array_equal(cov, 0.05**2 / (np.abs(a) ** 2 + 0.05**2 / c_u))
+
+    def test_posterior_covariance_as_prior_of_another_model(self):
+        # the prior symbol of m2 reads m1's stored weights from inside m2's: no deadlock
+        lat = build_lattice(2, 16)
+        base = gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0)))
+        m1 = quiet_model(bessel_op(-1.0), base, 1.01, 2, 0.1)
+        m2 = quiet_model(bessel_op(-0.5), gaussian_prior(posterior_covariance(m1), 2.0),
+                         1.01, 2, 0.05)
+        a1, a2 = symbol_values(m1.fwd, lat), symbol_values(m2.fwd, lat)
+        c1 = 0.1**2 / (np.abs(a1) ** 2 + 0.1**2 / symbol_values(base.cov, lat).real)
+        c2 = 0.05**2 / (np.abs(a2) ** 2 + 0.05**2 / c1)
+        data = [SpectralField(lat, sample_white_noise(lat, seed).coeffs) for seed in range(6)]
+        out = {}
+
+        def work():
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                out["means"] = list(pool.map(lambda m: map_estimate(m2, m).coeffs, data))
+            out["cov"] = symbol_values(posterior_covariance(m2), lat)
+
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), "nested stored-weight evaluation deadlocked"
+        for m, mean in zip(data, out["means"]):
+            assert np.allclose(mean, np.conj(a2) * m.coeffs * c2 / 0.05**2, rtol=1e-13, atol=0)
+        assert np.allclose(out["cov"], c2, rtol=1e-13, atol=0)
+
     def test_multiplier_needs_lattice_for_dense_form(self):
         _, model = identity_model(0.5)
         from torusbayes.posterior import posterior_covariance_update
@@ -368,8 +419,8 @@ class TestCosineSineNormal:
             assert np.abs(normal - ref).max() < 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("symbol", [
-        lambda f: np.full(len(f), 1.0 + 0.5j),  # complex A, real A^H A
-        lambda f: 1.0 + 0.25 * np.sign(f[:, 0]),  # |a(l)| != |a(-l)|: complex A^H A too
+        lambda lat: np.full(lat.size, 1.0 + 0.5j),  # complex A, real A^H A
+        lambda lat: 1.0 + 0.25 * np.sign(lat.freqs[:, 0]),  # |a(l)| != |a(-l)|: complex A^H A too
     ], ids=["constant-complex", "odd-modulus"])
     def test_complex_fallback_for_maps_not_preserving_real_fields(self, symbol):
         lat = build_lattice(2, 8)
@@ -392,7 +443,8 @@ class TestCosineSineNormal:
         if kind == "dense":
             cov = densify(bessel, lat)
         else:  # c_U(l) != c_U(-l): a real symbol that does not map real fields to real fields
-            cov = MultiplierOp(lambda f: bessel.symbol(f) * (1.0 + 0.25 * np.sign(f[:, 0])), 2.0, 2.0)
+            cov = MultiplierOp(
+                lambda lat: bessel.symbol(lat) * (1.0 + 0.25 * np.sign(lat.freqs[:, 0])), 2.0, 2.0)
         model = quiet_model(fwd, gaussian_prior(cov, 1.0), 1.01, 2, 0.05)
         normal = _normal_cs(model, lat)
         assert normal.dtype == dtype
@@ -403,7 +455,8 @@ class TestCosineSineNormal:
 
     def test_odd_modulus_normal_matrix_stays_complex(self):
         lat = build_lattice(2, 8)
-        fwd = densify(MultiplierOp(lambda f: 1.0 + 0.25 * np.sign(f[:, 0]), 0.0, 0.0), lat)
+        fwd = densify(MultiplierOp(lambda lat: 1.0 + 0.25 * np.sign(lat.freqs[:, 0]), 0.0, 0.0),
+                      lat)
         model = quiet_model(fwd, gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1)
         normal = _normal_cs(model, lat)
         assert normal.dtype == np.complex128
@@ -504,7 +557,7 @@ class TestCredibleBallProb:
         """Covariance has mass 1 on the constant mode and negligible elsewhere,
         so the ball probability at radius 1 is P(|N(0,1)| <= 1) = 0.68269."""
         lat = build_lattice(1, 8)
-        symbol = lambda f: np.where(np.sum(f**2, 1) == 0, 1.0, 1e-30).astype(complex)
+        symbol = lambda lat: np.where(np.sum(lat.freqs**2, 1) == 0, 1.0, 1e-30).astype(complex)
         cov = MultiplierOp(symbol, 0.0, 0.0)
         prior = gaussian_prior(bessel_op(0.0), r=1.0)
         model = quiet_model(bessel_op(0.0), prior, 0.51, 1, 1.0)
@@ -552,14 +605,15 @@ def mc_vs_exact_case(name):
     rng = np.random.default_rng(31)
     zeta, offset = 0.0, None
     if name == "noncentral":
-        symbol = lambda f: (1.0 + np.sum(f.astype(float) ** 2, 1)) ** -1.0 + 0j
+        symbol = lambda lat: (1.0 + np.sum(lat.freqs.astype(float) ** 2, 1)) ** -1.0 + 0j
         field = apply(bessel_op(-1.5), sample_white_noise(lat, rng))
         offset = 0.6 * field.coeffs
     elif name == "zeta1":
-        symbol = lambda f: (1.0 + np.sum(f.astype(float) ** 2, 1)) ** -0.5 + 0j
+        symbol = lambda lat: (1.0 + np.sum(lat.freqs.astype(float) ** 2, 1)) ** -0.5 + 0j
         zeta = -1.5
     else:  # complex, non-even root and a non-Hermitian offset
-        def symbol(f):
+        def symbol(lat):
+            f = lat.freqs
             w = np.sum(f.astype(float) ** 2, 1)
             return (1.0 + w) ** -0.75 * (1.0 + 0.5 * np.tanh(f[:, 0] + 0.5 * f[:, 1])) \
                 * np.exp(0.3j * f[:, 0])
