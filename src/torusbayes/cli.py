@@ -163,6 +163,7 @@ def cmd_estimate(args) -> int:
         "warnings": [],
         "status": "failed",
     }
+    start = time.monotonic()
     try:
         lattice = build_lattice(settings.d, settings.n_per_dim)
         with warnings.catch_warnings(record=True) as caught:
@@ -185,6 +186,7 @@ def cmd_estimate(args) -> int:
             status="ok",
             posterior_trace_l2=f"{trace:.17g}",
             outputs=[paths["map.csv"], paths["data.csv"]],
+            wall_seconds=time.monotonic() - start,
             finished=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         )
         _write_manifest(paths["manifest.json"], manifest)
@@ -193,6 +195,7 @@ def cmd_estimate(args) -> int:
         return 0
     except Exception as exc:  # noqa: BLE001 - manifest must record any failure
         manifest["error"] = f"{type(exc).__name__}: {exc}"
+        manifest["wall_seconds"] = time.monotonic() - start
         manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         _write_manifest(paths["manifest.json"], manifest)
         print(f"estimate failed: {manifest['error']}", file=sys.stderr)

@@ -5,7 +5,9 @@ fits a log-log slope on the pre-saturation rows, and attaches the
 predicted exponent so tables are self-describing.  Replicates are
 parallelizable: replicate i always uses generators seeded by
 (master_seed, stream, i), and results are reduced in ascending replicate
-order, so thread count never changes the output.
+order, so thread count never changes the output.  Seed streams: 0 truth,
+1 data noise, 2 ``c0`` calibration, 3 inner draws.  A failed solve in the
+replicate loop leaves its (replicate, delta) pair NaN, counted in ``dropped``.
 """
 
 from __future__ import annotations
@@ -209,13 +211,14 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 def _zeta_fit(zeta: float, deltas, values, pred: RatePrediction,
               fit=fit_loglog_slope) -> ZetaFit:
-    """ZetaFit of ``fit(deltas, values)``; NaN slope, intercept and R^2 if it raises."""
+    """ZetaFit of ``fit`` on the positive values; NaN slope, intercept and R^2 if it raises."""
+    kept = np.flatnonzero(np.asarray(values) > 0)
     try:
-        res = fit(deltas, values)
+        res = fit(np.asarray(deltas)[kept], np.asarray(values)[kept])
     except ValueError:
         return ZetaFit(zeta, float("nan"), float("nan"), float("nan"), (), pred)
     return ZetaFit(zeta, res.slope, res.intercept, res.r2,
-                   tuple(deltas[i] for i in res.used_rows), pred)
+                   tuple(deltas[kept[i]] for i in res.used_rows), pred)
 
 
 def _rate_rows(experiment: str, deltas, zeta: float, samples: np.ndarray,
@@ -224,10 +227,16 @@ def _rate_rows(experiment: str, deltas, zeta: float, samples: np.ndarray,
     rows = []
     for j, delta in enumerate(deltas):
         vals = samples[~np.isnan(samples[:, j]), j]
-        rows.append(RateRow(experiment, delta, zeta, float(vals.mean()),
-                            float(vals.std(ddof=1) / np.sqrt(vals.size)), vals.size,
-                            exponent, regime))
+        mean = float(vals.mean()) if vals.size else float("nan")
+        stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else float("nan")
+        rows.append(RateRow(experiment, delta, zeta, mean, stderr, vals.size, exponent, regime))
     return rows
+
+
+def _over_replicates(reduce, samples: np.ndarray) -> list:
+    """``reduce`` (np.nanmean or np.nanmax) over replicates; NaN, silently, where all failed."""
+    failed = np.all(np.isnan(samples), axis=0)
+    return np.where(failed, np.nan, reduce(np.where(failed, 0.0, samples), axis=0)).tolist()
 
 
 def make_hat_truth(lattice: FrequencyLattice) -> TruthField:
@@ -249,14 +258,6 @@ def make_hat_truth(lattice: FrequencyLattice) -> TruthField:
 
 def _replicate_seed(master_seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.default_rng((master_seed, stream, index))
-
-
-def _run_replicates(n, threads, work):
-    """Run work(i) for i in range(n), preserving index order in the output."""
-    if threads <= 1:
-        return [work(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, range(n)))
 
 
 def _checked_truth(truth: TruthField | None, lattice: FrequencyLattice) -> TruthField:
@@ -309,6 +310,33 @@ def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
     return setups
 
 
+def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, truth,
+                      statistic, width: int = 1) -> tuple[np.ndarray, int]:
+    """The rate runners' replicate loop: a (replicate, delta, width) array and the drop count.
+
+    Replicate i takes u and A u from ``truth(i)``, e from stream 1 and ``rng`` from stream 3
+    (0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner draws); model j solves for the mean
+    of A u + delta e and stores ``statistic(j, mean - u, u, e, rng)``, or NaN and one drop.
+    """
+    def work(i: int) -> np.ndarray:
+        u, au = truth(i)
+        e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
+        rng = _replicate_seed(cfg.master_seed, 3, i)
+        out = np.full((len(models), width), np.nan)
+        for j, model in enumerate(models):
+            try:
+                mean = map_estimate(model, SpectralField(lattice, au + model.delta * e))
+            except SolverError:
+                continue
+            out[j] = statistic(j, mean.coeffs - u, u, e, rng)
+        return out
+
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
+        mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
+        stats = np.stack(list(mapped(work, range(cfg.n_replicates))))
+    return stats, int(np.isnan(stats[:, :, 0]).sum())
+
+
 def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
     """Prior-draw experiment: U ~ prior, M = AU + delta E, error of the mean.
 
@@ -332,46 +360,27 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
     # prior root and forward map evaluated once per run: K values, or a K x K matrix
     root, fwd = _evaluated(cfg.prior.sqrt_cov, lattice), _evaluated(cfg.fwd, lattice)
 
-    def work(i: int):
+    def prior_draw(i: int):
         xi = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 0, i)).coeffs
         u = root * xi if root.ndim == 1 else root @ xi
-        e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
-        au = fwd * u if fwd.ndim == 1 else fwd @ u
-        errs = np.full((len(deltas), len(zetas)), np.nan)
-        bias = errs.copy() if split else None
-        noise = errs.copy() if split else None
-        for j, (delta, model) in enumerate(zip(deltas, models)):
-            m = SpectralField(lattice, au + delta * e)
-            try:
-                est = map_estimate(model, m)
-            except SolverError:
-                continue
-            diff = np.abs(est.coeffs - u) ** 2
-            errs[j] = np.sqrt(zw @ diff)
-            if split:
-                bias_w, noise_w = split[j]
-                bias[j] = np.sqrt(zw @ np.abs(bias_w * u) ** 2)
-                noise[j] = np.sqrt(zw @ np.abs(noise_w * e) ** 2)
-        return errs, bias, noise
+        return u, fwd * u if fwd.ndim == 1 else fwd @ u
 
-    results = _run_replicates(cfg.n_replicates, cfg.threads, work)
-    err_stack = np.stack([r[0] for r in results])
+    def errors(j, diff, u, e, rng):  # H^zeta norms of mean - u, then of its bias and noise
+        parts = [diff, split[j][0] * u, split[j][1] * e] if split else [diff]
+        return np.concatenate([np.sqrt(zw @ np.abs(p) ** 2) for p in parts])
 
+    nz = len(zetas)
+    stats, dropped = _replicate_solves(cfg, lattice, models, prior_draw, errors,
+                                       3 * nz if split else nz)
     rows, fits = [], []
-    dropped = int(np.isnan(err_stack[:, :, 0]).sum())
     for k, zeta in enumerate(zetas):
         pred = bayes_rate(models[0].params(zeta))
-        zeta_rows = _rate_rows("bayes", deltas, zeta, err_stack[:, :, k],
-                               pred.exponent, pred.regime)
+        zeta_rows = _rate_rows("bayes", deltas, zeta, stats[:, :, k], pred.exponent, pred.regime)
         rows.extend(zeta_rows)
         fits.append(_zeta_fit(zeta, deltas, [r.mean_error for r in zeta_rows], pred))
-    extras = {"deltas": list(deltas), "zetas": list(zetas)}
-    if split:
-        extras = {
-            "bias_mean": np.nanmean(np.stack([r[1] for r in results]), axis=0).tolist(),
-            "noise_mean": np.nanmean(np.stack([r[2] for r in results]), axis=0).tolist(),
-            **extras,
-        }
+    extras = {"bias_mean": _over_replicates(np.nanmean, stats[:, :, nz:2 * nz]),
+              "noise_mean": _over_replicates(np.nanmean, stats[:, :, 2 * nz:])} if split else {}
+    extras.update(deltas=list(deltas), zetas=list(zetas))
     return RateTable("bayes", tuple(rows), tuple(fits), dropped, extras)
 
 
@@ -382,31 +391,18 @@ def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None 
     u = truth.u_dagger
     deltas = cfg.deltas
     models = [cfg.model(d) for d in deltas]
-    au = apply(cfg.fwd, u)
+    fixed = (u.coeffs, apply(cfg.fwd, u).coeffs)
     params = models[0].params()
     pred = frequentist_rate(params)
-
-    def work(i: int):
-        e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
-        out = np.full(len(deltas), np.nan)
-        for j, (delta, model) in enumerate(zip(deltas, models)):
-            m = SpectralField(lattice, au.coeffs + delta * e)
-            try:
-                est = map_estimate(model, m)
-            except SolverError:
-                continue
-            out[j] = np.sum(np.abs(est.coeffs - u.coeffs) ** 2)
-        return out
-
-    results = np.stack(_run_replicates(cfg.n_replicates, cfg.threads, work))
-    rows = _rate_rows("frequentist", deltas, 0.0, results, pred.exponent, pred.regime)
+    stats, dropped = _replicate_solves(cfg, lattice, models, lambda i: fixed,
+                                       lambda j, diff, *_: np.sum(np.abs(diff) ** 2))
+    rows = _rate_rows("frequentist", deltas, 0.0, stats[:, :, 0], pred.exponent, pred.regime)
     fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
     extras = {
         "truth": truth.description,
         "truth_h_tau_norm": sobolev_norm(u, params.tau),
         "deltas": list(deltas),
     }
-    dropped = int(np.isnan(results).sum())
     return RateTable("frequentist", tuple(rows), fits, dropped, extras)
 
 
@@ -421,7 +417,6 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     error goes there.  Reports the escape probability per delta together
     with the Markov-inequality estimate
     (Tr(C_delta) + |mean - truth|^2) / radius^2, which must dominate it.
-    A failed solve leaves its (replicate, delta) pair NaN, counted in ``dropped``.
     If ``c0`` is not set it is calibrated at the middle delta so the radius
     there equals the root-mean-square posterior deviation from the truth.
     """
@@ -446,39 +441,27 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
             sq.append(setups[mid].trace + np.sum(np.abs(mean.coeffs - u.coeffs) ** 2))
         c0 = float(np.sqrt(np.mean(sq)) / deltas[mid] ** cfg.kappa)
 
-    def work(i: int):
-        e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
-        inner_rng = _replicate_seed(cfg.master_seed, 3, i)
-        direct, markov, error = np.full((3, len(deltas)), np.nan)
-        for j, (delta, st) in enumerate(zip(deltas, setups)):
-            radius = c0 * delta**cfg.kappa
-            m = SpectralField(lattice, au.coeffs + delta * e)
-            try:
-                mean = map_estimate(st.model, m)
-            except SolverError:
-                continue
-            offset = mean.coeffs - u.coeffs
-            sq_dev = st.trace + float(np.sum(np.abs(offset) ** 2))
-            markov[j] = min(1.0, sq_dev / radius**2)
-            direct[j], error[j] = st.escape_prob(radius, cfg.n_mc, inner_rng, offset)
-        return direct, markov, error
+    def escape(j, offset, u, e, rng):
+        radius = c0 * deltas[j] ** cfg.kappa
+        sq_dev = setups[j].trace + float(np.sum(np.abs(offset) ** 2))
+        direct, error = setups[j].escape_prob(radius, cfg.n_mc, rng, offset)
+        return direct, min(1.0, sq_dev / radius**2), error
 
-    # (replicate, delta) arrays, NaN where a solve failed
-    direct, markov, error = np.stack(_run_replicates(cfg.n_replicates, cfg.threads, work), axis=1)
+    stats, dropped = _replicate_solves(cfg, lattice, [st.model for st in setups],
+                                       lambda i: (u.coeffs, au.coeffs), escape, 3)
+    direct, markov, error = np.moveaxis(stats, 2, 0)  # (replicate, delta) each
     rows = _rate_rows("contraction", deltas, 0.0, direct, pred.extra["decay"], pred.regime)
-    means = np.array([r.mean_error for r in rows])
-    positive = means > 0
-    fits = (_zeta_fit(0.0, np.asarray(deltas)[positive], means[positive], pred),)
+    fits = (_zeta_fit(0.0, np.asarray(deltas), [r.mean_error for r in rows], pred),)
     extras = {
         "c0": c0,
         "kappa": cfg.kappa,
         "kappa0": pred.extra["kappa0"],
-        "markov_mean": np.nanmean(markov, axis=0).tolist(),
+        "markov_mean": _over_replicates(np.nanmean, markov),
         "ball_prob_method": "mc" if setups[0].ball is None else "exact",
-        "ball_prob_error": np.nanmax(error, axis=0).tolist(),
+        "ball_prob_error": _over_replicates(np.nanmax, error),
         "deltas": list(deltas),
     }
-    return RateTable("contraction", tuple(rows), fits, int(np.isnan(direct).sum()), extras)
+    return RateTable("contraction", tuple(rows), fits, dropped, extras)
 
 
 def run_credible(cfg: ExperimentConfig) -> RateTable:
@@ -527,8 +510,7 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
         return LoglogFit(*_ols(np.log(np.asarray(xs)[band]), np.log(ps[band])),
                          tuple(band.tolist()))
 
-    probs = np.array([r.mean_error for r in rows])
-    fits = (_zeta_fit(cfg.zeta1, deltas, probs, pred, band_fit),)
+    fits = (_zeta_fit(cfg.zeta1, deltas, [r.mean_error for r in rows], pred, band_fit),)
     extras = {
         "c1": c1,
         "alpha": alpha,
@@ -601,19 +583,12 @@ def default_config(mode: str, **overrides) -> ExperimentConfig:
     probability transition is sharp.
     """
     fwd = bessel_op(-1.0)
-    if mode == "bayes":
+    if mode in ("bayes", "frequentist"):
         base = ExperimentConfig(
             mode, fwd, gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0))),
             s=1.01, d=2, n_per_dim=128,
             deltas=tuple(np.geomspace(1e-1, 1e-3, 7)),
-            zetas=(-3.5, 0.0), n_replicates=16, master_seed=42,
-        )
-    elif mode == "frequentist":
-        base = ExperimentConfig(
-            mode, fwd, gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0))),
-            s=1.01, d=2, n_per_dim=128,
-            deltas=tuple(np.geomspace(1e-1, 1e-3, 7)),
-            zetas=(0.0,), n_replicates=16, master_seed=42,
+            zetas=(-3.5, 0.0) if mode == "bayes" else (0.0,), n_replicates=16, master_seed=42,
         )
     elif mode == "contraction":
         base = ExperimentConfig(

@@ -170,8 +170,10 @@ def prior_trace_check(
     traces = []
     for n in sizes:
         lat = build_lattice(dim, n)
-        vals = symbol_values(prior.cov, lat).real
-        traces.append(float(np.sum(sobolev_weight(lat, tau) * vals)))
+        weighted = sobolev_weight(lat, tau) * symbol_values(prior.cov, lat).real
+        traces.append(float(np.sum(weighted)))
+        if n == max(sizes):
+            largest = weighted
     incs = np.diff(traces)
     if np.any(incs <= 0):
         # nonincreasing partial traces: trivially summable tail
@@ -184,8 +186,7 @@ def prior_trace_check(
         converged = increment_slope < -0.25
     theory = tau < prior.r - dim / 2.0
 
-    lat = build_lattice(dim, max(sizes))
-    weighted = np.sort(sobolev_weight(lat, tau) * symbol_values(prior.cov, lat).real)[::-1]
+    weighted = np.sort(largest)[::-1]
     k = np.arange(1, weighted.size + 1)
     # middle window dodges the flat head and the aliased corner tail
     lo, hi = weighted.size // 16 + 1, weighted.size // 4

@@ -97,6 +97,7 @@ class TestEstimate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert float(manifest["posterior_trace_l2"]) > 0
+        assert manifest["wall_seconds"] >= 0
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = write_ini(tmp_path, ESTIMATE_INI)
@@ -149,6 +150,7 @@ class TestEstimate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "no_such" in manifest["error"]
+        assert manifest["wall_seconds"] >= 0
 
     def test_threads_flag_is_usage_error(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, ESTIMATE_INI)

@@ -255,6 +255,14 @@ class TestFrequentistExperiment:
         table = run_frequentist_convergence(small_cfg("frequentist"))
         assert table.extras["truth_h_tau_norm"] > 0
 
+    def test_reproducible_across_threads(self):
+        dense = dict(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
+        for overrides in ({}, dense):
+            t1 = run_frequentist_convergence(small_cfg("frequentist", **overrides))
+            t4 = run_frequentist_convergence(small_cfg("frequentist", threads=4, **overrides))
+            assert t1.rows == t4.rows and t1.extras == t4.extras
+            assert t1.fits[0].slope == t4.fits[0].slope
+
     @pytest.mark.parametrize("mode", ["frequentist", "bayes", "contraction", "credible"])
     def test_forward_symbol_evaluated_once_per_delta(self, mode):
         # once per noise level however many replicates, plus once per run for
@@ -307,31 +315,6 @@ class TestContractionExperiment:
         errors = table.extras["ball_prob_error"]
         assert len(errors) == len(cfg.deltas) and max(errors) <= 1e-10
 
-    def test_failed_solve_drops_one_pair(self, monkeypatch):
-        # a SolverError in the replicate loop drops that (replicate, delta), as in bayes
-        ref = run_contraction(small_cfg("contraction"))
-        cfg = small_cfg("contraction", c0=ref.extras["c0"])  # no calibration solves
-        real = experiments.map_estimate
-        calls = []
-
-        def flaky(model, m):
-            calls.append(model.delta)
-            if len(calls) == 3:
-                raise SolverError("injected failure", [1.0])
-            return real(model, m)
-
-        monkeypatch.setattr(experiments, "map_estimate", flaky)
-        table = run_contraction(cfg)
-        assert table.dropped == 1 and len(calls) == cfg.n_replicates * len(cfg.deltas)
-        for row, base in zip(table.rows, ref.rows):
-            assert np.isfinite(row.mean_error) and np.isfinite(row.stderr)
-            if row.delta == calls[2]:
-                assert row.n == base.n - 1
-            else:
-                assert row == base
-        assert np.all(np.isfinite(table.extras["markov_mean"]))
-        assert np.all(np.isfinite(table.extras["ball_prob_error"]))
-
     def test_dense_root_is_sampled(self):
         cfg = small_cfg("contraction", fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8,
                         n_mc=200)
@@ -339,6 +322,80 @@ class TestContractionExperiment:
         assert table.extras["ball_prob_method"] == "mc"
         for row, bound in zip(table.rows, table.extras["markov_mean"]):
             assert row.mean_error <= bound + 1e-12
+
+
+REPLICATE_MODES = ("bayes", "frequentist", "contraction")
+REPLICATE_EXTRAS = ("bias_mean", "noise_mean", "markov_mean", "ball_prob_error")
+
+
+def failing_at(monkeypatch, fails):
+    """Patch the runners' solver to raise where ``fails(delta, k)`` holds, k counting
+    the calls at that delta; returns the list of solved deltas in call order."""
+    real, calls = experiments.map_estimate, []
+
+    def solve(model, m):
+        calls.append(model.delta)
+        if fails(model.delta, calls.count(model.delta) - 1):
+            raise SolverError("injected failure", [1.0])
+        return real(model, m)
+
+    monkeypatch.setattr(experiments, "map_estimate", solve)
+    return calls
+
+
+class TestReplicateLoop:
+    """The solve loop shared by the bayes, frequentist and contraction runners."""
+
+    @pytest.mark.parametrize("mode", REPLICATE_MODES)
+    def test_failed_solve_drops_one_pair(self, mode, monkeypatch):
+        ref = run_experiment(small_cfg(mode))
+        cfg = small_cfg(mode, c0=ref.extras.get("c0"))  # no calibration solves
+        bad = cfg.deltas[2]
+        calls = failing_at(monkeypatch, lambda delta, k: delta == bad and k == 0)
+        table = run_experiment(cfg)
+        assert table.dropped == 1 and len(calls) == cfg.n_replicates * len(cfg.deltas)
+        for row, base in zip(table.rows, ref.rows):
+            assert np.isfinite(row.mean_error) and np.isfinite(row.stderr)
+            if row.delta == bad:
+                assert row.n == base.n - 1
+            else:
+                assert row == base
+        for key in REPLICATE_EXTRAS:
+            if key in ref.extras:
+                assert np.all(np.isfinite(table.extras[key])), key
+
+    @pytest.mark.parametrize("mode", REPLICATE_MODES)
+    def test_delta_where_every_solve_fails(self, mode, monkeypatch):
+        # the row reports n = 0 and NaNs, the fit skips it, and numpy warns nothing
+        cfg = small_cfg(mode)
+        bad = cfg.deltas[1]
+        failing_at(monkeypatch, lambda delta, k: delta == bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run_experiment(cfg)
+        assert table.dropped == cfg.n_replicates
+        for row in table.rows:
+            failed = row.delta == bad
+            assert row.n == (0 if failed else cfg.n_replicates)
+            assert np.isnan(row.mean_error) == failed and np.isnan(row.stderr) == failed
+        for fit in table.fits:
+            assert bad not in fit.used_deltas and len(fit.used_deltas) >= 3
+            assert np.isfinite(fit.slope)
+        for key in REPLICATE_EXTRAS:
+            if key in table.extras:
+                values = np.asarray(table.extras[key], dtype=float)
+                assert np.all(np.isnan(values[1])) and np.all(np.isfinite(np.delete(values, 1, 0)))
+
+    def test_single_solve_has_nan_stderr(self, monkeypatch):
+        cfg = small_cfg("frequentist")
+        bad = cfg.deltas[1]
+        failing_at(monkeypatch, lambda delta, k: delta == bad and k > 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = run_frequentist_convergence(cfg)
+        row = table.rows[1]
+        assert table.dropped == cfg.n_replicates - 1 and row.n == 1
+        assert np.isfinite(row.mean_error) and np.isnan(row.stderr)
 
 
 class TestEscapeProb:

@@ -12,7 +12,7 @@ from torusbayes.fields import (
     sobolev_norm,
 )
 from torusbayes.lattice import SpectralField, _white_coeffs, build_lattice, hermitian_defect
-from torusbayes.operators import DenseOp, bessel_op, compose, densify, symbol_values
+from torusbayes.operators import DenseOp, MultiplierOp, bessel_op, compose, densify, symbol_values
 
 
 class TestWhiteNoise:
@@ -197,3 +197,17 @@ class TestPriorTraceCheck:
         chk = prior_trace_check(prior, tau=0.0, dim=2, sizes=(8, 16, 32, 64))
         assert chk.eig_decay_predicted == -4.0 / 2.0
         assert abs(chk.eig_decay_slope - chk.eig_decay_predicted) < 0.4
+
+    def test_symbol_evaluated_once_per_size(self):
+        base = compose(bessel_op(-1.0), bessel_op(-1.0))
+        sizes = []
+
+        def counting(lat):
+            sizes.append(lat.n_per_dim)
+            return base.symbol(lat)
+
+        prior = gaussian_prior(MultiplierOp(counting, 4.0, 4.0))
+        chk = prior_trace_check(prior, tau=0.0, dim=2)
+        assert sizes == list(chk.sizes)
+        ref = prior_trace_check(gaussian_prior(base), tau=0.0, dim=2)
+        assert chk == ref
