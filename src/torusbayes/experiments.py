@@ -451,7 +451,7 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
                                        lambda i: (u.coeffs, au.coeffs), escape, 3)
     direct, markov, error = np.moveaxis(stats, 2, 0)  # (replicate, delta) each
     rows = _rate_rows("contraction", deltas, 0.0, direct, pred.extra["decay"], pred.regime)
-    fits = (_zeta_fit(0.0, np.asarray(deltas), [r.mean_error for r in rows], pred),)
+    fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
     extras = {
         "c0": c0,
         "kappa": cfg.kappa,

@@ -71,19 +71,25 @@ def _hermitian_power(lattice: FrequencyLattice, mat: np.ndarray, power: float,
     then every product is real too.  The result W V^H, W = V diag(scale
     lam^power), is mapped back to the exponential basis.  With ``square``
     the pair (W V^H, W W^H) is returned, the second Hermitian-symmetrised
-    exactly.  Raises ValueError unless M is positive definite.
+    exactly and in place, through its real and imaginary views.  Raises
+    ValueError unless M is positive definite.
     """
     evals, evecs = np.linalg.eigh(mat)
     del mat  # each K x K temporary is dropped as soon as it is used
     if evals.min() <= 0:
         raise ValueError(f"covariance not positive definite (min eig {evals.min():g})")
     w = evecs * (scale * evals**power)
-    root = _from_cosine_sine(lattice, w @ evecs.conj().T)
+    root = w @ evecs.conj().T
+    del evecs
+    root = _from_cosine_sine(lattice, root)
     if not square:
         return root
-    del evecs
-    sq = _from_cosine_sine(lattice, w @ w.conj().T)
-    sq += sq.conj().T
+    sq = w @ w.conj().T
+    del w
+    sq = _from_cosine_sine(lattice, sq)
+    re, im = sq.real, sq.imag  # (S + S^H) / 2 without a conjugate copy of S
+    re += re.T
+    im -= im.T
     sq *= 0.5
     return root, sq
 

@@ -209,7 +209,8 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 # [self-conjugate modes, cosines of the pairs, sines of the pairs].  An
 # operator X that maps real fields to real fields, X_{-k,-l} = conj(X_{k,l}),
 # is the real matrix Q X Q^H in this basis.  Both directions below cost one
-# permuting copy and a few in-place passes over K^2 entries.
+# permuting copy and a few in-place passes over K^2 entries; on a vector,
+# Q u and Q^H v, they cost the same over K entries.
 
 # A matrix in the cosine/sine basis counts as real when its imaginary part is
 # at most this much of its largest entry.
@@ -236,29 +237,55 @@ def _butterfly(a: np.ndarray, b: np.ndarray):
 
 
 def _to_cosine_sine(lattice: FrequencyLattice, x: np.ndarray) -> np.ndarray:
-    """Q X Q^H for a K x K matrix X; real when its imaginary part is at rounding level."""
+    """Q X Q^H for a K x K matrix X, or Q x for a vector; real when its imaginary
+    part is at rounding level."""
     order, ns, npair = _cosine_sine_modes(lattice)
-    y = np.asarray(x, dtype=np.complex128)[np.ix_(order, order)]
+    x = np.asarray(x, dtype=np.complex128)
+    y = x[np.ix_(order, order)] if x.ndim == 2 else x[order]
     cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
     _butterfly(y[cos], y[sin])
     y[sin] *= -1j
-    _butterfly(y[:, cos], y[:, sin])
-    y[:, sin] *= 1j
+    if y.ndim == 2:
+        _butterfly(y[:, cos], y[:, sin])
+        y[:, sin] *= 1j
     return _real_if_rounding(y)
 
 
+# rows per block of _from_cosine_sine; even, so each cosine row comes with its sine row
+_CS_BLOCK = 64
+
+
 def _from_cosine_sine(lattice: FrequencyLattice, y: np.ndarray) -> np.ndarray:
-    """Q^H Y Q, the inverse of :func:`_to_cosine_sine`, as a complex K x K matrix."""
+    """Q^H Y Q, the inverse of :func:`_to_cosine_sine` (Q^H y for a vector), complex.
+
+    A matrix is transformed in blocks of at most ``_CS_BLOCK`` rows, written
+    straight to the result, so no other K x K array is made.
+    """
     order, ns, npair = _cosine_sine_modes(lattice)
-    z = y.astype(np.complex128)
-    del y
     cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
-    z[sin] *= 1j
-    _butterfly(z[cos], z[sin])
-    z[:, sin] *= -1j
-    _butterfly(z[:, cos], z[:, sin])
+    if y.ndim == 1:
+        z = y.astype(np.complex128)
+        z[sin] *= 1j
+        _butterfly(z[cos], z[sin])
+        out = np.empty_like(z)
+        out[order] = z
+        return out
     back = np.argsort(order)
-    return z[np.ix_(back, back)]
+    out = np.empty(y.shape, dtype=np.complex128)
+    # blocks of self-conjugate rows, then blocks of cosine rows followed by their sine rows
+    blocks = [(np.arange(i, min(i + _CS_BLOCK, ns)), 0) for i in range(0, ns, _CS_BLOCK)]
+    for i in range(0, npair, _CS_BLOCK // 2):
+        c = np.arange(ns + i, ns + min(i + _CS_BLOCK // 2, npair))
+        blocks.append((np.concatenate([c, c + npair]), c.size))
+    for rows, h in blocks:
+        z = y[rows].astype(np.complex128, copy=False)
+        if h:
+            z[h:] *= 1j
+            _butterfly(z[:h], z[h:])
+        z[:, sin] *= -1j
+        _butterfly(z[:, cos], z[:, sin])
+        out[order[rows]] = z[:, back]
+    return out
 
 
 def _real_if_rounding(y: np.ndarray) -> np.ndarray:

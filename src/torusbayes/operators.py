@@ -20,7 +20,7 @@ capped at MAX_DENSE unknowns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -71,13 +71,21 @@ class MultiplierOp:
 
 @dataclass(frozen=True, eq=False)
 class DenseOp:
-    """Explicit matrix on the flat coefficient vector of one lattice."""
+    """Explicit matrix on the flat coefficient vector of one lattice.
+
+    The matrix is a read-only copy.  ``_cs`` holds forms of it in the
+    cosine/sine basis of ``lattice.py`` that the posterior solves read:
+    "matrix", Q M Q^H for a forward map, and "inverse", its inverse for a
+    prior covariance.  Each is built on first use, read-only, once per
+    operator; the field is not part of repr or equality.
+    """
 
     lattice: FrequencyLattice
     matrix: np.ndarray
     order_t: float = 0.0
     order_t0: float = 0.0
     label: str = ""
+    _cs: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.lattice.size > MAX_DENSE:

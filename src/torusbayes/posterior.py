@@ -7,13 +7,15 @@ posterior is Gaussian with mean
 
 and covariance C = delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.  When both A
 and C_U are Fourier multipliers everything is a per-frequency scalar
-formula.  Otherwise the mean comes from preconditioned conjugate gradients
-that apply A and A^H to vectors, never forming A^H A, and the covariance
-and its root come from one eigendecomposition of the dense normal matrix,
-written in the cosine/sine basis of real fields.  There it is real
-symmetric whenever A and C_U map real fields to real fields, so one real
-``eigh`` and real products do the work; a model that does not keeps the
-same steps in complex arithmetic.
+formula.  Otherwise everything is written in the cosine/sine basis of real
+fields, where A_cs = Q A Q^H, kept once per forward operator, is real
+whenever A maps real fields to real fields.  The mean comes from
+preconditioned conjugate gradients that apply A_cs and A_cs^H to vectors,
+never forming A^H A, and the covariance and its root come from one
+eigendecomposition of the dense normal matrix A_cs^H A_cs + delta^2 C_U^{-1}.
+When A, C_U and the data are real there, one real ``eigh`` and real
+products do the work; a model that is not keeps the same steps in complex
+arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .lattice import (
     FrequencyLattice,
     SpectralField,
     _cosine_sine_modes,
+    _from_cosine_sine,
     _real_if_rounding,
     _to_cosine_sine,
     _white_coeffs,
@@ -63,7 +66,8 @@ __all__ = [
 ]
 
 CG_TOL = 1e-10
-# guards GaussianModel._diag; re-entrant, as a prior may be another model's posterior
+# guards GaussianModel._diag and DenseOp._cs; re-entrant, as a prior may be
+# another model's posterior
 _DIAG_LOCK = threading.RLock()
 
 
@@ -83,10 +87,11 @@ class GaussianModel:
     checked at construction; violations are warnings stored in
     ``hypothesis_messages``, never errors, so off-regime experiments run.
 
-    Each model keeps its per-frequency weights per lattice, read-only (see
+    Each model keeps the arrays its solves read per lattice, read-only (see
     :func:`_diag_weights`), so each symbol is evaluated once per noise level.
-    They are K values each, except the prior precision of a dense prior,
-    which is kept as the K x K matrix delta^2 C_U^{-1}.
+    They are K values each, except the K x K matrices of a model that is not
+    diagonal: those are references to arrays its operators keep, built once
+    per operator and shared by every noise level.
     """
 
     fwd: Operator
@@ -124,32 +129,57 @@ def _is_diagonal(model: GaussianModel) -> bool:
     return isinstance(model.fwd, MultiplierOp) and isinstance(model.prior.cov, MultiplierOp)
 
 
-def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
-    """Forward symbol a, diag(A^H A) and delta^2 C_U^{-1}, evaluated once per ``lattice``.
+def _cs_form(op: DenseOp, inverse: bool = False) -> np.ndarray:
+    """Q M Q^H of a dense operator, or its inverse; built once per operator, read-only."""
+    key = "inverse" if inverse else "matrix"
+    with _DIAG_LOCK:
+        mat = op._cs.get(key)
+        if mat is None:
+            mat = _to_cosine_sine(op.lattice, op.matrix)
+            if inverse:
+                mat = np.linalg.inv(mat)
+            mat.setflags(write=False)
+            op._cs[key] = mat
+    return mat
 
-    A dense forward map has no symbol (a is None) and diag(A^H A) is its
-    squared column norms.  The prior precision is the K values
-    delta^2 / c_U of a multiplier prior, or the K x K matrix of a dense one.
+
+def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
+    """The arrays the solves of ``model`` read on ``lattice``, built once, read-only.
+
+    A diagonal model keeps its forward symbol a, |a|^2 and delta^2 / c_U.  Any
+    other model keeps the forward map A_cs in the cosine/sine basis (the
+    operator's own, see :func:`_cs_form`), its squared column norms (the
+    diagonal of A_cs^H A_cs), and the prior precision in that basis: the K
+    values delta^2 / c_U in cosine/sine order when c_U is even in l, else the
+    K x K matrix C_U^{-1}, to be scaled by delta^2 (the prior's own for a
+    dense prior).
     """
     with _DIAG_LOCK:
         weights = model._diag.get(lattice)
         if weights is None:
-            if isinstance(model.fwd, MultiplierOp):
+            diagonal = _is_diagonal(model)
+            if diagonal:
                 a = symbol_values(model.fwd, lattice).copy()  # owned, so freezing it is safe
                 asq = np.abs(a) ** 2
             else:
-                a, asq = None, np.sum(np.abs(densify(model.fwd, lattice).matrix) ** 2, axis=0)
+                a = _cs_form(densify(model.fwd, lattice))
+                asq = np.einsum("ij,ij->j", a.real, a.real)
+                if np.iscomplexobj(a):
+                    asq += np.einsum("ij,ij->j", a.imag, a.imag)
             if isinstance(model.prior.cov, MultiplierOp):
                 c_u = symbol_values(model.prior.cov, lattice).real
                 if np.any(c_u <= 0):
                     raise ValueError("prior covariance symbol must be strictly positive")
                 prec = model.delta**2 / c_u
+                if not diagonal:  # an even one stays diagonal in the cosine/sine basis
+                    even = np.abs(prec - prec[lattice.conj_index]).max() <= _CS_REAL_TOL * prec.max()
+                    prec = (prec[_cosine_sine_modes(lattice)[0]] if even
+                            else _to_cosine_sine(lattice, np.diag(1.0 / c_u)))
             else:
-                prec = model.delta**2 * np.linalg.inv(densify(model.prior.cov, lattice).matrix)
+                prec = _cs_form(densify(model.prior.cov, lattice), inverse=True)
             weights = model._diag[lattice] = (a, asq, prec)
             for arr in weights:
-                if arr is not None:
-                    arr.setflags(write=False)
+                arr.setflags(write=False)
     return weights
 
 
@@ -196,27 +226,24 @@ def _pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
 
 
 def _adjoint_matvec(a_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A^H v, computed through the transpose view so no conjugate copy of A is made."""
+    """A^H v through the transpose view: no conjugate copy of A, and no copy at all when real."""
     return (a_mat.T @ v.conj()).conj()
 
 
 def _normal_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """N = A^H A + delta^2 C_U^{-1} in the cosine/sine basis, real when it is to rounding.
+    """N = A_cs^H A_cs + delta^2 C_U^{-1} in the cosine/sine basis, real when it is to rounding.
 
-    A_cs^T A_cs is one real product when A maps real fields to real fields.
-    A multiplier precision even in l (delta^2 / c_U(-l) = delta^2 / c_U(l))
-    stays diagonal there; any other precision is changed to the basis whole.
+    Built from the arrays :func:`_diag_weights` keeps for a model that is not
+    diagonal.  A_cs^T A_cs is one real product when A maps real fields to
+    real fields.  The precision is either an even multiplier's diagonal or
+    the one cached K x K matrix C_U^{-1}.
     """
-    a_cs = _to_cosine_sine(lattice, densify(model.fwd, lattice).matrix)
+    a_cs, _, prec = _diag_weights(model, lattice)
     normal = a_cs.conj().T @ a_cs
-    del a_cs
-    prec = _diag_weights(model, lattice)[2]
-    if prec.ndim == 2:
-        normal = normal + _to_cosine_sine(lattice, prec)
-    elif np.abs(prec - prec[lattice.conj_index]).max() <= _CS_REAL_TOL * prec.max():
-        normal[np.diag_indices(lattice.size)] += prec[_cosine_sine_modes(lattice)[0]]
+    if prec.ndim == 1:
+        normal[np.diag_indices(lattice.size)] += prec
     else:
-        normal = normal + _to_cosine_sine(lattice, np.diag(prec))
+        normal = normal + model.delta**2 * prec
     return _real_if_rounding(normal)
 
 
@@ -225,30 +252,45 @@ def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
 
     Diagonal models use the per-frequency formula
     conj(a) m_hat / (|a|^2 + delta^2 / c_U).  Otherwise preconditioned
-    conjugate gradients solve the normal equations matrix-free: each
-    iteration applies A and then A^H to a vector (two K^2 products) plus
-    the prior precision, and A^H A is never formed.  The Jacobi diagonal is
-    the squared column norms of A plus the diagonal of delta^2 C_U^{-1};
-    relative residual 1e-10, iteration cap 10 K.  Both diagonals and the
-    precision come from the model's stored weights, so a dense prior's C_U
-    is inverted once per model and lattice.
+    conjugate gradients solve the normal equations matrix-free in the
+    cosine/sine basis: b = A_cs^H Q m, each iteration applies A_cs and then
+    A_cs^H to a vector (two K^2 products) plus the prior precision, and the
+    solution x gives the estimate Q^H x; A^H A is never formed.  When A_cs,
+    the precision and Q m are real, every product is real; a complex A_cs or
+    precision runs the same lines in complex arithmetic, and complex Q m
+    (data that is not a real field) under a real system is solved as its real
+    and imaginary parts.  The Jacobi diagonal is the squared column norms of
+    A_cs plus the diagonal of delta^2 C_U^{-1} there; relative residual 1e-10,
+    iteration cap 10 K.  All of these come from the model's stored arrays,
+    so A_cs is built once per operator and a dense prior's C_U is inverted
+    once per operator.
     """
     lattice = m.lattice
     a, asq, prec = _diag_weights(model, lattice)
     if _is_diagonal(model):
         return SpectralField(lattice, np.conj(a) * m.coeffs / (asq + prec))
-    a_mat = densify(model.fwd, lattice).matrix
-    dense_prior = prec.ndim == 2
+    delta2 = model.delta**2
+    prec_matrix = prec.ndim == 2
 
     def normal_matvec(p: np.ndarray) -> np.ndarray:
-        return _adjoint_matvec(a_mat, a_mat @ p) + (prec @ p if dense_prior else prec * p)
+        q = _adjoint_matvec(a, a @ p)
+        q += delta2 * (prec @ p) if prec_matrix else prec * p
+        return q
 
     # Jacobi diagonal; the multiplier parts dominate it as delta -> 0
-    prec_diag = np.diag(prec).real if dense_prior else prec
+    prec_diag = delta2 * np.diag(prec).real if prec_matrix else prec
     diag = np.maximum(np.abs(asq + prec_diag), 1e-300)
-    b = _adjoint_matvec(a_mat, m.coeffs)
-    x, _ = _pcg(normal_matvec, b, diag, CG_TOL, 10 * lattice.size)
-    return SpectralField(lattice, x)
+    m_cs = _to_cosine_sine(lattice, m.coeffs)
+    if np.iscomplexobj(a) or np.iscomplexobj(prec):
+        parts = (m_cs.astype(np.complex128, copy=False),)
+    elif np.iscomplexobj(m_cs):
+        parts = (m_cs.real, m_cs.imag)  # two real solves
+    else:
+        parts = (m_cs,)
+    xs = [_pcg(normal_matvec, _adjoint_matvec(a, part), diag, CG_TOL, 10 * lattice.size)[0]
+          for part in parts]
+    x_cs = xs[0] if len(xs) == 1 else xs[0] + 1j * xs[1]
+    return SpectralField(lattice, _from_cosine_sine(lattice, x_cs))
 
 
 def map_estimate_discrete(a_mat, c_mat, delta: float, mvec) -> np.ndarray:

@@ -63,6 +63,13 @@ def test_truth_on_other_lattice_rejected(mode, run):
         run(cfg, truth)
 
 
+@pytest.mark.parametrize("mode", ["bayes", "frequentist", "contraction", "credible"])
+def test_used_deltas_are_python_floats(mode):
+    table = run_experiment(default_config(mode, n_per_dim=16, n_replicates=8))
+    used = [d for fit in table.fits for d in fit.used_deltas]
+    assert used and all(type(d) is float for d in used)
+
+
 class TestFitLoglogSlope:
     def test_exact_power_law(self):
         deltas = np.geomspace(1e-1, 1e-4, 6)

@@ -1,11 +1,16 @@
 """Lattice, spectral fields, and the transform pair."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from torusbayes import lattice as lattice_module
 from torusbayes.lattice import (
     FrequencyLattice,
     SpectralField,
+    _butterfly,
+    _cosine_sine_modes,
     _from_cosine_sine,
     _to_cosine_sine,
     build_lattice,
@@ -200,3 +205,60 @@ class TestCosineSineBasis:
         assert hermitian_defect(image) < 1e-16
         assert np.all(np.isfinite(inverse_transform(image)))
         assert _to_cosine_sine(lat, densify(op, lat).matrix).dtype == np.float64
+
+    @pytest.mark.parametrize("dim, n", SHAPES)
+    def test_vector_forms(self, dim, n):
+        lat = build_lattice(dim, n)
+        q = explicit_q(lat)
+        rng = np.random.default_rng(dim + n)
+        v = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
+        assert np.abs(_to_cosine_sine(lat, v) - q @ v).max() < 1e-14 * np.abs(v).max()
+        assert np.abs(_from_cosine_sine(lat, v) - q.conj().T @ v).max() < 1e-14 * np.abs(v).max()
+        # a real field has real coordinates, and they map back to it
+        u = forward_transform(lat, rng.standard_normal(lat.shape)).coeffs
+        u_cs = _to_cosine_sine(lat, u)
+        assert u_cs.dtype == np.float64
+        assert np.abs(_from_cosine_sine(lat, u_cs) - u).max() < 1e-15
+
+
+def unblocked_from_cosine_sine(lat, y):
+    """Q^H Y Q on the whole matrix at once: a full complex copy, then a full gather."""
+    order, ns, npair = _cosine_sine_modes(lat)
+    z = y.astype(np.complex128)
+    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
+    z[sin] *= 1j
+    _butterfly(z[cos], z[sin])
+    z[:, sin] *= -1j
+    _butterfly(z[:, cos], z[:, sin])
+    back = np.argsort(order)
+    return z[np.ix_(back, back)]
+
+
+class TestFromCosineSineBlocks:
+    @pytest.mark.parametrize("dim, n", [(1, 8), (2, 4), (2, 16), (2, 32), (3, 4)])
+    @pytest.mark.parametrize("block", [2, 8, 64])
+    def test_same_bytes_as_unblocked(self, dim, n, block, monkeypatch):
+        monkeypatch.setattr(lattice_module, "_CS_BLOCK", block)
+        lat = build_lattice(dim, n)
+        rng = np.random.default_rng(n)
+        y = rng.standard_normal((lat.size, lat.size))
+        y[0, 1] = -0.0
+        for mat in (y, y + 1j * rng.standard_normal(y.shape)):
+            expected = unblocked_from_cosine_sine(lat, mat)
+            assert _from_cosine_sine(lat, mat).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_no_full_size_temporary(self, dtype, monkeypatch):
+        # K = 256; small blocks, so the peak counts full-size arrays, not block ones
+        monkeypatch.setattr(lattice_module, "_CS_BLOCK", 8)
+        lat = build_lattice(2, 16)
+        y = np.random.default_rng(2).standard_normal((lat.size, lat.size)).astype(dtype)
+        full = 16 * lat.size**2  # bytes of one complex K x K array: the result
+        tracemalloc.start()
+        try:
+            out = _from_cosine_sine(lat, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == full
+        assert peak < 1.4 * full

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,6 +45,10 @@ from torusbayes.posterior import (
     posterior_trace,
     sample_posterior,
 )
+
+
+# the package re-exports the function posterior under the module's name
+posterior_module = sys.modules["torusbayes.posterior"]
 
 
 def quiet_model(fwd, prior, s, d, delta):
@@ -107,14 +112,19 @@ class TestMapEstimate:
         assert len(stored) == 3 and not any(arr.flags.writeable for arr in stored)
         assert map_estimate(model, m).coeffs.tobytes() == first.coeffs.tobytes()
         assert model._diag[lat] is stored
-        # a dense model keeps K values, not K x K: no symbol, column norms, precision
+        # a dense model keeps a reference to the operator's A_cs, not a copy, plus K values:
+        # the column norms of A_cs and the even precision in cosine/sine order
         dense_lat, dense = dense_model
         dense_m = SpectralField(dense_lat, sample_white_noise(dense_lat, 5).coeffs)
         first = map_estimate(dense, dense_m)
-        a, asq, prec = stored = dense._diag[dense_lat]
-        assert a is None and asq.shape == prec.shape == (dense_lat.size,)
-        assert not asq.flags.writeable and not prec.flags.writeable
-        assert np.array_equal(asq, np.sum(np.abs(dense.fwd.matrix) ** 2, axis=0))
+        a_cs, asq, prec = stored = dense._diag[dense_lat]
+        assert a_cs is dense.fwd._cs["matrix"] and a_cs.dtype == np.float64
+        assert np.array_equal(a_cs, _to_cosine_sine(dense_lat, dense.fwd.matrix))
+        assert asq.shape == prec.shape == (dense_lat.size,)
+        assert not any(arr.flags.writeable for arr in stored)
+        assert np.abs(asq - np.sum(a_cs**2, axis=0)).max() <= 1e-15 * asq.max()
+        c_u = symbol_values(dense.prior.cov, dense_lat).real
+        assert np.array_equal(np.sort(prec), np.sort(dense.delta**2 / c_u))
         assert map_estimate(dense, dense_m).coeffs.tobytes() == first.coeffs.tobytes()
         assert dense._diag[dense_lat] is stored
 
@@ -462,6 +472,134 @@ class TestCosineSineNormal:
         assert normal.dtype == np.complex128
         ref = _to_cosine_sine(lat, self.normal(model, lat))
         assert np.abs(normal - ref).max() < 1e-13 * np.abs(ref).max()
+
+
+class TestCosineSineMap:
+    """The dense MAP solve in the cosine/sine basis against the direct dense solve."""
+
+    @staticmethod
+    def vc_fwd(lat):
+        x = lat.grid_axes()[0]
+        return variable_coeff_op(1.0 + 0.5 * np.outer(np.sin(x), np.cos(x)), bessel_op(-1.0), lat)
+
+    @staticmethod
+    def solve_dtypes(model, m, monkeypatch):
+        """Check map_estimate against the direct solve; return the dtypes of its CG right-hand sides."""
+        dtypes = []
+
+        def recording(matvec, b, diag, tol, maxiter):
+            dtypes.append(b.dtype)
+            return _pcg(matvec, b, diag, tol, maxiter)
+
+        monkeypatch.setattr(posterior_module, "_pcg", recording)
+        lat = m.lattice
+        est = map_estimate(model, m).coeffs
+        ref = map_estimate_discrete(densify(model.fwd, lat).matrix,
+                                    densify(model.prior.cov, lat).matrix, model.delta, m.coeffs)
+        assert np.linalg.norm(est - ref) <= 1e-9 * np.linalg.norm(ref)
+        return dtypes
+
+    @staticmethod
+    def data(model, lat, seed):
+        """A u + delta e for real fields u and e: a real field when A maps real fields to real ones."""
+        u = sample_prior(gaussian_prior(bessel_op(-1.0)), lat, seed)
+        return apply(model.fwd, u) + model.delta * sample_white_noise(lat, seed + 1)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_variable_coeff_is_one_real_solve(self, n, monkeypatch):
+        lat = build_lattice(2, n)
+        model = quiet_model(self.vc_fwd(lat), gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.05)
+        assert self.solve_dtypes(model, self.data(model, lat, n), monkeypatch) == [np.float64]
+
+    def test_complex_data_is_two_real_solves(self, monkeypatch):
+        lat = build_lattice(2, 8)
+        model = quiet_model(self.vc_fwd(lat), gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.05)
+        rng = np.random.default_rng(9)
+        m = SpectralField(lat, rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size))
+        assert self.solve_dtypes(model, m, monkeypatch) == [np.float64, np.float64]
+
+    @pytest.mark.parametrize("symbol", [
+        lambda lat: np.full(lat.size, 1.0 + 0.5j),
+        lambda lat: 1.0 + 0.25 * np.sign(lat.freqs[:, 0]),  # real, |a(l)| != |a(-l)|
+    ], ids=["constant-complex", "odd-modulus"])
+    def test_complex_forward_is_one_complex_solve(self, symbol, monkeypatch):
+        lat = build_lattice(2, 8)
+        fwd = densify(MultiplierOp(symbol, 0.0, 0.0), lat)
+        model = quiet_model(fwd, gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1)
+        m = SpectralField(lat, sample_white_noise(lat, 4).coeffs)
+        assert self.solve_dtypes(model, m, monkeypatch) == [np.complex128]
+
+    def test_dense_prior_is_one_real_solve(self, monkeypatch):
+        lat = build_lattice(2, 8)
+        b = self.vc_fwd(lat).matrix
+        cmat = b @ b.conj().T
+        prior = gaussian_prior(DenseOp(lat, 0.5 * (cmat + cmat.conj().T), 4.0, 4.0))
+        model = quiet_model(self.vc_fwd(lat), prior, 1.01, 2, 0.05)
+        assert self.solve_dtypes(model, self.data(model, lat, 3), monkeypatch) == [np.float64]
+        assert model._diag[lat][2] is prior.cov._cs["inverse"]
+
+    def test_uneven_prior_is_one_complex_solve(self, monkeypatch):
+        lat = build_lattice(2, 8)
+        bessel = bessel_op(-1.0)
+        cov = MultiplierOp(lambda lat: bessel.symbol(lat) * (1.0 + 0.25 * np.sign(lat.freqs[:, 0])),
+                           2.0, 2.0)
+        model = quiet_model(self.vc_fwd(lat), gaussian_prior(cov, 1.0), 1.01, 2, 0.05)
+        assert self.solve_dtypes(model, self.data(model, lat, 5), monkeypatch) == [np.complex128]
+
+    def test_forward_matrix_changed_to_basis_once_across_threads(self, monkeypatch):
+        lat = build_lattice(2, 8)
+        fwd = self.vc_fwd(lat)
+        prior = gaussian_prior(bessel_op(-1.0))
+        models = [quiet_model(fwd, prior, 1.01, 2, delta) for delta in (0.1, 0.05, 0.02, 0.01)]
+        m = self.data(models[0], lat, 7)
+        calls = []
+        to_cs = posterior_module._to_cosine_sine
+
+        def counting(lat, x):
+            if np.ndim(x) == 2:
+                calls.append(lat)
+                time.sleep(0.01)  # widen the window in which another thread could build it too
+            return to_cs(lat, x)
+
+        monkeypatch.setattr(posterior_module, "_to_cosine_sine", counting)
+        results = [None] * 8
+
+        def work(i):
+            results[i] = map_estimate(models[i % len(models)], m).coeffs
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(calls) == 1
+        a_cs = fwd._cs["matrix"]
+        assert not a_cs.flags.writeable
+        assert all(model._diag[lat][0] is a_cs for model in models)
+        assert all(results[i].tobytes() == results[i + 4].tobytes() for i in range(4))
+        posterior(models[0], m)  # the covariance reads the same A_cs
+        assert len(calls) == 1
+
+    def test_dense_prior_inverted_once_per_operator(self, monkeypatch):
+        lat = build_lattice(2, 8)
+        prior = gaussian_prior(densify(compose(bessel_op(-1.0), bessel_op(-1.0)), lat))
+        models = [quiet_model(self.vc_fwd(lat), prior, 1.01, 2, d) for d in (0.1, 0.01, 0.001)]
+        m = self.data(models[0], lat, 11)
+        inv, calls = np.linalg.inv, []
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        for model in models:
+            map_estimate(model, m)
+            posterior(model, m)
+        assert calls == [(lat.size, lat.size)]
+        c_inv = prior.cov._cs["inverse"]
+        assert c_inv.dtype == np.float64 and not c_inv.flags.writeable
+        assert all(model._diag[lat][2] is c_inv for model in models)
 
 
 class TestPosteriorTrace:
