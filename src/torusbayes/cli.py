@@ -54,6 +54,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# rows per %-formatted string in write_field_csv; one string for the whole file costs memory
+_CSV_BLOCK = 1024
+
+
 def _field_header(d: int) -> str:
     return ",".join([f"l{i + 1}" for i in range(d)] + ["re", "im"])
 
@@ -62,9 +66,12 @@ def write_field_csv(field: SpectralField, path):
     """Frequency-indexed coefficients: columns l1..ld, re, im at 17 digits, CRLF line ends."""
     d = field.lattice.dim
     table = np.column_stack([field.lattice.freqs, field.coeffs.real, field.coeffs.imag])
+    row = ",".join(["%d"] * d + ["%.17g"] * 2) + "\r\n"
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt=["%d"] * d + ["%.17g"] * 2, delimiter=",",
-                   newline="\r\n", header=_field_header(d), comments="")
+        fh.write(_field_header(d) + "\r\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_field_csv(path, lattice) -> SpectralField:

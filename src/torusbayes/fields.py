@@ -24,7 +24,7 @@ from .lattice import (
     sobolev_norm,
     sobolev_weight,
 )
-from .operators import DenseOp, MultiplierOp, Operator, apply, symbol_values
+from .operators import DenseOp, MultiplierOp, Operator, _Handover, apply, symbol_values
 
 __all__ = [
     "sample_white_noise",
@@ -68,24 +68,27 @@ def _hermitian_power(lattice: FrequencyLattice, mat: np.ndarray, power: float,
     """scale M^power for M Hermitian positive definite, given in the cosine/sine basis.
 
     One ``eigh`` M = V diag(lam) V^H: real symmetric for a real ``mat``, and
-    then every product is real too.  The result W V^H, W = V diag(scale
-    lam^power), is mapped back to the exponential basis.  With ``square``
-    the pair (W V^H, W W^H) is returned, the second Hermitian-symmetrised
-    exactly and in place, through its real and imaginary views.  Raises
-    ValueError unless M is positive definite.
+    then every product is real too.  The result F F^H, F = V diag(scale
+    lam^power)^{1/2} scaled in place in V, is mapped back to the exponential
+    basis.  With ``square`` the pair (F F^H, W W^H), W = V diag(scale
+    lam^power), is returned, the second Hermitian-symmetrised exactly and in
+    place, through its real and imaginary views.  Raises ValueError unless M
+    is positive definite.
     """
     evals, evecs = np.linalg.eigh(mat)
     del mat  # each K x K temporary is dropped as soon as it is used
     if evals.min() <= 0:
         raise ValueError(f"covariance not positive definite (min eig {evals.min():g})")
-    w = evecs * (scale * evals**power)
-    root = w @ evecs.conj().T
+    half = np.sqrt(scale * evals**power)
+    evecs *= half  # F = V diag(half): the root is F F^H
+    root = evecs @ evecs.conj().T
+    if square:
+        evecs *= half  # W = V diag(half^2): the square is W W^H
+        sq = evecs @ evecs.conj().T
     del evecs
     root = _from_cosine_sine(lattice, root)
     if not square:
         return root
-    sq = w @ w.conj().T
-    del w
     sq = _from_cosine_sine(lattice, sq)
     re, im = sq.real, sq.imag  # (S + S^H) / 2 without a conjugate copy of S
     re += re.T
@@ -122,7 +125,7 @@ def operator_sqrt(cov: Operator) -> Operator:
             raise ValueError("dense covariance must be Hermitian")
         root_mat = _hermitian_power(cov.lattice, _to_cosine_sine(cov.lattice, m), 0.5)
         return DenseOp(
-            cov.lattice, root_mat, cov.order_t / 2.0, cov.order_t0 / 2.0,
+            cov.lattice, _Handover(root_mat), cov.order_t / 2.0, cov.order_t0 / 2.0,
             label=f"sqrt({cov.label})",
         )
     raise TypeError(f"unsupported covariance type {type(cov).__name__}")

@@ -69,13 +69,25 @@ class MultiplierOp:
             )
 
 
+class _Handover:
+    """A matrix just made by this package, which no caller keeps: :class:`DenseOp`
+    freezes it instead of copying it."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+
 @dataclass(frozen=True, eq=False)
 class DenseOp:
     """Explicit matrix on the flat coefficient vector of one lattice.
 
-    The matrix is a read-only copy.  ``_cs`` holds forms of it in the
-    cosine/sine basis of ``lattice.py`` that the posterior solves read:
-    "matrix", Q M Q^H for a forward map, and "inverse", its inverse for a
+    The matrix is a read-only copy, except for one that a producer in this
+    package hands over in a :class:`_Handover`, which is taken as is.
+    ``_cs`` holds forms of it in the cosine/sine basis of ``lattice.py``
+    that the posterior solves read: "gram", the Gram matrix A_cs^H A_cs of
+    A_cs = Q M Q^H for a forward map, and "inverse", (Q M Q^H)^{-1} for a
     prior covariance.  Each is built on first use, read-only, once per
     operator; the field is not part of repr or equality.
     """
@@ -93,10 +105,11 @@ class DenseOp:
                 f"dense operators are capped at {MAX_DENSE} unknowns, "
                 f"lattice has {self.lattice.size}"
             )
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        mat = self.matrix
+        m = (np.asarray(mat.matrix, dtype=np.complex128) if isinstance(mat, _Handover)
+             else np.array(mat, dtype=np.complex128))
         if m.shape != (self.lattice.size, self.lattice.size):
             raise ValueError(f"matrix shape {m.shape} does not match lattice")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         if self.order_t > self.order_t0:
@@ -230,13 +243,8 @@ def densify(op: Operator, lattice: FrequencyLattice) -> DenseOp:
         if op.lattice != lattice:
             raise ValueError("dense operator already bound to a different lattice")
         return op
-    return DenseOp(
-        lattice,
-        np.diag(symbol_values(op, lattice)),
-        op.order_t,
-        op.order_t0,
-        op.label,
-    )
+    mat = _Handover(np.diag(symbol_values(op, lattice)))
+    return DenseOp(lattice, mat, op.order_t, op.order_t0, op.label)
 
 
 def variable_coeff_op(

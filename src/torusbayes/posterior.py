@@ -8,14 +8,14 @@ posterior is Gaussian with mean
 and covariance C = delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.  When both A
 and C_U are Fourier multipliers everything is a per-frequency scalar
 formula.  Otherwise everything is written in the cosine/sine basis of real
-fields, where A_cs = Q A Q^H, kept once per forward operator, is real
-whenever A maps real fields to real fields.  The mean comes from
-preconditioned conjugate gradients that apply A_cs and A_cs^H to vectors,
-never forming A^H A, and the covariance and its root come from one
-eigendecomposition of the dense normal matrix A_cs^H A_cs + delta^2 C_U^{-1}.
-When A, C_U and the data are real there, one real ``eigh`` and real
-products do the work; a model that is not keeps the same steps in complex
-arithmetic.
+fields, where the Gram matrix G = Q A^H A Q^H and C_U^{-1} are real whenever
+A and C_U map real fields to real fields.  Neither depends on the noise
+level: a dense operator keeps its G, or its C_U^{-1}, once.  The mean comes
+from preconditioned conjugate gradients with one product G p per iteration,
+and the covariance and its root from one eigendecomposition of the dense
+normal matrix G + delta^2 C_U^{-1}.  When A, C_U and the data are real
+there, one real ``eigh`` and real products do the work; a model that is not
+keeps the same steps in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .operators import (
     MultiplierOp,
     Operator,
     _evaluated,
+    _Handover,
     apply,
     densify,
     symbol_values,
@@ -90,8 +91,8 @@ class GaussianModel:
     Each model keeps the arrays its solves read per lattice, read-only (see
     :func:`_diag_weights`), so each symbol is evaluated once per noise level.
     They are K values each, except the K x K matrices of a model that is not
-    diagonal: those are references to arrays its operators keep, built once
-    per operator and shared by every noise level.
+    diagonal: those of a dense operator are references to arrays it keeps,
+    built once per operator and shared by every noise level.
     """
 
     fwd: Operator
@@ -130,54 +131,57 @@ def _is_diagonal(model: GaussianModel) -> bool:
 
 
 def _cs_form(op: DenseOp, inverse: bool = False) -> np.ndarray:
-    """Q M Q^H of a dense operator, or its inverse; built once per operator, read-only."""
-    key = "inverse" if inverse else "matrix"
+    """Gram matrix A_cs^H A_cs of A_cs = Q M Q^H, of the dtype of A_cs, or with ``inverse``
+    (Q M Q^H)^{-1}, of a dense operator M; built once per operator, read-only."""
+    key = "inverse" if inverse else "gram"
     with _DIAG_LOCK:
         mat = op._cs.get(key)
         if mat is None:
             mat = _to_cosine_sine(op.lattice, op.matrix)
-            if inverse:
-                mat = np.linalg.inv(mat)
+            mat = np.linalg.inv(mat) if inverse else mat.conj().T @ mat
             mat.setflags(write=False)
             op._cs[key] = mat
     return mat
+
+
+def _multiplier_cs(lattice: FrequencyLattice, w: np.ndarray) -> np.ndarray:
+    """Real multiplier values w in the cosine/sine basis: the K values in cosine/sine
+    order when w is even in l, as Q diag(w) Q^H is then diagonal, else that K x K matrix."""
+    even = np.abs(w - w[lattice.conj_index]).max() <= _CS_REAL_TOL * w.max()
+    return w[_cosine_sine_modes(lattice)[0]] if even else _to_cosine_sine(lattice, np.diag(w))
 
 
 def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
     """The arrays the solves of ``model`` read on ``lattice``, built once, read-only.
 
     A diagonal model keeps its forward symbol a, |a|^2 and delta^2 / c_U.  Any
-    other model keeps the forward map A_cs in the cosine/sine basis (the
-    operator's own, see :func:`_cs_form`), its squared column norms (the
-    diagonal of A_cs^H A_cs), and the prior precision in that basis: the K
-    values delta^2 / c_U in cosine/sine order when c_U is even in l, else the
-    K x K matrix C_U^{-1}, to be scaled by delta^2 (the prior's own for a
-    dense prior).
+    other model keeps what gives A^H m (the symbol a, or the dense matrix A),
+    the Gram matrix Q A^H A Q^H and the precision Q C_U^{-1} Q^H, to be scaled
+    by delta^2.  A dense operator's Gram or C_U^{-1} is its own (see
+    :func:`_cs_form`), shared by every noise level; a multiplier's is |a|^2
+    or 1 / c_U through :func:`_multiplier_cs`: K values, or a K x K matrix
+    when it is not even in l.
     """
     with _DIAG_LOCK:
         weights = model._diag.get(lattice)
         if weights is None:
             diagonal = _is_diagonal(model)
-            if diagonal:
+            if isinstance(model.fwd, MultiplierOp):
                 a = symbol_values(model.fwd, lattice).copy()  # owned, so freezing it is safe
-                asq = np.abs(a) ** 2
+                gram = np.abs(a) ** 2
             else:
-                a = _cs_form(densify(model.fwd, lattice))
-                asq = np.einsum("ij,ij->j", a.real, a.real)
-                if np.iscomplexobj(a):
-                    asq += np.einsum("ij,ij->j", a.imag, a.imag)
+                fwd = densify(model.fwd, lattice)
+                a, gram = fwd.matrix, _cs_form(fwd)
             if isinstance(model.prior.cov, MultiplierOp):
                 c_u = symbol_values(model.prior.cov, lattice).real
                 if np.any(c_u <= 0):
                     raise ValueError("prior covariance symbol must be strictly positive")
-                prec = model.delta**2 / c_u
-                if not diagonal:  # an even one stays diagonal in the cosine/sine basis
-                    even = np.abs(prec - prec[lattice.conj_index]).max() <= _CS_REAL_TOL * prec.max()
-                    prec = (prec[_cosine_sine_modes(lattice)[0]] if even
-                            else _to_cosine_sine(lattice, np.diag(1.0 / c_u)))
+                prec = model.delta**2 / c_u if diagonal else 1.0 / c_u
             else:
                 prec = _cs_form(densify(model.prior.cov, lattice), inverse=True)
-            weights = model._diag[lattice] = (a, asq, prec)
+            if not diagonal:
+                gram, prec = (_multiplier_cs(lattice, w) if w.ndim == 1 else w for w in (gram, prec))
+            weights = model._diag[lattice] = (a, gram, prec)
             for arr in weights:
                 arr.setflags(write=False)
     return weights
@@ -225,25 +229,21 @@ def _pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
     )
 
 
-def _adjoint_matvec(a_mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A^H v through the transpose view: no conjugate copy of A, and no copy at all when real."""
-    return (a_mat.T @ v.conj()).conj()
-
-
 def _normal_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """N = A_cs^H A_cs + delta^2 C_U^{-1} in the cosine/sine basis, real when it is to rounding.
+    """N = G + delta^2 C_U^{-1} in the cosine/sine basis, real when it is to rounding.
 
-    Built from the arrays :func:`_diag_weights` keeps for a model that is not
-    diagonal.  A_cs^T A_cs is one real product when A maps real fields to
-    real fields.  The precision is either an even multiplier's diagonal or
-    the one cached K x K matrix C_U^{-1}.
+    A sum of the arrays :func:`_diag_weights` keeps for a model that is not
+    diagonal, so no K^3 product: the Gram G and the precision, each K values
+    (a diagonal) or a K x K matrix.
     """
-    a_cs, _, prec = _diag_weights(model, lattice)
-    normal = a_cs.conj().T @ a_cs
-    if prec.ndim == 1:
-        normal[np.diag_indices(lattice.size)] += prec
+    _, gram, prec = _diag_weights(model, lattice)
+    normal = model.delta**2 * prec  # a new array: only the kept G needs a copy to write
+    if normal.ndim == 1:
+        normal, gram = gram.copy(), normal
+    if gram.ndim == 1:
+        normal[np.diag_indices(lattice.size)] += gram
     else:
-        normal = normal + model.delta**2 * prec
+        normal = gram + normal
     return _real_if_rounding(normal)
 
 
@@ -251,44 +251,43 @@ def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     """Posterior mean (equals the MAP point for this Gaussian conjugate pair).
 
     Diagonal models use the per-frequency formula
-    conj(a) m_hat / (|a|^2 + delta^2 / c_U).  Otherwise preconditioned
-    conjugate gradients solve the normal equations matrix-free in the
-    cosine/sine basis: b = A_cs^H Q m, each iteration applies A_cs and then
-    A_cs^H to a vector (two K^2 products) plus the prior precision, and the
-    solution x gives the estimate Q^H x; A^H A is never formed.  When A_cs,
-    the precision and Q m are real, every product is real; a complex A_cs or
-    precision runs the same lines in complex arithmetic, and complex Q m
-    (data that is not a real field) under a real system is solved as its real
-    and imaginary parts.  The Jacobi diagonal is the squared column norms of
-    A_cs plus the diagonal of delta^2 C_U^{-1} there; relative residual 1e-10,
-    iteration cap 10 K.  All of these come from the model's stored arrays,
-    so A_cs is built once per operator and a dense prior's C_U is inverted
-    once per operator.
+    conj(a) m_hat / (|a|^2 + delta^2 / c_U).  Otherwise Jacobi-preconditioned
+    conjugate gradients solve the normal equations in the cosine/sine basis:
+    b = Q A^H m, from the symbol or the dense matrix, and each iteration
+    applies the Gram matrix G (one K^2 product for a dense forward map) plus
+    the prior precision; the solution x gives the estimate Q^H x.  When G,
+    the precision and b are real, every product is real; otherwise the same
+    lines run in complex arithmetic, except that complex b (data that is not
+    a real field) under a real system is solved as its real and imaginary
+    parts.  The Jacobi diagonal is diag(G) + diag(delta^2 C_U^{-1});
+    relative residual 1e-10, iteration cap 10 K.  G is built once per dense
+    operator, and a dense prior's C_U is inverted once per operator.
     """
     lattice = m.lattice
-    a, asq, prec = _diag_weights(model, lattice)
+    a, gram, prec = _diag_weights(model, lattice)
     if _is_diagonal(model):
-        return SpectralField(lattice, np.conj(a) * m.coeffs / (asq + prec))
+        return SpectralField(lattice, np.conj(a) * m.coeffs / (gram + prec))
     delta2 = model.delta**2
-    prec_matrix = prec.ndim == 2
+
+    def product(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return w @ p if w.ndim == 2 else w * p
 
     def normal_matvec(p: np.ndarray) -> np.ndarray:
-        q = _adjoint_matvec(a, a @ p)
-        q += delta2 * (prec @ p) if prec_matrix else prec * p
-        return q
+        return product(gram, p) + delta2 * product(prec, p)
 
     # Jacobi diagonal; the multiplier parts dominate it as delta -> 0
-    prec_diag = delta2 * np.diag(prec).real if prec_matrix else prec
-    diag = np.maximum(np.abs(asq + prec_diag), 1e-300)
-    m_cs = _to_cosine_sine(lattice, m.coeffs)
-    if np.iscomplexobj(a) or np.iscomplexobj(prec):
-        parts = (m_cs.astype(np.complex128, copy=False),)
-    elif np.iscomplexobj(m_cs):
-        parts = (m_cs.real, m_cs.imag)  # two real solves
+    g_diag, p_diag = (w if w.ndim == 1 else np.diagonal(w).real for w in (gram, prec))
+    diag = np.maximum(np.abs(g_diag + delta2 * p_diag), 1e-300)
+    # b = Q A^H m; a dense A^H m through the transpose view, with no conjugate copy of A
+    b = _to_cosine_sine(lattice, np.conj(a) * m.coeffs if a.ndim == 1
+                        else (a.T @ m.coeffs.conj()).conj())
+    if np.iscomplexobj(gram) or np.iscomplexobj(prec):
+        parts = (b.astype(np.complex128, copy=False),)
+    elif np.iscomplexobj(b):
+        parts = (b.real, b.imag)  # two real solves
     else:
-        parts = (m_cs,)
-    xs = [_pcg(normal_matvec, _adjoint_matvec(a, part), diag, CG_TOL, 10 * lattice.size)[0]
-          for part in parts]
+        parts = (b,)
+    xs = [_pcg(normal_matvec, part, diag, CG_TOL, 10 * lattice.size)[0] for part in parts]
     x_cs = xs[0] if len(xs) == 1 else xs[0] + 1j * xs[1]
     return SpectralField(lattice, _from_cosine_sine(lattice, x_cs))
 
@@ -398,9 +397,8 @@ def _dense_cov_root(model: GaussianModel,
                                        model.delta, square=True)
     t, t0 = model.prior.cov.order_t, model.prior.cov.order_t0
     label = f"postcov({model.fwd.label})"
-    cov = DenseOp(lattice, c_mat, t, t0, label)
-    del c_mat  # DenseOp keeps a copy
-    return cov, DenseOp(lattice, root_mat, t / 2.0, t0 / 2.0, f"sqrt({label})")
+    return (DenseOp(lattice, _Handover(c_mat), t, t0, label),
+            DenseOp(lattice, _Handover(root_mat), t / 2.0, t0 / 2.0, f"sqrt({label})"))
 
 
 def _cov_diag_root(model: GaussianModel,

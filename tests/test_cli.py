@@ -1,5 +1,6 @@
 """Command line interface: exit codes, determinism, file outputs."""
 
+import io
 import json
 import os
 import subprocess
@@ -266,6 +267,19 @@ class TestFieldCsv:
             b"-2,-0,0\r\n"
             b"-1,0.33333333333333331,0\r\n"
         )
+
+    def test_blocks_match_savetxt(self, tmp_path):
+        # 2304 rows: two full blocks of rows and a partial one
+        lat = build_lattice(2, 48)
+        coeffs = sample_white_noise(lat, np.random.default_rng(1)).coeffs.copy()
+        coeffs[1023:1027] = [complex(-0.0, np.nan), complex(5e-324, -np.inf), 1.79e308, 1e-300j]
+        path = tmp_path / "field.csv"
+        write_field_csv(SpectralField(lat, coeffs), path)
+        table = np.column_stack([lat.freqs, coeffs.real, coeffs.imag])
+        ref = io.BytesIO()
+        np.savetxt(ref, table, fmt=["%d"] * 2 + ["%.17g"] * 2, delimiter=",", newline="\r\n",
+                   header="l1,l2,re,im", comments="")
+        assert path.read_bytes() == ref.getvalue()
 
     @pytest.mark.parametrize("edit", [
         lambda ls: [b"l1,l2,real,imag"] + ls[1:],

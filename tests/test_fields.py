@@ -134,8 +134,9 @@ class TestOperatorSqrt:
         # a conjugate copy of the square or a full-size transform temporary exceeds it
         assert peak < 2.8 * full
         evals, evecs = np.linalg.eigh(mat)
-        w = evecs * (0.1 * evals**-0.5)
-        assert root.tobytes() == _from_cosine_sine(lat, w @ evecs.T).tobytes()
+        half = np.sqrt(0.1 * evals**-0.5)
+        f, w = evecs * half, evecs * half * half  # the root is F F^T, the square W W^T
+        assert root.tobytes() == _from_cosine_sine(lat, f @ f.T).tobytes()
         expected = _from_cosine_sine(lat, w @ w.T)
         expected = 0.5 * (expected + expected.conj().T)
         assert sq.tobytes() == expected.tobytes()

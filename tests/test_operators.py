@@ -8,6 +8,7 @@ from torusbayes.operators import (
     MAX_DENSE,
     DenseOp,
     MultiplierOp,
+    _Handover,
     adjoint,
     apply,
     bessel_op,
@@ -81,6 +82,35 @@ class TestConstructors:
         assert lat.size > MAX_DENSE
         with pytest.raises(ValueError):
             DenseOp(lat, np.eye(lat.size, dtype=complex), 0.0, 0.0)
+
+    def test_dense_copies_every_matrix_a_caller_passes(self):
+        lat = build_lattice(1, 8)
+        mat = np.eye(lat.size, dtype=complex)
+        op = DenseOp(lat, mat)
+        mat[0, 0] = 5.0  # a writeable matrix: later writes leave the operator unchanged
+        assert op.matrix[0, 0] == 1.0 and not op.matrix.flags.writeable
+        base = np.eye(lat.size, dtype=complex)
+        view = base[:]
+        view.setflags(write=False)
+        op = DenseOp(lat, view)
+        base[0, 0] = 5.0  # a read-only view of a writeable base
+        assert op.matrix[0, 0] == 1.0
+        owned = np.eye(lat.size, dtype=complex)
+        alias = owned[:]
+        owned.setflags(write=False)
+        op = DenseOp(lat, owned)
+        alias[0, 0] = 5.0  # read-only and owning its data, but a view taken before still writes it
+        owned.setflags(write=True)
+        owned[1, 1] = 5.0  # and its owner can make it writeable again
+        assert op.matrix is not owned and op.matrix[0, 0] == op.matrix[1, 1] == 1.0
+
+    def test_dense_takes_a_handed_over_matrix_as_is(self):
+        lat = build_lattice(1, 8)
+        mat = np.eye(lat.size, dtype=complex)
+        op = DenseOp(lat, _Handover(mat))
+        assert op.matrix is mat and not mat.flags.writeable
+        dense = densify(bessel_op(-1.0), lat)
+        assert not dense.matrix.flags.writeable and dense.matrix.flags.owndata
 
 
 class TestAlgebra:

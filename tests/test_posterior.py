@@ -112,19 +112,22 @@ class TestMapEstimate:
         assert len(stored) == 3 and not any(arr.flags.writeable for arr in stored)
         assert map_estimate(model, m).coeffs.tobytes() == first.coeffs.tobytes()
         assert model._diag[lat] is stored
-        # a dense model keeps a reference to the operator's A_cs, not a copy, plus K values:
-        # the column norms of A_cs and the even precision in cosine/sine order
+        # a dense model keeps references to the operator's matrix and Gram matrix A_cs^T A_cs,
+        # not copies, plus K values: the even precision 1 / c_U in cosine/sine order
         dense_lat, dense = dense_model
         dense_m = SpectralField(dense_lat, sample_white_noise(dense_lat, 5).coeffs)
         first = map_estimate(dense, dense_m)
-        a_cs, asq, prec = stored = dense._diag[dense_lat]
-        assert a_cs is dense.fwd._cs["matrix"] and a_cs.dtype == np.float64
-        assert np.array_equal(a_cs, _to_cosine_sine(dense_lat, dense.fwd.matrix))
-        assert asq.shape == prec.shape == (dense_lat.size,)
+        a_mat, gram, prec = stored = dense._diag[dense_lat]
+        assert a_mat is dense.fwd.matrix
+        assert gram is dense.fwd._cs["gram"] and gram.dtype == np.float64
+        a_cs = _to_cosine_sine(dense_lat, dense.fwd.matrix)
+        assert np.array_equal(gram, a_cs.T @ a_cs) and np.array_equal(gram, gram.T)
+        assert gram.shape == (dense_lat.size, dense_lat.size) and prec.shape == (dense_lat.size,)
         assert not any(arr.flags.writeable for arr in stored)
-        assert np.abs(asq - np.sum(a_cs**2, axis=0)).max() <= 1e-15 * asq.max()
+        # the Jacobi diagonal diag(G) is the squared column norms of A_cs
+        assert np.abs(np.diag(gram) - np.sum(a_cs**2, axis=0)).max() <= 1e-15 * gram.max()
         c_u = symbol_values(dense.prior.cov, dense_lat).real
-        assert np.array_equal(np.sort(prec), np.sort(dense.delta**2 / c_u))
+        assert np.array_equal(np.sort(prec), np.sort(1.0 / c_u))
         assert map_estimate(dense, dense_m).coeffs.tobytes() == first.coeffs.tobytes()
         assert dense._diag[dense_lat] is stored
 
@@ -579,12 +582,56 @@ class TestCosineSineMap:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert len(calls) == 1
-        a_cs = fwd._cs["matrix"]
-        assert not a_cs.flags.writeable
-        assert all(model._diag[lat][0] is a_cs for model in models)
+        gram = fwd._cs["gram"]
+        assert not gram.flags.writeable
+        assert all(model._diag[lat][1] is gram for model in models)
         assert all(results[i].tobytes() == results[i + 4].tobytes() for i in range(4))
-        posterior(models[0], m)  # the covariance reads the same A_cs
+        posterior(models[0], m)  # the covariance reads the same Gram matrix
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("symbol", [
+        lambda lat: bessel_op(-1.0).symbol(lat),
+        lambda lat: 1.0 + 0.25 * np.sign(lat.freqs[:, 0]),  # |a(l)|^2 != |a(-l)|^2
+    ], ids=["even", "odd-modulus"])
+    @pytest.mark.parametrize("prior_kind", ["dense", "uneven"])
+    def test_multiplier_forward_is_never_densified(self, symbol, prior_kind, monkeypatch):
+        lat = build_lattice(2, 8)
+        fwd = MultiplierOp(symbol, 0.0, 0.0)
+        bessel = bessel_op(-1.0)
+        cov = bessel if prior_kind == "dense" else MultiplierOp(
+            lambda lat: bessel.symbol(lat) * (1.0 + 0.25 * np.sign(lat.freqs[:, 1])), 2.0, 2.0)
+        model = quiet_model(fwd, gaussian_prior(densify(cov, lat), 1.0), 1.01, 2, 0.05)
+        m = SpectralField(lat, sample_white_noise(lat, 12).coeffs)
+        densified, to_dense = [], posterior_module.densify
+        monkeypatch.setattr(posterior_module, "densify",
+                            lambda op, lat: densified.append(op) or to_dense(op, lat))
+        est = map_estimate(model, m).coeffs
+        post = posterior(model, m)
+        assert densified and not any(op is fwd for op in densified)
+        ref = map_estimate_discrete(np.diag(symbol_values(fwd, lat)),
+                                    model.prior.cov.matrix, model.delta, m.coeffs)
+        assert np.linalg.norm(est - ref) <= 1e-9 * np.linalg.norm(ref)
+        assert np.array_equal(post.mean.coeffs, est)
+        update = posterior_covariance_update(model, lat).matrix
+        assert np.abs(post.cov.matrix - update).max() < 1e-9
+
+    def test_normal_matrix_sums_one_gram_across_deltas(self, monkeypatch):
+        lat = build_lattice(2, 8)
+        fwd = self.vc_fwd(lat)
+        prior = gaussian_prior(bessel_op(-1.0))
+        calls, to_cs = [], posterior_module._to_cosine_sine
+        monkeypatch.setattr(posterior_module, "_to_cosine_sine",
+                            lambda lat, x: calls.append(np.ndim(x)) or to_cs(lat, x))
+        a_mat = fwd.matrix
+        for delta in (0.1, 0.01, 0.001):
+            model = quiet_model(fwd, prior, 1.01, 2, delta)
+            normal = _normal_cs(model, lat)
+            c_inv = np.diag(1.0 / symbol_values(prior.cov, lat))
+            ref = to_cs(lat, a_mat.conj().T @ a_mat + delta**2 * c_inv)
+            assert normal.dtype == np.float64
+            assert np.abs(normal - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert model._diag[lat][1] is fwd._cs["gram"]
+        assert calls.count(2) == 1
 
     def test_dense_prior_inverted_once_per_operator(self, monkeypatch):
         lat = build_lattice(2, 8)
