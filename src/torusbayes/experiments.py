@@ -28,11 +28,12 @@ from .posterior import (
     GaussianModel,
     MultiplierBall,
     SolverError,
-    _cov_diag_root,
+    _cov_root,
     _diag_weights,
     _is_diagonal,
     _mc_ball_hits,
     map_estimate,
+    posterior_trace,
 )
 from .rates import RatePrediction, bayes_rate, contraction_rate, credible_rate, frequentist_rate
 
@@ -91,6 +92,8 @@ class ExperimentConfig:
         deltas = tuple(float(x) for x in self.deltas)
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "zetas", tuple(float(z) for z in self.zetas))
+        if not self.zetas:
+            raise ValueError("zetas must not be empty")
         if len(deltas) < 4:
             raise ValueError("delta grid needs at least 4 points")
         if any(b >= a for a, b in zip(deltas, deltas[1:])) or deltas[-1] <= 0:
@@ -104,6 +107,10 @@ class ExperimentConfig:
             raise ValueError("threads must be at least 1")
         if self.n_mc < 100:
             raise ValueError("n_mc must be at least 100")
+        for name in ("c0", "c1"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # NaN too
+                raise ValueError(f"{name} must be positive, got {value}")
 
     def model(self, delta: float) -> GaussianModel:
         with warnings.catch_warnings():
@@ -303,10 +310,11 @@ def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
     setups = []
     for delta in cfg.deltas:
         model = cfg.model(delta)
-        diag, root = _cov_diag_root(model, lattice)
-        trace = float(np.sum(sobolev_weight(lattice, zeta) * diag))
+        cov, root = _cov_root(model, lattice)
+        root = _evaluated(root, lattice)
         ball = MultiplierBall(root, lattice, zeta) if root.ndim == 1 else None
-        setups.append(_DeltaSetup(model, lattice, zeta, trace, root, ball))
+        setups.append(_DeltaSetup(model, lattice, zeta, posterior_trace(cov, zeta, lattice),
+                                  root, ball))
     return setups
 
 

@@ -55,12 +55,17 @@ class MultiplierOp:
     ``symbol`` maps a :class:`FrequencyLattice` to its K symbol values, one
     per mode in lattice order.  ``order_t`` is the upper decay order (the
     weakest decay the symbol is allowed), ``order_t0 >= order_t`` the lower one.
+    ``_cs`` holds the cosine/sine forms that the solves of a model with a
+    dense partner read, as :class:`DenseOp` does, per lattice: |a|^2 of a
+    forward symbol a and 1 / c of a prior covariance symbol c, K values when
+    even in l, else a K x K matrix; not part of repr, equality or hash.
     """
 
     symbol: Callable[[FrequencyLattice], np.ndarray]
     order_t: float
     order_t0: float
     label: str = ""
+    _cs: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.order_t > self.order_t0:
@@ -86,10 +91,10 @@ class DenseOp:
     The matrix is a read-only copy, except for one that a producer in this
     package hands over in a :class:`_Handover`, which is taken as is.
     ``_cs`` holds forms of it in the cosine/sine basis of ``lattice.py``
-    that the posterior solves read: "gram", the Gram matrix A_cs^H A_cs of
-    A_cs = Q M Q^H for a forward map, and "inverse", (Q M Q^H)^{-1} for a
-    prior covariance.  Each is built on first use, read-only, once per
-    operator; the field is not part of repr or equality.
+    that the posterior solves read: ("gram", lattice), the Gram matrix
+    A_cs^H A_cs of A_cs = Q M Q^H for a forward map, and ("inverse",
+    lattice), (Q M Q^H)^{-1} for a prior covariance.  Each is built on first
+    use, read-only, once per operator; the field is not part of repr or equality.
     """
 
     lattice: FrequencyLattice

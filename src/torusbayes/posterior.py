@@ -10,7 +10,7 @@ and C_U are Fourier multipliers everything is a per-frequency scalar
 formula.  Otherwise everything is written in the cosine/sine basis of real
 fields, where the Gram matrix G = Q A^H A Q^H and C_U^{-1} are real whenever
 A and C_U map real fields to real fields.  Neither depends on the noise
-level: a dense operator keeps its G, or its C_U^{-1}, once.  The mean comes
+level: each operator keeps its G, or its C_U^{-1}, once.  The mean comes
 from preconditioned conjugate gradients with one product G p per iteration,
 and the covariance and its root from one eigendecomposition of the dense
 normal matrix G + delta^2 C_U^{-1}.  When A, C_U and the data are real
@@ -67,8 +67,8 @@ __all__ = [
 ]
 
 CG_TOL = 1e-10
-# guards GaussianModel._diag and DenseOp._cs; re-entrant, as a prior may be
-# another model's posterior
+# guards GaussianModel._diag and the operators' _cs; re-entrant, as a prior
+# may be another model's posterior
 _DIAG_LOCK = threading.RLock()
 
 
@@ -90,9 +90,8 @@ class GaussianModel:
 
     Each model keeps the arrays its solves read per lattice, read-only (see
     :func:`_diag_weights`), so each symbol is evaluated once per noise level.
-    They are K values each, except the K x K matrices of a model that is not
-    diagonal: those of a dense operator are references to arrays it keeps,
-    built once per operator and shared by every noise level.
+    A model that is not diagonal holds references to the cosine/sine forms
+    its operators keep, built once per operator and shared by every noise level.
     """
 
     fwd: Operator
@@ -130,25 +129,38 @@ def _is_diagonal(model: GaussianModel) -> bool:
     return isinstance(model.fwd, MultiplierOp) and isinstance(model.prior.cov, MultiplierOp)
 
 
-def _cs_form(op: DenseOp, inverse: bool = False) -> np.ndarray:
-    """Gram matrix A_cs^H A_cs of A_cs = Q M Q^H, of the dtype of A_cs, or with ``inverse``
-    (Q M Q^H)^{-1}, of a dense operator M; built once per operator, read-only."""
-    key = "inverse" if inverse else "gram"
+def _prior_symbol(cov: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
+    """The real prior covariance symbol c_U on ``lattice``, which must be strictly positive."""
+    c_u = symbol_values(cov, lattice).real
+    if np.any(c_u <= 0):
+        raise ValueError("prior covariance symbol must be strictly positive")
+    return c_u
+
+
+def _cs_form(op: Operator, lattice: FrequencyLattice, inverse: bool = False) -> np.ndarray:
+    """Gram matrix M_cs^H M_cs of M_cs = Q M Q^H, or with ``inverse`` M_cs^{-1}, on ``lattice``;
+    built once per operator and lattice, read-only, in ``op._cs``.
+
+    A dense M gives a K x K matrix of the dtype of M_cs; a multiplier |a|^2, or 1 / c_U of
+    a strictly positive prior symbol, as K values in cosine/sine order when they are even
+    in l (Q diag(w) Q^H is then diagonal), else that K x K matrix.
+    """
+    key = ("inverse" if inverse else "gram", lattice)
     with _DIAG_LOCK:
-        mat = op._cs.get(key)
-        if mat is None:
-            mat = _to_cosine_sine(op.lattice, op.matrix)
-            mat = np.linalg.inv(mat) if inverse else mat.conj().T @ mat
-            mat.setflags(write=False)
-            op._cs[key] = mat
-    return mat
-
-
-def _multiplier_cs(lattice: FrequencyLattice, w: np.ndarray) -> np.ndarray:
-    """Real multiplier values w in the cosine/sine basis: the K values in cosine/sine
-    order when w is even in l, as Q diag(w) Q^H is then diagonal, else that K x K matrix."""
-    even = np.abs(w - w[lattice.conj_index]).max() <= _CS_REAL_TOL * w.max()
-    return w[_cosine_sine_modes(lattice)[0]] if even else _to_cosine_sine(lattice, np.diag(w))
+        form = op._cs.get(key)
+        if form is None:
+            if isinstance(op, MultiplierOp):
+                w = (1.0 / _prior_symbol(op, lattice) if inverse
+                     else np.abs(symbol_values(op, lattice)) ** 2)
+                even = np.abs(w - w[lattice.conj_index]).max() <= _CS_REAL_TOL * w.max()
+                form = (w[_cosine_sine_modes(lattice)[0]] if even
+                        else _to_cosine_sine(lattice, np.diag(w)))
+            else:
+                form = _to_cosine_sine(lattice, densify(op, lattice).matrix)
+                form = np.linalg.inv(form) if inverse else form.conj().T @ form
+            form.setflags(write=False)
+            op._cs[key] = form
+    return form
 
 
 def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
@@ -157,40 +169,25 @@ def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
     A diagonal model keeps its forward symbol a, |a|^2 and delta^2 / c_U.  Any
     other model keeps what gives A^H m (the symbol a, or the dense matrix A),
     the Gram matrix Q A^H A Q^H and the precision Q C_U^{-1} Q^H, to be scaled
-    by delta^2.  A dense operator's Gram or C_U^{-1} is its own (see
-    :func:`_cs_form`), shared by every noise level; a multiplier's is |a|^2
-    or 1 / c_U through :func:`_multiplier_cs`: K values, or a K x K matrix
-    when it is not even in l.
+    by delta^2: the forms :func:`_cs_form` keeps on each operator, shared by
+    every noise level.
     """
     with _DIAG_LOCK:
         weights = model._diag.get(lattice)
         if weights is None:
-            diagonal = _is_diagonal(model)
-            if isinstance(model.fwd, MultiplierOp):
-                a = symbol_values(model.fwd, lattice).copy()  # owned, so freezing it is safe
-                gram = np.abs(a) ** 2
+            a = _evaluated(model.fwd, lattice)
+            if a.ndim == 1:
+                a = a.copy()  # owned, so freezing it is safe
+            if _is_diagonal(model):
+                weights = (a, np.abs(a) ** 2,
+                           model.delta**2 / _prior_symbol(model.prior.cov, lattice))
             else:
-                fwd = densify(model.fwd, lattice)
-                a, gram = fwd.matrix, _cs_form(fwd)
-            if isinstance(model.prior.cov, MultiplierOp):
-                c_u = symbol_values(model.prior.cov, lattice).real
-                if np.any(c_u <= 0):
-                    raise ValueError("prior covariance symbol must be strictly positive")
-                prec = model.delta**2 / c_u if diagonal else 1.0 / c_u
-            else:
-                prec = _cs_form(densify(model.prior.cov, lattice), inverse=True)
-            if not diagonal:
-                gram, prec = (_multiplier_cs(lattice, w) if w.ndim == 1 else w for w in (gram, prec))
-            weights = model._diag[lattice] = (a, gram, prec)
+                weights = (a, _cs_form(model.fwd, lattice),
+                           _cs_form(model.prior.cov, lattice, inverse=True))
             for arr in weights:
                 arr.setflags(write=False)
+            model._diag[lattice] = weights
     return weights
-
-
-def _diag_cov(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """Diagonal posterior covariance delta^2 / (|a|^2 + delta^2 / c_U) from the stored weights."""
-    _, asq, prec = _diag_weights(model, lattice)
-    return model.delta**2 / (asq + prec)
 
 
 def _pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
@@ -260,8 +257,7 @@ def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     lines run in complex arithmetic, except that complex b (data that is not
     a real field) under a real system is solved as its real and imaginary
     parts.  The Jacobi diagonal is diag(G) + diag(delta^2 C_U^{-1});
-    relative residual 1e-10, iteration cap 10 K.  G is built once per dense
-    operator, and a dense prior's C_U is inverted once per operator.
+    relative residual 1e-10, iteration cap 10 K.
     """
     lattice = m.lattice
     a, gram, prec = _diag_weights(model, lattice)
@@ -295,8 +291,8 @@ def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
 def map_estimate_discrete(a_mat, c_mat, delta: float, mvec) -> np.ndarray:
     """Direct dense solve of (A^H A + delta^2 C^{-1}) u = A^H m.
 
-    Reference path for cross-checking the spectral estimator; ``a_mat`` may
-    be rectangular (k measurements of an n-vector).
+    An oracle for :func:`map_estimate` in ``TestMapEstimateDiscrete`` and the cosine/sine
+    solve tests; ``a_mat`` may be rectangular (k measurements of an n-vector).
     """
     a_mat = np.asarray(a_mat, dtype=complex)
     c_mat = np.asarray(c_mat, dtype=complex)
@@ -319,14 +315,9 @@ def posterior_covariance(model: GaussianModel, lattice: FrequencyLattice | None 
     """Posterior covariance delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.
 
     A diagonal one reads the model's stored weights; a dense one comes from one
-    eigendecomposition of the normal matrix, the same one that gives
-    :func:`posterior` its root.
+    eigendecomposition of the normal matrix, with the root :func:`posterior` takes.
     """
-    if _is_diagonal(model):
-        return MultiplierOp(lambda lat: _diag_cov(model, lat).astype(complex),
-                            model.prior.cov.order_t, model.prior.cov.order_t0,
-                            label=f"postcov({model.fwd.label})")
-    return _dense_cov_root(model, lattice)[0]
+    return _cov_root(model, lattice)[0]
 
 
 def posterior_covariance_update(
@@ -335,7 +326,8 @@ def posterior_covariance_update(
     """Same covariance in update form C_U - C_U A^H (A C_U A^H + delta^2 I)^{-1} A C_U.
 
     Always dense; unlike the precision form it never inverts C_U or A, so
-    it also covers singular forward operators.
+    it also covers singular forward operators.  An oracle for the precision
+    form of :func:`posterior`, in acceptance criterion 4 and the ``dense-vc`` check.
     """
     lattice = _dense_lattice(model, lattice)
     a_mat = densify(model.fwd, lattice).matrix
@@ -383,36 +375,30 @@ def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | N
     return float(np.sum(sobolev_weight(lattice, q) * diag))
 
 
-def _dense_cov_root(model: GaussianModel,
-                    lattice: FrequencyLattice | None) -> tuple[DenseOp, DenseOp]:
-    """Dense posterior covariance and its Hermitian root from one ``eigh``.
+def _cov_root(model: GaussianModel,
+              lattice: FrequencyLattice | None) -> tuple[Operator, Operator]:
+    """Posterior covariance C and its Hermitian root, as operators.
 
-    With N = V diag(lam) V^H the normal matrix in the cosine/sine basis
-    (real for a model that maps real fields to real fields, so V is real),
-    C^{1/2} = V diag(delta / sqrt(lam)) V^H and C = V diag(delta^2 / lam) V^H
-    (symmetrised), both mapped back to the exponential basis.
+    Diagonal: the multiplier delta^2 / (|a|^2 + delta^2 / c_U) of the stored
+    weights and its pointwise root.  Otherwise one ``eigh`` N = V diag(lam) V^H
+    of the normal matrix in the cosine/sine basis (V real when the model
+    keeps real fields real) gives C^{1/2} = V diag(delta / sqrt(lam)) V^H and
+    C = V diag(delta^2 / lam) V^H (symmetrised), mapped back to the exponential basis.
     """
+    t, t0 = model.prior.cov.order_t, model.prior.cov.order_t0
+    label = f"postcov({model.fwd.label})"
+    if _is_diagonal(model):
+        def symbol(lat: FrequencyLattice) -> np.ndarray:
+            _, asq, prec = _diag_weights(model, lat)
+            return (model.delta**2 / (asq + prec)).astype(complex)
+
+        cov = MultiplierOp(symbol, t, t0, label=label)
+        return cov, operator_sqrt(cov)
     lattice = _dense_lattice(model, lattice)
     root_mat, c_mat = _hermitian_power(lattice, _normal_cs(model, lattice), -0.5,
                                        model.delta, square=True)
-    t, t0 = model.prior.cov.order_t, model.prior.cov.order_t0
-    label = f"postcov({model.fwd.label})"
     return (DenseOp(lattice, _Handover(c_mat), t, t0, label),
             DenseOp(lattice, _Handover(root_mat), t / 2.0, t0 / 2.0, f"sqrt({label})"))
-
-
-def _cov_diag_root(model: GaussianModel,
-                   lattice: FrequencyLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior covariance diagonal and root, as arrays on ``lattice``.
-
-    A diagonal model gives c = delta^2 / (|a|^2 + delta^2 / c_U) and sqrt(c) from its
-    stored weights; a dense one the diagonal and the K x K root of the single ``eigh``.
-    """
-    if _is_diagonal(model):
-        c = _diag_cov(model, lattice)
-        return c, np.sqrt(c)
-    cov, root = _dense_cov_root(model, lattice)
-    return np.diag(cov.matrix).real, root.matrix
 
 
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:
@@ -421,15 +407,12 @@ def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:
     The mean is exactly ``map_estimate(model, m)``; a dense covariance and
     its root come from one eigendecomposition of the normal matrix.
     """
-    mean = map_estimate(model, m)
-    if _is_diagonal(model):
-        cov = posterior_covariance(model, m.lattice)
-        return PosteriorGaussian(mean, cov, operator_sqrt(cov), model)
-    return PosteriorGaussian(mean, *_dense_cov_root(model, m.lattice), model)
+    return PosteriorGaussian(map_estimate(model, m), *_cov_root(model, m.lattice), model)
 
 
 def sample_posterior(post: PosteriorGaussian, seed=None) -> SpectralField:
-    """One draw mean + C^{1/2} xi with xi spectral white noise."""
+    """One draw mean + C^{1/2} xi with xi spectral white noise: an oracle for the
+    root of :func:`posterior`, in acceptance criterion 9 and ``TestSampling``."""
     noise = sample_white_noise(post.mean.lattice, seed)
     return post.mean + apply(post.sqrt_cov, noise)
 
@@ -440,6 +423,8 @@ def _mc_ball_hits(root: np.ndarray, lattice: FrequencyLattice, zeta1: float, rad
 
     ``root`` is C^{1/2} on ``lattice``: K symbol values or a K x K matrix.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     weights = sobolev_weight(lattice, zeta1)
     hits = 0
     batch = max(1, (1 << 22) // lattice.size)
@@ -467,13 +452,12 @@ def credible_ball_prob(
     The ball is centred at the posterior mean minus ``offset`` (coefficients,
     default zero), so the draws are W = C^{1/2} xi + offset.  Centred at the
     mean, the result is independent of the measurement.  Returns
-    (probability, binomial standard error).  The root, dense or multiplier, is
-    evaluated once on the mean's lattice; :class:`MultiplierBall` is exact for the latter.
+    (probability, binomial standard error).  The root is evaluated once on the
+    mean's lattice.  An oracle for ``_DeltaSetup.escape_prob``: the tests hold
+    sampled dense ``credible`` rows and :class:`MultiplierBall` against it.
     """
     if n_mc < 100:
         raise ValueError(f"n_mc must be at least 100, got {n_mc}")
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
     if offset is not None:
         offset = np.asarray(offset, dtype=np.complex128)
     lattice = post.mean.lattice

@@ -230,6 +230,15 @@ class TestExperiment:
         assert manifest["status"] == "failed" and manifest["dropped"] == 2
         assert len(manifest["fits"]) == 2 and len(calls) == 16 * 7
 
+    def test_nonpositive_ball_constant_is_config_error(self, tmp_path, capsys):
+        text = (EXPERIMENT_INI.replace("mode = bayes", "mode = credible\nzeta1 = -3\nc1 = -0.5")
+                .replace("zetas = -3.01, 0", "zetas = 0"))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", write_ini(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "c1 must be positive" in err
+        assert not (out / "results.csv").exists()
+
     def test_experiment_overwrite_refused(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, EXPERIMENT_INI)
         out = tmp_path / "run"

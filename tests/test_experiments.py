@@ -152,6 +152,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="mode"):
             default_config("bogus")
 
+    @pytest.mark.parametrize("mode, overrides, match", [
+        ("contraction", dict(c0=0.0), "c0 must be positive"),
+        ("contraction", dict(c0=-1.0), "c0 must be positive"),
+        ("credible", dict(c1=-0.5), "c1 must be positive"),
+        ("credible", dict(c1=float("nan")), "c1 must be positive"),
+        ("bayes", dict(zetas=()), "zetas"),
+    ], ids=["c0-zero", "c0-negative", "c1-negative", "c1-nan", "no-zetas"])
+    def test_rejects_bad_ball_constants(self, mode, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            small_cfg(mode, **overrides)
+
     def test_overrides_applied(self):
         cfg = small_cfg(master_seed=7, threads=3)
         assert cfg.master_seed == 7 and cfg.threads == 3
@@ -423,6 +434,14 @@ class TestEscapeProb:
         p_mc, se = sampled.escape_prob(radius, 4000, np.random.default_rng(11), offset)
         assert bound < 1e-10 and 0.02 < p_mc < 0.98
         assert abs(p - p_mc) <= 4.0 * se
+
+    def test_sampled_branch_rejects_negative_radius(self):
+        lat = build_lattice(2, 8)
+        cfg = small_cfg("credible", fwd=dense_fwd(lat), n_per_dim=8, n_mc=200)
+        dense = _delta_setups(cfg, lat, cfg.zeta1)[0]
+        assert dense.ball is None and dense.root.shape == (lat.size, lat.size)
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            dense.escape_prob(-0.5, cfg.n_mc, np.random.default_rng(0))
 
 
 class TestCredibleExperiment:

@@ -119,7 +119,7 @@ class TestMapEstimate:
         first = map_estimate(dense, dense_m)
         a_mat, gram, prec = stored = dense._diag[dense_lat]
         assert a_mat is dense.fwd.matrix
-        assert gram is dense.fwd._cs["gram"] and gram.dtype == np.float64
+        assert gram is dense.fwd._cs["gram", dense_lat] and gram.dtype == np.float64
         a_cs = _to_cosine_sine(dense_lat, dense.fwd.matrix)
         assert np.array_equal(gram, a_cs.T @ a_cs) and np.array_equal(gram, gram.T)
         assert gram.shape == (dense_lat.size, dense_lat.size) and prec.shape == (dense_lat.size,)
@@ -539,7 +539,7 @@ class TestCosineSineMap:
         prior = gaussian_prior(DenseOp(lat, 0.5 * (cmat + cmat.conj().T), 4.0, 4.0))
         model = quiet_model(self.vc_fwd(lat), prior, 1.01, 2, 0.05)
         assert self.solve_dtypes(model, self.data(model, lat, 3), monkeypatch) == [np.float64]
-        assert model._diag[lat][2] is prior.cov._cs["inverse"]
+        assert model._diag[lat][2] is prior.cov._cs["inverse", lat]
 
     def test_uneven_prior_is_one_complex_solve(self, monkeypatch):
         lat = build_lattice(2, 8)
@@ -582,7 +582,7 @@ class TestCosineSineMap:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert len(calls) == 1
-        gram = fwd._cs["gram"]
+        gram = fwd._cs["gram", lat]
         assert not gram.flags.writeable
         assert all(model._diag[lat][1] is gram for model in models)
         assert all(results[i].tobytes() == results[i + 4].tobytes() for i in range(4))
@@ -630,7 +630,7 @@ class TestCosineSineMap:
             ref = to_cs(lat, a_mat.conj().T @ a_mat + delta**2 * c_inv)
             assert normal.dtype == np.float64
             assert np.abs(normal - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert model._diag[lat][1] is fwd._cs["gram"]
+            assert model._diag[lat][1] is fwd._cs["gram", lat]
         assert calls.count(2) == 1
 
     def test_dense_prior_inverted_once_per_operator(self, monkeypatch):
@@ -644,9 +644,58 @@ class TestCosineSineMap:
             map_estimate(model, m)
             posterior(model, m)
         assert calls == [(lat.size, lat.size)]
-        c_inv = prior.cov._cs["inverse"]
+        c_inv = prior.cov._cs["inverse", lat]
         assert c_inv.dtype == np.float64 and not c_inv.flags.writeable
         assert all(model._diag[lat][2] is c_inv for model in models)
+
+    @pytest.mark.parametrize("case", ["uneven-prior", "odd-modulus-forward"])
+    def test_uneven_multiplier_form_built_once_across_threads(self, case, monkeypatch):
+        # the multiplier that is not even in l keeps its K x K cosine/sine form, not each model
+        lat = build_lattice(2, 8)
+        bessel = bessel_op(-1.0)
+        if case == "uneven-prior":  # c_U(l) != c_U(-l) under a dense forward map
+            held = MultiplierOp(lambda lat: bessel.symbol(lat) * (1.0 + 0.25 * np.sign(lat.freqs[:, 0])),
+                                2.0, 2.0)
+            fwd, prior, key, index = self.vc_fwd(lat), gaussian_prior(held, 1.0), "inverse", 2
+        else:  # |a(l)| != |a(-l)| under a dense prior
+            held = MultiplierOp(lambda lat: 1.0 + 0.25 * np.sign(lat.freqs[:, 0]), 0.0, 0.0)
+            prior = gaussian_prior(densify(compose(bessel, bessel), lat))
+            fwd, key, index = held, "gram", 1
+        models = [quiet_model(fwd, prior, 1.01, 2, delta) for delta in (0.1, 0.01, 0.001)]
+        m = SpectralField(lat, sample_white_noise(lat, 13).coeffs)
+        calls, to_cs = [], posterior_module._to_cosine_sine
+
+        def counting(lat, x):
+            if np.ndim(x) == 2:
+                calls.append(lat)
+                time.sleep(0.01)  # widen the window in which another thread could build it too
+            return to_cs(lat, x)
+
+        monkeypatch.setattr(posterior_module, "_to_cosine_sine", counting)
+        results = {}
+
+        def work(i):
+            for j in range(len(models)):
+                k = (i + j) % len(models)
+                results[i, k] = map_estimate(models[k], m).coeffs
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads) and len(results) == 12
+        assert len(calls) == 2  # the held form and the dense partner's, once each
+        form = held._cs[key, lat]
+        assert form.shape == (lat.size, lat.size) and not form.flags.writeable
+        assert all(model._diag[lat][index] is form for model in models)
+        assert all(results[i, k].tobytes() == results[0, k].tobytes()
+                   for i in range(4) for k in range(len(models)))
 
 
 class TestPosteriorTrace:
