@@ -31,6 +31,7 @@ from .posterior import (
     _cov_root,
     _diag_weights,
     _is_diagonal,
+    _map_means,
     _mc_ball_hits,
     map_estimate,
     posterior_trace,
@@ -323,20 +324,20 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
     """The rate runners' replicate loop: a (replicate, delta, width) array and the drop count.
 
     Replicate i takes u and A u from ``truth(i)``, e from stream 1 and ``rng`` from stream 3
-    (0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner draws); model j solves for the mean
-    of A u + delta e and stores ``statistic(j, mean - u, u, e, rng)``, or NaN and one drop.
+    (0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner draws).  One lockstep solve gives
+    the mean of A u + delta e for every model j, which stores ``statistic(j, mean - u, u, e,
+    rng)``, or NaN and one drop where its solve failed.
     """
     def work(i: int) -> np.ndarray:
         u, au = truth(i)
         e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
         rng = _replicate_seed(cfg.master_seed, 3, i)
         out = np.full((len(models), width), np.nan)
-        for j, model in enumerate(models):
-            try:
-                mean = map_estimate(model, SpectralField(lattice, au + model.delta * e))
-            except SolverError:
-                continue
-            out[j] = statistic(j, mean.coeffs - u, u, e, rng)
+        means = _map_means(models, [SpectralField(lattice, au + model.delta * e)
+                                    for model in models])
+        for j, mean in enumerate(means):
+            if not isinstance(mean, SolverError):
+                out[j] = statistic(j, mean - u, u, e, rng)
         return out
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
@@ -441,12 +442,13 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     if c0 is None:
         mid = len(deltas) // 2
         rng = _replicate_seed(cfg.master_seed, 2, 0)
+        noise = [sample_white_noise(lattice, rng).coeffs for _ in range(4)]  # drawn first
+        data = [SpectralField(lattice, au.coeffs + deltas[mid] * e) for e in noise]
         sq = []
-        for _ in range(4):
-            e = sample_white_noise(lattice, rng).coeffs
-            m = SpectralField(lattice, au.coeffs + deltas[mid] * e)
-            mean = map_estimate(setups[mid].model, m)
-            sq.append(setups[mid].trace + np.sum(np.abs(mean.coeffs - u.coeffs) ** 2))
+        for mean in _map_means([setups[mid].model] * 4, data):  # one lockstep solve
+            if isinstance(mean, SolverError):
+                raise mean
+            sq.append(setups[mid].trace + np.sum(np.abs(mean - u.coeffs) ** 2))
         c0 = float(np.sqrt(np.mean(sq)) / deltas[mid] ** cfg.kappa)
 
     def escape(j, offset, u, e, rng):

@@ -209,8 +209,8 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 # [self-conjugate modes, cosines of the pairs, sines of the pairs].  An
 # operator X that maps real fields to real fields, X_{-k,-l} = conj(X_{k,l}),
 # is the real matrix Q X Q^H in this basis.  Both directions below cost one
-# permuting copy and a few in-place passes over K^2 entries; on a vector,
-# Q u and Q^H v, they cost the same over K entries.
+# permuting copy and a few in-place passes over K^2 entries; on a stack of
+# row vectors, Q x and Q^H y per row, they cost the same over its entries.
 
 # A matrix in the cosine/sine basis counts as real when its imaginary part is
 # at most this much of its largest entry.
@@ -236,48 +236,71 @@ def _butterfly(a: np.ndarray, b: np.ndarray):
     b += a
 
 
-def _to_cosine_sine(lattice: FrequencyLattice, x: np.ndarray) -> np.ndarray:
-    """Q X Q^H for a K x K matrix X, or Q x for a vector; real when its imaginary
-    part is at rounding level."""
-    order, ns, npair = _cosine_sine_modes(lattice)
-    x = np.asarray(x, dtype=np.complex128)
-    y = x[np.ix_(order, order)] if x.ndim == 2 else x[order]
-    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
-    _butterfly(y[cos], y[sin])
-    y[sin] *= -1j
-    if y.ndim == 2:
-        _butterfly(y[:, cos], y[:, sin])
-        y[:, sin] *= 1j
-    return _real_if_rounding(y)
-
-
-# rows per block of _from_cosine_sine; even, so each cosine row comes with its sine row
+# rows per block of the matrix forms; even, so each cosine row comes with its sine row
 _CS_BLOCK = 64
 
 
-def _from_cosine_sine(lattice: FrequencyLattice, y: np.ndarray) -> np.ndarray:
-    """Q^H Y Q, the inverse of :func:`_to_cosine_sine` (Q^H y for a vector), complex.
-
-    A matrix is transformed in blocks of at most ``_CS_BLOCK`` rows, written
-    straight to the result, so no other K x K array is made.
-    """
-    order, ns, npair = _cosine_sine_modes(lattice)
-    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
-    if y.ndim == 1:
-        z = y.astype(np.complex128)
-        z[sin] *= 1j
-        _butterfly(z[cos], z[sin])
-        out = np.empty_like(z)
-        out[order] = z
-        return out
-    back = np.argsort(order)
-    out = np.empty(y.shape, dtype=np.complex128)
-    # blocks of self-conjugate rows, then blocks of cosine rows followed by their sine rows
+def _cs_row_blocks(ns: int, npair: int) -> list[tuple[np.ndarray, int]]:
+    """Blocks of at most ``_CS_BLOCK`` rows in cosine/sine order: self-conjugate rows, then
+    cosine rows followed by their sine rows; each with its count of cosine rows (0 for
+    self-conjugate ones)."""
     blocks = [(np.arange(i, min(i + _CS_BLOCK, ns)), 0) for i in range(0, ns, _CS_BLOCK)]
     for i in range(0, npair, _CS_BLOCK // 2):
         c = np.arange(ns + i, ns + min(i + _CS_BLOCK // 2, npair))
         blocks.append((np.concatenate([c, c + npair]), c.size))
+    return blocks
+
+
+def _to_cosine_sine(lattice: FrequencyLattice, x: np.ndarray) -> np.ndarray:
+    """Q X Q^H for a K x K matrix X; real when its imaginary part is at rounding level.
+
+    Transformed in blocks of at most ``_CS_BLOCK`` rows.  One pass writes the real
+    parts straight to a real result; only if the imaginary parts turn out not to be
+    rounding, a second pass writes a complex one in its place.  So no other K x K
+    array is made.
+    """
+    x = np.asarray(x)
+    order, ns, npair = _cosine_sine_modes(lattice)
+    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
+    blocks = _cs_row_blocks(ns, npair)
+
+    def block(rows: np.ndarray, h: int) -> np.ndarray:
+        z = x[np.ix_(order[rows], order)].astype(np.complex128, copy=False)
+        if h:
+            _butterfly(z[:h], z[h:])
+            z[h:] *= -1j
+        _butterfly(z[:, cos], z[:, sin])
+        z[:, sin] *= 1j
+        return z
+
+    out = np.empty(x.shape)
+    size = residue = 0.0
     for rows, h in blocks:
+        z = block(rows, h)
+        re, im = z.real, z.imag
+        size = max(size, re.max(initial=0.0), -re.min(initial=0.0))
+        residue = max(residue, im.max(initial=0.0), -im.min(initial=0.0))
+        out[rows] = re
+    if residue <= _CS_REAL_TOL * max(size, residue):
+        return out
+    del out
+    out = np.empty(x.shape, dtype=np.complex128)
+    for rows, h in blocks:
+        out[rows] = block(rows, h)
+    return out
+
+
+def _from_cosine_sine(lattice: FrequencyLattice, y: np.ndarray) -> np.ndarray:
+    """Q^H Y Q for a K x K matrix Y, the inverse of :func:`_to_cosine_sine`, complex.
+
+    Transformed in blocks of at most ``_CS_BLOCK`` rows, written straight to the
+    result, so no other K x K array is made.
+    """
+    order, ns, npair = _cosine_sine_modes(lattice)
+    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
+    back = np.argsort(order)
+    out = np.empty(y.shape, dtype=np.complex128)
+    for rows, h in _cs_row_blocks(ns, npair):
         z = y[rows].astype(np.complex128, copy=False)
         if h:
             z[h:] *= 1j
@@ -285,6 +308,30 @@ def _from_cosine_sine(lattice: FrequencyLattice, y: np.ndarray) -> np.ndarray:
         z[:, sin] *= -1j
         _butterfly(z[:, cos], z[:, sin])
         out[order[rows]] = z[:, back]
+    return out
+
+
+def _rows_to_cosine_sine(lattice: FrequencyLattice, x: np.ndarray) -> np.ndarray:
+    """Q x for each row x of an (n, K) stack (or one vector); real when the imaginary
+    part of the whole stack is at rounding level."""
+    order, ns, npair = _cosine_sine_modes(lattice)
+    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
+    y = np.asarray(x, dtype=np.complex128)[..., order]
+    _butterfly(y[..., cos], y[..., sin])
+    y[..., sin] *= -1j
+    return _real_if_rounding(y)
+
+
+def _rows_from_cosine_sine(lattice: FrequencyLattice, y: np.ndarray) -> np.ndarray:
+    """Q^H y for each row y of an (n, K) stack (or one vector), the inverse of
+    :func:`_rows_to_cosine_sine`, complex."""
+    order, ns, npair = _cosine_sine_modes(lattice)
+    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
+    z = y.astype(np.complex128)
+    z[..., sin] *= 1j
+    _butterfly(z[..., cos], z[..., sin])
+    out = np.empty_like(z)
+    out[..., order] = z
     return out
 
 

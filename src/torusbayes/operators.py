@@ -55,10 +55,12 @@ class MultiplierOp:
     ``symbol`` maps a :class:`FrequencyLattice` to its K symbol values, one
     per mode in lattice order.  ``order_t`` is the upper decay order (the
     weakest decay the symbol is allowed), ``order_t0 >= order_t`` the lower one.
-    ``_cs`` holds the cosine/sine forms that the solves of a model with a
-    dense partner read, as :class:`DenseOp` does, per lattice: |a|^2 of a
-    forward symbol a and 1 / c of a prior covariance symbol c, K values when
-    even in l, else a K x K matrix; not part of repr, equality or hash.
+    ``_cs`` holds what the posterior solves read, per lattice, each evaluated
+    once: the K symbol values of a forward map ("symbol") or the real ones of a
+    prior covariance ("prior symbol"); and the cosine/sine forms that a model
+    with a dense partner reads, as :class:`DenseOp` does: |a|^2 of a forward
+    symbol a and 1 / c of a prior covariance symbol c, K values when even in
+    l, else a K x K matrix.  Not part of repr, equality or hash.
     """
 
     symbol: Callable[[FrequencyLattice], np.ndarray]

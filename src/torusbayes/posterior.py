@@ -10,10 +10,13 @@ and C_U are Fourier multipliers everything is a per-frequency scalar
 formula.  Otherwise everything is written in the cosine/sine basis of real
 fields, where the Gram matrix G = Q A^H A Q^H and C_U^{-1} are real whenever
 A and C_U map real fields to real fields.  Neither depends on the noise
-level: each operator keeps its G, or its C_U^{-1}, once.  The mean comes
-from preconditioned conjugate gradients with one product G p per iteration,
-and the covariance and its root from one eigendecomposition of the dense
-normal matrix G + delta^2 C_U^{-1}.  When A, C_U and the data are real
+level: each operator keeps its G, or its C_U^{-1}, once.  The means of one
+data set at every noise level of a grid come from preconditioned conjugate
+gradients run in lockstep, one row per noise level: each iteration reads G
+once, in one product P G for the search directions of every row not yet
+converged, while each row keeps its own iterates and stops on its own
+residual.  The covariance and its root come from one eigendecomposition of
+the dense normal matrix G + delta^2 C_U^{-1}.  When A, C_U and the data are real
 there, one real ``eigh`` and real products do the work; a model that is not
 keeps the same steps in complex arithmetic.
 """
@@ -33,8 +36,9 @@ from .lattice import (
     FrequencyLattice,
     SpectralField,
     _cosine_sine_modes,
-    _from_cosine_sine,
     _real_if_rounding,
+    _rows_from_cosine_sine,
+    _rows_to_cosine_sine,
     _to_cosine_sine,
     _white_coeffs,
     sobolev_weight,
@@ -73,11 +77,13 @@ _DIAG_LOCK = threading.RLock()
 
 
 class SolverError(RuntimeError):
-    """Iterative solve failed; carries the relative residual history."""
+    """Iterative solve failed; carries the relative residual history and, from
+    :func:`_pcg`, the solutions of every row, final for the rows that converged."""
 
-    def __init__(self, message: str, residuals):
+    def __init__(self, message: str, residuals, solution=None):
         super().__init__(message)
         self.residuals = list(residuals)
+        self.solution = solution
 
 
 @dataclass(frozen=True)
@@ -129,12 +135,33 @@ def _is_diagonal(model: GaussianModel) -> bool:
     return isinstance(model.fwd, MultiplierOp) and isinstance(model.prior.cov, MultiplierOp)
 
 
+def _kept(op: Operator, key, make) -> np.ndarray:
+    """``op._cs[key]``: the array ``make()`` returns, made on first use, read-only."""
+    with _DIAG_LOCK:
+        value = op._cs.get(key)
+        if value is None:
+            value = make()
+            value.setflags(write=False)
+            op._cs[key] = value
+    return value
+
+
+def _symbol(op: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
+    """The symbol of ``op`` on ``lattice``, evaluated once per operator and lattice."""
+    # a copy, so freezing it never touches an array the symbol function keeps
+    return _kept(op, ("symbol", lattice), lambda: np.array(symbol_values(op, lattice)))
+
+
 def _prior_symbol(cov: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
-    """The real prior covariance symbol c_U on ``lattice``, which must be strictly positive."""
-    c_u = symbol_values(cov, lattice).real
-    if np.any(c_u <= 0):
-        raise ValueError("prior covariance symbol must be strictly positive")
-    return c_u
+    """The real prior covariance symbol c_U on ``lattice``, which must be strictly positive;
+    evaluated once per operator and lattice."""
+    def make() -> np.ndarray:
+        c_u = np.array(symbol_values(cov, lattice).real)
+        if np.any(c_u <= 0):
+            raise ValueError("prior covariance symbol must be strictly positive")
+        return c_u
+
+    return _kept(cov, ("prior symbol", lattice), make)
 
 
 def _cs_form(op: Operator, lattice: FrequencyLattice, inverse: bool = False) -> np.ndarray:
@@ -145,22 +172,21 @@ def _cs_form(op: Operator, lattice: FrequencyLattice, inverse: bool = False) -> 
     a strictly positive prior symbol, as K values in cosine/sine order when they are even
     in l (Q diag(w) Q^H is then diagonal), else that K x K matrix.
     """
-    key = ("inverse" if inverse else "gram", lattice)
-    with _DIAG_LOCK:
-        form = op._cs.get(key)
-        if form is None:
-            if isinstance(op, MultiplierOp):
-                w = (1.0 / _prior_symbol(op, lattice) if inverse
-                     else np.abs(symbol_values(op, lattice)) ** 2)
-                even = np.abs(w - w[lattice.conj_index]).max() <= _CS_REAL_TOL * w.max()
-                form = (w[_cosine_sine_modes(lattice)[0]] if even
-                        else _to_cosine_sine(lattice, np.diag(w)))
-            else:
-                form = _to_cosine_sine(lattice, densify(op, lattice).matrix)
-                form = np.linalg.inv(form) if inverse else form.conj().T @ form
-            form.setflags(write=False)
-            op._cs[key] = form
-    return form
+    def make() -> np.ndarray:
+        if isinstance(op, MultiplierOp):
+            w = (1.0 / _prior_symbol(op, lattice) if inverse
+                 else np.abs(_symbol(op, lattice)) ** 2)
+            even = np.abs(w - w[lattice.conj_index]).max() <= _CS_REAL_TOL * w.max()
+            return (w[_cosine_sine_modes(lattice)[0]] if even
+                    else _to_cosine_sine(lattice, np.diag(w)))
+        form = _to_cosine_sine(lattice, densify(op, lattice).matrix)
+        form = np.linalg.inv(form) if inverse else form.conj().T @ form
+        # copied once the K x K temporary M_cs is freed, the kept form can take its place
+        # instead of pinning the heap above it: without this copy the dense-vc benchmark's
+        # peak RSS rose from 126 to 142 MiB (glibc malloc)
+        return form.copy()
+
+    return _kept(op, ("inverse" if inverse else "gram", lattice), make)
 
 
 def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
@@ -170,14 +196,13 @@ def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
     other model keeps what gives A^H m (the symbol a, or the dense matrix A),
     the Gram matrix Q A^H A Q^H and the precision Q C_U^{-1} Q^H, to be scaled
     by delta^2: the forms :func:`_cs_form` keeps on each operator, shared by
-    every noise level.
+    every noise level.  A symbol a is the one :func:`_symbol` keeps on the operator.
     """
     with _DIAG_LOCK:
         weights = model._diag.get(lattice)
         if weights is None:
-            a = _evaluated(model.fwd, lattice)
-            if a.ndim == 1:
-                a = a.copy()  # owned, so freezing it is safe
+            a = (_symbol(model.fwd, lattice) if isinstance(model.fwd, MultiplierOp)
+                 else densify(model.fwd, lattice).matrix)
             if _is_diagonal(model):
                 weights = (a, np.abs(a) ** 2,
                            model.delta**2 / _prior_symbol(model.prior.cov, lattice))
@@ -190,39 +215,62 @@ def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
     return weights
 
 
-def _pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
-    """Conjugate gradients with Jacobi preconditioner on a Hermitian PD system.
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_i, b_i> for each row i of two (n, K) stacks."""
+    return np.einsum("ij,ij->i", a.conj(), b).real
 
-    ``matvec(p)`` applies the system matrix to a vector.
+
+def _pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
+    """Jacobi-preconditioned conjugate gradients on Hermitian PD systems, one per row.
+
+    ``b`` and ``diag`` are (n, K) stacks of right-hand sides and Jacobi diagonals.
+    ``matvec(p, rows)`` applies the systems of ``rows`` (indices into ``b``) to the
+    stack ``p`` of their search directions, one row each.  The rows run in lockstep:
+    one call per iteration for every row not yet converged.  Each row keeps its own
+    iterates, step lengths and relative residual, and is frozen once that residual
+    is at most ``tol``; a zero row converges at once.  Returns the (n, K) solutions
+    and the residual history, one (n,) array before the first iteration and one
+    after each.  Raises SolverError, with the history and the solutions, if a row
+    has not converged after ``maxiter`` iterations.
     """
     x = np.zeros_like(b)
-    r = b.copy()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0:
-        return x, [0.0]
-    inv_diag = 1.0 / diag
-    z = inv_diag * r
-    p = z.copy()
-    rz = np.vdot(r, z).real
-    residuals = [1.0]
+    bnorm = np.linalg.norm(b, axis=1)
+    residuals = np.where(bnorm == 0, 0.0, 1.0)
+    history = [residuals]
+    live = np.flatnonzero(bnorm != 0)  # the rows still iterating; NaN ones never stop
+    # the iterates of the live rows, compacted: solution, residual, search direction
+    x_live, r = x[live], b[live]
+    inv_diag = 1.0 / diag[live]
+    p = inv_diag * r
+    rz = _row_dot(r, p)
     for _ in range(maxiter):
-        if residuals[-1] <= tol:
-            return x, residuals
-        q = matvec(p)
-        alpha = rz / np.vdot(p, q).real
-        x += alpha * p
-        r -= alpha * q
-        residuals.append(np.linalg.norm(r) / bnorm)
+        if live.size == 0:
+            return x, history
+        q = matvec(p, live)
+        alpha = rz / _row_dot(p, q)
+        x_live += alpha[:, None] * p
+        r -= alpha[:, None] * q
+        res = np.linalg.norm(r, axis=1) / bnorm[live]
+        residuals = residuals.copy()
+        residuals[live] = res
+        history.append(residuals)
         z = inv_diag * r
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
+        rz_new = _row_dot(r, z)
+        p *= (rz_new / rz)[:, None]
+        p += z
         rz = rz_new
-    if residuals[-1] <= tol:
-        return x, residuals
+        done = res <= tol
+        if done.any():
+            x[live[done]] = x_live[done]
+            keep = ~done
+            live, x_live, r, p, rz, inv_diag = (a[keep] for a in (live, x_live, r, p, rz, inv_diag))
+    if live.size == 0:
+        return x, history
+    x[live] = x_live
     raise SolverError(
         f"conjugate gradients not converged after {maxiter} iterations "
-        f"(relative residual {residuals[-1]:.3e})",
-        residuals,
+        f"(relative residual {residuals.max():.3e})",
+        history, x,
     )
 
 
@@ -244,48 +292,88 @@ def _normal_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
     return _real_if_rounding(normal)
 
 
+def _map_means(models, data) -> list:
+    """Posterior means of ``models[j]`` for data ``data[j]`` (SpectralFields on one
+    lattice): noise-level models that share one forward map and prior.
+
+    Diagonal models use the per-frequency formula conj(a) m_hat / (|a|^2 + delta^2 / c_U),
+    row by row.  Otherwise Jacobi-preconditioned conjugate gradients solve the normal
+    equations in the cosine/sine basis for every row in lockstep (:func:`_pcg`): the
+    stack B = Q A^H M of all right-hand sides comes from one product with the symbol or
+    the dense matrix, and each iteration applies the Gram matrix G to the stack of
+    search directions (one product P G for a dense forward map) plus each row's
+    delta^2 times the prior precision.  The solution rows x give the means Q^H x.  When
+    G, the precision and B are real, every product is real; otherwise the same lines
+    run in complex arithmetic, except that complex B (data that is not a real field)
+    under a real system is solved as a stack of its real parts and its imaginary parts.
+    The Jacobi diagonal of a row is diag(G) + delta^2 diag(C_U^{-1}); relative residual
+    1e-10, iteration cap 10 K.  Returns one (K,) coefficient array per row, or the
+    SolverError of a row that did not converge; the other rows keep their means.
+    """
+    model = models[0]
+    if any(m.fwd != model.fwd or m.prior.cov != model.prior.cov for m in models):
+        raise ValueError("lockstep solves need models that share one forward map and prior")
+    lattice = data[0].lattice
+    if _is_diagonal(model):
+        means = []
+        for mdl, m in zip(models, data):
+            a, asq, prec = _diag_weights(mdl, lattice)
+            means.append(np.conj(a) * m.coeffs / (asq + prec))
+        return means
+    a, gram, prec = _diag_weights(model, lattice)
+    stack = np.stack([m.coeffs for m in data])
+    # B = Q A^H M; a dense A^H M through one product with A, with no conjugate copy of A
+    b = _rows_to_cosine_sine(lattice, np.conj(a) * stack if a.ndim == 1
+                             else (stack.conj() @ a).conj())
+    n = len(models)
+    owner = np.arange(n)  # the model of each row of the solve
+    if np.iscomplexobj(gram) or np.iscomplexobj(prec):
+        b = b.astype(np.complex128, copy=False)
+    elif np.iscomplexobj(b):
+        b, owner = np.concatenate([b.real, b.imag]), np.tile(owner, 2)  # two real rows each
+    delta2 = np.array([m.delta**2 for m in models])[owner]
+
+    def product(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Rows w p: p w for a real symmetric w, conj(conj(p) w) for a Hermitian one."""
+        if w.ndim == 1:
+            return w * p
+        return p @ w if np.isrealobj(w) else (p.conj() @ w).conj()
+
+    def normal_matvec(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return product(gram, p) + delta2[rows, None] * product(prec, p)
+
+    # Jacobi diagonals; the multiplier parts dominate them as delta -> 0
+    g_diag, p_diag = (w if w.ndim == 1 else np.diagonal(w).real for w in (gram, prec))
+    diag = np.maximum(np.abs(g_diag + delta2[:, None] * p_diag), 1e-300)
+    try:
+        x, history = _pcg(normal_matvec, b, diag, CG_TOL, 10 * lattice.size)
+    except SolverError as exc:
+        x, history = exc.solution, exc.residuals
+    if owner.size > n:
+        x = x[:n] + 1j * x[n:]
+    means = list(_rows_from_cosine_sine(lattice, x))
+    final = history[-1]
+    for row in np.flatnonzero(~(final <= CG_TOL)):
+        means[owner[row]] = SolverError(
+            f"conjugate gradients not converged after {len(history) - 1} iterations "
+            f"(relative residual {final[row]:.3e})",
+            [h[row] for h in history],
+        )
+    return means
+
+
 def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     """Posterior mean (equals the MAP point for this Gaussian conjugate pair).
 
-    Diagonal models use the per-frequency formula
-    conj(a) m_hat / (|a|^2 + delta^2 / c_U).  Otherwise Jacobi-preconditioned
-    conjugate gradients solve the normal equations in the cosine/sine basis:
-    b = Q A^H m, from the symbol or the dense matrix, and each iteration
-    applies the Gram matrix G (one K^2 product for a dense forward map) plus
-    the prior precision; the solution x gives the estimate Q^H x.  When G,
-    the precision and b are real, every product is real; otherwise the same
-    lines run in complex arithmetic, except that complex b (data that is not
-    a real field) under a real system is solved as its real and imaginary
-    parts.  The Jacobi diagonal is diag(G) + diag(delta^2 C_U^{-1});
-    relative residual 1e-10, iteration cap 10 K.
+    The one-row case of the lockstep solves of :func:`_map_means`: the
+    per-frequency formula for a diagonal model, else conjugate gradients on the
+    normal equations in the cosine/sine basis, one product with the Gram matrix
+    per iteration.  Raises SolverError if they do not converge.
     """
-    lattice = m.lattice
-    a, gram, prec = _diag_weights(model, lattice)
-    if _is_diagonal(model):
-        return SpectralField(lattice, np.conj(a) * m.coeffs / (gram + prec))
-    delta2 = model.delta**2
-
-    def product(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return w @ p if w.ndim == 2 else w * p
-
-    def normal_matvec(p: np.ndarray) -> np.ndarray:
-        return product(gram, p) + delta2 * product(prec, p)
-
-    # Jacobi diagonal; the multiplier parts dominate it as delta -> 0
-    g_diag, p_diag = (w if w.ndim == 1 else np.diagonal(w).real for w in (gram, prec))
-    diag = np.maximum(np.abs(g_diag + delta2 * p_diag), 1e-300)
-    # b = Q A^H m; a dense A^H m through the transpose view, with no conjugate copy of A
-    b = _to_cosine_sine(lattice, np.conj(a) * m.coeffs if a.ndim == 1
-                        else (a.T @ m.coeffs.conj()).conj())
-    if np.iscomplexobj(gram) or np.iscomplexobj(prec):
-        parts = (b.astype(np.complex128, copy=False),)
-    elif np.iscomplexobj(b):
-        parts = (b.real, b.imag)  # two real solves
-    else:
-        parts = (b,)
-    xs = [_pcg(normal_matvec, part, diag, CG_TOL, 10 * lattice.size)[0] for part in parts]
-    x_cs = xs[0] if len(xs) == 1 else xs[0] + 1j * xs[1]
-    return SpectralField(lattice, _from_cosine_sine(lattice, x_cs))
+    (mean,) = _map_means([model], [m])
+    if isinstance(mean, SolverError):
+        raise mean
+    return SpectralField(m.lattice, mean)
 
 
 def map_estimate_discrete(a_mat, c_mat, delta: float, mvec) -> np.ndarray:

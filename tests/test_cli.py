@@ -211,16 +211,18 @@ class TestExperiment:
 
     def test_drop_rate_counts_each_pair_once(self, tmp_path, capsys, monkeypatch):
         # 2 failed map estimates of 16 replicates x 7 deltas = 1.8%, with two zetas
-        real = torusbayes.experiments.map_estimate
+        real = torusbayes.experiments._map_means
         calls = []
 
-        def flaky(model, m):
-            calls.append(model.delta)
-            if len(calls) in (3, 40):
-                raise SolverError("injected failure", [1.0])
-            return real(model, m)
+        def flaky(models, data):
+            means = real(models, data)
+            for j, model in enumerate(models):
+                calls.append(model.delta)
+                if len(calls) in (3, 40):
+                    means[j] = SolverError("injected failure", [1.0])
+            return means
 
-        monkeypatch.setattr(torusbayes.experiments, "map_estimate", flaky)
+        monkeypatch.setattr(torusbayes.experiments, "_map_means", flaky)
         text = (EXPERIMENT_INI.replace("geom(1e-1, 1e-3, 6)", "geom(1e-1, 1e-3, 7)")
                 .replace("replicates = 8", "replicates = 16"))
         cfg = write_ini(tmp_path, text)

@@ -283,8 +283,8 @@ class TestFrequentistExperiment:
 
     @pytest.mark.parametrize("mode", ["frequentist", "bayes", "contraction", "credible"])
     def test_forward_symbol_evaluated_once_per_delta(self, mode):
-        # once per noise level however many replicates, plus once per run for
-        # A u (forward) or the prior root (prior covariance)
+        # once per operator, kept on it for every noise level and replicate, plus
+        # once per run for A u (forward) or the prior root (prior covariance)
         calls = {"forward": 0, "prior": 0}
 
         def counting(name, op):
@@ -300,7 +300,7 @@ class TestFrequentistExperiment:
                         deltas=tuple(np.geomspace(1e-1, 1e-3, 4)))
         run_experiment(cfg)
         for name, count in calls.items():
-            assert 0 < count <= len(cfg.deltas) + 1, (name, count)
+            assert 0 < count <= 2, (name, count)
 
 
 class TestContractionExperiment:
@@ -333,6 +333,12 @@ class TestContractionExperiment:
         errors = table.extras["ball_prob_error"]
         assert len(errors) == len(cfg.deltas) and max(errors) <= 1e-10
 
+    def test_dense_rows_independent_of_thread_count(self):
+        dense = dict(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8, n_mc=200)
+        t1 = run_contraction(small_cfg("contraction", **dense))
+        t2 = run_contraction(small_cfg("contraction", threads=2, **dense))
+        assert t1.rows == t2.rows and t1.extras == t2.extras
+
     def test_dense_root_is_sampled(self):
         cfg = small_cfg("contraction", fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8,
                         n_mc=200)
@@ -347,17 +353,19 @@ REPLICATE_EXTRAS = ("bias_mean", "noise_mean", "markov_mean", "ball_prob_error")
 
 
 def failing_at(monkeypatch, fails):
-    """Patch the runners' solver to raise where ``fails(delta, k)`` holds, k counting
-    the calls at that delta; returns the list of solved deltas in call order."""
-    real, calls = experiments.map_estimate, []
+    """Patch the runners' lockstep solver so a row fails where ``fails(delta, k)`` holds,
+    k counting the rows solved at that delta; returns the list of solved deltas in row order."""
+    real, calls = experiments._map_means, []
 
-    def solve(model, m):
-        calls.append(model.delta)
-        if fails(model.delta, calls.count(model.delta) - 1):
-            raise SolverError("injected failure", [1.0])
-        return real(model, m)
+    def solve(models, data):
+        means = real(models, data)
+        for j, model in enumerate(models):
+            calls.append(model.delta)
+            if fails(model.delta, calls.count(model.delta) - 1):
+                means[j] = SolverError("injected failure", [1.0])
+        return means
 
-    monkeypatch.setattr(experiments, "map_estimate", solve)
+    monkeypatch.setattr(experiments, "_map_means", solve)
     return calls
 
 

@@ -12,6 +12,8 @@ from torusbayes.lattice import (
     _butterfly,
     _cosine_sine_modes,
     _from_cosine_sine,
+    _rows_from_cosine_sine,
+    _rows_to_cosine_sine,
     _to_cosine_sine,
     build_lattice,
     forward_transform,
@@ -212,13 +214,27 @@ class TestCosineSineBasis:
         q = explicit_q(lat)
         rng = np.random.default_rng(dim + n)
         v = rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size)
-        assert np.abs(_to_cosine_sine(lat, v) - q @ v).max() < 1e-14 * np.abs(v).max()
-        assert np.abs(_from_cosine_sine(lat, v) - q.conj().T @ v).max() < 1e-14 * np.abs(v).max()
+        assert np.abs(_rows_to_cosine_sine(lat, v) - q @ v).max() < 1e-14 * np.abs(v).max()
+        assert np.abs(_rows_from_cosine_sine(lat, v) - q.conj().T @ v).max() < 1e-14 * np.abs(v).max()
         # a real field has real coordinates, and they map back to it
         u = forward_transform(lat, rng.standard_normal(lat.shape)).coeffs
-        u_cs = _to_cosine_sine(lat, u)
+        u_cs = _rows_to_cosine_sine(lat, u)
         assert u_cs.dtype == np.float64
-        assert np.abs(_from_cosine_sine(lat, u_cs) - u).max() < 1e-15
+        assert np.abs(_rows_from_cosine_sine(lat, u_cs) - u).max() < 1e-15
+
+    @pytest.mark.parametrize("dim, n", SHAPES)
+    def test_row_stack_forms_act_row_by_row(self, dim, n):
+        lat = build_lattice(dim, n)
+        rng = np.random.default_rng(dim * n + 1)
+        fields = np.stack([forward_transform(lat, rng.standard_normal(lat.shape)).coeffs
+                           for _ in range(3)])
+        for stack in (fields, fields + 1j * fields[::-1]):
+            y = _rows_to_cosine_sine(lat, stack)
+            assert y.dtype == (np.float64 if stack is fields else np.complex128)
+            for row, v in zip(y, stack):
+                assert np.array_equal(row, _rows_to_cosine_sine(lat, v))
+            back = _rows_from_cosine_sine(lat, y)
+            assert all(np.array_equal(row, _rows_from_cosine_sine(lat, v)) for row, v in zip(back, y))
 
 
 def unblocked_from_cosine_sine(lat, y):
@@ -232,6 +248,51 @@ def unblocked_from_cosine_sine(lat, y):
     _butterfly(z[:, cos], z[:, sin])
     back = np.argsort(order)
     return z[np.ix_(back, back)]
+
+
+def unblocked_to_cosine_sine(lat, x):
+    """Q X Q^H on the whole matrix at once: a full complex gather, then a real copy if real."""
+    order, ns, npair = _cosine_sine_modes(lat)
+    y = np.asarray(x, dtype=np.complex128)[np.ix_(order, order)]
+    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
+    _butterfly(y[cos], y[sin])
+    y[sin] *= -1j
+    _butterfly(y[:, cos], y[:, sin])
+    y[:, sin] *= 1j
+    return lattice_module._real_if_rounding(y)
+
+
+class TestToCosineSineBlocks:
+    @pytest.mark.parametrize("dim, n", [(1, 8), (2, 4), (2, 16), (2, 32), (3, 4)])
+    @pytest.mark.parametrize("block", [2, 8, 64])
+    def test_same_bytes_as_unblocked(self, dim, n, block, monkeypatch):
+        monkeypatch.setattr(lattice_module, "_CS_BLOCK", block)
+        lat = build_lattice(dim, n)
+        rng = np.random.default_rng(n + 1)
+        x = rng.standard_normal((lat.size, lat.size))
+        x[0, 1] = -0.0
+        real = _from_cosine_sine(lat, x)  # maps real fields to real fields
+        for mat in (x, x + 1j * rng.standard_normal(x.shape), real):
+            expected = unblocked_to_cosine_sine(lat, mat)
+            out = _to_cosine_sine(lat, mat)
+            assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+        assert _to_cosine_sine(lat, real).dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_no_full_size_temporary(self, kind, monkeypatch):
+        # K = 256; small blocks, so the peak counts full-size arrays, not block ones
+        monkeypatch.setattr(lattice_module, "_CS_BLOCK", 8)
+        lat = build_lattice(2, 16)
+        y = np.random.default_rng(3).standard_normal((lat.size, lat.size))
+        x = _from_cosine_sine(lat, y if kind == "real" else y + 1j * y.T)
+        tracemalloc.start()
+        try:
+            out = _to_cosine_sine(lat, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == (np.float64 if kind == "real" else np.complex128)
+        assert peak < 1.4 * out.nbytes
 
 
 class TestFromCosineSineBlocks:

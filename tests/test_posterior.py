@@ -30,10 +30,12 @@ from torusbayes.operators import (
     variable_coeff_op,
 )
 from torusbayes.posterior import (
+    CG_TOL,
     GaussianModel,
     MultiplierBall,
     PosteriorGaussian,
     SolverError,
+    _map_means,
     _normal_cs,
     _pcg,
     credible_ball_prob,
@@ -254,9 +256,9 @@ class TestMapEstimate:
 
     def test_pcg_nonconvergence_raises_with_history(self):
         mat = np.diag(np.array([1.0, 1e8], dtype=complex))
-        b = np.array([1.0, 1.0], dtype=complex)
+        b = np.array([[1.0, 1.0]], dtype=complex)
         with pytest.raises(SolverError) as err:
-            _pcg(mat.__matmul__, b, np.array([1.0, 1.0]), tol=1e-30, maxiter=2)
+            _pcg(lambda p, rows: p @ mat.T, b, np.array([[1.0, 1.0]]), tol=1e-30, maxiter=2)
         assert len(err.value.residuals) >= 1
 
 
@@ -491,7 +493,7 @@ class TestCosineSineMap:
         dtypes = []
 
         def recording(matvec, b, diag, tol, maxiter):
-            dtypes.append(b.dtype)
+            dtypes.extend([b.dtype] * len(b))  # one per row of the stack
             return _pcg(matvec, b, diag, tol, maxiter)
 
         monkeypatch.setattr(posterior_module, "_pcg", recording)
@@ -696,6 +698,100 @@ class TestCosineSineMap:
         assert all(model._diag[lat][index] is form for model in models)
         assert all(results[i, k].tobytes() == results[0, k].tobytes()
                    for i in range(4) for k in range(len(models)))
+
+
+class TestLockstepSolves:
+    """_map_means: one data set at every noise level, solved in lockstep, one CG row each."""
+
+    DELTAS = tuple(np.geomspace(1e-1, 1e-3, 5))
+
+    @classmethod
+    def problem(cls, n):
+        """The phi-perturbed map on n^2 and one real data set A u + delta e per delta."""
+        lat = build_lattice(2, n)
+        fwd = TestCosineSineMap.vc_fwd(lat)
+        prior = gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0)))
+        models = [quiet_model(fwd, prior, 1.01, 2, delta) for delta in cls.DELTAS]
+        au = apply(fwd, sample_prior(prior, lat, n))
+        e = sample_white_noise(lat, n + 1)
+        return lat, models, [au + model.delta * e for model in models]
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Record the residual history of every _pcg call."""
+        histories = []
+
+        def recording(matvec, b, diag, tol, maxiter):
+            x, history = _pcg(matvec, b, diag, tol, maxiter)
+            histories.append(history)
+            return x, history
+
+        monkeypatch.setattr(posterior_module, "_pcg", recording)
+        return histories
+
+    @staticmethod
+    def iterations(history, row):
+        """Products the row took: the first entry of its history at most CG_TOL."""
+        return int(np.argmax(np.array([h[row] for h in history]) <= CG_TOL))
+
+    @staticmethod
+    def assert_close(mean, ref):
+        assert np.linalg.norm(mean - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_rows_equal_one_row_solves(self, n, monkeypatch):
+        lat, models, data = self.problem(n)
+        histories = self.recording(monkeypatch)
+        means = _map_means(models, data)
+        (lockstep,) = histories
+        assert lockstep[0].shape == (len(models),)  # one real row per noise level
+        for j, (model, m) in enumerate(zip(models, data)):
+            self.assert_close(means[j], map_estimate(model, m).coeffs)
+            assert self.iterations(lockstep, j) == self.iterations(histories[-1], 0) > 0
+        # one product per iteration for the whole stack, as many as the slowest row needs
+        assert len(lockstep) - 1 == max(self.iterations(lockstep, j) for j in range(len(models)))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_row_that_cannot_converge_is_the_only_one_dropped(self, n):
+        lat, models, data = self.problem(n)
+        bad = 2
+        data[bad] = SpectralField(lat, np.full(lat.size, np.nan))
+        means = _map_means(models, data)
+        assert isinstance(means[bad], SolverError)
+        assert len(means[bad].residuals) == 10 * lat.size + 1  # it ran to the cap
+        for j, (model, m) in enumerate(zip(models, data)):
+            if j != bad:
+                self.assert_close(means[j], map_estimate(model, m).coeffs)
+        with pytest.raises(SolverError):
+            map_estimate(models[bad], data[bad])
+
+    def test_zero_row_converges_at_once(self, monkeypatch):
+        lat, models, data = self.problem(8)
+        data[1] = SpectralField(lat, np.zeros(lat.size))
+        histories = self.recording(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            means = _map_means(models, data)
+        assert not np.any(means[1])
+        assert histories[0][0][1] == 0.0 and self.iterations(histories[0], 1) == 0
+        self.assert_close(means[0], map_estimate(models[0], data[0]).coeffs)
+
+    def test_pcg_failed_row_keeps_others(self):
+        # diagonal systems: a row with one eigenvalue converges in one step, one with
+        # three cannot in two; the error carries every row's solution
+        mats = np.array([[2.0, 2.0, 2.0], [1.0, 10.0, 100.0], [5.0, 5.0, 5.0]])
+        b = np.ones((3, 3))
+        with pytest.raises(SolverError) as err:
+            _pcg(lambda p, rows: mats[rows] * p, b, np.ones((3, 3)), tol=1e-12, maxiter=2)
+        x = err.value.solution
+        assert np.allclose(x[0], 0.5, rtol=1e-15) and np.allclose(x[2], 0.2, rtol=1e-15)
+        assert err.value.residuals[-1][1] > 1e-12 and len(err.value.residuals) == 3
+
+    def test_models_must_share_operators(self):
+        lat, models, data = self.problem(8)
+        other = quiet_model(models[0].fwd, gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1)
+        with pytest.raises(ValueError, match="share"):
+            _map_means([models[0], other], data[:2])
 
 
 class TestPosteriorTrace:
