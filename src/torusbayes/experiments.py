@@ -28,13 +28,12 @@ from .posterior import (
     GaussianModel,
     MultiplierBall,
     SolverError,
-    _cov_root,
     _diag_weights,
     _is_diagonal,
     _map_means,
     _mc_ball_hits,
+    _trace_root,
     map_estimate,
-    posterior_trace,
 )
 from .rates import RatePrediction, bayes_rate, contraction_rate, credible_rate, frequentist_rate
 
@@ -306,16 +305,16 @@ def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
                   zeta: float) -> list[_DeltaSetup]:
     """Model, H^zeta trace, covariance root and exact ball for each delta of the grid.
 
-    Diagonal pieces come from the model's stored weights, dense ones from one ``eigh``.
+    Diagonal pieces come from the model's stored weights, dense ones from the pencil
+    the forward map keeps (:func:`posterior._trace_root`): no ``eigh`` per delta
+    where the pencil is real.
     """
     setups = []
     for delta in cfg.deltas:
         model = cfg.model(delta)
-        cov, root = _cov_root(model, lattice)
-        root = _evaluated(root, lattice)
+        trace, root = _trace_root(model, lattice, zeta)
         ball = MultiplierBall(root, lattice, zeta) if root.ndim == 1 else None
-        setups.append(_DeltaSetup(model, lattice, zeta, posterior_trace(cov, zeta, lattice),
-                                  root, ball))
+        setups.append(_DeltaSetup(model, lattice, zeta, trace, root, ball))
     return setups
 
 

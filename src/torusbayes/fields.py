@@ -63,38 +63,23 @@ class GaussianPrior:
     sqrt_cov: Operator
 
 
-def _hermitian_power(lattice: FrequencyLattice, mat: np.ndarray, power: float,
-                     scale: float = 1.0, square: bool = False):
-    """scale M^power for M Hermitian positive definite, given in the cosine/sine basis.
+def _hermitian_sqrt(lattice: FrequencyLattice, mat: np.ndarray) -> np.ndarray:
+    """M^{1/2} in the exponential basis, for M Hermitian positive definite given in the
+    cosine/sine basis.
 
-    One ``eigh`` M = V diag(lam) V^H: real symmetric for a real ``mat``, and
-    then every product is real too.  The result F F^H, F = V diag(scale
-    lam^power)^{1/2} scaled in place in V, is mapped back to the exponential
-    basis.  With ``square`` the pair (F F^H, W W^H), W = V diag(scale
-    lam^power), is returned, the second Hermitian-symmetrised exactly and in
-    place, through its real and imaginary views.  Raises ValueError unless M
-    is positive definite.
+    One ``eigh`` M = V diag(lam) V^H: real symmetric for a real ``mat``, and then
+    every product is real too.  The root F F^H, F = V diag(lam^{1/4}) scaled in
+    place in V, is mapped back to the exponential basis.  Raises ValueError
+    unless M is positive definite.
     """
     evals, evecs = np.linalg.eigh(mat)
     del mat  # each K x K temporary is dropped as soon as it is used
     if evals.min() <= 0:
         raise ValueError(f"covariance not positive definite (min eig {evals.min():g})")
-    half = np.sqrt(scale * evals**power)
-    evecs *= half  # F = V diag(half): the root is F F^H
-    root = evecs @ evecs.conj().T
-    if square:
-        evecs *= half  # W = V diag(half^2): the square is W W^H
-        sq = evecs @ evecs.conj().T
+    evecs *= np.sqrt(evals**0.5)  # F = V diag(lam^{1/4}): the root is F F^H
+    root = evecs @ (evecs.conj().T if np.iscomplexobj(evecs) else evecs.T)
     del evecs
-    root = _from_cosine_sine(lattice, root)
-    if not square:
-        return root
-    sq = _from_cosine_sine(lattice, sq)
-    re, im = sq.real, sq.imag  # (S + S^H) / 2 without a conjugate copy of S
-    re += re.T
-    im -= im.T
-    sq *= 0.5
-    return root, sq
+    return _from_cosine_sine(lattice, root)
 
 
 def operator_sqrt(cov: Operator) -> Operator:
@@ -123,7 +108,7 @@ def operator_sqrt(cov: Operator) -> Operator:
         herm_defect = np.abs(m - m.conj().T).max()
         if herm_defect > 1e-10 * max(1.0, np.abs(m).max()):
             raise ValueError("dense covariance must be Hermitian")
-        root_mat = _hermitian_power(cov.lattice, _to_cosine_sine(cov.lattice, m), 0.5)
+        root_mat = _hermitian_sqrt(cov.lattice, _to_cosine_sine(cov.lattice, m))
         return DenseOp(
             cov.lattice, _Handover(root_mat), cov.order_t / 2.0, cov.order_t0 / 2.0,
             label=f"sqrt({cov.label})",

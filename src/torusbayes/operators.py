@@ -57,10 +57,11 @@ class MultiplierOp:
     weakest decay the symbol is allowed), ``order_t0 >= order_t`` the lower one.
     ``_cs`` holds what the posterior solves read, per lattice, each evaluated
     once: the K symbol values of a forward map ("symbol") or the real ones of a
-    prior covariance ("prior symbol"); and the cosine/sine forms that a model
-    with a dense partner reads, as :class:`DenseOp` does: |a|^2 of a forward
-    symbol a and 1 / c of a prior covariance symbol c, K values when even in
-    l, else a K x K matrix.  Not part of repr, equality or hash.
+    prior covariance ("prior symbol"); and, as :class:`DenseOp` does, what a
+    model with a dense partner reads: the cosine/sine form of a prior
+    covariance symbol c ("prior form"; K values when even in l, else a K x K
+    matrix) and the pencil of a forward map ("pencil").  Not part of repr,
+    equality or hash.
     """
 
     symbol: Callable[[FrequencyLattice], np.ndarray]
@@ -92,11 +93,12 @@ class DenseOp:
 
     The matrix is a read-only copy, except for one that a producer in this
     package hands over in a :class:`_Handover`, which is taken as is.
-    ``_cs`` holds forms of it in the cosine/sine basis of ``lattice.py``
-    that the posterior solves read: ("gram", lattice), the Gram matrix
-    A_cs^H A_cs of A_cs = Q M Q^H for a forward map, and ("inverse",
-    lattice), (Q M Q^H)^{-1} for a prior covariance.  Each is built on first
-    use, read-only, once per operator; the field is not part of repr or equality.
+    ``_cs`` holds what the posterior solves read in the cosine/sine basis of
+    ``lattice.py``: ("pencil", lattice), the pencil decomposition of a forward
+    map with the prior form it was built for, and ("prior form", lattice),
+    Q M Q^H for a prior covariance.  Each is built on first use, read-only,
+    and kept once per operator (one pencil, replaced when the prior changes);
+    the field is not part of repr or equality.
     """
 
     lattice: FrequencyLattice

@@ -8,17 +8,16 @@ posterior is Gaussian with mean
 and covariance C = delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.  When both A
 and C_U are Fourier multipliers everything is a per-frequency scalar
 formula.  Otherwise everything is written in the cosine/sine basis of real
-fields, where the Gram matrix G = Q A^H A Q^H and C_U^{-1} are real whenever
-A and C_U map real fields to real fields.  Neither depends on the noise
-level: each operator keeps its G, or its C_U^{-1}, once.  The means of one
-data set at every noise level of a grid come from preconditioned conjugate
-gradients run in lockstep, one row per noise level: each iteration reads G
-once, in one product P G for the search directions of every row not yet
-converged, while each row keeps its own iterates and stops on its own
-residual.  The covariance and its root come from one eigendecomposition of
-the dense normal matrix G + delta^2 C_U^{-1}.  When A, C_U and the data are real
-there, one real ``eigh`` and real products do the work; a model that is not
-keeps the same steps in complex arithmetic.
+fields, where the Gram matrix G = A_cs^H A_cs, A_cs = Q A Q^H, and C_U are
+real whenever A and C_U map real fields to real fields.  Neither depends on
+the noise level, so one decomposition F^H C_U^{-1} F = I, F^H G F = diag(lam)
+of the pencil (G, C_U^{-1}) gives (G + delta^2 C_U^{-1})^{-1} =
+F diag(1 / (lam + delta^2)) F^H at every delta (Golub & Van Loan, Matrix
+Computations, 8.7).  F = R V comes from a factor R R^H = C_U and one ``eigh``
+of S = (A_cs R)^H (A_cs R) = V diag(lam) V^H, the prior-preconditioned Hessian
+of Spantini et al. (2015); the forward operator keeps it.  Each mean then
+costs two K^2 products, the covariance one more, all real when A and C_U
+map real fields to real fields and complex otherwise.
 """
 
 from __future__ import annotations
@@ -30,13 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import GaussianPrior, _hermitian_power, _rng, operator_sqrt, sample_white_noise
+from .fields import GaussianPrior, _hermitian_sqrt, _rng, operator_sqrt, sample_white_noise
+from .iterative import SolverError, _pcg  # noqa: F401  (_pcg: see iterative.py)
 from .lattice import (
     _CS_REAL_TOL,
     FrequencyLattice,
     SpectralField,
     _cosine_sine_modes,
-    _real_if_rounding,
+    _from_cosine_sine,
     _rows_from_cosine_sine,
     _rows_to_cosine_sine,
     _to_cosine_sine,
@@ -70,20 +70,9 @@ __all__ = [
     "MultiplierBall",
 ]
 
-CG_TOL = 1e-10
 # guards GaussianModel._diag and the operators' _cs; re-entrant, as a prior
 # may be another model's posterior
 _DIAG_LOCK = threading.RLock()
-
-
-class SolverError(RuntimeError):
-    """Iterative solve failed; carries the relative residual history and, from
-    :func:`_pcg`, the solutions of every row, final for the rows that converged."""
-
-    def __init__(self, message: str, residuals, solution=None):
-        super().__init__(message)
-        self.residuals = list(residuals)
-        self.solution = solution
 
 
 @dataclass(frozen=True)
@@ -94,10 +83,10 @@ class GaussianModel:
     checked at construction; violations are warnings stored in
     ``hypothesis_messages``, never errors, so off-regime experiments run.
 
-    Each model keeps the arrays its solves read per lattice, read-only (see
-    :func:`_diag_weights`), so each symbol is evaluated once per noise level.
-    A model that is not diagonal holds references to the cosine/sine forms
-    its operators keep, built once per operator and shared by every noise level.
+    A diagonal model keeps the arrays its solves read per lattice, read-only
+    (see :func:`_diag_weights`), so each symbol is evaluated once per noise
+    level.  Any other model reads the pencil its forward operator keeps,
+    shared by every noise level (see :func:`_pencil`).
     """
 
     fwd: Operator
@@ -164,151 +153,105 @@ def _prior_symbol(cov: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
     return _kept(cov, ("prior symbol", lattice), make)
 
 
-def _cs_form(op: Operator, lattice: FrequencyLattice, inverse: bool = False) -> np.ndarray:
-    """Gram matrix M_cs^H M_cs of M_cs = Q M Q^H, or with ``inverse`` M_cs^{-1}, on ``lattice``;
-    built once per operator and lattice, read-only, in ``op._cs``.
+def _prior_form(cov: Operator, lattice: FrequencyLattice) -> np.ndarray:
+    """Q C_U Q^H on ``lattice``, built once per operator and lattice, read-only.
 
-    A dense M gives a K x K matrix of the dtype of M_cs; a multiplier |a|^2, or 1 / c_U of
-    a strictly positive prior symbol, as K values in cosine/sine order when they are even
-    in l (Q diag(w) Q^H is then diagonal), else that K x K matrix.
+    A strictly positive multiplier symbol c_U gives K values in cosine/sine order
+    when it is even in l (Q diag(c_U) Q^H is then diagonal), else that K x K matrix;
+    a dense C_U the K x K matrix, real when it is to rounding.
     """
     def make() -> np.ndarray:
-        if isinstance(op, MultiplierOp):
-            w = (1.0 / _prior_symbol(op, lattice) if inverse
-                 else np.abs(_symbol(op, lattice)) ** 2)
-            even = np.abs(w - w[lattice.conj_index]).max() <= _CS_REAL_TOL * w.max()
-            return (w[_cosine_sine_modes(lattice)[0]] if even
-                    else _to_cosine_sine(lattice, np.diag(w)))
-        form = _to_cosine_sine(lattice, densify(op, lattice).matrix)
-        form = np.linalg.inv(form) if inverse else form.conj().T @ form
-        # copied once the K x K temporary M_cs is freed, the kept form can take its place
-        # instead of pinning the heap above it: without this copy the dense-vc benchmark's
-        # peak RSS rose from 126 to 142 MiB (glibc malloc)
-        return form.copy()
+        if isinstance(cov, MultiplierOp):
+            c_u = _prior_symbol(cov, lattice)
+            if np.abs(c_u - c_u[lattice.conj_index]).max() <= _CS_REAL_TOL * c_u.max():
+                return c_u[_cosine_sine_modes(lattice)[0]]
+            return _to_cosine_sine(lattice, np.diag(c_u))
+        return _to_cosine_sine(lattice, densify(cov, lattice).matrix)
 
-    return _kept(op, ("inverse" if inverse else "gram", lattice), make)
+    return _kept(cov, ("prior form", lattice), make)
 
 
 def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
-    """The arrays the solves of ``model`` read on ``lattice``, built once, read-only.
-
-    A diagonal model keeps its forward symbol a, |a|^2 and delta^2 / c_U.  Any
-    other model keeps what gives A^H m (the symbol a, or the dense matrix A),
-    the Gram matrix Q A^H A Q^H and the precision Q C_U^{-1} Q^H, to be scaled
-    by delta^2: the forms :func:`_cs_form` keeps on each operator, shared by
-    every noise level.  A symbol a is the one :func:`_symbol` keeps on the operator.
-    """
+    """The forward symbol a, |a|^2 and delta^2 / c_U of a diagonal ``model`` on ``lattice``:
+    built once, read-only; a is the symbol :func:`_symbol` keeps on the operator."""
     with _DIAG_LOCK:
         weights = model._diag.get(lattice)
         if weights is None:
-            a = (_symbol(model.fwd, lattice) if isinstance(model.fwd, MultiplierOp)
-                 else densify(model.fwd, lattice).matrix)
-            if _is_diagonal(model):
-                weights = (a, np.abs(a) ** 2,
-                           model.delta**2 / _prior_symbol(model.prior.cov, lattice))
-            else:
-                weights = (a, _cs_form(model.fwd, lattice),
-                           _cs_form(model.prior.cov, lattice, inverse=True))
+            a = _symbol(model.fwd, lattice)
+            weights = (a, np.abs(a) ** 2, model.delta**2 / _prior_symbol(model.prior.cov, lattice))
             for arr in weights:
                 arr.setflags(write=False)
             model._diag[lattice] = weights
     return weights
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_i, b_i> for each row i of two (n, K) stacks."""
-    return np.einsum("ij,ij->i", a.conj(), b).real
+def _fwd_values(fwd: Operator, lattice: FrequencyLattice) -> np.ndarray:
+    """The kept symbol of a multiplier forward map, or the matrix of a dense one."""
+    return _symbol(fwd, lattice) if isinstance(fwd, MultiplierOp) else densify(fwd, lattice).matrix
 
 
-def _pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
-    """Jacobi-preconditioned conjugate gradients on Hermitian PD systems, one per row.
+def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
+    """The (K + 1) x K block [lam; F] of the pencil (G, C_U^{-1}) of a model that is not
+    diagonal: F^H C_U^{-1} F = I and F^H G F = diag(lam), lam >= 0, in the cosine/sine basis.
 
-    ``b`` and ``diag`` are (n, K) stacks of right-hand sides and Jacobi diagonals.
-    ``matvec(p, rows)`` applies the systems of ``rows`` (indices into ``b``) to the
-    stack ``p`` of their search directions, one row each.  The rows run in lockstep:
-    one call per iteration for every row not yet converged.  Each row keeps its own
-    iterates, step lengths and relative residual, and is frozen once that residual
-    is at most ``tol``; a zero row converges at once.  Returns the (n, K) solutions
-    and the residual history, one (n,) array before the first iteration and one
-    after each.  Raises SolverError, with the history and the solutions, if a row
-    has not converged after ``maxiter`` iterations.
+    F = R V for R R^H = C_U (the root of the K values of :func:`_prior_form`, else its
+    Cholesky factor) and one ``eigh`` S = (A_cs R)^H (A_cs R) = V diag(lam) V^H; real when
+    A_cs and R are.  The forward operator keeps one block per lattice, read-only, with the
+    prior form it was built for: a prior of equal form reads it, any other replaces it.
+    Raises ValueError unless C_U is positive definite.
     """
-    x = np.zeros_like(b)
-    bnorm = np.linalg.norm(b, axis=1)
-    residuals = np.where(bnorm == 0, 0.0, 1.0)
-    history = [residuals]
-    live = np.flatnonzero(bnorm != 0)  # the rows still iterating; NaN ones never stop
-    # the iterates of the live rows, compacted: solution, residual, search direction
-    x_live, r = x[live], b[live]
-    inv_diag = 1.0 / diag[live]
-    p = inv_diag * r
-    rz = _row_dot(r, p)
-    for _ in range(maxiter):
-        if live.size == 0:
-            return x, history
-        q = matvec(p, live)
-        alpha = rz / _row_dot(p, q)
-        x_live += alpha[:, None] * p
-        r -= alpha[:, None] * q
-        res = np.linalg.norm(r, axis=1) / bnorm[live]
-        residuals = residuals.copy()
-        residuals[live] = res
-        history.append(residuals)
-        z = inv_diag * r
-        rz_new = _row_dot(r, z)
-        p *= (rz_new / rz)[:, None]
-        p += z
-        rz = rz_new
-        done = res <= tol
-        if done.any():
-            x[live[done]] = x_live[done]
-            keep = ~done
-            live, x_live, r, p, rz, inv_diag = (a[keep] for a in (live, x_live, r, p, rz, inv_diag))
-    if live.size == 0:
-        return x, history
-    x[live] = x_live
-    raise SolverError(
-        f"conjugate gradients not converged after {maxiter} iterations "
-        f"(relative residual {residuals.max():.3e})",
-        history, x,
-    )
+    fwd, c_form = model.fwd, _prior_form(model.prior.cov, lattice)
+    with _DIAG_LOCK:
+        kept = fwd._cs.get(("pencil", lattice))
+        if kept is not None and (kept[0] is c_form or np.array_equal(kept[0], c_form)):
+            return kept[1]
+        fwd._cs.pop(("pencil", lattice), None)  # the old block is freed before a new one
+        try:
+            root = np.sqrt(c_form) if c_form.ndim == 1 else np.linalg.cholesky(c_form)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("prior covariance not positive definite") from exc
+        k = lattice.size
+        # the kept block comes first: made after the K x K temporaries, it pinned the
+        # heap above their holes (dense-vc benchmark peak RSS 126 -> 142 MiB, glibc)
+        block = np.empty((k + 1, k), np.complex128 if np.iscomplexobj(root) else np.float64)
+        a = _fwd_values(fwd, lattice)
+        a_cs = _to_cosine_sine(lattice, np.diag(a) if a.ndim == 1 else a)
+        if np.iscomplexobj(a_cs) and np.isrealobj(block):
+            block = np.empty((k + 1, k), np.complex128)
+        a_cs = np.multiply(a_cs, root, out=a_cs) if root.ndim == 1 else a_cs @ root  # B = A_cs R
+        s = a_cs.conj().T @ a_cs if np.iscomplexobj(a_cs) else a_cs.T @ a_cs
+        del a_cs  # each K x K temporary is dropped as soon as it is used
+        lam, vecs = np.linalg.eigh(s)
+        del s
+        block[0] = np.maximum(lam, 0.0)  # S is semidefinite: rounding clipped
+        if root.ndim == 1:
+            np.multiply(root[:, None], vecs, out=block[1:])
+        else:
+            np.matmul(root, vecs, out=block[1:])
+        block.setflags(write=False)
+        fwd._cs["pencil", lattice] = (c_form, block)
+    return block
 
 
-def _normal_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """N = G + delta^2 C_U^{-1} in the cosine/sine basis, real when it is to rounding.
-
-    A sum of the arrays :func:`_diag_weights` keeps for a model that is not
-    diagonal, so no K^3 product: the Gram G and the precision, each K values
-    (a diagonal) or a K x K matrix.
-    """
-    _, gram, prec = _diag_weights(model, lattice)
-    normal = model.delta**2 * prec  # a new array: only the kept G needs a copy to write
-    if normal.ndim == 1:
-        normal, gram = gram.copy(), normal
-    if gram.ndim == 1:
-        normal[np.diag_indices(lattice.size)] += gram
-    else:
-        normal = gram + normal
-    return _real_if_rounding(normal)
+def _pencil_solve(block: np.ndarray, b: np.ndarray, delta2: np.ndarray) -> np.ndarray:
+    """Rows x_i = F (F^H b_i) / (lam + delta2_i) = (G + delta2_i C_U^{-1})^{-1} b_i of an
+    (n, K) stack ``b`` for the pencil ``block`` [lam; F]: two K^2 products per row."""
+    lam, f = block[0].real, block[1:]
+    y = (b.conj() @ f).conj() if np.iscomplexobj(f) else b @ f
+    y /= lam + delta2[:, None]
+    return y @ f.T
 
 
 def _map_means(models, data) -> list:
     """Posterior means of ``models[j]`` for data ``data[j]`` (SpectralFields on one
     lattice): noise-level models that share one forward map and prior.
 
-    Diagonal models use the per-frequency formula conj(a) m_hat / (|a|^2 + delta^2 / c_U),
-    row by row.  Otherwise Jacobi-preconditioned conjugate gradients solve the normal
-    equations in the cosine/sine basis for every row in lockstep (:func:`_pcg`): the
-    stack B = Q A^H M of all right-hand sides comes from one product with the symbol or
-    the dense matrix, and each iteration applies the Gram matrix G to the stack of
-    search directions (one product P G for a dense forward map) plus each row's
-    delta^2 times the prior precision.  The solution rows x give the means Q^H x.  When
-    G, the precision and B are real, every product is real; otherwise the same lines
-    run in complex arithmetic, except that complex B (data that is not a real field)
-    under a real system is solved as a stack of its real parts and its imaginary parts.
-    The Jacobi diagonal of a row is diag(G) + delta^2 diag(C_U^{-1}); relative residual
-    1e-10, iteration cap 10 K.  Returns one (K,) coefficient array per row, or the
-    SolverError of a row that did not converge; the other rows keep their means.
+    Diagonal models use the per-frequency formula conj(a) m_hat / (|a|^2 + delta^2 / c_U).
+    Otherwise one product with the symbol or the dense matrix gives the stack
+    B = Q A^H M, the kept pencil solves every row at its own noise level, and the rows x
+    give the means Q^H x; complex B (data that is not a real field) under a real pencil
+    is solved as its real parts and its imaginary parts.  Returns one (K,) coefficient
+    array per row, or a SolverError for a row whose mean is not finite.
     """
     model = models[0]
     if any(m.fwd != model.fwd or m.prior.cov != model.prior.cov for m in models):
@@ -320,55 +263,32 @@ def _map_means(models, data) -> list:
             a, asq, prec = _diag_weights(mdl, lattice)
             means.append(np.conj(a) * m.coeffs / (asq + prec))
         return means
-    a, gram, prec = _diag_weights(model, lattice)
+    block = _pencil(model, lattice)
+    a = _fwd_values(model.fwd, lattice)
     stack = np.stack([m.coeffs for m in data])
     # B = Q A^H M; a dense A^H M through one product with A, with no conjugate copy of A
     b = _rows_to_cosine_sine(lattice, np.conj(a) * stack if a.ndim == 1
                              else (stack.conj() @ a).conj())
     n = len(models)
-    owner = np.arange(n)  # the model of each row of the solve
-    if np.iscomplexobj(gram) or np.iscomplexobj(prec):
+    delta2 = np.array([m.delta**2 for m in models])
+    if np.iscomplexobj(block):
         b = b.astype(np.complex128, copy=False)
     elif np.iscomplexobj(b):
-        b, owner = np.concatenate([b.real, b.imag]), np.tile(owner, 2)  # two real rows each
-    delta2 = np.array([m.delta**2 for m in models])[owner]
-
-    def product(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Rows w p: p w for a real symmetric w, conj(conj(p) w) for a Hermitian one."""
-        if w.ndim == 1:
-            return w * p
-        return p @ w if np.isrealobj(w) else (p.conj() @ w).conj()
-
-    def normal_matvec(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return product(gram, p) + delta2[rows, None] * product(prec, p)
-
-    # Jacobi diagonals; the multiplier parts dominate them as delta -> 0
-    g_diag, p_diag = (w if w.ndim == 1 else np.diagonal(w).real for w in (gram, prec))
-    diag = np.maximum(np.abs(g_diag + delta2[:, None] * p_diag), 1e-300)
-    try:
-        x, history = _pcg(normal_matvec, b, diag, CG_TOL, 10 * lattice.size)
-    except SolverError as exc:
-        x, history = exc.solution, exc.residuals
-    if owner.size > n:
+        b, delta2 = np.concatenate([b.real, b.imag]), np.tile(delta2, 2)  # two real rows each
+    x = _pencil_solve(block, b, delta2)
+    if len(x) > n:
         x = x[:n] + 1j * x[n:]
-    means = list(_rows_from_cosine_sine(lattice, x))
-    final = history[-1]
-    for row in np.flatnonzero(~(final <= CG_TOL)):
-        means[owner[row]] = SolverError(
-            f"conjugate gradients not converged after {len(history) - 1} iterations "
-            f"(relative residual {final[row]:.3e})",
-            [h[row] for h in history],
-        )
-    return means
+    return [mean if np.isfinite(mean).all() else SolverError("posterior mean not finite", [])
+            for mean in _rows_from_cosine_sine(lattice, x)]
 
 
 def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     """Posterior mean (equals the MAP point for this Gaussian conjugate pair).
 
-    The one-row case of the lockstep solves of :func:`_map_means`: the
-    per-frequency formula for a diagonal model, else conjugate gradients on the
-    normal equations in the cosine/sine basis, one product with the Gram matrix
-    per iteration.  Raises SolverError if they do not converge.
+    The one-row case of :func:`_map_means`: the per-frequency formula for a
+    diagonal model, else F (F^H b) / (lam + delta^2) for b = Q A^H m and the
+    pencil :func:`_pencil` of the forward map and prior, built on first use and
+    shared by every noise level.  Raises SolverError if the mean is not finite.
     """
     (mean,) = _map_means([model], [m])
     if isinstance(mean, SolverError):
@@ -402,10 +322,19 @@ def map_estimate_discrete(a_mat, c_mat, delta: float, mvec) -> np.ndarray:
 def posterior_covariance(model: GaussianModel, lattice: FrequencyLattice | None = None) -> Operator:
     """Posterior covariance delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.
 
-    A diagonal one reads the model's stored weights; a dense one comes from one
-    eigendecomposition of the normal matrix, with the root :func:`posterior` takes.
+    Diagonal: the multiplier delta^2 / (|a|^2 + delta^2 / c_U) of the stored weights.
+    Dense: F diag(delta^2 / (lam + delta^2)) F^H of the kept pencil, from one product.
     """
-    return _cov_root(model, lattice)[0]
+    if not _is_diagonal(model):
+        lattice = _dense_lattice(model, lattice)
+        return _dense_cov(model, lattice, _cov_cs(model, lattice))
+
+    def symbol(lat: FrequencyLattice) -> np.ndarray:
+        _, asq, prec = _diag_weights(model, lat)
+        return (model.delta**2 / (asq + prec)).astype(complex)
+
+    return MultiplierOp(symbol, model.prior.cov.order_t, model.prior.cov.order_t0,
+                        label=f"postcov({model.fwd.label})")
 
 
 def posterior_covariance_update(
@@ -463,37 +392,69 @@ def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | N
     return float(np.sum(sobolev_weight(lattice, q) * diag))
 
 
+def _cov_factor(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
+    """X = F diag(delta / sqrt(lam + delta^2)) of the pencil: X X^H is the posterior
+    covariance C_cs of a model that is not diagonal, in the cosine/sine basis."""
+    block = _pencil(model, lattice)
+    return block[1:] * (model.delta / np.sqrt(block[0].real + model.delta**2))
+
+
+def _cov_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
+    """C_cs = X X^H of :func:`_cov_factor`: one product, exactly symmetric for a real X."""
+    x = _cov_factor(model, lattice)
+    return x @ x.conj().T if np.iscomplexobj(x) else x @ x.T
+
+
+def _dense_cov(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray) -> DenseOp:
+    """Q^H C_cs Q as an operator, Hermitian-symmetrised exactly and in place."""
+    cov = _from_cosine_sine(lattice, c_cs)
+    re, im = cov.real, cov.imag  # (C + C^H) / 2 without a conjugate copy of C
+    re += re.T
+    im -= im.T
+    cov *= 0.5
+    return DenseOp(lattice, _Handover(cov), model.prior.cov.order_t, model.prior.cov.order_t0,
+                   f"postcov({model.fwd.label})")
+
+
 def _cov_root(model: GaussianModel,
               lattice: FrequencyLattice | None) -> tuple[Operator, Operator]:
-    """Posterior covariance C and its Hermitian root, as operators.
-
-    Diagonal: the multiplier delta^2 / (|a|^2 + delta^2 / c_U) of the stored
-    weights and its pointwise root.  Otherwise one ``eigh`` N = V diag(lam) V^H
-    of the normal matrix in the cosine/sine basis (V real when the model
-    keeps real fields real) gives C^{1/2} = V diag(delta / sqrt(lam)) V^H and
-    C = V diag(delta^2 / lam) V^H (symmetrised), mapped back to the exponential basis.
-    """
-    t, t0 = model.prior.cov.order_t, model.prior.cov.order_t0
-    label = f"postcov({model.fwd.label})"
+    """Posterior covariance C and its Hermitian root, as operators: a multiplier and its
+    pointwise root, or C from the pencil and the root from one ``eigh`` of C_cs (real
+    symmetric when the pencil is real), made before the K x K complex form of C."""
     if _is_diagonal(model):
-        def symbol(lat: FrequencyLattice) -> np.ndarray:
-            _, asq, prec = _diag_weights(model, lat)
-            return (model.delta**2 / (asq + prec)).astype(complex)
-
-        cov = MultiplierOp(symbol, t, t0, label=label)
+        cov = posterior_covariance(model)
         return cov, operator_sqrt(cov)
     lattice = _dense_lattice(model, lattice)
-    root_mat, c_mat = _hermitian_power(lattice, _normal_cs(model, lattice), -0.5,
-                                       model.delta, square=True)
-    return (DenseOp(lattice, _Handover(c_mat), t, t0, label),
-            DenseOp(lattice, _Handover(root_mat), t / 2.0, t0 / 2.0, f"sqrt({label})"))
+    c_cs = _cov_cs(model, lattice)
+    root = _hermitian_sqrt(lattice, c_cs)
+    cov = _dense_cov(model, lattice, c_cs)
+    return cov, DenseOp(lattice, _Handover(root), cov.order_t / 2.0, cov.order_t0 / 2.0,
+                        f"sqrt({cov.label})")
+
+
+def _trace_root(model: GaussianModel, lattice: FrequencyLattice,
+                zeta: float) -> tuple[float, np.ndarray]:
+    """The H^zeta trace of the posterior covariance C and a root R R^H = C on ``lattice``,
+    evaluated (K symbol values or a K x K matrix): the runners' Monte Carlo pieces.
+
+    A real pencil gives R = Q^H X Q for X of :func:`_cov_factor`, with no ``eigh``: Q xi
+    is real standard normal for spectral white noise xi, so R xi = Q^H X (Q xi) has the
+    law of C^{1/2} xi; the even weights are diagonal in the cosine/sine basis, so the
+    trace is sum_j w_j |X_j|^2.  Other models take :func:`_cov_root`.
+    """
+    x = None if _is_diagonal(model) else _cov_factor(model, lattice)
+    if x is None or np.iscomplexobj(x):
+        cov, root = _cov_root(model, lattice)
+        return posterior_trace(cov, zeta, lattice), _evaluated(root, lattice)
+    w = sobolev_weight(lattice, zeta)[_cosine_sine_modes(lattice)[0]]
+    return float(w @ np.einsum("ij,ij->i", x, x)), _from_cosine_sine(lattice, x)
 
 
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:
     """Assemble mean, covariance, and covariance root for one measurement.
 
-    The mean is exactly ``map_estimate(model, m)``; a dense covariance and
-    its root come from one eigendecomposition of the normal matrix.
+    The mean is exactly ``map_estimate(model, m)``; a dense covariance comes
+    from the kept pencil and its Hermitian root from one ``eigh`` of it.
     """
     return PosteriorGaussian(map_estimate(model, m), *_cov_root(model, m.lattice), model)
 

@@ -1,13 +1,9 @@
 """White noise, Gaussian priors, Sobolev norms, trace diagnostics."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from torusbayes import lattice as lattice_module
 from torusbayes.fields import (
-    _hermitian_power,
     gaussian_prior,
     operator_sqrt,
     prior_trace_check,
@@ -17,7 +13,6 @@ from torusbayes.fields import (
 )
 from torusbayes.lattice import (
     SpectralField,
-    _from_cosine_sine,
     _white_coeffs,
     build_lattice,
     hermitian_defect,
@@ -116,30 +111,6 @@ class TestOperatorSqrt:
         root = operator_sqrt(densify(cov, lat)).matrix
         expected = np.diag(symbol_values(operator_sqrt(cov), lat))
         assert np.abs(root - expected).max() < 1e-14
-
-    def test_hermitian_power_square_in_place(self, monkeypatch):
-        # K = 256; small transform blocks, so the peak counts full-size arrays only
-        monkeypatch.setattr(lattice_module, "_CS_BLOCK", 8)
-        lat = build_lattice(2, 16)
-        b = np.random.default_rng(8).standard_normal((lat.size, lat.size))
-        mat = b @ b.T + lat.size * np.eye(lat.size)
-        full = 16 * lat.size**2  # bytes of one complex K x K array
-        tracemalloc.start()
-        try:
-            root, sq = _hermitian_power(lat, mat, -0.5, 0.1, square=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the two results, one real product in the basis and the transform's blocks;
-        # a conjugate copy of the square or a full-size transform temporary exceeds it
-        assert peak < 2.8 * full
-        evals, evecs = np.linalg.eigh(mat)
-        half = np.sqrt(0.1 * evals**-0.5)
-        f, w = evecs * half, evecs * half * half  # the root is F F^T, the square W W^T
-        assert root.tobytes() == _from_cosine_sine(lat, f @ f.T).tobytes()
-        expected = _from_cosine_sine(lat, w @ w.T)
-        expected = 0.5 * (expected + expected.conj().T)
-        assert sq.tobytes() == expected.tobytes()
 
     def test_dense_sqrt_rejects_non_hermitian(self):
         lat = build_lattice(1, 8)

@@ -1,6 +1,7 @@
 """Exponent calculator: exact values, case boundaries, hypothesis flags."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,23 @@ def random_admissible(rng):
         t0 = t + rng.uniform(0.0, 0.9) * (hi - t)
         if t0 >= t:
             return params(r=r, s=s, t=t, t0=t0, d=d)
+
+
+def random_hypoelliptic(rng, gap=0.05):
+    """Admissible tuples with t0 - t >= gap: a regime split that moves by a multiple of
+    t0 - t then leaves a jump in the exponent."""
+    while True:
+        p = random_admissible(rng)
+        if p.t0 - p.t >= gap:
+            return p
+
+
+def max_step(exponent, lo: float, hi: float, n: int = 1001) -> tuple[float, float]:
+    """Largest change of ``exponent(zeta)`` between neighbours of an n-point grid on
+    [lo, hi], and the grid step."""
+    grid = np.linspace(lo, hi, n)
+    values = np.array([exponent(float(z)) for z in grid])
+    return float(np.abs(np.diff(values)).max()), float(grid[1] - grid[0])
 
 
 class TestSmoothnessParams:
@@ -82,6 +100,17 @@ class TestBayesRate:
             above = bayes_rate(params(r=base.r, s=base.s, t=base.t, t0=base.t0,
                                       d=base.d, zeta=z + 1e-13))
             assert abs(below.exponent - above.exponent) < 1e-12
+
+    def test_no_jump_on_fine_zeta_grid(self):
+        # every branch is linear in zeta with slope 0 or -1/(t0 + r) and the branches meet
+        # at the split t - s - 2 t0; a split moved by 3 (t0 - t) jumps by 3 (t0 - t) / (t0 + r)
+        rng = np.random.default_rng(17)
+        for _ in range(25):
+            p = random_hypoelliptic(rng)
+            split, edge = p.t - p.s - 2 * p.t0, p.tau - 3 * (p.t0 - p.t)
+            jump, step = max_step(lambda z: bayes_rate(replace(p, zeta=z)).exponent,
+                                  split - 1.0, edge + 1.0)
+            assert jump <= step / (p.t0 + p.r) + 1e-12
 
     def test_exponent_positive_inside_regime(self):
         rng = np.random.default_rng(7)
@@ -135,6 +164,20 @@ class TestContractionRate:
         with pytest.warns(HypothesisWarning, match="kappa < kappa0"):
             contraction_rate(params(), kappa=1.0)
 
+    def test_kappa0_falls_as_t0_minus_t_grows(self):
+        # at fixed tau and r, the hypoelliptic penalty 3 (t0 - t) lowers kappa0, whether t
+        # falls below a fixed t0 or t0 rises above a fixed t
+        rng = np.random.default_rng(19)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(50):
+                p = random_admissible(rng)
+                gaps = np.linspace(0.0, min(1.0, p.t0), 6)
+                lower_t = [contraction_rate(replace(p, t=p.t0 - g)).extra["kappa0"] for g in gaps]
+                raise_t0 = [contraction_rate(replace(p, t0=p.t + g)).extra["kappa0"] for g in gaps]
+                for kappa0 in (lower_t, raise_t0):
+                    assert all(a > b for a, b in zip(kappa0, kappa0[1:]))
+
     def test_elliptic_matches_frequentist_exponent(self):
         rng = np.random.default_rng(11)
         with warnings.catch_warnings():
@@ -162,6 +205,17 @@ class TestCredibleRate:
             lo = credible_rate(base, z1 - 1e-13)
             hi = credible_rate(base, z1 + 1e-13)
             assert abs(lo.extra["gamma"] - hi.extra["gamma"]) < 1e-12
+
+    def test_no_jump_on_fine_zeta1_grid(self):
+        # gamma is linear in zeta1 with slope 0 or -2/(t0 + r) up to the hypothesis limit
+        # tau + t - t0, both branches meeting at -s - t0; a split moved by t0 - t jumps
+        rng = np.random.default_rng(23)
+        for _ in range(25):
+            p = random_hypoelliptic(rng)
+            split = -p.s - p.t0
+            jump, step = max_step(lambda z: credible_rate(p, z).extra["gamma"],
+                                  split - 1.0, p.tau + p.t - p.t0 - 1e-9)
+            assert jump <= 2.0 * step / (p.t0 + p.r) + 1e-12
 
     def test_alpha_half_gamma_gives_zero_decay(self):
         p = params()
