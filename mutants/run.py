@@ -2,16 +2,15 @@
 
 Run from the root of a checkout:
 
-    python3 mutants/run.py                       # every mutant of catalogue.py
-    python3 mutants/run.py --only bayes-split-swap --only credible-split-swap
-    python3 mutants/run.py --list
+    python3 mutants/run.py           # every mutant of catalogue.py
+    python3 mutants/run.py --list    # the catalogue only
 
-The checkout (without .git and caches) is copied once to a temporary
+The checkout (without .git, caches and the harness) is copied once to a temporary
 directory.  Tier-1 (``python -m pytest -q -x``, with ``PYTHONPATH`` at the
 copy's ``src``) must first pass there unmutated, else no mutant can be scored.
 Then each mutant in turn rewrites its one line in the copy, Tier-1 runs, and
-the line is restored.  A mutant is killed when Tier-1 fails or runs past the
-time limit, and survives when it passes.  One line per mutant is printed,
+the line is restored.  A mutant is killed when Tier-1 fails or runs past
+``LIMIT_S`` seconds, and survives when it passes.  One line per mutant is printed,
 then the survivors.  Exit status: 0 if every survivor has an equivalence
 reason in the catalogue, 1 if one has none, 2 if the baseline fails or a
 mutant's text does not occur exactly once.  Standard library only.
@@ -33,7 +32,11 @@ ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 from catalogue import MUTANTS, Mutant  # noqa: E402  (stdlib-only module next to this one)
 
-SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".bench_work", "mutants")
+# not copied: the harness itself, and its catalogue test, which fails on any mutated
+# source (the mutant's text no longer occurs) and would count every mutant as killed
+SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".bench_work", "mutants",
+                              "test_mutants.py")
+LIMIT_S = 900.0  # seconds per Tier-1 run; a mutant that hangs it counts as killed
 
 
 class CatalogueError(RuntimeError):
@@ -50,7 +53,7 @@ def mutated(mutant: Mutant, text: str) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def tier1(copy: str, limit_s: float) -> tuple[str, float, str]:
+def tier1(copy: str) -> tuple[str, float, str]:
     """Run Tier-1 in ``copy``: ("passed" | "failed" | "timeout", seconds, first failure line)."""
     # no bytecode caches: a mutant of the same length as its line, written within the
     # second of the last import, would otherwise run from the stale cache
@@ -60,7 +63,7 @@ def tier1(copy: str, limit_s: float) -> tuple[str, float, str]:
                             cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                             text=True, start_new_session=True)
     try:
-        out, _ = proc.communicate(timeout=limit_s)
+        out, _ = proc.communicate(timeout=LIMIT_S)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
@@ -75,22 +78,15 @@ def tier1(copy: str, limit_s: float) -> tuple[str, float, str]:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--only", action="append", default=[], help="run this mutant (repeatable)")
     p.add_argument("--list", action="store_true", help="list the catalogue and exit")
-    p.add_argument("--limit", type=float, default=900.0, help="seconds per Tier-1 run")
     args = p.parse_args(argv)
 
-    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
     if args.list:
-        for m in mutants:
+        for m in MUTANTS:
             print(f"{m.name:28s} {m.path}: {m.old!r} -> {m.new!r}")
         return 0
     try:
-        texts = {m.name: mutated(m, open(os.path.join(ROOT, m.path)).read()) for m in mutants}
+        texts = {m.name: mutated(m, open(os.path.join(ROOT, m.path)).read()) for m in MUTANTS}
     except CatalogueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -98,20 +94,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = os.path.join(tmp, "checkout")
         shutil.copytree(ROOT, copy, ignore=SKIP)
-        status, seconds, first = tier1(copy, args.limit)
+        status, seconds, first = tier1(copy)
         print(f"baseline  {status:8s} {seconds:6.1f} s", flush=True)
         if status != "passed":
             print(f"the unmutated copy does not pass Tier-1: {first}", file=sys.stderr)
             return 2
         survivors = []
-        for m in mutants:
+        for m in MUTANTS:
             path = os.path.join(copy, m.path)
             with open(path) as fh:
                 original = fh.read()
             with open(path, "w") as fh:
                 fh.write(texts[m.name])
             try:
-                status, seconds, first = tier1(copy, args.limit)
+                status, seconds, first = tier1(copy)
             finally:
                 with open(path, "w") as fh:
                     fh.write(original)
@@ -120,7 +116,7 @@ def main(argv=None) -> int:
             if status == "passed":
                 survivors.append(m)
     unexplained = [m for m in survivors if not m.equivalent.strip()]
-    print(f"{len(mutants) - len(survivors)} of {len(mutants)} killed; "
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed; "
           f"{len(survivors)} survived, {len(unexplained)} without an equivalence reason")
     for m in survivors:
         print(f"  {m.name}: {m.equivalent or 'NO EQUIVALENCE REASON'}")

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import GaussianPrior, _hermitian_sqrt, _rng, operator_sqrt, sample_white_noise
-from .iterative import SolverError, _pcg  # noqa: F401  (_pcg: see iterative.py)
 from .lattice import (
     _CS_REAL_TOL,
     FrequencyLattice,
@@ -70,9 +69,20 @@ __all__ = [
     "MultiplierBall",
 ]
 
+CG_TOL = 1e-10
 # guards GaussianModel._diag and the operators' _cs; re-entrant, as a prior
 # may be another model's posterior
 _DIAG_LOCK = threading.RLock()
+
+
+class SolverError(RuntimeError):
+    """A solve failed; carries the relative residual history and, from
+    :func:`_pcg`, the solutions of every row, final for the rows that converged."""
+
+    def __init__(self, message: str, residuals, solution=None):
+        super().__init__(message)
+        self.residuals = list(residuals)
+        self.solution = solution
 
 
 @dataclass(frozen=True)
@@ -210,14 +220,16 @@ def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
             root = np.sqrt(c_form) if c_form.ndim == 1 else np.linalg.cholesky(c_form)
         except np.linalg.LinAlgError as exc:
             raise ValueError("prior covariance not positive definite") from exc
-        k = lattice.size
-        # the kept block comes first: made after the K x K temporaries, it pinned the
-        # heap above their holes (dense-vc benchmark peak RSS 126 -> 142 MiB, glibc)
-        block = np.empty((k + 1, k), np.complex128 if np.iscomplexobj(root) else np.float64)
+        shape = (lattice.size + 1, lattice.size)
+        # the kept block comes before A_cs and the products' temporaries: made after any of
+        # them, it pinned the heap above their holes (dense-vc benchmark peak RSS 126 -> 142
+        # MiB, glibc).  Its dtype is that of R unless A_cs, known only once made, is complex.
+        block = np.empty(shape, root.dtype)
         a = _fwd_values(fwd, lattice)
         a_cs = _to_cosine_sine(lattice, np.diag(a) if a.ndim == 1 else a)
         if np.iscomplexobj(a_cs) and np.isrealobj(block):
-            block = np.empty((k + 1, k), np.complex128)
+            del block  # never written: a map that does not keep real fields real
+            block = np.empty(shape, np.complex128)
         a_cs = np.multiply(a_cs, root, out=a_cs) if root.ndim == 1 else a_cs @ root  # B = A_cs R
         s = a_cs.conj().T @ a_cs if np.iscomplexobj(a_cs) else a_cs.T @ a_cs
         del a_cs  # each K x K temporary is dropped as soon as it is used
@@ -317,6 +329,66 @@ def map_estimate_discrete(a_mat, c_mat, delta: float, mvec) -> np.ndarray:
         return np.linalg.solve(normal, a_mat.conj().T @ mvec)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular system: {exc}") from exc
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_i, b_i> for each row i of two (n, K) stacks."""
+    return np.einsum("ij,ij->i", a.conj(), b).real
+
+
+def _pcg(matvec, b: np.ndarray, diag: np.ndarray, tol: float, maxiter: int):
+    """Jacobi-preconditioned conjugate gradients on Hermitian PD systems, one per row:
+    the iterative oracle for the pencil means in the tests.
+
+    ``b`` and ``diag`` are (n, K) stacks of right-hand sides and Jacobi diagonals.
+    ``matvec(p, rows)`` applies the systems of ``rows`` (indices into ``b``) to the
+    stack ``p`` of their search directions, one row each.  The rows run in lockstep:
+    one call per iteration for every row not yet converged.  Each row keeps its own
+    iterates, step lengths and relative residual, and is frozen once that residual
+    is at most ``tol``; a zero row converges at once.  Returns the (n, K) solutions
+    and the residual history, one (n,) array before the first iteration and one
+    after each.  Raises SolverError, with the history and the solutions, if a row
+    has not converged after ``maxiter`` iterations.
+    """
+    x = np.zeros_like(b)
+    bnorm = np.linalg.norm(b, axis=1)
+    residuals = np.where(bnorm == 0, 0.0, 1.0)
+    history = [residuals]
+    live = np.flatnonzero(bnorm != 0)  # the rows still iterating; NaN ones never stop
+    # the iterates of the live rows, compacted: solution, residual, search direction
+    x_live, r = x[live], b[live]
+    inv_diag = 1.0 / diag[live]
+    p = inv_diag * r
+    rz = _row_dot(r, p)
+    for _ in range(maxiter):
+        if live.size == 0:
+            return x, history
+        q = matvec(p, live)
+        alpha = rz / _row_dot(p, q)
+        x_live += alpha[:, None] * p
+        r -= alpha[:, None] * q
+        res = np.linalg.norm(r, axis=1) / bnorm[live]
+        residuals = residuals.copy()
+        residuals[live] = res
+        history.append(residuals)
+        z = inv_diag * r
+        rz_new = _row_dot(r, z)
+        p *= (rz_new / rz)[:, None]
+        p += z
+        rz = rz_new
+        done = res <= tol
+        if done.any():
+            x[live[done]] = x_live[done]
+            keep = ~done
+            live, x_live, r, p, rz, inv_diag = (a[keep] for a in (live, x_live, r, p, rz, inv_diag))
+    if live.size == 0:
+        return x, history
+    x[live] = x_live
+    raise SolverError(
+        f"conjugate gradients not converged after {maxiter} iterations "
+        f"(relative residual {residuals.max():.3e})",
+        history, x,
+    )
 
 
 def posterior_covariance(model: GaussianModel, lattice: FrequencyLattice | None = None) -> Operator:

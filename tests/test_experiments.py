@@ -33,7 +33,13 @@ from torusbayes.operators import (
     variable_coeff_op,
 )
 from torusbayes import experiments
-from torusbayes.posterior import SolverError, credible_ball_prob, posterior
+from torusbayes.posterior import (
+    SolverError,
+    _mc_ball_hits,
+    _trace_root,
+    credible_ball_prob,
+    posterior,
+)
 
 
 def small_cfg(mode="bayes", **overrides):
@@ -487,12 +493,17 @@ class TestCredibleExperiment:
         zero = SpectralField(lat, np.zeros(lat.size, dtype=complex))
         for j, row in enumerate(table.rows):
             radius = table.extras["c1"] * row.delta ** table.extras["alpha"]
-            # the runner samples the pencil's root, the oracle the Hermitian root: one law
-            p_in, stderr = credible_ball_prob(posterior(cfg.model(row.delta), zero), cfg.zeta1,
-                                              radius, cfg.n_mc, (cfg.master_seed, 3, j))
+            model = cfg.model(row.delta)
+            root = _trace_root(model, lat, cfg.zeta1)[1]
+            p_in, stderr = _mc_ball_hits(root, lat, cfg.zeta1, radius, cfg.n_mc,
+                                         np.random.default_rng((cfg.master_seed, 3, j)))
             assert row.n == cfg.n_mc
-            assert row.stderr == pytest.approx(np.sqrt(row.mean_error * (1.0 - row.mean_error) / cfg.n_mc), rel=1e-12)
-            assert abs(row.mean_error - (1.0 - p_in)) <= 4.0 * np.hypot(row.stderr, stderr) + 1e-12
+            assert row.mean_error == 1.0 - p_in and row.stderr == stderr
+            # the runner samples the pencil's root, credible_ball_prob the Hermitian one:
+            # the same law, so the same ball probability to within the sampling error
+            p_herm, se_herm = credible_ball_prob(posterior(model, zero), cfg.zeta1, radius,
+                                                 cfg.n_mc, (cfg.master_seed, 3, j))
+            assert abs(p_in - p_herm) <= 4.0 * np.hypot(stderr, se_herm) + 1e-12
 
     def test_huge_constant_gives_full_coverage(self):
         cfg = small_cfg("credible", n_mc=200, c1=1e9, alpha=0.0)

@@ -39,3 +39,9 @@ def test_text_found_twice_is_refused():
     mutant = catalogue.Mutant("twice", "x.py", "a = 1", "a = 2")
     with pytest.raises(run.CatalogueError, match="2 times"):
         run.mutated(mutant, "a = 1\na = 1\n")
+
+
+def test_copy_leaves_out_the_harness_and_its_test():
+    # the catalogue test fails on every mutated source, so it must not run in the copy
+    names = ["mutants", "test_mutants.py", "src", "tests", "test_posterior.py"]
+    assert run.SKIP("", names) == {"mutants", "test_mutants.py"}

@@ -20,7 +20,6 @@ from torusbayes.fields import (
 )
 from torusbayes import lattice as lattice_module
 from torusbayes.experiments import default_config
-from torusbayes.iterative import CG_TOL, _pcg
 from torusbayes.lattice import (
     SpectralField,
     _from_cosine_sine,
@@ -41,6 +40,7 @@ from torusbayes.operators import (
     variable_coeff_op,
 )
 from torusbayes.posterior import (
+    CG_TOL,
     GaussianModel,
     MultiplierBall,
     PosteriorGaussian,
@@ -49,6 +49,7 @@ from torusbayes.posterior import (
     _cov_cs,
     _dense_cov,
     _map_means,
+    _pcg,
     _pencil,
     _pencil_solve,
     _trace_root,
