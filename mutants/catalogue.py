@@ -23,6 +23,8 @@ class Mutant:
 RATES = "src/torusbayes/rates.py"
 POSTERIOR = "src/torusbayes/posterior.py"
 LATTICE = "src/torusbayes/lattice.py"
+EXPERIMENTS = "src/torusbayes/experiments.py"
+FIELDS = "src/torusbayes/fields.py"
 
 MUTANTS = (
     # the rate exponents: t and t0 swapped, or a regime split moved
@@ -56,4 +58,18 @@ MUTANTS = (
     Mutant("white-noise-scale", LATTICE,
            "coeffs.reshape(*lead, lattice.size) / np.sqrt(lattice.size)",
            "coeffs.reshape(*lead, lattice.size) / lattice.size"),
+    # the runners: the 2% saturation filter of the slope fit, the Markov bound's trace term
+    Mutant("saturation-filter", EXPERIMENTS,
+           "if abs(a - b) / max(a, b) < 0.02:", "if abs(a - b) / max(a, b) < 0.2:"),
+    Mutant("markov-trace-radius", EXPERIMENTS,
+           "markov.append(min(1.0, traces[j] / radius**2))",
+           "markov.append(min(1.0, traces[j] / radius))"),
+    # the exact ball law: its tail against the complement, the pair noncentrality
+    Mutant("ball-tail-complement", POSTERIOR,
+           "p = 0.5 + total / math.pi", "p = 0.5 - total / math.pi"),
+    Mutant("ball-pair-noncentrality", POSTERIOR,
+           "b[self._pair] + np.conj(b[self._mate])", "b[self._pair] - np.conj(b[self._mate])"),
+    # the Hermitian root's power, read through the deferred PosteriorGaussian.sqrt_cov
+    Mutant("hermitian-root-power", FIELDS,
+           "evecs *= np.sqrt(evals**0.5)", "evecs *= np.sqrt(evals)"),
 )

@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -124,10 +125,32 @@ class GaussianModel:
 
 @dataclass(frozen=True)
 class PosteriorGaussian:
+    """Posterior mean, covariance C and the Hermitian root of C for one measurement.
+
+    ``sqrt_cov`` is the Hermitian root C^{1/2}, the one that sampling and the
+    Monte Carlo ball probabilities read.  A root given to the constructor is kept
+    as it is; otherwise it is built on the first read and kept: the pointwise
+    root of a multiplier C, or for a dense model one ``eigh`` of C_cs from the
+    kept pencil (see :func:`_dense_root`).  So for a dense model a covariance
+    that is not positive definite raises ValueError at that read, not in
+    :func:`posterior`.
+    """
+
     mean: SpectralField
     cov: Operator
-    sqrt_cov: Operator
+    root: InitVar[Operator | None]
     model: GaussianModel
+
+    def __post_init__(self, root: Operator | None):
+        if root is not None:
+            self.__dict__["sqrt_cov"] = root  # what the cached property returns
+
+    @cached_property
+    def sqrt_cov(self) -> Operator:
+        if isinstance(self.cov, MultiplierOp):
+            return operator_sqrt(self.cov)
+        lattice = self.cov.lattice
+        return _dense_root(self.model, lattice, _cov_cs(self.model, lattice))
 
 
 def _is_diagonal(model: GaussianModel) -> bool:
@@ -455,6 +478,8 @@ def _dense_lattice(model: GaussianModel, lattice: FrequencyLattice | None) -> Fr
 def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | None = None) -> float:
     """Weighted trace sum_l (1+|l|^2)^q c(l), the expected squared H^q norm of a draw."""
     if isinstance(cov, DenseOp):
+        if lattice is not None and lattice != cov.lattice:
+            raise ValueError("lattice does not match dense operator lattice")
         lattice = cov.lattice
         diag = np.diag(cov.matrix).real
     else:
@@ -488,20 +513,26 @@ def _dense_cov(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray
                    f"postcov({model.fwd.label})")
 
 
+def _dense_root(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray) -> DenseOp:
+    """The Hermitian root of the covariance Q^H C_cs Q of :func:`_dense_cov`, as an operator:
+    one ``eigh`` of C_cs, real symmetric when the pencil is real."""
+    cov = model.prior.cov
+    return DenseOp(lattice, _Handover(_hermitian_sqrt(lattice, c_cs)), cov.order_t / 2.0,
+                   cov.order_t0 / 2.0, f"sqrt(postcov({model.fwd.label}))")
+
+
 def _cov_root(model: GaussianModel,
               lattice: FrequencyLattice | None) -> tuple[Operator, Operator]:
     """Posterior covariance C and its Hermitian root, as operators: a multiplier and its
-    pointwise root, or C from the pencil and the root from one ``eigh`` of C_cs (real
-    symmetric when the pencil is real), made before the K x K complex form of C."""
+    pointwise root, or C from the pencil and the root of :func:`_dense_root`, made before
+    the K x K complex form of C."""
     if _is_diagonal(model):
         cov = posterior_covariance(model)
         return cov, operator_sqrt(cov)
     lattice = _dense_lattice(model, lattice)
     c_cs = _cov_cs(model, lattice)
-    root = _hermitian_sqrt(lattice, c_cs)
-    cov = _dense_cov(model, lattice, c_cs)
-    return cov, DenseOp(lattice, _Handover(root), cov.order_t / 2.0, cov.order_t0 / 2.0,
-                        f"sqrt({cov.label})")
+    root = _dense_root(model, lattice, c_cs)
+    return _dense_cov(model, lattice, c_cs), root
 
 
 def _trace_root(model: GaussianModel, lattice: FrequencyLattice,
@@ -523,12 +554,15 @@ def _trace_root(model: GaussianModel, lattice: FrequencyLattice,
 
 
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:
-    """Assemble mean, covariance, and covariance root for one measurement.
+    """Assemble mean and covariance for one measurement; the root comes on first read.
 
-    The mean is exactly ``map_estimate(model, m)``; a dense covariance comes
-    from the kept pencil and its Hermitian root from one ``eigh`` of it.
+    The mean is exactly ``map_estimate(model, m)`` and the covariance
+    ``posterior_covariance(model, m.lattice)``: for a dense model one product
+    with the kept pencil, and no ``eigh`` once the pencil is kept.  The Hermitian
+    root ``sqrt_cov`` is built when it is first read (see :class:`PosteriorGaussian`).
     """
-    return PosteriorGaussian(map_estimate(model, m), *_cov_root(model, m.lattice), model)
+    return PosteriorGaussian(map_estimate(model, m), posterior_covariance(model, m.lattice),
+                             None, model)
 
 
 def sample_posterior(post: PosteriorGaussian, seed=None) -> SpectralField:

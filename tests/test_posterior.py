@@ -47,6 +47,7 @@ from torusbayes.posterior import (
     SolverError,
     _cov_factor,
     _cov_cs,
+    _cov_root,
     _dense_cov,
     _map_means,
     _pcg,
@@ -971,6 +972,59 @@ class TestPencil:
         assert np.abs(root @ pair @ root.T - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+class TestDeferredRoot:
+    """posterior() on a dense model makes no eigh; sqrt_cov builds the Hermitian root on
+    its first read and keeps it."""
+
+    def test_eigh_only_on_first_read(self, monkeypatch):
+        lat, model = pencil_case("even-prior", n=8)
+        m = sample_white_noise(lat, 9)
+        _pencil(model, lat)  # kept before the count
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        post = posterior(model, m)
+        assert calls == []
+        root = post.sqrt_cov
+        assert calls == [(lat.size, lat.size)]
+        assert post.sqrt_cov is root and len(calls) == 1
+
+    @pytest.mark.parametrize("case", ["even-prior", "complex-map"])
+    def test_root_bytes_match_cov_root(self, case):
+        lat, model = pencil_case(case, n=8)
+        post = posterior(model, sample_white_noise(lat, 10))
+        cov, root = _cov_root(model, lat)
+        assert post.cov.matrix.tobytes() == cov.matrix.tobytes()
+        assert post.sqrt_cov.matrix.tobytes() == root.matrix.tobytes()
+        assert (post.sqrt_cov.label, post.sqrt_cov.order_t, post.sqrt_cov.order_t0) == \
+            (root.label, root.order_t, root.order_t0)
+
+    def test_explicit_root_kept_as_given(self, dense_model):
+        lat, model = dense_model
+        post = posterior(model, sample_white_noise(lat, 11))
+        given = DenseOp(lat, np.eye(lat.size))
+        assert PosteriorGaussian(post.mean, post.cov, given, model).sqrt_cov is given
+
+    def test_concurrent_first_reads_agree(self):
+        lat, model = pencil_case("even-prior", n=8)
+        post = posterior(model, sample_white_noise(lat, 12))
+        start = threading.Barrier(2)
+
+        def read(_):
+            start.wait(timeout=60)
+            return post.sqrt_cov.matrix.tobytes()
+
+        with ThreadPoolExecutor(2) as pool:
+            first, second = pool.map(read, range(2))
+        assert first == second == post.sqrt_cov.matrix.tobytes()
+
+    def test_not_positive_definite_raises_at_read(self, monkeypatch):
+        lat, model = pencil_case("even-prior", n=8)
+        post = posterior(model, sample_white_noise(lat, 13))
+        monkeypatch.setattr(posterior_module, "_cov_cs", lambda model, lat: -np.eye(lat.size))
+        with pytest.raises(ValueError, match="not positive definite"):
+            post.sqrt_cov
+
+
 class TestPosteriorTrace:
     def test_identity_model_value(self):
         lat, model = identity_model(0.5, n=8)
@@ -986,6 +1040,13 @@ class TestPosteriorTrace:
             model = quiet_model(bessel_op(-1.0), prior, 1.01, 2, delta)
             traces.append(posterior_trace(posterior_covariance(model), 0.0, lat))
         assert all(a < b for a, b in zip(traces, traces[1:]))
+
+    def test_dense_rejects_other_lattice(self, dense_model):
+        lat, model = dense_model
+        cov = posterior_covariance(model, lat)
+        assert posterior_trace(cov, 0.0, build_lattice(1, 16)) == posterior_trace(cov, 0.0)
+        with pytest.raises(ValueError, match="lattice does not match dense operator lattice"):
+            posterior_trace(cov, 0.0, build_lattice(1, 8))
 
     def test_dense_matches_multiplier(self):
         lat = build_lattice(1, 8)
