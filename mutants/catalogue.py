@@ -69,6 +69,20 @@ MUTANTS = (
            "p = 0.5 + total / math.pi", "p = 0.5 - total / math.pi"),
     Mutant("ball-pair-noncentrality", POSTERIOR,
            "b[self._pair] + np.conj(b[self._mate])", "b[self._pair] - np.conj(b[self._mate])"),
+    # the dense replicate loop: each replicate's rows of the one lockstep solve
+    Mutant("lockstep-replicate-offset", EXPERIMENTS,
+           "return stats(i, draws[i], means[i * n:(i + 1) * n])",
+           "return stats(i, draws[i], means[i:i + n])"),
+    # the tiled Hermitian symmetrise: the sign of the mirrored tile's imaginary part
+    Mutant("hermitian-mirror-imag-sign", POSTERIOR,
+           "tile.imag -= mirror.imag", "tile.imag += mirror.imag"),
+    # a solve's finite-row check, which a diagonal mean with one NaN entry must fail
+    Mutant("finite-row-check", POSTERIOR,
+           "return [mean if np.isfinite(mean).all() else",
+           "return [mean if np.isfinite(mean).any() else"),
+    # the exact ball's log MGF, computed once when there is no convergence factor
+    Mutant("ball-tau-shortcut", POSTERIOR,
+           "if tau > 0:  # at tau = 0", "if tau >= 0:  # at tau = 0"),
     # the Hermitian root's power, read through the deferred PosteriorGaussian.sqrt_cov
     Mutant("hermitian-root-power", FIELDS,
            "evecs *= np.sqrt(evals**0.5)", "evecs *= np.sqrt(evals)"),

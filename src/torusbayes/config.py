@@ -242,6 +242,7 @@ def build_estimate_settings(parser, **overrides) -> EstimateSettings:
     )
     kwargs.update(overrides)
     settings = EstimateSettings(**kwargs)
-    if settings.delta <= 0:
-        raise ConfigError(f"bad value for estimate.delta: must be positive, got {settings.delta}")
+    if not (np.isfinite(settings.delta) and settings.delta > 0):
+        raise ConfigError("bad value for estimate.delta: must be positive and finite, "
+                          f"got {settings.delta}")
     return settings

@@ -5,9 +5,12 @@ fits a log-log slope on the pre-saturation rows, and attaches the
 predicted exponent so tables are self-describing.  Replicates are
 parallelizable: replicate i always uses generators seeded by
 (master_seed, stream, i), and results are reduced in ascending replicate
-order, so thread count never changes the output.  Seed streams: 0 truth,
-1 data noise, 2 ``c0`` calibration, 3 inner draws.  A failed solve in the
-replicate loop leaves its (replicate, delta) pair NaN, counted in ``dropped``.
+order, so thread count never changes the output.  A diagonal model solves
+each replicate on the thread pool; a dense one draws every replicate first
+and solves all of them in one lockstep call before the pool computes the
+statistics.  Seed streams: 0 truth, 1 data noise, 2 ``c0`` calibration,
+3 inner draws.  A failed solve in the replicate loop leaves its
+(replicate, delta) pair NaN, counted in ``dropped``.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ class ExperimentConfig:
             raise ValueError("zetas must not be empty")
         if len(deltas) < 4:
             raise ValueError("delta grid needs at least 4 points")
+        if not np.all(np.isfinite(deltas)):  # NaN fails no comparison below
+            raise ValueError(f"delta grid must be finite, got {deltas}")
         if any(b >= a for a, b in zip(deltas, deltas[1:])) or deltas[-1] <= 0:
             raise ValueError("delta grid must be positive and strictly decreasing")
         span = np.log10(deltas[0] / deltas[-1])
@@ -323,26 +328,50 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
     """The rate runners' replicate loop: a (replicate, delta, width) array and the drop count.
 
     Replicate i takes u and A u from ``truth(i)``, e from stream 1 and ``rng`` from stream 3
-    (0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner draws).  One lockstep solve gives
+    (0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner draws).  A lockstep solve gives
     the mean of A u + delta e for every model j, which stores ``statistic(j, mean - u, u, e,
-    rng)``, or NaN and one drop where its solve failed.
+    rng)``, or NaN and one drop where its solve failed.  Diagonal models solve each
+    replicate in its own pool task.  Other models draw every replicate in the caller's
+    thread first and solve all n_replicates x n_delta rows, replicate-major, in one call,
+    so the forward matrix and the pencil are read once per run; the pool then computes
+    each replicate's statistics.  Either way the thread count never changes the result.
     """
-    def work(i: int) -> np.ndarray:
+    n = len(models)
+
+    def draw(i: int):
         u, au = truth(i)
-        e = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
+        return u, au, sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
+
+    def solve(draws) -> list:
+        return _map_means(models * len(draws), [SpectralField(lattice, au + model.delta * e)
+                                                for _, au, e in draws for model in models])
+
+    def stats(i: int, drawn, means) -> np.ndarray:
+        u, _, e = drawn
         rng = _replicate_seed(cfg.master_seed, 3, i)
-        out = np.full((len(models), width), np.nan)
-        means = _map_means(models, [SpectralField(lattice, au + model.delta * e)
-                                    for model in models])
+        out = np.full((n, width), np.nan)
         for j, mean in enumerate(means):
             if not isinstance(mean, SolverError):
                 out[j] = statistic(j, mean - u, u, e, rng)
         return out
 
+    # per-frequency solves read no matrix, and stacking every replicate's rows would hold
+    # n_replicates x n_delta x K values (29 MiB for the 128^2 bayes default): one per task
+    if _is_diagonal(models[0]):
+        def work(i: int) -> np.ndarray:
+            drawn = draw(i)
+            return stats(i, drawn, solve([drawn]))
+    else:
+        draws = [draw(i) for i in range(cfg.n_replicates)]
+        means = solve(draws)
+
+        def work(i: int) -> np.ndarray:
+            return stats(i, draws[i], means[i * n:(i + 1) * n])
+
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
         mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
-        stats = np.stack(list(mapped(work, range(cfg.n_replicates))))
-    return stats, int(np.isnan(stats[:, :, 0]).sum())
+        out = np.stack(list(mapped(work, range(cfg.n_replicates))))
+    return out, int(np.isnan(out[:, :, 0]).sum())
 
 
 def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:

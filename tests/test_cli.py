@@ -153,6 +153,30 @@ class TestEstimate:
         assert "no_such" in manifest["error"]
         assert manifest["wall_seconds"] >= 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_delta_exits_two(self, tmp_path, capsys, value):
+        cfg = write_ini(tmp_path, ESTIMATE_INI.replace("delta = 0.05", f"delta = {value}"))
+        out = tmp_path / "run"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err and not out.exists()
+
+    def test_non_finite_data_exits_three(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, ESTIMATE_INI)
+        first = tmp_path / "first"
+        assert main(["estimate", "--config", cfg, "--out", str(first)]) == 0
+        lat = build_lattice(2, 16)
+        data = read_field_csv(first / "data.csv", lat).coeffs.copy()
+        data[3] = np.nan
+        path = tmp_path / "nan.csv"
+        write_field_csv(SpectralField(lat, data), path)
+        cfg2 = write_ini(tmp_path, ESTIMATE_INI.replace("truth = hat", f"truth = hat\ndata = {path}"),
+                         "nan.ini")
+        out = tmp_path / "run"
+        assert main(["estimate", "--config", cfg2, "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and "not finite" in manifest["error"]
+        assert not (out / "map.csv").exists()
+
     def test_threads_flag_is_usage_error(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, ESTIMATE_INI)
         out = tmp_path / "run"

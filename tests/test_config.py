@@ -184,6 +184,12 @@ class TestEstimateSection:
         with pytest.raises(ConfigError, match="delta"):
             build_estimate_settings(load(tmp_path, text))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_delta_finite(self, tmp_path, value):
+        text = ESTIMATE_INI.replace("delta = 0.05", f"delta = {value}")
+        with pytest.raises(ConfigError, match="finite"):
+            build_estimate_settings(load(tmp_path, text))
+
     def test_prior_r_override(self, tmp_path):
         text = ESTIMATE_INI.replace("[estimate]", "prior_r = 1.5\n\n[estimate]")
         settings = build_estimate_settings(load(tmp_path, text))

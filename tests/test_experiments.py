@@ -35,6 +35,7 @@ from torusbayes.operators import (
 from torusbayes import experiments
 from torusbayes.posterior import (
     SolverError,
+    _map_means,
     _mc_ball_hits,
     _trace_root,
     credible_ball_prob,
@@ -150,6 +151,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="1.5 decades"):
             small_cfg(deltas=tuple(np.geomspace(1e-1, 1e-2, 5)))
 
+    @pytest.mark.parametrize("deltas", [(0.1, float("nan"), 1e-3, 1e-4),
+                                        (float("inf"), 1e-2, 1e-3, 1e-4),
+                                        (1e-1, 1e-2, 1e-3, float("nan"))],
+                             ids=["nan-inside", "inf-first", "nan-last"])
+    def test_rejects_non_finite_grid(self, deltas):
+        with pytest.raises(ValueError, match="finite"):
+            small_cfg(deltas=deltas)
+
     def test_rejects_few_replicates(self):
         with pytest.raises(ValueError, match="replicates"):
             small_cfg(n_replicates=4)
@@ -189,9 +198,9 @@ class TestBayesExperiment:
         for overrides in ({}, dense):
             t1 = run_bayes_convergence(small_cfg(**overrides))
             t2 = run_bayes_convergence(small_cfg(**overrides))
-            t4 = run_bayes_convergence(small_cfg(threads=4, **overrides))
-            assert t1.rows == t2.rows == t4.rows
-            assert t1.fits[0].slope == t4.fits[0].slope
+            t3 = run_bayes_convergence(small_cfg(threads=3, **overrides))
+            assert t1.rows == t2.rows == t3.rows
+            assert t1.fits[0].slope == t3.fits[0].slope
 
     def test_pencil_built_under_threads_gives_identical_rows(self):
         # a fresh forward map per run: the pencil is built inside the replicate loop,
@@ -350,8 +359,8 @@ class TestContractionExperiment:
     def test_dense_rows_independent_of_thread_count(self):
         dense = dict(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8, n_mc=200)
         t1 = run_contraction(small_cfg("contraction", **dense))
-        t2 = run_contraction(small_cfg("contraction", threads=2, **dense))
-        assert t1.rows == t2.rows and t1.extras == t2.extras
+        t3 = run_contraction(small_cfg("contraction", threads=3, **dense))
+        assert t1.rows == t3.rows and t1.extras == t3.extras
 
     def test_dense_root_is_sampled(self):
         cfg = small_cfg("contraction", fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8,
@@ -383,8 +392,61 @@ def failing_at(monkeypatch, fails):
     return calls
 
 
+def recording_solves(monkeypatch):
+    """Patch the runners' lockstep solver to record each call's models and data."""
+    real, calls = experiments._map_means, []
+
+    def solve(models, data):
+        calls.append((list(models), list(data)))
+        return real(models, data)
+
+    monkeypatch.setattr(experiments, "_map_means", solve)
+    return calls
+
+
 class TestReplicateLoop:
     """The solve loop shared by the bayes, frequentist and contraction runners."""
+
+    def test_dense_run_solves_every_replicate_in_one_call(self, monkeypatch):
+        calls = recording_solves(monkeypatch)
+        cfg = small_cfg(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
+        assert run_bayes_convergence(cfg).dropped == 0
+        ((models, data),) = calls
+        n = len(cfg.deltas)
+        # replicate-major: rows i n ... i n + n - 1 are A u_i + delta_j e_i of replicate i
+        assert [m.delta for m in models] == list(cfg.deltas) * cfg.n_replicates
+        for i in range(cfg.n_replicates):
+            e = sample_white_noise(cfg.lattice(), np.random.default_rng((cfg.master_seed, 1, i)))
+            rows = data[i * n:(i + 1) * n]
+            for delta, row in zip(cfg.deltas, rows):
+                diff = row.coeffs - rows[0].coeffs
+                assert np.allclose(diff, (delta - cfg.deltas[0]) * e.coeffs, rtol=0, atol=1e-15)
+
+    def test_diagonal_run_solves_each_replicate_apart(self, monkeypatch):
+        calls = recording_solves(monkeypatch)
+        cfg = small_cfg()
+        run_bayes_convergence(cfg)
+        assert [[m.delta for m in models] for models, _ in calls] == \
+            [list(cfg.deltas)] * cfg.n_replicates
+
+    def test_lockstep_rows_equal_per_replicate_solves(self, monkeypatch):
+        # at 16^2 the stacked product rounds each row as the 5-row one does; at 8^2
+        # OpenBLAS (0.3.31) picks a small-matrix kernel whose rounding depends on the rows
+        lat = build_lattice(2, 16)
+        cfg = small_cfg("frequentist", fwd=dense_fwd(lat), n_per_dim=16)
+        calls = recording_solves(monkeypatch)
+        table = run_frequentist_convergence(cfg)
+        ((models, data),) = calls
+        lockstep = _map_means(models, data)
+        n = len(cfg.deltas)
+        for i in range(cfg.n_replicates):
+            rows = _map_means(models[i * n:(i + 1) * n], data[i * n:(i + 1) * n])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(lockstep[i * n:], rows))
+        # the runner with one solve per replicate, as diagonal models take it
+        monkeypatch.setattr(experiments, "_is_diagonal", lambda model: True)
+        per_replicate = run_frequentist_convergence(cfg)
+        assert len(calls) == 1 + cfg.n_replicates
+        assert table.rows == per_replicate.rows and table.extras == per_replicate.extras
 
     @pytest.mark.parametrize("mode", REPLICATE_MODES)
     def test_failed_solve_drops_one_pair(self, mode, monkeypatch):

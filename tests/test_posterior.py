@@ -811,6 +811,25 @@ class TestLockstepSolves:
         with pytest.raises(SolverError, match="not finite"):
             map_estimate(models[bad], data[bad])
 
+    def test_non_finite_diagonal_row_is_the_only_one_dropped(self):
+        # one NaN coefficient leaves the other K - 1 entries of its mean finite
+        lat = build_lattice(2, 8)
+        fwd, prior = bessel_op(-1.0), gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0)))
+        models = [quiet_model(fwd, prior, 1.01, 2, delta) for delta in self.DELTAS]
+        m = sample_white_noise(lat, 3)
+        data = [m] * len(models)
+        bad = 2
+        coeffs = m.coeffs.copy()
+        coeffs[5] = np.nan
+        data[bad] = SpectralField(lat, coeffs)
+        means = _map_means(models, data)
+        assert isinstance(means[bad], SolverError)
+        for j, model in enumerate(models):
+            if j != bad:
+                assert means[j].tobytes() == map_estimate(model, m).coeffs.tobytes()
+        with pytest.raises(SolverError, match="not finite"):
+            map_estimate(models[bad], data[bad])
+
     def test_zero_row_converges_at_once(self):
         lat, models, data = self.problem(8)
         data[1] = SpectralField(lat, np.zeros(lat.size))
@@ -1217,6 +1236,24 @@ class TestMultiplierBall:
         assert ball.lam.tolist() == [0.5] and ball.dof.tolist() == [2.0]
         p, bound = ball.escape_prob(np.sqrt(x))
         assert abs(p - np.exp(-x / (2 * 0.5))) <= 1e-10 and bound <= 1e-10
+
+    def test_log_mgf_evaluated_once_without_convergence_factor(self, monkeypatch):
+        # at tau = 0 the log MGF of the tail bounds is the one the grid needs
+        calls, real = [], MultiplierBall._log_mgf
+
+        def counting(self, nc, tau):
+            calls.append(tau)
+            return real(self, nc, tau)
+
+        monkeypatch.setattr(MultiplierBall, "_log_mgf", counting)
+        plain, _ = lone_modes_ball({1: 1.0, 7: 1.0, 2: 0.1, 6: 0.1})
+        pair, _ = lone_modes_ball({1: 0.6, 7: 0.8})
+        assert plain.tau == 0.0 and pair.tau > 0.0
+        plain.escape_prob(1.0)
+        assert calls == [0.0]
+        p, bound = pair.escape_prob(1.0)
+        assert calls == [0.0, 0.0, pair.tau]
+        assert abs(p - np.exp(-1.0)) <= 1e-10 and bound <= 1e-10
 
     def test_groups_merge_equal_lambdas(self):
         """64^2 radial root: 4096 modes collapse to one group per distinct |l|^2."""
