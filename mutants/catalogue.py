@@ -73,6 +73,13 @@ MUTANTS = (
     Mutant("lockstep-replicate-offset", EXPERIMENTS,
            "return stats(i, draws[i], means[i * n:(i + 1) * n])",
            "return stats(i, draws[i], means[i:i + n])"),
+    # the diagonal runners' error forms: the bias, noise and cross weights of mean - u
+    Mutant("error-forms-bias-square", EXPERIMENTS,
+           "sq_u, zw, beta**2)", "sq_u, zw, beta)"),
+    Mutant("error-forms-noise-delta", EXPERIMENTS,
+           "model.delta**2 * asq / denom**2", "model.delta * asq / denom**2"),
+    Mutant("error-forms-cross-sign", EXPERIMENTS,
+           "-2.0 * model.delta * beta / denom", "2.0 * model.delta * beta / denom"),
     # the tiled Hermitian symmetrise: the sign of the mirrored tile's imaginary part
     Mutant("hermitian-mirror-imag-sign", POSTERIOR,
            "tile.imag -= mirror.imag", "tile.imag += mirror.imag"),

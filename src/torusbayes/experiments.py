@@ -5,12 +5,16 @@ fits a log-log slope on the pre-saturation rows, and attaches the
 predicted exponent so tables are self-describing.  Replicates are
 parallelizable: replicate i always uses generators seeded by
 (master_seed, stream, i), and results are reduced in ascending replicate
-order, so thread count never changes the output.  A diagonal model solves
-each replicate on the thread pool; a dense one draws every replicate first
-and solves all of them in one lockstep call before the pool computes the
-statistics.  Seed streams: 0 truth, 1 data noise, 2 ``c0`` calibration,
-3 inner draws.  A failed solve in the replicate loop leaves its
-(replicate, delta) pair NaN, counted in ``dropped``.
+order, so thread count never changes the output.  For a diagonal model the
+bayes, frequentist and deblurring runners form no posterior mean: each
+error is the root of three weighted quadratic forms of the draws
+(:func:`_error_forms`), one delta at a time.  The contraction runner solves
+each replicate of a diagonal model on the thread pool; a dense model draws
+every replicate first and solves all of them in one lockstep call before
+the pool computes the statistics.  Seed streams: 0 truth, 1 data noise,
+2 ``c0`` calibration, 3 inner draws.  A failed solve or a non-finite form
+in the replicate loop leaves its (replicate, delta) pair NaN, counted in
+``dropped``.
 """
 
 from __future__ import annotations
@@ -323,23 +327,55 @@ def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
     return setups
 
 
+def _error_forms(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray,
+                 sq_u: np.ndarray, sq_e: np.ndarray | None = None,
+                 cross: np.ndarray | None = None) -> np.ndarray:
+    """Squared H^zeta norms of the bias and the noise of mean - u, and their cross term, at
+    the noise level of a diagonal ``model``: a (replicate, zeta, 3) array.
+
+    Mode by mode mean - u = beta u + nu e with beta = -p / D, nu = delta conj(a) / D,
+    p = delta^2 / c_U and D = |a|^2 + p, so |mean - u|^2 weighs |u|^2 by beta^2, |e|^2 by
+    |nu|^2 and Re(conj(A u) e) by -2 p delta / D^2.  ``zw`` holds the H^zeta weights, one row
+    per zeta; ``sq_u`` the rows |u|^2, one per replicate or one for all of them (a fixed
+    truth); ``sq_e`` and ``cross`` the rows |e|^2 and Re(conj(A u) e), one per replicate, or
+    None for noiseless data, whose noise and cross forms are 0.
+    """
+    _, asq, prec = _diag_weights(model, lattice)
+    denom = asq + prec
+    beta = prec / denom  # -beta; only its square and the cross weight read it
+    forms = np.zeros((len(sq_u if sq_e is None else sq_e), len(zw), 3))
+    forms[:, :, 0] = np.einsum("ik,zk,k->iz", sq_u, zw, beta**2)
+    if sq_e is not None:
+        forms[:, :, 1] = np.einsum("ik,zk,k->iz", sq_e, zw, model.delta**2 * asq / denom**2)
+        forms[:, :, 2] = np.einsum("ik,zk,k->iz", cross, zw, -2.0 * model.delta * beta / denom)
+    return forms
+
+
 def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, truth,
-                      statistic, width: int = 1) -> tuple[np.ndarray, int]:
+                      statistic, width: int = 1, zw: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, int]:
     """The rate runners' replicate loop: a (replicate, delta, width) array and the drop count.
 
-    Replicate i takes u and A u from ``truth(i)``, e from stream 1 and ``rng`` from stream 3
-    (0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner draws).  A lockstep solve gives
-    the mean of A u + delta e for every model j, which stores ``statistic(j, mean - u, u, e,
-    rng)``, or NaN and one drop where its solve failed.  Diagonal models solve each
-    replicate in its own pool task.  Other models draw every replicate in the caller's
-    thread first and solve all n_replicates x n_delta rows, replicate-major, in one call,
-    so the forward matrix and the pencil are read once per run; the pool then computes
-    each replicate's statistics.  Either way the thread count never changes the result.
+    Replicate i takes u and A u from ``truth``, a fixed pair or a function of i, e from
+    stream 1 and ``rng`` from stream 3 (0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner
+    draws).  Given ``zw``, the (zeta, K) H^zeta weights, diagonal models form no mean: each
+    pool task keeps its replicate's real K-vectors |u|^2 (once for a fixed truth), |e|^2 and
+    Re(conj(A u) e), and :func:`_error_forms` contracts every replicate's vectors one delta
+    at a time; ``statistic(j, forms)`` maps the (replicate, zeta, 3) forms of model j to
+    its rows, and a replicate whose forms are not finite is NaN there and one drop.
+    Otherwise a lockstep solve gives the mean of A u + delta e for every model j, which
+    stores ``statistic(j, mean - u, u, e, rng)``, or NaN and one drop where its solve
+    failed.  Diagonal models then solve each replicate in its own pool task.  Other models
+    draw every replicate in the caller's thread first and solve all n_replicates x n_delta
+    rows, replicate-major, in one call, so the forward matrix and the pencil are read once
+    per run; the pool then computes each replicate's statistics.  Either way the thread
+    count never changes the result.
     """
-    n = len(models)
+    n, n_rep = len(models), cfg.n_replicates
+    fixed = not callable(truth)
 
     def draw(i: int):
-        u, au = truth(i)
+        u, au = truth if fixed else truth(i)
         return u, au, sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
 
     def solve(draws) -> list:
@@ -355,14 +391,26 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
                 out[j] = statistic(j, mean - u, u, e, rng)
         return out
 
+    if zw is not None:
+        sq_u = np.empty((1 if fixed else n_rep, lattice.size))
+        sq_e, cross = np.empty((2, n_rep, lattice.size))
+        if fixed:
+            sq_u[0] = truth[0].real**2 + truth[0].imag**2
+
+        def work(i: int) -> None:  # each task writes its own rows
+            u, au, e = draw(i)
+            if not fixed:
+                sq_u[i] = u.real**2 + u.imag**2
+            sq_e[i] = e.real**2 + e.imag**2
+            cross[i] = au.real * e.real + au.imag * e.imag
     # per-frequency solves read no matrix, and stacking every replicate's rows would hold
-    # n_replicates x n_delta x K values (29 MiB for the 128^2 bayes default): one per task
-    if _is_diagonal(models[0]):
+    # n_replicates x n_delta x K values: one per task
+    elif _is_diagonal(models[0]):
         def work(i: int) -> np.ndarray:
             drawn = draw(i)
             return stats(i, drawn, solve([drawn]))
     else:
-        draws = [draw(i) for i in range(cfg.n_replicates)]
+        draws = [draw(i) for i in range(n_rep)]
         means = solve(draws)
 
         def work(i: int) -> np.ndarray:
@@ -370,7 +418,15 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
         mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
-        out = np.stack(list(mapped(work, range(cfg.n_replicates))))
+        rows = list(mapped(work, range(n_rep)))
+    if zw is None:
+        out = np.stack(rows)
+    else:
+        out = np.full((n_rep, n, width), np.nan)
+        for j, model in enumerate(models):  # one delta's weights at a time
+            forms = _error_forms(model, lattice, zw, sq_u, sq_e, cross)
+            ok = np.isfinite(forms).all(axis=(1, 2))
+            out[ok, j] = statistic(j, forms[ok])
     return out, int(np.isnan(out[:, :, 0]).sum())
 
 
@@ -379,20 +435,15 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
 
     One (U, E) pair per replicate is reused across the whole delta grid
     (common random numbers), which removes draw-to-draw jitter from the
-    fitted slope.  For a diagonal model the H^zeta error per delta is
-    decomposed into its bias and noise parts, reported in ``extras``; other
-    models have no such split and report neither.
+    fitted slope.  For a diagonal model no mean is formed: the H^zeta error
+    per delta is the root of three weighted quadratic forms of U and E (see
+    :func:`_error_forms`), whose bias and noise parts are reported in
+    ``extras``; other models solve for the mean, have no such split and
+    report neither.
     """
     lattice = cfg.lattice()
     deltas, zetas = cfg.deltas, cfg.zetas
     models = [cfg.model(d) for d in deltas]
-    # per-delta factors of u (bias) and e (noise) in mean - u, diagonal models only
-    split = []
-    if _is_diagonal(models[0]):
-        for delta, model in zip(deltas, models):
-            a, asq, prec = _diag_weights(model, lattice)
-            denom = asq + prec
-            split.append((prec / denom, delta * np.conj(a) / denom))
     zw = np.stack([sobolev_weight(lattice, z) for z in zetas])
     # prior root and forward map evaluated once per run: K values, or a K x K matrix
     root, fwd = _evaluated(cfg.prior.sqrt_cov, lattice), _evaluated(cfg.fwd, lattice)
@@ -402,13 +453,19 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
         u = root * xi if root.ndim == 1 else root @ xi
         return u, fwd * u if fwd.ndim == 1 else fwd @ u
 
-    def errors(j, diff, u, e, rng):  # H^zeta norms of mean - u, then of its bias and noise
-        parts = [diff, split[j][0] * u, split[j][1] * e] if split else [diff]
-        return np.concatenate([np.sqrt(zw @ np.abs(p) ** 2) for p in parts])
-
     nz = len(zetas)
-    stats, dropped = _replicate_solves(cfg, lattice, models, prior_draw, errors,
-                                       3 * nz if split else nz)
+    split = _is_diagonal(models[0])
+    if split:
+        def errors(j, forms):  # H^zeta norms of mean - u, then of its bias and noise
+            bias, noise, cross = np.moveaxis(forms, 2, 0)
+            return np.sqrt(np.concatenate([np.maximum(bias + noise + cross, 0.0), bias, noise],
+                                          axis=1))
+
+        stats, dropped = _replicate_solves(cfg, lattice, models, prior_draw, errors, 3 * nz, zw)
+    else:
+        stats, dropped = _replicate_solves(cfg, lattice, models, prior_draw,
+                                           lambda j, diff, *_: np.sqrt(zw @ np.abs(diff) ** 2),
+                                           nz)
     rows, fits = [], []
     for k, zeta in enumerate(zetas):
         pred = bayes_rate(models[0].params(zeta))
@@ -431,8 +488,13 @@ def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None 
     fixed = (u.coeffs, apply(cfg.fwd, u).coeffs)
     params = models[0].params()
     pred = frequentist_rate(params)
-    stats, dropped = _replicate_solves(cfg, lattice, models, lambda i: fixed,
-                                       lambda j, diff, *_: np.sum(np.abs(diff) ** 2))
+    if _is_diagonal(models[0]):  # no mean: the bias form of the fixed truth once per delta
+        stats, dropped = _replicate_solves(cfg, lattice, models, fixed,
+                                           lambda j, forms: np.maximum(forms.sum(axis=2), 0.0),
+                                           zw=np.ones((1, lattice.size)))
+    else:
+        stats, dropped = _replicate_solves(cfg, lattice, models, fixed,
+                                           lambda j, diff, *_: np.sum(np.abs(diff) ** 2))
     rows = _rate_rows("frequentist", deltas, 0.0, stats[:, :, 0], pred.exponent, pred.regime)
     fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
     extras = {
@@ -486,7 +548,7 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         return direct, min(1.0, sq_dev / radius**2), error
 
     stats, dropped = _replicate_solves(cfg, lattice, [st.model for st in setups],
-                                       lambda i: (u.coeffs, au.coeffs), escape, 3)
+                                       (u.coeffs, au.coeffs), escape, 3)
     direct, markov, error = np.moveaxis(stats, 2, 0)  # (replicate, delta) each
     rows = _rate_rows("contraction", deltas, 0.0, direct, pred.extra["decay"], pred.regime)
     fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
@@ -572,23 +634,25 @@ def run_appendix_b(cfg: ExperimentConfig, truth: TruthField | None = None) -> Cu
     """
     lattice = cfg.lattice()
     u = _checked_truth(truth, lattice).u_dagger
-    m = apply(cfg.fwd, u)
     deltas = np.asarray(cfg.deltas)
-    errors = {z: np.empty(len(deltas)) for z in cfg.zetas}
-    for j, delta in enumerate(deltas):
+    zw = np.stack([sobolev_weight(lattice, z) for z in cfg.zetas])
+    sq_u = (u.coeffs.real**2 + u.coeffs.imag**2)[None]
+    errors = np.empty((len(cfg.zetas), len(deltas)))
+    for j, delta in enumerate(deltas):  # one delta's model and weights at a time
         model = cfg.model(delta)
-        est = map_estimate(model, m)
-        diff = SpectralField(lattice, est.coeffs - u.coeffs)
-        for z in cfg.zetas:
-            errors[z][j] = sobolev_norm(diff, z)
+        if _is_diagonal(model):  # noiseless data: mean - u is its bias alone
+            errors[:, j] = np.sqrt(_error_forms(model, lattice, zw, sq_u)[0, :, 0])
+        else:
+            diff = map_estimate(model, apply(cfg.fwd, u)).coeffs - u.coeffs
+            errors[:, j] = np.sqrt(zw @ np.abs(diff) ** 2)
     curves, bounds, normalizers, predictions = {}, {}, {}, {}
-    for z in cfg.zetas:
+    for z, err in zip(cfg.zetas, errors):
         pred = bayes_rate(model.params(z))  # the same for every delta
         predictions[z] = pred
-        normalizers[z] = 1.0 / errors[z][-1]
-        curves[z] = (errors[z] * normalizers[z]).tolist()
+        normalizers[z] = 1.0 / err[-1]
+        curves[z] = (err * normalizers[z]).tolist()
         bounds[z] = ((deltas / deltas[-1]) ** max(pred.exponent, 0.0)).tolist()
-        errors[z] = errors[z].tolist()
+    errors = dict(zip(cfg.zetas, errors.tolist()))
     return CurveSet(tuple(deltas.tolist()), cfg.zetas, curves, bounds, errors,
                     normalizers, predictions)
 

@@ -112,8 +112,8 @@ class GaussianModel:
     _diag: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (np.isfinite(self.delta) and self.delta > 0):  # NaN fails every comparison
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         msgs = _basic_flags(self.params())
         object.__setattr__(self, "hypothesis_messages", tuple(msgs))
         for m in msgs:
@@ -280,6 +280,7 @@ def _pencil_solve(block: np.ndarray, b: np.ndarray, delta2: np.ndarray) -> np.nd
     return y @ f.T
 
 
+@np.errstate(invalid="ignore", over="ignore")  # an inf datum: 0 * inf, a row not finite
 def _map_means(models, data) -> list:
     """Posterior means of ``models[j]`` for data ``data[j]`` (SpectralFields on one
     lattice): noise-level models that share one forward map and prior.
@@ -290,7 +291,7 @@ def _map_means(models, data) -> list:
     give the means Q^H x; complex B (data that is not a real field) under a real pencil
     is solved as its real parts and its imaginary parts.  Returns one (K,) coefficient
     array per row, finite in every entry, or a SolverError for a row whose mean is not
-    (data or a noise level that is not finite), on either path.
+    (data that is not finite), on either path.
     """
     model = models[0]
     if any(m.fwd != model.fwd or m.prior.cov != model.prior.cov for m in models):

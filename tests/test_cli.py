@@ -158,7 +158,9 @@ class TestEstimate:
         cfg = write_ini(tmp_path, ESTIMATE_INI.replace("delta = 0.05", f"delta = {value}"))
         out = tmp_path / "run"
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 2
-        assert "finite" in capsys.readouterr().err and not out.exists()
+        err = capsys.readouterr().err
+        assert "bad value for estimate.delta: must be positive and finite" in err
+        assert not out.exists()
 
     def test_non_finite_data_exits_three(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, ESTIMATE_INI)
@@ -234,19 +236,20 @@ class TestExperiment:
         assert all(len(line.split(",")) == 8 for line in lines)
 
     def test_drop_rate_counts_each_pair_once(self, tmp_path, capsys, monkeypatch):
-        # 2 failed map estimates of 16 replicates x 7 deltas = 1.8%, with two zetas
-        real = torusbayes.experiments._map_means
+        # 2 failed pairs of 16 replicates x 7 deltas = 1.8%, with two zetas: the error
+        # forms of a diagonal model, one row per replicate, made non-finite
+        real = torusbayes.experiments._error_forms
         calls = []
 
-        def flaky(models, data):
-            means = real(models, data)
-            for j, model in enumerate(models):
+        def flaky(model, *args):
+            forms = real(model, *args)
+            for i in range(len(forms)):
                 calls.append(model.delta)
                 if len(calls) in (3, 40):
-                    means[j] = SolverError("injected failure", [1.0])
-            return means
+                    forms[i] = np.nan
+            return forms
 
-        monkeypatch.setattr(torusbayes.experiments, "_map_means", flaky)
+        monkeypatch.setattr(torusbayes.experiments, "_error_forms", flaky)
         text = (EXPERIMENT_INI.replace("geom(1e-1, 1e-3, 6)", "geom(1e-1, 1e-3, 7)")
                 .replace("replicates = 8", "replicates = 16"))
         cfg = write_ini(tmp_path, text)

@@ -30,6 +30,7 @@ from torusbayes.operators import (
     bessel_op,
     compose,
     densify,
+    heat_op,
     variable_coeff_op,
 )
 from torusbayes import experiments
@@ -39,7 +40,10 @@ from torusbayes.posterior import (
     _mc_ball_hits,
     _trace_root,
     credible_ball_prob,
+    map_estimate,
     posterior,
+    posterior_covariance,
+    posterior_trace,
 )
 
 
@@ -156,7 +160,7 @@ class TestExperimentConfig:
                                         (1e-1, 1e-2, 1e-3, float("nan"))],
                              ids=["nan-inside", "inf-first", "nan-last"])
     def test_rejects_non_finite_grid(self, deltas):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^delta grid must be finite"):
             small_cfg(deltas=deltas)
 
     def test_rejects_few_replicates(self):
@@ -371,14 +375,119 @@ class TestContractionExperiment:
             assert row.mean_error <= bound + 1e-12
 
 
+def uneven_prior():
+    """A strictly positive multiplier prior with c_U(l) != c_U(-l)."""
+    base = compose(bessel_op(-1.0), bessel_op(-1.0))
+    return gaussian_prior(MultiplierOp(
+        lambda lat: base.symbol(lat) * (1.0 + 0.25 * np.sign(lat.freqs[:, 0])), 4.0, 4.0))
+
+
+ERROR_FORM_MODELS = {
+    "bessel": {},
+    "heat": {"fwd": heat_op(1)},  # a complex symbol: Re(conj(A u) e) reads imaginary parts
+    "uneven-prior": {"prior": uneven_prior()},
+}
+
+
+def replicate_stats(monkeypatch):
+    """Patch the replicate loop to keep each call's (replicate, delta, width) array."""
+    real, stats = experiments._replicate_solves, []
+
+    def loop(*args, **kwargs):
+        out, dropped = real(*args, **kwargs)
+        stats.append(out)
+        return out, dropped
+
+    monkeypatch.setattr(experiments, "_replicate_solves", loop)
+    return stats
+
+
+class TestErrorForms:
+    """The diagonal runners' errors from weighted quadratic forms against explicit means."""
+
+    @pytest.mark.filterwarnings("ignore::torusbayes.rates.HypothesisWarning")  # heat: t < t0
+    @pytest.mark.parametrize("mode", ["bayes", "frequentist", "appendix_b"])
+    @pytest.mark.parametrize("name", list(ERROR_FORM_MODELS))
+    def test_norms_match_explicit_means(self, mode, name, monkeypatch):
+        cfg = small_cfg(mode, **ERROR_FORM_MODELS[name])
+        lat = cfg.lattice()
+        stats = replicate_stats(monkeypatch)
+        result = run_experiment(cfg)
+        rel = []
+
+        def check(value, ref):
+            rel.append(abs(value - ref) / ref)
+
+        got = stats[0] if stats else None  # (replicate, delta, MISE | error, bias, noise)
+        for i in range(cfg.n_replicates if mode != "appendix_b" else 1):
+            if mode == "bayes":
+                xi = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 0, i)))
+                u = apply(cfg.prior.sqrt_cov, xi)
+            else:
+                u = make_hat_truth(lat).u_dagger
+            au = apply(cfg.fwd, u)
+            e = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i)))
+            for j, delta in enumerate(cfg.deltas):
+                model = cfg.model(delta)
+                if mode == "appendix_b":  # noiseless data
+                    diff = SpectralField(lat, map_estimate(model, au).coeffs - u.coeffs)
+                    for z in cfg.zetas:
+                        check(result.raw_errors[z][j], sobolev_norm(diff, z))
+                    continue
+                m = SpectralField(lat, au.coeffs + delta * e.coeffs)
+                diff = SpectralField(lat, map_estimate(model, m).coeffs - u.coeffs)
+                if mode == "frequentist":
+                    check(got[i, j, 0], sobolev_norm(diff, 0.0) ** 2)
+                    continue
+                bias = SpectralField(lat, map_estimate(model, au).coeffs - u.coeffs)
+                noise = map_estimate(model, SpectralField(lat, delta * e.coeffs))
+                nz = len(cfg.zetas)
+                for k, z in enumerate(cfg.zetas):
+                    check(got[i, j, k], sobolev_norm(diff, z))
+                    check(got[i, j, nz + k], sobolev_norm(bias, z))
+                    check(got[i, j, 2 * nz + k], sobolev_norm(noise, z))
+        assert rel and max(rel) <= 1e-12
+
+    def test_mean_square_error_is_posterior_trace(self, monkeypatch):
+        # E |mean - u|^2_{H^zeta} = sum_l w_zeta(l) c_post(l) for u drawn from the prior
+        cfg = small_cfg(n_replicates=240)
+        lat = cfg.lattice()
+        stats = replicate_stats(monkeypatch)
+        run_bayes_convergence(cfg)
+        sq = stats[0][:, :, :len(cfg.zetas)] ** 2  # (replicate, delta, zeta)
+        for j, delta in enumerate(cfg.deltas):
+            cov = posterior_covariance(cfg.model(delta), lat)
+            for k, zeta in enumerate(cfg.zetas):
+                exact = posterior_trace(cov, zeta, lat)
+                se = sq[:, j, k].std(ddof=1) / np.sqrt(cfg.n_replicates)
+                assert abs(sq[:, j, k].mean() - exact) <= 4.0 * se, (delta, zeta)
+
+
 REPLICATE_MODES = ("bayes", "frequentist", "contraction")
 REPLICATE_EXTRAS = ("bias_mean", "noise_mean", "markov_mean", "ball_prob_error")
+FORM_MODES = ("bayes", "frequentist")  # diagonal models: error forms, no mean
 
 
-def failing_at(monkeypatch, fails):
-    """Patch the runners' lockstep solver so a row fails where ``fails(delta, k)`` holds,
-    k counting the rows solved at that delta; returns the list of solved deltas in row order."""
-    real, calls = experiments._map_means, []
+def failing_at(monkeypatch, fails, mode="contraction"):
+    """Make a (replicate, delta) pair of ``mode``'s runner fail where ``fails(delta, k)``
+    holds, k counting the pairs computed at that delta: the error forms of its replicate
+    (:func:`experiments._error_forms`) in the form modes, else its lockstep solve.
+    Returns the list of deltas in the order the pairs are computed."""
+    calls = []
+    if mode in FORM_MODES:
+        real = experiments._error_forms
+
+        def forms(model, *args):
+            out = real(model, *args)
+            for i in range(len(out)):
+                calls.append(model.delta)
+                if fails(model.delta, calls.count(model.delta) - 1):
+                    out[i] = np.nan
+            return out
+
+        monkeypatch.setattr(experiments, "_error_forms", forms)
+        return calls
+    real = experiments._map_means
 
     def solve(models, data):
         means = real(models, data)
@@ -392,16 +501,21 @@ def failing_at(monkeypatch, fails):
     return calls
 
 
+def recording(monkeypatch, name):
+    """Patch ``experiments.<name>`` to record the arguments of each call."""
+    real, calls = getattr(experiments, name), []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, record)
+    return calls
+
+
 def recording_solves(monkeypatch):
     """Patch the runners' lockstep solver to record each call's models and data."""
-    real, calls = experiments._map_means, []
-
-    def solve(models, data):
-        calls.append((list(models), list(data)))
-        return real(models, data)
-
-    monkeypatch.setattr(experiments, "_map_means", solve)
-    return calls
+    return recording(monkeypatch, "_map_means")
 
 
 class TestReplicateLoop:
@@ -422,12 +536,17 @@ class TestReplicateLoop:
                 diff = row.coeffs - rows[0].coeffs
                 assert np.allclose(diff, (delta - cfg.deltas[0]) * e.coeffs, rtol=0, atol=1e-15)
 
-    def test_diagonal_run_solves_each_replicate_apart(self, monkeypatch):
-        calls = recording_solves(monkeypatch)
-        cfg = small_cfg()
-        run_bayes_convergence(cfg)
-        assert [[m.delta for m in models] for models, _ in calls] == \
-            [list(cfg.deltas)] * cfg.n_replicates
+    @pytest.mark.parametrize("mode", FORM_MODES)
+    def test_diagonal_run_forms_each_delta_once(self, mode, monkeypatch):
+        # no mean is solved: one kernel call per delta holds every replicate's rows, and
+        # the frequentist truth's |u|^2 is one row for all of them
+        solves, forms = recording_solves(monkeypatch), recording(monkeypatch, "_error_forms")
+        cfg = small_cfg(mode)
+        run_experiment(cfg)
+        n = cfg.n_replicates
+        assert solves == []
+        assert [(model.delta, [len(rows) for rows in args[2:]]) for model, *args in forms] == \
+            [(delta, [n if mode == "bayes" else 1, n, n]) for delta in cfg.deltas]
 
     def test_lockstep_rows_equal_per_replicate_solves(self, monkeypatch):
         # at 16^2 the stacked product rounds each row as the 5-row one does; at 8^2
@@ -439,21 +558,23 @@ class TestReplicateLoop:
         ((models, data),) = calls
         lockstep = _map_means(models, data)
         n = len(cfg.deltas)
+        u = make_hat_truth(lat).u_dagger.coeffs
+        mise = np.empty((cfg.n_replicates, n))
         for i in range(cfg.n_replicates):
             rows = _map_means(models[i * n:(i + 1) * n], data[i * n:(i + 1) * n])
             assert all(a.tobytes() == b.tobytes() for a, b in zip(lockstep[i * n:], rows))
-        # the runner with one solve per replicate, as diagonal models take it
-        monkeypatch.setattr(experiments, "_is_diagonal", lambda model: True)
-        per_replicate = run_frequentist_convergence(cfg)
-        assert len(calls) == 1 + cfg.n_replicates
-        assert table.rows == per_replicate.rows and table.extras == per_replicate.extras
+            mise[i] = [np.sum(np.abs(row - u) ** 2) for row in rows]
+        # each replicate's statistics read its own rows of the one lockstep solve
+        pred = table.rows[0]
+        assert table.rows == tuple(experiments._rate_rows(
+            "frequentist", cfg.deltas, 0.0, mise, pred.predicted_exponent, pred.regime))
 
     @pytest.mark.parametrize("mode", REPLICATE_MODES)
     def test_failed_solve_drops_one_pair(self, mode, monkeypatch):
         ref = run_experiment(small_cfg(mode))
         cfg = small_cfg(mode, c0=ref.extras.get("c0"))  # no calibration solves
         bad = cfg.deltas[2]
-        calls = failing_at(monkeypatch, lambda delta, k: delta == bad and k == 0)
+        calls = failing_at(monkeypatch, lambda delta, k: delta == bad and k == 0, mode)
         table = run_experiment(cfg)
         assert table.dropped == 1 and len(calls) == cfg.n_replicates * len(cfg.deltas)
         for row, base in zip(table.rows, ref.rows):
@@ -471,7 +592,7 @@ class TestReplicateLoop:
         # the row reports n = 0 and NaNs, the fit skips it, and numpy warns nothing
         cfg = small_cfg(mode)
         bad = cfg.deltas[1]
-        failing_at(monkeypatch, lambda delta, k: delta == bad)
+        failing_at(monkeypatch, lambda delta, k: delta == bad, mode)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = run_experiment(cfg)
@@ -491,7 +612,7 @@ class TestReplicateLoop:
     def test_single_solve_has_nan_stderr(self, monkeypatch):
         cfg = small_cfg("frequentist")
         bad = cfg.deltas[1]
-        failing_at(monkeypatch, lambda delta, k: delta == bad and k > 0)
+        failing_at(monkeypatch, lambda delta, k: delta == bad and k > 0, "frequentist")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = run_frequentist_convergence(cfg)

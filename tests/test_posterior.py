@@ -95,6 +95,12 @@ class TestGaussianModel:
         with pytest.raises(ValueError):
             GaussianModel(bessel_op(-1.0), gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_delta(self, delta):
+        # a NaN delta fails no comparison: covariance and trace would come out NaN silently
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            GaussianModel(bessel_op(-1.0), gaussian_prior(bessel_op(-1.0)), 1.01, 2, delta)
+
     def test_hypothesis_messages_recorded(self):
         with pytest.warns(UserWarning) as rec:
             model = GaussianModel(
@@ -829,6 +835,23 @@ class TestLockstepSolves:
                 assert means[j].tobytes() == map_estimate(model, m).coeffs.tobytes()
         with pytest.raises(SolverError, match="not finite"):
             map_estimate(models[bad], data[bad])
+
+    @pytest.mark.parametrize("kind", ["diagonal", "dense-prior", "dense-forward"])
+    def test_infinite_datum_raises_solver_error_not_warning(self, kind):
+        # 0 * inf in the solve is NaN: its row fails the finite check, with no numpy warning
+        lat = build_lattice(2, 8)
+        fwd, prior = bessel_op(-1.0), gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0)))
+        if kind == "dense-prior":
+            prior = gaussian_prior(densify(prior.cov, lat), prior.r)
+        elif kind == "dense-forward":
+            fwd = densify(fwd, lat)
+        model = quiet_model(fwd, prior, 1.01, 2, 1e-2)
+        coeffs = sample_white_noise(lat, 3).coeffs.copy()
+        coeffs[5] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="not finite"):
+                map_estimate(model, SpectralField(lat, coeffs))
 
     def test_zero_row_converges_at_once(self):
         lat, models, data = self.problem(8)
