@@ -64,15 +64,25 @@ MUTANTS = (
     Mutant("markov-trace-radius", EXPERIMENTS,
            "markov.append(min(1.0, traces[j] / radius**2))",
            "markov.append(min(1.0, traces[j] / radius))"),
-    # the exact ball law: its tail against the complement, the pair noncentrality
+    # the exact ball law: its tail against the complement, the pair noncentrality, the
+    # self-conjugate mode's 1/4 of |2 Re b|^2, and each row's own grid period in a batch
     Mutant("ball-tail-complement", POSTERIOR,
-           "p = 0.5 + total / math.pi", "p = 0.5 - total / math.pi"),
+           "p_i = 0.5 + total[r] / math.pi", "p_i = 0.5 - total[r] / math.pi"),
     Mutant("ball-pair-noncentrality", POSTERIOR,
-           "b[self._pair] + np.conj(b[self._mate])", "b[self._pair] - np.conj(b[self._mate])"),
+           "t += mate", "t -= mate"),
+    Mutant("ball-self-conjugate-quarter", POSTERIOR,
+           "np.where(dof == 1, 0.25, 2.0)", "np.where(dof == 1, 0.5, 2.0)"),
+    Mutant("ball-batch-period", POSTERIOR,
+           "grid = self._grid(exponent, noncentral)",
+           "grid = self._grid(int(exponents.min()), noncentral)"),
     # the dense replicate loop: each replicate's rows of the one lockstep solve
     Mutant("lockstep-replicate-offset", EXPERIMENTS,
-           "return stats(i, draws[i], means[i * n:(i + 1) * n])",
-           "return stats(i, draws[i], means[i:i + n])"),
+           "for j, mean in enumerate(means[i * n:(i + 1) * n]):",
+           "for j, mean in enumerate(means[i:i + n]):"),
+    # the diagonal replicate loop's drop rule: a row with any non-finite entry is dropped
+    Mutant("diagonal-drop-any-entry", EXPERIMENTS,
+           "ok = np.isfinite(block.reshape(n_rep, -1)).all(axis=1)",
+           "ok = np.isfinite(block.reshape(n_rep, -1)).any(axis=1)"),
     # the diagonal runners' error forms: the bias, noise and cross weights of mean - u
     Mutant("error-forms-bias-square", EXPERIMENTS,
            "sq_u, zw, beta**2)", "sq_u, zw, beta)"),

@@ -8,13 +8,14 @@ parallelizable: replicate i always uses generators seeded by
 order, so thread count never changes the output.  For a diagonal model the
 bayes, frequentist and deblurring runners form no posterior mean: each
 error is the root of three weighted quadratic forms of the draws
-(:func:`_error_forms`), one delta at a time.  The contraction runner solves
-each replicate of a diagonal model on the thread pool; a dense model draws
-every replicate first and solves all of them in one lockstep call before
-the pool computes the statistics.  Seed streams: 0 truth, 1 data noise,
-2 ``c0`` calibration, 3 inner draws.  A failed solve or a non-finite form
-in the replicate loop leaves its (replicate, delta) pair NaN, counted in
-``dropped``.
+(:func:`_error_forms`), one delta at a time.  The contraction runner takes
+a diagonal model's offsets mean - u of every replicate at one delta as one
+stack (:func:`_offsets`) and evaluates the exact ball law on it in one
+call; a dense model draws every replicate first and solves all of them in
+one lockstep call before the pool computes the statistics.  Seed streams:
+0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner draws.  A failed
+solve, a non-finite form or a non-finite offset in the replicate loop
+leaves its (replicate, delta) pair NaN, counted in ``dropped``.
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:  # NaN too
                 raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("kappa", "c0", "zeta1", "alpha", "c1"):  # the ball law needs finite ones
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def model(self, delta: float) -> GaussianModel:
         with warnings.catch_warnings():
@@ -351,6 +356,21 @@ def _error_forms(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray
     return forms
 
 
+@np.errstate(invalid="ignore", over="ignore")  # data not finite: a row not finite, one drop
+def _offsets(model: GaussianModel, lattice: FrequencyLattice, u: np.ndarray, au: np.ndarray,
+             e: np.ndarray) -> np.ndarray:
+    """mean - u for the data A u + delta e of a diagonal ``model``, one row per replicate:
+    the per-frequency formula of :func:`posterior._map_means` applied elementwise to the
+    (replicate, K) stacks (or one shared row of u and A u), so each row equals the
+    replicate's own mean - u bit for bit."""
+    a, asq, prec = _diag_weights(model, lattice)
+    out = np.multiply(model.delta, e)  # conj(a) (A u + delta e) / (|a|^2 + p) - u, in place
+    np.add(au, out, out=out)
+    np.multiply(np.conj(a), out, out=out)
+    np.divide(out, asq + prec, out=out)
+    return np.subtract(out, u, out=out)
+
+
 def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, truth,
                       statistic, width: int = 1, zw: np.ndarray | None = None
                       ) -> tuple[np.ndarray, int]:
@@ -358,40 +378,29 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
 
     Replicate i takes u and A u from ``truth``, a fixed pair or a function of i, e from
     stream 1 and ``rng`` from stream 3 (0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner
-    draws).  Given ``zw``, the (zeta, K) H^zeta weights, diagonal models form no mean: each
-    pool task keeps its replicate's real K-vectors |u|^2 (once for a fixed truth), |e|^2 and
-    Re(conj(A u) e), and :func:`_error_forms` contracts every replicate's vectors one delta
-    at a time; ``statistic(j, forms)`` maps the (replicate, zeta, 3) forms of model j to
-    its rows, and a replicate whose forms are not finite is NaN there and one drop.
-    Otherwise a lockstep solve gives the mean of A u + delta e for every model j, which
-    stores ``statistic(j, mean - u, u, e, rng)``, or NaN and one drop where its solve
-    failed.  Diagonal models then solve each replicate in its own pool task.  Other models
-    draw every replicate in the caller's thread first and solve all n_replicates x n_delta
-    rows, replicate-major, in one call, so the forward matrix and the pencil are read once
-    per run; the pool then computes each replicate's statistics.  Either way the thread
-    count never changes the result.
+    draws).  Diagonal models form no mean, and their pool tasks only draw: given ``zw``, the
+    (zeta, K) H^zeta weights, each task keeps its replicate's real K-vectors |u|^2 (once for
+    a fixed truth), |e|^2 and Re(conj(A u) e), and :func:`_error_forms` contracts every
+    replicate's vectors one delta at a time into ``statistic(j, forms)``, the rows of model
+    j from its (replicate, zeta, 3) forms; without ``zw`` each task writes its replicate's
+    row of one (replicate, K) stack of e (and of u and A u unless the truth is fixed), and
+    :func:`_offsets` gives every replicate's mean - u one delta at a time, which
+    ``statistic(j, offsets)`` maps to the rows of model j.  A replicate whose forms or
+    offsets are not finite is NaN there and one drop.  Other models draw every replicate in
+    the caller's thread first and solve all n_replicates x n_delta rows, replicate-major, in
+    one lockstep call, so the forward matrix and the pencil are read once per run; the pool
+    then stores ``statistic(j, mean - u, u, e, rng)`` of each replicate, or NaN and one drop
+    where its solve failed.  Either way the thread count never changes the result.
     """
     n, n_rep = len(models), cfg.n_replicates
     fixed = not callable(truth)
+    diagonal = _is_diagonal(models[0])
 
     def draw(i: int):
         u, au = truth if fixed else truth(i)
         return u, au, sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
 
-    def solve(draws) -> list:
-        return _map_means(models * len(draws), [SpectralField(lattice, au + model.delta * e)
-                                                for _, au, e in draws for model in models])
-
-    def stats(i: int, drawn, means) -> np.ndarray:
-        u, _, e = drawn
-        rng = _replicate_seed(cfg.master_seed, 3, i)
-        out = np.full((n, width), np.nan)
-        for j, mean in enumerate(means):
-            if not isinstance(mean, SolverError):
-                out[j] = statistic(j, mean - u, u, e, rng)
-        return out
-
-    if zw is not None:
+    if diagonal and zw is not None:
         sq_u = np.empty((1 if fixed else n_rep, lattice.size))
         sq_e, cross = np.empty((2, n_rep, lattice.size))
         if fixed:
@@ -403,30 +412,40 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
                 sq_u[i] = u.real**2 + u.imag**2
             sq_e[i] = e.real**2 + e.imag**2
             cross[i] = au.real * e.real + au.imag * e.imag
-    # per-frequency solves read no matrix, and stacking every replicate's rows would hold
-    # n_replicates x n_delta x K values: one per task
-    elif _is_diagonal(models[0]):
-        def work(i: int) -> np.ndarray:
-            drawn = draw(i)
-            return stats(i, drawn, solve([drawn]))
+    elif diagonal:
+        e_rows = np.empty((n_rep, lattice.size), np.complex128)
+        u_rows, au_rows = truth if fixed else np.empty((2, n_rep, lattice.size), np.complex128)
+
+        def work(i: int) -> None:  # each task writes its own rows
+            u, au, e_rows[i] = draw(i)
+            if not fixed:
+                u_rows[i], au_rows[i] = u, au
     else:
         draws = [draw(i) for i in range(n_rep)]
-        means = solve(draws)
+        means = _map_means(models * n_rep, [SpectralField(lattice, au + model.delta * e)
+                                            for _, au, e in draws for model in models])
 
         def work(i: int) -> np.ndarray:
-            return stats(i, draws[i], means[i * n:(i + 1) * n])
+            u, _, e = draws[i]
+            rng = _replicate_seed(cfg.master_seed, 3, i)
+            out = np.full((n, width), np.nan)
+            for j, mean in enumerate(means[i * n:(i + 1) * n]):
+                if not isinstance(mean, SolverError):
+                    out[j] = statistic(j, mean - u, u, e, rng)
+            return out
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
         mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
         rows = list(mapped(work, range(n_rep)))
-    if zw is None:
+    if not diagonal:
         out = np.stack(rows)
     else:
         out = np.full((n_rep, n, width), np.nan)
-        for j, model in enumerate(models):  # one delta's weights at a time
-            forms = _error_forms(model, lattice, zw, sq_u, sq_e, cross)
-            ok = np.isfinite(forms).all(axis=(1, 2))
-            out[ok, j] = statistic(j, forms[ok])
+        for j, model in enumerate(models):  # one delta's weights or offsets at a time
+            block = (_offsets(model, lattice, u_rows, au_rows, e_rows) if zw is None
+                     else _error_forms(model, lattice, zw, sq_u, sq_e, cross))
+            ok = np.isfinite(block.reshape(n_rep, -1)).all(axis=1)
+            out[ok, j] = statistic(j, block if ok.all() else block[ok])
     return out, int(np.isnan(out[:, :, 0]).sum())
 
 
@@ -510,11 +529,12 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
 
     Outer replicates draw the noise in the data.  For a multiplier
     posterior the escape probability of each replicate is computed exactly
-    by :class:`MultiplierBall`, whose stated error bound per delta goes to
-    ``extras["ball_prob_error"]``; a dense covariance root is sampled with
-    ``n_mc`` posterior draws instead, and the maximum binomial standard
-    error goes there.  Reports the escape probability per delta together
-    with the Markov-inequality estimate
+    by :class:`MultiplierBall`, one call per delta for the (replicate, K)
+    stack of every replicate's offset mean - truth, with no mean solved; the
+    largest stated error bound per delta goes to ``extras["ball_prob_error"]``.
+    A dense covariance root is sampled with ``n_mc`` posterior draws instead,
+    and the maximum binomial standard error goes there.  Reports the escape
+    probability per delta together with the Markov-inequality estimate
     (Tr(C_delta) + |mean - truth|^2) / radius^2, which must dominate it.
     If ``c0`` is not set it is calibrated at the middle delta so the radius
     there equals the root-mean-square posterior deviation from the truth.
@@ -541,11 +561,20 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
             sq.append(setups[mid].trace + np.sum(np.abs(mean - u.coeffs) ** 2))
         c0 = float(np.sqrt(np.mean(sq)) / deltas[mid] ** cfg.kappa)
 
-    def escape(j, offset, u, e, rng):
-        radius = c0 * deltas[j] ** cfg.kappa
-        sq_dev = setups[j].trace + float(np.sum(np.abs(offset) ** 2))
-        direct, error = setups[j].escape_prob(radius, cfg.n_mc, rng, offset)
-        return direct, min(1.0, sq_dev / radius**2), error
+    radii = [c0 * delta**cfg.kappa for delta in deltas]
+
+    def markov(j, offset):  # one offset or a (replicate, K) stack of them
+        sq_dev = setups[j].trace + np.sum(np.abs(offset) ** 2, axis=-1)
+        return np.minimum(1.0, sq_dev / radii[j] ** 2)
+
+    if setups[0].ball is None:  # n_mc posterior draws per replicate and delta
+        def escape(j, offset, u, e, rng):
+            direct, error = setups[j].escape_prob(radii[j], cfg.n_mc, rng, offset)
+            return direct, markov(j, offset), error
+    else:  # every replicate's offset at one delta in one call of the exact law
+        def escape(j, offsets):
+            direct, error = setups[j].ball._escape_probs(radii[j], offsets)
+            return np.stack([direct, markov(j, offsets), error], axis=1)
 
     stats, dropped = _replicate_solves(cfg, lattice, [st.model for st in setups],
                                        (u.coeffs, au.coeffs), escape, 3)

@@ -701,7 +701,9 @@ class MultiplierBall:
     The groups, the Chernoff tables and the truncation point depend only on
     the root and zeta, and integration grids are cached per period (a
     power of two); only nc_g and R depend on the offset, so one instance
-    serves every replicate.
+    serves every replicate, and :meth:`_escape_probs` takes a whole
+    (replicate, K) stack of offsets in one call, of which
+    :meth:`escape_prob` is the one-row case.
     """
 
     def __init__(self, root, lattice: FrequencyLattice, zeta: float = 0.0):
@@ -710,18 +712,25 @@ class MultiplierBall:
             raise ValueError(f"root has shape {root.shape}, lattice needs ({lattice.size},)")
         idx = np.arange(lattice.size)
         conj = lattice.conj_index
-        self._real = idx[conj == idx]
-        self._pair = idx[idx < conj]
-        self._mate = conj[self._pair]
+        real, pair = idx[conj == idx], idx[idx < conj]
         self._w = sobolev_weight(lattice, zeta)
-        self._wroot = self._w * np.conj(root)
+        wroot = self._w * np.conj(root)
         wr2 = self._w * np.abs(root) ** 2
-        quad = np.concatenate([wr2[self._real], wr2[self._pair] + wr2[self._mate]])
-        dof = np.concatenate([np.ones(self._real.size), np.full(self._pair.size, 2.0)])
-        self._live = quad > 0
-        self._quad, self._term_dof = quad[self._live], dof[self._live]
-        self.lam, self._group = np.unique(self._quad / self._term_dof, return_inverse=True)
-        self.dof = np.bincount(self._group, weights=self._term_dof, minlength=self.lam.size)
+        quad = np.concatenate([wr2[real], wr2[pair] + wr2[conj[pair]]])
+        dof = np.concatenate([np.ones(real.size), np.full(pair.size, 2.0)])
+        live = quad > 0
+        quad, dof = quad[live], dof[live]
+        self.lam, group = np.unique(quad / dof, return_inverse=True)
+        self.dof = np.bincount(group, weights=dof, minlength=self.lam.size)
+        # each live term in group order reads b = w conj(rho) o as t = b_l + conj(b_m): m = -l
+        # for a pair, whose noncentrality term is 2 |t|^2 / quad^2, and m = l for a
+        # self-conjugate mode, whose t = 2 Re b_l gives (Re b_l)^2 / quad^2 = |t|^2 / 4 / quad^2
+        order = np.argsort(group, kind="stable")
+        self._first = np.concatenate([real, pair])[live][order]
+        self._second = np.concatenate([real, conj[pair]])[live][order]
+        self._w_first, self._w_second = wroot[self._first], np.conj(wroot[self._second])
+        self._nc_coef = (np.where(dof == 1, 0.25, 2.0) / quad**2)[order]
+        self._starts = np.flatnonzero(np.diff(group[order], prepend=-1))
         self._grids: dict[int, _Grid] = {}
         self._lock = threading.Lock()
         self.tau = 0.0
@@ -743,15 +752,16 @@ class MultiplierBall:
         self._kn_lo = -0.5 * x_lo / (1.0 + x_lo)
 
     def _log_mgf(self, nc: np.ndarray, tau: float):
-        """log E exp(t (Q + tau Z)) on the upper grid and at -t on the lower one."""
+        """log E exp(t (Q + tau Z)) on the upper grid and at -t on the lower one, one row per
+        row of the (n, G) noncentralities ``nc``: one product per table."""
         k_up = self._k_up + nc @ self._kn_up + 0.5 * (tau * self._t_up) ** 2
         k_lo = self._k_lo + nc @ self._kn_lo + 0.5 * (tau * self._t_lo) ** 2
         return k_up, k_lo
 
-    def _log_tails(self, k_up, k_lo, y: float):
-        """Chernoff log bounds on P(X >= y) and P(X <= y) for the given log MGF."""
-        return (min(0.0, float(np.min(k_up - self._t_up * y))),
-                min(0.0, float(np.min(k_lo + self._t_lo * y))))
+    def _log_tails(self, k_up, k_lo, y: np.ndarray):
+        """Chernoff log bounds on P(X_i >= y_i) and P(X_i <= y_i) for the log MGF rows."""
+        return (np.minimum(0.0, np.min(k_up - self._t_up * y[:, None], axis=1)),
+                np.minimum(0.0, np.min(k_lo + self._t_lo * y[:, None], axis=1)))
 
     def _truncation_bound(self, u: float, tau: float) -> float:
         """Bound on (1/pi) int_u^inf |phi(v)| exp(-tau^2 v^2 / 2) / v dv.
@@ -826,18 +836,40 @@ class MultiplierBall:
             self.cutoff, self.tau = cutoff, tau
             self._kink = kink if self.lam.size == 1 else 0.0
 
-    def noncentrality(self, offset) -> tuple[np.ndarray, float]:
-        """Per-group noncentralities nc_g and the constant shift R for offset o."""
+    def _row(self, offset) -> np.ndarray:
+        """A single offset o as a (1, K) stack."""
         o = np.asarray(offset, dtype=np.complex128)
         if o.shape != self._w.shape:
             raise ValueError(f"offset has shape {o.shape}, expected {self._w.shape}")
-        b = self._wroot * o
-        b_terms = np.concatenate([b[self._real].real, b[self._pair] + np.conj(b[self._mate])])
-        bsq = np.abs(b_terms[self._live]) ** 2
-        nc = np.bincount(self._group, weights=self._term_dof * bsq / self._quad**2,
-                         minlength=self.lam.size)
-        shift = float(np.sum(self._w * np.abs(o) ** 2) - np.sum(bsq / self._quad))
-        return nc, shift
+        return o[None]
+
+    def _noncentralities(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Noncentralities nc (n, G) and shifts R (n,) of an (n, K) stack of offsets."""
+        if offsets.ndim != 2 or offsets.shape[1] != self._w.size:
+            raise ValueError(f"offsets have shape {offsets.shape}, expected (n, {self._w.size})")
+        re, im = offsets.real, offsets.imag  # sum_l w_l |o_l|^2, with no BLAS dot per row
+        norms = np.einsum("ik,ik,k->i", re, re, self._w) + np.einsum("ik,ik,k->i", im, im, self._w)
+        if not np.isfinite(norms).all():
+            raise ValueError("offset must be finite")
+        if not self.lam.size:
+            return np.zeros((len(offsets), 0)), norms
+        t = np.take(offsets, self._first, axis=1)
+        t *= self._w_first
+        mate = np.take(offsets, self._second, axis=1)
+        np.conjugate(mate, out=mate)
+        mate *= self._w_second  # conj(b_m)
+        t += mate
+        sq = t.real**2
+        sq += t.imag**2
+        sq *= self._nc_coef
+        nc = np.add.reduceat(sq, self._starts, axis=1)
+        # a group's terms have |B|^2 / A summing to lambda_g nc_g
+        return nc, norms - np.einsum("ig,g->i", nc, self.lam)
+
+    def noncentrality(self, offset) -> tuple[np.ndarray, float]:
+        """Per-group noncentralities nc_g and the constant shift R for offset o."""
+        nc, shift = self._noncentralities(self._row(offset))
+        return nc[0], float(shift[0])
 
     def _grid(self, exponent: int, noncentral: bool) -> _Grid:
         with self._lock:
@@ -850,7 +882,14 @@ class MultiplierBall:
             return grid
 
     def escape_prob(self, radius: float, offset=None) -> tuple[float, float]:
-        """P(S >= radius^2) and a bound on its absolute error.
+        """P(S >= radius^2) and a bound on its absolute error: the one-row case of
+        :meth:`_escape_probs`, central if ``offset`` is None."""
+        p, bound = self._escape_probs(radius, None if offset is None else self._row(offset))
+        return float(p[0]), float(bound[0])
+
+    def _escape_probs(self, radius: float, offsets=None) -> tuple[np.ndarray, np.ndarray]:
+        """P(S_i >= radius^2) and bounds on their absolute errors, one for each row o_i of an
+        (n, K) stack of finite offsets, or one for the central law if ``offsets`` is None.
 
         The tail of Q is the Gil-Pelaez integral of its characteristic
         function phi, summed by the midpoint rule with step 2 pi / span
@@ -860,58 +899,88 @@ class MultiplierBall:
         clamped to [0, 1] and to the Chernoff bounds of Q, which settle far
         tails as exactly 0 or 1.  The stated bound adds aliasing,
         truncation, the convergence factor and a floating-point allowance.
+
+        Rows share each step that does not depend on the row's numbers: one product per
+        Chernoff table for every row, then, for the rows the tails do not settle, one
+        product with the noncentral table and one ``exp`` per period.  Each row's bound
+        keeps its own terms.
         """
-        if radius < 0:
+        if not radius >= 0:  # NaN too
             raise ValueError(f"radius must be nonnegative, got {radius}")
-        if offset is None:
-            nc, shift = np.zeros(self.lam.size), 0.0
+        if offsets is None:
+            nc, shift = np.zeros((1, self.lam.size)), np.zeros(1)
         else:
-            nc, shift = self.noncentrality(offset)
+            nc, shift = self._noncentralities(offsets)
         c = radius**2 - shift
-        if c <= 0:
-            return 1.0, 0.0
+        p, bound = np.ones(c.size), np.zeros(c.size)  # c <= 0: S >= R >= radius^2
+        rows = np.flatnonzero(c > 0)
         if self.lam.size == 0:
-            return 0.0, 0.0
+            p[rows] = 0.0
+            return p, bound
         if self.dof.sum() == 1:
             # a lone real mode: lambda (Z + mu)^2 with Z ~ N(0, 1)
-            a, mu = math.sqrt(c / self.lam[0]), math.sqrt(nc[0])
-            p = 0.5 * (math.erfc((a - mu) / math.sqrt(2.0)) + math.erfc((a + mu) / math.sqrt(2.0)))
-            return p, 8.0 * np.finfo(float).eps
+            for i in rows:
+                a, mu = math.sqrt(c[i] / self.lam[0]), math.sqrt(nc[i, 0])
+                p[i] = 0.5 * (math.erfc((a - mu) / math.sqrt(2.0))
+                              + math.erfc((a + mu) / math.sqrt(2.0)))
+                bound[i] = 8.0 * np.finfo(float).eps
+            return p, bound
+        nc, c = nc[rows], c[rows]
         k_up, k_lo = self._log_mgf(nc, 0.0)
         log_up, log_lo = self._log_tails(k_up, k_lo, c)
-        if log_up <= math.log(_TAIL_TOL):
-            return 0.0, math.exp(log_up)
-        if log_lo <= math.log(_TAIL_TOL):
-            return 1.0, math.exp(log_lo)
+        log_tol = math.log(_TAIL_TOL)
+        for i, up, lo in zip(rows.tolist(), log_up.tolist(), log_lo.tolist()):
+            if up <= log_tol:
+                p[i], bound[i] = 0.0, math.exp(up)
+            elif lo <= log_tol:
+                p[i], bound[i] = 1.0, math.exp(lo)
+        keep = (log_up > log_tol) & (log_lo > log_tol)
+        if not keep.any():
+            return p, bound
+        rows, nc, c, log_up, log_lo = rows[keep], nc[keep], c[keep], log_up[keep], log_lo[keep]
 
         tau = self.tau
         if tau > 0:  # at tau = 0 the log MGF of Q + tau Z is the one above
             k_up, k_lo = self._log_mgf(nc, tau)
+        else:
+            k_up, k_lo = k_up[keep], k_lo[keep]
         log_eps = math.log(_ALIAS_TOL)
-        y_up = float(np.min((k_up - log_eps) / self._t_up))
-        y_lo = float(np.max((log_eps - k_lo) / self._t_lo))
-        floor = y_lo if tau > 0 else max(y_lo, 0.0)
-        exponent = math.ceil(math.log2(max(y_up - c, c - floor)))
-        span = 2.0**exponent
-        alias = math.exp(self._log_tails(k_up, k_lo, c + span)[0])
-        if tau > 0 or c > span:
-            alias += math.exp(self._log_tails(k_up, k_lo, c - span)[1])
+        y_up = np.min((k_up - log_eps) / self._t_up, axis=1)
+        y_lo = np.max((log_eps - k_lo) / self._t_lo, axis=1)
+        floor = y_lo if tau > 0 else np.maximum(y_lo, 0.0)
+        exponents = np.array([math.ceil(math.log2(x))
+                              for x in np.maximum(y_up - c, c - floor).tolist()])
+        span = 2.0**exponents
+        alias_up = self._log_tails(k_up, k_lo, c + span)[0]
+        alias_lo = self._log_tails(k_up, k_lo, c - span)[1]
 
-        grid = self._grid(exponent, noncentral=offset is not None)
-        log_phi = grid.log_phi - 1j * grid.u * c
-        if offset is not None:
-            log_phi += nc @ grid.noncentral
-        z = np.exp(log_phi)
-        total = float(np.sum(z.imag / grid.k_half))
-        # floating-point allowance: phase errors of about eps (H + sum nc + u c)
-        # per term, and the pairwise sum of the terms
-        scale = 4.0 * (float(self.dof.sum()) + float(nc.sum()) + grid.u * c) + math.log2(grid.u.size)
-        rounding = float(np.sum(np.abs(z) * scale / grid.k_half))
-        p = 0.5 + total / math.pi
-        p = min(max(p, 0.0), 1.0, math.exp(log_up))
-        p = max(p, 1.0 - math.exp(log_lo))
-        smoothing = _SMOOTH_TOL if tau > 0 else 0.0
-        if self._kink:
-            smoothing += self._kink * tau * math.exp(-0.5 * (c / tau) ** 2) / math.sqrt(2 * math.pi)
+        noncentral = offsets is not None
+        total, rounding, truncation = np.empty((3, rows.size))
+        for exponent in np.unique(exponents).tolist():
+            sel = exponents == exponent
+            grid = self._grid(exponent, noncentral)
+            log_phi = grid.log_phi - 1j * grid.u * c[sel, None]
+            if noncentral:
+                log_phi += nc[sel] @ grid.noncentral
+            z = np.exp(log_phi)
+            total[sel] = np.sum(z.imag / grid.k_half, axis=1)
+            # floating-point allowance: phase errors of about eps (H + sum nc + u c)
+            # per term, and the pairwise sum of the terms
+            scale = (4.0 * ((float(self.dof.sum()) + nc[sel].sum(axis=1))[:, None]
+                            + grid.u * c[sel, None]) + math.log2(grid.u.size))
+            rounding[sel] = np.sum(np.abs(z) * scale / grid.k_half, axis=1)
+            truncation[sel] = grid.truncation
         eps = np.finfo(float).eps
-        return p, alias + grid.truncation + smoothing + eps * rounding / math.pi
+        for r, i in enumerate(rows.tolist()):
+            alias = math.exp(alias_up[r])
+            if tau > 0 or c[r] > span[r]:
+                alias += math.exp(alias_lo[r])
+            p_i = 0.5 + total[r] / math.pi
+            p_i = min(max(p_i, 0.0), 1.0, math.exp(log_up[r]))
+            p[i] = max(p_i, 1.0 - math.exp(log_lo[r]))
+            smoothing = _SMOOTH_TOL if tau > 0 else 0.0
+            if self._kink:
+                smoothing += (self._kink * tau * math.exp(-0.5 * (c[r] / tau) ** 2)
+                              / math.sqrt(2 * math.pi))
+            bound[i] = alias + truncation[r] + smoothing + eps * rounding[r] / math.pi
+        return p, bound

@@ -268,6 +268,24 @@ class TestExperiment:
         assert "config error" in err and "c1 must be positive" in err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("mode, setting", [
+        ("contraction", "kappa = nan"),
+        ("contraction", "kappa = inf"),
+        ("contraction", "kappa = 0.2\nc0 = inf"),
+        ("credible", "zeta1 = -3\nalpha = nan"),
+        ("credible", "zeta1 = nan"),
+        ("credible", "zeta1 = -3\nc1 = inf"),
+    ], ids=["kappa-nan", "kappa-inf", "c0-inf", "alpha-nan", "zeta1-nan", "c1-inf"])
+    def test_non_finite_ball_parameter_is_config_error(self, tmp_path, capsys, mode, setting):
+        text = (EXPERIMENT_INI.replace("mode = bayes", f"mode = {mode}\n{setting}")
+                .replace("zetas = -3.01, 0", "zetas = 0"))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", write_ini(tmp_path, text), "--out", str(out)]) == 2
+        name = setting.splitlines()[-1].split(" = ")[0]
+        err = capsys.readouterr().err
+        assert f"invalid experiment config: {name} must be finite" in err
+        assert not (out / "results.csv").exists()
+
     def test_experiment_overwrite_refused(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, EXPERIMENT_INI)
         out = tmp_path / "run"

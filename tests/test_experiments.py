@@ -35,7 +35,7 @@ from torusbayes.operators import (
 )
 from torusbayes import experiments
 from torusbayes.posterior import (
-    SolverError,
+    MultiplierBall,
     _map_means,
     _mc_ball_hits,
     _trace_root,
@@ -181,6 +181,18 @@ class TestExperimentConfig:
     def test_rejects_bad_ball_constants(self, mode, overrides, match):
         with pytest.raises(ValueError, match=match):
             small_cfg(mode, **overrides)
+
+    @pytest.mark.parametrize("mode, name, value", [
+        ("contraction", "kappa", float("nan")),
+        ("contraction", "kappa", float("inf")),
+        ("contraction", "c0", float("inf")),
+        ("credible", "alpha", float("nan")),
+        ("credible", "zeta1", float("nan")),
+        ("credible", "c1", float("inf")),
+    ], ids=["kappa-nan", "kappa-inf", "c0-inf", "alpha-nan", "zeta1-nan", "c1-inf"])
+    def test_rejects_non_finite_ball_parameters(self, mode, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            small_cfg(mode, **{name: value})
 
     def test_overrides_applied(self):
         cfg = small_cfg(master_seed=7, threads=3)
@@ -470,34 +482,23 @@ FORM_MODES = ("bayes", "frequentist")  # diagonal models: error forms, no mean
 
 def failing_at(monkeypatch, fails, mode="contraction"):
     """Make a (replicate, delta) pair of ``mode``'s runner fail where ``fails(delta, k)``
-    holds, k counting the pairs computed at that delta: the error forms of its replicate
-    (:func:`experiments._error_forms`) in the form modes, else its lockstep solve.
-    Returns the list of deltas in the order the pairs are computed."""
+    holds, k counting the pairs computed at that delta: the last entry of its replicate's
+    row of the error forms (:func:`experiments._error_forms`) in the form modes, or of the
+    offsets (:func:`experiments._offsets`) in ``contraction``, is NaN, which must drop the
+    whole row.  Returns the list of deltas in the order the pairs are computed."""
     calls = []
-    if mode in FORM_MODES:
-        real = experiments._error_forms
+    name = "_error_forms" if mode in FORM_MODES else "_offsets"
+    real = getattr(experiments, name)
 
-        def forms(model, *args):
-            out = real(model, *args)
-            for i in range(len(out)):
-                calls.append(model.delta)
-                if fails(model.delta, calls.count(model.delta) - 1):
-                    out[i] = np.nan
-            return out
-
-        monkeypatch.setattr(experiments, "_error_forms", forms)
-        return calls
-    real = experiments._map_means
-
-    def solve(models, data):
-        means = real(models, data)
-        for j, model in enumerate(models):
+    def rows(model, *args):
+        out = real(model, *args)
+        for i in range(len(out)):
             calls.append(model.delta)
             if fails(model.delta, calls.count(model.delta) - 1):
-                means[j] = SolverError("injected failure", [1.0])
-        return means
+                out[i].flat[-1] = np.nan
+        return out
 
-    monkeypatch.setattr(experiments, "_map_means", solve)
+    monkeypatch.setattr(experiments, name, rows)
     return calls
 
 
@@ -547,6 +548,49 @@ class TestReplicateLoop:
         assert solves == []
         assert [(model.delta, [len(rows) for rows in args[2:]]) for model, *args in forms] == \
             [(delta, [n if mode == "bayes" else 1, n, n]) for delta in cfg.deltas]
+
+    def test_diagonal_contraction_calls_the_law_once_per_delta(self, monkeypatch):
+        # with c0 given no mean is solved: every replicate's offsets go to one law call
+        solves, calls = recording_solves(monkeypatch), []
+        real = MultiplierBall._escape_probs
+
+        def law(ball, radius, offsets=None):
+            calls.append(offsets.shape)
+            return real(ball, radius, offsets)
+
+        monkeypatch.setattr(MultiplierBall, "_escape_probs", law)
+        cfg = small_cfg("contraction", c0=1.0, threads=2)
+        assert run_contraction(cfg).dropped == 0
+        assert solves == []
+        assert calls == [(cfg.n_replicates, cfg.lattice().size)] * len(cfg.deltas)
+
+    def test_diagonal_contraction_rows_match_per_replicate_solves(self):
+        cfg = default_config("contraction")
+        table = run_contraction(cfg)
+        lat = cfg.lattice()
+        u = make_hat_truth(lat).u_dagger
+        au = apply(cfg.fwd, u).coeffs
+        setups = _delta_setups(cfg, lat, 0.0)
+        stats = np.empty((3, cfg.n_replicates, len(cfg.deltas)))
+        for i in range(cfg.n_replicates):
+            e = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i))).coeffs
+            for j, (delta, st) in enumerate(zip(cfg.deltas, setups)):
+                diff = map_estimate(st.model, SpectralField(lat, au + delta * e)).coeffs - u.coeffs
+                radius = table.extras["c0"] * delta**cfg.kappa
+                p, bound = st.ball.escape_prob(radius, diff)
+                markov = min(1.0, (st.trace + np.sum(np.abs(diff) ** 2)) / radius**2)
+                stats[:, i, j] = p, markov, bound
+        pred = table.rows[0]
+        ref = experiments._rate_rows("contraction", cfg.deltas, 0.0, stats[0],
+                                     pred.predicted_exponent, pred.regime)
+        got = np.array([[r.mean_error, r.stderr] for r in table.rows])
+        want = np.array([[r.mean_error, r.stderr] for r in ref])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert [r.n for r in table.rows] == [r.n for r in ref]
+        np.testing.assert_allclose(table.extras["markov_mean"], stats[1].mean(axis=0),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(table.extras["ball_prob_error"], stats[2].max(axis=0),
+                                   rtol=1e-12, atol=0)
 
     def test_lockstep_rows_equal_per_replicate_solves(self, monkeypatch):
         # at 16^2 the stacked product rounds each row as the 5-row one does; at 8^2

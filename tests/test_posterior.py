@@ -1236,7 +1236,75 @@ def mc_vs_exact_case(name):
     return PosteriorGaussian(zero, root, root, model), zeta, offset
 
 
+def batch_cases():
+    """(ball, radius, (n, K) offsets) stacks for the batched law: rows on different grid
+    periods, far tails that Chernoff settles as 0 and as 1, and rows with c <= 0."""
+    pair, lat = lone_modes_ball({1: 0.6, 7: 0.8})
+    assert pair.tau > 0
+    rows = np.zeros((6, lat.size), dtype=complex)
+    for row, x in zip(rows, [0.0, 3.0, 6.0, 8.0, 15.0]):
+        row[1], row[7] = 0.6 * x, 0.8 * x  # B / A = x real: R = 0, nc = 2 x^2
+    rows[5, 3] = 7.0  # no root there: all of it in R
+    yield pair, 6.0, rows
+    lone, lat = lone_modes_ball({0: 1.0})
+    rows = np.zeros((4, lat.size), dtype=complex)
+    rows[1, 0], rows[2, 0], rows[3, 2] = 0.5 + 0.3j, 2.0, 3.0
+    yield lone, 1.0, rows
+    lat = build_lattice(2, 16)
+    bessel = MultiplierBall(symbol_values(bessel_op(-1.0), lat), lat)
+    field = sample_white_noise(lat, np.random.default_rng(5)).coeffs
+    field = field / np.linalg.norm(field)  # a real field: R = 0 for an even real root
+    yield bessel, np.sqrt(70.0), np.array([x * field for x in (0.0, 6.0, 8.0, 8.5, 12.0)]
+                                          + [30j * field])
+
+
 class TestMultiplierBall:
+    @pytest.mark.parametrize("case", range(3), ids=["pair-tau", "lone-real", "bessel-16"])
+    def test_batch_rows_equal_one_row_calls(self, case, monkeypatch):
+        ball, radius, offsets = list(batch_cases())[case]
+        periods, real = [], MultiplierBall._grid
+
+        def grid(self, exponent, noncentral):
+            periods.append(exponent)
+            return real(self, exponent, noncentral)
+
+        monkeypatch.setattr(MultiplierBall, "_grid", grid)
+        p, bound = ball._escape_probs(radius, offsets)
+        c = radius**2 - ball._noncentralities(offsets)[1]
+        assert np.any((c <= 0) & (p == 1.0) & (bound == 0.0))
+        if ball.dof.sum() > 1:
+            assert len(set(periods)) >= 2 and len(periods) == len(set(periods))
+            assert np.any((c > 0) & (p == 0.0)) and np.any((c > 0) & (p == 1.0))
+        # not bit for bit: at small sizes OpenBLAS rounds a product by its row count
+        for row, p_i, bound_i in zip(offsets, p, bound):
+            one, one_bound = ball.escape_prob(radius, row)
+            assert abs(one - p_i) <= 1e-14 and abs(one_bound - bound_i) <= 1e-14
+
+    @pytest.mark.parametrize("radius", [float("nan"), -1.0])
+    def test_rejects_bad_radius(self, radius):
+        ball, _ = lone_modes_ball({1: 0.6, 7: 0.8})
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            ball.escape_prob(radius)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0.0, -np.inf)])
+    def test_rejects_non_finite_offset(self, value):
+        ball, lat = lone_modes_ball({1: 0.6, 7: 0.8})
+        offset = np.zeros(lat.size, dtype=complex)
+        offset[2] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="offset must be finite"):
+                ball.escape_prob(1.0, offset)
+            with pytest.raises(ValueError, match="offset must be finite"):
+                ball._escape_probs(1.0, np.stack([np.zeros(lat.size), offset]))
+
+    def test_rejects_offset_of_wrong_shape(self):
+        ball, lat = lone_modes_ball({1: 0.6, 7: 0.8})
+        with pytest.raises(ValueError, match="offset has shape"):
+            ball.escape_prob(1.0, np.zeros(lat.size + 1))
+        with pytest.raises(ValueError, match="offsets have shape"):
+            ball._escape_probs(1.0, np.zeros(lat.size))
+
     def test_lone_real_mode_is_a_folded_normal(self):
         ball, _ = lone_modes_ball({0: 1.0})
         p, bound = ball.escape_prob(1.0)
