@@ -25,6 +25,7 @@ POSTERIOR = "src/torusbayes/posterior.py"
 LATTICE = "src/torusbayes/lattice.py"
 EXPERIMENTS = "src/torusbayes/experiments.py"
 FIELDS = "src/torusbayes/fields.py"
+CLI = "src/torusbayes/cli.py"
 
 MUTANTS = (
     # the rate exponents: t and t0 swapped, or a regime split moved
@@ -56,8 +57,11 @@ MUTANTS = (
     Mutant("sobolev-half-order", LATTICE,
            "return (1.0 + lattice.weights) ** q", "return (1.0 + lattice.weights) ** (q / 2.0)"),
     Mutant("white-noise-scale", LATTICE,
-           "coeffs.reshape(*lead, lattice.size) / np.sqrt(lattice.size)",
-           "coeffs.reshape(*lead, lattice.size) / lattice.size"),
+           "coeffs.view(np.float64)[...] *= 1.0 / np.sqrt(lattice.size)",
+           "coeffs.view(np.float64)[...] *= 1.0 / lattice.size"),
+    # exactly Hermitian white noise: a self-conjugate mode's rounding residue in im
+    Mutant("white-self-conjugate-real", LATTICE,
+           "coeffs.imag[..., real] = 0.0", "coeffs.imag[..., real] *= 1.0"),
     # the runners: the 2% saturation filter of the slope fit, the Markov bound's trace term
     Mutant("saturation-filter", EXPERIMENTS,
            "if abs(a - b) / max(a, b) < 0.02:", "if abs(a - b) / max(a, b) < 0.2:"),
@@ -100,6 +104,10 @@ MUTANTS = (
     # the exact ball's log MGF, computed once when there is no convergence factor
     Mutant("ball-tau-shortcut", POSTERIOR,
            "if tau > 0:  # at tau = 0", "if tau >= 0:  # at tau = 0"),
+    # the field-CSV writer: a reused mate's text with the sign of im flipped
+    Mutant("csv-mate-sign-flip", CLI,
+           'text = text.replace(b",-", b"|").replace(b",", b",-").replace(b"|", b",")',
+           "text = text"),
     # the Hermitian root's power, read through the deferred PosteriorGaussian.sqrt_cov
     Mutant("hermitian-root-power", FIELDS,
            "evecs *= np.sqrt(evals**0.5)", "evecs *= np.sqrt(evals)"),

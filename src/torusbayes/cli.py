@@ -56,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 # rows per %-formatted string in write_field_csv; one string for the whole file costs memory
 _CSV_BLOCK = 1024
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 def _field_header(d: int) -> str:
@@ -63,15 +64,46 @@ def _field_header(d: int) -> str:
 
 
 def write_field_csv(field: SpectralField, path):
-    """Frequency-indexed coefficients: columns l1..ld, re, im at 17 digits, CRLF line ends."""
-    d = field.lattice.dim
-    table = np.column_stack([field.lattice.freqs, field.coeffs.real, field.coeffs.imag])
-    row = ",".join(["%d"] * d + ["%.17g"] * 2) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(_field_header(d) + "\r\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            block = table[start:start + _CSV_BLOCK]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    """Frequency-indexed coefficients: columns l1..ld, re, im at 17 digits, CRLF line ends.
+
+    The bytes are those of formatting every row with ``%.17g``, for any field, but the
+    conjugate pairs of a real field are formatted once.  A row whose mate -l came earlier
+    in the file and holds its exact conjugate (re equal and im equal to minus the mate's,
+    bit for bit, neither NaN, whose sign ``%.17g`` drops) takes the mate's text with the
+    sign of im flipped.  Rows are formatted and written in blocks; the text of a row whose
+    mate comes later is held in one byte array, 49 bytes per row, for the whole write.
+    """
+    lat, c = field.lattice, field.coeffs
+    d, idx, mate = lat.dim, np.arange(lat.size), lat.conj_index
+    bits = c.view(np.uint64).reshape(-1, 2)
+    held = np.empty(lat.size // 2, idx.dtype)  # rows whose text a later row takes, in order
+    texts = np.empty(held.size, "S49")  # their b"re,im", two %.17g values of 24 bytes at most
+    count = 0
+    row = b"%d," * d + b"%s\r\n"
+    with open(path, "wb") as fh:
+        fh.write(_field_header(d).encode() + b"\r\n")
+        for start in range(0, lat.size, _CSV_BLOCK):
+            rows = idx[start:start + _CSV_BLOCK]
+            mates = mate[rows]
+            pair = bits[mates]
+            exact = ((bits[rows, 0] == pair[:, 0]) & (bits[rows, 1] == pair[:, 1] ^ _SIGN_BIT)
+                     & ~np.isnan(c[rows]))
+            reuse = exact & (mates < rows)
+            table = np.empty((rows.size, d + 1), object)
+            table[:, :d] = lat.freqs[rows]
+            new = np.flatnonzero(~reuse)
+            values = c[rows[new]].view(np.float64).tolist()
+            table[new, d] = (b"%.17g,%.17g\0" * new.size % tuple(values)).split(b"\0")[:-1]
+            keep = np.flatnonzero(exact & (mates > rows))
+            held[count:count + keep.size] = rows[keep]
+            texts[count:count + keep.size] = table[keep, d]
+            count += keep.size
+            if reuse.any():
+                text = b"\0".join(texts[np.searchsorted(held[:count], mates[reuse])].tolist())
+                # the sign of each im flipped: ",-" to "," by way of a marker, "," to ",-"
+                text = text.replace(b",-", b"|").replace(b",", b",-").replace(b"|", b",")
+                table[reuse, d] = text.split(b"\0")
+            fh.write(row * rows.size % tuple(table.ravel().tolist()))
 
 
 def read_field_csv(path, lattice) -> SpectralField:

@@ -5,7 +5,10 @@ complex-normal subject to the Hermitian pairing: real modes get variance 1,
 conjugate pairs get independent N(0, 1/2) real and imaginary parts.  This is
 exactly the law of ``fftn(z) / sqrt(K)`` for ``z`` an i.i.d. standard normal
 grid array, drawn for every sampler by the one kernel ``lattice._white_coeffs``:
-:func:`sample_white_noise`, Monte Carlo ball counts and norm-check probes.
+:func:`sample_white_noise`, Monte Carlo ball counts and norm-check probes.  The
+pairing holds bit for bit: coeff(-l) is the exact conjugate of coeff(l), and a
+self-conjugate mode is exactly real, so :func:`sample_prior` under a real even
+covariance symbol draws exactly Hermitian coefficients too.
 """
 
 from __future__ import annotations

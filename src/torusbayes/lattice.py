@@ -15,6 +15,7 @@ discarding the imaginary residue.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ __all__ = [
 # Tolerance for the Hermitian-symmetry check in inverse_transform, relative
 # to max(1, max |coeff|).
 HERMITIAN_TOL = 1e-10
+# guards the arrays kept on a lattice on first use
+_KEPT_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -153,17 +156,43 @@ def forward_transform(lattice: FrequencyLattice, values) -> SpectralField:
     return SpectralField(lattice, coeffs.ravel())
 
 
+def _white_pairs(lattice: FrequencyLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The earlier member of each pair l, -l in flat order, the later one, and the
+    self-conjugate modes: built once per lattice, read-only."""
+    with _KEPT_LOCK:
+        kept = lattice.__dict__.get("_white_pairs")
+        if kept is None:
+            idx, conj = np.arange(lattice.size), lattice.conj_index
+            early = idx[idx < conj]
+            kept = (early, conj[early], idx[conj == idx])
+            for arr in kept:
+                arr.setflags(write=False)
+            object.__setattr__(lattice, "_white_pairs", kept)
+    return kept
+
+
 def _white_coeffs(lattice: FrequencyLattice, rng: np.random.Generator,
                   batch: int | None = None) -> np.ndarray:
-    """Spectral white noise ``fftn(z) / sqrt(K)``, z i.i.d. N(0, 1) on the grid.
+    """Spectral white noise ``fftn(z) / sqrt(K)``, z i.i.d. N(0, 1) on the grid, made exactly
+    Hermitian: the later member of each pair l, -l in flat order is set to the exact
+    conjugate of the earlier one, and each self-conjugate mode to its real part.
 
-    Shape (K,), or (batch, K) whose row i equals bit for bit the i-th of
-    ``batch`` single draws from the same generator.
+    The earlier members keep the bits of ``fftn(z) / sqrt(K)``; the rest move by rounding
+    only.  Shape (K,), or (batch, K) whose row i equals bit for bit the i-th of ``batch``
+    single draws from the same generator.
     """
+    early, late, real = _white_pairs(lattice)
     lead = () if batch is None else (batch,)
     z = rng.standard_normal((*lead, *lattice.shape))
-    coeffs = np.fft.fftn(z, axes=tuple(range(len(lead), z.ndim)))
-    return coeffs.reshape(*lead, lattice.size) / np.sqrt(lattice.size)
+    coeffs = np.fft.fftn(z, axes=tuple(range(len(lead), z.ndim))).reshape(*lead, lattice.size)
+    del z
+    # re and im times 1 / sqrt(K) in place: the bits numpy's complex / real scalar gives
+    coeffs.view(np.float64)[...] *= 1.0 / np.sqrt(lattice.size)
+    mirror = coeffs[..., early]
+    np.conjugate(mirror, out=mirror)
+    coeffs[..., late] = mirror
+    coeffs.imag[..., real] = 0.0
+    return coeffs
 
 
 def sobolev_weight(lattice: FrequencyLattice, q: float) -> np.ndarray:

@@ -684,8 +684,8 @@ class MultiplierBall:
     """Exact tail of the weighted squared norm of a multiplier Gaussian draw.
 
     For a root symbol rho, weights w_l = (1 + |l|^2)^zeta and spectral white
-    noise xi with the law of ``fftn(z) / sqrt(K)`` that ``lattice._white_coeffs``
-    draws for every sampler, the statistic
+    noise xi as ``lattice._white_coeffs`` draws it for every sampler (the law of
+    ``fftn(z) / sqrt(K)``, with xi_-l = conj(xi_l) bit for bit), the statistic
     S = sum_l w_l |rho_l xi_l + o_l|^2 equals R + Q, where
     Q = sum_g lambda_g chi^2(h_g, nc_g) is a sum of independent noncentral
     chi-squares.  A self-conjugate mode has a real N(0, 1) entry: lambda =
@@ -759,9 +759,13 @@ class MultiplierBall:
         return k_up, k_lo
 
     def _log_tails(self, k_up, k_lo, y: np.ndarray):
-        """Chernoff log bounds on P(X_i >= y_i) and P(X_i <= y_i) for the log MGF rows."""
-        return (np.minimum(0.0, np.min(k_up - self._t_up * y[:, None], axis=1)),
-                np.minimum(0.0, np.min(k_lo + self._t_lo * y[:, None], axis=1)))
+        """Chernoff log bounds on P(X_i >= y_i) and P(X_i <= y_i) for the log MGF rows.
+
+        A product t y past the float range is inf, which gives each bound its limit.
+        """
+        with np.errstate(over="ignore"):
+            return (np.minimum(0.0, np.min(k_up - self._t_up * y[:, None], axis=1)),
+                    np.minimum(0.0, np.min(k_lo + self._t_lo * y[:, None], axis=1)))
 
     def _truncation_bound(self, u: float, tau: float) -> float:
         """Bound on (1/pi) int_u^inf |phi(v)| exp(-tau^2 v^2 / 2) / v dv.
@@ -899,6 +903,8 @@ class MultiplierBall:
         clamped to [0, 1] and to the Chernoff bounds of Q, which settle far
         tails as exactly 0 or 1.  The stated bound adds aliasing,
         truncation, the convergence factor and a floating-point allowance.
+        A radius whose square is past the float range, inf too, gives P = 0 with
+        bound 0.
 
         Rows share each step that does not depend on the row's numbers: one product per
         Chernoff table for every row, then, for the rows the tails do not settle, one
@@ -911,9 +917,10 @@ class MultiplierBall:
             nc, shift = np.zeros((1, self.lam.size)), np.zeros(1)
         else:
             nc, shift = self._noncentralities(offsets)
-        c = radius**2 - shift
+        c = float(radius) * float(radius) - shift  # inf past the float range, with no error
         p, bound = np.ones(c.size), np.zeros(c.size)  # c <= 0: S >= R >= radius^2
-        rows = np.flatnonzero(c > 0)
+        p[np.isinf(c)] = 0.0  # S is finite
+        rows = np.flatnonzero((c > 0) & np.isfinite(c))
         if self.lam.size == 0:
             p[rows] = 0.0
             return p, bound

@@ -131,6 +131,17 @@ class TestEstimate:
         assert (first / "data.csv").read_bytes() == (second / "data.csv").read_bytes()
         assert (first / "map.csv").read_bytes() == (second / "map.csv").read_bytes()
 
+    def test_non_hermitian_data_written_back_unchanged(self, tmp_path):
+        # fftn of a real grid: most of its conjugate pairs differ by rounding, a few are exact
+        lat = build_lattice(2, 16)
+        z = np.random.default_rng(4).standard_normal(lat.shape)
+        path = tmp_path / "data_in.csv"
+        _oracle_writer(SpectralField(lat, np.fft.fftn(z).ravel() / lat.size), path)
+        cfg = write_ini(tmp_path, ESTIMATE_INI.replace("truth = hat", f"truth = hat\ndata = {path}"))
+        out = tmp_path / "run"
+        assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "data.csv").read_bytes() == path.read_bytes()
+
     def test_overwrite_refused_then_forced(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, ESTIMATE_INI)
         out = tmp_path / "run"
@@ -300,6 +311,47 @@ def _field_lines(tmp_path, lat):
     return path.read_bytes().split(b"\r\n")[:-1], path
 
 
+def _oracle_writer(field, path):
+    """Every row formatted with %.17g, in blocks of 1024 rows: the bytes write_field_csv
+    must reproduce for any field."""
+    d = field.lattice.dim
+    table = np.column_stack([field.lattice.freqs, field.coeffs.real, field.coeffs.imag])
+    row = ",".join(["%d"] * d + ["%.17g"] * 2) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join([f"l{i + 1}" for i in range(d)] + ["re", "im"]) + "\r\n")
+        for start in range(0, len(table), 1024):
+            block = table[start:start + 1024]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+# zeros of both signs, infinities, subnormals, the widest %.17g text and NaN of both signs
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+           -1.2345678901234567e-300, np.nan, -np.nan]
+
+
+def _field_case(kind, lat):
+    """An exactly Hermitian draw; fftn(z) / K of a real grid, most of whose pairs differ by
+    rounding; or a draw with special values on conjugate pairs, on pairs that differ only
+    in the sign of a zero, and NaN."""
+    rng = np.random.default_rng(lat.size)
+    if kind == "fftn":
+        return SpectralField(lat, np.fft.fftn(rng.standard_normal(lat.shape)).ravel() / lat.size)
+    c = sample_white_noise(lat, rng).coeffs.copy()
+    if kind == "special":
+        mate = lat.conj_index
+        pairs = np.flatnonzero(np.arange(lat.size) < mate)
+        n = len(SPECIAL)
+        for k, l in enumerate(rng.permutation(pairs)[:2 * n + 2]):
+            if k < 2 * n:
+                c[l] = complex(SPECIAL[k % n], SPECIAL[(3 * k + 1) % n])
+                c[mate[l]] = np.conj(c[l])
+            else:  # a zero re of the other sign, a zero im of the same sign: not conjugates
+                c[l], c[mate[l]] = (complex(0.0, 1.5), complex(-0.0, -1.5)) if k == 2 * n \
+                    else (complex(1.5, 0.0), complex(1.5, 0.0))
+        c[np.flatnonzero(mate == np.arange(lat.size))[-1]] = complex(-np.nan, -0.0)
+    return SpectralField(lat, c)
+
+
 class TestFieldCsv:
     def test_round_trip(self, tmp_path):
         lat = build_lattice(2, 8)
@@ -336,6 +388,16 @@ class TestFieldCsv:
         np.savetxt(ref, table, fmt=["%d"] * 2 + ["%.17g"] * 2, delimiter=",", newline="\r\n",
                    header="l1,l2,re,im", comments="")
         assert path.read_bytes() == ref.getvalue()
+
+    @pytest.mark.parametrize("kind", ["hermitian", "fftn", "special"])
+    @pytest.mark.parametrize("dim, n", [(1, 4), (1, 6), (2, 4), (2, 6), (3, 4), (3, 6),
+                                        (2, 48), (3, 16)])
+    def test_bytes_match_every_row_formatted(self, tmp_path, kind, dim, n):
+        # (2, 48) and (3, 16) span several blocks, so a mate's text is held across them
+        field = _field_case(kind, build_lattice(dim, n))
+        write_field_csv(field, tmp_path / "new.csv")
+        _oracle_writer(field, tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
     @pytest.mark.parametrize("edit", [
         lambda ls: [b"l1,l2,real,imag"] + ls[1:],

@@ -1,7 +1,13 @@
 """White noise, Gaussian priors, Sobolev norms, trace diagnostics."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+
+import torusbayes.lattice as lattice_module
 
 from torusbayes.fields import (
     gaussian_prior,
@@ -20,11 +26,74 @@ from torusbayes.lattice import (
 from torusbayes.operators import DenseOp, MultiplierOp, bessel_op, compose, densify, symbol_values
 
 
+def _conjugate_bits_match(c: np.ndarray, lat) -> bool:
+    """coeff(-l) equals conj(coeff(l)) bit for bit on every mode that is not its own mate."""
+    pair = lat.conj_index != np.arange(lat.size)
+    mirror = np.ascontiguousarray(np.conj(c[..., lat.conj_index]))
+    return (np.ascontiguousarray(c[..., pair]).tobytes()
+            == np.ascontiguousarray(mirror[..., pair]).tobytes())
+
+
 class TestWhiteNoise:
     def test_draws_are_hermitian(self):
         lat = build_lattice(2, 8)
         e = sample_white_noise(lat, 0)
         assert hermitian_defect(e) < 1e-13
+
+    # n = 6 with d >= 2: rfftn leaves rounding in the imaginary part of self-conjugate modes
+    @pytest.mark.parametrize("dim, n", [(1, 6), (2, 6), (2, 8), (3, 6), (2, 64)])
+    def test_draws_are_exactly_hermitian(self, dim, n):
+        lat = build_lattice(dim, n)
+        prior = gaussian_prior(bessel_op(-1.0))
+        for seed in range(3):
+            e, u = sample_white_noise(lat, seed), sample_prior(prior, lat, seed)
+            assert hermitian_defect(e) == 0.0 and hermitian_defect(u) == 0.0
+            assert _conjugate_bits_match(e.coeffs, lat) and _conjugate_bits_match(u.coeffs, lat)
+            real = lat.conj_index == np.arange(lat.size)
+            assert np.all(e.coeffs.imag[real] == 0.0)
+        batch = _white_coeffs(lat, np.random.default_rng(3), 4)
+        assert _conjugate_bits_match(batch, lat)
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 6), (2, 32), (3, 8)])
+    def test_draws_equal_fftn_to_rounding(self, dim, n):
+        lat = build_lattice(dim, n)
+        draw = _white_coeffs(lat, np.random.default_rng(11), 3)
+        z = np.random.default_rng(11).standard_normal((3, *lat.shape))
+        ref = np.fft.fftn(z, axes=tuple(range(1, dim + 1))).reshape(3, -1) / np.sqrt(lat.size)
+        assert np.abs(draw - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_pair_index_built_once_across_threads(self, monkeypatch):
+        lat = build_lattice(2, 16)
+        builds = []
+        arange = np.arange
+
+        def counting(*args, **kwargs):
+            if args == (lat.size,):  # the index of every mode, read only by the build
+                builds.append(1)
+                time.sleep(0.01)  # widen the window in which another thread could build it too
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(lattice_module.np, "arange", counting)
+        results = [None] * 8
+
+        def work(i):
+            results[i] = _white_coeffs(lat, np.random.default_rng(i))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            monkeypatch.undo()
+        assert not any(th.is_alive() for th in threads)
+        assert len(builds) == 1
+        for i, row in enumerate(results):
+            assert row.tobytes() == _white_coeffs(lat, np.random.default_rng(i)).tobytes()
 
     def test_unit_variance_per_mode(self):
         """E|e_l|^2 = 1 for every mode: self-conjugate modes are real N(0,1),

@@ -1286,6 +1286,20 @@ class TestMultiplierBall:
         with pytest.raises(ValueError, match="radius must be nonnegative"):
             ball.escape_prob(radius)
 
+    @pytest.mark.parametrize("radius", [1e150, 1e155, np.float64(1e155), float("inf")])
+    def test_radius_past_float_range_escapes_with_zero_bound(self, radius):
+        # 1e150 squared is finite but t radius^2 is not; 1e155 squared is not either
+        lat = build_lattice(2, 8)
+        ball = MultiplierBall(symbol_values(bessel_op(-1.0), lat), lat)
+        offsets = np.zeros((2, lat.size), dtype=complex)
+        offsets[1, 1] = offsets[1, lat.conj_index[1]] = 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ball.escape_prob(radius) == (0.0, 0.0)
+            assert ball.escape_prob(radius, offsets[1]) == (0.0, 0.0)
+            p, bound = ball._escape_probs(radius, offsets)
+        assert p.tolist() == [0.0, 0.0] and bound.tolist() == [0.0, 0.0]
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0.0, -np.inf)])
     def test_rejects_non_finite_offset(self, value):
         ball, lat = lone_modes_ball({1: 0.6, 7: 0.8})
