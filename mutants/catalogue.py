@@ -94,9 +94,10 @@ MUTANTS = (
            "model.delta**2 * asq / denom**2", "model.delta * asq / denom**2"),
     Mutant("error-forms-cross-sign", EXPERIMENTS,
            "-2.0 * model.delta * beta / denom", "2.0 * model.delta * beta / denom"),
-    # the tiled Hermitian symmetrise: the sign of the mirrored tile's imaginary part
-    Mutant("hermitian-mirror-imag-sign", POSTERIOR,
-           "tile.imag -= mirror.imag", "tile.imag += mirror.imag"),
+    # the back-transform from the cosine/sine basis: the sign of the mate rows' imaginary part
+    Mutant("hermitian-mate-imag-sign", LATTICE,
+           "np.conjugate(z[:h, sin], out=z[h:, cos])  # the mate rows",
+           "np.copyto(z[h:, cos], z[:h, sin])  # the mate rows"),
     # a solve's finite-row check, which a diagonal mean with one NaN entry must fail
     Mutant("finite-row-check", POSTERIOR,
            "return [mean if np.isfinite(mean).all() else",

@@ -467,10 +467,9 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
     # prior root and forward map evaluated once per run: K values, or a K x K matrix
     root, fwd = _evaluated(cfg.prior.sqrt_cov, lattice), _evaluated(cfg.fwd, lattice)
 
-    def prior_draw(i: int):
+    def prior_draw(i: int) -> np.ndarray:
         xi = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 0, i)).coeffs
-        u = root * xi if root.ndim == 1 else root @ xi
-        return u, fwd * u if fwd.ndim == 1 else fwd @ u
+        return root * xi if root.ndim == 1 else root @ xi
 
     nz = len(zetas)
     split = _is_diagonal(models[0])
@@ -480,9 +479,16 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
             return np.sqrt(np.concatenate([np.maximum(bias + noise + cross, 0.0), bias, noise],
                                           axis=1))
 
-        stats, dropped = _replicate_solves(cfg, lattice, models, prior_draw, errors, 3 * nz, zw)
+        def truth(i: int):  # a diagonal model: K symbol values each
+            u = prior_draw(i)
+            return u, fwd * u
+
+        stats, dropped = _replicate_solves(cfg, lattice, models, truth, errors, 3 * nz, zw)
     else:
-        stats, dropped = _replicate_solves(cfg, lattice, models, prior_draw,
+        # the dense solves draw in the caller's thread anyway: A U for every replicate at once
+        u = np.stack([prior_draw(i) for i in range(cfg.n_replicates)])
+        au = fwd * u if fwd.ndim == 1 else u @ fwd.T
+        stats, dropped = _replicate_solves(cfg, lattice, models, lambda i: (u[i], au[i]),
                                            lambda j, diff, *_: np.sqrt(zw @ np.abs(diff) ** 2),
                                            nz)
     rows, fits = [], []

@@ -66,21 +66,36 @@ class GaussianPrior:
     sqrt_cov: Operator
 
 
+def _hermitian_gram(x: np.ndarray) -> np.ndarray:
+    """X X^H, exactly Hermitian.  A real X takes the one product X X^T, which numpy forms
+    exactly symmetric; a complex one the real products Re = Y Y^T, for Y the (K, 2K) real
+    view of X (Xr Xr^T + Xi Xi^T), and Im = T - T^T for T = Xi Xr^T."""
+    if np.isrealobj(x):
+        return x @ x.T
+    x = np.ascontiguousarray(x)
+    out = np.empty((len(x), len(x)), dtype=np.complex128)
+    y = x.view(np.float64)
+    out.real = y @ y.T
+    t = np.ascontiguousarray(x.imag) @ np.ascontiguousarray(x.real).T
+    np.subtract(t, t.T, out=out.imag)
+    return out
+
+
 def _hermitian_sqrt(lattice: FrequencyLattice, mat: np.ndarray) -> np.ndarray:
     """M^{1/2} in the exponential basis, for M Hermitian positive definite given in the
-    cosine/sine basis.
+    cosine/sine basis; exactly Hermitian.
 
     One ``eigh`` M = V diag(lam) V^H: real symmetric for a real ``mat``, and then
-    every product is real too.  The root F F^H, F = V diag(lam^{1/4}) scaled in
-    place in V, is mapped back to the exponential basis.  Raises ValueError
-    unless M is positive definite.
+    every product is real too.  The root F F^H (:func:`_hermitian_gram`),
+    F = V diag(lam^{1/4}) scaled in place in V, is mapped back to the exponential
+    basis.  Raises ValueError unless M is positive definite.
     """
     evals, evecs = np.linalg.eigh(mat)
     del mat  # each K x K temporary is dropped as soon as it is used
     if evals.min() <= 0:
         raise ValueError(f"covariance not positive definite (min eig {evals.min():g})")
     evecs *= np.sqrt(evals**0.5)  # F = V diag(lam^{1/4}): the root is F F^H
-    root = evecs @ (evecs.conj().T if np.iscomplexobj(evecs) else evecs.T)
+    root = _hermitian_gram(evecs)
     del evecs
     return _from_cosine_sine(lattice, root)
 

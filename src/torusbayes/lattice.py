@@ -320,22 +320,55 @@ def _to_cosine_sine(lattice: FrequencyLattice, x: np.ndarray) -> np.ndarray:
 
 
 def _from_cosine_sine(lattice: FrequencyLattice, y: np.ndarray) -> np.ndarray:
-    """Q^H Y Q for a K x K matrix Y, the inverse of :func:`_to_cosine_sine`, complex.
+    """Q^H Y Q for a K x K matrix Y, the inverse of :func:`_to_cosine_sine`, complex;
+    exactly Hermitian when Y is.
 
-    Transformed in blocks of at most ``_CS_BLOCK`` rows, written straight to the
-    result, so no other K x K array is made.
+    Each entry is written once from its closed form, in blocks of at most ``_CS_BLOCK``
+    rows.  For a real Y, pairs l, k with cosine and sine rows c, s and columns c', s':
+    X_{l,k} = [(Y_cc' + Y_ss') + i (Y_sc' - Y_cs')] / 2 and
+    X_{l,-k} = [(Y_cc' - Y_ss') + i (Y_cs' + Y_sc')] / 2; for self-conjugate r and r',
+    X_{l,r} = (Y_cr + i Y_sr) / sqrt(2), X_{r,k} = (Y_rc' - i Y_rs') / sqrt(2) and
+    X_{r,r'} = Y_rr'; the mate rows are X_{-l,k} = conj X_{l,-k}.  A complex Y = R + i I
+    gives Q^H R Q + i Q^H I Q.  For an exactly Hermitian Y the mirror of an entry takes the
+    same operations on the mirrored entries of Y, and these sums and differences commute
+    or change sign exactly, so X is exactly Hermitian.  No other K x K array is made.
     """
     order, ns, npair = _cosine_sine_modes(lattice)
     cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
     back = np.argsort(order)
+    parts = (y,) if np.isrealobj(y) else (y.real, y.imag)
+
+    def block(m: np.ndarray, rows: np.ndarray, h: int) -> np.ndarray:
+        # rows ``rows`` of Q^H M Q for a real M, in cosine/sine column order
+        w = m[rows]
+        z = np.empty(w.shape, dtype=np.complex128)
+        re, im = z.real, z.imag
+        if h:
+            wc, ws = w[:h], w[h:]
+            np.add(wc[:, cos], ws[:, sin], out=re[:h, cos])
+            np.subtract(ws[:, cos], wc[:, sin], out=im[:h, cos])
+            np.subtract(wc[:, cos], ws[:, sin], out=re[:h, sin])
+            np.add(wc[:, sin], ws[:, cos], out=im[:h, sin])
+            z[:h, ns:] *= 0.5
+            np.multiply(wc[:, :ns], np.sqrt(0.5), out=re[:h, :ns])
+            np.multiply(ws[:, :ns], np.sqrt(0.5), out=im[:h, :ns])
+            np.conjugate(z[:h, sin], out=z[h:, cos])  # the mate rows
+            np.conjugate(z[:h, cos], out=z[h:, sin])
+            np.conjugate(z[:h, :ns], out=z[h:, :ns])
+        else:
+            z[:, :ns] = w[:, :ns]
+            np.multiply(w[:, cos], np.sqrt(0.5), out=re[:, cos])
+            np.multiply(w[:, sin], -np.sqrt(0.5), out=im[:, cos])
+            np.conjugate(z[:, cos], out=z[:, sin])
+        return z
+
     out = np.empty(y.shape, dtype=np.complex128)
     for rows, h in _cs_row_blocks(ns, npair):
-        z = y[rows].astype(np.complex128, copy=False)
-        if h:
-            z[h:] *= 1j
-            _butterfly(z[:h], z[h:])
-        z[:, sin] *= -1j
-        _butterfly(z[:, cos], z[:, sin])
+        z = block(parts[0], rows, h)
+        if len(parts) == 2:
+            zi = block(parts[1], rows, h)
+            z.real -= zi.imag
+            z.imag += zi.real
         out[order[rows]] = z[:, back]
     return out
 

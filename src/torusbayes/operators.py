@@ -280,7 +280,7 @@ def variable_coeff_op(
                   for j in range(d))
     mat = phi_hat[index].reshape(lattice.size, lattice.size)
     mat *= symbol_values(m, lattice)[None, :]
-    return DenseOp(lattice, mat, m.order_t, m.order_t0, f"phi*{m.label}")
+    return DenseOp(lattice, _Handover(mat), m.order_t, m.order_t0, f"phi*{m.label}")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import GaussianPrior, _hermitian_sqrt, _rng, operator_sqrt, sample_white_noise
+from .fields import (
+    GaussianPrior,
+    _hermitian_gram,
+    _hermitian_sqrt,
+    _rng,
+    operator_sqrt,
+    sample_white_noise,
+)
 from .lattice import (
     _CS_REAL_TOL,
     FrequencyLattice,
@@ -71,9 +78,6 @@ __all__ = [
 ]
 
 CG_TOL = 1e-10
-# rows of one tile of the in-place Hermitian symmetrise (_hermitian_part), 64 KiB
-# complex: at K = 1024 faster than tiles of 32 or 128 rows (11 against 20 and 15 ms)
-_SYM_TILE = 64
 # guards GaussianModel._diag and the operators' _cs; re-entrant, as a prior
 # may be another model's posterior
 _DIAG_LOCK = threading.RLock()
@@ -504,37 +508,15 @@ def _cov_factor(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
 
 
 def _cov_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """C_cs = X X^H of :func:`_cov_factor`: one product, exactly symmetric for a real X."""
-    x = _cov_factor(model, lattice)
-    return x @ x.conj().T if np.iscomplexobj(x) else x @ x.T
-
-
-def _hermitian_part(c: np.ndarray) -> None:
-    """c = (c + c^H) / 2 in place, one pair of mirrored tiles at a time.
-
-    Entry (i, j) becomes (Re c_ij + Re c_ji) + i (Im c_ij - Im c_ji), times 0.5, the
-    arithmetic of the whole-matrix form, so the result is exactly Hermitian; no
-    temporary is larger than a tile, where the whole-matrix ``re += re.T`` copies re.
-    """
-    k = len(c)
-    for i in range(0, k, _SYM_TILE):
-        rows = slice(i, i + _SYM_TILE)
-        for j in range(i, k, _SYM_TILE):
-            cols = slice(j, j + _SYM_TILE)
-            a, b = c[rows, cols], c[cols, rows]  # one tile on the diagonal
-            # each tile with a transposed copy of its mirror, taken before either is written
-            pairs = ((a, b.T.copy()), (b, a.T.copy())) if j > i else ((a, b.T.copy()),)
-            for tile, mirror in pairs:
-                tile.real += mirror.real
-                tile.imag -= mirror.imag
-                tile *= 0.5
+    """C_cs = X X^H of :func:`_cov_factor`, exactly Hermitian (:func:`_hermitian_gram`)."""
+    return _hermitian_gram(_cov_factor(model, lattice))
 
 
 def _dense_cov(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray) -> DenseOp:
-    """Q^H C_cs Q as an operator, Hermitian-symmetrised exactly and in place."""
-    cov = _from_cosine_sine(lattice, c_cs)
-    _hermitian_part(cov)
-    return DenseOp(lattice, _Handover(cov), model.prior.cov.order_t, model.prior.cov.order_t0,
+    """Q^H C_cs Q as an operator, exactly Hermitian by construction
+    (:func:`_from_cosine_sine`)."""
+    return DenseOp(lattice, _Handover(_from_cosine_sine(lattice, c_cs)),
+                   model.prior.cov.order_t, model.prior.cov.order_t0,
                    f"postcov({model.fwd.label})")
 
 

@@ -31,6 +31,7 @@ from torusbayes.operators import (
     compose,
     densify,
     heat_op,
+    symbol_values,
     variable_coeff_op,
 )
 from torusbayes import experiments
@@ -536,6 +537,21 @@ class TestReplicateLoop:
             for delta, row in zip(cfg.deltas, rows):
                 diff = row.coeffs - rows[0].coeffs
                 assert np.allclose(diff, (delta - cfg.deltas[0]) * e.coeffs, rtol=0, atol=1e-15)
+
+    def test_dense_prior_draws_forward_mapped_together(self, monkeypatch):
+        # the stack of prior draws goes through A in one product: each row is A u_i to rounding
+        calls = recording_solves(monkeypatch)
+        lat = build_lattice(2, 8)
+        cfg = small_cfg(fwd=dense_fwd(lat), n_per_dim=8)
+        run_bayes_convergence(cfg)
+        ((_, data),) = calls
+        n, root = len(cfg.deltas), symbol_values(cfg.prior.sqrt_cov, lat)
+        for i in range(cfg.n_replicates):
+            xi, e = (sample_white_noise(lat, np.random.default_rng((cfg.master_seed, stream, i)))
+                     for stream in (0, 1))
+            au = cfg.fwd.matrix @ (root * xi.coeffs)
+            row = data[i * n].coeffs - cfg.deltas[0] * e.coeffs
+            assert np.abs(row - au).max() < 1e-14 * np.abs(au).max()
 
     @pytest.mark.parametrize("mode", FORM_MODES)
     def test_diagonal_run_forms_each_delta_once(self, mode, monkeypatch):

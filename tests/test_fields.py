@@ -10,6 +10,7 @@ import pytest
 import torusbayes.lattice as lattice_module
 
 from torusbayes.fields import (
+    _hermitian_gram,
     gaussian_prior,
     operator_sqrt,
     prior_trace_check,
@@ -173,6 +174,32 @@ class TestOperatorSqrt:
         cov = DenseOp(lat, mat.astype(complex), 0.0, 0.0)
         root = operator_sqrt(cov)
         assert np.abs(root.matrix @ root.matrix.conj().T - mat).max() < 1e-10
+        assert np.array_equal(root.matrix, root.matrix.conj().T)
+
+    def test_dense_sqrt_of_complex_form_exactly_hermitian(self):
+        # a Hermitian matrix that does not map real fields to real fields: complex in the
+        # cosine/sine basis, so the root takes the complex eigh and products
+        lat = build_lattice(2, 4)
+        rng = np.random.default_rng(7)
+        b = rng.standard_normal((lat.size, lat.size)) + 1j * rng.standard_normal((lat.size,) * 2)
+        mat = b @ b.conj().T + lat.size * np.eye(lat.size)
+        mat = 0.5 * (mat + mat.conj().T)
+        root = operator_sqrt(DenseOp(lat, mat, 0.0, 0.0)).matrix
+        assert np.abs(root @ root.conj().T - mat).max() < 1e-10 * np.abs(mat).max()
+        assert np.array_equal(root, root.conj().T)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "complex-transposed"])
+    def test_hermitian_gram_exact(self, kind):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((40, 40))
+        if kind != "real":
+            x = x + 1j * rng.standard_normal(x.shape)
+        if kind == "complex-transposed":
+            x = x.T  # not C-contiguous
+        g = _hermitian_gram(x)
+        assert g.dtype == (np.float64 if kind == "real" else np.complex128)
+        assert np.array_equal(g, g.conj().T)
+        assert np.abs(g - x @ x.conj().T).max() < 1e-13 * np.abs(g).max()
 
     def test_dense_sqrt_of_densified_multiplier_matches_symbol_root(self):
         lat = build_lattice(2, 8)

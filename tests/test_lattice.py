@@ -20,6 +20,7 @@ from torusbayes.lattice import (
     hermitian_defect,
     inverse_transform,
 )
+from torusbayes.fields import _hermitian_gram
 from torusbayes.operators import apply, bessel_op, densify, heat_op, variable_coeff_op
 
 
@@ -237,19 +238,6 @@ class TestCosineSineBasis:
             assert all(np.array_equal(row, _rows_from_cosine_sine(lat, v)) for row, v in zip(back, y))
 
 
-def unblocked_from_cosine_sine(lat, y):
-    """Q^H Y Q on the whole matrix at once: a full complex copy, then a full gather."""
-    order, ns, npair = _cosine_sine_modes(lat)
-    z = y.astype(np.complex128)
-    cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
-    z[sin] *= 1j
-    _butterfly(z[cos], z[sin])
-    z[:, sin] *= -1j
-    _butterfly(z[:, cos], z[:, sin])
-    back = np.argsort(order)
-    return z[np.ix_(back, back)]
-
-
 def unblocked_to_cosine_sine(lat, x):
     """Q X Q^H on the whole matrix at once: a full complex gather, then a real copy if real."""
     order, ns, npair = _cosine_sine_modes(lat)
@@ -295,16 +283,30 @@ class TestToCosineSineBlocks:
         assert peak < 1.4 * out.nbytes
 
 
+def exact_hermitian(lat, kind, seed):
+    """X X^H for a random real or complex K x K factor X: exactly Hermitian."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((lat.size, lat.size))
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(x.shape)
+    return _hermitian_gram(x)
+
+
 class TestFromCosineSineBlocks:
     @pytest.mark.parametrize("dim, n", [(1, 8), (2, 4), (2, 16), (2, 32), (3, 4)])
     @pytest.mark.parametrize("block", [2, 8, 64])
-    def test_same_bytes_as_unblocked(self, dim, n, block, monkeypatch):
+    def test_same_bytes_as_unblocked(self, dim, n, block, monkeypatch, unblocked_from_cosine_sine):
         monkeypatch.setattr(lattice_module, "_CS_BLOCK", block)
         lat = build_lattice(dim, n)
         rng = np.random.default_rng(n)
         y = rng.standard_normal((lat.size, lat.size))
         y[0, 1] = -0.0
-        for mat in (y, y + 1j * rng.standard_normal(y.shape)):
+        mats = [y, y + 1j * rng.standard_normal(y.shape)]  # neither Hermitian
+        for kind in ("real", "complex"):
+            c = exact_hermitian(lat, kind, n)
+            c[1, 2] = c[2, 1] = -0.0 if kind == "real" else complex(-0.0, 0.0)
+            mats.append(c)
+        for mat in mats:
             expected = unblocked_from_cosine_sine(lat, mat)
             assert _from_cosine_sine(lat, mat).tobytes() == expected.tobytes()
 
@@ -313,7 +315,10 @@ class TestFromCosineSineBlocks:
         # K = 256; small blocks, so the peak counts full-size arrays, not block ones
         monkeypatch.setattr(lattice_module, "_CS_BLOCK", 8)
         lat = build_lattice(2, 16)
-        y = np.random.default_rng(2).standard_normal((lat.size, lat.size)).astype(dtype)
+        rng = np.random.default_rng(2)
+        y = rng.standard_normal((lat.size, lat.size)).astype(dtype)
+        if dtype == np.complex128:
+            y.imag = rng.standard_normal(y.shape)
         full = 16 * lat.size**2  # bytes of one complex K x K array: the result
         tracemalloc.start()
         try:
@@ -322,4 +327,27 @@ class TestFromCosineSineBlocks:
         finally:
             tracemalloc.stop()
         assert out.nbytes == full
-        assert peak < 1.4 * full
+        assert peak < 1.2 * full
+
+
+class TestFromCosineSineClosedForm:
+    @pytest.mark.parametrize("dim, n", TestCosineSineBasis.SHAPES)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_equals_explicit_product(self, dim, n, kind, hermitian):
+        lat = build_lattice(dim, n)
+        if hermitian:
+            y = exact_hermitian(lat, kind, dim * n)
+            assert np.array_equal(y, y.conj().T)
+        else:
+            rng = np.random.default_rng(dim * n + 2)
+            y = rng.standard_normal((lat.size, lat.size))
+            if kind == "complex":
+                y = y + 1j * rng.standard_normal(y.shape)
+        out = _from_cosine_sine(lat, y)
+        assert out.dtype == np.complex128
+        if hermitian:  # exactly, by construction
+            assert np.array_equal(out, out.conj().T)
+            assert np.all(out.diagonal().imag == 0.0)
+        q = explicit_q(lat)
+        assert np.abs(out - q.conj().T @ y @ q).max() < 4 * np.finfo(float).eps * np.abs(y).max()

@@ -1,5 +1,7 @@
 """Operator algebra, constructors, and the hypoellipticity diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,30 @@ class TestVariableCoeff:
         lat = build_lattice(1, 8)
         op = variable_coeff_op(np.ones(lat.shape) * 2.0, bessel_op(-1.0), lat)
         assert op.order_t == 2.0 and op.order_t0 == 2.0
+
+    @pytest.mark.parametrize("dim, n", [(1, 16), (2, 8), (3, 4)], ids=["d1", "d2", "d3"])
+    def test_matrix_handed_over_read_only(self, dim, n):
+        # entry (k, l) = phi_hat(k - l) * symbol(l), gathered from the frequency differences
+        lat = build_lattice(dim, n)
+        phi = 1.0 + np.random.default_rng(16).random(lat.shape)
+        op = variable_coeff_op(phi, bessel_op(-1.0), lat)
+        phi_hat = np.fft.fftn(phi) / lat.size
+        diff = (lat.freqs[:, None, :] - lat.freqs[None, :, :]) % n
+        expected = phi_hat[tuple(diff[..., j] for j in range(dim))]
+        expected *= symbol_values(bessel_op(-1.0), lat)[None, :]
+        assert op.matrix.tobytes() == expected.tobytes()
+        assert not op.matrix.flags.writeable
+
+    def test_matrix_not_copied(self):
+        lat = build_lattice(2, 16)  # K = 256: a 1 MiB matrix outweighs the small arrays
+        phi = 1.0 + np.random.default_rng(17).random(lat.shape)
+        tracemalloc.start()
+        try:
+            op = variable_coeff_op(phi, bessel_op(-1.0), lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * op.matrix.nbytes  # the gathered matrix, not a copy of it too
 
 
 class TestHypoellipticity:
