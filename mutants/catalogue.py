@@ -49,9 +49,17 @@ MUTANTS = (
     Mutant("cov-factor-delta", POSTERIOR,
            "block[1:] * (model.delta / np.sqrt(block[0].real + model.delta**2))",
            "block[1:] * (model.delta / np.sqrt(block[0].real + model.delta))"),
+    # the runners' dense trace and ball law: the weights in cosine/sine order, the
+    # Hermitian root that a complex pencil factor X cannot stand in for, and the
+    # conjugate in the offsets' projection onto the law's eigenbasis
     Mutant("trace-root-weights", POSTERIOR,
            "w = sobolev_weight(lattice, zeta)[_cosine_sine_modes(lattice)[0]]",
            "w = sobolev_weight(lattice, zeta)"),
+    Mutant("dense-ball-factor-root", POSTERIOR,
+           "root = _hermitian_sqrt(_hermitian_gram(root))", "root = root"),
+    Mutant("dense-ball-projection-conj", POSTERIOR,
+           "ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms]).conj()",
+           "ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms])"),
     # the cosine/sine basis and the Sobolev bracket
     Mutant("butterfly-sign", LATTICE, "b *= -2.0", "b *= 2.0"),
     Mutant("sobolev-half-order", LATTICE,
@@ -79,10 +87,12 @@ MUTANTS = (
     Mutant("ball-batch-period", POSTERIOR,
            "grid = self._grid(exponent, noncentral)",
            "grid = self._grid(int(exponents.min()), noncentral)"),
-    # the dense replicate loop: each replicate's rows of the one lockstep solve
+    # the dense replicate loop: each delta's rows of the one replicate-major lockstep solve
     Mutant("lockstep-replicate-offset", EXPERIMENTS,
-           "for j, mean in enumerate(means[i * n:(i + 1) * n]):",
-           "for j, mean in enumerate(means[i:i + n]):"),
+           "for (u, _, _), mean in zip(draws, means[j::n])])",
+           "for (u, _, _), mean in zip(draws, means[j * n_rep:(j + 1) * n_rep])])"),
+    Mutant("dense-failed-solve-row", EXPERIMENTS,
+           "np.nan * u if isinstance(mean, SolverError)", "0.0 * u if isinstance(mean, SolverError)"),
     # the diagonal replicate loop's drop rule: a row with any non-finite entry is dropped
     Mutant("diagonal-drop-any-entry", EXPERIMENTS,
            "ok = np.isfinite(block.reshape(n_rep, -1)).all(axis=1)",

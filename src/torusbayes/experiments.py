@@ -8,12 +8,11 @@ parallelizable: replicate i always uses generators seeded by
 order, so thread count never changes the output.  For a diagonal model the
 bayes, frequentist and deblurring runners form no posterior mean: each
 error is the root of three weighted quadratic forms of the draws
-(:func:`_error_forms`), one delta at a time.  The contraction runner takes
-a diagonal model's offsets mean - u of every replicate at one delta as one
-stack (:func:`_offsets`) and evaluates the exact ball law on it in one
-call; a dense model draws every replicate first and solves all of them in
-one lockstep call before the pool computes the statistics.  Seed streams:
-0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner draws.  A failed
+(:func:`_error_forms`), one delta at a time.  The other statistics read
+the offsets mean - u of every replicate at one delta as one stack, and
+ball probabilities come from one exact law per delta, multiplier or dense
+(:class:`posterior.MultiplierBall`); no runner samples the posterior.
+Seed streams: 0 truth, 1 data noise, 2 ``c0`` calibration.  A failed
 solve, a non-finite form or a non-finite offset in the replicate loop
 leaves its (replicate, delta) pair NaN, counted in ``dropped``.
 """
@@ -39,8 +38,7 @@ from .posterior import (
     _diag_weights,
     _is_diagonal,
     _map_means,
-    _mc_ball_hits,
-    _trace_root,
+    _trace_ball,
     map_estimate,
 )
 from .rates import RatePrediction, bayes_rate, contraction_rate, credible_rate, frequentist_rate
@@ -292,44 +290,20 @@ def _checked_truth(truth: TruthField | None, lattice: FrequencyLattice) -> Truth
 
 @dataclass(frozen=True)
 class _DeltaSetup:
-    """Data-independent posterior pieces at one noise level, as evaluated arrays.
-
-    ``root`` holds K values, or a K x K matrix for a dense model, whose ``ball`` is None.
-    """
+    """Data-independent posterior pieces at one noise level: the model, the H^zeta trace of
+    its covariance and the exact law of its H^zeta ball statistic."""
 
     model: GaussianModel
-    lattice: FrequencyLattice
-    zeta: float
     trace: float
-    root: np.ndarray
-    ball: MultiplierBall | None
-
-    def escape_prob(self, radius: float, n_mc: int, rng: np.random.Generator,
-                    offset=None) -> tuple[float, float]:
-        """P(|C^{1/2} xi + offset|_{H^zeta} > radius): exact with the error bound of
-        the ball if there is one, else from ``n_mc`` draws of ``rng`` with the binomial SE."""
-        if self.ball is not None:
-            return self.ball.escape_prob(radius, offset)
-        p_in, stderr = _mc_ball_hits(self.root, self.lattice, self.zeta, radius, n_mc, rng,
-                                     offset)
-        return 1.0 - p_in, stderr
+    ball: MultiplierBall
 
 
 def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
                   zeta: float) -> list[_DeltaSetup]:
-    """Model, H^zeta trace, covariance root and exact ball for each delta of the grid.
-
-    Diagonal pieces come from the model's stored weights, dense ones from the pencil
-    the forward map keeps (:func:`posterior._trace_root`): no ``eigh`` per delta
-    where the pencil is real.
-    """
-    setups = []
-    for delta in cfg.deltas:
-        model = cfg.model(delta)
-        trace, root = _trace_root(model, lattice, zeta)
-        ball = MultiplierBall(root, lattice, zeta) if root.ndim == 1 else None
-        setups.append(_DeltaSetup(model, lattice, zeta, trace, root, ball))
-    return setups
+    """Model, H^zeta trace and exact ball law for each delta of the grid
+    (:func:`posterior._trace_ball`)."""
+    return [_DeltaSetup(model, *_trace_ball(model, lattice, zeta))
+            for model in map(cfg.model, cfg.deltas)]
 
 
 def _error_forms(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray,
@@ -376,21 +350,17 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
                       ) -> tuple[np.ndarray, int]:
     """The rate runners' replicate loop: a (replicate, delta, width) array and the drop count.
 
-    Replicate i takes u and A u from ``truth``, a fixed pair or a function of i, e from
-    stream 1 and ``rng`` from stream 3 (0 truth, 1 data noise, 2 ``c0`` calibration, 3 inner
-    draws).  Diagonal models form no mean, and their pool tasks only draw: given ``zw``, the
-    (zeta, K) H^zeta weights, each task keeps its replicate's real K-vectors |u|^2 (once for
-    a fixed truth), |e|^2 and Re(conj(A u) e), and :func:`_error_forms` contracts every
-    replicate's vectors one delta at a time into ``statistic(j, forms)``, the rows of model
-    j from its (replicate, zeta, 3) forms; without ``zw`` each task writes its replicate's
-    row of one (replicate, K) stack of e (and of u and A u unless the truth is fixed), and
-    :func:`_offsets` gives every replicate's mean - u one delta at a time, which
-    ``statistic(j, offsets)`` maps to the rows of model j.  A replicate whose forms or
-    offsets are not finite is NaN there and one drop.  Other models draw every replicate in
-    the caller's thread first and solve all n_replicates x n_delta rows, replicate-major, in
-    one lockstep call, so the forward matrix and the pencil are read once per run; the pool
-    then stores ``statistic(j, mean - u, u, e, rng)`` of each replicate, or NaN and one drop
-    where its solve failed.  Either way the thread count never changes the result.
+    Replicate i takes u and A u from ``truth``, a fixed pair or a function of i, and e from
+    stream 1.  ``statistic(j, block)`` maps model j's block, one row per replicate, to those
+    replicates' rows.  Diagonal models form no mean, and their pool tasks only draw: given
+    ``zw``, the (zeta, K) H^zeta weights, each task keeps its replicate's real K-vectors
+    |u|^2 (once for a fixed truth), |e|^2 and Re(conj(A u) e), which :func:`_error_forms`
+    contracts into the block of (replicate, zeta, 3) forms; without ``zw`` it writes its
+    rows of the (replicate, K) stacks of e (and of u and A u unless the truth is fixed),
+    from which :func:`_offsets` gives the block of every mean - u.  Other models draw every
+    replicate in the caller's thread and solve all n_replicates x n_delta rows,
+    replicate-major, in one lockstep call; the block is every mean - u, a NaN row where the
+    solve failed.  A row of the block that is not finite is NaN in the result and one drop.
     """
     n, n_rep = len(models), cfg.n_replicates
     fixed = not callable(truth)
@@ -400,7 +370,11 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
         u, au = truth if fixed else truth(i)
         return u, au, sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
 
-    if diagonal and zw is not None:
+    if not diagonal:
+        draws = [draw(i) for i in range(n_rep)]
+        means = _map_means(models * n_rep, [SpectralField(lattice, au + model.delta * e)
+                                            for _, au, e in draws for model in models])
+    elif zw is not None:
         sq_u = np.empty((1 if fixed else n_rep, lattice.size))
         sq_e, cross = np.empty((2, n_rep, lattice.size))
         if fixed:
@@ -412,7 +386,7 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
                 sq_u[i] = u.real**2 + u.imag**2
             sq_e[i] = e.real**2 + e.imag**2
             cross[i] = au.real * e.real + au.imag * e.imag
-    elif diagonal:
+    else:
         e_rows = np.empty((n_rep, lattice.size), np.complex128)
         u_rows, au_rows = truth if fixed else np.empty((2, n_rep, lattice.size), np.complex128)
 
@@ -420,32 +394,21 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
             u, au, e_rows[i] = draw(i)
             if not fixed:
                 u_rows[i], au_rows[i] = u, au
-    else:
-        draws = [draw(i) for i in range(n_rep)]
-        means = _map_means(models * n_rep, [SpectralField(lattice, au + model.delta * e)
-                                            for _, au, e in draws for model in models])
-
-        def work(i: int) -> np.ndarray:
-            u, _, e = draws[i]
-            rng = _replicate_seed(cfg.master_seed, 3, i)
-            out = np.full((n, width), np.nan)
-            for j, mean in enumerate(means[i * n:(i + 1) * n]):
-                if not isinstance(mean, SolverError):
-                    out[j] = statistic(j, mean - u, u, e, rng)
-            return out
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
-        mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
-        rows = list(mapped(work, range(n_rep)))
-    if not diagonal:
-        out = np.stack(rows)
-    else:
-        out = np.full((n_rep, n, width), np.nan)
-        for j, model in enumerate(models):  # one delta's weights or offsets at a time
-            block = (_offsets(model, lattice, u_rows, au_rows, e_rows) if zw is None
-                     else _error_forms(model, lattice, zw, sq_u, sq_e, cross))
-            ok = np.isfinite(block.reshape(n_rep, -1)).all(axis=1)
-            out[ok, j] = statistic(j, block if ok.all() else block[ok])
+    if diagonal:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
+            mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
+            list(mapped(work, range(n_rep)))
+    out = np.full((n_rep, n, width), np.nan)
+    for j, model in enumerate(models):  # one delta's weights or offsets at a time
+        if not diagonal:  # mean - u of each replicate, NaN where the solve failed
+            block = np.stack([np.nan * u if isinstance(mean, SolverError) else mean - u
+                              for (u, _, _), mean in zip(draws, means[j::n])])
+        elif zw is None:
+            block = _offsets(model, lattice, u_rows, au_rows, e_rows)
+        else:
+            block = _error_forms(model, lattice, zw, sq_u, sq_e, cross)
+        ok = np.isfinite(block.reshape(n_rep, -1)).all(axis=1)
+        out[ok, j] = statistic(j, block if ok.all() else block[ok])
     return out, int(np.isnan(out[:, :, 0]).sum())
 
 
@@ -489,7 +452,7 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
         u = np.stack([prior_draw(i) for i in range(cfg.n_replicates)])
         au = fwd * u if fwd.ndim == 1 else u @ fwd.T
         stats, dropped = _replicate_solves(cfg, lattice, models, lambda i: (u[i], au[i]),
-                                           lambda j, diff, *_: np.sqrt(zw @ np.abs(diff) ** 2),
+                                           lambda j, diff: np.sqrt(np.abs(diff) ** 2 @ zw.T),
                                            nz)
     rows, fits = [], []
     for k, zeta in enumerate(zetas):
@@ -518,8 +481,9 @@ def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None 
                                            lambda j, forms: np.maximum(forms.sum(axis=2), 0.0),
                                            zw=np.ones((1, lattice.size)))
     else:
-        stats, dropped = _replicate_solves(cfg, lattice, models, fixed,
-                                           lambda j, diff, *_: np.sum(np.abs(diff) ** 2))
+        stats, dropped = _replicate_solves(
+            cfg, lattice, models, fixed,
+            lambda j, diff: np.sum(np.abs(diff) ** 2, axis=1, keepdims=True))
     rows = _rate_rows("frequentist", deltas, 0.0, stats[:, :, 0], pred.exponent, pred.regime)
     fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
     extras = {
@@ -533,13 +497,12 @@ def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None 
 def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> RateTable:
     """Posterior mass escaping an L2 ball of radius c0 delta^kappa around the truth.
 
-    Outer replicates draw the noise in the data.  For a multiplier
-    posterior the escape probability of each replicate is computed exactly
-    by :class:`MultiplierBall`, one call per delta for the (replicate, K)
-    stack of every replicate's offset mean - truth, with no mean solved; the
-    largest stated error bound per delta goes to ``extras["ball_prob_error"]``.
-    A dense covariance root is sampled with ``n_mc`` posterior draws instead,
-    and the maximum binomial standard error goes there.  Reports the escape
+    Outer replicates draw the noise in the data.  The escape probability of
+    each replicate is computed exactly by the ball law of :class:`MultiplierBall`,
+    multiplier or dense, one call per delta for the (replicate, K) stack of
+    every replicate's offset mean - truth (for a multiplier posterior with no
+    mean solved); the largest stated error bound per delta goes to
+    ``extras["ball_prob_error"]``.  ``n_mc`` is not read.  Reports the escape
     probability per delta together with the Markov-inequality estimate
     (Tr(C_delta) + |mean - truth|^2) / radius^2, which must dominate it.
     If ``c0`` is not set it is calibrated at the middle delta so the radius
@@ -573,14 +536,9 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         sq_dev = setups[j].trace + np.sum(np.abs(offset) ** 2, axis=-1)
         return np.minimum(1.0, sq_dev / radii[j] ** 2)
 
-    if setups[0].ball is None:  # n_mc posterior draws per replicate and delta
-        def escape(j, offset, u, e, rng):
-            direct, error = setups[j].escape_prob(radii[j], cfg.n_mc, rng, offset)
-            return direct, markov(j, offset), error
-    else:  # every replicate's offset at one delta in one call of the exact law
-        def escape(j, offsets):
-            direct, error = setups[j].ball._escape_probs(radii[j], offsets)
-            return np.stack([direct, markov(j, offsets), error], axis=1)
+    def escape(j, offsets):  # every replicate's offset at one delta in one call of the law
+        direct, error = setups[j].ball._escape_probs(radii[j], offsets)
+        return np.stack([direct, markov(j, offsets), error], axis=1)
 
     stats, dropped = _replicate_solves(cfg, lattice, [st.model for st in setups],
                                        (u.coeffs, au.coeffs), escape, 3)
@@ -592,7 +550,7 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         "kappa": cfg.kappa,
         "kappa0": pred.extra["kappa0"],
         "markov_mean": _over_replicates(np.nanmean, markov),
-        "ball_prob_method": "mc" if setups[0].ball is None else "exact",
+        "ball_prob_method": "exact",
         "ball_prob_error": _over_replicates(np.nanmax, error),
         "deltas": list(deltas),
     }
@@ -603,13 +561,12 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
     """Escape probability of the credible ball B_{zeta1}(0, C1 delta^alpha).
 
     The ball is centred at the posterior mean, so the probability depends
-    only on delta and no data is needed.  A multiplier posterior gets the
-    exact probability of :class:`MultiplierBall`, with its error bound in
-    the ``stderr`` column and ``n`` = 0; a dense covariance root is sampled
-    with ``n_mc`` posterior draws (binomial ``stderr``, ``n`` = n_mc).  Per
+    only on delta and no data is needed.  Every posterior, multiplier or
+    dense, gets the exact probability of its :class:`MultiplierBall` law,
+    with the law's error bound in the ``stderr`` column and ``n`` = 0.  Per
     row the Markov bound trace / radius^2 is attached; the slope is fitted
-    on rows with p in [10/n_mc, 0.9], the band a Monte Carlo sample of that
-    size resolves, so exact and sampled runs fit comparable rows.
+    on rows with p in [10/n_mc, 0.9], the band a Monte Carlo sample of
+    ``n_mc`` draws would resolve, which is all that ``n_mc`` sets here.
     """
     if cfg.zeta1 is None:
         raise ValueError("credible experiment needs zeta1")
@@ -629,14 +586,13 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
     rows = []
     markov = []
     errors = []
-    n = cfg.n_mc if setups[0].ball is None else 0
     for j, (delta, st) in enumerate(zip(deltas, setups)):
         radius = c1 * delta**alpha
-        p_out, stderr = st.escape_prob(radius, cfg.n_mc, _replicate_seed(cfg.master_seed, 3, j))
+        p_out, bound = st.ball.escape_prob(radius)
         markov.append(min(1.0, traces[j] / radius**2))
-        errors.append(stderr)
-        rows.append(RateRow("credible", delta, cfg.zeta1, p_out, stderr,
-                            n, pred.extra["decay"], pred.regime))
+        errors.append(bound)
+        rows.append(RateRow("credible", delta, cfg.zeta1, p_out, bound,
+                            0, pred.extra["decay"], pred.regime))
 
     def band_fit(xs, ps) -> LoglogFit:
         band = np.flatnonzero((ps >= 10.0 / cfg.n_mc) & (ps <= 0.9))
@@ -652,7 +608,7 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
         "gamma": gamma,
         "markov_bound": markov,
         "trace_zeta1": traces,
-        "ball_prob_method": "mc" if setups[0].ball is None else "exact",
+        "ball_prob_method": "exact",
         "ball_prob_error": errors,
         "deltas": list(deltas),
     }

@@ -81,23 +81,22 @@ def _hermitian_gram(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermitian_sqrt(lattice: FrequencyLattice, mat: np.ndarray) -> np.ndarray:
-    """M^{1/2} in the exponential basis, for M Hermitian positive definite given in the
-    cosine/sine basis; exactly Hermitian.
+def _hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
+    """M^{1/2} for M Hermitian positive definite, in the basis M is given in (the
+    cosine/sine one for every caller); exactly Hermitian.  Map it back with
+    ``lattice._from_cosine_sine`` for the root in the exponential basis.
 
     One ``eigh`` M = V diag(lam) V^H: real symmetric for a real ``mat``, and then
-    every product is real too.  The root F F^H (:func:`_hermitian_gram`),
-    F = V diag(lam^{1/4}) scaled in place in V, is mapped back to the exponential
-    basis.  Raises ValueError unless M is positive definite.
+    every product is real too.  The root is F F^H (:func:`_hermitian_gram`) for
+    F = V diag(lam^{1/4}), scaled in place in V.  Raises ValueError unless M is
+    positive definite.
     """
     evals, evecs = np.linalg.eigh(mat)
     del mat  # each K x K temporary is dropped as soon as it is used
     if evals.min() <= 0:
         raise ValueError(f"covariance not positive definite (min eig {evals.min():g})")
     evecs *= np.sqrt(evals**0.5)  # F = V diag(lam^{1/4}): the root is F F^H
-    root = _hermitian_gram(evecs)
-    del evecs
-    return _from_cosine_sine(lattice, root)
+    return _hermitian_gram(evecs)
 
 
 def operator_sqrt(cov: Operator) -> Operator:
@@ -126,7 +125,8 @@ def operator_sqrt(cov: Operator) -> Operator:
         herm_defect = np.abs(m - m.conj().T).max()
         if herm_defect > 1e-10 * max(1.0, np.abs(m).max()):
             raise ValueError("dense covariance must be Hermitian")
-        root_mat = _hermitian_sqrt(cov.lattice, _to_cosine_sine(cov.lattice, m))
+        root_mat = _from_cosine_sine(cov.lattice,
+                                     _hermitian_sqrt(_to_cosine_sine(cov.lattice, m)))
         return DenseOp(
             cov.lattice, _Handover(root_mat), cov.order_t / 2.0, cov.order_t0 / 2.0,
             label=f"sqrt({cov.label})",

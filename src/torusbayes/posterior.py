@@ -524,40 +524,30 @@ def _dense_root(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarra
     """The Hermitian root of the covariance Q^H C_cs Q of :func:`_dense_cov`, as an operator:
     one ``eigh`` of C_cs, real symmetric when the pencil is real."""
     cov = model.prior.cov
-    return DenseOp(lattice, _Handover(_hermitian_sqrt(lattice, c_cs)), cov.order_t / 2.0,
-                   cov.order_t0 / 2.0, f"sqrt(postcov({model.fwd.label}))")
+    return DenseOp(lattice, _Handover(_from_cosine_sine(lattice, _hermitian_sqrt(c_cs))),
+                   cov.order_t / 2.0, cov.order_t0 / 2.0, f"sqrt(postcov({model.fwd.label}))")
 
 
-def _cov_root(model: GaussianModel,
-              lattice: FrequencyLattice | None) -> tuple[Operator, Operator]:
-    """Posterior covariance C and its Hermitian root, as operators: a multiplier and its
-    pointwise root, or C from the pencil and the root of :func:`_dense_root`, made before
-    the K x K complex form of C."""
+def _trace_ball(model: GaussianModel, lattice: FrequencyLattice,
+                zeta: float) -> tuple[float, MultiplierBall]:
+    """The H^zeta trace of the posterior covariance C on ``lattice`` and the exact law of
+    the H^zeta ball statistic |C^{1/2} xi + o|^2 for spectral white noise xi.
+
+    A diagonal model takes the pointwise root.  A dense one takes a root R of C_cs whose
+    Q^H R z, z = Q xi real, has the law of C^{1/2} xi: X of :func:`_cov_factor` when it is
+    real; a complex X z does not, so then the Hermitian root of C_cs (one more ``eigh``).
+    The trace is sum_j w_j |R_j|^2, the weights diagonal in the cosine/sine basis.
+    """
     if _is_diagonal(model):
         cov = posterior_covariance(model)
-        return cov, operator_sqrt(cov)
-    lattice = _dense_lattice(model, lattice)
-    c_cs = _cov_cs(model, lattice)
-    root = _dense_root(model, lattice, c_cs)
-    return _dense_cov(model, lattice, c_cs), root
-
-
-def _trace_root(model: GaussianModel, lattice: FrequencyLattice,
-                zeta: float) -> tuple[float, np.ndarray]:
-    """The H^zeta trace of the posterior covariance C and a root R R^H = C on ``lattice``,
-    evaluated (K symbol values or a K x K matrix): the runners' Monte Carlo pieces.
-
-    A real pencil gives R = Q^H X Q for X of :func:`_cov_factor`, with no ``eigh``: Q xi
-    is real standard normal for spectral white noise xi, so R xi = Q^H X (Q xi) has the
-    law of C^{1/2} xi; the even weights are diagonal in the cosine/sine basis, so the
-    trace is sum_j w_j |X_j|^2.  Other models take :func:`_cov_root`.
-    """
-    x = None if _is_diagonal(model) else _cov_factor(model, lattice)
-    if x is None or np.iscomplexobj(x):
-        cov, root = _cov_root(model, lattice)
-        return posterior_trace(cov, zeta, lattice), _evaluated(root, lattice)
+        root = _evaluated(operator_sqrt(cov), lattice)
+        return posterior_trace(cov, zeta, lattice), MultiplierBall(root, lattice, zeta)
+    root = _cov_factor(model, lattice)
+    if np.iscomplexobj(root):
+        root = _hermitian_sqrt(_hermitian_gram(root))
     w = sobolev_weight(lattice, zeta)[_cosine_sine_modes(lattice)[0]]
-    return float(w @ np.einsum("ij,ij->i", x, x)), _from_cosine_sine(lattice, x)
+    trace = float(w @ np.einsum("ij,ij->i", root.conj(), root).real)
+    return trace, MultiplierBall._from_cosine_sine_root(root, w, lattice)
 
 
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:
@@ -581,7 +571,8 @@ def sample_posterior(post: PosteriorGaussian, seed=None) -> SpectralField:
 
 def _mc_ball_hits(root: np.ndarray, lattice: FrequencyLattice, zeta1: float, radius: float,
                   n_mc: int, rng: np.random.Generator, offset=None) -> tuple[float, float]:
-    """Share of n_mc draws W = C^{1/2} xi (+ offset) in the H^zeta1 ball, and its binomial SE.
+    """Share of n_mc draws W = C^{1/2} xi (+ offset) in the H^zeta1 ball, and its binomial SE:
+    the sampling oracle for :class:`MultiplierBall`, with no production caller.
 
     ``root`` is C^{1/2} on ``lattice``: K symbol values or a K x K matrix.
     """
@@ -615,8 +606,8 @@ def credible_ball_prob(
     default zero), so the draws are W = C^{1/2} xi + offset.  Centred at the
     mean, the result is independent of the measurement.  Returns
     (probability, binomial standard error).  The root is evaluated once on the
-    mean's lattice.  An oracle for ``_DeltaSetup.escape_prob``: the tests hold
-    sampled dense ``credible`` rows and :class:`MultiplierBall` against it.
+    mean's lattice.  An oracle for the exact law of :class:`MultiplierBall`, which
+    the tests hold against it on multiplier and dense posteriors.
     """
     if n_mc < 100:
         raise ValueError(f"n_mc must be at least 100, got {n_mc}")
@@ -663,7 +654,8 @@ class _Grid:
 
 
 class MultiplierBall:
-    """Exact tail of the weighted squared norm of a multiplier Gaussian draw.
+    """Exact tail of the weighted squared norm of a posterior Gaussian draw, for a
+    multiplier root or, through :meth:`_from_cosine_sine_root`, a dense one.
 
     For a root symbol rho, weights w_l = (1 + |l|^2)^zeta and spectral white
     noise xi as ``lattice._white_coeffs`` draws it for every sampler (the law of
@@ -678,7 +670,9 @@ class MultiplierBall:
     A |xi_l + B / A|^2 + w_1 |o_1|^2 + w_2 |o_2|^2 - |B|^2 / A: lambda = A / 2,
     two degrees of freedom, noncentrality 2 |B / A|^2.  This holds for any
     rho and o, even or Hermitian or not.  Equal lambdas are merged, adding
-    degrees of freedom and noncentralities.
+    degrees of freedom and noncentralities.  A dense posterior has the same
+    law with one degree of freedom per eigenvalue (:meth:`_from_cosine_sine_root`);
+    only the step from offsets to noncentralities differs.
 
     The groups, the Chernoff tables and the truncation point depend only on
     the root and zeta, and integration grids are cached per period (a
@@ -700,18 +694,51 @@ class MultiplierBall:
         wr2 = self._w * np.abs(root) ** 2
         quad = np.concatenate([wr2[real], wr2[pair] + wr2[conj[pair]]])
         dof = np.concatenate([np.ones(real.size), np.full(pair.size, 2.0)])
-        live = quad > 0
-        quad, dof = quad[live], dof[live]
-        self.lam, group = np.unique(quad / dof, return_inverse=True)
-        self.dof = np.bincount(group, weights=dof, minlength=self.lam.size)
         # each live term in group order reads b = w conj(rho) o as t = b_l + conj(b_m): m = -l
         # for a pair, whose noncentrality term is 2 |t|^2 / quad^2, and m = l for a
         # self-conjugate mode, whose t = 2 Re b_l gives (Re b_l)^2 / quad^2 = |t|^2 / 4 / quad^2
-        order = np.argsort(group, kind="stable")
-        self._first = np.concatenate([real, pair])[live][order]
-        self._second = np.concatenate([real, conj[pair]])[live][order]
+        terms = self._group(quad, dof, np.where(dof == 1, 0.25, 2.0))
+        self._first = np.concatenate([real, pair])[terms]
+        self._second = np.concatenate([real, conj[pair]])[terms]
         self._w_first, self._w_second = wroot[self._first], np.conj(wroot[self._second])
-        self._nc_coef = (np.where(dof == 1, 0.25, 2.0) / quad**2)[order]
+        self._proj = None
+
+    @classmethod
+    def _from_cosine_sine_root(cls, root: np.ndarray, w: np.ndarray,
+                               lattice: FrequencyLattice) -> "MultiplierBall":
+        """The law of S = sum_l w_l |(Q^H R z + o)_l|^2 for a root R R^H = C_cs in the
+        cosine/sine basis, ``w`` the H^zeta weights in cosine/sine order and z = Q xi, real
+        standard normal.  The even weights are diagonal there, so with Y = sqrt(w) R and
+        b = sqrt(w) Q o, S = |Y z + b|^2.  One ``eigh`` Re(Y^H Y) = V diag(mu) V^T gives
+        S = sum_k mu_k (Z_k + t_k / mu_k)^2 + |b|^2 - sum_k t_k^2 / mu_k for Z = V^T z and
+        t = Re(b^H Y V): one degree of freedom per eigenvalue (Imhof 1961), t read from the
+        kept sqrt(w) conj(Y V).
+        """
+        k = lattice.size
+        if root.shape != (k, k) or w.shape != (k,):
+            raise ValueError(f"root {root.shape} and weights {w.shape} do not fit K = {k}")
+        ball = cls.__new__(cls)
+        ball._w = w[np.argsort(_cosine_sine_modes(lattice)[0])]  # in exponential order
+        y = np.sqrt(w)[:, None] * root
+        m = y.T @ y if np.isrealobj(y) else (y.conj().T @ y).real
+        mu, v = np.linalg.eigh(m)
+        del m
+        ones = np.ones(k)
+        terms = ball._group(mu, ones, ones)
+        ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms]).conj()
+        ball._lattice = lattice
+        return ball
+
+    def _group(self, quad: np.ndarray, dof: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """Merge the terms lambda = quad / dof with quad > 0 into groups of equal lambda and
+        build the law's tables.  ``coef`` scales |t|^2 / quad^2 into each term's
+        noncentrality.  Returns the indices of the live terms in group order."""
+        live = np.flatnonzero(quad > 0)
+        quad, dof = quad[live], dof[live]
+        self.lam, group = np.unique(quad / dof, return_inverse=True)
+        self.dof = np.bincount(group, weights=dof, minlength=self.lam.size)
+        order = np.argsort(group, kind="stable")
+        self._nc_coef = (coef[live] / quad**2)[order]
         self._starts = np.flatnonzero(np.diff(group[order], prepend=-1))
         self._grids: dict[int, _Grid] = {}
         self._lock = threading.Lock()
@@ -720,6 +747,7 @@ class MultiplierBall:
         if self.lam.size:
             self._chernoff_tables()
             self._choose_cutoff()
+        return live[order]
 
     def _chernoff_tables(self):
         """Log moment generating function of Q on fixed grids of t and -t."""
@@ -839,14 +867,21 @@ class MultiplierBall:
             raise ValueError("offset must be finite")
         if not self.lam.size:
             return np.zeros((len(offsets), 0)), norms
-        t = np.take(offsets, self._first, axis=1)
-        t *= self._w_first
-        mate = np.take(offsets, self._second, axis=1)
-        np.conjugate(mate, out=mate)
-        mate *= self._w_second  # conj(b_m)
-        t += mate
-        sq = t.real**2
-        sq += t.imag**2
+        if self._proj is None:
+            t = np.take(offsets, self._first, axis=1)
+            t *= self._w_first
+            mate = np.take(offsets, self._second, axis=1)
+            np.conjugate(mate, out=mate)
+            mate *= self._w_second  # conj(b_m)
+            t += mate
+            sq = t.real**2
+            sq += t.imag**2
+        else:  # t = Re((Q o) @ proj), with no complex copy of a real factor
+            qo = _rows_to_cosine_sine(self._lattice, offsets)
+            t = qo.real @ self._proj.real
+            if np.iscomplexobj(qo) and np.iscomplexobj(self._proj):
+                t -= qo.imag @ self._proj.imag
+            sq = t * t
         sq *= self._nc_coef
         nc = np.add.reduceat(sq, self._starts, axis=1)
         # a group's terms have |B|^2 / A summing to lambda_g nc_g

@@ -2,7 +2,6 @@
 
 import csv
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,17 +34,19 @@ from torusbayes.operators import (
     variable_coeff_op,
 )
 from torusbayes import experiments
+from torusbayes.fields import operator_sqrt
 from torusbayes.posterior import (
     MultiplierBall,
+    SolverError,
     _map_means,
     _mc_ball_hits,
-    _trace_root,
     credible_ball_prob,
     map_estimate,
     posterior,
     posterior_covariance,
     posterior_trace,
 )
+from test_posterior import PENCIL_CASES, pencil_case
 
 
 def small_cfg(mode="bayes", **overrides):
@@ -379,13 +380,34 @@ class TestContractionExperiment:
         t3 = run_contraction(small_cfg("contraction", threads=3, **dense))
         assert t1.rows == t3.rows and t1.extras == t3.extras
 
-    def test_dense_root_is_sampled(self):
-        cfg = small_cfg("contraction", fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8,
-                        n_mc=200)
+    @pytest.mark.parametrize("case", PENCIL_CASES)
+    def test_dense_rows_are_exact(self, case):
+        # each row, the mean of the replicates' exact escape probabilities, against the
+        # mean of Monte Carlo estimates on the same offsets (the Hermitian root's draws)
+        lat, model = pencil_case(case, n=8)
+        cfg = small_cfg("contraction", fwd=model.fwd, prior=model.prior, n_per_dim=8)
         table = run_contraction(cfg)
-        assert table.extras["ball_prob_method"] == "mc"
-        for row, bound in zip(table.rows, table.extras["markov_mean"]):
-            assert row.mean_error <= bound + 1e-12
+        assert table.extras["ball_prob_method"] == "exact" and table.dropped == 0
+        assert max(table.extras["ball_prob_error"]) <= 1e-10
+        u = make_hat_truth(lat).u_dagger
+        au = apply(cfg.fwd, u).coeffs
+        n_mc, resolved = 4000, 0
+        for j, (row, bound) in enumerate(zip(table.rows, table.extras["markov_mean"])):
+            assert row.n == cfg.n_replicates and row.mean_error <= bound + 1e-12
+            model = cfg.model(row.delta)
+            radius = table.extras["c0"] * row.delta**cfg.kappa
+            sampled = []
+            for i in range(cfg.n_replicates):
+                e = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i)))
+                post = posterior(model, SpectralField(lat, au + row.delta * e.coeffs))
+                p_in, _ = credible_ball_prob(post, 0.0, radius, n_mc, (j, i),
+                                             offset=post.mean.coeffs - u.coeffs)
+                sampled.append(1.0 - p_in)
+            p = row.mean_error
+            se = np.sqrt(p * (1.0 - p) / n_mc / cfg.n_replicates)  # at least the mean's SE
+            assert abs(np.mean(sampled) - p) <= 4.0 * se + 1e-12, (row.delta, p, sampled)
+            resolved += 0.05 < p < 0.95
+        assert resolved >= 2
 
 
 def uneven_prior():
@@ -648,6 +670,29 @@ class TestReplicateLoop:
                 assert np.all(np.isfinite(table.extras[key])), key
 
     @pytest.mark.parametrize("mode", REPLICATE_MODES)
+    def test_dense_failed_solve_drops_one_pair(self, mode, monkeypatch):
+        # a failed row of the lockstep solve is a NaN row of its delta's block of offsets:
+        # one drop, and every other delta's rows as before
+        dense = dict(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
+        ref = run_experiment(small_cfg(mode, **dense))
+        cfg = small_cfg(mode, c0=ref.extras.get("c0"), **dense)  # no calibration solves
+        real, n = experiments._map_means, len(cfg.deltas)
+
+        def failing(models, data):  # replicate 3 at the third delta
+            means = real(models, data)
+            means[3 * n + 2] = SolverError("posterior mean not finite", [])
+            return means
+
+        monkeypatch.setattr(experiments, "_map_means", failing)
+        table = run_experiment(cfg)
+        assert table.dropped == 1
+        for row, base in zip(table.rows, ref.rows):
+            if row.delta == cfg.deltas[2]:
+                assert row.n == base.n - 1 and np.isfinite([row.mean_error, row.stderr]).all()
+            else:
+                assert row == base
+
+    @pytest.mark.parametrize("mode", REPLICATE_MODES)
     def test_delta_where_every_solve_fails(self, mode, monkeypatch):
         # the row reports n = 0 and NaNs, the fit skips it, and numpy warns nothing
         cfg = small_cfg(mode)
@@ -682,31 +727,35 @@ class TestReplicateLoop:
 
 
 class TestEscapeProb:
+    """The runners' exact ball law against the sampling oracle ``_mc_ball_hits``."""
+
     @pytest.mark.parametrize("scale, noncentral", [(0.8, False), (1.2, False), (1.2, True)],
                              ids=["inner", "outer", "outer-offset"])
     def test_sampled_branch_agrees_with_exact(self, scale, noncentral):
         cfg = small_cfg("credible", n_per_dim=8)
         lat = cfg.lattice()
         exact = _delta_setups(cfg, lat, cfg.zeta1)[2]
-        sampled = replace(exact, ball=None)  # draws C^{1/2} xi from the root sqrt(c)
-        assert exact.root.shape == (lat.size,)
+        root = symbol_values(operator_sqrt(posterior_covariance(exact.model)), lat)  # sqrt(c)
         offset = None
         if noncentral:
             field = apply(bessel_op(-1.0), sample_white_noise(lat, 3))
             offset = 0.5 * np.sqrt(exact.trace) * field.coeffs
         radius = scale * np.sqrt(exact.trace)
-        p, bound = exact.escape_prob(radius, 4000, None, offset)
-        p_mc, se = sampled.escape_prob(radius, 4000, np.random.default_rng(11), offset)
-        assert bound < 1e-10 and 0.02 < p_mc < 0.98
-        assert abs(p - p_mc) <= 4.0 * se
+        p, bound = exact.ball.escape_prob(radius, offset)
+        p_in, se = _mc_ball_hits(root, lat, cfg.zeta1, radius, 4000, np.random.default_rng(11),
+                                 offset)
+        assert bound < 1e-10 and 0.02 < 1.0 - p_in < 0.98
+        assert abs(p - (1.0 - p_in)) <= 4.0 * se
 
     def test_sampled_branch_rejects_negative_radius(self):
         lat = build_lattice(2, 8)
         cfg = small_cfg("credible", fwd=dense_fwd(lat), n_per_dim=8, n_mc=200)
         dense = _delta_setups(cfg, lat, cfg.zeta1)[0]
-        assert dense.ball is None and dense.root.shape == (lat.size, lat.size)
+        root = posterior(dense.model, SpectralField(lat, np.zeros(lat.size))).sqrt_cov.matrix
         with pytest.raises(ValueError, match="radius must be nonnegative"):
-            dense.escape_prob(-0.5, cfg.n_mc, np.random.default_rng(0))
+            _mc_ball_hits(root, lat, cfg.zeta1, -0.5, cfg.n_mc, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            dense.ball.escape_prob(-0.5)
 
 
 class TestCredibleExperiment:
@@ -728,25 +777,28 @@ class TestCredibleExperiment:
         assert [r.stderr for r in table.rows] == table.extras["ball_prob_error"]
         assert all(r.stderr <= 1e-10 and r.n == 0 for r in table.rows)
 
-    def test_dense_root_is_sampled(self):
-        lat = build_lattice(2, 8)
-        cfg = small_cfg("credible", fwd=dense_fwd(lat), n_per_dim=8, n_mc=200)
+    @pytest.mark.parametrize("case", PENCIL_CASES)
+    def test_dense_rows_are_exact(self, case):
+        # exact rows with the law's bound in stderr and n = 0, each within 4 binomial SE
+        # of draws of the Hermitian root
+        lat, model = pencil_case(case, n=8)
+        cfg = small_cfg("credible", fwd=model.fwd, prior=model.prior, n_per_dim=8, n_mc=200,
+                        deltas=tuple(np.geomspace(1e-1, 1e-3, 13)))
         table = run_credible(cfg)
-        assert table.extras["ball_prob_method"] == "mc"
+        assert table.extras["ball_prob_method"] == "exact"
+        assert [r.stderr for r in table.rows] == table.extras["ball_prob_error"]
+        assert all(r.stderr <= 1e-10 and r.n == 0 for r in table.rows)
         zero = SpectralField(lat, np.zeros(lat.size, dtype=complex))
-        for j, row in enumerate(table.rows):
+        n_mc, resolved = 4000, 0
+        for j, (row, bound) in enumerate(zip(table.rows, table.extras["markov_bound"])):
+            assert row.mean_error <= bound + 1e-12
             radius = table.extras["c1"] * row.delta ** table.extras["alpha"]
-            model = cfg.model(row.delta)
-            root = _trace_root(model, lat, cfg.zeta1)[1]
-            p_in, stderr = _mc_ball_hits(root, lat, cfg.zeta1, radius, cfg.n_mc,
-                                         np.random.default_rng((cfg.master_seed, 3, j)))
-            assert row.n == cfg.n_mc
-            assert row.mean_error == 1.0 - p_in and row.stderr == stderr
-            # the runner samples the pencil's root, credible_ball_prob the Hermitian one:
-            # the same law, so the same ball probability to within the sampling error
-            p_herm, se_herm = credible_ball_prob(posterior(model, zero), cfg.zeta1, radius,
-                                                 cfg.n_mc, (cfg.master_seed, 3, j))
-            assert abs(p_in - p_herm) <= 4.0 * np.hypot(stderr, se_herm) + 1e-12
+            p_in, _ = credible_ball_prob(posterior(cfg.model(row.delta), zero), cfg.zeta1,
+                                         radius, n_mc, j)
+            p = row.mean_error
+            assert abs(1.0 - p_in - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n_mc), (row.delta, p)
+            resolved += 0.05 < p < 0.95
+        assert resolved >= 2
 
     def test_huge_constant_gives_full_coverage(self):
         cfg = small_cfg("credible", n_mc=200, c1=1e9, alpha=0.0)

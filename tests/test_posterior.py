@@ -22,10 +22,12 @@ from torusbayes import lattice as lattice_module
 from torusbayes.experiments import default_config
 from torusbayes.lattice import (
     SpectralField,
+    _cosine_sine_modes,
     _rows_from_cosine_sine,
     _rows_to_cosine_sine,
     _to_cosine_sine,
     build_lattice,
+    sobolev_weight,
 )
 from torusbayes.operators import (
     DenseOp,
@@ -46,13 +48,14 @@ from torusbayes.posterior import (
     SolverError,
     _cov_factor,
     _cov_cs,
-    _cov_root,
     _dense_cov,
+    _dense_root,
     _map_means,
+    _mc_ball_hits,
     _pcg,
     _pencil,
     _pencil_solve,
-    _trace_root,
+    _trace_ball,
     credible_ball_prob,
     map_estimate,
     map_estimate_discrete,
@@ -1000,25 +1003,27 @@ class TestPencil:
 
     @pytest.mark.parametrize("case", ["even-prior", "complex-map"])
     def test_runner_root_and_trace(self, case, monkeypatch):
+        # the runners' trace and ball law from the kept pencil: one eigh of M = Re(Y^H Y)
+        # per call for a real pencil, whose factor X stands in for the Hermitian root H,
+        # and one more for a complex one, which needs H itself
         lat, model = pencil_case(case, n=8)
-        cov = posterior_covariance(model, lat).matrix
+        herm = _to_cosine_sine(lat, posterior(model, sample_white_noise(lat, 7)).sqrt_cov.matrix)
+        assert np.iscomplexobj(herm) == (case == "complex-map")
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         for zeta in (0.0, -1.5):
-            trace, root = _trace_root(model, lat, zeta)
-            assert np.abs(root @ root.conj().T - cov).max() <= 1e-12 * np.abs(cov).max()
+            trace, ball = _trace_ball(model, lat, zeta)
             ref = posterior_trace(posterior_covariance(model, lat), zeta)
             assert abs(trace - ref) <= 1e-12 * ref
-        if case == "complex-map":  # the Hermitian root, one eigh per call
-            assert np.abs(root - root.conj().T).max() <= 1e-12 and len(calls) == 2
-            return
-        assert calls == []
-        # W = R xi for spectral white noise xi, E xi xi^T = J (xi_-l = conj(xi_l)): the
-        # pseudo-covariance R J R^T equals that of the Hermitian root, so the law is one
-        herm = posterior(model, sample_white_noise(lat, 7)).sqrt_cov.matrix
-        pair = np.eye(lat.size)[lat.conj_index]
-        expected = herm @ pair @ herm.T
-        assert np.abs(root @ pair @ root.T - expected).max() <= 1e-12 * np.abs(expected).max()
+            # the law's eigenvalues, each with one degree of freedom, are those of
+            # Re(Y^H Y) for Y = sqrt(w) H, and sum to the trace
+            w = sobolev_weight(lat, zeta)[_cosine_sine_modes(lat)[0]]
+            y = np.sqrt(w)[:, None] * herm
+            mu = np.linalg.eigvalsh((y.conj().T @ y).real)
+            lam = np.repeat(ball.lam, ball.dof.astype(int))
+            assert lam.shape == mu.shape and np.abs(lam - mu).max() <= 1e-12 * mu.max()
+            assert abs(ball.lam @ ball.dof - trace) <= 1e-12 * trace
+        assert calls == [(lat.size, lat.size)] * (4 if case == "complex-map" else 2)
 
 
 class TestDeferredRoot:
@@ -1041,7 +1046,8 @@ class TestDeferredRoot:
     def test_root_bytes_match_cov_root(self, case):
         lat, model = pencil_case(case, n=8)
         post = posterior(model, sample_white_noise(lat, 10))
-        cov, root = _cov_root(model, lat)
+        c_cs = _cov_cs(model, lat)
+        cov, root = _dense_cov(model, lat, c_cs), _dense_root(model, lat, c_cs)
         assert post.cov.matrix.tobytes() == cov.matrix.tobytes()
         assert post.sqrt_cov.matrix.tobytes() == root.matrix.tobytes()
         assert (post.sqrt_cov.label, post.sqrt_cov.order_t, post.sqrt_cov.order_t0) == \
@@ -1428,3 +1434,78 @@ class TestMultiplierBall:
         assert ball.escape_prob(100.0, offset)[0] == 0.0
         assert ball.escape_prob(1e-3)[0] == 1.0
         assert ball.escape_prob(0.0, offset) == (1.0, 0.0)
+
+
+class TestDenseBall:
+    """The exact law of a dense posterior's ball statistic, built from the kept pencil,
+    against draws of the Hermitian root of the update-form covariance, which shares no
+    code with the pencil."""
+
+    @staticmethod
+    def hermitian_root(model, lat):
+        ev, vec = np.linalg.eigh(posterior_covariance_update(model, lat).matrix)
+        return (vec * np.sqrt(ev)) @ vec.conj().T
+
+    @pytest.mark.parametrize("case", PENCIL_CASES)
+    @pytest.mark.parametrize("zeta, scale, noncentral", [
+        (-1.0, 1.2, False), (0.0, 0.8, True), (0.0, 1.2, True),
+    ], ids=["central", "inner-offset", "outer-offset"])
+    def test_law_agrees_with_sampling(self, case, zeta, scale, noncentral):
+        # at ("complex-map", "inner-offset") the law of the pencil factor X in place of the
+        # Hermitian root is off by about 10 SE: X z does not have the law of C^{1/2} z
+        lat, model = pencil_case(case, n=8)
+        trace, ball = _trace_ball(model, lat, zeta)
+        offset, mean_s = None, trace
+        if noncentral:
+            offset = 0.5 * np.sqrt(trace) * apply(bessel_op(-1.0), sample_white_noise(lat, 3)).coeffs
+            mean_s += np.sum(sobolev_weight(lat, zeta) * np.abs(offset) ** 2)
+        radius = scale * np.sqrt(mean_s)
+        p, bound = ball.escape_prob(radius, offset)
+        n = 20000
+        p_in, _ = _mc_ball_hits(self.hermitian_root(model, lat), lat, zeta, radius, n,
+                                np.random.default_rng(21), offset)
+        assert 0.01 < p < 0.99 and bound <= 1e-10
+        assert abs(1.0 - p_in - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n)
+
+    @pytest.mark.parametrize("case", PENCIL_CASES)
+    def test_cumulants_match_closed_form(self, case):
+        # S = |sqrt(w) (H Q^H z + o)|^2 for real standard normal z is z^T a z + b^T z + c:
+        # its first three cumulants against the law's, for an offset that is not a real field
+        lat, model = pencil_case(case, n=8)
+        zeta, k = -0.7, lat.size
+        trace, ball = _trace_ball(model, lat, zeta)
+        rng = np.random.default_rng(5)
+        offset = np.sqrt(trace / k) * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        w = sobolev_weight(lat, zeta)
+        q_h = _rows_from_cosine_sine(lat, np.eye(k)).T  # Q^H, column by column
+        m = np.sqrt(w)[:, None] * (self.hermitian_root(model, lat) @ q_h)
+        a = (m.conj().T @ m).real
+        b = 2.0 * (m.conj().T @ (np.sqrt(w) * offset)).real
+        c = float(np.sum(w * np.abs(offset) ** 2))
+        expected = [np.trace(a) + c, 2.0 * np.trace(a @ a) + b @ b,
+                    8.0 * np.trace(a @ a @ a) + 6.0 * b @ a @ b]
+        nc, shift = ball.noncentrality(offset)
+        lam, dof = ball.lam, ball.dof
+        got = [np.sum(lam * (dof + nc)) + shift, 2.0 * np.sum(lam**2 * (dof + 2 * nc)),
+               8.0 * np.sum(lam**3 * (dof + 3 * nc))]
+        np.testing.assert_allclose(got, expected, rtol=1e-10)
+
+    def test_batched_rows_match_single_rows(self):
+        # to rounding only: the projection is one matrix product, which BLAS may round
+        # differently for a stack than for one row
+        lat, model = pencil_case("complex-map", n=8)
+        trace, ball = _trace_ball(model, lat, 0.0)
+        rng = np.random.default_rng(22)
+        offsets = np.sqrt(trace / lat.size) / 2.0 * (rng.standard_normal((3, lat.size))
+                                                    + 1j * rng.standard_normal((3, lat.size)))
+        radius = np.sqrt(1.5 * trace)  # E S = 1.5 trace
+        p, bound = ball._escape_probs(radius, offsets)
+        single = np.array([ball.escape_prob(radius, row) for row in offsets])
+        np.testing.assert_allclose(single, np.stack([p, bound], axis=1), rtol=1e-12, atol=0)
+        assert 0.05 < p.min() and p.max() < 0.95
+
+    def test_rejects_root_of_wrong_shape(self):
+        lat, model = pencil_case("even-prior", n=8)
+        w = np.ones(lat.size)
+        with pytest.raises(ValueError, match="do not fit K = 64"):
+            MultiplierBall._from_cosine_sine_root(np.eye(lat.size + 1), w, lat)
