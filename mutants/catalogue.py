@@ -89,11 +89,10 @@ MUTANTS = (
            "grid = self._grid(int(exponents.min()), noncentral)"),
     # the dense replicate loop: each delta's rows of the one replicate-major lockstep solve
     Mutant("lockstep-replicate-offset", EXPERIMENTS,
-           "for (u, _, _), mean in zip(draws, means[j::n])])",
-           "for (u, _, _), mean in zip(draws, means[j * n_rep:(j + 1) * n_rep])])"),
-    Mutant("dense-failed-solve-row", EXPERIMENTS,
-           "np.nan * u if isinstance(mean, SolverError)", "0.0 * u if isinstance(mean, SolverError)"),
-    # the diagonal replicate loop's drop rule: a row with any non-finite entry is dropped
+           "block = lockstep[j::n, 0] - u_rows",
+           "block = lockstep[j * n_rep:(j + 1) * n_rep, 0] - u_rows"),
+    # the replicate loop's drop rule, for every kind of model: a row with any non-finite
+    # entry (a failed solve, or a non-finite form) is dropped
     Mutant("diagonal-drop-any-entry", EXPERIMENTS,
            "ok = np.isfinite(block.reshape(n_rep, -1)).all(axis=1)",
            "ok = np.isfinite(block.reshape(n_rep, -1)).any(axis=1)"),
@@ -108,10 +107,13 @@ MUTANTS = (
     Mutant("hermitian-mate-imag-sign", LATTICE,
            "np.conjugate(z[:h, sin], out=z[h:, cos])  # the mate rows",
            "np.copyto(z[h:, cos], z[:h, sin])  # the mate rows"),
-    # a solve's finite-row check, which a diagonal mean with one NaN entry must fail
+    # map_estimate's finite check, which a diagonal mean with one NaN entry must fail
     Mutant("finite-row-check", POSTERIOR,
-           "return [mean if np.isfinite(mean).all() else",
-           "return [mean if np.isfinite(mean).any() else"),
+           "if not np.isfinite(mean).all():", "if not np.isfinite(mean).any():"),
+    # the stacked diagonal means: the conjugate of a complex forward symbol
+    Mutant("diagonal-mean-conj", POSTERIOR,
+           "np.divide(np.multiply(np.conj(a), m, out=mean), asq + prec, out=mean)",
+           "np.divide(np.multiply(a, m, out=mean), asq + prec, out=mean)"),
     # the exact ball's log MGF, computed once when there is no convergence factor
     Mutant("ball-tau-shortcut", POSTERIOR,
            "if tau > 0:  # at tau = 0", "if tau >= 0:  # at tau = 0"),

@@ -9,12 +9,13 @@ order, so thread count never changes the output.  For a diagonal model the
 bayes, frequentist and deblurring runners form no posterior mean: each
 error is the root of three weighted quadratic forms of the draws
 (:func:`_error_forms`), one delta at a time.  The other statistics read
-the offsets mean - u of every replicate at one delta as one stack, and
-ball probabilities come from one exact law per delta, multiplier or dense
+the offsets mean - u of every replicate at one delta as one stack, the
+means from the one mean kernel :func:`posterior._map_means`, and ball
+probabilities come from one exact law per delta, multiplier or dense
 (:class:`posterior.MultiplierBall`); no runner samples the posterior.
-Seed streams: 0 truth, 1 data noise, 2 ``c0`` calibration.  A failed
-solve, a non-finite form or a non-finite offset in the replicate loop
-leaves its (replicate, delta) pair NaN, counted in ``dropped``.
+Seed streams: 0 truth, 1 data noise, 2 ``c0`` calibration.  A mean or a
+form in the replicate loop that is not finite (a failed solve) leaves its
+(replicate, delta) pair NaN, counted in ``dropped``.
 """
 
 from __future__ import annotations
@@ -330,53 +331,33 @@ def _error_forms(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray
     return forms
 
 
-@np.errstate(invalid="ignore", over="ignore")  # data not finite: a row not finite, one drop
-def _offsets(model: GaussianModel, lattice: FrequencyLattice, u: np.ndarray, au: np.ndarray,
-             e: np.ndarray) -> np.ndarray:
-    """mean - u for the data A u + delta e of a diagonal ``model``, one row per replicate:
-    the per-frequency formula of :func:`posterior._map_means` applied elementwise to the
-    (replicate, K) stacks (or one shared row of u and A u), so each row equals the
-    replicate's own mean - u bit for bit."""
-    a, asq, prec = _diag_weights(model, lattice)
-    out = np.multiply(model.delta, e)  # conj(a) (A u + delta e) / (|a|^2 + p) - u, in place
-    np.add(au, out, out=out)
-    np.multiply(np.conj(a), out, out=out)
-    np.divide(out, asq + prec, out=out)
-    return np.subtract(out, u, out=out)
-
-
 def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, truth,
                       statistic, width: int = 1, zw: np.ndarray | None = None
                       ) -> tuple[np.ndarray, int]:
     """The rate runners' replicate loop: a (replicate, delta, width) array and the drop count.
 
     Replicate i takes u and A u from ``truth``, a fixed pair or a function of i, and e from
-    stream 1.  ``statistic(j, block)`` maps model j's block, one row per replicate, to those
-    replicates' rows.  Diagonal models form no mean, and their pool tasks only draw: given
-    ``zw``, the (zeta, K) H^zeta weights, each task keeps its replicate's real K-vectors
-    |u|^2 (once for a fixed truth), |e|^2 and Re(conj(A u) e), which :func:`_error_forms`
-    contracts into the block of (replicate, zeta, 3) forms; without ``zw`` it writes its
-    rows of the (replicate, K) stacks of e (and of u and A u unless the truth is fixed),
-    from which :func:`_offsets` gives the block of every mean - u.  Other models draw every
-    replicate in the caller's thread and solve all n_replicates x n_delta rows,
-    replicate-major, in one lockstep call; the block is every mean - u, a NaN row where the
-    solve failed.  A row of the block that is not finite is NaN in the result and one drop.
+    stream 1, each drawn by its own pool task.  ``statistic(j, block)`` maps model j's
+    block, one row per replicate, to those replicates' rows.  Given ``zw``, the (zeta, K)
+    H^zeta weights, the models are diagonal and form no mean: each task keeps its
+    replicate's real K-vectors |u|^2 (once for a fixed truth), |e|^2 and Re(conj(A u) e),
+    which :func:`_error_forms` contracts into the block of (replicate, zeta, 3) forms.
+    Without ``zw`` each task writes its rows of the (replicate, K) stacks of e (and of u and
+    A u unless the truth is fixed), and the block is every mean - u from
+    :func:`posterior._map_means`: one call per delta for diagonal models, one lockstep call
+    of all n_replicates x n_delta rows, replicate-major, for other models.  A row of the
+    block that is not finite (a failed solve) is NaN in the result and one drop.
     """
-    n, n_rep = len(models), cfg.n_replicates
+    n, n_rep, size = len(models), cfg.n_replicates, lattice.size
     fixed = not callable(truth)
-    diagonal = _is_diagonal(models[0])
 
     def draw(i: int):
         u, au = truth if fixed else truth(i)
         return u, au, sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
 
-    if not diagonal:
-        draws = [draw(i) for i in range(n_rep)]
-        means = _map_means(models * n_rep, [SpectralField(lattice, au + model.delta * e)
-                                            for _, au, e in draws for model in models])
-    elif zw is not None:
-        sq_u = np.empty((1 if fixed else n_rep, lattice.size))
-        sq_e, cross = np.empty((2, n_rep, lattice.size))
+    if zw is not None:
+        sq_u = np.empty((1 if fixed else n_rep, size))
+        sq_e, cross = np.empty((2, n_rep, size))
         if fixed:
             sq_u[0] = truth[0].real**2 + truth[0].imag**2
 
@@ -387,26 +368,37 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
             sq_e[i] = e.real**2 + e.imag**2
             cross[i] = au.real * e.real + au.imag * e.imag
     else:
-        e_rows = np.empty((n_rep, lattice.size), np.complex128)
-        u_rows, au_rows = truth if fixed else np.empty((2, n_rep, lattice.size), np.complex128)
+        e_rows = np.empty((n_rep, size), np.complex128)
+        u_rows, au_rows = truth if fixed else np.empty((2, n_rep, size), np.complex128)
 
         def work(i: int) -> None:  # each task writes its own rows
             u, au, e_rows[i] = draw(i)
             if not fixed:
                 u_rows[i], au_rows[i] = u, au
-    if diagonal:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
-            mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
-            list(mapped(work, range(n_rep)))
+
+        def data(model: GaussianModel, out: np.ndarray | None = None) -> np.ndarray:
+            """A u + delta e of every replicate at the noise level of ``model``."""
+            out = np.multiply(model.delta, e_rows, out=out)
+            return np.add(au_rows, out, out=out)
+
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
+        mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
+        list(mapped(work, range(n_rep)))
+    lockstep = None
+    if zw is None and not _is_diagonal(models[0]):  # row i n + j: replicate i at delta j
+        rows = np.empty((n_rep, n, size), np.complex128)
+        for j, model in enumerate(models):
+            data(model, rows[:, j])
+        lockstep = _map_means(models * n_rep, lattice, rows.reshape(n_rep * n, 1, size))
     out = np.full((n_rep, n, width), np.nan)
-    for j, model in enumerate(models):  # one delta's weights or offsets at a time
-        if not diagonal:  # mean - u of each replicate, NaN where the solve failed
-            block = np.stack([np.nan * u if isinstance(mean, SolverError) else mean - u
-                              for (u, _, _), mean in zip(draws, means[j::n])])
-        elif zw is None:
-            block = _offsets(model, lattice, u_rows, au_rows, e_rows)
-        else:
+    for j, model in enumerate(models):  # one delta's weights or means at a time
+        if zw is not None:
             block = _error_forms(model, lattice, zw, sq_u, sq_e, cross)
+        elif lockstep is None:  # mean - u of every replicate, in place
+            block = _map_means([model], lattice, data(model)[None])[0]
+            block -= u_rows
+        else:
+            block = lockstep[j::n, 0] - u_rows
         ok = np.isfinite(block.reshape(n_rep, -1)).all(axis=1)
         out[ok, j] = statistic(j, block if ok.all() else block[ok])
     return out, int(np.isnan(out[:, :, 0]).sum())
@@ -448,7 +440,7 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
 
         stats, dropped = _replicate_solves(cfg, lattice, models, truth, errors, 3 * nz, zw)
     else:
-        # the dense solves draw in the caller's thread anyway: A U for every replicate at once
+        # a dense map takes A U for every replicate in one product
         u = np.stack([prior_draw(i) for i in range(cfg.n_replicates)])
         au = fwd * u if fwd.ndim == 1 else u @ fwd.T
         stats, dropped = _replicate_solves(cfg, lattice, models, lambda i: (u[i], au[i]),
@@ -521,13 +513,11 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     if c0 is None:
         mid = len(deltas) // 2
         rng = _replicate_seed(cfg.master_seed, 2, 0)
-        noise = [sample_white_noise(lattice, rng).coeffs for _ in range(4)]  # drawn first
-        data = [SpectralField(lattice, au.coeffs + deltas[mid] * e) for e in noise]
-        sq = []
-        for mean in _map_means([setups[mid].model] * 4, data):  # one lockstep solve
-            if isinstance(mean, SolverError):
-                raise mean
-            sq.append(setups[mid].trace + np.sum(np.abs(mean - u.coeffs) ** 2))
+        noise = np.stack([sample_white_noise(lattice, rng).coeffs for _ in range(4)])
+        means = _map_means([setups[mid].model], lattice, (au.coeffs + deltas[mid] * noise)[None])
+        if not np.isfinite(means).all():
+            raise SolverError("posterior mean not finite", [])
+        sq = [setups[mid].trace + np.sum(np.abs(mean - u.coeffs) ** 2) for mean in means[0]]
         c0 = float(np.sqrt(np.mean(sq)) / deltas[mid] ** cfg.kappa)
 
     radii = [c0 * delta**cfg.kappa for delta in deltas]

@@ -136,11 +136,11 @@ class PosteriorGaussian:
 
     ``sqrt_cov`` is the Hermitian root C^{1/2}, the one that sampling and the
     Monte Carlo ball probabilities read.  A root given to the constructor is kept
-    as it is; otherwise it is built on the first read and kept: the pointwise
-    root of a multiplier C, or for a dense model one ``eigh`` of C_cs from the
-    kept pencil (see :func:`_dense_root`).  So for a dense model a covariance
-    that is not positive definite raises ValueError at that read, not in
-    :func:`posterior`.
+    as it is; otherwise it is built on the first read and kept:
+    :func:`fields.operator_sqrt` of C, the pointwise root of a multiplier C or one
+    ``eigh`` of a dense C in the cosine/sine basis.  So for a dense model a
+    covariance that is not positive definite raises ValueError at that read, not
+    in :func:`posterior`.
     """
 
     mean: SpectralField
@@ -154,10 +154,7 @@ class PosteriorGaussian:
 
     @cached_property
     def sqrt_cov(self) -> Operator:
-        if isinstance(self.cov, MultiplierOp):
-            return operator_sqrt(self.cov)
-        lattice = self.cov.lattice
-        return _dense_root(self.model, lattice, _cov_cs(self.model, lattice))
+        return operator_sqrt(self.cov)
 
 
 def _is_diagonal(model: GaussianModel) -> bool:
@@ -285,46 +282,43 @@ def _pencil_solve(block: np.ndarray, b: np.ndarray, delta2: np.ndarray) -> np.nd
 
 
 @np.errstate(invalid="ignore", over="ignore")  # an inf datum: 0 * inf, a row not finite
-def _map_means(models, data) -> list:
-    """Posterior means of ``models[j]`` for data ``data[j]`` (SpectralFields on one
-    lattice): noise-level models that share one forward map and prior.
+def _map_means(models, lattice: FrequencyLattice, data) -> np.ndarray:
+    """Posterior means of the stacks ``data[j]``, (rows, K) coefficients on ``lattice`` each,
+    under ``models[j]``: noise-level models that share one forward map and prior.  Returns
+    the means as one array of the shape of ``data``; a row that is not finite in every
+    entry (data that is not finite) is a failed solve.
 
-    Diagonal models use the per-frequency formula conj(a) m_hat / (|a|^2 + delta^2 / c_U).
-    Otherwise one product with the symbol or the dense matrix gives the stack
-    B = Q A^H M, the kept pencil solves every row at its own noise level, and the rows x
-    give the means Q^H x; complex B (data that is not a real field) under a real pencil
-    is solved as its real parts and its imaginary parts.  Returns one (K,) coefficient
-    array per row, finite in every entry, or a SolverError for a row whose mean is not
-    (data that is not finite), on either path.
+    Diagonal models use the per-frequency formula conj(a) m_hat / (|a|^2 + delta^2 / c_U),
+    in place in the result.  Otherwise one product with the symbol or the dense matrix gives
+    the stack B = Q A^H M of every row, the kept pencil solves each row at its model's noise
+    level, and the rows x give the means Q^H x; complex B (data that is not a real field)
+    under a real pencil is solved as its real parts and its imaginary parts.
     """
     model = models[0]
     if any(m.fwd != model.fwd or m.prior.cov != model.prior.cov for m in models):
         raise ValueError("lockstep solves need models that share one forward map and prior")
-    lattice = data[0].lattice
     if _is_diagonal(model):
-        means = []
-        for mdl, m in zip(models, data):
+        means = np.empty(np.shape(data), np.complex128)
+        for mdl, m, mean in zip(models, data, means):
             a, asq, prec = _diag_weights(mdl, lattice)
-            means.append(np.conj(a) * m.coeffs / (asq + prec))
-    else:
-        block = _pencil(model, lattice)
-        a = _fwd_values(model.fwd, lattice)
-        stack = np.stack([m.coeffs for m in data])
-        # B = Q A^H M; a dense A^H M through one product with A, with no conjugate copy of A
-        b = _rows_to_cosine_sine(lattice, np.conj(a) * stack if a.ndim == 1
-                                 else (stack.conj() @ a).conj())
-        n = len(models)
-        delta2 = np.array([m.delta**2 for m in models])
-        if np.iscomplexobj(block):
-            b = b.astype(np.complex128, copy=False)
-        elif np.iscomplexobj(b):
-            b, delta2 = np.concatenate([b.real, b.imag]), np.tile(delta2, 2)  # two real rows each
-        x = _pencil_solve(block, b, delta2)
-        if len(x) > n:
-            x = x[:n] + 1j * x[n:]
-        means = _rows_from_cosine_sine(lattice, x)
-    return [mean if np.isfinite(mean).all() else SolverError("posterior mean not finite", [])
-            for mean in means]
+            np.divide(np.multiply(np.conj(a), m, out=mean), asq + prec, out=mean)
+        return means
+    block = _pencil(model, lattice)
+    a = _fwd_values(model.fwd, lattice)
+    stack = np.reshape(data, (-1, lattice.size))
+    # B = Q A^H M; a dense A^H M through one product with A, with no conjugate copy of A
+    b = _rows_to_cosine_sine(lattice, np.conj(a) * stack if a.ndim == 1
+                             else (stack.conj() @ a).conj())
+    n = len(stack)
+    delta2 = np.repeat([m.delta**2 for m in models], n // len(models))
+    if np.iscomplexobj(block):
+        b = b.astype(np.complex128, copy=False)
+    elif np.iscomplexobj(b):
+        b, delta2 = np.concatenate([b.real, b.imag]), np.tile(delta2, 2)  # two real rows each
+    x = _pencil_solve(block, b, delta2)
+    if len(x) > n:
+        x = x[:n] + 1j * x[n:]
+    return _rows_from_cosine_sine(lattice, x).reshape(np.shape(data))
 
 
 def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
@@ -336,9 +330,9 @@ def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     shared by every noise level.  The mean it returns is finite in every entry;
     raises SolverError if it is not, as for data with a NaN coefficient.
     """
-    (mean,) = _map_means([model], [m])
-    if isinstance(mean, SolverError):
-        raise mean
+    mean = _map_means([model], m.lattice, m.coeffs[None, None])[0, 0]
+    if not np.isfinite(mean).all():
+        raise SolverError("posterior mean not finite", [])
     return SpectralField(m.lattice, mean)
 
 
@@ -520,28 +514,22 @@ def _dense_cov(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray
                    f"postcov({model.fwd.label})")
 
 
-def _dense_root(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray) -> DenseOp:
-    """The Hermitian root of the covariance Q^H C_cs Q of :func:`_dense_cov`, as an operator:
-    one ``eigh`` of C_cs, real symmetric when the pencil is real."""
-    cov = model.prior.cov
-    return DenseOp(lattice, _Handover(_from_cosine_sine(lattice, _hermitian_sqrt(c_cs))),
-                   cov.order_t / 2.0, cov.order_t0 / 2.0, f"sqrt(postcov({model.fwd.label}))")
-
-
 def _trace_ball(model: GaussianModel, lattice: FrequencyLattice,
                 zeta: float) -> tuple[float, MultiplierBall]:
     """The H^zeta trace of the posterior covariance C on ``lattice`` and the exact law of
     the H^zeta ball statistic |C^{1/2} xi + o|^2 for spectral white noise xi.
 
-    A diagonal model takes the pointwise root.  A dense one takes a root R of C_cs whose
+    A diagonal model reads its weights: c = delta^2 / (|a|^2 + delta^2 / c_U), the trace
+    sum_l w_l c_l and the pointwise root sqrt(c).  A dense one takes a root R of C_cs whose
     Q^H R z, z = Q xi real, has the law of C^{1/2} xi: X of :func:`_cov_factor` when it is
     real; a complex X z does not, so then the Hermitian root of C_cs (one more ``eigh``).
     The trace is sum_j w_j |R_j|^2, the weights diagonal in the cosine/sine basis.
     """
     if _is_diagonal(model):
-        cov = posterior_covariance(model)
-        root = _evaluated(operator_sqrt(cov), lattice)
-        return posterior_trace(cov, zeta, lattice), MultiplierBall(root, lattice, zeta)
+        _, asq, prec = _diag_weights(model, lattice)
+        c = model.delta**2 / (asq + prec)
+        trace = float(np.sum(sobolev_weight(lattice, zeta) * c))
+        return trace, MultiplierBall(np.sqrt(c), lattice, zeta)
     root = _cov_factor(model, lattice)
     if np.iscomplexobj(root):
         root = _hermitian_sqrt(_hermitian_gram(root))

@@ -37,7 +37,6 @@ from torusbayes import experiments
 from torusbayes.fields import operator_sqrt
 from torusbayes.posterior import (
     MultiplierBall,
-    SolverError,
     _map_means,
     _mc_ball_hits,
     credible_ball_prob,
@@ -507,21 +506,26 @@ def failing_at(monkeypatch, fails, mode="contraction"):
     """Make a (replicate, delta) pair of ``mode``'s runner fail where ``fails(delta, k)``
     holds, k counting the pairs computed at that delta: the last entry of its replicate's
     row of the error forms (:func:`experiments._error_forms`) in the form modes, or of the
-    offsets (:func:`experiments._offsets`) in ``contraction``, is NaN, which must drop the
+    means (:func:`posterior._map_means`) in ``contraction``, is NaN, which must drop the
     whole row.  Returns the list of deltas in the order the pairs are computed."""
     calls = []
-    name = "_error_forms" if mode in FORM_MODES else "_offsets"
-    real = getattr(experiments, name)
 
-    def rows(model, *args):
-        out = real(model, *args)
-        for i in range(len(out)):
-            calls.append(model.delta)
-            if fails(model.delta, calls.count(model.delta) - 1):
-                out[i].flat[-1] = np.nan
+    def mark(out, models):  # out[j] holds the rows of models[j]
+        for model, block in zip(models, out):
+            for row in block:
+                calls.append(model.delta)
+                if fails(model.delta, calls.count(model.delta) - 1):
+                    row.flat[-1] = np.nan
         return out
 
-    monkeypatch.setattr(experiments, name, rows)
+    if mode in FORM_MODES:
+        real = experiments._error_forms
+        monkeypatch.setattr(experiments, "_error_forms",
+                            lambda model, *args: mark(real(model, *args)[None], [model])[0])
+    else:
+        real = experiments._map_means
+        monkeypatch.setattr(experiments, "_map_means",
+                            lambda models, *args: mark(real(models, *args), models))
     return calls
 
 
@@ -549,15 +553,16 @@ class TestReplicateLoop:
         calls = recording_solves(monkeypatch)
         cfg = small_cfg(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
         assert run_bayes_convergence(cfg).dropped == 0
-        ((models, data),) = calls
+        ((models, lat, data),) = calls
         n = len(cfg.deltas)
-        # replicate-major: rows i n ... i n + n - 1 are A u_i + delta_j e_i of replicate i
+        # replicate-major, one row per model: rows i n ... i n + n - 1 are A u_i + delta_j e_i
+        assert lat == cfg.lattice() and data.shape == (cfg.n_replicates * n, 1, lat.size)
         assert [m.delta for m in models] == list(cfg.deltas) * cfg.n_replicates
         for i in range(cfg.n_replicates):
-            e = sample_white_noise(cfg.lattice(), np.random.default_rng((cfg.master_seed, 1, i)))
-            rows = data[i * n:(i + 1) * n]
+            e = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i)))
+            rows = data[i * n:(i + 1) * n, 0]
             for delta, row in zip(cfg.deltas, rows):
-                diff = row.coeffs - rows[0].coeffs
+                diff = row - rows[0]
                 assert np.allclose(diff, (delta - cfg.deltas[0]) * e.coeffs, rtol=0, atol=1e-15)
 
     def test_dense_prior_draws_forward_mapped_together(self, monkeypatch):
@@ -566,13 +571,13 @@ class TestReplicateLoop:
         lat = build_lattice(2, 8)
         cfg = small_cfg(fwd=dense_fwd(lat), n_per_dim=8)
         run_bayes_convergence(cfg)
-        ((_, data),) = calls
+        ((_, _, data),) = calls
         n, root = len(cfg.deltas), symbol_values(cfg.prior.sqrt_cov, lat)
         for i in range(cfg.n_replicates):
             xi, e = (sample_white_noise(lat, np.random.default_rng((cfg.master_seed, stream, i)))
                      for stream in (0, 1))
             au = cfg.fwd.matrix @ (root * xi.coeffs)
-            row = data[i * n].coeffs - cfg.deltas[0] * e.coeffs
+            row = data[i * n, 0] - cfg.deltas[0] * e.coeffs
             assert np.abs(row - au).max() < 1e-14 * np.abs(au).max()
 
     @pytest.mark.parametrize("mode", FORM_MODES)
@@ -588,7 +593,7 @@ class TestReplicateLoop:
             [(delta, [n if mode == "bayes" else 1, n, n]) for delta in cfg.deltas]
 
     def test_diagonal_contraction_calls_the_law_once_per_delta(self, monkeypatch):
-        # with c0 given no mean is solved: every replicate's offsets go to one law call
+        # with c0 given, one solve and one law call per delta each hold every replicate
         solves, calls = recording_solves(monkeypatch), []
         real = MultiplierBall._escape_probs
 
@@ -599,8 +604,10 @@ class TestReplicateLoop:
         monkeypatch.setattr(MultiplierBall, "_escape_probs", law)
         cfg = small_cfg("contraction", c0=1.0, threads=2)
         assert run_contraction(cfg).dropped == 0
-        assert solves == []
-        assert calls == [(cfg.n_replicates, cfg.lattice().size)] * len(cfg.deltas)
+        shape = (cfg.n_replicates, cfg.lattice().size)
+        assert [([m.delta for m in models], data.shape) for models, _, data in solves] == \
+            [([delta], (1, *shape)) for delta in cfg.deltas]
+        assert calls == [shape] * len(cfg.deltas)
 
     def test_diagonal_contraction_rows_match_per_replicate_solves(self):
         cfg = default_config("contraction")
@@ -637,15 +644,15 @@ class TestReplicateLoop:
         cfg = small_cfg("frequentist", fwd=dense_fwd(lat), n_per_dim=16)
         calls = recording_solves(monkeypatch)
         table = run_frequentist_convergence(cfg)
-        ((models, data),) = calls
-        lockstep = _map_means(models, data)
+        ((models, _, data),) = calls
+        lockstep = _map_means(models, lat, data)
         n = len(cfg.deltas)
         u = make_hat_truth(lat).u_dagger.coeffs
         mise = np.empty((cfg.n_replicates, n))
         for i in range(cfg.n_replicates):
-            rows = _map_means(models[i * n:(i + 1) * n], data[i * n:(i + 1) * n])
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(lockstep[i * n:], rows))
-            mise[i] = [np.sum(np.abs(row - u) ** 2) for row in rows]
+            rows = _map_means(models[i * n:(i + 1) * n], lat, data[i * n:(i + 1) * n])
+            assert lockstep[i * n:(i + 1) * n].tobytes() == rows.tobytes()
+            mise[i] = [np.sum(np.abs(row - u) ** 2) for row in rows[:, 0]]
         # each replicate's statistics read its own rows of the one lockstep solve
         pred = table.rows[0]
         assert table.rows == tuple(experiments._rate_rows(
@@ -671,21 +678,26 @@ class TestReplicateLoop:
 
     @pytest.mark.parametrize("mode", REPLICATE_MODES)
     def test_dense_failed_solve_drops_one_pair(self, mode, monkeypatch):
-        # a failed row of the lockstep solve is a NaN row of its delta's block of offsets:
-        # one drop, and every other delta's rows as before
+        # a row of the lockstep solve with one entry not finite is a failed solve: its
+        # replicate's row never reaches the statistic, one drop, and every other delta's
+        # rows as before
         dense = dict(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
         ref = run_experiment(small_cfg(mode, **dense))
         cfg = small_cfg(mode, c0=ref.extras.get("c0"), **dense)  # no calibration solves
-        real, n = experiments._map_means, len(cfg.deltas)
+        calls = failing_at(monkeypatch, lambda delta, k: delta == cfg.deltas[2] and k == 3)
+        offsets, real = [], MultiplierBall._escape_probs
 
-        def failing(models, data):  # replicate 3 at the third delta
-            means = real(models, data)
-            means[3 * n + 2] = SolverError("posterior mean not finite", [])
-            return means
+        def law(ball, radius, rows=None):
+            offsets.append(rows)
+            return real(ball, radius, rows)
 
-        monkeypatch.setattr(experiments, "_map_means", failing)
+        monkeypatch.setattr(MultiplierBall, "_escape_probs", law)
         table = run_experiment(cfg)
-        assert table.dropped == 1
+        assert table.dropped == 1 and len(calls) == cfg.n_replicates * len(cfg.deltas)
+        if mode == "contraction":  # the law reads the other replicates' offsets only
+            assert [len(rows) for rows in offsets] == \
+                [cfg.n_replicates - (j == 2) for j in range(len(cfg.deltas))]
+            assert all(np.isfinite(rows).all() for rows in offsets)
         for row, base in zip(table.rows, ref.rows):
             if row.delta == cfg.deltas[2]:
                 assert row.n == base.n - 1 and np.isfinite([row.mean_error, row.stderr]).all()

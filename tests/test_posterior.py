@@ -49,7 +49,6 @@ from torusbayes.posterior import (
     _cov_factor,
     _cov_cs,
     _dense_cov,
-    _dense_root,
     _map_means,
     _mc_ball_hits,
     _pcg,
@@ -784,9 +783,9 @@ class TestLockstepSolves:
         fwd = TestCosineSineMap.vc_fwd(lat)
         prior = gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0)))
         models = [quiet_model(fwd, prior, 1.01, 2, delta) for delta in cls.DELTAS]
-        au = apply(fwd, sample_prior(prior, lat, n))
-        e = sample_white_noise(lat, n + 1)
-        return lat, models, [au + model.delta * e for model in models]
+        au = apply(fwd, sample_prior(prior, lat, n)).coeffs
+        e = sample_white_noise(lat, n + 1).coeffs
+        return lat, models, np.stack([[au + model.delta * e] for model in models])
 
     @staticmethod
     def recording(monkeypatch):
@@ -808,24 +807,38 @@ class TestLockstepSolves:
     def test_rows_equal_one_row_solves(self, n, monkeypatch):
         lat, models, data = self.problem(n)
         shapes = self.recording(monkeypatch)
-        means = _map_means(models, data)
+        means = _map_means(models, lat, data)
+        assert means.shape == data.shape
         assert shapes == [(len(models), lat.size)]  # one real row per noise level, one call
-        for j, (model, m) in enumerate(zip(models, data)):
-            self.assert_close(means[j], map_estimate(model, m).coeffs)
+        for model, m, mean in zip(models, data, means):
+            self.assert_close(mean[0], map_estimate(model, SpectralField(lat, m[0])).coeffs)
         assert shapes[1:] == [(1, lat.size)] * len(models)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "dense"])
+    def test_rows_of_one_model_equal_one_row_per_model(self, kind):
+        # the (rows, K) stack of one model, as the diagonal per-delta and the c0 calls pass
+        # it, solves each row as a model per row does
+        lat, models, data = self.problem(8)
+        if kind == "diagonal":
+            models = [quiet_model(bessel_op(-1.0), m.prior, 1.01, 2, m.delta) for m in models]
+        stack = data[:, 0]
+        means = _map_means(models[:1], lat, stack[None])
+        assert means.shape == (1, len(stack), lat.size)
+        assert means[0].tobytes() == _map_means(models[:1] * len(stack), lat,
+                                                stack[:, None])[:, 0].tobytes()
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_row_that_cannot_converge_is_the_only_one_dropped(self, n):
         lat, models, data = self.problem(n)
         bad = 2
-        data[bad] = SpectralField(lat, np.full(lat.size, np.nan))
-        means = _map_means(models, data)
-        assert isinstance(means[bad], SolverError)
+        data[bad] = np.nan
+        means = _map_means(models, lat, data)
+        assert not np.isfinite(means[bad]).any()
         for j, (model, m) in enumerate(zip(models, data)):
             if j != bad:
-                self.assert_close(means[j], map_estimate(model, m).coeffs)
+                self.assert_close(means[j, 0], map_estimate(model, SpectralField(lat, m[0])).coeffs)
         with pytest.raises(SolverError, match="not finite"):
-            map_estimate(models[bad], data[bad])
+            map_estimate(models[bad], SpectralField(lat, data[bad, 0]))
 
     def test_non_finite_diagonal_row_is_the_only_one_dropped(self):
         # one NaN coefficient leaves the other K - 1 entries of its mean finite
@@ -833,18 +846,16 @@ class TestLockstepSolves:
         fwd, prior = bessel_op(-1.0), gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0)))
         models = [quiet_model(fwd, prior, 1.01, 2, delta) for delta in self.DELTAS]
         m = sample_white_noise(lat, 3)
-        data = [m] * len(models)
+        data = np.tile(m.coeffs, (len(models), 1, 1))
         bad = 2
-        coeffs = m.coeffs.copy()
-        coeffs[5] = np.nan
-        data[bad] = SpectralField(lat, coeffs)
-        means = _map_means(models, data)
-        assert isinstance(means[bad], SolverError)
+        data[bad, 0, 5] = np.nan
+        means = _map_means(models, lat, data)
+        assert np.flatnonzero(~np.isfinite(means[bad, 0])).tolist() == [5]
         for j, model in enumerate(models):
             if j != bad:
-                assert means[j].tobytes() == map_estimate(model, m).coeffs.tobytes()
+                assert means[j, 0].tobytes() == map_estimate(model, m).coeffs.tobytes()
         with pytest.raises(SolverError, match="not finite"):
-            map_estimate(models[bad], data[bad])
+            map_estimate(models[bad], SpectralField(lat, data[bad, 0]))
 
     @pytest.mark.parametrize("kind", ["diagonal", "dense-prior", "dense-forward"])
     def test_infinite_datum_raises_solver_error_not_warning(self, kind):
@@ -865,12 +876,13 @@ class TestLockstepSolves:
 
     def test_zero_row_converges_at_once(self):
         lat, models, data = self.problem(8)
-        data[1] = SpectralField(lat, np.zeros(lat.size))
+        data[1] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            means = _map_means(models, data)
+            means = _map_means(models, lat, data)
         assert not np.any(means[1])
-        self.assert_close(means[0], map_estimate(models[0], data[0]).coeffs)
+        ref = map_estimate(models[0], SpectralField(lat, data[0, 0])).coeffs
+        self.assert_close(means[0, 0], ref)
 
     def test_pcg_failed_row_keeps_others(self):
         # diagonal systems: a row with one eigenvalue converges in one step, one with
@@ -887,7 +899,7 @@ class TestLockstepSolves:
         lat, models, data = self.problem(8)
         other = quiet_model(models[0].fwd, gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1)
         with pytest.raises(ValueError, match="share"):
-            _map_means([models[0], other], data[:2])
+            _map_means([models[0], other], lat, data[:2])
 
 
 def pencil_case(case, n=16, delta=0.05):
@@ -921,13 +933,13 @@ class TestPencil:
         models = [quiet_model(model.fwd, model.prior, 1.01, 2, delta) for delta in deltas]
         au = apply(model.fwd, sample_prior(gaussian_prior(bessel_op(-1.0)), lat, 3))
         e = sample_white_noise(lat, 4)
-        data = [au + delta * e for delta in deltas]
-        means = _map_means(models, data)
+        data = np.stack([[(au + delta * e).coeffs] for delta in deltas])
+        means = _map_means(models, lat, data)
         a_mat, c_mat = model.fwd.matrix, densify(model.prior.cov, lat).matrix
         assert np.iscomplexobj(_pencil(model, lat)) == (case == "complex-map")
         for delta, m, mean in zip(deltas, data, means):
-            ref = map_estimate_discrete(a_mat, c_mat, delta, m.coeffs)
-            assert np.linalg.norm(mean - ref) <= 1e-10 * np.linalg.norm(ref)
+            ref = map_estimate_discrete(a_mat, c_mat, delta, m[0])
+            assert np.linalg.norm(mean[0] - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_means_match_iterative_oracle(self):
         # lockstep conjugate gradients on the normal equations G + delta^2 C_U^{-1} in the
@@ -944,7 +956,8 @@ class TestPencil:
         diag = np.diag(gram) + deltas[:, None] ** 2 / c_form
         x, _ = _pcg(lambda p, rows: p @ gram + deltas[rows, None] ** 2 * p / c_form,
                     b, diag, CG_TOL, 10 * lat.size)
-        for mean, ref in zip(_map_means(models, [m] * len(deltas)), _rows_from_cosine_sine(lat, x)):
+        means = _map_means(models, lat, np.tile(m.coeffs, (len(deltas), 1, 1)))
+        for mean, ref in zip(means[:, 0], _rows_from_cosine_sine(lat, x)):
             assert np.linalg.norm(mean - ref) <= 1e-7 * np.linalg.norm(ref)
 
     def test_one_eigh_per_operator_lattice_and_prior_value(self, monkeypatch):
@@ -955,7 +968,7 @@ class TestPencil:
 
         def solve(prior, deltas=(0.1, 0.01, 0.001)):
             models = [quiet_model(model.fwd, prior, 1.01, 2, delta) for delta in deltas]
-            _map_means(models, [m] * len(models))
+            _map_means(models, lat, np.tile(m.coeffs, (len(models), 1, 1)))
             map_estimate(models[-1], m)
             assert [key[0] for key in model.fwd._cs] == ["pencil"]  # at most one kept
             return model.fwd._cs["pencil", lat][1]
@@ -1046,12 +1059,13 @@ class TestDeferredRoot:
     def test_root_bytes_match_cov_root(self, case):
         lat, model = pencil_case(case, n=8)
         post = posterior(model, sample_white_noise(lat, 10))
-        c_cs = _cov_cs(model, lat)
-        cov, root = _dense_cov(model, lat, c_cs), _dense_root(model, lat, c_cs)
+        cov = _dense_cov(model, lat, _cov_cs(model, lat))
         assert post.cov.matrix.tobytes() == cov.matrix.tobytes()
-        assert post.sqrt_cov.matrix.tobytes() == root.matrix.tobytes()
+        root = post.sqrt_cov.matrix
+        assert np.array_equal(root, root.conj().T)  # exactly Hermitian
+        assert np.abs(root @ root - cov.matrix).max() <= 1e-12 * np.abs(cov.matrix).max()
         assert (post.sqrt_cov.label, post.sqrt_cov.order_t, post.sqrt_cov.order_t0) == \
-            (root.label, root.order_t, root.order_t0)
+            (f"sqrt(postcov({model.fwd.label}))", cov.order_t / 2.0, cov.order_t0 / 2.0)
 
     def test_explicit_root_kept_as_given(self, dense_model):
         lat, model = dense_model
@@ -1072,12 +1086,12 @@ class TestDeferredRoot:
             first, second = pool.map(read, range(2))
         assert first == second == post.sqrt_cov.matrix.tobytes()
 
-    def test_not_positive_definite_raises_at_read(self, monkeypatch):
+    def test_not_positive_definite_raises_at_read(self):
         lat, model = pencil_case("even-prior", n=8)
         post = posterior(model, sample_white_noise(lat, 13))
-        monkeypatch.setattr(posterior_module, "_cov_cs", lambda model, lat: -np.eye(lat.size))
+        bad = PosteriorGaussian(post.mean, DenseOp(lat, -np.eye(lat.size)), None, model)
         with pytest.raises(ValueError, match="not positive definite"):
-            post.sqrt_cov
+            bad.sqrt_cov
 
 
 class TestPosteriorTrace:
