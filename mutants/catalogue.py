@@ -85,8 +85,15 @@ MUTANTS = (
     Mutant("ball-self-conjugate-quarter", POSTERIOR,
            "np.where(dof == 1, 0.25, 2.0)", "np.where(dof == 1, 0.5, 2.0)"),
     Mutant("ball-batch-period", POSTERIOR,
-           "grid = self._grid(exponent, noncentral)",
-           "grid = self._grid(int(exponents.min()), noncentral)"),
+           "grid = self._grid(exponent)",
+           "grid = self._grid(int(exponents.min()))"),
+    # the noncentral node table, built per call: 1 - 2 i lambda u as its denominator
+    Mutant("ball-node-table-sign", POSTERIOR,
+           "np.multiply(-2.0, x.imag, out=den.imag)", "np.multiply(2.0, x.imag, out=den.imag)"),
+    # the dense law for central tails: eigenvalues only, every one of them
+    Mutant("central-dense-law-last-eigenvalue", POSTERIOR,
+           "ball._group(np.linalg.eigvalsh(m), ones, ones)",
+           "ball._group(np.linalg.eigvalsh(m)[:-1], ones[:-1], ones[:-1])"),
     # the dense replicate loop: each delta's rows of the one replicate-major lockstep solve
     Mutant("lockstep-replicate-offset", EXPERIMENTS,
            "block = lockstep[j::n, 0] - u_rows",

@@ -40,6 +40,7 @@ from .posterior import (
     _is_diagonal,
     _map_means,
     _trace_ball,
+    _trace_root,
     map_estimate,
 )
 from .rates import RatePrediction, bayes_rate, contraction_rate, credible_rate, frequentist_rate
@@ -302,8 +303,8 @@ class _DeltaSetup:
 def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
                   zeta: float) -> list[_DeltaSetup]:
     """Model, H^zeta trace and exact ball law for each delta of the grid
-    (:func:`posterior._trace_ball`)."""
-    return [_DeltaSetup(model, *_trace_ball(model, lattice, zeta))
+    (:func:`posterior._trace_ball`), a dense law for central tails only: its eigenvalues."""
+    return [_DeltaSetup(model, *_trace_ball(model, lattice, zeta, offsets=False))
             for model in map(cfg.model, cfg.deltas)]
 
 
@@ -336,45 +337,44 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
                       ) -> tuple[np.ndarray, int]:
     """The rate runners' replicate loop: a (replicate, delta, width) array and the drop count.
 
-    Replicate i takes u and A u from ``truth``, a fixed pair or a function of i, and e from
-    stream 1, each drawn by its own pool task.  ``statistic(j, block)`` maps model j's
-    block, one row per replicate, to those replicates' rows.  Given ``zw``, the (zeta, K)
-    H^zeta weights, the models are diagonal and form no mean: each task keeps its
-    replicate's real K-vectors |u|^2 (once for a fixed truth), |e|^2 and Re(conj(A u) e),
-    which :func:`_error_forms` contracts into the block of (replicate, zeta, 3) forms.
-    Without ``zw`` each task writes its rows of the (replicate, K) stacks of e (and of u and
-    A u unless the truth is fixed), and the block is every mean - u from
+    Replicate i takes u and A u from ``truth`` and e from stream 1, drawn by its own pool
+    task.  ``statistic(j, block)`` maps model j's block, one row per replicate, to those
+    replicates' rows.  Given ``zw``, the (zeta, K) H^zeta weights, the models are diagonal
+    and form no mean: ``truth`` is a fixed pair of K-vectors or a function of i, and each
+    task keeps its replicate's real K-vectors |u|^2 (once for a fixed truth), |e|^2 and
+    Re(conj(A u) e), which :func:`_error_forms` contracts into the block of
+    (replicate, zeta, 3) forms.  Without ``zw``, ``truth`` is a pair of K-vectors (a fixed
+    truth) or of (replicate, K) stacks, read as they are; each task writes its row of the
+    (replicate, K) stack of e, and the block is every mean - u from
     :func:`posterior._map_means`: one call per delta for diagonal models, one lockstep call
     of all n_replicates x n_delta rows, replicate-major, for other models.  A row of the
     block that is not finite (a failed solve) is NaN in the result and one drop.
     """
     n, n_rep, size = len(models), cfg.n_replicates, lattice.size
-    fixed = not callable(truth)
 
-    def draw(i: int):
-        u, au = truth if fixed else truth(i)
-        return u, au, sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
+    def noise(i: int) -> np.ndarray:
+        return sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
 
     if zw is not None:
+        fixed = not callable(truth)
         sq_u = np.empty((1 if fixed else n_rep, size))
         sq_e, cross = np.empty((2, n_rep, size))
         if fixed:
             sq_u[0] = truth[0].real**2 + truth[0].imag**2
 
         def work(i: int) -> None:  # each task writes its own rows
-            u, au, e = draw(i)
+            u, au = truth if fixed else truth(i)
+            e = noise(i)
             if not fixed:
                 sq_u[i] = u.real**2 + u.imag**2
             sq_e[i] = e.real**2 + e.imag**2
             cross[i] = au.real * e.real + au.imag * e.imag
     else:
         e_rows = np.empty((n_rep, size), np.complex128)
-        u_rows, au_rows = truth if fixed else np.empty((2, n_rep, size), np.complex128)
+        u_rows, au_rows = truth
 
-        def work(i: int) -> None:  # each task writes its own rows
-            u, au, e_rows[i] = draw(i)
-            if not fixed:
-                u_rows[i], au_rows[i] = u, au
+        def work(i: int) -> None:  # each task writes its own row
+            e_rows[i] = noise(i)
 
         def data(model: GaussianModel, out: np.ndarray | None = None) -> np.ndarray:
             """A u + delta e of every replicate at the noise level of ``model``."""
@@ -443,7 +443,7 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
         # a dense map takes A U for every replicate in one product
         u = np.stack([prior_draw(i) for i in range(cfg.n_replicates)])
         au = fwd * u if fwd.ndim == 1 else u @ fwd.T
-        stats, dropped = _replicate_solves(cfg, lattice, models, lambda i: (u[i], au[i]),
+        stats, dropped = _replicate_solves(cfg, lattice, models, (u, au),
                                            lambda j, diff: np.sqrt(np.abs(diff) ** 2 @ zw.T),
                                            nz)
     rows, fits = [], []
@@ -492,8 +492,9 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     Outer replicates draw the noise in the data.  The escape probability of
     each replicate is computed exactly by the ball law of :class:`MultiplierBall`,
     multiplier or dense, one call per delta for the (replicate, K) stack of
-    every replicate's offset mean - truth (for a multiplier posterior with no
-    mean solved); the largest stated error bound per delta goes to
+    every replicate's offset mean - truth; each delta's law is built where its
+    rows are read and dropped after, so at most one dense K x K projection is
+    held.  The largest stated error bound per delta goes to
     ``extras["ball_prob_error"]``.  ``n_mc`` is not read.  Reports the escape
     probability per delta together with the Markov-inequality estimate
     (Tr(C_delta) + |mean - truth|^2) / radius^2, which must dominate it.
@@ -506,32 +507,30 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     u = _checked_truth(truth, lattice).u_dagger
     deltas = cfg.deltas
     au = apply(cfg.fwd, u)
-    setups = _delta_setups(cfg, lattice, 0.0)
-    pred = contraction_rate(setups[0].model.params(), cfg.kappa)
+    models = [cfg.model(d) for d in deltas]
+    pred = contraction_rate(models[0].params(), cfg.kappa)
 
     c0 = cfg.c0
     if c0 is None:
         mid = len(deltas) // 2
         rng = _replicate_seed(cfg.master_seed, 2, 0)
         noise = np.stack([sample_white_noise(lattice, rng).coeffs for _ in range(4)])
-        means = _map_means([setups[mid].model], lattice, (au.coeffs + deltas[mid] * noise)[None])
+        means = _map_means([models[mid]], lattice, (au.coeffs + deltas[mid] * noise)[None])
         if not np.isfinite(means).all():
             raise SolverError("posterior mean not finite", [])
-        sq = [setups[mid].trace + np.sum(np.abs(mean - u.coeffs) ** 2) for mean in means[0]]
+        trace = _trace_root(models[mid], lattice, 0.0)[0]
+        sq = [trace + np.sum(np.abs(mean - u.coeffs) ** 2) for mean in means[0]]
         c0 = float(np.sqrt(np.mean(sq)) / deltas[mid] ** cfg.kappa)
 
     radii = [c0 * delta**cfg.kappa for delta in deltas]
 
-    def markov(j, offset):  # one offset or a (replicate, K) stack of them
-        sq_dev = setups[j].trace + np.sum(np.abs(offset) ** 2, axis=-1)
-        return np.minimum(1.0, sq_dev / radii[j] ** 2)
+    def escape(j, offsets):  # every replicate's offset at one delta in one call of its law
+        trace, ball = _trace_ball(models[j], lattice, 0.0)
+        direct, error = ball._escape_probs(radii[j], offsets)
+        markov = np.minimum(1.0, (trace + np.sum(np.abs(offsets) ** 2, axis=-1)) / radii[j] ** 2)
+        return np.stack([direct, markov, error], axis=1)
 
-    def escape(j, offsets):  # every replicate's offset at one delta in one call of the law
-        direct, error = setups[j].ball._escape_probs(radii[j], offsets)
-        return np.stack([direct, markov(j, offsets), error], axis=1)
-
-    stats, dropped = _replicate_solves(cfg, lattice, [st.model for st in setups],
-                                       (u.coeffs, au.coeffs), escape, 3)
+    stats, dropped = _replicate_solves(cfg, lattice, models, (u.coeffs, au.coeffs), escape, 3)
     direct, markov, error = np.moveaxis(stats, 2, 0)  # (replicate, delta) each
     rows = _rate_rows("contraction", deltas, 0.0, direct, pred.extra["decay"], pred.regime)
     fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
@@ -553,7 +552,8 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
     The ball is centred at the posterior mean, so the probability depends
     only on delta and no data is needed.  Every posterior, multiplier or
     dense, gets the exact probability of its :class:`MultiplierBall` law,
-    with the law's error bound in the ``stderr`` column and ``n`` = 0.  Per
+    with the law's error bound in the ``stderr`` column and ``n`` = 0; a
+    dense law reads central tails only and keeps its eigenvalues alone.  Per
     row the Markov bound trace / radius^2 is attached; the slope is fitted
     on rows with p in [10/n_mc, 0.9], the band a Monte Carlo sample of
     ``n_mc`` draws would resolve, which is all that ``n_mc`` sets here.

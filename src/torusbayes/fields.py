@@ -66,17 +66,27 @@ class GaussianPrior:
     sqrt_cov: Operator
 
 
+# rows of Xi per product when _hermitian_gram forms T = Xi Xr^T
+_GRAM_BLOCK = 64
+
+
 def _hermitian_gram(x: np.ndarray) -> np.ndarray:
     """X X^H, exactly Hermitian.  A real X takes the one product X X^T, which numpy forms
     exactly symmetric; a complex one the real products Re = Y Y^T, for Y the (K, 2K) real
-    view of X (Xr Xr^T + Xi Xi^T), and Im = T - T^T for T = Xi Xr^T."""
+    view of X (Xr Xr^T + Xi Xi^T), and Im = T - T^T for T = Xi Xr^T.  T is formed from one
+    contiguous copy of Xr, in blocks of ``_GRAM_BLOCK`` rows of Xi, so that beside X and
+    the result only Xr and T are held in full."""
     if np.isrealobj(x):
         return x @ x.T
     x = np.ascontiguousarray(x)
-    out = np.empty((len(x), len(x)), dtype=np.complex128)
+    k = len(x)
+    out = np.empty((k, k), dtype=np.complex128)
     y = x.view(np.float64)
     out.real = y @ y.T
-    t = np.ascontiguousarray(x.imag) @ np.ascontiguousarray(x.real).T
+    xr, t = np.ascontiguousarray(x.real), np.empty((k, k))
+    for i in range(0, k, _GRAM_BLOCK):
+        np.matmul(np.ascontiguousarray(x.imag[i:i + _GRAM_BLOCK]), xr.T, out=t[i:i + _GRAM_BLOCK])
+    del xr
     np.subtract(t, t.T, out=out.imag)
     return out
 

@@ -514,28 +514,43 @@ def _dense_cov(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray
                    f"postcov({model.fwd.label})")
 
 
-def _trace_ball(model: GaussianModel, lattice: FrequencyLattice,
-                zeta: float) -> tuple[float, MultiplierBall]:
-    """The H^zeta trace of the posterior covariance C on ``lattice`` and the exact law of
-    the H^zeta ball statistic |C^{1/2} xi + o|^2 for spectral white noise xi.
+def _trace_root(model: GaussianModel, lattice: FrequencyLattice,
+                zeta: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The H^zeta trace of the posterior covariance C on ``lattice``, a root of C and the
+    H^zeta weights that the ball statistic |C^{1/2} xi + o|^2 reads it with.
 
     A diagonal model reads its weights: c = delta^2 / (|a|^2 + delta^2 / c_U), the trace
-    sum_l w_l c_l and the pointwise root sqrt(c).  A dense one takes a root R of C_cs whose
-    Q^H R z, z = Q xi real, has the law of C^{1/2} xi: X of :func:`_cov_factor` when it is
-    real; a complex X z does not, so then the Hermitian root of C_cs (one more ``eigh``).
-    The trace is sum_j w_j |R_j|^2, the weights diagonal in the cosine/sine basis.
+    sum_l w_l c_l, the pointwise root sqrt(c) and w in exponential order.  A dense one
+    takes a root R of C_cs whose Q^H R z, z = Q xi real, has the law of C^{1/2} xi: X of
+    :func:`_cov_factor` when it is real; a complex X z does not, so then the Hermitian
+    root of C_cs (one more ``eigh``).  The trace is sum_j w_j |R_j|^2, with w in
+    cosine/sine order, where the weights are diagonal.
     """
     if _is_diagonal(model):
         _, asq, prec = _diag_weights(model, lattice)
         c = model.delta**2 / (asq + prec)
-        trace = float(np.sum(sobolev_weight(lattice, zeta) * c))
-        return trace, MultiplierBall(np.sqrt(c), lattice, zeta)
+        w = sobolev_weight(lattice, zeta)
+        return float(np.sum(w * c)), np.sqrt(c), w
     root = _cov_factor(model, lattice)
     if np.iscomplexobj(root):
         root = _hermitian_sqrt(_hermitian_gram(root))
     w = sobolev_weight(lattice, zeta)[_cosine_sine_modes(lattice)[0]]
-    trace = float(w @ np.einsum("ij,ij->i", root.conj(), root).real)
-    return trace, MultiplierBall._from_cosine_sine_root(root, w, lattice)
+    return float(w @ np.einsum("ij,ij->i", root.conj(), root).real), root, w
+
+
+def _trace_ball(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
+                offsets: bool = True) -> tuple[float, MultiplierBall]:
+    """The trace of :func:`_trace_root` and the exact law of the H^zeta ball statistic
+    |C^{1/2} xi + o|^2 for spectral white noise xi.
+
+    The law keeps O(G + T + n) numbers beyond its K-sized term indices (see
+    :class:`MultiplierBall`).  A dense law that reads offsets also keeps a K x K
+    projection; with ``offsets`` False it is eigenvalues only and reads central tails.
+    """
+    trace, root, w = _trace_root(model, lattice, zeta)
+    if root.ndim == 1:
+        return trace, MultiplierBall(root, lattice, zeta)
+    return trace, MultiplierBall._from_cosine_sine_root(root, w, lattice, offsets)
 
 
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:
@@ -624,7 +639,9 @@ _S_LOWER = np.geomspace(1e-9, 1e15, 250)
 
 
 class _Grid:
-    """Midpoint nodes u_k = (k + 1/2) 2 pi / span and the central part of log phi."""
+    """Midpoint nodes u_k = (k + 1/2) 2 pi / span and the central part of log phi: O(n)
+    numbers.  The noncentral node table, G x n, is formed by each call that reads it
+    (:meth:`MultiplierBall._escape_probs`)."""
 
     def __init__(self, ball: "MultiplierBall", span: float):
         step = 2.0 * math.pi / span
@@ -636,9 +653,6 @@ class _Grid:
         self.log_phi = -0.5 * (ball.dof @ np.log(terms, out=terms))
         self.log_phi -= 0.5 * (ball.tau * self.u) ** 2
         self.truncation = ball._truncation_bound(self.u[-1], ball.tau)
-        # i lambda u / (1 - 2 i lambda u) per group and node, built on the
-        # first call with an offset: log phi gains nc @ this
-        self.noncentral = None
 
 
 class MultiplierBall:
@@ -662,12 +676,17 @@ class MultiplierBall:
     law with one degree of freedom per eigenvalue (:meth:`_from_cosine_sine_root`);
     only the step from offsets to noncentralities differs.
 
-    The groups, the Chernoff tables and the truncation point depend only on
-    the root and zeta, and integration grids are cached per period (a
+    The groups, the central Chernoff tables and the truncation point depend
+    only on the root and zeta, and integration grids are cached per period (a
     power of two); only nc_g and R depend on the offset, so one instance
     serves every replicate, and :meth:`_escape_probs` takes a whole
     (replicate, K) stack of offsets in one call, of which
-    :meth:`escape_prob` is the one-row case.
+    :meth:`escape_prob` is the one-row case.  A law keeps O(G + T + n)
+    numbers beyond its K-sized term indices, for G groups, T Chernoff points
+    and n nodes per cached grid: the G x T and G x n noncentral tables are
+    built by each call that reads offsets, in one scratch buffer, and dropped
+    when it returns.  A dense law that reads offsets also keeps its K x K
+    projection.
     """
 
     def __init__(self, root, lattice: FrequencyLattice, zeta: float = 0.0):
@@ -692,26 +711,32 @@ class MultiplierBall:
         self._proj = None
 
     @classmethod
-    def _from_cosine_sine_root(cls, root: np.ndarray, w: np.ndarray,
-                               lattice: FrequencyLattice) -> "MultiplierBall":
+    def _from_cosine_sine_root(cls, root: np.ndarray, w: np.ndarray, lattice: FrequencyLattice,
+                               offsets: bool = True) -> "MultiplierBall":
         """The law of S = sum_l w_l |(Q^H R z + o)_l|^2 for a root R R^H = C_cs in the
         cosine/sine basis, ``w`` the H^zeta weights in cosine/sine order and z = Q xi, real
         standard normal.  The even weights are diagonal there, so with Y = sqrt(w) R and
         b = sqrt(w) Q o, S = |Y z + b|^2.  One ``eigh`` Re(Y^H Y) = V diag(mu) V^T gives
         S = sum_k mu_k (Z_k + t_k / mu_k)^2 + |b|^2 - sum_k t_k^2 / mu_k for Z = V^T z and
         t = Re(b^H Y V): one degree of freedom per eigenvalue (Imhof 1961), t read from the
-        kept sqrt(w) conj(Y V).
+        kept K x K projection sqrt(w) conj(Y V).  With ``offsets`` False the law reads
+        central tails only: one ``eigvalsh`` gives mu, and no projection is kept.
         """
         k = lattice.size
         if root.shape != (k, k) or w.shape != (k,):
             raise ValueError(f"root {root.shape} and weights {w.shape} do not fit K = {k}")
         ball = cls.__new__(cls)
         ball._w = w[np.argsort(_cosine_sine_modes(lattice)[0])]  # in exponential order
+        ball._proj = ball._first = None
         y = np.sqrt(w)[:, None] * root
         m = y.T @ y if np.isrealobj(y) else (y.conj().T @ y).real
+        ones = np.ones(k)
+        if not offsets:
+            del y
+            ball._group(np.linalg.eigvalsh(m), ones, ones)
+            return ball
         mu, v = np.linalg.eigh(m)
         del m
-        ones = np.ones(k)
         terms = ball._group(mu, ones, ones)
         ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms]).conj()
         ball._lattice = lattice
@@ -738,23 +763,40 @@ class MultiplierBall:
         return live[order]
 
     def _chernoff_tables(self):
-        """Log moment generating function of Q on fixed grids of t and -t."""
+        """Log moment generating function of the central Q on fixed grids of t and -t."""
         scale = 2.0 * self.lam[-1]
         self._t_up = _S_UPPER / scale
         self._t_lo = _S_LOWER / scale
-        x_up = np.outer(2.0 * self.lam, self._t_up)
-        x_lo = np.outer(2.0 * self.lam, self._t_lo)
-        self._k_up = -0.5 * (self.dof @ np.log1p(-x_up))
-        self._kn_up = 0.5 * x_up / (1.0 - x_up)
-        self._k_lo = -0.5 * (self.dof @ np.log1p(x_lo))
-        self._kn_lo = -0.5 * x_lo / (1.0 + x_lo)
+        self._k_up = -0.5 * (self.dof @ np.log1p(-np.outer(2.0 * self.lam, self._t_up)))
+        self._k_lo = -0.5 * (self.dof @ np.log1p(np.outer(2.0 * self.lam, self._t_lo)))
 
-    def _log_mgf(self, nc: np.ndarray, tau: float):
+    def _noncentral_tables(self, buf: np.ndarray):
+        """The (G, T) tables x / (2 (1 - x)) at t and -x / (2 (1 + x)) at -t, x = 2 lambda t,
+        whose products with the noncentralities add to the log MGF: built in place in the
+        flat scratch ``buf``, which holds G (T_up + 2 T_lo) numbers."""
+        g, n_up, n_lo = self.lam.size, self._t_up.size, self._t_lo.size
+        kn_up = buf[:g * n_up].reshape(g, n_up)
+        kn_lo = buf[g * n_up:g * (n_up + n_lo)].reshape(g, n_lo)
+        den = buf[g * (n_up + n_lo):g * (n_up + 2 * n_lo)].reshape(g, n_lo)
+        np.multiply.outer(2.0 * self.lam, self._t_up, out=kn_up)
+        np.subtract(1.0, kn_up, out=den[:, :n_up])
+        kn_up *= 0.5
+        kn_up /= den[:, :n_up]
+        np.multiply.outer(2.0 * self.lam, self._t_lo, out=kn_lo)
+        np.add(1.0, kn_lo, out=den)
+        kn_lo *= -0.5
+        kn_lo /= den
+        return kn_up, kn_lo
+
+    def _log_mgf(self, nc: np.ndarray, tau: float, kn=None):
         """log E exp(t (Q + tau Z)) on the upper grid and at -t on the lower one, one row per
-        row of the (n, G) noncentralities ``nc``: one product per table."""
-        k_up = self._k_up + nc @ self._kn_up + 0.5 * (tau * self._t_up) ** 2
-        k_lo = self._k_lo + nc @ self._kn_lo + 0.5 * (tau * self._t_lo) ** 2
-        return k_up, k_lo
+        row of the (n, G) noncentralities ``nc`` with the tables ``kn`` of
+        :meth:`_noncentral_tables`, one product per table; without ``kn`` the central
+        law's one row."""
+        k_up, k_lo = self._k_up[None], self._k_lo[None]
+        if kn is not None:
+            k_up, k_lo = self._k_up + nc @ kn[0], self._k_lo + nc @ kn[1]
+        return k_up + 0.5 * (tau * self._t_up) ** 2, k_lo + 0.5 * (tau * self._t_lo) ** 2
 
     def _log_tails(self, k_up, k_lo, y: np.ndarray):
         """Chernoff log bounds on P(X_i >= y_i) and P(X_i <= y_i) for the log MGF rows.
@@ -856,6 +898,8 @@ class MultiplierBall:
         if not self.lam.size:
             return np.zeros((len(offsets), 0)), norms
         if self._proj is None:
+            if self._first is None:
+                raise ValueError("this dense law was built for central tails only")
             t = np.take(offsets, self._first, axis=1)
             t *= self._w_first
             mate = np.take(offsets, self._second, axis=1)
@@ -880,15 +924,25 @@ class MultiplierBall:
         nc, shift = self._noncentralities(self._row(offset))
         return nc[0], float(shift[0])
 
-    def _grid(self, exponent: int, noncentral: bool) -> _Grid:
+    def _grid(self, exponent: int) -> _Grid:
         with self._lock:
             grid = self._grids.get(exponent)
             if grid is None:
                 grid = self._grids[exponent] = _Grid(self, 2.0**exponent)
-            if noncentral and grid.noncentral is None:
-                x = 1j * np.outer(self.lam, grid.u)
-                grid.noncentral = x / (1.0 - 2.0 * x)
             return grid
+
+    def _noncentral_nodes(self, grid: _Grid, buf: np.ndarray) -> np.ndarray:
+        """The (G, n) table x / (1 - 2 x), x = i lambda u, of ``grid``'s nodes, whose product
+        with the noncentralities adds to log phi: built in place in the flat scratch
+        ``buf``, which holds 4 G n numbers."""
+        g, n = self.lam.size, grid.u.size
+        x = buf[:2 * g * n].view(np.complex128).reshape(g, n)
+        den = buf[2 * g * n:4 * g * n].view(np.complex128).reshape(g, n)
+        x.real = 0.0
+        np.multiply.outer(self.lam, grid.u, out=x.imag)
+        den.real = 1.0
+        np.multiply(-2.0, x.imag, out=den.imag)
+        return np.divide(x, den, out=x)
 
     def escape_prob(self, radius: float, offset=None) -> tuple[float, float]:
         """P(S >= radius^2) and a bound on its absolute error: the one-row case of
@@ -914,7 +968,9 @@ class MultiplierBall:
         Rows share each step that does not depend on the row's numbers: one product per
         Chernoff table for every row, then, for the rows the tails do not settle, one
         product with the noncentral table and one ``exp`` per period.  Each row's bound
-        keeps its own terms.
+        keeps its own terms.  The noncentral tables, G x T and G x n, are built in one
+        scratch buffer for this call (grown only for a grid that needs more) and dropped
+        when it returns.
         """
         if not radius >= 0:  # NaN too
             raise ValueError(f"radius must be nonnegative, got {radius}")
@@ -938,7 +994,11 @@ class MultiplierBall:
                 bound[i] = 8.0 * np.finfo(float).eps
             return p, bound
         nc, c = nc[rows], c[rows]
-        k_up, k_lo = self._log_mgf(nc, 0.0)
+        buf = kn = None  # with offsets: the call's one scratch buffer and the tables in it
+        if offsets is not None:
+            buf = np.empty(self.lam.size * (self._t_up.size + 2 * self._t_lo.size))
+            kn = self._noncentral_tables(buf)
+        k_up, k_lo = self._log_mgf(nc, 0.0, kn)
         log_up, log_lo = self._log_tails(k_up, k_lo, c)
         log_tol = math.log(_TAIL_TOL)
         for i, up, lo in zip(rows.tolist(), log_up.tolist(), log_lo.tolist()):
@@ -953,9 +1013,10 @@ class MultiplierBall:
 
         tau = self.tau
         if tau > 0:  # at tau = 0 the log MGF of Q + tau Z is the one above
-            k_up, k_lo = self._log_mgf(nc, tau)
+            k_up, k_lo = self._log_mgf(nc, tau, kn)
         else:
             k_up, k_lo = k_up[keep], k_lo[keep]
+        del kn  # read no more: the node tables reuse its buffer
         log_eps = math.log(_ALIAS_TOL)
         y_up = np.min((k_up - log_eps) / self._t_up, axis=1)
         y_lo = np.max((log_eps - k_lo) / self._t_lo, axis=1)
@@ -966,14 +1027,15 @@ class MultiplierBall:
         alias_up = self._log_tails(k_up, k_lo, c + span)[0]
         alias_lo = self._log_tails(k_up, k_lo, c - span)[1]
 
-        noncentral = offsets is not None
         total, rounding, truncation = np.empty((3, rows.size))
         for exponent in np.unique(exponents).tolist():
             sel = exponents == exponent
-            grid = self._grid(exponent, noncentral)
+            grid = self._grid(exponent)
             log_phi = grid.log_phi - 1j * grid.u * c[sel, None]
-            if noncentral:
-                log_phi += nc[sel] @ grid.noncentral
+            if buf is not None:
+                if buf.size < 4 * self.lam.size * grid.u.size:
+                    buf = np.empty(4 * self.lam.size * grid.u.size)
+                log_phi += nc[sel] @ self._noncentral_nodes(grid, buf)
             z = np.exp(log_phi)
             total[sel] = np.sum(z.imag / grid.k_half, axis=1)
             # floating-point allowance: phase errors of about eps (H + sum nc + u c)

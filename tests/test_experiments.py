@@ -1,7 +1,9 @@
 """Experiment runners: fits, hat truth, reproducibility, table plumbing."""
 
 import csv
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -39,13 +41,15 @@ from torusbayes.posterior import (
     MultiplierBall,
     _map_means,
     _mc_ball_hits,
+    _pencil,
+    _trace_ball,
     credible_ball_prob,
     map_estimate,
     posterior,
     posterior_covariance,
     posterior_trace,
 )
-from test_posterior import PENCIL_CASES, pencil_case
+from test_posterior import PENCIL_CASES, counting_eigen, pencil_case
 
 
 def small_cfg(mode="bayes", **overrides):
@@ -736,6 +740,84 @@ class TestReplicateLoop:
         row = table.rows[1]
         assert table.dropped == cfg.n_replicates - 1 and row.n == 1
         assert np.isfinite(row.mean_error) and np.isnan(row.stderr)
+
+
+class TestLawMemory:
+    """What the exact ball laws keep: O(G + T + n) numbers beyond their K-sized term
+    indices, and at most one dense K x K projection in any runner."""
+
+    def test_contraction_laws_keep_no_group_tables(self):
+        # the nine laws of the contraction default, each read once by a batched call on
+        # the replicates' offsets at a radius where no row is settled by its Chernoff bound
+        cfg = default_config("contraction")
+        lat = cfg.lattice()
+        u = make_hat_truth(lat).u_dagger
+        au = apply(cfg.fwd, u).coeffs
+        e = np.stack([sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i))).coeffs
+                      for i in range(cfg.n_replicates)])
+        tracemalloc.start()
+        try:
+            setups = _delta_setups(cfg, lat, 0.0)
+            for st in setups:
+                offsets = _map_means([st.model], lat, (au + st.model.delta * e)[None])[0]
+                offsets -= u.coeffs
+                radius = np.sqrt(st.trace + np.mean(np.sum(np.abs(offsets) ** 2, axis=1)))
+                p, _ = st.ball._escape_probs(radius, offsets)
+                assert np.all((0.1 < p) & (p < 0.9))
+                del offsets
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # laws, grids and the models' kept symbols: about 3.2 MiB; the G x 470 Chernoff
+        # tables alone were 16.2 MiB when each law kept them
+        assert retained < 4 * 2**20
+        for st in setups:
+            ball = st.ball
+            assert ball._grids  # the call read the noncentral node tables
+            g, sizes = ball.lam.size, {ball._t_up.size, ball._t_lo.size}
+            sizes |= {grid.u.size for grid in ball._grids.values()}
+            held = [a for obj in (ball, *ball._grids.values()) for a in vars(obj).values()
+                    if isinstance(a, np.ndarray)]
+            assert not any(g in a.shape and sizes & set(a.shape) - {g} for a in held)
+            assert all(a.ndim == 1 for a in held)
+
+    def test_dense_credible_takes_eigenvalues_only(self, monkeypatch):
+        lat = build_lattice(2, 8)
+        cfg = small_cfg("credible", fwd=dense_fwd(lat), n_per_dim=8, n_mc=200)
+        _pencil(cfg.model(cfg.deltas[0]), lat)  # kept before the count
+        calls = counting_eigen(monkeypatch)
+        table = run_credible(cfg)
+        assert calls == [("eigvalsh", (lat.size, lat.size))] * len(cfg.deltas)
+        # rows of the laws that keep a projection, to rounding
+        radii = [table.extras["c1"] * delta ** table.extras["alpha"] for delta in cfg.deltas]
+        full = [_trace_ball(cfg.model(delta), lat, cfg.zeta1)[1].escape_prob(radius)
+                for delta, radius in zip(cfg.deltas, radii)]
+        for row, (p, bound) in zip(table.rows, full):
+            assert abs(row.mean_error - p) <= 1e-14 and abs(row.stderr - bound) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["even-prior", "complex-map"])
+    def test_dense_contraction_holds_one_projection(self, case, monkeypatch):
+        lat, model = pencil_case(case, n=8)
+        cfg = small_cfg("contraction", fwd=model.fwd, prior=model.prior, n_per_dim=8)
+        ref = run_contraction(cfg)
+        live, real = [], MultiplierBall._from_cosine_sine_root.__func__
+
+        def build(cls, *args):
+            assert all(proj() is None for proj in live)  # every earlier projection is gone
+            ball = real(cls, *args)
+            live.append(weakref.ref(ball._proj))
+            return ball
+
+        monkeypatch.setattr(MultiplierBall, "_from_cosine_sine_root", classmethod(build))
+        _pencil(model, lat)  # kept before the count
+        calls = counting_eigen(monkeypatch)
+        table = run_contraction(cfg)
+        assert len(live) == len(cfg.deltas) and table.rows == ref.rows
+        # one eigh per delta for its law (and one for a complex pencil's Hermitian root),
+        # and none more for the calibration's trace of a real pencil
+        per_delta = 2 if case == "complex-map" else 1
+        assert len(calls) == per_delta * len(cfg.deltas) + (per_delta - 1)
+        assert {name for name, _ in calls} == {"eigh"}
 
 
 class TestEscapeProb:

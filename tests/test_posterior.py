@@ -19,6 +19,7 @@ from torusbayes.fields import (
     sobolev_norm,
 )
 from torusbayes import lattice as lattice_module
+from torusbayes import fields as fields_module
 from torusbayes.experiments import default_config
 from torusbayes.lattice import (
     SpectralField,
@@ -462,6 +463,28 @@ class TestDensePosterior:
         x = _cov_factor(model, lat)
         assert c_cs.tobytes() == (x @ x.T).tobytes()
         assert cov.matrix.tobytes() == unblocked_from_cosine_sine(lat, x @ x.T).tobytes()
+
+    def test_complex_covariance_holds_one_copy_of_a_part(self, monkeypatch):
+        # K = 256, a map that does not keep real fields real; small transform and Gram
+        # blocks, so the peak counts full-size arrays only
+        monkeypatch.setattr(lattice_module, "_CS_BLOCK", 8)
+        monkeypatch.setattr(fields_module, "_GRAM_BLOCK", 8)
+        lat, model = pencil_case("complex-map", n=16)
+        _pencil(model, lat)  # kept before the measurement
+        full = 16 * lat.size**2  # bytes of one complex K x K array
+        tracemalloc.start()
+        try:
+            c_cs = _cov_cs(model, lat)
+            _dense_cov(model, lat, c_cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the factor X, the result, and Xr and T = Xi Xr^T as real K x K arrays; a
+        # contiguous copy of Xi as well reaches 3.5
+        assert peak < 3.1 * full
+        assert np.array_equal(c_cs, c_cs.conj().T)  # exactly Hermitian
+        x = _cov_factor(model, lat)
+        assert np.abs(c_cs - x @ x.conj().T).max() <= 1e-14 * np.abs(c_cs).max()
 
     def test_indefinite_normal_matrix_raises(self):
         lat = build_lattice(1, 8)
@@ -923,6 +946,16 @@ def pencil_case(case, n=16, delta=0.05):
 PENCIL_CASES = ["even-prior", "dense-prior", "complex-map"]
 
 
+def counting_eigen(monkeypatch):
+    """Patch numpy's eigh and eigvalsh to record (name, shape) of each call."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, real=real, name=name:
+                            calls.append((name, a.shape)) or real(a))
+    return calls
+
+
 class TestPencil:
     """One pencil decomposition per forward map, lattice and prior serves every noise level."""
 
@@ -1016,27 +1049,34 @@ class TestPencil:
 
     @pytest.mark.parametrize("case", ["even-prior", "complex-map"])
     def test_runner_root_and_trace(self, case, monkeypatch):
-        # the runners' trace and ball law from the kept pencil: one eigh of M = Re(Y^H Y)
-        # per call for a real pencil, whose factor X stands in for the Hermitian root H,
-        # and one more for a complex one, which needs H itself
+        # the runners' trace and ball law from the kept pencil: per call, one eigh of
+        # M = Re(Y^H Y) for a law that reads offsets, or one eigvalsh of it for one that
+        # reads central tails only, whose trace is the same number; a real pencil's factor X
+        # stands in for the Hermitian root H, a complex one needs one more eigh for H itself
         lat, model = pencil_case(case, n=8)
         herm = _to_cosine_sine(lat, posterior(model, sample_white_noise(lat, 7)).sqrt_cov.matrix)
         assert np.iscomplexobj(herm) == (case == "complex-map")
-        eigh, calls = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        calls = counting_eigen(monkeypatch)
+        k, root_calls = lat.size, (1 if case == "complex-map" else 0)
         for zeta in (0.0, -1.5):
-            trace, ball = _trace_ball(model, lat, zeta)
             ref = posterior_trace(posterior_covariance(model, lat), zeta)
-            assert abs(trace - ref) <= 1e-12 * ref
-            # the law's eigenvalues, each with one degree of freedom, are those of
-            # Re(Y^H Y) for Y = sqrt(w) H, and sum to the trace
             w = sobolev_weight(lat, zeta)[_cosine_sine_modes(lat)[0]]
             y = np.sqrt(w)[:, None] * herm
             mu = np.linalg.eigvalsh((y.conj().T @ y).real)
-            lam = np.repeat(ball.lam, ball.dof.astype(int))
-            assert lam.shape == mu.shape and np.abs(lam - mu).max() <= 1e-12 * mu.max()
-            assert abs(ball.lam @ ball.dof - trace) <= 1e-12 * trace
-        assert calls == [(lat.size, lat.size)] * (4 if case == "complex-map" else 2)
+            traces = []
+            for offsets, law_call in ((True, "eigh"), (False, "eigvalsh")):
+                calls.clear()
+                trace, ball = _trace_ball(model, lat, zeta, offsets)
+                assert calls == [("eigh", (k, k))] * root_calls + [(law_call, (k, k))]
+                traces.append(trace)
+                assert abs(trace - ref) <= 1e-12 * ref
+                # the law's eigenvalues, each with one degree of freedom, are those of
+                # Re(Y^H Y) for Y = sqrt(w) H, and sum to the trace
+                lam = np.repeat(ball.lam, ball.dof.astype(int))
+                assert lam.shape == mu.shape and np.abs(lam - mu).max() <= 1e-12 * mu.max()
+                assert abs(ball.lam @ ball.dof - trace) <= 1e-12 * trace
+                assert (ball._proj is not None) == offsets
+            assert traces[0] == traces[1]
 
 
 class TestDeferredRoot:
@@ -1291,9 +1331,9 @@ class TestMultiplierBall:
         ball, radius, offsets = list(batch_cases())[case]
         periods, real = [], MultiplierBall._grid
 
-        def grid(self, exponent, noncentral):
+        def grid(self, exponent):
             periods.append(exponent)
-            return real(self, exponent, noncentral)
+            return real(self, exponent)
 
         monkeypatch.setattr(MultiplierBall, "_grid", grid)
         p, bound = ball._escape_probs(radius, offsets)
@@ -1373,9 +1413,9 @@ class TestMultiplierBall:
         # at tau = 0 the log MGF of the tail bounds is the one the grid needs
         calls, real = [], MultiplierBall._log_mgf
 
-        def counting(self, nc, tau):
+        def counting(self, nc, tau, *tables):
             calls.append(tau)
-            return real(self, nc, tau)
+            return real(self, nc, tau, *tables)
 
         monkeypatch.setattr(MultiplierBall, "_log_mgf", counting)
         plain, _ = lone_modes_ball({1: 1.0, 7: 1.0, 2: 0.1, 6: 0.1})
@@ -1517,6 +1557,22 @@ class TestDenseBall:
         single = np.array([ball.escape_prob(radius, row) for row in offsets])
         np.testing.assert_allclose(single, np.stack([p, bound], axis=1), rtol=1e-12, atol=0)
         assert 0.05 < p.min() and p.max() < 0.95
+
+    @pytest.mark.parametrize("case", PENCIL_CASES)
+    def test_central_law_is_eigenvalues_only(self, case):
+        # the law for central tails keeps no projection, reads no offset, and gives the
+        # central tails of the law that reads offsets to rounding
+        lat, model = pencil_case(case, n=8)
+        trace, full = _trace_ball(model, lat, -1.0)
+        central_trace, central = _trace_ball(model, lat, -1.0, offsets=False)
+        assert central_trace == trace and central._proj is None
+        assert not any(isinstance(a, np.ndarray) and a.ndim > 1 for a in vars(central).values())
+        for scale in (0.8, 1.0, 1.2):
+            p, bound = central.escape_prob(scale * np.sqrt(trace))
+            p_full, bound_full = full.escape_prob(scale * np.sqrt(trace))
+            assert abs(p - p_full) <= 1e-14 and abs(bound - bound_full) <= 1e-14
+        with pytest.raises(ValueError, match="central tails only"):
+            central.escape_prob(np.sqrt(trace), np.ones(lat.size))
 
     def test_rejects_root_of_wrong_shape(self):
         lat, model = pencil_case("even-prior", n=8)
