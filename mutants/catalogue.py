@@ -22,6 +22,7 @@ class Mutant:
 
 RATES = "src/torusbayes/rates.py"
 POSTERIOR = "src/torusbayes/posterior.py"
+BALL = "src/torusbayes/_ball.py"
 LATTICE = "src/torusbayes/lattice.py"
 EXPERIMENTS = "src/torusbayes/experiments.py"
 FIELDS = "src/torusbayes/fields.py"
@@ -57,7 +58,7 @@ MUTANTS = (
            "w = sobolev_weight(lattice, zeta)"),
     Mutant("dense-ball-factor-root", POSTERIOR,
            "root = _hermitian_sqrt(_hermitian_gram(root))", "root = root"),
-    Mutant("dense-ball-projection-conj", POSTERIOR,
+    Mutant("dense-ball-projection-conj", BALL,
            "ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms]).conj()",
            "ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms])"),
     # the cosine/sine basis and the Sobolev bracket
@@ -78,20 +79,20 @@ MUTANTS = (
            "markov.append(min(1.0, traces[j] / radius))"),
     # the exact ball law: its tail against the complement, the pair noncentrality, the
     # self-conjugate mode's 1/4 of |2 Re b|^2, and each row's own grid period in a batch
-    Mutant("ball-tail-complement", POSTERIOR,
+    Mutant("ball-tail-complement", BALL,
            "p_i = 0.5 + total[r] / math.pi", "p_i = 0.5 - total[r] / math.pi"),
-    Mutant("ball-pair-noncentrality", POSTERIOR,
+    Mutant("ball-pair-noncentrality", BALL,
            "t += mate", "t -= mate"),
-    Mutant("ball-self-conjugate-quarter", POSTERIOR,
+    Mutant("ball-self-conjugate-quarter", BALL,
            "np.where(dof == 1, 0.25, 2.0)", "np.where(dof == 1, 0.5, 2.0)"),
-    Mutant("ball-batch-period", POSTERIOR,
+    Mutant("ball-batch-period", BALL,
            "grid = self._grid(exponent)",
            "grid = self._grid(int(exponents.min()))"),
     # the noncentral node table, built per call: 1 - 2 i lambda u as its denominator
-    Mutant("ball-node-table-sign", POSTERIOR,
+    Mutant("ball-node-table-sign", BALL,
            "np.multiply(-2.0, x.imag, out=den.imag)", "np.multiply(2.0, x.imag, out=den.imag)"),
     # the dense law for central tails: eigenvalues only, every one of them
-    Mutant("central-dense-law-last-eigenvalue", POSTERIOR,
+    Mutant("central-dense-law-last-eigenvalue", BALL,
            "ball._group(np.linalg.eigvalsh(m), ones, ones)",
            "ball._group(np.linalg.eigvalsh(m)[:-1], ones[:-1], ones[:-1])"),
     # the dense replicate loop: each delta's rows of the one replicate-major lockstep solve
@@ -122,8 +123,13 @@ MUTANTS = (
            "np.divide(np.multiply(np.conj(a), m, out=mean), asq + prec, out=mean)",
            "np.divide(np.multiply(a, m, out=mean), asq + prec, out=mean)"),
     # the exact ball's log MGF, computed once when there is no convergence factor
-    Mutant("ball-tau-shortcut", POSTERIOR,
+    Mutant("ball-tau-shortcut", BALL,
            "if tau > 0:  # at tau = 0", "if tau >= 0:  # at tau = 0"),
+    # the truncation share of the stated bound, which sets the cut-off: understated tenfold,
+    # the sum stops early and only the exact tails of several groups see it
+    Mutant("ball-truncation-bound-constant", BALL,
+           "best = 2.0 / (math.pi * h_big) * math.exp(log_rest + log_big)",
+           "best = 0.2 / (math.pi * h_big) * math.exp(log_rest + log_big)"),
     # the field-CSV writer: a reused mate's text with the sign of im flipped
     Mutant("csv-mate-sign-flip", CLI,
            'text = text.replace(b",-", b"|").replace(b",", b",-").replace(b"|", b",")',

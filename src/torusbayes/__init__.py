@@ -52,12 +52,9 @@ from .rates import (
 )
 from .posterior import (
     GaussianModel,
-    MultiplierBall,
     PosteriorGaussian,
     SolverError,
-    credible_ball_prob,
     map_estimate,
-    map_estimate_discrete,
     posterior,
     posterior_covariance,
     posterior_covariance_update,
@@ -94,9 +91,8 @@ __all__ = [
     "HypothesisWarning", "RatePrediction", "SmoothnessParams", "bayes_rate",
     "contraction_rate", "credible_rate", "frequentist_rate",
     "GaussianModel", "PosteriorGaussian", "SolverError", "map_estimate",
-    "map_estimate_discrete", "posterior", "posterior_covariance",
-    "posterior_covariance_update", "posterior_trace", "sample_posterior",
-    "credible_ball_prob", "MultiplierBall",
+    "posterior", "posterior_covariance", "posterior_covariance_update",
+    "posterior_trace", "sample_posterior",
     "ExperimentConfig", "RateTable", "TruthField", "CurveSet", "default_config",
     "fit_loglog_slope", "make_hat_truth", "run_bayes_convergence",
     "run_frequentist_convergence", "run_contraction", "run_credible",

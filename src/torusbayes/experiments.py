@@ -12,7 +12,8 @@ error is the root of three weighted quadratic forms of the draws
 the offsets mean - u of every replicate at one delta as one stack, the
 means from the one mean kernel :func:`posterior._map_means`, and ball
 probabilities come from one exact law per delta, multiplier or dense
-(:class:`posterior.MultiplierBall`); no runner samples the posterior.
+(:class:`_ball.MultiplierBall`, built by :func:`posterior._trace_ball`); no
+runner samples the posterior.
 Seed streams: 0 truth, 1 data noise, 2 ``c0`` calibration.  A mean or a
 form in the replicate loop that is not finite (a failed solve) leaves its
 (replicate, delta) pair NaN, counted in ``dropped``.
@@ -34,7 +35,6 @@ from .lattice import sobolev_weight
 from .operators import Operator, _evaluated, apply, bessel_op, compose
 from .posterior import (
     GaussianModel,
-    MultiplierBall,
     SolverError,
     _diag_weights,
     _is_diagonal,
@@ -290,24 +290,6 @@ def _checked_truth(truth: TruthField | None, lattice: FrequencyLattice) -> Truth
     return truth
 
 
-@dataclass(frozen=True)
-class _DeltaSetup:
-    """Data-independent posterior pieces at one noise level: the model, the H^zeta trace of
-    its covariance and the exact law of its H^zeta ball statistic."""
-
-    model: GaussianModel
-    trace: float
-    ball: MultiplierBall
-
-
-def _delta_setups(cfg: ExperimentConfig, lattice: FrequencyLattice,
-                  zeta: float) -> list[_DeltaSetup]:
-    """Model, H^zeta trace and exact ball law for each delta of the grid
-    (:func:`posterior._trace_ball`), a dense law for central tails only: its eigenvalues."""
-    return [_DeltaSetup(model, *_trace_ball(model, lattice, zeta, offsets=False))
-            for model in map(cfg.model, cfg.deltas)]
-
-
 def _error_forms(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray,
                  sq_u: np.ndarray, sq_e: np.ndarray | None = None,
                  cross: np.ndarray | None = None) -> np.ndarray:
@@ -490,11 +472,12 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
     """Posterior mass escaping an L2 ball of radius c0 delta^kappa around the truth.
 
     Outer replicates draw the noise in the data.  The escape probability of
-    each replicate is computed exactly by the ball law of :class:`MultiplierBall`,
-    multiplier or dense, one call per delta for the (replicate, K) stack of
-    every replicate's offset mean - truth; each delta's law is built where its
-    rows are read and dropped after, so at most one dense K x K projection is
-    held.  The largest stated error bound per delta goes to
+    each replicate is computed exactly by the ball law of
+    :class:`_ball.MultiplierBall` (:func:`posterior._trace_ball`), multiplier
+    or dense, one ``_escape_probs`` call per delta for the (replicate, K)
+    stack of every replicate's offset mean - truth; each delta's law is built
+    where its rows are read and dropped after, so at most one dense K x K
+    projection is held.  The largest stated error bound per delta goes to
     ``extras["ball_prob_error"]``.  ``n_mc`` is not read.  Reports the escape
     probability per delta together with the Markov-inequality estimate
     (Tr(C_delta) + |mean - truth|^2) / radius^2, which must dominate it.
@@ -551,23 +534,25 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
 
     The ball is centred at the posterior mean, so the probability depends
     only on delta and no data is needed.  Every posterior, multiplier or
-    dense, gets the exact probability of its :class:`MultiplierBall` law,
-    with the law's error bound in the ``stderr`` column and ``n`` = 0; a
-    dense law reads central tails only and keeps its eigenvalues alone.  Per
-    row the Markov bound trace / radius^2 is attached; the slope is fitted
-    on rows with p in [10/n_mc, 0.9], the band a Monte Carlo sample of
-    ``n_mc`` draws would resolve, which is all that ``n_mc`` sets here.
+    dense, gets the exact probability of its :class:`_ball.MultiplierBall`
+    law (:func:`posterior._trace_ball`), with the law's error bound in the
+    ``stderr`` column and ``n`` = 0; a dense law reads central tails only
+    and keeps its eigenvalues alone.  Per row the Markov bound
+    trace / radius^2 is attached; the slope is fitted on rows with p in
+    [10/n_mc, 0.9], the band a Monte Carlo sample of ``n_mc`` draws would
+    resolve, which is all that ``n_mc`` sets here.
     """
     if cfg.zeta1 is None:
         raise ValueError("credible experiment needs zeta1")
     lattice = cfg.lattice()
     deltas = cfg.deltas
-    setups = _delta_setups(cfg, lattice, cfg.zeta1)
-    params = setups[0].model.params()
+    models = [cfg.model(d) for d in deltas]
+    laws = [_trace_ball(model, lattice, cfg.zeta1, offsets=False) for model in models]
+    params = models[0].params()
     gamma = credible_rate(params, cfg.zeta1).extra["gamma"]
     alpha = cfg.alpha if cfg.alpha is not None else gamma / 4.0
     pred = credible_rate(params, cfg.zeta1, alpha)
-    traces = [st.trace for st in setups]
+    traces = [trace for trace, _ in laws]
     c1 = cfg.c1
     if c1 is None:
         mid = len(deltas) // 2
@@ -576,9 +561,10 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
     rows = []
     markov = []
     errors = []
-    for j, (delta, st) in enumerate(zip(deltas, setups)):
+    for j, (delta, (_, ball)) in enumerate(zip(deltas, laws)):
         radius = c1 * delta**alpha
-        p_out, bound = st.ball.escape_prob(radius)
+        p, bound = ball._escape_probs(radius)
+        p_out, bound = float(p[0]), float(bound[0])
         markov.append(min(1.0, traces[j] / radius**2))
         errors.append(bound)
         rows.append(RateRow("credible", delta, cfg.zeta1, p_out, bound,

@@ -10,7 +10,6 @@ import pytest
 
 from torusbayes.experiments import (
     ExperimentConfig,
-    _delta_setups,
     TruthField,
     default_config,
     fit_loglog_slope,
@@ -36,20 +35,18 @@ from torusbayes.operators import (
     variable_coeff_op,
 )
 from torusbayes import experiments
+from torusbayes._ball import MultiplierBall
 from torusbayes.fields import operator_sqrt
 from torusbayes.posterior import (
-    MultiplierBall,
     _map_means,
-    _mc_ball_hits,
     _pencil,
     _trace_ball,
-    credible_ball_prob,
     map_estimate,
     posterior,
     posterior_covariance,
     posterior_trace,
 )
-from test_posterior import PENCIL_CASES, counting_eigen, pencil_case
+from test_posterior import PENCIL_CASES, counting_eigen, escape_row, pencil_case
 
 
 def small_cfg(mode="bayes", **overrides):
@@ -384,7 +381,7 @@ class TestContractionExperiment:
         assert t1.rows == t3.rows and t1.extras == t3.extras
 
     @pytest.mark.parametrize("case", PENCIL_CASES)
-    def test_dense_rows_are_exact(self, case):
+    def test_dense_rows_are_exact(self, case, credible_ball_prob):
         # each row, the mean of the replicates' exact escape probabilities, against the
         # mean of Monte Carlo estimates on the same offsets (the Hermitian root's draws)
         lat, model = pencil_case(case, n=8)
@@ -619,15 +616,16 @@ class TestReplicateLoop:
         lat = cfg.lattice()
         u = make_hat_truth(lat).u_dagger
         au = apply(cfg.fwd, u).coeffs
-        setups = _delta_setups(cfg, lat, 0.0)
+        models = [cfg.model(delta) for delta in cfg.deltas]
+        laws = [_trace_ball(model, lat, 0.0) for model in models]
         stats = np.empty((3, cfg.n_replicates, len(cfg.deltas)))
         for i in range(cfg.n_replicates):
             e = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i))).coeffs
-            for j, (delta, st) in enumerate(zip(cfg.deltas, setups)):
-                diff = map_estimate(st.model, SpectralField(lat, au + delta * e)).coeffs - u.coeffs
+            for j, (delta, model, (trace, ball)) in enumerate(zip(cfg.deltas, models, laws)):
+                diff = map_estimate(model, SpectralField(lat, au + delta * e)).coeffs - u.coeffs
                 radius = table.extras["c0"] * delta**cfg.kappa
-                p, bound = st.ball.escape_prob(radius, diff)
-                markov = min(1.0, (st.trace + np.sum(np.abs(diff) ** 2)) / radius**2)
+                p, bound = escape_row(ball, radius, diff)
+                markov = min(1.0, (trace + np.sum(np.abs(diff) ** 2)) / radius**2)
                 stats[:, i, j] = p, markov, bound
         pred = table.rows[0]
         ref = experiments._rate_rows("contraction", cfg.deltas, 0.0, stats[0],
@@ -757,12 +755,13 @@ class TestLawMemory:
                       for i in range(cfg.n_replicates)])
         tracemalloc.start()
         try:
-            setups = _delta_setups(cfg, lat, 0.0)
-            for st in setups:
-                offsets = _map_means([st.model], lat, (au + st.model.delta * e)[None])[0]
+            models = [cfg.model(delta) for delta in cfg.deltas]
+            laws = [_trace_ball(model, lat, 0.0) for model in models]
+            for model, (trace, ball) in zip(models, laws):
+                offsets = _map_means([model], lat, (au + model.delta * e)[None])[0]
                 offsets -= u.coeffs
-                radius = np.sqrt(st.trace + np.mean(np.sum(np.abs(offsets) ** 2, axis=1)))
-                p, _ = st.ball._escape_probs(radius, offsets)
+                radius = np.sqrt(trace + np.mean(np.sum(np.abs(offsets) ** 2, axis=1)))
+                p, _ = ball._escape_probs(radius, offsets)
                 assert np.all((0.1 < p) & (p < 0.9))
                 del offsets
             retained = tracemalloc.get_traced_memory()[0]
@@ -771,8 +770,7 @@ class TestLawMemory:
         # laws, grids and the models' kept symbols: about 3.2 MiB; the G x 470 Chernoff
         # tables alone were 16.2 MiB when each law kept them
         assert retained < 4 * 2**20
-        for st in setups:
-            ball = st.ball
+        for _, ball in laws:
             assert ball._grids  # the call read the noncentral node tables
             g, sizes = ball.lam.size, {ball._t_up.size, ball._t_lo.size}
             sizes |= {grid.u.size for grid in ball._grids.values()}
@@ -790,7 +788,7 @@ class TestLawMemory:
         assert calls == [("eigvalsh", (lat.size, lat.size))] * len(cfg.deltas)
         # rows of the laws that keep a projection, to rounding
         radii = [table.extras["c1"] * delta ** table.extras["alpha"] for delta in cfg.deltas]
-        full = [_trace_ball(cfg.model(delta), lat, cfg.zeta1)[1].escape_prob(radius)
+        full = [escape_row(_trace_ball(cfg.model(delta), lat, cfg.zeta1)[1], radius)
                 for delta, radius in zip(cfg.deltas, radii)]
         for row, (p, bound) in zip(table.rows, full):
             assert abs(row.mean_error - p) <= 1e-14 and abs(row.stderr - bound) <= 1e-14
@@ -821,35 +819,37 @@ class TestLawMemory:
 
 
 class TestEscapeProb:
-    """The runners' exact ball law against the sampling oracle ``_mc_ball_hits``."""
+    """The runners' exact ball law against the sampling oracle ``mc_ball_hits``."""
 
     @pytest.mark.parametrize("scale, noncentral", [(0.8, False), (1.2, False), (1.2, True)],
                              ids=["inner", "outer", "outer-offset"])
-    def test_sampled_branch_agrees_with_exact(self, scale, noncentral):
+    def test_sampled_branch_agrees_with_exact(self, scale, noncentral, mc_ball_hits):
         cfg = small_cfg("credible", n_per_dim=8)
         lat = cfg.lattice()
-        exact = _delta_setups(cfg, lat, cfg.zeta1)[2]
-        root = symbol_values(operator_sqrt(posterior_covariance(exact.model)), lat)  # sqrt(c)
+        model = cfg.model(cfg.deltas[2])
+        trace, ball = _trace_ball(model, lat, cfg.zeta1, offsets=False)
+        root = symbol_values(operator_sqrt(posterior_covariance(model)), lat)  # sqrt(c)
         offset = None
         if noncentral:
             field = apply(bessel_op(-1.0), sample_white_noise(lat, 3))
-            offset = 0.5 * np.sqrt(exact.trace) * field.coeffs
-        radius = scale * np.sqrt(exact.trace)
-        p, bound = exact.ball.escape_prob(radius, offset)
-        p_in, se = _mc_ball_hits(root, lat, cfg.zeta1, radius, 4000, np.random.default_rng(11),
-                                 offset)
+            offset = 0.5 * np.sqrt(trace) * field.coeffs
+        radius = scale * np.sqrt(trace)
+        p, bound = escape_row(ball, radius, offset)
+        p_in, se = mc_ball_hits(root, lat, cfg.zeta1, radius, 4000, np.random.default_rng(11),
+                                offset)
         assert bound < 1e-10 and 0.02 < 1.0 - p_in < 0.98
         assert abs(p - (1.0 - p_in)) <= 4.0 * se
 
-    def test_sampled_branch_rejects_negative_radius(self):
+    def test_sampled_branch_rejects_negative_radius(self, mc_ball_hits):
         lat = build_lattice(2, 8)
         cfg = small_cfg("credible", fwd=dense_fwd(lat), n_per_dim=8, n_mc=200)
-        dense = _delta_setups(cfg, lat, cfg.zeta1)[0]
-        root = posterior(dense.model, SpectralField(lat, np.zeros(lat.size))).sqrt_cov.matrix
+        model = cfg.model(cfg.deltas[0])
+        _, ball = _trace_ball(model, lat, cfg.zeta1, offsets=False)
+        root = posterior(model, SpectralField(lat, np.zeros(lat.size))).sqrt_cov.matrix
         with pytest.raises(ValueError, match="radius must be nonnegative"):
-            _mc_ball_hits(root, lat, cfg.zeta1, -0.5, cfg.n_mc, np.random.default_rng(0))
+            mc_ball_hits(root, lat, cfg.zeta1, -0.5, cfg.n_mc, np.random.default_rng(0))
         with pytest.raises(ValueError, match="radius must be nonnegative"):
-            dense.ball.escape_prob(-0.5)
+            ball._escape_probs(-0.5)
 
 
 class TestCredibleExperiment:
@@ -872,7 +872,7 @@ class TestCredibleExperiment:
         assert all(r.stderr <= 1e-10 and r.n == 0 for r in table.rows)
 
     @pytest.mark.parametrize("case", PENCIL_CASES)
-    def test_dense_rows_are_exact(self, case):
+    def test_dense_rows_are_exact(self, case, credible_ball_prob):
         # exact rows with the law's bound in stderr and n = 0, each within 4 binomial SE
         # of draws of the Hermitian root
         lat, model = pencil_case(case, n=8)

@@ -1,10 +1,12 @@
 """MAP estimation, posterior covariance forms, sampling, ball probabilities."""
 
+import dataclasses
 import math
 import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,6 +22,7 @@ from torusbayes.fields import (
 )
 from torusbayes import lattice as lattice_module
 from torusbayes import fields as fields_module
+from torusbayes._ball import MultiplierBall
 from torusbayes.experiments import default_config
 from torusbayes.lattice import (
     SpectralField,
@@ -44,21 +47,17 @@ from torusbayes.operators import (
 from torusbayes.posterior import (
     CG_TOL,
     GaussianModel,
-    MultiplierBall,
     PosteriorGaussian,
     SolverError,
     _cov_factor,
     _cov_cs,
     _dense_cov,
     _map_means,
-    _mc_ball_hits,
     _pcg,
     _pencil,
     _pencil_solve,
     _trace_ball,
-    credible_ball_prob,
     map_estimate,
-    map_estimate_discrete,
     posterior,
     posterior_covariance,
     posterior_covariance_update,
@@ -241,7 +240,7 @@ class TestMapEstimate:
             norms.append(np.sqrt(np.sum(inv_c * np.abs(est.coeffs) ** 2)))
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
-    def test_dense_prior_matches_direct_solve(self, dense_model):
+    def test_dense_prior_matches_direct_solve(self, dense_model, map_estimate_discrete):
         lat, model = dense_model
         # C = B B^H with B another variable-coefficient map: dense, not diagonal
         phi = 1.0 + 0.3 * np.cos(lat.grid_axes()[0])
@@ -291,11 +290,11 @@ class TestMapEstimate:
 
 
 class TestMapEstimateDiscrete:
-    def test_identity_two_dim(self):
+    def test_identity_two_dim(self, map_estimate_discrete):
         out = map_estimate_discrete(np.eye(2), np.eye(2), 1.0, np.array([2.0, 0.0]))
         assert np.abs(out - np.array([1.0, 0.0])).max() < 1e-14
 
-    def test_matches_spectral_path(self):
+    def test_matches_spectral_path(self, map_estimate_discrete):
         lat = build_lattice(1, 16)
         prior = gaussian_prior(bessel_op(-1.0))
         model = quiet_model(bessel_op(-1.0), prior, 0.51, 1, 0.05)
@@ -306,7 +305,7 @@ class TestMapEstimateDiscrete:
         out = map_estimate_discrete(amat, cmat, 0.05, m.coeffs)
         assert np.abs(out - est.coeffs).max() < 1e-10
 
-    def test_rectangular_forward(self):
+    def test_rectangular_forward(self, map_estimate_discrete):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((3, 5))
         m = rng.standard_normal(3)
@@ -314,15 +313,15 @@ class TestMapEstimateDiscrete:
         expected = np.linalg.solve(a.T @ a + 0.25 * np.eye(5), a.T @ m)
         assert np.abs(out - expected).max() < 1e-12
 
-    def test_huge_delta_shrinks_to_zero(self):
+    def test_huge_delta_shrinks_to_zero(self, map_estimate_discrete):
         out = map_estimate_discrete(np.eye(3), np.eye(3), 1e8, np.ones(3))
         assert np.abs(out).max() < 1e-10
 
-    def test_singular_covariance_raises(self):
+    def test_singular_covariance_raises(self, map_estimate_discrete):
         with pytest.raises(ValueError, match="singular"):
             map_estimate_discrete(np.eye(2), np.zeros((2, 2)), 1.0, np.ones(2))
 
-    def test_shape_mismatch_raises(self):
+    def test_shape_mismatch_raises(self, map_estimate_discrete):
         with pytest.raises(ValueError):
             map_estimate_discrete(np.eye(2), np.eye(3), 1.0, np.ones(2))
 
@@ -570,24 +569,29 @@ class TestCosineSineMap:
         x = lat.grid_axes()[0]
         return variable_coeff_op(1.0 + 0.5 * np.outer(np.sin(x), np.cos(x)), bessel_op(-1.0), lat)
 
-    @staticmethod
-    def solve_dtypes(model, m, monkeypatch):
-        """Check map_estimate against the direct solve; return the dtypes of the right-hand
-        sides its pencil solves."""
-        dtypes = []
+    @pytest.fixture
+    def solve_dtypes(self, monkeypatch, map_estimate_discrete):
+        """``check(model, m)``: map_estimate against the direct solve; returns the dtypes of
+        the right-hand sides its pencil solves."""
 
-        def recording(block, b, delta2):
-            assert np.iscomplexobj(block) == np.iscomplexobj(b)
-            dtypes.extend([b.dtype] * len(b))  # one per row of the stack
-            return _pencil_solve(block, b, delta2)
+        def check(model, m):
+            dtypes = []
 
-        monkeypatch.setattr(posterior_module, "_pencil_solve", recording)
-        lat = m.lattice
-        est = map_estimate(model, m).coeffs
-        ref = map_estimate_discrete(densify(model.fwd, lat).matrix,
-                                    densify(model.prior.cov, lat).matrix, model.delta, m.coeffs)
-        assert np.linalg.norm(est - ref) <= 1e-9 * np.linalg.norm(ref)
-        return dtypes
+            def recording(block, b, delta2):
+                assert np.iscomplexobj(block) == np.iscomplexobj(b)
+                dtypes.extend([b.dtype] * len(b))  # one per row of the stack
+                return _pencil_solve(block, b, delta2)
+
+            monkeypatch.setattr(posterior_module, "_pencil_solve", recording)
+            lat = m.lattice
+            est = map_estimate(model, m).coeffs
+            ref = map_estimate_discrete(densify(model.fwd, lat).matrix,
+                                        densify(model.prior.cov, lat).matrix, model.delta,
+                                        m.coeffs)
+            assert np.linalg.norm(est - ref) <= 1e-9 * np.linalg.norm(ref)
+            return dtypes
+
+        return check
 
     @staticmethod
     def data(model, lat, seed):
@@ -596,45 +600,45 @@ class TestCosineSineMap:
         return apply(model.fwd, u) + model.delta * sample_white_noise(lat, seed + 1)
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_variable_coeff_is_one_real_solve(self, n, monkeypatch):
+    def test_variable_coeff_is_one_real_solve(self, n, solve_dtypes):
         lat = build_lattice(2, n)
         model = quiet_model(self.vc_fwd(lat), gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.05)
-        assert self.solve_dtypes(model, self.data(model, lat, n), monkeypatch) == [np.float64]
+        assert solve_dtypes(model, self.data(model, lat, n)) == [np.float64]
 
-    def test_complex_data_is_two_real_solves(self, monkeypatch):
+    def test_complex_data_is_two_real_solves(self, solve_dtypes):
         lat = build_lattice(2, 8)
         model = quiet_model(self.vc_fwd(lat), gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.05)
         rng = np.random.default_rng(9)
         m = SpectralField(lat, rng.standard_normal(lat.size) + 1j * rng.standard_normal(lat.size))
-        assert self.solve_dtypes(model, m, monkeypatch) == [np.float64, np.float64]
+        assert solve_dtypes(model, m) == [np.float64, np.float64]
 
     @pytest.mark.parametrize("symbol", [
         lambda lat: np.full(lat.size, 1.0 + 0.5j),
         lambda lat: 1.0 + 0.25 * np.sign(lat.freqs[:, 0]),  # real, |a(l)| != |a(-l)|
     ], ids=["constant-complex", "odd-modulus"])
-    def test_complex_forward_is_one_complex_solve(self, symbol, monkeypatch):
+    def test_complex_forward_is_one_complex_solve(self, symbol, solve_dtypes):
         lat = build_lattice(2, 8)
         fwd = densify(MultiplierOp(symbol, 0.0, 0.0), lat)
         model = quiet_model(fwd, gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1)
         m = SpectralField(lat, sample_white_noise(lat, 4).coeffs)
-        assert self.solve_dtypes(model, m, monkeypatch) == [np.complex128]
+        assert solve_dtypes(model, m) == [np.complex128]
 
-    def test_dense_prior_is_one_real_solve(self, monkeypatch):
+    def test_dense_prior_is_one_real_solve(self, solve_dtypes):
         lat = build_lattice(2, 8)
         b = self.vc_fwd(lat).matrix
         cmat = b @ b.conj().T
         prior = gaussian_prior(DenseOp(lat, 0.5 * (cmat + cmat.conj().T), 4.0, 4.0))
         model = quiet_model(self.vc_fwd(lat), prior, 1.01, 2, 0.05)
-        assert self.solve_dtypes(model, self.data(model, lat, 3), monkeypatch) == [np.float64]
+        assert solve_dtypes(model, self.data(model, lat, 3)) == [np.float64]
         assert model.fwd._cs["pencil", lat][0] is prior.cov._cs["prior form", lat]
 
-    def test_uneven_prior_is_one_complex_solve(self, monkeypatch):
+    def test_uneven_prior_is_one_complex_solve(self, solve_dtypes):
         lat = build_lattice(2, 8)
         bessel = bessel_op(-1.0)
         cov = MultiplierOp(lambda lat: bessel.symbol(lat) * (1.0 + 0.25 * np.sign(lat.freqs[:, 0])),
                            2.0, 2.0)
         model = quiet_model(self.vc_fwd(lat), gaussian_prior(cov, 1.0), 1.01, 2, 0.05)
-        assert self.solve_dtypes(model, self.data(model, lat, 5), monkeypatch) == [np.complex128]
+        assert solve_dtypes(model, self.data(model, lat, 5)) == [np.complex128]
 
     def test_forward_matrix_changed_to_basis_once_across_threads(self, monkeypatch):
         lat = build_lattice(2, 8)
@@ -681,7 +685,8 @@ class TestCosineSineMap:
         lambda lat: 1.0 + 0.25 * np.sign(lat.freqs[:, 0]),  # |a(l)|^2 != |a(-l)|^2
     ], ids=["even", "odd-modulus"])
     @pytest.mark.parametrize("prior_kind", ["dense", "uneven"])
-    def test_multiplier_forward_is_never_densified(self, symbol, prior_kind, monkeypatch):
+    def test_multiplier_forward_is_never_densified(self, symbol, prior_kind, monkeypatch,
+                                                   map_estimate_discrete):
         lat = build_lattice(2, 8)
         fwd = MultiplierOp(symbol, 0.0, 0.0)
         bessel = bessel_op(-1.0)
@@ -960,7 +965,7 @@ class TestPencil:
     """One pencil decomposition per forward map, lattice and prior serves every noise level."""
 
     @pytest.mark.parametrize("case", PENCIL_CASES)
-    def test_means_match_direct_solve(self, case):
+    def test_means_match_direct_solve(self, case, map_estimate_discrete):
         lat, model = pencil_case(case)
         deltas = default_config("bayes").deltas
         models = [quiet_model(model.fwd, model.prior, 1.01, 2, delta) for delta in deltas]
@@ -1016,7 +1021,7 @@ class TestPencil:
         assert len(calls) == 2 and other is not first
         assert np.array_equal(solve(model.prior), first) and len(calls) == 3
 
-    def test_alternating_priors_across_threads(self):
+    def test_alternating_priors_across_threads(self, map_estimate_discrete):
         # threads that alternate between two priors keep replacing the one kept pencil;
         # each solve still reads a whole pencil of its own prior
         lat, model = pencil_case("even-prior", n=8)
@@ -1107,11 +1112,15 @@ class TestDeferredRoot:
         assert (post.sqrt_cov.label, post.sqrt_cov.order_t, post.sqrt_cov.order_t0) == \
             (f"sqrt(postcov({model.fwd.label}))", cov.order_t / 2.0, cov.order_t0 / 2.0)
 
-    def test_explicit_root_kept_as_given(self, dense_model):
+    def test_takes_mean_and_cov_only(self, dense_model):
+        # the root is never given: it is built from the covariance on first read
         lat, model = dense_model
         post = posterior(model, sample_white_noise(lat, 11))
-        given = DenseOp(lat, np.eye(lat.size))
-        assert PosteriorGaussian(post.mean, post.cov, given, model).sqrt_cov is given
+        assert [f.name for f in dataclasses.fields(PosteriorGaussian)] == ["mean", "cov"]
+        with pytest.raises(TypeError):
+            PosteriorGaussian(post.mean, post.cov, DenseOp(lat, np.eye(lat.size)))
+        again = PosteriorGaussian(post.mean, post.cov)
+        assert again.sqrt_cov.matrix.tobytes() == post.sqrt_cov.matrix.tobytes()
 
     def test_concurrent_first_reads_agree(self):
         lat, model = pencil_case("even-prior", n=8)
@@ -1129,7 +1138,7 @@ class TestDeferredRoot:
     def test_not_positive_definite_raises_at_read(self):
         lat, model = pencil_case("even-prior", n=8)
         post = posterior(model, sample_white_noise(lat, 13))
-        bad = PosteriorGaussian(post.mean, DenseOp(lat, -np.eye(lat.size)), None, model)
+        bad = PosteriorGaussian(post.mean, DenseOp(lat, -np.eye(lat.size)))
         with pytest.raises(ValueError, match="not positive definite"):
             bad.sqrt_cov
 
@@ -1220,17 +1229,17 @@ class TestCredibleBallProb:
         model = quiet_model(bessel_op(-1.0), prior, 0.51, 1, delta)
         return posterior(model, SpectralField(lat, sample_white_noise(lat, 14).coeffs))
 
-    def test_zero_radius_gives_zero(self):
+    def test_zero_radius_gives_zero(self, credible_ball_prob):
         post = self.build_post()
         p, _ = credible_ball_prob(post, 0.0, 0.0, 200, 0)
         assert p == 0.0
 
-    def test_huge_radius_gives_one(self):
+    def test_huge_radius_gives_one(self, credible_ball_prob):
         post = self.build_post()
         p, _ = credible_ball_prob(post, 0.0, 1e6, 200, 0)
         assert p == 1.0
 
-    def test_single_mode_matches_gaussian_orthant(self):
+    def test_single_mode_matches_gaussian_orthant(self, credible_ball_prob):
         """Covariance has mass 1 on the constant mode and negligible elsewhere,
         so the ball probability at radius 1 is P(|N(0,1)| <= 1) = 0.68269."""
         lat = build_lattice(1, 8)
@@ -1239,14 +1248,11 @@ class TestCredibleBallProb:
         prior = gaussian_prior(bessel_op(0.0), r=1.0)
         model = quiet_model(bessel_op(0.0), prior, 0.51, 1, 1.0)
         post = posterior(model, SpectralField(lat, np.zeros(lat.size, dtype=complex)))
-        from torusbayes.fields import operator_sqrt
-        from torusbayes.posterior import PosteriorGaussian
-
-        post = PosteriorGaussian(post.mean, cov, operator_sqrt(cov), model)
+        post = PosteriorGaussian(post.mean, cov)  # its root: operator_sqrt(cov), on first read
         p, se = credible_ball_prob(post, 0.0, 1.0, 20000, 15)
         assert abs(p - 0.6826894921370859) < 5 * max(se, 1e-3)
 
-    def test_independent_of_measurement(self):
+    def test_independent_of_measurement(self, credible_ball_prob):
         lat = build_lattice(1, 8)
         prior = gaussian_prior(bessel_op(-1.0))
         model = quiet_model(bessel_op(-1.0), prior, 0.51, 1, 0.5)
@@ -1256,15 +1262,29 @@ class TestCredibleBallProb:
         p2 = credible_ball_prob(posterior(model, m2), 0.0, 0.4, 500, 18)
         assert p1 == p2
 
-    def test_rejects_small_mc_count(self):
+    def test_rejects_small_mc_count(self, credible_ball_prob):
         post = self.build_post()
         with pytest.raises(ValueError):
             credible_ball_prob(post, 0.0, 1.0, 99, 0)
 
-    def test_stderr_is_binomial(self):
+    def test_stderr_is_binomial(self, credible_ball_prob):
         post = self.build_post()
         p, se = credible_ball_prob(post, 0.0, 0.5, 400, 19)
         assert abs(se - np.sqrt(p * (1 - p) / 400)) < 1e-15
+
+
+def escape_row(ball, radius, offset=None):
+    """P(S >= radius^2) and its stated bound for one offset, or for the central law if
+    ``offset`` is None: row 0 of one call of the law's tail, ``_escape_probs``."""
+    rows = None if offset is None else np.asarray(offset, dtype=np.complex128)[None]
+    p, bound = ball._escape_probs(radius, rows)
+    return float(p[0]), float(bound[0])
+
+
+def noncentrality_row(ball, offset):
+    """Per-group noncentralities nc_g and the shift R of one offset."""
+    nc, shift = ball._noncentralities(np.asarray(offset, dtype=np.complex128)[None])
+    return nc[0], float(shift[0])
 
 
 def lone_modes_ball(values: dict, n=8, zeta=0.0):
@@ -1277,7 +1297,11 @@ def lone_modes_ball(values: dict, n=8, zeta=0.0):
 
 
 def mc_vs_exact_case(name):
-    """(posterior with a multiplier root, zeta, offset) for the cross-check."""
+    """(mean and multiplier root of a posterior, zeta, offset) for the cross-check.
+
+    The root may be complex and not even, so no covariance has it as its Hermitian root:
+    the pair is what the Monte Carlo oracle reads of a posterior, ``mean`` and ``sqrt_cov``.
+    """
     lat = build_lattice(2, 16)
     rng = np.random.default_rng(31)
     zeta, offset = 0.0, None
@@ -1299,8 +1323,7 @@ def mc_vs_exact_case(name):
                                               + 1j * rng.standard_normal(lat.size))
     root = MultiplierOp(symbol, 0.0, 0.0)
     zero = SpectralField(lat, np.zeros(lat.size, dtype=complex))
-    model = quiet_model(bessel_op(-1.0), gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1)
-    return PosteriorGaussian(zero, root, root, model), zeta, offset
+    return types.SimpleNamespace(mean=zero, sqrt_cov=root), zeta, offset
 
 
 def batch_cases():
@@ -1344,14 +1367,14 @@ class TestMultiplierBall:
             assert np.any((c > 0) & (p == 0.0)) and np.any((c > 0) & (p == 1.0))
         # not bit for bit: at small sizes OpenBLAS rounds a product by its row count
         for row, p_i, bound_i in zip(offsets, p, bound):
-            one, one_bound = ball.escape_prob(radius, row)
+            one, one_bound = escape_row(ball, radius, row)
             assert abs(one - p_i) <= 1e-14 and abs(one_bound - bound_i) <= 1e-14
 
     @pytest.mark.parametrize("radius", [float("nan"), -1.0])
     def test_rejects_bad_radius(self, radius):
         ball, _ = lone_modes_ball({1: 0.6, 7: 0.8})
         with pytest.raises(ValueError, match="radius must be nonnegative"):
-            ball.escape_prob(radius)
+            escape_row(ball, radius)
 
     @pytest.mark.parametrize("radius", [1e150, 1e155, np.float64(1e155), float("inf")])
     def test_radius_past_float_range_escapes_with_zero_bound(self, radius):
@@ -1362,8 +1385,8 @@ class TestMultiplierBall:
         offsets[1, 1] = offsets[1, lat.conj_index[1]] = 3.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ball.escape_prob(radius) == (0.0, 0.0)
-            assert ball.escape_prob(radius, offsets[1]) == (0.0, 0.0)
+            assert escape_row(ball, radius) == (0.0, 0.0)
+            assert escape_row(ball, radius, offsets[1]) == (0.0, 0.0)
             p, bound = ball._escape_probs(radius, offsets)
         assert p.tolist() == [0.0, 0.0] and bound.tolist() == [0.0, 0.0]
 
@@ -1375,20 +1398,19 @@ class TestMultiplierBall:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="offset must be finite"):
-                ball.escape_prob(1.0, offset)
+                escape_row(ball, 1.0, offset)
             with pytest.raises(ValueError, match="offset must be finite"):
                 ball._escape_probs(1.0, np.stack([np.zeros(lat.size), offset]))
 
     def test_rejects_offset_of_wrong_shape(self):
         ball, lat = lone_modes_ball({1: 0.6, 7: 0.8})
-        with pytest.raises(ValueError, match="offset has shape"):
-            ball.escape_prob(1.0, np.zeros(lat.size + 1))
-        with pytest.raises(ValueError, match="offsets have shape"):
-            ball._escape_probs(1.0, np.zeros(lat.size))
+        for shape in ((1, lat.size + 1), (lat.size,), (1, 1, lat.size)):  # one row: (1, K)
+            with pytest.raises(ValueError, match="offsets have shape"):
+                ball._escape_probs(1.0, np.zeros(shape))
 
     def test_lone_real_mode_is_a_folded_normal(self):
         ball, _ = lone_modes_ball({0: 1.0})
-        p, bound = ball.escape_prob(1.0)
+        p, bound = escape_row(ball, 1.0)
         assert abs((1.0 - p) - 0.6826894921370859) <= 1e-10 and bound <= 1e-10
 
     def test_real_mode_offset_splits_into_noncentrality_and_shift(self):
@@ -1396,7 +1418,7 @@ class TestMultiplierBall:
         ball, lat = lone_modes_ball({0: 1.0})
         offset = np.zeros(lat.size, dtype=complex)
         offset[0] = 0.5 + 0.3j
-        p, _ = ball.escape_prob(1.0, offset)
+        p, _ = escape_row(ball, 1.0, offset)
         a = np.sqrt(0.91)
         inside = 0.5 * (math.erf((a - 0.5) / np.sqrt(2)) + math.erf((a + 0.5) / np.sqrt(2)))
         assert abs((1.0 - p) - inside) <= 1e-10
@@ -1406,7 +1428,7 @@ class TestMultiplierBall:
         # rho(1) != rho(-1): lambda = (0.6^2 + 0.8^2) / 2 = 0.5, two degrees of freedom
         ball, _ = lone_modes_ball({1: 0.6, 7: 0.8})
         assert ball.lam.tolist() == [0.5] and ball.dof.tolist() == [2.0]
-        p, bound = ball.escape_prob(np.sqrt(x))
+        p, bound = escape_row(ball, np.sqrt(x))
         assert abs(p - np.exp(-x / (2 * 0.5))) <= 1e-10 and bound <= 1e-10
 
     def test_log_mgf_evaluated_once_without_convergence_factor(self, monkeypatch):
@@ -1421,9 +1443,9 @@ class TestMultiplierBall:
         plain, _ = lone_modes_ball({1: 1.0, 7: 1.0, 2: 0.1, 6: 0.1})
         pair, _ = lone_modes_ball({1: 0.6, 7: 0.8})
         assert plain.tau == 0.0 and pair.tau > 0.0
-        plain.escape_prob(1.0)
+        escape_row(plain, 1.0)
         assert calls == [0.0]
-        p, bound = pair.escape_prob(1.0)
+        p, bound = escape_row(pair, 1.0)
         assert calls == [0.0, 0.0, pair.tau]
         assert abs(p - np.exp(-1.0)) <= 1e-10 and bound <= 1e-10
 
@@ -1459,14 +1481,14 @@ class TestMultiplierBall:
         expected = [np.trace(a) + c, 2.0 * np.trace(a @ a) + b @ b,
                     8.0 * np.trace(a @ a @ a) + 6.0 * b @ a @ b]
         ball = MultiplierBall(root, lat, zeta)
-        nc, shift = ball.noncentrality(offset)
+        nc, shift = noncentrality_row(ball, offset)
         lam, dof = ball.lam, ball.dof
         got = [np.sum(lam * (dof + nc)) + shift, 2.0 * np.sum(lam**2 * (dof + 2 * nc)),
                8.0 * np.sum(lam**3 * (dof + 3 * nc))]
         np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     @pytest.mark.parametrize("case", ["noncentral", "zeta1", "non_even"])
-    def test_exact_matches_monte_carlo(self, case):
+    def test_exact_matches_monte_carlo(self, case, credible_ball_prob):
         post, zeta, offset = mc_vs_exact_case(case)
         lat = post.mean.lattice
         ball = MultiplierBall(symbol_values(post.sqrt_cov, lat), lat, zeta)
@@ -1476,7 +1498,7 @@ class TestMultiplierBall:
         if offset is not None:
             mean_s += np.sum(w * np.abs(offset) ** 2)
         radius = float(np.sqrt(mean_s))
-        p, bound = ball.escape_prob(radius, offset)
+        p, bound = escape_row(ball, radius, offset)
         p_in, se = credible_ball_prob(post, zeta, radius, 20000, 41, offset=offset)
         assert 0.05 < p < 0.95 and bound <= 1e-10
         assert abs(p - (1.0 - p_in)) <= 4.0 * se
@@ -1485,9 +1507,65 @@ class TestMultiplierBall:
         post, zeta, offset = mc_vs_exact_case("noncentral")
         lat = post.mean.lattice
         ball = MultiplierBall(symbol_values(post.sqrt_cov, lat), lat, zeta)
-        assert ball.escape_prob(100.0, offset)[0] == 0.0
-        assert ball.escape_prob(1e-3)[0] == 1.0
-        assert ball.escape_prob(0.0, offset) == (1.0, 0.0)
+        assert escape_row(ball, 100.0, offset)[0] == 0.0
+        assert escape_row(ball, 1e-3)[0] == 1.0
+        assert escape_row(ball, 0.0, offset) == (1.0, 0.0)
+
+
+PAIR_RADII_SQ = np.geomspace(0.5, 300.0, 7)
+
+
+def pair_laws(n_laws=24, groups=8, seed=101):
+    """(law, lattice) for central multiplier laws of ``groups`` conjugate pairs with distinct
+    lambda drawn from [0.05, 3]: a root on a 6 x 6 lattice that is zero on the self-conjugate
+    modes and on the pairs left out, under random H^zeta weights, with random phases and
+    random shares of each pair's A = w_l |rho_l|^2 + w_-l |rho_-l|^2 = 2 lambda."""
+    lat = build_lattice(2, 6)
+    idx = np.arange(lat.size)
+    pairs = idx[idx < lat.conj_index]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_laws):
+        zeta = rng.uniform(-1.0, 1.0)
+        w = sobolev_weight(lat, zeta)
+        root = np.zeros(lat.size, dtype=complex)
+        for l, lam, share in zip(rng.choice(pairs, groups, replace=False),
+                                 rng.uniform(0.05, 3.0, groups), rng.uniform(0.1, 0.9, groups)):
+            for mode, part in ((l, share), (lat.conj_index[l], 1.0 - share)):
+                phase = np.exp(2j * np.pi * rng.uniform())
+                root[mode] = np.sqrt(2.0 * lam * part / w[mode]) * phase
+        yield MultiplierBall(root, lat, zeta), lat
+
+
+class TestCentralPairOracle:
+    """Central laws whose groups are all conjugate pairs, against the exact hypoexponential
+    tail in decimal: every row within the law's own stated bound."""
+
+    def test_one_row_calls_within_stated_bound(self, hypoexponential_tail):
+        settled = 0
+        for ball, _ in pair_laws():
+            assert ball.dof.tolist() == [2.0] * 8 and np.unique(ball.lam).size == 8
+            for c in PAIR_RADII_SQ:
+                radius = math.sqrt(c)
+                p, bound = ball._escape_probs(radius)
+                exact = hypoexponential_tail(ball.lam, radius * radius)
+                assert abs(p[0] - exact) <= bound[0] + 1e-15, (ball.lam, c, p[0], exact)
+                settled += p[0] in (0.0, 1.0)
+        assert settled < 24 * len(PAIR_RADII_SQ) // 2  # most rows come from the integral
+
+    def test_batched_rows_within_stated_bound(self, hypoexponential_tail):
+        # at one radius an offset on the root-free mode l = 0 only adds to the shift R, so
+        # each row is the central law at its own c = radius^2 - R
+        for ball, lat in pair_laws():
+            assert lat.weights[0] == 0.0  # w_0 = 1 for every zeta
+            offsets = np.zeros((PAIR_RADII_SQ.size, lat.size), dtype=complex)
+            offsets[:, 0] = np.sqrt(400.0 - PAIR_RADII_SQ)
+            radius = 20.0
+            p, bound = ball._escape_probs(radius, offsets)
+            nc, shift = ball._noncentralities(offsets)
+            assert not nc.any()
+            for p_i, bound_i, c in zip(p, bound, radius * radius - shift):
+                exact = hypoexponential_tail(ball.lam, c)
+                assert abs(p_i - exact) <= bound_i + 1e-15, (ball.lam, c, p_i, exact)
 
 
 class TestDenseBall:
@@ -1504,7 +1582,7 @@ class TestDenseBall:
     @pytest.mark.parametrize("zeta, scale, noncentral", [
         (-1.0, 1.2, False), (0.0, 0.8, True), (0.0, 1.2, True),
     ], ids=["central", "inner-offset", "outer-offset"])
-    def test_law_agrees_with_sampling(self, case, zeta, scale, noncentral):
+    def test_law_agrees_with_sampling(self, case, zeta, scale, noncentral, mc_ball_hits):
         # at ("complex-map", "inner-offset") the law of the pencil factor X in place of the
         # Hermitian root is off by about 10 SE: X z does not have the law of C^{1/2} z
         lat, model = pencil_case(case, n=8)
@@ -1514,10 +1592,10 @@ class TestDenseBall:
             offset = 0.5 * np.sqrt(trace) * apply(bessel_op(-1.0), sample_white_noise(lat, 3)).coeffs
             mean_s += np.sum(sobolev_weight(lat, zeta) * np.abs(offset) ** 2)
         radius = scale * np.sqrt(mean_s)
-        p, bound = ball.escape_prob(radius, offset)
+        p, bound = escape_row(ball, radius, offset)
         n = 20000
-        p_in, _ = _mc_ball_hits(self.hermitian_root(model, lat), lat, zeta, radius, n,
-                                np.random.default_rng(21), offset)
+        p_in, _ = mc_ball_hits(self.hermitian_root(model, lat), lat, zeta, radius, n,
+                               np.random.default_rng(21), offset)
         assert 0.01 < p < 0.99 and bound <= 1e-10
         assert abs(1.0 - p_in - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n)
 
@@ -1538,7 +1616,7 @@ class TestDenseBall:
         c = float(np.sum(w * np.abs(offset) ** 2))
         expected = [np.trace(a) + c, 2.0 * np.trace(a @ a) + b @ b,
                     8.0 * np.trace(a @ a @ a) + 6.0 * b @ a @ b]
-        nc, shift = ball.noncentrality(offset)
+        nc, shift = noncentrality_row(ball, offset)
         lam, dof = ball.lam, ball.dof
         got = [np.sum(lam * (dof + nc)) + shift, 2.0 * np.sum(lam**2 * (dof + 2 * nc)),
                8.0 * np.sum(lam**3 * (dof + 3 * nc))]
@@ -1554,7 +1632,7 @@ class TestDenseBall:
                                                     + 1j * rng.standard_normal((3, lat.size)))
         radius = np.sqrt(1.5 * trace)  # E S = 1.5 trace
         p, bound = ball._escape_probs(radius, offsets)
-        single = np.array([ball.escape_prob(radius, row) for row in offsets])
+        single = np.array([escape_row(ball, radius, row) for row in offsets])
         np.testing.assert_allclose(single, np.stack([p, bound], axis=1), rtol=1e-12, atol=0)
         assert 0.05 < p.min() and p.max() < 0.95
 
@@ -1568,11 +1646,11 @@ class TestDenseBall:
         assert central_trace == trace and central._proj is None
         assert not any(isinstance(a, np.ndarray) and a.ndim > 1 for a in vars(central).values())
         for scale in (0.8, 1.0, 1.2):
-            p, bound = central.escape_prob(scale * np.sqrt(trace))
-            p_full, bound_full = full.escape_prob(scale * np.sqrt(trace))
+            p, bound = escape_row(central, scale * np.sqrt(trace))
+            p_full, bound_full = escape_row(full, scale * np.sqrt(trace))
             assert abs(p - p_full) <= 1e-14 and abs(bound - bound_full) <= 1e-14
         with pytest.raises(ValueError, match="central tails only"):
-            central.escape_prob(np.sqrt(trace), np.ones(lat.size))
+            escape_row(central, np.sqrt(trace), np.ones(lat.size))
 
     def test_rejects_root_of_wrong_shape(self):
         lat, model = pencil_case("even-prior", n=8)
