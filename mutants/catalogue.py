@@ -86,8 +86,13 @@ MUTANTS = (
     Mutant("ball-self-conjugate-quarter", BALL,
            "np.where(dof == 1, 0.25, 2.0)", "np.where(dof == 1, 0.5, 2.0)"),
     Mutant("ball-batch-period", BALL,
-           "grid = self._grid(exponent)",
-           "grid = self._grid(int(exponents.min()))"),
+           "grid = _Grid(self, 2.0**exponent)",
+           "grid = _Grid(self, 2.0**int(exponents.min()))"),
+    # the alias share of the stated bound: the upper tail read at c + span, the aliased mass
+    # of the period the row was summed with, not past it
+    Mutant("ball-alias-span", BALL,
+           "alias_up = self._log_tails(k_up, k_lo, c + span)[0]",
+           "alias_up = self._log_tails(k_up, k_lo, c + 2 * span)[0]"),
     # the noncentral node table, built per call: 1 - 2 i lambda u as its denominator
     Mutant("ball-node-table-sign", BALL,
            "np.multiply(-2.0, x.imag, out=den.imag)", "np.multiply(2.0, x.imag, out=den.imag)"),

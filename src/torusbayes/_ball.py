@@ -11,11 +11,10 @@ absolute error.  :func:`posterior._trace_ball` builds the law of a model.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
-from .lattice import FrequencyLattice, _cosine_sine_modes, _rows_to_cosine_sine, sobolev_weight
+from .lattice import FrequencyLattice, _mode_groups, _rows_to_cosine_sine, sobolev_weight
 
 
 # Shares of the error bound stated by MultiplierBall._escape_probs, each an
@@ -37,8 +36,8 @@ _S_LOWER = np.geomspace(1e-9, 1e15, 250)
 
 class _Grid:
     """Midpoint nodes u_k = (k + 1/2) 2 pi / span and the central part of log phi: O(n)
-    numbers.  The noncentral node table, G x n, is formed by each call that reads it
-    (:meth:`MultiplierBall._escape_probs`)."""
+    numbers, built by the :meth:`MultiplierBall._escape_probs` call that reads them, as is
+    the noncentral node table, G x n."""
 
     def __init__(self, ball: "MultiplierBall", span: float):
         step = 2.0 * math.pi / span
@@ -74,36 +73,33 @@ class MultiplierBall:
     only the step from offsets to noncentralities differs.
 
     The groups, the central Chernoff tables and the truncation point depend
-    only on the root and zeta, and integration grids are cached per period (a
-    power of two); only nc_g and R depend on the offset, so one instance
-    serves every replicate, and :meth:`_escape_probs` takes a whole
+    only on the root and zeta; only nc_g and R depend on the offset, so one
+    instance serves every replicate, and :meth:`_escape_probs` takes a whole
     (replicate, K) stack of offsets in one call, or none for the central
-    law: the law's one tail entry point.  A law keeps O(G + T + n)
-    numbers beyond its K-sized term indices, for G groups, T Chernoff points
-    and n nodes per cached grid: the G x T and G x n noncentral tables are
-    built by each call that reads offsets, in one scratch buffer, and dropped
-    when it returns.  A dense law that reads offsets also keeps its K x K
-    projection.
+    law: the law's one tail entry point.  A law keeps O(G + T) numbers beyond
+    its K-sized term indices, for G groups and T Chernoff points: each call
+    builds the integration grid of each period it reads (a power of two) and,
+    when it reads offsets, the G x T and G x n noncentral tables in one
+    scratch buffer, and drops them when it returns.  A dense law that reads
+    offsets also keeps its K x K projection.
     """
 
     def __init__(self, root, lattice: FrequencyLattice, zeta: float = 0.0):
         root = np.asarray(root, dtype=np.complex128)
         if root.shape != (lattice.size,):
             raise ValueError(f"root has shape {root.shape}, lattice needs ({lattice.size},)")
-        idx = np.arange(lattice.size)
-        conj = lattice.conj_index
-        real, pair = idx[conj == idx], idx[idx < conj]
+        real, pair, mate = _mode_groups(lattice)
         self._w = sobolev_weight(lattice, zeta)
         wroot = self._w * np.conj(root)
         wr2 = self._w * np.abs(root) ** 2
-        quad = np.concatenate([wr2[real], wr2[pair] + wr2[conj[pair]]])
+        quad = np.concatenate([wr2[real], wr2[pair] + wr2[mate]])
         dof = np.concatenate([np.ones(real.size), np.full(pair.size, 2.0)])
         # each live term in group order reads b = w conj(rho) o as t = b_l + conj(b_m): m = -l
         # for a pair, whose noncentrality term is 2 |t|^2 / quad^2, and m = l for a
         # self-conjugate mode, whose t = 2 Re b_l gives (Re b_l)^2 / quad^2 = |t|^2 / 4 / quad^2
         terms = self._group(quad, dof, np.where(dof == 1, 0.25, 2.0))
         self._first = np.concatenate([real, pair])[terms]
-        self._second = np.concatenate([real, conj[pair]])[terms]
+        self._second = np.concatenate([real, mate])[terms]
         self._w_first, self._w_second = wroot[self._first], np.conj(wroot[self._second])
         self._proj = None
 
@@ -123,7 +119,7 @@ class MultiplierBall:
         if root.shape != (k, k) or w.shape != (k,):
             raise ValueError(f"root {root.shape} and weights {w.shape} do not fit K = {k}")
         ball = cls.__new__(cls)
-        ball._w = w[np.argsort(_cosine_sine_modes(lattice)[0])]  # in exponential order
+        ball._w = w[np.argsort(lattice._mode_order)]  # in exponential order
         ball._proj = ball._first = None
         y = np.sqrt(w)[:, None] * root
         m = y.T @ y if np.isrealobj(y) else (y.conj().T @ y).real
@@ -150,8 +146,6 @@ class MultiplierBall:
         order = np.argsort(group, kind="stable")
         self._nc_coef = (coef[live] / quad**2)[order]
         self._starts = np.flatnonzero(np.diff(group[order], prepend=-1))
-        self._grids: dict[int, _Grid] = {}
-        self._lock = threading.Lock()
         self.tau = 0.0
         self._kink = 0.0
         if self.lam.size:
@@ -309,13 +303,6 @@ class MultiplierBall:
         # a group's terms have |B|^2 / A summing to lambda_g nc_g
         return nc, norms - np.einsum("ig,g->i", nc, self.lam)
 
-    def _grid(self, exponent: int) -> _Grid:
-        with self._lock:
-            grid = self._grids.get(exponent)
-            if grid is None:
-                grid = self._grids[exponent] = _Grid(self, 2.0**exponent)
-            return grid
-
     def _noncentral_nodes(self, grid: _Grid, buf: np.ndarray) -> np.ndarray:
         """The (G, n) table x / (1 - 2 x), x = i lambda u, of ``grid``'s nodes, whose product
         with the noncentralities adds to log phi: built in place in the flat scratch
@@ -347,9 +334,9 @@ class MultiplierBall:
         Rows share each step that does not depend on the row's numbers: one product per
         Chernoff table for every row, then, for the rows the tails do not settle, one
         product with the noncentral table and one ``exp`` per period.  Each row's bound
-        keeps its own terms.  The noncentral tables, G x T and G x n, are built in one
-        scratch buffer for this call (grown only for a grid that needs more) and dropped
-        when it returns.
+        keeps its own terms.  Each period's integration grid is built where it is read, and
+        the noncentral tables, G x T and G x n, in one scratch buffer for this call (grown
+        only for a grid that needs more); all are dropped when it returns.
         """
         if not radius >= 0:  # NaN too
             raise ValueError(f"radius must be nonnegative, got {radius}")
@@ -409,7 +396,7 @@ class MultiplierBall:
         total, rounding, truncation = np.empty((3, rows.size))
         for exponent in np.unique(exponents).tolist():
             sel = exponents == exponent
-            grid = self._grid(exponent)
+            grid = _Grid(self, 2.0**exponent)
             log_phi = grid.log_phi - 1j * grid.u * c[sel, None]
             if buf is not None:
                 if buf.size < 4 * self.lam.size * grid.u.size:

@@ -182,6 +182,32 @@ def _truth_field(settings, lattice):
                         np.random.default_rng((settings.seed, 0)))
 
 
+def _run_logged(command: str, manifest: dict, path: str, body) -> int:
+    """Run one command's work and write its manifest to ``path`` however it ends.
+
+    ``body()`` fills ``manifest`` and returns the line printed on success, or sets
+    ``manifest["error"]`` for a failure of its own; any exception it raises is recorded
+    there too.  A failure prints "<command> failed: <error>" and returns 3.
+    """
+    manifest.update(started=time.strftime("%Y-%m-%dT%H:%M:%S%z"), outputs=[], warnings=[],
+                    status="failed")
+    start = time.monotonic()
+    try:
+        done = body()
+    except Exception as exc:  # noqa: BLE001 - manifest must record any failure
+        manifest["error"] = f"{type(exc).__name__}: {exc}"
+    failed = "error" in manifest
+    manifest.update(wall_seconds=time.monotonic() - start,
+                    finished=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+                    status="failed" if failed else "ok")
+    _write_manifest(path, manifest)
+    if failed:
+        print(f"{command} failed: {manifest['error']}", file=sys.stderr)
+        return 3
+    print(done)
+    return 0
+
+
 def cmd_estimate(args) -> int:
     parser = load_parser(args.config)
     overrides = {}
@@ -192,18 +218,9 @@ def cmd_estimate(args) -> int:
     paths = {name: os.path.join(args.out, name)
              for name in ("map.csv", "data.csv", "manifest.json")}
     _overwrite_guard(paths.values(), args.force)
+    manifest = {"command": "estimate", "config": _config_echo(parser), "seed": settings.seed}
 
-    manifest = {
-        "command": "estimate",
-        "config": _config_echo(parser),
-        "seed": settings.seed,
-        "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "outputs": [],
-        "warnings": [],
-        "status": "failed",
-    }
-    start = time.monotonic()
-    try:
+    def body() -> str:
         lattice = build_lattice(settings.d, settings.n_per_dim)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -221,24 +238,11 @@ def cmd_estimate(args) -> int:
         trace = posterior_trace(posterior_covariance(model, lattice), 0.0, lattice)
         write_field_csv(estimate, paths["map.csv"])
         write_field_csv(m, paths["data.csv"])
-        manifest.update(
-            status="ok",
-            posterior_trace_l2=f"{trace:.17g}",
-            outputs=[paths["map.csv"], paths["data.csv"]],
-            wall_seconds=time.monotonic() - start,
-            finished=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        )
-        _write_manifest(paths["manifest.json"], manifest)
-        print(f"map estimate written to {paths['map.csv']} "
-              f"(posterior L2 trace {trace:.6g})")
-        return 0
-    except Exception as exc:  # noqa: BLE001 - manifest must record any failure
-        manifest["error"] = f"{type(exc).__name__}: {exc}"
-        manifest["wall_seconds"] = time.monotonic() - start
-        manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        _write_manifest(paths["manifest.json"], manifest)
-        print(f"estimate failed: {manifest['error']}", file=sys.stderr)
-        return 3
+        manifest.update(posterior_trace_l2=f"{trace:.17g}",
+                        outputs=[paths["map.csv"], paths["data.csv"]])
+        return f"map estimate written to {paths['map.csv']} (posterior L2 trace {trace:.6g})"
+
+    return _run_logged("estimate", manifest, paths["manifest.json"], body)
 
 
 def cmd_experiment(args) -> int:
@@ -254,20 +258,10 @@ def cmd_experiment(args) -> int:
     results_path = os.path.join(args.out, "results.csv")
     guard = [manifest_path] if cfg.mode == "appendix_b" else [manifest_path, results_path]
     _overwrite_guard(guard, args.force)
+    manifest = {"command": "experiment", "mode": cfg.mode, "config": _config_echo(parser),
+                "master_seed": cfg.master_seed, "threads": cfg.threads}
 
-    manifest = {
-        "command": "experiment",
-        "mode": cfg.mode,
-        "config": _config_echo(parser),
-        "master_seed": cfg.master_seed,
-        "threads": cfg.threads,
-        "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "outputs": [],
-        "warnings": [],
-        "status": "failed",
-    }
-    start = time.monotonic()
-    try:
+    def body() -> str:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run_experiment(cfg)
@@ -290,7 +284,8 @@ def cmd_experiment(args) -> int:
             manifest["dropped"] = result.dropped
             manifest["extras"] = result.extras
             # a dropped (replicate, delta) pair counts once, however many zetas
-            failed_drops = result.dropped / (cfg.n_replicates * len(cfg.deltas)) >= 0.01
+            if result.dropped / (cfg.n_replicates * len(cfg.deltas)) >= 0.01:
+                manifest["error"] = "replicate drop rate exceeded 1%"
         else:
             outputs.extend(write_curve_files(result, args.out))
             manifest["normalizers"] = {f"{z:g}": result.normalizers[z]
@@ -298,26 +293,10 @@ def cmd_experiment(args) -> int:
             manifest["predicted_exponents"] = {
                 f"{z:g}": result.predictions[z].exponent for z in result.zetas
             }
-            failed_drops = False
         manifest["outputs"] = outputs
-        manifest["wall_seconds"] = time.monotonic() - start
-        manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        manifest["status"] = "ok" if not failed_drops else "failed"
-        if failed_drops:
-            manifest["error"] = "replicate drop rate exceeded 1%"
-        _write_manifest(manifest_path, manifest)
-        if failed_drops:
-            print(f"experiment failed: {manifest['error']}", file=sys.stderr)
-            return 3
-        print(f"{cfg.mode} experiment written to {args.out}")
-        return 0
-    except Exception as exc:  # noqa: BLE001 - manifest must record any failure
-        manifest["error"] = f"{type(exc).__name__}: {exc}"
-        manifest["wall_seconds"] = time.monotonic() - start
-        manifest["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        _write_manifest(manifest_path, manifest)
-        print(f"experiment failed: {manifest['error']}", file=sys.stderr)
-        return 3
+        return f"{cfg.mode} experiment written to {args.out}"
+
+    return _run_logged("experiment", manifest, manifest_path, body)
 
 
 def _build_parser() -> _Parser:

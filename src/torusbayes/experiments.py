@@ -32,7 +32,7 @@ import numpy as np
 from .fields import GaussianPrior, gaussian_prior, sample_white_noise, sobolev_norm
 from .lattice import FrequencyLattice, SpectralField, build_lattice, forward_transform
 from .lattice import sobolev_weight
-from .operators import Operator, _evaluated, apply, bessel_op, compose
+from .operators import Operator, apply, bessel_op, compose
 from .posterior import (
     GaussianModel,
     SolverError,
@@ -41,6 +41,7 @@ from .posterior import (
     _map_means,
     _trace_ball,
     _trace_root,
+    _values,
     map_estimate,
 )
 from .rates import RatePrediction, bayes_rate, contraction_rate, credible_rate, frequentist_rate
@@ -401,8 +402,8 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
     deltas, zetas = cfg.deltas, cfg.zetas
     models = [cfg.model(d) for d in deltas]
     zw = np.stack([sobolev_weight(lattice, z) for z in zetas])
-    # prior root and forward map evaluated once per run: K values, or a K x K matrix
-    root, fwd = _evaluated(cfg.prior.sqrt_cov, lattice), _evaluated(cfg.fwd, lattice)
+    # prior root and forward map, K values kept on each operator, or a K x K matrix
+    root, fwd = _values(cfg.prior.sqrt_cov, lattice), _values(cfg.fwd, lattice)
 
     def prior_draw(i: int) -> np.ndarray:
         xi = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 0, i)).coeffs

@@ -109,6 +109,15 @@ def _hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
     return _hermitian_gram(evecs)
 
 
+def _positive_real(vals) -> np.ndarray:
+    """The real part of covariance symbol values, which must be strictly positive real: an
+    imaginary part past 1e-12 of the largest modulus, or a real part <= 0, raises ValueError."""
+    vals = np.asarray(vals, dtype=complex)
+    if np.any(np.abs(vals.imag) > 1e-12 * np.abs(vals).max()) or np.any(vals.real <= 0):
+        raise ValueError("covariance symbol must be strictly positive real")
+    return vals.real
+
+
 def operator_sqrt(cov: Operator) -> Operator:
     """Hermitian square root of a positive operator.
 
@@ -121,10 +130,7 @@ def operator_sqrt(cov: Operator) -> Operator:
         base = cov.symbol
 
         def sqrt_symbol(lat: FrequencyLattice) -> np.ndarray:
-            vals = np.asarray(base(lat), dtype=complex)
-            if np.any(np.abs(vals.imag) > 1e-12 * np.abs(vals).max()) or np.any(vals.real <= 0):
-                raise ValueError("covariance symbol must be strictly positive real")
-            return np.sqrt(vals.real).astype(complex)
+            return np.sqrt(_positive_real(base(lat))).astype(complex)
 
         return MultiplierOp(
             sqrt_symbol, cov.order_t / 2.0, cov.order_t0 / 2.0,
@@ -192,7 +198,7 @@ def prior_trace_check(
     traces = []
     for n in sizes:
         lat = build_lattice(dim, n)
-        weighted = sobolev_weight(lat, tau) * symbol_values(prior.cov, lat).real
+        weighted = sobolev_weight(lat, tau) * _positive_real(symbol_values(prior.cov, lat))
         traces.append(float(np.sum(weighted)))
         if n == max(sizes):
             largest = weighted

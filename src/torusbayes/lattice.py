@@ -15,7 +15,6 @@ discarding the imaginary residue.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
 # Tolerance for the Hermitian-symmetry check in inverse_transform, relative
 # to max(1, max |coeff|).
 HERMITIAN_TOL = 1e-10
-# guards the arrays kept on a lattice on first use
-_KEPT_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -76,14 +73,21 @@ class FrequencyLattice:
         weights = np.sum(freqs.astype(np.float64) ** 2, axis=1)
         weights.setflags(write=False)
         # index of -l for every l, used by the Hermitian-symmetry check
-        axes_idx = np.unravel_index(np.arange(freqs.shape[0]), self.shape)
+        idx = np.arange(freqs.shape[0])
+        axes_idx = np.unravel_index(idx, self.shape)
         conj_index = np.ravel_multi_index(
             tuple((-ix) % n for ix in axes_idx), self.shape
         )
         conj_index.setflags(write=False)
+        # the self-conjugate modes, the earlier member of each pair l, -l in flat order and
+        # its mate -l (see _mode_groups)
+        pair = idx[idx < conj_index]
+        mode_order = np.concatenate([idx[conj_index == idx], pair, conj_index[pair]])
+        mode_order.setflags(write=False)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "conj_index", conj_index)
+        object.__setattr__(self, "_mode_order", mode_order)
 
     @property
     def size(self) -> int:
@@ -156,19 +160,13 @@ def forward_transform(lattice: FrequencyLattice, values) -> SpectralField:
     return SpectralField(lattice, coeffs.ravel())
 
 
-def _white_pairs(lattice: FrequencyLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The earlier member of each pair l, -l in flat order, the later one, and the
-    self-conjugate modes: built once per lattice, read-only."""
-    with _KEPT_LOCK:
-        kept = lattice.__dict__.get("_white_pairs")
-        if kept is None:
-            idx, conj = np.arange(lattice.size), lattice.conj_index
-            early = idx[idx < conj]
-            kept = (early, conj[early], idx[conj == idx])
-            for arr in kept:
-                arr.setflags(write=False)
-            object.__setattr__(lattice, "_white_pairs", kept)
-    return kept
+def _mode_groups(lattice: FrequencyLattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The self-conjugate modes, the earlier member of each pair l, -l in flat order and its
+    mate -l: read-only views of the mode order the lattice keeps.  Each axis has two
+    self-conjugate components, 0 and -n/2, so there are 2^dim self-conjugate modes."""
+    order, ns = lattice._mode_order, 2**lattice.dim
+    npair = (lattice.size - ns) // 2
+    return order[:ns], order[ns:ns + npair], order[ns + npair:]
 
 
 def _white_coeffs(lattice: FrequencyLattice, rng: np.random.Generator,
@@ -181,7 +179,7 @@ def _white_coeffs(lattice: FrequencyLattice, rng: np.random.Generator,
     only.  Shape (K,), or (batch, K) whose row i equals bit for bit the i-th of ``batch``
     single draws from the same generator.
     """
-    early, late, real = _white_pairs(lattice)
+    real, early, late = _mode_groups(lattice)
     lead = () if batch is None else (batch,)
     z = rng.standard_normal((*lead, *lattice.shape))
     coeffs = np.fft.fftn(z, axes=tuple(range(len(lead), z.ndim))).reshape(*lead, lattice.size)
@@ -248,12 +246,10 @@ _CS_REAL_TOL = 1e-12
 
 def _cosine_sine_modes(lattice: FrequencyLattice) -> tuple[np.ndarray, int, int]:
     """Flat indices of the self-conjugate modes, the l < -l member of each pair
-    and its mate -l, concatenated; and the counts of the first two groups."""
-    idx = np.arange(lattice.size)
-    conj = lattice.conj_index
-    pair = idx[idx < conj]
-    real = idx[conj == idx]
-    return np.concatenate([real, pair, conj[pair]]), real.size, pair.size
+    and its mate -l, concatenated (the order the lattice keeps); and the counts of the
+    first two groups."""
+    real, pair, _ = _mode_groups(lattice)
+    return lattice._mode_order, real.size, pair.size
 
 
 def _butterfly(a: np.ndarray, b: np.ndarray):

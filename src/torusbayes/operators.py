@@ -55,13 +55,13 @@ class MultiplierOp:
     ``symbol`` maps a :class:`FrequencyLattice` to its K symbol values, one
     per mode in lattice order.  ``order_t`` is the upper decay order (the
     weakest decay the symbol is allowed), ``order_t0 >= order_t`` the lower one.
-    ``_cs`` holds what the posterior solves read, per lattice, each evaluated
-    once: the K symbol values of a forward map ("symbol") or the real ones of a
-    prior covariance ("prior symbol"); and, as :class:`DenseOp` does, what a
-    model with a dense partner reads: the cosine/sine form of a prior
-    covariance symbol c ("prior form"; K values when even in l, else a K x K
-    matrix) and the pencil of a forward map ("pencil").  Not part of repr,
-    equality or hash.
+    ``_cs`` holds what the posterior solves and runners read, per lattice, each
+    evaluated once: the K symbol values of a forward map or a prior root
+    ("symbol") or the real ones of a prior covariance ("prior symbol"); and, as
+    :class:`DenseOp` does, what a model with a dense partner reads: the
+    cosine/sine form of a prior covariance symbol c ("prior form"; K values
+    when even in l, else a K x K matrix) and the pencil of a forward map
+    ("pencil").  Not part of repr, equality or hash.
     """
 
     symbol: Callable[[FrequencyLattice], np.ndarray]
@@ -136,13 +136,6 @@ def symbol_values(op: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
             f"symbol returned shape {vals.shape}, expected ({lattice.size},)"
         )
     return vals.astype(np.complex128, copy=False)
-
-
-def _evaluated(op: Operator, lattice: FrequencyLattice) -> np.ndarray:
-    """Symbol values of a multiplier on ``lattice`` (K), or the matrix of a dense operator on it."""
-    if isinstance(op, MultiplierOp):
-        return symbol_values(op, lattice)
-    return densify(op, lattice).matrix
 
 
 def bessel_op(a: float) -> MultiplierOp:

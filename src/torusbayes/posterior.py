@@ -40,6 +40,7 @@ from .fields import (
     GaussianPrior,
     _hermitian_gram,
     _hermitian_sqrt,
+    _positive_real,
     operator_sqrt,
     sample_white_noise,
 )
@@ -79,8 +80,9 @@ __all__ = [
 ]
 
 CG_TOL = 1e-10
-# guards GaussianModel._diag and the operators' _cs; re-entrant, as a prior
-# may be another model's posterior
+# the package's one lock: guards every array kept between calls, in GaussianModel._diag
+# and the operators' _cs (see _kept and _pencil); re-entrant, as a prior may be another
+# model's posterior
 _DIAG_LOCK = threading.RLock()
 
 
@@ -154,33 +156,30 @@ def _is_diagonal(model: GaussianModel) -> bool:
     return isinstance(model.fwd, MultiplierOp) and isinstance(model.prior.cov, MultiplierOp)
 
 
-def _kept(op: Operator, key, make) -> np.ndarray:
-    """``op._cs[key]``: the array ``make()`` returns, made on first use, read-only."""
+def _kept(store: dict, key, make):
+    """``store[key]``: the array or tuple of arrays ``make()`` returns, made on first use,
+    each array read-only.  The package's one memo."""
     with _DIAG_LOCK:
-        value = op._cs.get(key)
+        value = store.get(key)
         if value is None:
             value = make()
-            value.setflags(write=False)
-            op._cs[key] = value
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.setflags(write=False)
+            store[key] = value
     return value
 
 
 def _symbol(op: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
     """The symbol of ``op`` on ``lattice``, evaluated once per operator and lattice."""
     # a copy, so freezing it never touches an array the symbol function keeps
-    return _kept(op, ("symbol", lattice), lambda: np.array(symbol_values(op, lattice)))
+    return _kept(op._cs, ("symbol", lattice), lambda: np.array(symbol_values(op, lattice)))
 
 
 def _prior_symbol(cov: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
-    """The real prior covariance symbol c_U on ``lattice``, which must be strictly positive;
-    evaluated once per operator and lattice."""
-    def make() -> np.ndarray:
-        c_u = np.array(symbol_values(cov, lattice).real)
-        if np.any(c_u <= 0):
-            raise ValueError("prior covariance symbol must be strictly positive")
-        return c_u
-
-    return _kept(cov, ("prior symbol", lattice), make)
+    """The prior covariance symbol c_U on ``lattice``, which must be strictly positive real
+    (:func:`fields._positive_real`); evaluated once per operator and lattice."""
+    return _kept(cov._cs, ("prior symbol", lattice),
+                 lambda: np.array(_positive_real(symbol_values(cov, lattice))))
 
 
 def _prior_form(cov: Operator, lattice: FrequencyLattice) -> np.ndarray:
@@ -198,26 +197,23 @@ def _prior_form(cov: Operator, lattice: FrequencyLattice) -> np.ndarray:
             return _to_cosine_sine(lattice, np.diag(c_u))
         return _to_cosine_sine(lattice, densify(cov, lattice).matrix)
 
-    return _kept(cov, ("prior form", lattice), make)
+    return _kept(cov._cs, ("prior form", lattice), make)
 
 
 def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
     """The forward symbol a, |a|^2 and delta^2 / c_U of a diagonal ``model`` on ``lattice``:
     built once, read-only; a is the symbol :func:`_symbol` keeps on the operator."""
-    with _DIAG_LOCK:
-        weights = model._diag.get(lattice)
-        if weights is None:
-            a = _symbol(model.fwd, lattice)
-            weights = (a, np.abs(a) ** 2, model.delta**2 / _prior_symbol(model.prior.cov, lattice))
-            for arr in weights:
-                arr.setflags(write=False)
-            model._diag[lattice] = weights
-    return weights
+    def make():
+        a = _symbol(model.fwd, lattice)
+        return a, np.abs(a) ** 2, model.delta**2 / _prior_symbol(model.prior.cov, lattice)
+
+    return _kept(model._diag, lattice, make)
 
 
-def _fwd_values(fwd: Operator, lattice: FrequencyLattice) -> np.ndarray:
-    """The kept symbol of a multiplier forward map, or the matrix of a dense one."""
-    return _symbol(fwd, lattice) if isinstance(fwd, MultiplierOp) else densify(fwd, lattice).matrix
+def _values(op: Operator, lattice: FrequencyLattice) -> np.ndarray:
+    """The symbol of a multiplier on ``lattice``, kept on it (:func:`_symbol`), or the
+    matrix of a dense operator."""
+    return _symbol(op, lattice) if isinstance(op, MultiplierOp) else densify(op, lattice).matrix
 
 
 def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
@@ -245,7 +241,7 @@ def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
         # them, it pinned the heap above their holes (dense-vc benchmark peak RSS 126 -> 142
         # MiB, glibc).  Its dtype is that of R unless A_cs, known only once made, is complex.
         block = np.empty(shape, root.dtype)
-        a = _fwd_values(fwd, lattice)
+        a = _values(fwd, lattice)
         a_cs = _to_cosine_sine(lattice, np.diag(a) if a.ndim == 1 else a)
         if np.iscomplexobj(a_cs) and np.isrealobj(block):
             del block  # never written: a map that does not keep real fields real
@@ -297,7 +293,7 @@ def _map_means(models, lattice: FrequencyLattice, data) -> np.ndarray:
             np.divide(np.multiply(np.conj(a), m, out=mean), asq + prec, out=mean)
         return means
     block = _pencil(model, lattice)
-    a = _fwd_values(model.fwd, lattice)
+    a = _values(model.fwd, lattice)
     stack = np.reshape(data, (-1, lattice.size))
     # B = Q A^H M; a dense A^H M through one product with A, with no conjugate copy of A
     b = _rows_to_cosine_sine(lattice, np.conj(a) * stack if a.ndim == 1

@@ -12,7 +12,7 @@ import pytest
 
 from torusbayes.fields import _rng
 from torusbayes.lattice import _cosine_sine_modes, _white_coeffs, sobolev_weight
-from torusbayes.operators import _evaluated
+from torusbayes.posterior import _values
 
 
 def _unblocked_from_cosine_sine(lat, y):
@@ -119,7 +119,7 @@ def _credible_ball_prob(post, zeta1: float, radius: float, n_mc: int, seed=None,
     if offset is not None:
         offset = np.asarray(offset, dtype=np.complex128)
     lattice = post.mean.lattice
-    return _mc_ball_hits(_evaluated(post.sqrt_cov, lattice), lattice, zeta1, radius, n_mc,
+    return _mc_ball_hits(_values(post.sqrt_cov, lattice), lattice, zeta1, radius, n_mc,
                          _rng(seed), offset)
 
 

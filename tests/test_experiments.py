@@ -35,7 +35,7 @@ from torusbayes.operators import (
     variable_coeff_op,
 )
 from torusbayes import experiments
-from torusbayes._ball import MultiplierBall
+from torusbayes._ball import MultiplierBall, _Grid
 from torusbayes.fields import operator_sqrt
 from torusbayes.posterior import (
     _map_means,
@@ -81,6 +81,16 @@ def test_used_deltas_are_python_floats(mode):
     table = run_experiment(default_config(mode, n_per_dim=16, n_replicates=8))
     used = [d for fit in table.fits for d in fit.used_deltas]
     assert used and all(type(d) is float for d in used)
+
+
+@pytest.mark.filterwarnings("ignore::torusbayes.rates.HypothesisWarning")  # heat: r = 1/2
+@pytest.mark.parametrize("mode", ["bayes", "frequentist", "contraction", "credible"])
+def test_prior_symbol_not_real_rejected(mode):
+    # heat(1) has a complex symbol, so it is no covariance: no run may use its real part
+    # (bayes, which draws from the prior root, is the control)
+    cfg = small_cfg(mode, prior=gaussian_prior(heat_op(1)), n_per_dim=8, n_mc=200)
+    with pytest.raises(ValueError, match="covariance symbol must be strictly positive real"):
+        run_experiment(cfg)
 
 
 class TestFitLoglogSlope:
@@ -325,7 +335,8 @@ class TestFrequentistExperiment:
     @pytest.mark.parametrize("mode", ["frequentist", "bayes", "contraction", "credible"])
     def test_forward_symbol_evaluated_once_per_delta(self, mode):
         # once per operator, kept on it for every noise level and replicate, plus
-        # once per run for A u (forward) or the prior root (prior covariance)
+        # once per run for A u (forward, except in bayes, which reads the kept symbol) or
+        # the prior root (prior covariance)
         calls = {"forward": 0, "prior": 0}
 
         def counting(name, op):
@@ -342,6 +353,8 @@ class TestFrequentistExperiment:
         run_experiment(cfg)
         for name, count in calls.items():
             assert 0 < count <= 2, (name, count)
+        if mode == "bayes":
+            assert calls["forward"] == 1
 
 
 class TestContractionExperiment:
@@ -767,15 +780,15 @@ class TestLawMemory:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # laws, grids and the models' kept symbols: about 3.2 MiB; the G x 470 Chernoff
-        # tables alone were 16.2 MiB when each law kept them
+        # laws and the models' kept symbols: about 3.2 MiB; the G x 470 Chernoff tables
+        # alone were 16.2 MiB when each law kept them
         assert retained < 4 * 2**20
         for _, ball in laws:
-            assert ball._grids  # the call read the noncentral node tables
+            # every row was read through the integral (0.1 < p < 0.9), whose grids the
+            # call built and dropped: the law holds no grid and no G x T table
+            assert not any(isinstance(v, _Grid) for v in vars(ball).values())
             g, sizes = ball.lam.size, {ball._t_up.size, ball._t_lo.size}
-            sizes |= {grid.u.size for grid in ball._grids.values()}
-            held = [a for obj in (ball, *ball._grids.values()) for a in vars(obj).values()
-                    if isinstance(a, np.ndarray)]
+            held = [a for a in vars(ball).values() if isinstance(a, np.ndarray)]
             assert not any(g in a.shape and sizes & set(a.shape) - {g} for a in held)
             assert all(a.ndim == 1 for a in held)
 

@@ -1,8 +1,6 @@
 """White noise, Gaussian priors, Sobolev norms, trace diagnostics."""
 
-import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -24,7 +22,15 @@ from torusbayes.lattice import (
     build_lattice,
     hermitian_defect,
 )
-from torusbayes.operators import DenseOp, MultiplierOp, bessel_op, compose, densify, symbol_values
+from torusbayes.operators import (
+    DenseOp,
+    MultiplierOp,
+    bessel_op,
+    compose,
+    densify,
+    heat_op,
+    symbol_values,
+)
 
 
 def _conjugate_bits_match(c: np.ndarray, lat) -> bool:
@@ -64,32 +70,29 @@ class TestWhiteNoise:
         assert np.abs(draw - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_pair_index_built_once_across_threads(self, monkeypatch):
-        lat = build_lattice(2, 16)
+        # the lattice lists its modes when it is built; draws on any thread read that list
         builds = []
         arange = np.arange
 
         def counting(*args, **kwargs):
-            if args == (lat.size,):  # the index of every mode, read only by the build
+            if args == (16**2,):  # the index of every mode, read only by the build
                 builds.append(1)
-                time.sleep(0.01)  # widen the window in which another thread could build it too
             return arange(*args, **kwargs)
 
         monkeypatch.setattr(lattice_module.np, "arange", counting)
+        lat = build_lattice(2, 16)
         results = [None] * 8
 
         def work(i):
             results[i] = _white_coeffs(lat, np.random.default_rng(i))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
         try:
             for th in threads:
                 th.start()
             for th in threads:
                 th.join(timeout=30)
         finally:
-            sys.setswitchinterval(interval)
             monkeypatch.undo()
         assert not any(th.is_alive() for th in threads)
         assert len(builds) == 1
@@ -283,6 +286,11 @@ class TestPriorTraceCheck:
         prior = gaussian_prior(bessel_op(-1.0))
         chk = prior_trace_check(prior, tau=1.0, dim=1)
         assert not chk.converged and not chk.theory_convergent
+
+    def test_symbol_not_real_rejected(self):
+        # heat(1) has a complex symbol: its real part is no trace to check
+        with pytest.raises(ValueError, match="covariance symbol must be strictly positive real"):
+            prior_trace_check(gaussian_prior(heat_op(1)), tau=0.0, dim=2)
 
     def test_boundary_tau_matches_theory_flag(self):
         # d=2, r=1: theory threshold is tau < r - d/2 = 0

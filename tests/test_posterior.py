@@ -22,6 +22,7 @@ from torusbayes.fields import (
 )
 from torusbayes import lattice as lattice_module
 from torusbayes import fields as fields_module
+from torusbayes import _ball as ball_module
 from torusbayes._ball import MultiplierBall
 from torusbayes.experiments import default_config
 from torusbayes.lattice import (
@@ -1352,13 +1353,13 @@ class TestMultiplierBall:
     @pytest.mark.parametrize("case", range(3), ids=["pair-tau", "lone-real", "bessel-16"])
     def test_batch_rows_equal_one_row_calls(self, case, monkeypatch):
         ball, radius, offsets = list(batch_cases())[case]
-        periods, real = [], MultiplierBall._grid
+        periods, real = [], ball_module._Grid
 
-        def grid(self, exponent):
-            periods.append(exponent)
-            return real(self, exponent)
+        def grid(law, span):
+            periods.append(span)
+            return real(law, span)
 
-        monkeypatch.setattr(MultiplierBall, "_grid", grid)
+        monkeypatch.setattr(ball_module, "_Grid", grid)
         p, bound = ball._escape_probs(radius, offsets)
         c = radius**2 - ball._noncentralities(offsets)[1]
         assert np.any((c <= 0) & (p == 1.0) & (bound == 0.0))
@@ -1566,6 +1567,37 @@ class TestCentralPairOracle:
             for p_i, bound_i, c in zip(p, bound, radius * radius - shift):
                 exact = hypoexponential_tail(ball.lam, c)
                 assert abs(p_i - exact) <= bound_i + 1e-15, (ball.lam, c, p_i, exact)
+
+    def test_alias_share_covers_exact_aliased_mass(self, hypoexponential_tail, monkeypatch):
+        # with the aliasing share raised to 1e-4 the periods shrink until aliasing dominates
+        # the error: each row's bound must still hold the exact aliased mass
+        # P(S >= c + span) + P(S < c - span) of the period it was summed with, and its error
+        monkeypatch.setattr(ball_module, "_ALIAS_TOL", 1e-4)
+        spans, real = [], ball_module._Grid
+
+        def grid(law, span):
+            spans.append(span)
+            return real(law, span)
+
+        monkeypatch.setattr(ball_module, "_Grid", grid)
+        summed = 0
+        for ball, _ in pair_laws():
+            for c in PAIR_RADII_SQ:
+                radius = math.sqrt(c)
+                spans.clear()
+                p, bound = ball._escape_probs(radius)
+                if not spans:  # settled by its Chernoff bounds
+                    continue
+                (span,) = spans
+                c = radius * radius
+                aliased = hypoexponential_tail(ball.lam, c + span)
+                if c > span:
+                    aliased += 1.0 - hypoexponential_tail(ball.lam, c - span)
+                exact = hypoexponential_tail(ball.lam, c)
+                assert aliased <= bound[0], (ball.lam, c, span, aliased, bound[0])
+                assert abs(p[0] - exact) <= bound[0] + 1e-15, (ball.lam, c, p[0], exact)
+                summed += 1
+        assert summed > 24 * len(PAIR_RADII_SQ) // 2
 
 
 class TestDenseBall:
