@@ -27,6 +27,7 @@ LATTICE = "src/torusbayes/lattice.py"
 EXPERIMENTS = "src/torusbayes/experiments.py"
 FIELDS = "src/torusbayes/fields.py"
 CLI = "src/torusbayes/cli.py"
+CONFIG = "src/torusbayes/config.py"
 
 MUTANTS = (
     # the rate exponents: t and t0 swapped, or a regime split moved
@@ -142,4 +143,8 @@ MUTANTS = (
     # the Hermitian root's power, read through the deferred PosteriorGaussian.sqrt_cov
     Mutant("hermitian-root-power", FIELDS,
            "evecs *= np.sqrt(evals**0.5)", "evecs *= np.sqrt(evals)"),
+    # the config reader's unknown-key check: a misspelled key would again run on its default
+    Mutant("config-unknown-key", CONFIG,
+           'unknown += [f"key {name}.{key}" for key in sec if key not in _TABLES[name]]',
+           "unknown += []"),
 )

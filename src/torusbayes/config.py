@@ -13,6 +13,7 @@ TORUSBAYES_<SECTION>_<KEY> (CLI flags take precedence over both).
 from __future__ import annotations
 
 import configparser
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -46,9 +47,8 @@ class ConfigError(Exception):
 
 def parse_operator(text: str) -> Operator:
     """Parse a product of operator factors: bessel(a), heat(d), identity."""
-    factors = [f.strip() for f in text.split("*")]
     ops = []
-    for factor in factors:
+    for factor in (f.strip() for f in text.split("*")):
         m = _FACTOR_RE.match(factor)
         if not m:
             raise ConfigError(
@@ -64,10 +64,7 @@ def parse_operator(text: str) -> Operator:
             if arg != int(arg):
                 raise ConfigError(f"heat() takes an integer spatial dimension, got {arg}")
             ops.append(heat_op(int(arg)))
-    op = ops[0]
-    for other in ops[1:]:
-        op = compose(op, other)
-    return op
+    return functools.reduce(compose, ops)
 
 
 def parse_delta_grid(text: str) -> tuple[float, ...]:
@@ -78,29 +75,38 @@ def parse_delta_grid(text: str) -> tuple[float, ...]:
         start, stop, num = float(m.group(1)), float(m.group(2)), int(m.group(3))
         return tuple(np.geomspace(start, stop, num))
     try:
-        return tuple(float(x) for x in text.split(","))
+        return _floats(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse delta grid {text!r}: {exc}") from exc
 
 
-def _floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} {text!r}: {exc}") from exc
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
+def _choice(options: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"{text!r} not in {options}")
+        return text
+    return parse
 
 
 def apply_env(parser: configparser.ConfigParser, environ=None):
     """Overlay TORUSBAYES_<SECTION>_<KEY> environment values onto the parser."""
     environ = os.environ if environ is None else environ
     for name, value in environ.items():
-        if not name.startswith(ENV_PREFIX + "_"):
+        prefix, _, rest = name.partition("_")
+        section, _, key = rest.lower().partition("_")
+        if prefix != ENV_PREFIX or not key:
             continue
-        rest = name[len(ENV_PREFIX) + 1 :]
-        section, _, key = rest.partition("_")
-        if not key:
-            continue
-        section, key = section.lower(), key.lower()
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value)
@@ -119,49 +125,6 @@ def load_parser(path, environ=None) -> configparser.ConfigParser:
     return parser
 
 
-class _Section:
-    """Typed accessors over one section with section.key error messages."""
-
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        if not parser.has_section(name):
-            raise ConfigError(f"missing required section [{name}]")
-        self.sec = parser[name]
-
-    def _get(self, key: str, cast, default):
-        if key not in self.sec:
-            if default is ...:
-                raise ConfigError(f"missing required key {self.name}.{key}")
-            return default
-        raw = self.sec[key].strip()
-        if raw == "" and default is not ...:
-            return default
-        try:
-            return cast(raw)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {self.name}.{key}: {exc}") from exc
-
-    def floatval(self, key, default=...):
-        return self._get(key, float, default)
-
-    def intval(self, key, default=...):
-        return self._get(key, int, default)
-
-    def strval(self, key, default=...):
-        return self._get(key, str, default)
-
-    def grid(self, key, default=...):
-        return self._get(key, parse_delta_grid, default)
-
-    def floatlist(self, key, default=...):
-        return self._get(key, lambda v: _floats(v, f"{self.name}.{key}"), default)
-
-    def operator(self, key, default=...):
-        return self._get(key, parse_operator, default)
-
-
 @dataclass(frozen=True)
 class EstimateSettings:
     fwd: Operator
@@ -175,23 +138,73 @@ class EstimateSettings:
     data: str | None
 
 
-def _load_model(parser) -> tuple[Operator, GaussianPrior, float, int, int]:
-    sec = _Section(parser, "model")
-    fwd = sec.operator("forward")
-    cov = sec.operator("prior_cov")
-    r = sec.floatval("prior_r", None)
+# section -> INI key -> (field it fills, parser, default, or ... for a required key)
+_TABLES = {
+    "model": {
+        "forward": ("fwd", parse_operator, ...),
+        "prior_cov": ("cov", parse_operator, ...),
+        "prior_r": ("r", _finite, None),
+        "s": ("s", _finite, ...),
+        "d": ("d", int, ...),
+        "n_per_dim": ("n_per_dim", int, ...),
+    },
+    "experiment": {
+        "mode": ("mode", _choice(MODES), ...),
+        "deltas": ("deltas", parse_delta_grid, ...),
+        "zetas": ("zetas", _floats, (0.0,)),
+        "replicates": ("n_replicates", int, 16),
+        "seed": ("master_seed", int, 42),
+        "threads": ("threads", int, 1),
+        "kappa": ("kappa", float, None),
+        "c0": ("c0", float, None),
+        "zeta1": ("zeta1", float, None),
+        "alpha": ("alpha", float, None),
+        "c1": ("c1", float, None),
+        "n_mc": ("n_mc", int, 2000),
+    },
+    "estimate": {
+        "delta": ("delta", float, ...),
+        "truth": ("truth", _choice(("prior", "hat", "zero")), "prior"),
+        "seed": ("seed", int, 42),
+        "data": ("data", str, None),
+    },
+}
+
+
+def _read(parser: configparser.ConfigParser, name: str) -> dict:
+    """Section [name] parsed through its table as {field: value}.  An unknown section, or a
+    key of [name] (``[DEFAULT]`` keys included) not in its table, is a ConfigError."""
+    unknown = [f"section [{s}]" for s in parser.sections() if s not in _TABLES]
+    sec = parser[name] if parser.has_section(name) else {}
+    unknown += [f"key {name}.{key}" for key in sec if key not in _TABLES[name]]
+    if unknown:
+        raise ConfigError("unknown " + ", ".join(unknown))
+    if not parser.has_section(name):
+        raise ConfigError(f"missing required section [{name}]")
+    values = {}
+    for key, (field, parse, default) in _TABLES[name].items():
+        raw = sec.get(key, "").strip()
+        if not raw and default is ...:
+            raise ConfigError(f"missing required key {name}.{key}")
+        try:
+            values[field] = parse(raw) if raw else default
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {name}.{key}: {exc}") from exc
+    return values
+
+
+def _load_model(parser) -> dict:
+    model = _read(parser, "model")
     try:
-        prior = gaussian_prior(cov, r)
+        model["prior"] = gaussian_prior(model.pop("cov"), model.pop("r"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for model.prior_cov: {exc}") from exc
-    s = sec.floatval("s")
-    d = sec.intval("d")
-    n = sec.intval("n_per_dim")
+    d, n = model["d"], model["n_per_dim"]
     if d not in (1, 2, 3):
         raise ConfigError(f"bad value for model.d: must be 1, 2 or 3, got {d}")
     if n < 4 or n % 2:
         raise ConfigError(f"bad value for model.n_per_dim: must be even and >= 4, got {n}")
-    return fwd, prior, s, d, n
+    return model
 
 
 def build_experiment_config(parser, **overrides) -> ExperimentConfig:
@@ -199,26 +212,7 @@ def build_experiment_config(parser, **overrides) -> ExperimentConfig:
 
     ``overrides`` (from CLI flags) win over file and environment values.
     """
-    fwd, prior, s, d, n = _load_model(parser)
-    sec = _Section(parser, "experiment")
-    mode = sec.strval("mode")
-    if mode not in MODES:
-        raise ConfigError(f"bad value for experiment.mode: {mode!r} not in {MODES}")
-    kwargs = dict(
-        mode=mode, fwd=fwd, prior=prior, s=s, d=d, n_per_dim=n,
-        deltas=sec.grid("deltas"),
-        zetas=sec.floatlist("zetas", (0.0,)),
-        n_replicates=sec.intval("replicates", 16),
-        master_seed=sec.intval("seed", 42),
-        threads=sec.intval("threads", 1),
-        kappa=sec.floatval("kappa", None),
-        c0=sec.floatval("c0", None),
-        zeta1=sec.floatval("zeta1", None),
-        alpha=sec.floatval("alpha", None),
-        c1=sec.floatval("c1", None),
-        n_mc=sec.intval("n_mc", 2000),
-    )
-    kwargs.update(overrides)
+    kwargs = {**_load_model(parser), **_read(parser, "experiment"), **overrides}
     try:
         return ExperimentConfig(**kwargs)
     except ValueError as exc:
@@ -226,22 +220,10 @@ def build_experiment_config(parser, **overrides) -> ExperimentConfig:
 
 
 def build_estimate_settings(parser, **overrides) -> EstimateSettings:
-    fwd, prior, s, d, n = _load_model(parser)
-    sec = _Section(parser, "estimate")
-    truth = sec.strval("truth", "prior")
-    if truth not in ("prior", "hat", "zero"):
-        raise ConfigError(f"bad value for estimate.truth: {truth!r} (prior, hat, or zero)")
-    if truth == "hat" and d != 2:
+    model, estimate = _load_model(parser), _read(parser, "estimate")
+    if estimate["truth"] == "hat" and model["d"] != 2:
         raise ConfigError("estimate.truth = hat requires model.d = 2")
-    kwargs = dict(
-        fwd=fwd, prior=prior, s=s, d=d, n_per_dim=n,
-        delta=sec.floatval("delta"),
-        seed=sec.intval("seed", 42),
-        truth=truth,
-        data=sec.strval("data", None),
-    )
-    kwargs.update(overrides)
-    settings = EstimateSettings(**kwargs)
+    settings = EstimateSettings(**{**model, **estimate, **overrides})
     if not (np.isfinite(settings.delta) and settings.delta > 0):
         raise ConfigError("bad value for estimate.delta: must be positive and finite, "
                           f"got {settings.delta}")

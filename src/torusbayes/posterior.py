@@ -456,7 +456,7 @@ def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | N
     else:
         if lattice is None:
             raise ValueError("lattice required for a multiplier covariance")
-        diag = symbol_values(cov, lattice).real
+        diag = _positive_real(symbol_values(cov, lattice))
     return float(np.sum(sobolev_weight(lattice, q) * diag))
 
 

@@ -11,6 +11,7 @@ returned prediction and emitted as :class:`HypothesisWarning`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,6 +44,10 @@ class SmoothnessParams:
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
+        for name in ("r", "s", "t", "t0", "zeta"):  # NaN fails every comparison below
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.t > self.t0:
             raise ValueError(f"t ({self.t}) must not exceed t0 ({self.t0})")
 

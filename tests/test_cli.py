@@ -89,6 +89,34 @@ class TestRates:
         assert main(["--version"]) == 0
 
 
+# two misspellings that, ignored, would leave replicates and seed at their defaults
+MISSPELLED_INI = (EXPERIMENT_INI.replace("replicates = 8", "replicats = 32")
+                  .replace("seed = 3\n", "\n[expriment]\nseed = 3\n"))
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize("command, text, named", [
+        ("experiment", MISSPELLED_INI, "[expriment]"),
+        ("experiment", EXPERIMENT_INI.replace("replicates = 8", "replicats = 32"),
+         "experiment.replicats"),
+        ("estimate", ESTIMATE_INI.replace("seed = 7", "sed = 7"), "estimate.sed"),
+        ("experiment", EXPERIMENT_INI.replace("s = 1.01", "s = nan"), "model.s"),
+        ("estimate", ESTIMATE_INI.replace("s = 1.01", "s = nan"), "model.s"),
+        ("experiment", EXPERIMENT_INI.replace("s = 1.01", "s = 1.01\nprior_r = inf"),
+         "model.prior_r"),
+    ], ids=["section", "experiment-key", "estimate-key", "experiment-s-nan", "estimate-s-nan",
+            "prior-r-inf"])
+    def test_exits_two_before_any_output(self, tmp_path, capsys, command, text, named):
+        out = tmp_path / "run"
+        assert main([command, "--config", write_ini(tmp_path, text), "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rates_non_finite_exits_two(self, capsys):
+        assert main(["rates", "--r", "nan", "--s", "1.01", "--t", "2", "--t0", "2"]) == 2
+        assert "r must be finite, got nan" in capsys.readouterr().err
+
+
 class TestEstimate:
     def test_writes_outputs_and_manifest(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, ESTIMATE_INI)

@@ -1,8 +1,12 @@
 """INI parsing, operator grammar, env overlay."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from torusbayes import config
 from torusbayes.config import (
     ConfigError,
     build_estimate_settings,
@@ -194,3 +198,80 @@ class TestEstimateSection:
         text = ESTIMATE_INI.replace("[estimate]", "prior_r = 1.5\n\n[estimate]")
         settings = build_estimate_settings(load(tmp_path, text))
         assert settings.prior.r == 1.5
+
+
+class TestUnknownNames:
+    @pytest.mark.parametrize("section, good, bad", [
+        ("model", "n_per_dim = 16", "n_per_dm = 16"),
+        ("experiment", "replicates = 8", "replicats = 32"),
+    ], ids=["model", "experiment"])
+    def test_misspelled_key(self, tmp_path, section, good, bad):
+        name = bad.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"unknown key {section}\.{name}\b"):
+            build_experiment_config(load(tmp_path, BASE_INI.replace(good, bad)))
+
+    def test_misspelled_estimate_key(self, tmp_path):
+        text = ESTIMATE_INI.replace("truth = hat", "truht = hat")
+        with pytest.raises(ConfigError, match=r"unknown key estimate\.truht"):
+            build_estimate_settings(load(tmp_path, text))
+
+    @pytest.mark.parametrize("text, name", [
+        (BASE_INI + "\n[expriment]\nreplicates = 32\n", "expriment"),
+        (BASE_INI.replace("[model]", "[modle]"), "modle"),
+    ], ids=["stray", "in-place-of-model"])
+    def test_misspelled_section(self, tmp_path, text, name):
+        with pytest.raises(ConfigError, match=rf"unknown section \[{name}\]"):
+            build_experiment_config(load(tmp_path, text))
+
+    def test_unknown_env_key(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(BASE_INI)
+        parser = load_parser(path, environ={"TORUSBAYES_EXPERIMENT_REPLICATS": "32"})
+        with pytest.raises(ConfigError, match=r"unknown key experiment\.replicats"):
+            build_experiment_config(parser)
+
+    def test_default_section_keys_are_checked(self, tmp_path):
+        text = "[DEFAULT]\nseed = 7\n" + BASE_INI
+        with pytest.raises(ConfigError, match=r"unknown key model\.seed"):
+            build_experiment_config(load(tmp_path, text))
+
+    def test_empty_required_key_is_missing(self, tmp_path):
+        text = BASE_INI.replace("s = 1.01", "s =")
+        with pytest.raises(ConfigError, match=r"missing required key model\.s"):
+            build_experiment_config(load(tmp_path, text))
+
+
+class TestNonFiniteModel:
+    @pytest.mark.parametrize("key, line", [("s", "s = nan"), ("s", "s = inf"),
+                                           ("prior_r", "s = 1.01\nprior_r = inf"),
+                                           ("prior_r", "s = 1.01\nprior_r = -inf")],
+                             ids=["s-nan", "s-inf", "prior_r-inf", "prior_r-minus-inf"])
+    def test_rejected_by_name(self, tmp_path, key, line):
+        text = BASE_INI.replace("s = 1.01", line)
+        with pytest.raises(ConfigError, match=rf"bad value for model\.{key}: must be finite"):
+            build_experiment_config(load(tmp_path, text))
+        text = ESTIMATE_INI.replace("s = 1.01", line)
+        with pytest.raises(ConfigError, match=rf"bad value for model\.{key}: must be finite"):
+            build_estimate_settings(load(tmp_path, text))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def doc_table_keys(section: str) -> list[str]:
+    """First-column keys of the table under ``## [section]`` in docs/config.md."""
+    text = (ROOT / "docs" / "config.md").read_text()
+    body = text.split(f"## [{section}]\n", 1)[1]
+    return re.findall(r"^\| `(\w+)` \|", body.split("\n## ", 1)[0], flags=re.M)
+
+
+@pytest.mark.parametrize("section", ["model", "experiment", "estimate"])
+def test_docs_list_every_key_of_the_reader(section):
+    assert doc_table_keys(section) == list(config._TABLES[section])
+
+
+def test_readme_minimal_config_parses(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    ini = readme.split("A minimal experiment config:\n\n```ini\n", 1)[1].split("```", 1)[0]
+    cfg = build_experiment_config(load(tmp_path, ini))
+    assert (cfg.mode, cfg.n_per_dim, cfg.zetas) == ("bayes", 128, (-3.5, 0.0))

@@ -1175,6 +1175,11 @@ class TestPosteriorTrace:
         dense = posterior_trace(posterior_covariance_update(model, lat), 1.0)
         assert abs(diag - dense) < 1e-10
 
+    def test_symbol_not_real_rejected(self):
+        cov = gaussian_prior(heat_op(1)).cov
+        with pytest.raises(ValueError, match="strictly positive real"):
+            posterior_trace(cov, 0.0, build_lattice(2, 8))
+
 
 class TestSampling:
     def test_samples_collapse_with_delta(self):

@@ -63,6 +63,12 @@ class TestSmoothnessParams:
         with pytest.raises(ValueError):
             params(t=3.0, t0=2.0)
 
+    @pytest.mark.parametrize("name", ["r", "s", "t", "t0", "zeta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            params(**{name: value})
+
 
 class TestBayesRate:
     def test_worked_example_exact(self):
