@@ -128,14 +128,16 @@ MUTANTS = (
     Mutant("diagonal-mean-conj", POSTERIOR,
            "np.divide(np.multiply(np.conj(a), m, out=mean), asq + prec, out=mean)",
            "np.divide(np.multiply(a, m, out=mean), asq + prec, out=mean)"),
-    # the exact ball's log MGF, computed once when there is no convergence factor
-    Mutant("ball-tau-shortcut", BALL,
-           "if tau > 0:  # at tau = 0", "if tau >= 0:  # at tau = 0"),
+    # the lone-pair tail: X >= x iff N_{x/2} <= N_{nc/2}, the Poisson mean of the mixture
+    # nc / 2, here nc
+    Mutant("ball-pair-poisson-mean", BALL,
+           "lo_nc, p_nc, out_nc = _poisson_window(0.5 * nc)",
+           "lo_nc, p_nc, out_nc = _poisson_window(nc)"),
     # the truncation share of the stated bound, which sets the cut-off: understated tenfold,
     # the sum stops early and only the exact tails of several groups see it
     Mutant("ball-truncation-bound-constant", BALL,
-           "best = 2.0 / (math.pi * h_big) * math.exp(log_rest + log_big)",
-           "best = 0.2 / (math.pi * h_big) * math.exp(log_rest + log_big)"),
+           "return 2.0 / (math.pi * h_big) * math.exp(log_rest + log_big)",
+           "return 0.2 / (math.pi * h_big) * math.exp(log_rest + log_big)"),
     # the field-CSV writer: a reused mate's text with the sign of im flipped
     Mutant("csv-mate-sign-flip", CLI,
            'text = text.replace(b",-", b"|").replace(b",", b",-").replace(b"|", b",")',

@@ -19,19 +19,53 @@ from .lattice import FrequencyLattice, _mode_groups, _rows_to_cosine_sine, sobol
 
 # Shares of the error bound stated by MultiplierBall._escape_probs, each an
 # absolute probability: aliasing on either side of the integration period,
-# truncation of the integral, the Gaussian convergence factor, and the
-# Chernoff bound below which a far tail is settled as exactly 0 or 1.
+# truncation of the integral, and the Chernoff bound below which a far tail
+# is settled as exactly 0 or 1.
 _ALIAS_TOL = 1e-11
 _TRUNC_TOL = 1e-11
-_SMOOTH_TOL = 1e-11
 _TAIL_TOL = 1e-11
-# A grid holds at most this many (group, node) terms; where the cut-off
-# needs more, the larger truncation bound is stated as it is.
+# A grid holds at most this many (group, node) terms, and a Poisson window of
+# _pair_tail this many counts; where the cut-off or the window needs more, the
+# larger truncation or left-out bound is stated as it is.
 _MAX_TERMS = 1 << 22
 # Chernoff parameters in units of 1 / (2 max lambda): the upper tail needs
 # 0 < t < 1 / (2 max lambda), the lower tail any t > 0.
 _S_UPPER = np.concatenate([np.geomspace(1e-9, 0.5, 120), 1.0 - np.geomspace(0.5, 1e-12, 101)[1:]])
 _S_LOWER = np.geomspace(1e-9, 1e15, 250)
+
+
+def _poisson_window(m: float) -> tuple[int, np.ndarray, float]:
+    """For N ~ Poisson(m), m > 0: the first count lo of the counts within about
+    sqrt(60 m) + 60 of m (at most _MAX_TERMS), their probabilities, from log ratios summed
+    outward from the mode (no ``lgamma`` of a large count cancels) and normalised over the
+    window, and the Chernoff bound e^-m (e m / j)^j on the mass left out on each side."""
+    mode = math.floor(m)
+    half = min(math.ceil(math.sqrt(60.0 * m) + 60.0), (_MAX_TERMS - 1) // 2)
+    lo, k = max(0, mode - half), min(mode, half)
+    step = np.log(m / np.arange(lo + 1, mode + half + 1))  # log P(N = j) / P(N = j - 1)
+    prob = np.exp(np.concatenate([np.cumsum(-step[:k][::-1])[::-1], [0.0], np.cumsum(step[k:])]))
+    out = [math.exp(j - m + j * math.log(m / j)) if j else math.exp(-m)
+           for j in (lo - 1, mode + half + 1) if j >= 0]
+    return lo, prob / prob.sum(), sum(out)
+
+
+def _pair_tail(x: float, nc: float) -> tuple[float, float]:
+    """P(X >= x) for X ~ chi^2(2, nc), x > 0, and a bound on its absolute error.
+
+    X >= x iff N_{x/2} <= N_{nc/2} for independent Poisson counts (the Poisson mixture of
+    the noncentral chi-square): e^{-x/2} for nc = 0, else the sum of P(N_{nc/2} = j)
+    P(N_{x/2} <= j) over the windows of :func:`_poisson_window`.  The bound is twice the
+    mass they leave out plus rounding: a probability d counts from the mode sums d log
+    ratios, so it is off by about d eps relative."""
+    eps = np.finfo(float).eps
+    if nc == 0:
+        return math.exp(-0.5 * x), 8.0 * eps
+    lo_x, p_x, out_x = _poisson_window(0.5 * x)
+    lo_nc, p_nc, out_nc = _poisson_window(0.5 * nc)
+    cdf_x = np.concatenate([[0.0], np.cumsum(p_x)])  # P(N_{x/2} <= lo_x + i - 1)
+    at = np.clip(np.arange(lo_nc, lo_nc + p_nc.size) - lo_x + 1, 0, p_x.size)
+    p = min(max(float(p_nc @ cdf_x[at]), 0.0), 1.0)
+    return p, 2.0 * (out_x + out_nc) + 8.0 * eps * (p_x.size + p_nc.size)
 
 
 class _Grid:
@@ -47,8 +81,7 @@ class _Grid:
         terms = np.outer(ball.lam, -2j * self.u)
         terms += 1.0
         self.log_phi = -0.5 * (ball.dof @ np.log(terms, out=terms))
-        self.log_phi -= 0.5 * (ball.tau * self.u) ** 2
-        self.truncation = ball._truncation_bound(self.u[-1], ball.tau)
+        self.truncation = ball._truncation_bound(self.u[-1])
 
 
 class MultiplierBall:
@@ -146,11 +179,9 @@ class MultiplierBall:
         order = np.argsort(group, kind="stable")
         self._nc_coef = (coef[live] / quad**2)[order]
         self._starts = np.flatnonzero(np.diff(group[order], prepend=-1))
-        self.tau = 0.0
-        self._kink = 0.0
         if self.lam.size:
             self._chernoff_tables()
-            self._choose_cutoff()
+            self.cutoff = self._cutoff_for()
         return live[order]
 
     def _chernoff_tables(self):
@@ -179,97 +210,51 @@ class MultiplierBall:
         kn_lo /= den
         return kn_up, kn_lo
 
-    def _log_mgf(self, nc: np.ndarray, tau: float, kn=None):
-        """log E exp(t (Q + tau Z)) on the upper grid and at -t on the lower one, one row per
-        row of the (n, G) noncentralities ``nc`` with the tables ``kn`` of
+    def _log_mgf(self, nc: np.ndarray, kn=None):
+        """log E exp(t Q) on the upper grid and at -t on the lower one, one row per row of
+        the (n, G) noncentralities ``nc`` with the tables ``kn`` of
         :meth:`_noncentral_tables`, one product per table; without ``kn`` the central
         law's one row."""
-        k_up, k_lo = self._k_up[None], self._k_lo[None]
-        if kn is not None:
-            k_up, k_lo = self._k_up + nc @ kn[0], self._k_lo + nc @ kn[1]
-        return k_up + 0.5 * (tau * self._t_up) ** 2, k_lo + 0.5 * (tau * self._t_lo) ** 2
+        if kn is None:
+            return self._k_up[None], self._k_lo[None]
+        return self._k_up + nc @ kn[0], self._k_lo + nc @ kn[1]
 
     def _log_tails(self, k_up, k_lo, y: np.ndarray):
-        """Chernoff log bounds on P(X_i >= y_i) and P(X_i <= y_i) for the log MGF rows.
-
-        A product t y past the float range is inf, which gives each bound its limit.
-        """
+        """Chernoff log bounds on P(X_i >= y_i) and P(X_i <= y_i) for the log MGF rows; a
+        product t y past the float range is inf, which gives each bound its limit."""
         with np.errstate(over="ignore"):
             return (np.minimum(0.0, np.min(k_up - self._t_up * y[:, None], axis=1)),
                     np.minimum(0.0, np.min(k_lo + self._t_lo * y[:, None], axis=1)))
 
-    def _truncation_bound(self, u: float, tau: float) -> float:
-        """Bound on (1/pi) int_u^inf |phi(v)| exp(-tau^2 v^2 / 2) / v dv.
-
-        |phi(v)| <= prod_g (1 + 4 lambda_g^2 v^2)^(-h_g / 4).  For v >= u
-        each factor is at most its value at u, and for the groups with
-        x_g = 2 lambda_g u > 1 also at most (2 lambda_g v)^(-h_g / 2); the
-        power law integrates to the plain bound, the convergence factor to
-        the Gaussian one (int_u^inf exp(-a v^2) / v dv <= exp(-a u^2) / (2 a u^2)).
-        """
+    def _truncation_bound(self, u: float) -> float:
+        """Bound on (1/pi) int_u^inf |phi(v)| / v dv: |phi(v)| <= prod_g (1 + 4 lambda_g^2
+        v^2)^(-h_g / 4), and for v >= u each factor is at most its value at u and, for the
+        groups with x_g = 2 lambda_g u > 1, at most (2 lambda_g v)^(-h_g / 2), a power law
+        that integrates to the bound."""
         x = 2.0 * self.lam * u
         big = x > 1.0
-        log_rest = -0.25 * float(self.dof[~big] @ np.log1p(x[~big] ** 2))
         h_big = float(self.dof[big].sum())
-        best = math.inf
-        if h_big > 0:
-            log_big = -0.5 * float(self.dof[big] @ np.log(x[big]))
-            best = 2.0 / (math.pi * h_big) * math.exp(log_rest + log_big)
-        if tau > 0:
-            log_phi = log_rest - 0.25 * float(self.dof[big] @ np.log1p(x[big] ** 2))
-            v = (tau * u) ** 2
-            best = min(best, math.exp(log_phi - 0.5 * v) / (math.pi * v))
-        return best
+        if h_big == 0:
+            return math.inf
+        log_rest = -0.25 * float(self.dof[~big] @ np.log1p(x[~big] ** 2))
+        log_big = -0.5 * float(self.dof[big] @ np.log(x[big]))
+        return 2.0 / (math.pi * h_big) * math.exp(log_rest + log_big)
 
-    def _cutoff_for(self, tau: float) -> float:
+    def _cutoff_for(self) -> float:
         """Smallest node u (to 1%) whose truncation bound is below _TRUNC_TOL."""
         hi = 1.0 / (2.0 * self.lam[-1])
-        while self._truncation_bound(hi, tau) > _TRUNC_TOL:
+        while self._truncation_bound(hi) > _TRUNC_TOL:
             hi *= 2.0
             if hi * self.lam[-1] > 1e30:
                 return math.inf
         lo = hi / 2.0
         while hi > 1.01 * lo:
             mid = math.sqrt(lo * hi)
-            if self._truncation_bound(mid, tau) > _TRUNC_TOL:
+            if self._truncation_bound(mid) > _TRUNC_TOL:
                 lo = mid
             else:
                 hi = mid
         return hi
-
-    def _choose_cutoff(self):
-        """Plain truncation, or a Gaussian convergence factor when that is shorter.
-
-        With Z ~ N(0, 1) independent, P(Q + tau Z < c) differs from
-        P(Q < c) by at most tau^2 sup|f_Q'| / 2 when f_Q is Lipschitz.  A
-        group A = lambda chi^2(h, nc) gives sup|f_A'| <= 1 / (4 lambda^2) for
-        h = 2 or h >= 4 (f_h' = (f_{h-2} - f_h) / 2 with 0 <= f_k <= 1/2),
-        and f_Q' = f_A' * law(Q - A).  For h = 2 the density of A jumps by
-        kink <= 1 / (2 lambda) at 0, which adds kink tau^2 sup f_B when the
-        rest B has a bounded density (another group with h >= 2), or
-        kink tau phi(c / tau) when A is all of Q.
-        """
-        self.cutoff = self._cutoff_for(0.0)
-        eligible = np.flatnonzero((self.dof == 2) | (self.dof >= 4))
-        if eligible.size == 0:
-            return
-        a = eligible[-1]
-        curvature = 1.0 / (4.0 * self.lam[a] ** 2)
-        kink = 0.0
-        coef = 0.5 * curvature
-        if self.dof[a] == 2:
-            kink = 1.0 / (2.0 * self.lam[a])
-            others = np.flatnonzero(self.dof >= 2)
-            others = others[others != a]
-            if others.size:
-                coef += kink / (2.0 * self.lam[others[-1]])
-            elif self.lam.size > 1:
-                return
-        tau = math.sqrt(_SMOOTH_TOL / coef)
-        cutoff = self._cutoff_for(tau)
-        if cutoff < self.cutoff:
-            self.cutoff, self.tau = cutoff, tau
-            self._kink = kink if self.lam.size == 1 else 0.0
 
     def _noncentralities(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Noncentralities nc (n, G) and shifts R (n,) of an (n, K) stack of offsets."""
@@ -326,8 +311,9 @@ class MultiplierBall:
         mass P(X >= c + span) + P(X < c - span), bounded by Chernoff; the
         cut-off of the sum comes from the truncation bound.  The result is
         clamped to [0, 1] and to the Chernoff bounds of Q, which settle far
-        tails as exactly 0 or 1.  The stated bound adds aliasing,
-        truncation, the convergence factor and a floating-point allowance.
+        tails as exactly 0 or 1.  The stated bound adds aliasing, truncation
+        and a floating-point allowance.  A lone real mode, and a lone group of
+        two degrees of freedom (:func:`_pair_tail`), take their closed forms.
         A radius whose square is past the float range, inf too, gives P = 0 with
         bound 0.
 
@@ -364,7 +350,7 @@ class MultiplierBall:
         if offsets is not None:
             buf = np.empty(self.lam.size * (self._t_up.size + 2 * self._t_lo.size))
             kn = self._noncentral_tables(buf)
-        k_up, k_lo = self._log_mgf(nc, 0.0, kn)
+        k_up, k_lo = self._log_mgf(nc, kn)
         log_up, log_lo = self._log_tails(k_up, k_lo, c)
         log_tol = math.log(_TAIL_TOL)
         for i, up, lo in zip(rows.tolist(), log_up.tolist(), log_lo.tolist()):
@@ -376,19 +362,18 @@ class MultiplierBall:
         if not keep.any():
             return p, bound
         rows, nc, c, log_up, log_lo = rows[keep], nc[keep], c[keep], log_up[keep], log_lo[keep]
+        if self.dof.tolist() == [2.0]:  # a lone pair: lambda chi^2(2, nc)
+            for r, i in enumerate(rows.tolist()):
+                p[i], bound[i] = _pair_tail(c[r] / self.lam[0], nc[r, 0])
+            return p, bound
 
-        tau = self.tau
-        if tau > 0:  # at tau = 0 the log MGF of Q + tau Z is the one above
-            k_up, k_lo = self._log_mgf(nc, tau, kn)
-        else:
-            k_up, k_lo = k_up[keep], k_lo[keep]
+        k_up, k_lo = k_up[keep], k_lo[keep]
         del kn  # read no more: the node tables reuse its buffer
         log_eps = math.log(_ALIAS_TOL)
         y_up = np.min((k_up - log_eps) / self._t_up, axis=1)
         y_lo = np.max((log_eps - k_lo) / self._t_lo, axis=1)
-        floor = y_lo if tau > 0 else np.maximum(y_lo, 0.0)
         exponents = np.array([math.ceil(math.log2(x))
-                              for x in np.maximum(y_up - c, c - floor).tolist()])
+                              for x in np.maximum(y_up - c, c - np.maximum(y_lo, 0.0)).tolist()])
         span = 2.0**exponents
         alias_up = self._log_tails(k_up, k_lo, c + span)[0]
         alias_lo = self._log_tails(k_up, k_lo, c - span)[1]
@@ -413,14 +398,10 @@ class MultiplierBall:
         eps = np.finfo(float).eps
         for r, i in enumerate(rows.tolist()):
             alias = math.exp(alias_up[r])
-            if tau > 0 or c[r] > span[r]:
+            if c[r] > span[r]:
                 alias += math.exp(alias_lo[r])
             p_i = 0.5 + total[r] / math.pi
             p_i = min(max(p_i, 0.0), 1.0, math.exp(log_up[r]))
             p[i] = max(p_i, 1.0 - math.exp(log_lo[r]))
-            smoothing = _SMOOTH_TOL if tau > 0 else 0.0
-            if self._kink:
-                smoothing += (self._kink * tau * math.exp(-0.5 * (c[r] / tau) ** 2)
-                              / math.sqrt(2 * math.pi))
-            bound[i] = alias + truncation[r] + smoothing + eps * rounding[r] / math.pi
+            bound[i] = alias + truncation[r] + eps * rounding[r] / math.pi
         return p, bound

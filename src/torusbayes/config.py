@@ -6,8 +6,9 @@ product expressions over the built-in constructors, e.g.
     forward = bessel(-1)
     prior_cov = bessel(-1) * bessel(-1)
 
-Values can be overridden by environment variables named
-TORUSBAYES_<SECTION>_<KEY> (CLI flags take precedence over both).
+Values are read literally: ``%`` starts no interpolation.  They can be
+overridden by environment variables named TORUSBAYES_<SECTION>_<KEY> (CLI
+flags take precedence over both).
 """
 
 from __future__ import annotations
@@ -100,20 +101,24 @@ def _choice(options: tuple[str, ...]):
 
 
 def apply_env(parser: configparser.ConfigParser, environ=None):
-    """Overlay TORUSBAYES_<SECTION>_<KEY> environment values onto the parser."""
+    """Overlay TORUSBAYES_<SECTION>_<KEY> environment values onto the parser; a TORUSBAYES_
+    variable with no such split is a ConfigError."""
     environ = os.environ if environ is None else environ
     for name, value in environ.items():
-        prefix, _, rest = name.partition("_")
-        section, _, key = rest.lower().partition("_")
-        if prefix != ENV_PREFIX or not key:
+        prefix, sep, rest = name.partition("_")
+        if prefix != ENV_PREFIX or not sep:
             continue
+        section, _, key = rest.lower().partition("_")
+        if not section or not key:
+            raise ConfigError(f"environment variable {name} is not named "
+                              f"{ENV_PREFIX}_<SECTION>_<KEY>")
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value)
 
 
 def load_parser(path, environ=None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)

@@ -80,9 +80,8 @@ __all__ = [
 ]
 
 CG_TOL = 1e-10
-# the package's one lock: guards every array kept between calls, in GaussianModel._diag
-# and the operators' _cs (see _kept and _pencil); re-entrant, as a prior may be another
-# model's posterior
+# the package's one lock: guards every array kept between calls, in the operators' _cs
+# (see _kept and _pencil); re-entrant, as a prior may be another model's posterior
 _DIAG_LOCK = threading.RLock()
 
 
@@ -104,9 +103,8 @@ class GaussianModel:
     checked at construction; violations are warnings stored in
     ``hypothesis_messages``, never errors, so off-regime experiments run.
 
-    A diagonal model keeps the arrays its solves read per lattice, read-only
-    (see :func:`_diag_weights`), so each symbol is evaluated once per noise
-    level.  Any other model reads the pencil its forward operator keeps,
+    A model keeps no arrays: a diagonal model reads the symbols its operators keep
+    (see :func:`_diag_weights`), any other the pencil its forward operator keeps, both
     shared by every noise level (see :func:`_pencil`).
     """
 
@@ -116,7 +114,6 @@ class GaussianModel:
     d: int
     delta: float
     hypothesis_messages: tuple[str, ...] = field(init=False)
-    _diag: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.delta) and self.delta > 0):  # NaN fails every comparison
@@ -201,13 +198,10 @@ def _prior_form(cov: Operator, lattice: FrequencyLattice) -> np.ndarray:
 
 
 def _diag_weights(model: GaussianModel, lattice: FrequencyLattice):
-    """The forward symbol a, |a|^2 and delta^2 / c_U of a diagonal ``model`` on ``lattice``:
-    built once, read-only; a is the symbol :func:`_symbol` keeps on the operator."""
-    def make():
-        a = _symbol(model.fwd, lattice)
-        return a, np.abs(a) ** 2, model.delta**2 / _prior_symbol(model.prior.cov, lattice)
-
-    return _kept(model._diag, lattice, make)
+    """The forward symbol a, |a|^2 and delta^2 / c_U of a diagonal ``model`` on ``lattice``,
+    from the symbols :func:`_symbol` and :func:`_prior_symbol` keep on the operators."""
+    a = _symbol(model.fwd, lattice)
+    return a, np.abs(a) ** 2, model.delta**2 / _prior_symbol(model.prior.cov, lattice)
 
 
 def _values(op: Operator, lattice: FrequencyLattice) -> np.ndarray:

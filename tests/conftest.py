@@ -2,10 +2,12 @@
 
 Besides the unblocked cosine/sine transcription they are the oracles that no
 production path calls: the direct dense MAP solve, the Monte Carlo ball
-probabilities and the exact tail of a central law of conjugate pairs.
+probabilities, the exact tail of a central law of conjugate pairs and the
+quadrature tail of one noncentral pair.
 """
 
 import decimal
+import math
 
 import numpy as np
 import pytest
@@ -152,3 +154,26 @@ def _hypoexponential_tail(lam, c: float) -> float:
 def hypoexponential_tail():
     """The exact tail of a central law whose groups are all conjugate pairs."""
     return _hypoexponential_tail
+
+
+def _noncentral_pair_tail(x: float, nc: float) -> float:
+    """P(X >= x) for X ~ chi^2(2, nc): one minus the integral over [0, x] of the density
+    exp(-(t + nc) / 2) I_0(sqrt(nc t)) / 2, by 32-point Gauss-Legendre on panels of width at
+    most 1/2.  The density is written exp(-(sqrt(t) - sqrt(nc))^2 / 2) e^-z I_0(z) / 2,
+    z = sqrt(nc t), so nothing underflows; ``np.i0`` overflows past z = 700."""
+    if nc * x > 700.0**2:
+        raise ValueError(f"sqrt(nc x) = {math.sqrt(nc * x):g} is past the range of np.i0")
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(0.0, x, math.ceil(2.0 * x) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = edges[:-1, None] + half * (1.0 + nodes)
+    z = np.sqrt(nc * t)
+    density = 0.5 * np.exp(-0.5 * (np.sqrt(t) - math.sqrt(nc)) ** 2 - z) * np.i0(z)
+    return 1.0 - float(np.sum(half * weights * density))
+
+
+@pytest.fixture
+def noncentral_pair_tail():
+    """The tail of a noncentral chi-square with two degrees of freedom, by quadrature of its
+    density: an oracle for the ball law of one group of two degrees of freedom."""
+    return _noncentral_pair_tail

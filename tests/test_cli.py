@@ -112,6 +112,15 @@ class TestConfigRejections:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_env_name_without_key_exits_two(self, tmp_path, capsys, monkeypatch):
+        # TORUSBAYES_SEED names no section: it would otherwise leave the seed at its default
+        monkeypatch.setenv("TORUSBAYES_SEED", "3")
+        out = tmp_path / "run"
+        assert main(["estimate", "--config", write_ini(tmp_path, ESTIMATE_INI),
+                     "--out", str(out)]) == 2
+        assert "TORUSBAYES_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rates_non_finite_exits_two(self, capsys):
         assert main(["rates", "--r", "nan", "--s", "1.01", "--t", "2", "--t0", "2"]) == 2
         assert "r must be finite, got nan" in capsys.readouterr().err
@@ -169,6 +178,20 @@ class TestEstimate:
         out = tmp_path / "run"
         assert main(["estimate", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "data.csv").read_bytes() == path.read_bytes()
+
+    def test_percent_in_data_path_read_literally(self, tmp_path):
+        # no interpolation: a % in a value is a % of the path, with no traceback
+        cfg = write_ini(tmp_path, ESTIMATE_INI)
+        first = tmp_path / "first"
+        assert main(["estimate", "--config", cfg, "--out", str(first)]) == 0
+        odd = tmp_path / "out%20dir"
+        odd.mkdir()
+        (odd / "d.csv").write_bytes((first / "data.csv").read_bytes())
+        reuse = ESTIMATE_INI.replace("truth = hat", f"truth = hat\ndata = {odd / 'd.csv'}")
+        second = tmp_path / "second"
+        assert main(["estimate", "--config", write_ini(tmp_path, reuse, "reuse.ini"),
+                     "--out", str(second)]) == 0
+        assert (first / "map.csv").read_bytes() == (second / "map.csv").read_bytes()
 
     def test_overwrite_refused_then_forced(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, ESTIMATE_INI)

@@ -150,6 +150,19 @@ class TestEnvOverlay:
         cfg = build_experiment_config(load(tmp_path, BASE_INI))
         assert cfg.n_per_dim == 32
 
+    @pytest.mark.parametrize("name", ["TORUSBAYES_SEED", "TORUSBAYES_", "TORUSBAYES__SEED"])
+    def test_name_without_section_and_key_rejected(self, tmp_path, name):
+        path = tmp_path / "run.ini"
+        path.write_text(BASE_INI)
+        with pytest.raises(ConfigError, match=rf"environment variable {name} is not named"):
+            load_parser(path, environ={name: "3"})
+
+    def test_other_variables_ignored(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(BASE_INI)
+        parser = load_parser(path, environ={"TORUSBAYES": "3", "TORUSBAYESX_SEED": "3"})
+        assert build_experiment_config(parser).master_seed == 11
+
 
 ESTIMATE_INI = """
 [model]
@@ -172,6 +185,11 @@ class TestEstimateSection:
         assert settings.truth == "hat"
         assert settings.seed == 42
         assert settings.data is None
+
+    @pytest.mark.parametrize("value", ["out%20dir/d.csv", "a%%b", "%(x)s"])
+    def test_percent_read_literally(self, tmp_path, value):
+        text = ESTIMATE_INI.replace("truth = hat", f"truth = hat\ndata = {value}")
+        assert build_estimate_settings(load(tmp_path, text)).data == value
 
     def test_bad_truth(self, tmp_path):
         text = ESTIMATE_INI.replace("truth = hat", "truth = sombrero")

@@ -134,18 +134,25 @@ class TestMapEstimate:
         model = quiet_model(bessel_op(-1.0), gaussian_prior(bessel_op(-1.0)), 0.51, 1, 0.05)
         m = SpectralField(lat, sample_white_noise(lat, 5).coeffs)
         first = map_estimate(model, m)
-        stored = model._diag[lat]
-        assert len(stored) == 3 and not any(arr.flags.writeable for arr in stored)
+        # a model keeps nothing of its own: a diagonal one reads the symbols its operators
+        # keep, read-only, which a model of another noise level reads too
+        keeps_nothing = lambda mdl: set(vars(mdl)) == {f.name for f in dataclasses.fields(mdl)}
+        a, c_u = model.fwd._cs["symbol", lat], model.prior.cov._cs["prior symbol", lat]
+        assert keeps_nothing(model) and not a.flags.writeable and not c_u.flags.writeable
+        assert np.array_equal(a, symbol_values(model.fwd, lat))
         assert map_estimate(model, m).coeffs.tobytes() == first.coeffs.tobytes()
-        assert model._diag[lat] is stored
-        # a dense model keeps nothing of its own: its forward map keeps the pencil [lam; F],
-        # read-only, with the prior form it was built for, K values: the even c_U in
-        # cosine/sine order; F^T C_U^{-1} F = I and F^T A_cs^T A_cs F = diag(lam)
+        other = quiet_model(model.fwd, model.prior, 0.51, 1, 0.1)
+        map_estimate(other, m)
+        assert model.fwd._cs["symbol", lat] is a
+        assert model.prior.cov._cs["prior symbol", lat] is c_u
+        # a dense model's forward map keeps the pencil [lam; F], read-only, with the prior
+        # form it was built for, K values: the even c_U in cosine/sine order;
+        # F^T C_U^{-1} F = I and F^T A_cs^T A_cs F = diag(lam)
         dense_lat, dense = dense_model
         k = dense_lat.size
         dense_m = SpectralField(dense_lat, sample_white_noise(dense_lat, 5).coeffs)
         first = map_estimate(dense, dense_m)
-        assert dense_lat not in dense._diag
+        assert keeps_nothing(dense)
         c_form, block = stored = dense.fwd._cs["pencil", dense_lat]
         assert block.shape == (k + 1, k) and block.dtype == np.float64
         assert not c_form.flags.writeable and not block.flags.writeable
@@ -1336,7 +1343,7 @@ def batch_cases():
     """(ball, radius, (n, K) offsets) stacks for the batched law: rows on different grid
     periods, far tails that Chernoff settles as 0 and as 1, and rows with c <= 0."""
     pair, lat = lone_modes_ball({1: 0.6, 7: 0.8})
-    assert pair.tau > 0
+    assert pair.dof.tolist() == [2.0]
     rows = np.zeros((6, lat.size), dtype=complex)
     for row, x in zip(rows, [0.0, 3.0, 6.0, 8.0, 15.0]):
         row[1], row[7] = 0.6 * x, 0.8 * x  # B / A = x real: R = 0, nc = 2 x^2
@@ -1355,7 +1362,7 @@ def batch_cases():
 
 
 class TestMultiplierBall:
-    @pytest.mark.parametrize("case", range(3), ids=["pair-tau", "lone-real", "bessel-16"])
+    @pytest.mark.parametrize("case", range(3), ids=["lone-pair", "lone-real", "bessel-16"])
     def test_batch_rows_equal_one_row_calls(self, case, monkeypatch):
         ball, radius, offsets = list(batch_cases())[case]
         periods, real = [], ball_module._Grid
@@ -1368,8 +1375,11 @@ class TestMultiplierBall:
         p, bound = ball._escape_probs(radius, offsets)
         c = radius**2 - ball._noncentralities(offsets)[1]
         assert np.any((c <= 0) & (p == 1.0) & (bound == 0.0))
-        if ball.dof.sum() > 1:
+        if ball.lam.size > 1:
             assert len(set(periods)) >= 2 and len(periods) == len(set(periods))
+        else:  # a lone mode or pair takes its closed form
+            assert not periods
+        if ball.dof.sum() > 1:
             assert np.any((c > 0) & (p == 0.0)) and np.any((c > 0) & (p == 1.0))
         # not bit for bit: at small sizes OpenBLAS rounds a product by its row count
         for row, p_i, bound_i in zip(offsets, p, bound):
@@ -1435,25 +1445,31 @@ class TestMultiplierBall:
         ball, _ = lone_modes_ball({1: 0.6, 7: 0.8})
         assert ball.lam.tolist() == [0.5] and ball.dof.tolist() == [2.0]
         p, bound = escape_row(ball, np.sqrt(x))
-        assert abs(p - np.exp(-x / (2 * 0.5))) <= 1e-10 and bound <= 1e-10
+        assert abs(p - np.exp(-x / (2 * 0.5))) <= 1e-15 and bound <= 1e-14
 
-    def test_log_mgf_evaluated_once_without_convergence_factor(self, monkeypatch):
-        # at tau = 0 the log MGF of the tail bounds is the one the grid needs
-        calls, real = [], MultiplierBall._log_mgf
+    def test_log_mgf_evaluated_once(self, monkeypatch):
+        # the log MGF of the tail bounds is the one the grid needs; a lone pair builds no grid
+        calls, grids = [], []
+        real_mgf, real_grid = MultiplierBall._log_mgf, ball_module._Grid
 
-        def counting(self, nc, tau, *tables):
-            calls.append(tau)
-            return real(self, nc, tau, *tables)
+        def counting(self, *args):
+            calls.append(self)
+            return real_mgf(self, *args)
+
+        def grid(law, span):
+            grids.append(law)
+            return real_grid(law, span)
 
         monkeypatch.setattr(MultiplierBall, "_log_mgf", counting)
+        monkeypatch.setattr(ball_module, "_Grid", grid)
         plain, _ = lone_modes_ball({1: 1.0, 7: 1.0, 2: 0.1, 6: 0.1})
         pair, _ = lone_modes_ball({1: 0.6, 7: 0.8})
-        assert plain.tau == 0.0 and pair.tau > 0.0
+        assert plain.dof.tolist() == [2.0, 2.0] and pair.dof.tolist() == [2.0]
         escape_row(plain, 1.0)
-        assert calls == [0.0]
+        assert calls == [plain] and grids == [plain]
         p, bound = escape_row(pair, 1.0)
-        assert calls == [0.0, 0.0, pair.tau]
-        assert abs(p - np.exp(-1.0)) <= 1e-10 and bound <= 1e-10
+        assert calls == [plain, pair] and grids == [plain]
+        assert abs(p - np.exp(-1.0)) <= 1e-15 and bound <= 1e-14
 
     def test_groups_merge_equal_lambdas(self):
         """64^2 radial root: 4096 modes collapse to one group per distinct |l|^2."""
@@ -1603,6 +1619,69 @@ class TestCentralPairOracle:
                 assert abs(p[0] - exact) <= bound[0] + 1e-15, (ball.lam, c, p[0], exact)
                 summed += 1
         assert summed > 24 * len(PAIR_RADII_SQ) // 2
+
+
+def pair_cases():
+    """(x, nc) for the lone-pair tail: nc/2 from 0.005 to 200 and x from the lower tail to
+    three standard deviations above the mean 2 + nc, within the range of np.i0."""
+    for nc in (0.01, 0.3, 1.0, 4.0, 12.0, 40.0, 120.0, 400.0):
+        for z in (-1.5, 0.0, 1.0, 3.0):
+            x = 2.0 + nc + z * math.sqrt(4.0 + 4.0 * nc)
+            if x > 0:
+                yield x, nc
+
+
+class TestLonePairTail:
+    """A law of one group of two degrees of freedom, lambda chi^2(2, nc), against the
+    quadrature of its density: every row within the law's own stated bound."""
+
+    def test_conjugate_pair_within_stated_bound(self, noncentral_pair_tail):
+        # rho(1) = 0.6, rho(-1) = 0.8: lambda = 1/2, and o = (0.6, 0.8) t gives B / A = t,
+        # R = 0 and nc = 2 t^2
+        ball, lat = lone_modes_ball({1: 0.6, 7: 0.8})
+        cases = list(pair_cases())
+        offsets = np.zeros((len(cases), lat.size), dtype=complex)
+        for row, (_, nc) in zip(offsets, cases):
+            row[1], row[7] = 0.6 * math.sqrt(nc / 2), 0.8 * math.sqrt(nc / 2)
+        nc_law, shift = ball._noncentralities(offsets)
+        np.testing.assert_allclose(nc_law[:, 0], [nc for _, nc in cases], rtol=1e-12)
+        integral = 0
+        for (x, _), row, nc, r in zip(cases, offsets, nc_law[:, 0], shift):
+            radius = math.sqrt(x * ball.lam[0])
+            p, bound = escape_row(ball, radius, row)
+            exact = noncentral_pair_tail((radius * radius - r) / ball.lam[0], nc)
+            assert abs(p - exact) <= bound + 1e-15, (x, nc, p, exact, bound)
+            integral += 0.0 < p < 1.0
+        assert len(cases) >= 20 and integral >= 20
+
+    def test_merged_self_conjugate_modes_within_stated_bound(self, noncentral_pair_tail):
+        # modes 0 and 4 of T^1_8 are self-conjugate: with rho = 0.7 on both, one group
+        # lambda = 0.49 of two degrees of freedom, nc = sum (Re o / 0.7)^2, R = sum (Im o)^2
+        ball, lat = lone_modes_ball({0: 0.7, 4: 0.7})
+        assert ball.lam.tolist() == [0.7 * 0.7] and ball.dof.tolist() == [2.0]
+        rng = np.random.default_rng(29)
+        for radius in (0.3, 1.0, 2.5, 6.0):
+            offsets = np.zeros((5, lat.size), dtype=complex)
+            offsets[:, [0, 4]] = rng.uniform(-3, 3, (5, 2)) + 0.2j * rng.uniform(-1, 1, (5, 2))
+            p, bound = ball._escape_probs(radius, offsets)
+            nc, shift = ball._noncentralities(offsets)
+            both = offsets[:, [0, 4]]
+            np.testing.assert_allclose(nc[:, 0], np.sum((both.real / 0.7) ** 2, axis=1),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(shift, np.sum(both.imag**2, axis=1), rtol=1e-12)
+            for p_i, bound_i, nc_i, r in zip(p, bound, nc[:, 0], shift):
+                if radius * radius > r:
+                    exact = noncentral_pair_tail((radius * radius - r) / ball.lam[0], nc_i)
+                    assert abs(p_i - exact) <= bound_i + 1e-15, (radius, nc_i, p_i, exact)
+
+    def test_window_cap_states_the_larger_bound(self, noncentral_pair_tail, monkeypatch):
+        # with windows of 61 counts about nc/2 = 200, the mass they leave out is a few
+        # percent: the stated bound grows to cover it
+        monkeypatch.setattr(ball_module, "_MAX_TERMS", 61)
+        for x in (360.0, 402.0, 450.0):
+            p, bound = ball_module._pair_tail(x, 400.0)
+            exact = noncentral_pair_tail(x, 400.0)
+            assert 1e-3 < bound < 1.0 and abs(p - exact) <= bound
 
 
 class TestDenseBall:
