@@ -49,21 +49,17 @@ MUTANTS = (
     Mutant("pencil-shift-delta", POSTERIOR,
            "y /= lam + delta2[:, None]", "y /= lam + np.sqrt(delta2[:, None])"),
     Mutant("cov-factor-delta", POSTERIOR,
-           "block[1:] * (model.delta / np.sqrt(block[0].real + model.delta**2))",
-           "block[1:] * (model.delta / np.sqrt(block[0].real + model.delta))"),
-    # the runners' dense trace and ball law: the weights in cosine/sine order, the
-    # Hermitian root that a complex pencil factor X cannot stand in for, and the
-    # conjugate in the offsets' projection onto the law's eigenbasis
+           "block[1:] * (model.delta / np.sqrt(block[0] + model.delta**2))",
+           "block[1:] * (model.delta / np.sqrt(block[0] + model.delta))"),
+    # the runners' dense trace and ball law: the weights in cosine/sine order
     Mutant("trace-root-weights", POSTERIOR,
            "w = sobolev_weight(lattice, zeta)[_cosine_sine_modes(lattice)[0]]",
            "w = sobolev_weight(lattice, zeta)"),
-    Mutant("dense-ball-factor-root", POSTERIOR,
-           "root = _hermitian_sqrt(_hermitian_gram(root))", "root = root"),
-    Mutant("dense-ball-projection-conj", BALL,
-           "ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms]).conj()",
-           "ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms])"),
     # the cosine/sine basis and the Sobolev bracket
     Mutant("butterfly-sign", LATTICE, "b *= -2.0", "b *= 2.0"),
+    # the basis's entry rule: a matrix whose form is complex would be read as its real part
+    Mutant("cosine-sine-real-check", LATTICE,
+           'raise ValueError("operator does not map real fields to real fields")', "pass"),
     Mutant("sobolev-half-order", LATTICE,
            "return (1.0 + lattice.weights) ** q", "return (1.0 + lattice.weights) ** (q / 2.0)"),
     Mutant("white-noise-scale", LATTICE,
@@ -87,8 +83,8 @@ MUTANTS = (
     Mutant("ball-self-conjugate-quarter", BALL,
            "np.where(dof == 1, 0.25, 2.0)", "np.where(dof == 1, 0.5, 2.0)"),
     Mutant("ball-batch-period", BALL,
-           "grid = _Grid(self, 2.0**exponent)",
-           "grid = _Grid(self, 2.0**int(exponents.min()))"),
+           "grid = _Grid(self, 2.0**exponent, cutoff)",
+           "grid = _Grid(self, 2.0**int(exponents.min()), cutoff)"),
     # the alias share of the stated bound: the upper tail read at c + span, the aliased mass
     # of the period the row was summed with, not past it
     Mutant("ball-alias-span", BALL,

@@ -69,13 +69,13 @@ def _pair_tail(x: float, nc: float) -> tuple[float, float]:
 
 
 class _Grid:
-    """Midpoint nodes u_k = (k + 1/2) 2 pi / span and the central part of log phi: O(n)
-    numbers, built by the :meth:`MultiplierBall._escape_probs` call that reads them, as is
-    the noncentral node table, G x n."""
+    """Midpoint nodes u_k = (k + 1/2) 2 pi / span up to the node ``cutoff`` and the central
+    part of log phi: O(n) numbers, built by the :meth:`MultiplierBall._escape_probs` call
+    that reads them, as is the noncentral node table, G x n."""
 
-    def __init__(self, ball: "MultiplierBall", span: float):
+    def __init__(self, ball: "MultiplierBall", span: float, cutoff: float):
         step = 2.0 * math.pi / span
-        n = min(math.ceil(ball.cutoff / step - 0.5) + 1, _MAX_TERMS // ball.lam.size)
+        n = min(math.ceil(cutoff / step - 0.5) + 1, _MAX_TERMS // ball.lam.size)
         self.k_half = np.arange(n) + 0.5
         self.u = self.k_half * step
         terms = np.outer(ball.lam, -2j * self.u)
@@ -105,8 +105,8 @@ class MultiplierBall:
     law with one degree of freedom per eigenvalue (:meth:`_from_cosine_sine_root`);
     only the step from offsets to noncentralities differs.
 
-    The groups, the central Chernoff tables and the truncation point depend
-    only on the root and zeta; only nc_g and R depend on the offset, so one
+    The groups and the central Chernoff tables depend only on the root and
+    zeta; only nc_g and R depend on the offset, so one
     instance serves every replicate, and :meth:`_escape_probs` takes a whole
     (replicate, K) stack of offsets in one call, or none for the central
     law: the law's one tail entry point.  A law keeps O(G + T) numbers beyond
@@ -139,14 +139,15 @@ class MultiplierBall:
     @classmethod
     def _from_cosine_sine_root(cls, root: np.ndarray, w: np.ndarray, lattice: FrequencyLattice,
                                offsets: bool = True) -> "MultiplierBall":
-        """The law of S = sum_l w_l |(Q^H R z + o)_l|^2 for a root R R^H = C_cs in the
+        """The law of S = sum_l w_l |(Q^H R z + o)_l|^2 for a real root R R^T = C_cs in the
         cosine/sine basis, ``w`` the H^zeta weights in cosine/sine order and z = Q xi, real
         standard normal.  The even weights are diagonal there, so with Y = sqrt(w) R and
-        b = sqrt(w) Q o, S = |Y z + b|^2.  One ``eigh`` Re(Y^H Y) = V diag(mu) V^T gives
+        b = sqrt(w) Q o, S = |Y z + b|^2.  One ``eigh`` Y^T Y = V diag(mu) V^T gives
         S = sum_k mu_k (Z_k + t_k / mu_k)^2 + |b|^2 - sum_k t_k^2 / mu_k for Z = V^T z and
-        t = Re(b^H Y V): one degree of freedom per eigenvalue (Imhof 1961), t read from the
-        kept K x K projection sqrt(w) conj(Y V).  With ``offsets`` False the law reads
-        central tails only: one ``eigvalsh`` gives mu, and no projection is kept.
+        t = Re(b^H Y V) = Re(Q o)^T sqrt(w) Y V: one degree of freedom per eigenvalue
+        (Imhof 1961), t read from the kept K x K projection sqrt(w) Y V.  With ``offsets``
+        False the law reads central tails only: one ``eigvalsh`` gives mu, and no
+        projection is kept.
         """
         k = lattice.size
         if root.shape != (k, k) or w.shape != (k,):
@@ -155,7 +156,7 @@ class MultiplierBall:
         ball._w = w[np.argsort(lattice._mode_order)]  # in exponential order
         ball._proj = ball._first = None
         y = np.sqrt(w)[:, None] * root
-        m = y.T @ y if np.isrealobj(y) else (y.conj().T @ y).real
+        m = y.T @ y
         ones = np.ones(k)
         if not offsets:
             del y
@@ -164,7 +165,7 @@ class MultiplierBall:
         mu, v = np.linalg.eigh(m)
         del m
         terms = ball._group(mu, ones, ones)
-        ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms]).conj()
+        ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms])
         ball._lattice = lattice
         return ball
 
@@ -181,7 +182,6 @@ class MultiplierBall:
         self._starts = np.flatnonzero(np.diff(group[order], prepend=-1))
         if self.lam.size:
             self._chernoff_tables()
-            self.cutoff = self._cutoff_for()
         return live[order]
 
     def _chernoff_tables(self):
@@ -277,11 +277,8 @@ class MultiplierBall:
             t += mate
             sq = t.real**2
             sq += t.imag**2
-        else:  # t = Re((Q o) @ proj), with no complex copy of a real factor
-            qo = _rows_to_cosine_sine(self._lattice, offsets)
-            t = qo.real @ self._proj.real
-            if np.iscomplexobj(qo) and np.iscomplexobj(self._proj):
-                t -= qo.imag @ self._proj.imag
+        else:  # t = Re(Q o) @ proj
+            t = _rows_to_cosine_sine(self._lattice, offsets).real @ self._proj
             sq = t * t
         sq *= self._nc_coef
         nc = np.add.reduceat(sq, self._starts, axis=1)
@@ -309,7 +306,8 @@ class MultiplierBall:
         function phi, summed by the midpoint rule with step 2 pi / span
         (Imhof 1961; Davies 1973, 1980).  The sum is exact up to the aliased
         mass P(X >= c + span) + P(X < c - span), bounded by Chernoff; the
-        cut-off of the sum comes from the truncation bound.  The result is
+        cut-off of the sum comes from the truncation bound, found once per call
+        and only when a row needs the sum.  The result is
         clamped to [0, 1] and to the Chernoff bounds of Q, which settle far
         tails as exactly 0 or 1.  The stated bound adds aliasing, truncation
         and a floating-point allowance.  A lone real mode, and a lone group of
@@ -369,6 +367,7 @@ class MultiplierBall:
 
         k_up, k_lo = k_up[keep], k_lo[keep]
         del kn  # read no more: the node tables reuse its buffer
+        cutoff = self._cutoff_for()
         log_eps = math.log(_ALIAS_TOL)
         y_up = np.min((k_up - log_eps) / self._t_up, axis=1)
         y_lo = np.max((log_eps - k_lo) / self._t_lo, axis=1)
@@ -381,7 +380,7 @@ class MultiplierBall:
         total, rounding, truncation = np.empty((3, rows.size))
         for exponent in np.unique(exponents).tolist():
             sel = exponents == exponent
-            grid = _Grid(self, 2.0**exponent)
+            grid = _Grid(self, 2.0**exponent, cutoff)
             log_phi = grid.log_phi - 1j * grid.u * c[sel, None]
             if buf is not None:
                 if buf.size < 4 * self.lam.size * grid.u.size:

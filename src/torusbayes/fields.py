@@ -66,47 +66,21 @@ class GaussianPrior:
     sqrt_cov: Operator
 
 
-# rows of Xi per product when _hermitian_gram forms T = Xi Xr^T
-_GRAM_BLOCK = 64
-
-
-def _hermitian_gram(x: np.ndarray) -> np.ndarray:
-    """X X^H, exactly Hermitian.  A real X takes the one product X X^T, which numpy forms
-    exactly symmetric; a complex one the real products Re = Y Y^T, for Y the (K, 2K) real
-    view of X (Xr Xr^T + Xi Xi^T), and Im = T - T^T for T = Xi Xr^T.  T is formed from one
-    contiguous copy of Xr, in blocks of ``_GRAM_BLOCK`` rows of Xi, so that beside X and
-    the result only Xr and T are held in full."""
-    if np.isrealobj(x):
-        return x @ x.T
-    x = np.ascontiguousarray(x)
-    k = len(x)
-    out = np.empty((k, k), dtype=np.complex128)
-    y = x.view(np.float64)
-    out.real = y @ y.T
-    xr, t = np.ascontiguousarray(x.real), np.empty((k, k))
-    for i in range(0, k, _GRAM_BLOCK):
-        np.matmul(np.ascontiguousarray(x.imag[i:i + _GRAM_BLOCK]), xr.T, out=t[i:i + _GRAM_BLOCK])
-    del xr
-    np.subtract(t, t.T, out=out.imag)
-    return out
-
-
 def _hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
-    """M^{1/2} for M Hermitian positive definite, in the basis M is given in (the
-    cosine/sine one for every caller); exactly Hermitian.  Map it back with
+    """M^{1/2} for M real symmetric positive definite, in the basis M is given in (the
+    cosine/sine one for every caller); exactly symmetric.  Map it back with
     ``lattice._from_cosine_sine`` for the root in the exponential basis.
 
-    One ``eigh`` M = V diag(lam) V^H: real symmetric for a real ``mat``, and then
-    every product is real too.  The root is F F^H (:func:`_hermitian_gram`) for
-    F = V diag(lam^{1/4}), scaled in place in V.  Raises ValueError unless M is
-    positive definite.
+    One ``eigh`` M = V diag(lam) V^T.  The root is F F^T, which numpy forms exactly
+    symmetric, for F = V diag(lam^{1/4}), scaled in place in V.  Raises ValueError
+    unless M is positive definite.
     """
     evals, evecs = np.linalg.eigh(mat)
     del mat  # each K x K temporary is dropped as soon as it is used
     if evals.min() <= 0:
         raise ValueError(f"covariance not positive definite (min eig {evals.min():g})")
-    evecs *= np.sqrt(evals**0.5)  # F = V diag(lam^{1/4}): the root is F F^H
-    return _hermitian_gram(evecs)
+    evecs *= np.sqrt(evals**0.5)  # F = V diag(lam^{1/4}): the root is F F^T
+    return evecs @ evecs.T
 
 
 def _positive_real(vals) -> np.ndarray:
@@ -122,9 +96,9 @@ def operator_sqrt(cov: Operator) -> Operator:
     """Hermitian square root of a positive operator.
 
     Multiplier symbols must be strictly positive real and are rooted
-    pointwise; dense matrices must be Hermitian positive definite and are
-    factored by one eigendecomposition in the cosine/sine basis, a real
-    symmetric one when the matrix maps real fields to real fields.
+    pointwise; dense matrices must be Hermitian positive definite and map real
+    fields to real fields, and are factored by one real symmetric
+    eigendecomposition in the cosine/sine basis.  Raises ValueError otherwise.
     """
     if isinstance(cov, MultiplierOp):
         base = cov.symbol

@@ -235,7 +235,7 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 # (u_l + u_-l) / sqrt(2) and -i (u_l - u_-l) / sqrt(2), listed as
 # [self-conjugate modes, cosines of the pairs, sines of the pairs].  An
 # operator X that maps real fields to real fields, X_{-k,-l} = conj(X_{k,l}),
-# is the real matrix Q X Q^H in this basis.  Both directions below cost one
+# is the real matrix Q X Q^H in this basis, and the dense posterior takes no other.  Both directions below cost one
 # permuting copy and a few in-place passes over K^2 entries; on a stack of
 # row vectors, Q x and Q^H y per row, they cost the same over its entries.
 
@@ -277,66 +277,55 @@ def _cs_row_blocks(ns: int, npair: int) -> list[tuple[np.ndarray, int]]:
 
 
 def _to_cosine_sine(lattice: FrequencyLattice, x: np.ndarray) -> np.ndarray:
-    """Q X Q^H for a K x K matrix X; real when its imaginary part is at rounding level.
+    """Q X Q^H for a K x K matrix X that maps real fields to real fields: a real matrix.
 
-    Transformed in blocks of at most ``_CS_BLOCK`` rows.  One pass writes the real
-    parts straight to a real result; only if the imaginary parts turn out not to be
-    rounding, a second pass writes a complex one in its place.  So no other K x K
-    array is made.
+    Transformed in blocks of at most ``_CS_BLOCK`` rows, whose real parts are written
+    straight to the result, so no other K x K array is made.  Raises ValueError when the
+    imaginary parts are not at rounding level (``_CS_REAL_TOL``): X does not keep real
+    fields real.
     """
     x = np.asarray(x)
     order, ns, npair = _cosine_sine_modes(lattice)
     cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
-    blocks = _cs_row_blocks(ns, npair)
-
-    def block(rows: np.ndarray, h: int) -> np.ndarray:
+    out = np.empty(x.shape)
+    size = residue = 0.0
+    for rows, h in _cs_row_blocks(ns, npair):
         z = x[np.ix_(order[rows], order)].astype(np.complex128, copy=False)
         if h:
             _butterfly(z[:h], z[h:])
             z[h:] *= -1j
         _butterfly(z[:, cos], z[:, sin])
         z[:, sin] *= 1j
-        return z
-
-    out = np.empty(x.shape)
-    size = residue = 0.0
-    for rows, h in blocks:
-        z = block(rows, h)
         re, im = z.real, z.imag
         size = max(size, re.max(initial=0.0), -re.min(initial=0.0))
         residue = max(residue, im.max(initial=0.0), -im.min(initial=0.0))
         out[rows] = re
-    if residue <= _CS_REAL_TOL * max(size, residue):
-        return out
-    del out
-    out = np.empty(x.shape, dtype=np.complex128)
-    for rows, h in blocks:
-        out[rows] = block(rows, h)
+    if residue > _CS_REAL_TOL * max(size, residue):
+        raise ValueError("operator does not map real fields to real fields")
     return out
 
 
 def _from_cosine_sine(lattice: FrequencyLattice, y: np.ndarray) -> np.ndarray:
-    """Q^H Y Q for a K x K matrix Y, the inverse of :func:`_to_cosine_sine`, complex;
-    exactly Hermitian when Y is.
+    """Q^H Y Q for a real K x K matrix Y, the inverse of :func:`_to_cosine_sine`, complex;
+    exactly Hermitian when Y is symmetric.
 
     Each entry is written once from its closed form, in blocks of at most ``_CS_BLOCK``
     rows.  For a real Y, pairs l, k with cosine and sine rows c, s and columns c', s':
     X_{l,k} = [(Y_cc' + Y_ss') + i (Y_sc' - Y_cs')] / 2 and
     X_{l,-k} = [(Y_cc' - Y_ss') + i (Y_cs' + Y_sc')] / 2; for self-conjugate r and r',
     X_{l,r} = (Y_cr + i Y_sr) / sqrt(2), X_{r,k} = (Y_rc' - i Y_rs') / sqrt(2) and
-    X_{r,r'} = Y_rr'; the mate rows are X_{-l,k} = conj X_{l,-k}.  A complex Y = R + i I
-    gives Q^H R Q + i Q^H I Q.  For an exactly Hermitian Y the mirror of an entry takes the
-    same operations on the mirrored entries of Y, and these sums and differences commute
-    or change sign exactly, so X is exactly Hermitian.  No other K x K array is made.
+    X_{r,r'} = Y_rr'; the mate rows are X_{-l,k} = conj X_{l,-k}.  For an exactly symmetric
+    Y the mirror of an entry takes the same operations on the mirrored entries of Y, and
+    these sums and differences commute or change sign exactly, so X is exactly Hermitian.
+    No other K x K array is made.
     """
     order, ns, npair = _cosine_sine_modes(lattice)
     cos, sin = slice(ns, ns + npair), slice(ns + npair, None)
     back = np.argsort(order)
-    parts = (y,) if np.isrealobj(y) else (y.real, y.imag)
-
-    def block(m: np.ndarray, rows: np.ndarray, h: int) -> np.ndarray:
-        # rows ``rows`` of Q^H M Q for a real M, in cosine/sine column order
-        w = m[rows]
+    out = np.empty(y.shape, dtype=np.complex128)
+    for rows, h in _cs_row_blocks(ns, npair):
+        # rows ``rows`` of Q^H Y Q, in cosine/sine column order
+        w = y[rows]
         z = np.empty(w.shape, dtype=np.complex128)
         re, im = z.real, z.imag
         if h:
@@ -356,15 +345,6 @@ def _from_cosine_sine(lattice: FrequencyLattice, y: np.ndarray) -> np.ndarray:
             np.multiply(w[:, cos], np.sqrt(0.5), out=re[:, cos])
             np.multiply(w[:, sin], -np.sqrt(0.5), out=im[:, cos])
             np.conjugate(z[:, cos], out=z[:, sin])
-        return z
-
-    out = np.empty(y.shape, dtype=np.complex128)
-    for rows, h in _cs_row_blocks(ns, npair):
-        z = block(parts[0], rows, h)
-        if len(parts) == 2:
-            zi = block(parts[1], rows, h)
-            z.real -= zi.imag
-            z.imag += zi.real
         out[order[rows]] = z[:, back]
     return out
 

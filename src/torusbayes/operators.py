@@ -254,7 +254,7 @@ def variable_coeff_op(
 ) -> DenseOp:
     """Variable-coefficient operator ``u -> phi . (m u)`` as a dense matrix.
 
-    ``phi_values`` is a strictly positive real field on the grid; the result
+    ``phi_values`` is a finite, strictly positive real field on the grid; the result
     is ``F diag(phi) F^{-1} diag(symbol)`` acting on coefficient vectors.
     Its entry (k, l) is gathered as phi_hat(k - l), phi_hat = fftn(phi) / K,
     frequency differences taken mod n per axis.  Multiplication by a smooth
@@ -263,8 +263,8 @@ def variable_coeff_op(
     phi = np.asarray(phi_values, dtype=np.float64)
     if phi.size != lattice.size:
         raise ValueError(f"phi has {phi.size} samples, lattice needs {lattice.size}")
-    if np.min(phi) <= 0:
-        raise ValueError("phi must be strictly positive")
+    if not np.all(np.isfinite(phi) & (phi > 0)):  # NaN fails every comparison
+        raise ValueError("phi must be finite and strictly positive")
     n, d = lattice.n_per_dim, lattice.dim
     phi_hat = np.fft.fftn(phi.reshape(lattice.shape)) / lattice.size
     # (k_j - l_j) mod n, broadcast to axes j (of k) and d + j (of l) of an (n,)^(2d) array

@@ -7,17 +7,19 @@ posterior is Gaussian with mean
 
 and covariance C = delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.  When both A
 and C_U are Fourier multipliers everything is a per-frequency scalar
-formula.  Otherwise everything is written in the cosine/sine basis of real
-fields, where the Gram matrix G = A_cs^H A_cs, A_cs = Q A Q^H, and C_U are
-real whenever A and C_U map real fields to real fields.  Neither depends on
-the noise level, so one decomposition F^H C_U^{-1} F = I, F^H G F = diag(lam)
-of the pencil (G, C_U^{-1}) gives (G + delta^2 C_U^{-1})^{-1} =
-F diag(1 / (lam + delta^2)) F^H at every delta (Golub & Van Loan, Matrix
-Computations, 8.7).  F = R V comes from a factor R R^H = C_U and one ``eigh``
-of S = (A_cs R)^H (A_cs R) = V diag(lam) V^H, the prior-preconditioned Hessian
-of Spantini et al. (2015); the forward operator keeps it.  Each mean then
-costs two K^2 products, the covariance one more, all real when A and C_U
-map real fields to real fields and complex otherwise.
+formula.  Otherwise A and C_U must map real fields to real fields, as the
+unknown, the noise and the data of the model are real fields; every operator
+the config grammar builds does.  Then everything is written in the cosine/sine
+basis of real fields, where A_cs = Q A Q^H, the Gram matrix G = A_cs^T A_cs and
+C_U are real; an operator that does not keep real fields real raises ValueError
+where it enters that basis.  Neither G nor C_U depends on the noise level, so
+one decomposition F^T C_U^{-1} F = I, F^T G F = diag(lam) of the pencil
+(G, C_U^{-1}) gives (G + delta^2 C_U^{-1})^{-1} = F diag(1 / (lam + delta^2)) F^T
+at every delta (Golub & Van Loan, Matrix Computations, 8.7).  F = R V comes
+from a factor R R^T = C_U and one ``eigh`` of S = (A_cs R)^T (A_cs R) =
+V diag(lam) V^T, the prior-preconditioned Hessian of Spantini et al. (2015);
+the forward operator keeps it.  Each mean then costs two real K^2 products,
+the covariance one more.
 
 For the ball statistic |C^{1/2} xi + o|^2_{H^zeta} the module gives the H^zeta
 trace of C and the root that the statistic's exact law is built from
@@ -38,8 +40,6 @@ import numpy as np
 
 from .fields import (
     GaussianPrior,
-    _hermitian_gram,
-    _hermitian_sqrt,
     _positive_real,
     operator_sqrt,
     sample_white_noise,
@@ -182,16 +182,16 @@ def _prior_symbol(cov: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
 def _prior_form(cov: Operator, lattice: FrequencyLattice) -> np.ndarray:
     """Q C_U Q^H on ``lattice``, built once per operator and lattice, read-only.
 
-    A strictly positive multiplier symbol c_U gives K values in cosine/sine order
-    when it is even in l (Q diag(c_U) Q^H is then diagonal), else that K x K matrix;
-    a dense C_U the K x K matrix, real when it is to rounding.
+    A strictly positive multiplier symbol c_U gives K values in cosine/sine order (Q
+    diag(c_U) Q^H is diagonal); a dense C_U the real K x K matrix.  Raises ValueError
+    unless C_U maps real fields to real fields: a multiplier symbol must be even in l.
     """
     def make() -> np.ndarray:
         if isinstance(cov, MultiplierOp):
             c_u = _prior_symbol(cov, lattice)
-            if np.abs(c_u - c_u[lattice.conj_index]).max() <= _CS_REAL_TOL * c_u.max():
-                return c_u[_cosine_sine_modes(lattice)[0]]
-            return _to_cosine_sine(lattice, np.diag(c_u))
+            if np.abs(c_u - c_u[lattice.conj_index]).max() > _CS_REAL_TOL * c_u.max():
+                raise ValueError("operator does not map real fields to real fields")
+            return c_u[_cosine_sine_modes(lattice)[0]]
         return _to_cosine_sine(lattice, densify(cov, lattice).matrix)
 
     return _kept(cov._cs, ("prior form", lattice), make)
@@ -211,14 +211,15 @@ def _values(op: Operator, lattice: FrequencyLattice) -> np.ndarray:
 
 
 def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """The (K + 1) x K block [lam; F] of the pencil (G, C_U^{-1}) of a model that is not
-    diagonal: F^H C_U^{-1} F = I and F^H G F = diag(lam), lam >= 0, in the cosine/sine basis.
+    """The real (K + 1) x K block [lam; F] of the pencil (G, C_U^{-1}) of a model that is
+    not diagonal: F^T C_U^{-1} F = I and F^T G F = diag(lam), lam >= 0, in the cosine/sine
+    basis.
 
-    F = R V for R R^H = C_U (the root of the K values of :func:`_prior_form`, else its
-    Cholesky factor) and one ``eigh`` S = (A_cs R)^H (A_cs R) = V diag(lam) V^H; real when
-    A_cs and R are.  The forward operator keeps one block per lattice, read-only, with the
-    prior form it was built for: a prior of equal form reads it, any other replaces it.
-    Raises ValueError unless C_U is positive definite.
+    F = R V for R R^T = C_U (the root of the K values of :func:`_prior_form`, else its
+    Cholesky factor) and one ``eigh`` S = (A_cs R)^T (A_cs R) = V diag(lam) V^T.  The
+    forward operator keeps one block per lattice, read-only, with the prior form it was
+    built for: a prior of equal form reads it, any other replaces it.  Raises ValueError
+    unless C_U is positive definite and A and C_U map real fields to real fields.
     """
     fwd, c_form = model.fwd, _prior_form(model.prior.cov, lattice)
     with _DIAG_LOCK:
@@ -230,18 +231,14 @@ def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
             root = np.sqrt(c_form) if c_form.ndim == 1 else np.linalg.cholesky(c_form)
         except np.linalg.LinAlgError as exc:
             raise ValueError("prior covariance not positive definite") from exc
-        shape = (lattice.size + 1, lattice.size)
         # the kept block comes before A_cs and the products' temporaries: made after any of
         # them, it pinned the heap above their holes (dense-vc benchmark peak RSS 126 -> 142
-        # MiB, glibc).  Its dtype is that of R unless A_cs, known only once made, is complex.
-        block = np.empty(shape, root.dtype)
+        # MiB, glibc)
+        block = np.empty((lattice.size + 1, lattice.size))
         a = _values(fwd, lattice)
         a_cs = _to_cosine_sine(lattice, np.diag(a) if a.ndim == 1 else a)
-        if np.iscomplexobj(a_cs) and np.isrealobj(block):
-            del block  # never written: a map that does not keep real fields real
-            block = np.empty(shape, np.complex128)
         a_cs = np.multiply(a_cs, root, out=a_cs) if root.ndim == 1 else a_cs @ root  # B = A_cs R
-        s = a_cs.conj().T @ a_cs if np.iscomplexobj(a_cs) else a_cs.T @ a_cs
+        s = a_cs.T @ a_cs
         del a_cs  # each K x K temporary is dropped as soon as it is used
         lam, vecs = np.linalg.eigh(s)
         del s
@@ -256,10 +253,10 @@ def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
 
 
 def _pencil_solve(block: np.ndarray, b: np.ndarray, delta2: np.ndarray) -> np.ndarray:
-    """Rows x_i = F (F^H b_i) / (lam + delta2_i) = (G + delta2_i C_U^{-1})^{-1} b_i of an
+    """Rows x_i = F (F^T b_i) / (lam + delta2_i) = (G + delta2_i C_U^{-1})^{-1} b_i of a real
     (n, K) stack ``b`` for the pencil ``block`` [lam; F]: two K^2 products per row."""
-    lam, f = block[0].real, block[1:]
-    y = (b.conj() @ f).conj() if np.iscomplexobj(f) else b @ f
+    lam, f = block[0], block[1:]
+    y = b @ f
     y /= lam + delta2[:, None]
     return y @ f.T
 
@@ -275,7 +272,7 @@ def _map_means(models, lattice: FrequencyLattice, data) -> np.ndarray:
     in place in the result.  Otherwise one product with the symbol or the dense matrix gives
     the stack B = Q A^H M of every row, the kept pencil solves each row at its model's noise
     level, and the rows x give the means Q^H x; complex B (data that is not a real field)
-    under a real pencil is solved as its real parts and its imaginary parts.
+    is solved as its real parts and its imaginary parts.
     """
     model = models[0]
     if any(m.fwd != model.fwd or m.prior.cov != model.prior.cov for m in models):
@@ -294,9 +291,7 @@ def _map_means(models, lattice: FrequencyLattice, data) -> np.ndarray:
                              else (stack.conj() @ a).conj())
     n = len(stack)
     delta2 = np.repeat([m.delta**2 for m in models], n // len(models))
-    if np.iscomplexobj(block):
-        b = b.astype(np.complex128, copy=False)
-    elif np.iscomplexobj(b):
+    if np.iscomplexobj(b):
         b, delta2 = np.concatenate([b.real, b.imag]), np.tile(delta2, 2)  # two real rows each
     x = _pencil_solve(block, b, delta2)
     if len(x) > n:
@@ -308,7 +303,7 @@ def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     """Posterior mean (equals the MAP point for this Gaussian conjugate pair).
 
     The one-row case of :func:`_map_means`: the per-frequency formula for a
-    diagonal model, else F (F^H b) / (lam + delta^2) for b = Q A^H m and the
+    diagonal model, else F (F^T b) / (lam + delta^2) for b = Q A^H m and the
     pencil :func:`_pencil` of the forward map and prior, built on first use and
     shared by every noise level.  The mean it returns is finite in every entry;
     raises SolverError if it is not, as for data with a NaN coefficient.
@@ -383,7 +378,7 @@ def posterior_covariance(model: GaussianModel, lattice: FrequencyLattice | None 
     """Posterior covariance delta^2 (A^H A + delta^2 C_U^{-1})^{-1}.
 
     Diagonal: the multiplier delta^2 / (|a|^2 + delta^2 / c_U) of the stored weights.
-    Dense: F diag(delta^2 / (lam + delta^2)) F^H of the kept pencil, from one product.
+    Dense: F diag(delta^2 / (lam + delta^2)) F^T of the kept pencil, from one product.
     """
     if not _is_diagonal(model):
         lattice = _dense_lattice(model, lattice)
@@ -402,8 +397,9 @@ def posterior_covariance_update(
 ) -> DenseOp:
     """Same covariance in update form C_U - C_U A^H (A C_U A^H + delta^2 I)^{-1} A C_U.
 
-    Always dense; unlike the precision form it never inverts C_U or A, so
-    it also covers singular forward operators.  An oracle for the precision
+    Always dense; unlike the precision form it never inverts C_U or A and never
+    enters the cosine/sine basis, so it also covers singular forward operators and
+    maps that do not keep real fields real.  An oracle for the precision
     form of :func:`posterior`, in acceptance criterion 4 and the ``dense-vc`` check.
     """
     lattice = _dense_lattice(model, lattice)
@@ -455,15 +451,16 @@ def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | N
 
 
 def _cov_factor(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """X = F diag(delta / sqrt(lam + delta^2)) of the pencil: X X^H is the posterior
+    """X = F diag(delta / sqrt(lam + delta^2)) of the pencil: X X^T is the posterior
     covariance C_cs of a model that is not diagonal, in the cosine/sine basis."""
     block = _pencil(model, lattice)
-    return block[1:] * (model.delta / np.sqrt(block[0].real + model.delta**2))
+    return block[1:] * (model.delta / np.sqrt(block[0] + model.delta**2))
 
 
 def _cov_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """C_cs = X X^H of :func:`_cov_factor`, exactly Hermitian (:func:`_hermitian_gram`)."""
-    return _hermitian_gram(_cov_factor(model, lattice))
+    """C_cs = X X^T of :func:`_cov_factor`, which numpy forms exactly symmetric."""
+    x = _cov_factor(model, lattice)
+    return x @ x.T
 
 
 def _dense_cov(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray) -> DenseOp:
@@ -481,10 +478,9 @@ def _trace_root(model: GaussianModel, lattice: FrequencyLattice,
 
     A diagonal model reads its weights: c = delta^2 / (|a|^2 + delta^2 / c_U), the trace
     sum_l w_l c_l, the pointwise root sqrt(c) and w in exponential order.  A dense one
-    takes a root R of C_cs whose Q^H R z, z = Q xi real, has the law of C^{1/2} xi: X of
-    :func:`_cov_factor` when it is real; a complex X z does not, so then the Hermitian
-    root of C_cs (one more ``eigh``).  The trace is sum_j w_j |R_j|^2, with w in
-    cosine/sine order, where the weights are diagonal.
+    takes the real X of :func:`_cov_factor`, X X^T = C_cs: Q^H X z, z = Q xi real standard
+    normal, has the law of C^{1/2} xi.  The trace is sum_j w_j |X_j|^2 over the rows X_j,
+    with w in cosine/sine order, where the weights are diagonal.
     """
     if _is_diagonal(model):
         _, asq, prec = _diag_weights(model, lattice)
@@ -492,10 +488,8 @@ def _trace_root(model: GaussianModel, lattice: FrequencyLattice,
         w = sobolev_weight(lattice, zeta)
         return float(np.sum(w * c)), np.sqrt(c), w
     root = _cov_factor(model, lattice)
-    if np.iscomplexobj(root):
-        root = _hermitian_sqrt(_hermitian_gram(root))
     w = sobolev_weight(lattice, zeta)[_cosine_sine_modes(lattice)[0]]
-    return float(w @ np.einsum("ij,ij->i", root.conj(), root).real), root, w
+    return float(w @ np.einsum("ij,ij->i", root, root)), root, w
 
 
 def _trace_ball(model: GaussianModel, lattice: FrequencyLattice, zeta: float,

@@ -8,7 +8,6 @@ import pytest
 import torusbayes.lattice as lattice_module
 
 from torusbayes.fields import (
-    _hermitian_gram,
     gaussian_prior,
     operator_sqrt,
     prior_trace_check,
@@ -18,6 +17,7 @@ from torusbayes.fields import (
 )
 from torusbayes.lattice import (
     SpectralField,
+    _from_cosine_sine,
     _white_coeffs,
     build_lattice,
     hermitian_defect,
@@ -170,39 +170,27 @@ class TestOperatorSqrt:
             symbol_values(operator_sqrt(neg), lat)
 
     def test_dense_sqrt(self):
+        # Q^H (B B^T + K I) Q for a real B: positive definite, keeps real fields real
         lat = build_lattice(1, 8)
         rng = np.random.default_rng(6)
         b = rng.standard_normal((lat.size, lat.size))
-        mat = b @ b.T + lat.size * np.eye(lat.size)
-        cov = DenseOp(lat, mat.astype(complex), 0.0, 0.0)
+        mat = _from_cosine_sine(lat, b @ b.T + lat.size * np.eye(lat.size))
+        cov = DenseOp(lat, mat, 0.0, 0.0)
         root = operator_sqrt(cov)
         assert np.abs(root.matrix @ root.matrix.conj().T - mat).max() < 1e-10
         assert np.array_equal(root.matrix, root.matrix.conj().T)
 
-    def test_dense_sqrt_of_complex_form_exactly_hermitian(self):
-        # a Hermitian matrix that does not map real fields to real fields: complex in the
-        # cosine/sine basis, so the root takes the complex eigh and products
+    def test_dense_sqrt_of_complex_form_rejected(self):
+        # Hermitian positive definite, but it does not map real fields to real fields: its
+        # cosine/sine form is complex, so it is no covariance of a real field
         lat = build_lattice(2, 4)
         rng = np.random.default_rng(7)
         b = rng.standard_normal((lat.size, lat.size)) + 1j * rng.standard_normal((lat.size,) * 2)
         mat = b @ b.conj().T + lat.size * np.eye(lat.size)
-        mat = 0.5 * (mat + mat.conj().T)
-        root = operator_sqrt(DenseOp(lat, mat, 0.0, 0.0)).matrix
-        assert np.abs(root @ root.conj().T - mat).max() < 1e-10 * np.abs(mat).max()
-        assert np.array_equal(root, root.conj().T)
-
-    @pytest.mark.parametrize("kind", ["real", "complex", "complex-transposed"])
-    def test_hermitian_gram_exact(self, kind):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((40, 40))
-        if kind != "real":
-            x = x + 1j * rng.standard_normal(x.shape)
-        if kind == "complex-transposed":
-            x = x.T  # not C-contiguous
-        g = _hermitian_gram(x)
-        assert g.dtype == (np.float64 if kind == "real" else np.complex128)
-        assert np.array_equal(g, g.conj().T)
-        assert np.abs(g - x @ x.conj().T).max() < 1e-13 * np.abs(g).max()
+        cov = DenseOp(lat, 0.5 * (mat + mat.conj().T), 0.0, 0.0)
+        for build in (operator_sqrt, gaussian_prior):
+            with pytest.raises(ValueError, match="does not map real fields to real fields"):
+                build(cov)
 
     def test_dense_sqrt_of_densified_multiplier_matches_symbol_root(self):
         lat = build_lattice(2, 8)

@@ -20,7 +20,6 @@ from torusbayes.lattice import (
     hermitian_defect,
     inverse_transform,
 )
-from torusbayes.fields import _hermitian_gram
 from torusbayes.operators import apply, bessel_op, densify, heat_op, variable_coeff_op
 
 
@@ -181,10 +180,17 @@ class TestCosineSineBasis:
         # n = 4 has 2^dim self-conjugate modes: zero and the Nyquist corners
         assert np.count_nonzero(lat.conj_index == np.arange(lat.size)) == 2**dim
         rng = np.random.default_rng(dim * n)
-        x = rng.standard_normal((lat.size, lat.size)) + 1j * rng.standard_normal((lat.size,) * 2)
-        y = _to_cosine_sine(lat, x)
-        assert np.abs(y - q @ x @ q.conj().T).max() < 1e-14 * np.abs(x).max()
-        assert np.abs(_from_cosine_sine(lat, y) - x).max() < 1e-14 * np.abs(x).max()
+        # X = Q^H Y Q for a real Y maps real fields to real fields, and Y is its real form
+        y = rng.standard_normal((lat.size, lat.size))
+        x = q.conj().T @ y @ q
+        out = _to_cosine_sine(lat, x)
+        assert out.dtype == np.float64 and np.abs(out - y).max() < 1e-14 * np.abs(y).max()
+        assert np.abs(_from_cosine_sine(lat, out) - x).max() < 1e-14 * np.abs(x).max()
+        # an imaginary residue at rounding level is dropped; one past it is refused
+        noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        assert _to_cosine_sine(lat, x + 1e-16 * noise).dtype == np.float64
+        with pytest.raises(ValueError, match="does not map real fields to real fields"):
+            _to_cosine_sine(lat, x + 1e-9 * noise)
         # a real field has real coordinates
         u = forward_transform(lat, rng.standard_normal(lat.shape)).coeffs
         assert np.abs((q @ u).imag).max() < 1e-15
@@ -260,36 +266,45 @@ class TestToCosineSineBlocks:
         x = rng.standard_normal((lat.size, lat.size))
         x[0, 1] = -0.0
         real = _from_cosine_sine(lat, x)  # maps real fields to real fields
-        for mat in (x, x + 1j * rng.standard_normal(x.shape), real):
-            expected = unblocked_to_cosine_sine(lat, mat)
-            out = _to_cosine_sine(lat, mat)
-            assert out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
-        assert _to_cosine_sine(lat, real).dtype == np.float64
+        expected = unblocked_to_cosine_sine(lat, real)
+        out = _to_cosine_sine(lat, real)
+        assert out.dtype == expected.dtype == np.float64 and out.tobytes() == expected.tobytes()
+        for mat in (x, x + 1j * rng.standard_normal(x.shape)):  # neither keeps real fields real
+            with pytest.raises(ValueError, match="real fields"):
+                _to_cosine_sine(lat, mat)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_no_full_size_temporary(self, kind, monkeypatch):
-        # K = 256; small blocks, so the peak counts full-size arrays, not block ones
+        # K = 256; small blocks, so the peak counts full-size arrays, not block ones; a form
+        # that is complex is refused after the one pass, with no complex K x K array made
         monkeypatch.setattr(lattice_module, "_CS_BLOCK", 8)
         lat = build_lattice(2, 16)
         y = np.random.default_rng(3).standard_normal((lat.size, lat.size))
-        x = _from_cosine_sine(lat, y if kind == "real" else y + 1j * y.T)
+        x = _from_cosine_sine(lat, y)
+        if kind == "complex":  # Q^H (Y + i Y^T) Q
+            x += 1j * _from_cosine_sine(lat, y.T)
         tracemalloc.start()
         try:
-            out = _to_cosine_sine(lat, x)
+            if kind == "real":
+                assert _to_cosine_sine(lat, x).dtype == np.float64
+            else:
+                with pytest.raises(ValueError, match="real fields"):
+                    _to_cosine_sine(lat, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.dtype == (np.float64 if kind == "real" else np.complex128)
-        assert peak < 1.4 * out.nbytes
+        assert peak < 1.4 * 8 * lat.size**2  # bytes of one real K x K array: the result
 
 
 def exact_hermitian(lat, kind, seed):
-    """X X^H for a random real or complex K x K factor X: exactly Hermitian."""
+    """X X^H for a random real or complex K x K factor X, made exactly Hermitian."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((lat.size, lat.size))
-    if kind == "complex":
-        x = x + 1j * rng.standard_normal(x.shape)
-    return _hermitian_gram(x)
+    if kind == "real":
+        return x @ x.T  # exactly symmetric as numpy forms it
+    x = x + 1j * rng.standard_normal(x.shape)
+    g = x @ x.conj().T
+    return 0.5 * (g + g.conj().T)
 
 
 class TestFromCosineSineBlocks:
@@ -301,12 +316,9 @@ class TestFromCosineSineBlocks:
         rng = np.random.default_rng(n)
         y = rng.standard_normal((lat.size, lat.size))
         y[0, 1] = -0.0
-        mats = [y, y + 1j * rng.standard_normal(y.shape)]  # neither Hermitian
-        for kind in ("real", "complex"):
-            c = exact_hermitian(lat, kind, n)
-            c[1, 2] = c[2, 1] = -0.0 if kind == "real" else complex(-0.0, 0.0)
-            mats.append(c)
-        for mat in mats:
+        c = exact_hermitian(lat, "real", n)
+        c[1, 2] = c[2, 1] = -0.0
+        for mat in (y, c):  # not symmetric, symmetric
             expected = unblocked_from_cosine_sine(lat, mat)
             assert _from_cosine_sine(lat, mat).tobytes() == expected.tobytes()
 
@@ -317,16 +329,18 @@ class TestFromCosineSineBlocks:
         lat = build_lattice(2, 16)
         rng = np.random.default_rng(2)
         y = rng.standard_normal((lat.size, lat.size)).astype(dtype)
-        if dtype == np.complex128:
-            y.imag = rng.standard_normal(y.shape)
         full = 16 * lat.size**2  # bytes of one complex K x K array: the result
         tracemalloc.start()
         try:
-            out = _from_cosine_sine(lat, y)
+            if dtype == np.float64:
+                assert _from_cosine_sine(lat, y).nbytes == full
+            else:  # a complex Y is refused at its first block, not read as its real part
+                y.imag = rng.standard_normal(y.shape)
+                with pytest.raises(TypeError):
+                    _from_cosine_sine(lat, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.nbytes == full
         assert peak < 1.2 * full
 
 
@@ -335,6 +349,8 @@ class TestFromCosineSineClosedForm:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_equals_explicit_product(self, dim, n, kind, hermitian):
+        # a complex Y = R + i I, which the transform refuses, through its real parts by
+        # linearity: Q^H R Q + i Q^H I Q, where a Hermitian Y has I antisymmetric
         lat = build_lattice(dim, n)
         if hermitian:
             y = exact_hermitian(lat, kind, dim * n)
@@ -344,7 +360,10 @@ class TestFromCosineSineClosedForm:
             y = rng.standard_normal((lat.size, lat.size))
             if kind == "complex":
                 y = y + 1j * rng.standard_normal(y.shape)
-        out = _from_cosine_sine(lat, y)
+        if kind == "real":
+            out = _from_cosine_sine(lat, y)
+        else:
+            out = _from_cosine_sine(lat, y.real) + 1j * _from_cosine_sine(lat, y.imag)
         assert out.dtype == np.complex128
         if hermitian:  # exactly, by construction
             assert np.array_equal(out, out.conj().T)

@@ -1,6 +1,7 @@
 """Operator algebra, constructors, and the hypoellipticity diagnostics."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,17 @@ class TestVariableCoeff:
         lat = build_lattice(1, 8)
         with pytest.raises(ValueError):
             variable_coeff_op(np.zeros(lat.shape), bessel_op(-1.0), lat)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_phi(self, value):
+        # one such sample would fill the whole matrix with NaN, seen only as a failed solve
+        lat = build_lattice(2, 8)
+        phi = np.ones(lat.shape)
+        phi[3, 5] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                variable_coeff_op(phi, bessel_op(-1.0), lat)
 
     def test_orders_preserved(self):
         lat = build_lattice(1, 8)
