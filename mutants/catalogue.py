@@ -53,8 +53,12 @@ MUTANTS = (
            "block[1:] * (model.delta / np.sqrt(block[0] + model.delta))"),
     # the runners' dense trace and ball law: the weights in cosine/sine order
     Mutant("trace-root-weights", POSTERIOR,
-           "w = sobolev_weight(lattice, zeta)[_cosine_sine_modes(lattice)[0]]",
-           "w = sobolev_weight(lattice, zeta)"),
+           "root, w = _cov_factor(model, lattice), w[order]",
+           "root, w = _cov_factor(model, lattice), w"),
+    # the diagonal ball law: a posterior symbol that is not even in l has no law
+    Mutant("trace-root-even-refusal", POSTERIOR,
+           "c = _even(model.delta**2 / (asq + prec), lattice)",
+           "c = model.delta**2 / (asq + prec)"),
     # the cosine/sine basis and the Sobolev bracket
     Mutant("butterfly-sign", LATTICE, "b *= -2.0", "b *= 2.0"),
     # the basis's entry rule: a matrix whose form is complex would be read as its real part
@@ -74,14 +78,13 @@ MUTANTS = (
     Mutant("markov-trace-radius", EXPERIMENTS,
            "markov.append(min(1.0, traces[j] / radius**2))",
            "markov.append(min(1.0, traces[j] / radius))"),
-    # the exact ball law: its tail against the complement, the pair noncentrality, the
-    # self-conjugate mode's 1/4 of |2 Re b|^2, and each row's own grid period in a batch
+    # the exact ball law: its tail against the complement, the diagonal root's projection
+    # w root (not sqrt(w) root, which only H^zeta weights with zeta != 0 tell apart), and
+    # each row's own grid period in a batch
     Mutant("ball-tail-complement", BALL,
            "p_i = 0.5 + total[r] / math.pi", "p_i = 0.5 - total[r] / math.pi"),
-    Mutant("ball-pair-noncentrality", BALL,
-           "t += mate", "t -= mate"),
-    Mutant("ball-self-conjugate-quarter", BALL,
-           "np.where(dof == 1, 0.25, 2.0)", "np.where(dof == 1, 0.5, 2.0)"),
+    Mutant("ball-diagonal-projection", BALL,
+           "self._proj = (w * root)[self._terms]", "self._proj = (np.sqrt(w) * root)[self._terms]"),
     Mutant("ball-batch-period", BALL,
            "grid = _Grid(self, 2.0**exponent, cutoff)",
            "grid = _Grid(self, 2.0**int(exponents.min()), cutoff)"),
@@ -95,8 +98,8 @@ MUTANTS = (
            "np.multiply(-2.0, x.imag, out=den.imag)", "np.multiply(2.0, x.imag, out=den.imag)"),
     # the dense law for central tails: eigenvalues only, every one of them
     Mutant("central-dense-law-last-eigenvalue", BALL,
-           "ball._group(np.linalg.eigvalsh(m), ones, ones)",
-           "ball._group(np.linalg.eigvalsh(m)[:-1], ones[:-1], ones[:-1])"),
+           "self._group(np.linalg.eigvalsh(m))",
+           "self._group(np.linalg.eigvalsh(m)[:-1])"),
     # the dense replicate loop: each delta's rows of the one replicate-major lockstep solve
     Mutant("lockstep-replicate-offset", EXPERIMENTS,
            "block = lockstep[j::n, 0] - u_rows",

@@ -2,10 +2,10 @@
 
 :class:`MultiplierBall` is the law of S = sum_l w_l |(C^{1/2} xi + o)_l|^2 for spectral white
 noise xi, H^zeta weights w and an offset o: a shift plus a weighted sum of independent
-noncentral chi-squares (Imhof 1961; Davies 1980).  It is built from a multiplier root or,
-through :meth:`MultiplierBall._from_cosine_sine_root`, a dense one, and
-:meth:`MultiplierBall._escape_probs` evaluates its tail for a stack of offsets with a stated
-absolute error.  :func:`posterior._trace_ball` builds the law of a model.
+noncentral chi-squares (Imhof 1961; Davies 1980).  It is built from a real root of C in the
+cosine/sine basis, K values for a multiplier posterior (the diagonal case) or a K x K
+matrix, and :meth:`MultiplierBall._escape_probs` evaluates its tail for a stack of offsets
+with a stated absolute error.  :func:`posterior._trace_ball` builds the law of a model.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .lattice import FrequencyLattice, _mode_groups, _rows_to_cosine_sine, sobolev_weight
+from .lattice import FrequencyLattice, _rows_to_cosine_sine
 
 
 # Shares of the error bound stated by MultiplierBall._escape_probs, each an
@@ -85,104 +85,71 @@ class _Grid:
 
 
 class MultiplierBall:
-    """Exact tail of the weighted squared norm of a posterior Gaussian draw, for a
-    multiplier root or, through :meth:`_from_cosine_sine_root`, a dense one.
+    """Exact tail of the weighted squared norm of a posterior Gaussian draw, built from a
+    real root of the posterior covariance in the cosine/sine basis.
 
-    For a root symbol rho, weights w_l = (1 + |l|^2)^zeta and spectral white
-    noise xi as ``lattice._white_coeffs`` draws it for every sampler (the law of
-    ``fftn(z) / sqrt(K)``, with xi_-l = conj(xi_l) bit for bit), the statistic
-    S = sum_l w_l |rho_l xi_l + o_l|^2 equals R + Q, where
-    Q = sum_g lambda_g chi^2(h_g, nc_g) is a sum of independent noncentral
-    chi-squares.  A self-conjugate mode has a real N(0, 1) entry: lambda =
-    w |rho|^2, one degree of freedom, noncentrality (Re(conj(rho) o) / |rho|^2)^2,
-    and the rest of w |o|^2 goes into the shift R.  A pair l, -l shares one
-    complex entry xi_l = conj(xi_-l); with A = w_1 |rho_1|^2 + w_2 |rho_2|^2
-    and B = w_1 conj(rho_1) o_1 + w_2 rho_2 conj(o_2) it contributes
-    A |xi_l + B / A|^2 + w_1 |o_1|^2 + w_2 |o_2|^2 - |B|^2 / A: lambda = A / 2,
-    two degrees of freedom, noncentrality 2 |B / A|^2.  This holds for any
-    rho and o, even or Hermitian or not.  Equal lambdas are merged, adding
-    degrees of freedom and noncentralities.  A dense posterior has the same
-    law with one degree of freedom per eigenvalue (:meth:`_from_cosine_sine_root`);
-    only the step from offsets to noncentralities differs.
+    For spectral white noise xi as ``lattice._white_coeffs`` draws it for every sampler
+    (the law of ``fftn(z) / sqrt(K)``, exactly Hermitian), z = Q xi is real standard
+    normal, and a real root R, R R^T = C_cs, gives the draw Q^H R z of C^{1/2} xi.  The
+    H^zeta weights w are diagonal in the cosine/sine basis, so with Y = sqrt(w) R and
+    b = sqrt(w) Q o the statistic S = sum_l w_l |(C^{1/2} xi + o)_l|^2 is |Y z + b|^2.
+    One ``eigh`` Y^T Y = V diag(mu) V^T gives S = R + Q, the shift
+    R = |b|^2 - sum_k t_k^2 / mu_k plus Q = sum_k mu_k (Z_k + t_k / mu_k)^2 for Z = V^T z
+    and t = Re(Q o)^T sqrt(w) Y V: a sum of independent noncentral chi-squares of one
+    degree of freedom each (Imhof 1961; Davies 1980).  The imaginary part of Q o, an
+    offset that is not a real field, goes into R.  A multiplier posterior is the
+    diagonal case: each cosine and each sine coordinate of mode l has variance c_l, so
+    its root is the K values sqrt(c) in cosine/sine order, mu = w c, V = I and
+    t = Re(Q o) w sqrt(c), with no ``eigh``.  Equal mu are merged into groups
+    lambda_g chi^2(h_g, nc_g), adding degrees of freedom and noncentralities.
 
-    The groups and the central Chernoff tables depend only on the root and
-    zeta; only nc_g and R depend on the offset, so one
-    instance serves every replicate, and :meth:`_escape_probs` takes a whole
-    (replicate, K) stack of offsets in one call, or none for the central
-    law: the law's one tail entry point.  A law keeps O(G + T) numbers beyond
-    its K-sized term indices, for G groups and T Chernoff points: each call
-    builds the integration grid of each period it reads (a power of two) and,
-    when it reads offsets, the G x T and G x n noncentral tables in one
-    scratch buffer, and drops them when it returns.  A dense law that reads
-    offsets also keeps its K x K projection.
+    The groups and the central Chernoff tables depend only on the root and the weights;
+    only nc_g and R depend on the offset, so one instance serves every replicate, and
+    :meth:`_escape_probs` takes a whole (replicate, K) stack of offsets in one call, or
+    none for the central law: the law's one tail entry point.  A law keeps O(G + T)
+    numbers beyond its K-sized term indices and projection, for G groups and T Chernoff
+    points: each call builds the integration grid of each period it reads (a power of
+    two) and, when it reads offsets, the G x T and G x n noncentral tables in one scratch
+    buffer, and drops them when it returns.  A dense law that reads offsets keeps its
+    K x K projection sqrt(w) Y V; with ``offsets`` False one ``eigvalsh`` gives mu, it
+    keeps no projection and reads central tails only.
     """
 
-    def __init__(self, root, lattice: FrequencyLattice, zeta: float = 0.0):
-        root = np.asarray(root, dtype=np.complex128)
-        if root.shape != (lattice.size,):
-            raise ValueError(f"root has shape {root.shape}, lattice needs ({lattice.size},)")
-        real, pair, mate = _mode_groups(lattice)
-        self._w = sobolev_weight(lattice, zeta)
-        wroot = self._w * np.conj(root)
-        wr2 = self._w * np.abs(root) ** 2
-        quad = np.concatenate([wr2[real], wr2[pair] + wr2[mate]])
-        dof = np.concatenate([np.ones(real.size), np.full(pair.size, 2.0)])
-        # each live term in group order reads b = w conj(rho) o as t = b_l + conj(b_m): m = -l
-        # for a pair, whose noncentrality term is 2 |t|^2 / quad^2, and m = l for a
-        # self-conjugate mode, whose t = 2 Re b_l gives (Re b_l)^2 / quad^2 = |t|^2 / 4 / quad^2
-        terms = self._group(quad, dof, np.where(dof == 1, 0.25, 2.0))
-        self._first = np.concatenate([real, pair])[terms]
-        self._second = np.concatenate([real, mate])[terms]
-        self._w_first, self._w_second = wroot[self._first], np.conj(wroot[self._second])
-        self._proj = None
-
-    @classmethod
-    def _from_cosine_sine_root(cls, root: np.ndarray, w: np.ndarray, lattice: FrequencyLattice,
-                               offsets: bool = True) -> "MultiplierBall":
-        """The law of S = sum_l w_l |(Q^H R z + o)_l|^2 for a real root R R^T = C_cs in the
-        cosine/sine basis, ``w`` the H^zeta weights in cosine/sine order and z = Q xi, real
-        standard normal.  The even weights are diagonal there, so with Y = sqrt(w) R and
-        b = sqrt(w) Q o, S = |Y z + b|^2.  One ``eigh`` Y^T Y = V diag(mu) V^T gives
-        S = sum_k mu_k (Z_k + t_k / mu_k)^2 + |b|^2 - sum_k t_k^2 / mu_k for Z = V^T z and
-        t = Re(b^H Y V) = Re(Q o)^T sqrt(w) Y V: one degree of freedom per eigenvalue
-        (Imhof 1961), t read from the kept K x K projection sqrt(w) Y V.  With ``offsets``
-        False the law reads central tails only: one ``eigvalsh`` gives mu, and no
-        projection is kept.
-        """
-        k = lattice.size
-        if root.shape != (k, k) or w.shape != (k,):
-            raise ValueError(f"root {root.shape} and weights {w.shape} do not fit K = {k}")
-        ball = cls.__new__(cls)
-        ball._w = w[np.argsort(lattice._mode_order)]  # in exponential order
-        ball._proj = ball._first = None
+    def __init__(self, root, w: np.ndarray, lattice: FrequencyLattice, offsets: bool = True):
+        k, root = lattice.size, np.asarray(root)
+        if np.iscomplexobj(root) or root.shape not in ((k,), (k, k)) or w.shape != (k,):
+            raise ValueError(f"real root of shape ({k},) or ({k}, {k}) and weights ({k},) "
+                             f"needed, got {root.dtype} {root.shape} and {w.shape}")
+        self._w = w[np.argsort(lattice._mode_order)]  # in exponential order
+        self._lattice, self._proj = lattice, None
+        if root.ndim == 1:  # Y^T Y = diag(w root^2): V = I and the projection w root
+            self._terms = self._group(w * root**2)
+            self._proj = (w * root)[self._terms]
+            return
         y = np.sqrt(w)[:, None] * root
         m = y.T @ y
-        ones = np.ones(k)
         if not offsets:
             del y
-            ball._group(np.linalg.eigvalsh(m), ones, ones)
-            return ball
+            self._group(np.linalg.eigvalsh(m))
+            return
         mu, v = np.linalg.eigh(m)
         del m
-        terms = ball._group(mu, ones, ones)
-        ball._proj = np.sqrt(w)[:, None] * (y @ v[:, terms])
-        ball._lattice = lattice
-        return ball
+        terms = self._group(mu)
+        self._proj = np.sqrt(w)[:, None] * (y @ v[:, terms])
 
-    def _group(self, quad: np.ndarray, dof: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """Merge the terms lambda = quad / dof with quad > 0 into groups of equal lambda and
-        build the law's tables.  ``coef`` scales |t|^2 / quad^2 into each term's
-        noncentrality.  Returns the indices of the live terms in group order."""
+    def _group(self, quad: np.ndarray) -> np.ndarray:
+        """Merge the terms lambda = quad > 0, one degree of freedom each, into groups of
+        equal lambda and build the law's tables.  Returns the indices of the live terms in
+        group order."""
         live = np.flatnonzero(quad > 0)
-        quad, dof = quad[live], dof[live]
-        self.lam, group = np.unique(quad / dof, return_inverse=True)
-        self.dof = np.bincount(group, weights=dof, minlength=self.lam.size)
-        order = np.argsort(group, kind="stable")
-        self._nc_coef = (coef[live] / quad**2)[order]
-        self._starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+        terms = live[np.argsort(quad[live], kind="stable")]
+        quad = quad[terms]
+        self.lam, self._starts, dof = np.unique(quad, return_index=True, return_counts=True)
+        self.dof = dof.astype(float)
+        self._nc_coef = 1.0 / quad**2  # scales t^2 into each term's noncentrality
         if self.lam.size:
             self._chernoff_tables()
-        return live[order]
+        return terms
 
     def _chernoff_tables(self):
         """Log moment generating function of the central Q on fixed grids of t and -t."""
@@ -257,7 +224,9 @@ class MultiplierBall:
         return hi
 
     def _noncentralities(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Noncentralities nc (n, G) and shifts R (n,) of an (n, K) stack of offsets."""
+        """Noncentralities nc (n, G) and shifts R (n,) of an (n, K) stack of offsets, real
+        or complex: t = Re(Q o) times the projection, a product for a dense root and a
+        scaling of the live terms for a diagonal one."""
         if offsets.ndim != 2 or offsets.shape[1] != self._w.size:
             raise ValueError(f"offsets have shape {offsets.shape}, expected (n, {self._w.size})")
         re, im = offsets.real, offsets.imag  # sum_l w_l |o_l|^2, with no BLAS dot per row
@@ -267,22 +236,14 @@ class MultiplierBall:
         if not self.lam.size:
             return np.zeros((len(offsets), 0)), norms
         if self._proj is None:
-            if self._first is None:
-                raise ValueError("this dense law was built for central tails only")
-            t = np.take(offsets, self._first, axis=1)
-            t *= self._w_first
-            mate = np.take(offsets, self._second, axis=1)
-            np.conjugate(mate, out=mate)
-            mate *= self._w_second  # conj(b_m)
-            t += mate
-            sq = t.real**2
-            sq += t.imag**2
-        else:  # t = Re(Q o) @ proj
-            t = _rows_to_cosine_sine(self._lattice, offsets).real @ self._proj
-            sq = t * t
-        sq *= self._nc_coef
-        nc = np.add.reduceat(sq, self._starts, axis=1)
-        # a group's terms have |B|^2 / A summing to lambda_g nc_g
+            raise ValueError("this dense law was built for central tails only")
+        qo = _rows_to_cosine_sine(self._lattice, offsets).real
+        t = (np.take(qo, self._terms, axis=1) * self._proj if self._proj.ndim == 1
+             else qo @ self._proj)
+        t *= t
+        t *= self._nc_coef
+        nc = np.add.reduceat(t, self._starts, axis=1)
+        # a group's terms have t^2 / mu summing to lambda_g nc_g
         return nc, norms - np.einsum("ig,g->i", nc, self.lam)
 
     def _noncentral_nodes(self, grid: _Grid, buf: np.ndarray) -> np.ndarray:

@@ -179,6 +179,14 @@ def _prior_symbol(cov: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
                  lambda: np.array(_positive_real(symbol_values(cov, lattice))))
 
 
+def _even(c: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
+    """The multiplier symbol ``c`` > 0 on ``lattice``; raises ValueError unless it is even in
+    l, as the symbol of a multiplier that maps real fields to real fields is."""
+    if np.abs(c - c[lattice.conj_index]).max() > _CS_REAL_TOL * c.max():
+        raise ValueError("operator does not map real fields to real fields")
+    return c
+
+
 def _prior_form(cov: Operator, lattice: FrequencyLattice) -> np.ndarray:
     """Q C_U Q^H on ``lattice``, built once per operator and lattice, read-only.
 
@@ -188,10 +196,7 @@ def _prior_form(cov: Operator, lattice: FrequencyLattice) -> np.ndarray:
     """
     def make() -> np.ndarray:
         if isinstance(cov, MultiplierOp):
-            c_u = _prior_symbol(cov, lattice)
-            if np.abs(c_u - c_u[lattice.conj_index]).max() > _CS_REAL_TOL * c_u.max():
-                raise ValueError("operator does not map real fields to real fields")
-            return c_u[_cosine_sine_modes(lattice)[0]]
+            return _even(_prior_symbol(cov, lattice), lattice)[_cosine_sine_modes(lattice)[0]]
         return _to_cosine_sine(lattice, densify(cov, lattice).matrix)
 
     return _kept(cov._cs, ("prior form", lattice), make)
@@ -473,38 +478,40 @@ def _dense_cov(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray
 
 def _trace_root(model: GaussianModel, lattice: FrequencyLattice,
                 zeta: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """The H^zeta trace of the posterior covariance C on ``lattice``, a root of C and the
-    H^zeta weights that the ball statistic |C^{1/2} xi + o|^2 reads it with.
+    """The H^zeta trace of the posterior covariance C on ``lattice``, a real root of C in the
+    cosine/sine basis and the H^zeta weights in cosine/sine order, where they are diagonal,
+    that the ball statistic |C^{1/2} xi + o|^2 reads it with.
 
     A diagonal model reads its weights: c = delta^2 / (|a|^2 + delta^2 / c_U), the trace
-    sum_l w_l c_l, the pointwise root sqrt(c) and w in exponential order.  A dense one
-    takes the real X of :func:`_cov_factor`, X X^T = C_cs: Q^H X z, z = Q xi real standard
-    normal, has the law of C^{1/2} xi.  The trace is sum_j w_j |X_j|^2 over the rows X_j,
-    with w in cosine/sine order, where the weights are diagonal.
+    sum_l w_l c_l in exponential order and the root sqrt(c) as K values in cosine/sine
+    order, the variance of a mode's cosine and of its sine.  That needs c even in l: a c
+    that is not raises ValueError, as a prior that is not does for a dense model.  A dense
+    model takes the real X of :func:`_cov_factor`, X X^T = C_cs: Q^H X z, z = Q xi real
+    standard normal, has the law of C^{1/2} xi, and the trace is sum_j w_j |X_j|^2 over
+    the rows X_j.
     """
+    w = sobolev_weight(lattice, zeta)
+    order = _cosine_sine_modes(lattice)[0]
     if _is_diagonal(model):
         _, asq, prec = _diag_weights(model, lattice)
-        c = model.delta**2 / (asq + prec)
-        w = sobolev_weight(lattice, zeta)
-        return float(np.sum(w * c)), np.sqrt(c), w
-    root = _cov_factor(model, lattice)
-    w = sobolev_weight(lattice, zeta)[_cosine_sine_modes(lattice)[0]]
+        c = _even(model.delta**2 / (asq + prec), lattice)
+        return float(np.sum(w * c)), np.sqrt(c)[order], w[order]
+    root, w = _cov_factor(model, lattice), w[order]
     return float(w @ np.einsum("ij,ij->i", root, root)), root, w
 
 
 def _trace_ball(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
                 offsets: bool = True) -> tuple[float, MultiplierBall]:
     """The trace of :func:`_trace_root` and the exact law of the H^zeta ball statistic
-    |C^{1/2} xi + o|^2 for spectral white noise xi.
+    |C^{1/2} xi + o|^2 for spectral white noise xi, built from its root and weights.
 
     The law keeps O(G + T + n) numbers beyond its K-sized term indices (see
     :class:`MultiplierBall`).  A dense law that reads offsets also keeps a K x K
-    projection; with ``offsets`` False it is eigenvalues only and reads central tails.
+    projection; with ``offsets`` False a dense law is eigenvalues only and reads central
+    tails, while a diagonal one, whose projection is K values, reads offsets either way.
     """
     trace, root, w = _trace_root(model, lattice, zeta)
-    if root.ndim == 1:
-        return trace, MultiplierBall(root, lattice, zeta)
-    return trace, MultiplierBall._from_cosine_sine_root(root, w, lattice, offsets)
+    return trace, MultiplierBall(root, w, lattice, offsets)
 
 
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:

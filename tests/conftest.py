@@ -1,9 +1,10 @@
-"""References shared by several test modules, given as fixtures.
+"""References shared by several test modules, given as fixtures, and one law builder.
 
 Besides the unblocked cosine/sine transcription they are the oracles that no
 production path calls: the direct dense MAP solve, the Monte Carlo ball
 probabilities, the exact tail of a central law of conjugate pairs and the
-quadrature tail of one noncentral pair.
+quadrature tail of one noncentral pair.  :func:`diagonal_ball`, which test
+modules import, builds the ball law of a multiplier root.
 """
 
 import decimal
@@ -12,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from torusbayes._ball import MultiplierBall
 from torusbayes.fields import _rng
 from torusbayes.lattice import _cosine_sine_modes, _white_coeffs, sobolev_weight
 from torusbayes.posterior import _values
@@ -42,6 +44,16 @@ def _unblocked_from_cosine_sine(lat, m):
 def unblocked_from_cosine_sine():
     """The unblocked transcription of ``lattice._from_cosine_sine``, for byte pins."""
     return _unblocked_from_cosine_sine
+
+
+def diagonal_ball(root, lattice, zeta: float = 0.0) -> MultiplierBall:
+    """The ball law of the multiplier root ``root``, K real values in exponential order and
+    even in l, under H^zeta weights: the diagonal root root[order] and the weights w[order]
+    in cosine/sine order, as ``posterior._trace_root`` gives them."""
+    root = np.asarray(root)
+    assert np.isrealobj(root) and np.array_equal(root, root[lattice.conj_index])
+    order = lattice._mode_order
+    return MultiplierBall(root[order], sobolev_weight(lattice, zeta)[order], lattice)
 
 
 def _map_estimate_discrete(a_mat, c_mat, delta: float, mvec) -> np.ndarray:

@@ -823,21 +823,49 @@ class TestLawMemory:
         if refused(case, lambda: run_contraction(cfg)):
             return
         ref = run_contraction(cfg)
-        live, real = [], MultiplierBall._from_cosine_sine_root.__func__
+        live, real = [], MultiplierBall.__init__
 
-        def build(cls, *args):
+        def build(ball, *args):
             assert all(proj() is None for proj in live)  # every earlier projection is gone
-            ball = real(cls, *args)
+            real(ball, *args)
             live.append(weakref.ref(ball._proj))
-            return ball
 
-        monkeypatch.setattr(MultiplierBall, "_from_cosine_sine_root", classmethod(build))
+        monkeypatch.setattr(MultiplierBall, "__init__", build)
         _pencil(model, lat)  # kept before the count
         calls = counting_eigen(monkeypatch)
         table = run_contraction(cfg)
         assert len(live) == len(cfg.deltas) and table.rows == ref.rows
         # one eigh per delta for its law, and none more for the calibration's trace
         assert calls == [("eigh", (lat.size, lat.size))] * len(cfg.deltas)
+
+
+class TestUnevenDiagonalModel:
+    """A diagonal model whose prior symbol is not even in l does not keep real fields real:
+    its posterior has no ball law, while the runners that read no law still run."""
+
+    @staticmethod
+    def uneven_cfg(mode):
+        bessel = bessel_op(-1.0)
+        prior = MultiplierOp(lambda lat: bessel.symbol(lat) ** 2
+                             * (1.0 + 0.25 * np.sign(lat.freqs[:, 0])), 4.0, 4.0)
+        return small_cfg(mode, prior=gaussian_prior(prior), n_per_dim=8)
+
+    @pytest.mark.parametrize("mode, run", [
+        ("contraction", run_contraction), ("credible", run_credible),
+    ], ids=["contraction", "credible"])
+    def test_ball_law_refused(self, mode, run):
+        cfg = self.uneven_cfg(mode)
+        model, lat = cfg.model(cfg.deltas[0]), cfg.lattice()
+        for call in (lambda: run(cfg), lambda: _trace_ball(model, lat, 0.0)):
+            with pytest.raises(ValueError, match="does not map real fields to real fields"):
+                call()
+
+    @pytest.mark.parametrize("mode, run", [
+        ("bayes", run_bayes_convergence), ("frequentist", run_frequentist_convergence),
+    ], ids=["bayes", "frequentist"])
+    def test_runners_without_a_law_still_run(self, mode, run):
+        table = run(self.uneven_cfg(mode))
+        assert table.dropped == 0 and all(np.isfinite(r.mean_error) for r in table.rows)
 
 
 class TestEscapeProb:

@@ -57,6 +57,7 @@ from torusbayes.posterior import (
     _pencil,
     _pencil_solve,
     _trace_ball,
+    _trace_root,
     map_estimate,
     posterior,
     posterior_covariance,
@@ -64,6 +65,7 @@ from torusbayes.posterior import (
     posterior_trace,
     sample_posterior,
 )
+from conftest import diagonal_ball
 
 
 # the package re-exports the function posterior under the module's name
@@ -856,6 +858,13 @@ class TestLockstepSolves:
             _map_means([models[0], other], lat, data[:2])
 
 
+def diagonal_model(lat, delta=0.05):
+    """The diagonal model with the forward map and prior of :func:`pencil_case`'s
+    "even-prior" case without its coefficient: bessel(-1) and the prior bessel(-2)."""
+    bessel = bessel_op(-1.0)
+    return quiet_model(bessel, gaussian_prior(compose(bessel, bessel)), 1.01, 2, delta)
+
+
 def pencil_case(case, n=16, delta=0.05):
     """A phi-perturbed model on n^2: an even multiplier prior, a dense prior, or a map
     that does not keep real fields real (the symbol's modulus is not even in l), which
@@ -1236,21 +1245,25 @@ def noncentrality_row(ball, offset):
     return nc[0], float(shift[0])
 
 
+# the even root of one conjugate pair with lambda = 1/2 (to rounding), two degrees of freedom
+PAIR_ROOT = math.sqrt(0.5)
+
+
 def lone_modes_ball(values: dict, n=8, zeta=0.0):
-    """MultiplierBall on T^1 whose root is nonzero only at the given indices."""
+    """Diagonal law on T^1 whose real, even root is nonzero only at the given indices and
+    their mates."""
     lat = build_lattice(1, n)
-    root = np.zeros(lat.size, dtype=complex)
+    root = np.zeros(lat.size)
     for index, value in values.items():
-        root[index] = value
-    return MultiplierBall(root, lat, zeta), lat
+        root[index] = root[lat.conj_index[index]] = value
+    return diagonal_ball(root, lat, zeta), lat
 
 
 def mc_vs_exact_case(name):
-    """(mean and multiplier root of a posterior, zeta, offset) for the cross-check.
-
-    The root may be complex and not even, so no covariance has it as its Hermitian root:
-    the pair is what the Monte Carlo oracle reads of a posterior, ``mean`` and ``sqrt_cov``.
-    """
+    """(mean and multiplier root of a posterior, zeta, offset) for the cross-check: the pair
+    is what the Monte Carlo oracle reads of a posterior, ``mean`` and ``sqrt_cov``.  The
+    root of the case "non_even" is complex and not even, so no real field has it as its
+    covariance's root."""
     lat = build_lattice(2, 16)
     rng = np.random.default_rng(31)
     zeta, offset = 0.0, None
@@ -1278,11 +1291,11 @@ def mc_vs_exact_case(name):
 def batch_cases():
     """(ball, radius, (n, K) offsets) stacks for the batched law: rows on different grid
     periods, far tails that Chernoff settles as 0 and as 1, and rows with c <= 0."""
-    pair, lat = lone_modes_ball({1: 0.6, 7: 0.8})
+    pair, lat = lone_modes_ball({1: PAIR_ROOT})
     assert pair.dof.tolist() == [2.0]
     rows = np.zeros((6, lat.size), dtype=complex)
     for row, x in zip(rows, [0.0, 3.0, 6.0, 8.0, 15.0]):
-        row[1], row[7] = 0.6 * x, 0.8 * x  # B / A = x real: R = 0, nc = 2 x^2
+        row[1] = row[7] = PAIR_ROOT * x  # a real field, x sqrt(2) rho on the cosine: nc = 2 x^2
     rows[5, 3] = 7.0  # no root there: all of it in R
     yield pair, 6.0, rows
     lone, lat = lone_modes_ball({0: 1.0})
@@ -1290,7 +1303,7 @@ def batch_cases():
     rows[1, 0], rows[2, 0], rows[3, 2] = 0.5 + 0.3j, 2.0, 3.0
     yield lone, 1.0, rows
     lat = build_lattice(2, 16)
-    bessel = MultiplierBall(symbol_values(bessel_op(-1.0), lat), lat)
+    bessel = diagonal_ball(symbol_values(bessel_op(-1.0), lat).real, lat)
     field = sample_white_noise(lat, np.random.default_rng(5)).coeffs
     field = field / np.linalg.norm(field)  # a real field: R = 0 for an even real root
     yield bessel, np.sqrt(70.0), np.array([x * field for x in (0.0, 6.0, 8.0, 8.5, 12.0)]
@@ -1324,7 +1337,7 @@ class TestMultiplierBall:
 
     @pytest.mark.parametrize("radius", [float("nan"), -1.0])
     def test_rejects_bad_radius(self, radius):
-        ball, _ = lone_modes_ball({1: 0.6, 7: 0.8})
+        ball, _ = lone_modes_ball({1: PAIR_ROOT})
         with pytest.raises(ValueError, match="radius must be nonnegative"):
             escape_row(ball, radius)
 
@@ -1332,7 +1345,7 @@ class TestMultiplierBall:
     def test_radius_past_float_range_escapes_with_zero_bound(self, radius):
         # 1e150 squared is finite but t radius^2 is not; 1e155 squared is not either
         lat = build_lattice(2, 8)
-        ball = MultiplierBall(symbol_values(bessel_op(-1.0), lat), lat)
+        ball = diagonal_ball(symbol_values(bessel_op(-1.0), lat).real, lat)
         offsets = np.zeros((2, lat.size), dtype=complex)
         offsets[1, 1] = offsets[1, lat.conj_index[1]] = 3.0
         with warnings.catch_warnings():
@@ -1344,7 +1357,7 @@ class TestMultiplierBall:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), complex(0.0, -np.inf)])
     def test_rejects_non_finite_offset(self, value):
-        ball, lat = lone_modes_ball({1: 0.6, 7: 0.8})
+        ball, lat = lone_modes_ball({1: PAIR_ROOT})
         offset = np.zeros(lat.size, dtype=complex)
         offset[2] = value
         with warnings.catch_warnings():
@@ -1355,10 +1368,26 @@ class TestMultiplierBall:
                 ball._escape_probs(1.0, np.stack([np.zeros(lat.size), offset]))
 
     def test_rejects_offset_of_wrong_shape(self):
-        ball, lat = lone_modes_ball({1: 0.6, 7: 0.8})
+        ball, lat = lone_modes_ball({1: PAIR_ROOT})
         for shape in ((1, lat.size + 1), (lat.size,), (1, 1, lat.size)):  # one row: (1, K)
             with pytest.raises(ValueError, match="offsets have shape"):
                 ball._escape_probs(1.0, np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "dense"])
+    def test_real_offset_stack_reads_as_its_complex_cast(self, kind):
+        # a float64 stack, not Hermitian: the same rows, bit for bit, as its complex128 cast
+        lat, model = pencil_case("even-prior", n=8)
+        if kind == "diagonal":
+            model = diagonal_model(lat)
+        trace, ball = _trace_ball(model, lat, -0.5)
+        offsets = np.sqrt(trace / lat.size) * np.random.default_rng(3).standard_normal((4, lat.size))
+        as_complex = offsets.astype(np.complex128)
+        for got, cast in zip(ball._noncentralities(offsets), ball._noncentralities(as_complex)):
+            assert np.array_equal(got, cast)
+        for radius in (0.8 * np.sqrt(trace), 1.2 * np.sqrt(trace)):
+            for got, cast in zip(ball._escape_probs(radius, offsets),
+                                 ball._escape_probs(radius, as_complex)):
+                assert np.array_equal(got, cast)
 
     def test_lone_real_mode_is_a_folded_normal(self):
         ball, _ = lone_modes_ball({0: 1.0})
@@ -1377,11 +1406,12 @@ class TestMultiplierBall:
 
     @pytest.mark.parametrize("x", [0.1, 1.0, 3.0])
     def test_central_pair_is_exponential(self, x):
-        # rho(1) != rho(-1): lambda = (0.6^2 + 0.8^2) / 2 = 0.5, two degrees of freedom
-        ball, _ = lone_modes_ball({1: 0.6, 7: 0.8})
-        assert ball.lam.tolist() == [0.5] and ball.dof.tolist() == [2.0]
+        # the cosine and the sine of the pair: lambda = rho^2, 0.5 to rounding, two degrees of
+        # freedom
+        ball, _ = lone_modes_ball({1: PAIR_ROOT})
+        assert ball.lam.tolist() == [PAIR_ROOT**2] and ball.dof.tolist() == [2.0]
         p, bound = escape_row(ball, np.sqrt(x))
-        assert abs(p - np.exp(-x / (2 * 0.5))) <= 1e-15 and bound <= 1e-14
+        assert abs(p - np.exp(-x / (2 * ball.lam[0]))) <= 1e-15 and bound <= 1e-14
 
     def test_log_mgf_evaluated_once(self, monkeypatch):
         # the log MGF of the tail bounds is the one the grid needs; a lone pair builds no grid
@@ -1398,14 +1428,14 @@ class TestMultiplierBall:
 
         monkeypatch.setattr(MultiplierBall, "_log_mgf", counting)
         monkeypatch.setattr(ball_module, "_Grid", grid)
-        plain, _ = lone_modes_ball({1: 1.0, 7: 1.0, 2: 0.1, 6: 0.1})
-        pair, _ = lone_modes_ball({1: 0.6, 7: 0.8})
+        plain, _ = lone_modes_ball({1: 1.0, 2: 0.1})
+        pair, _ = lone_modes_ball({1: PAIR_ROOT})
         assert plain.dof.tolist() == [2.0, 2.0] and pair.dof.tolist() == [2.0]
         escape_row(plain, 1.0)
         assert calls == [plain] and grids == [plain]
         p, bound = escape_row(pair, 1.0)
         assert calls == [plain, pair] and grids == [plain]
-        assert abs(p - np.exp(-1.0)) <= 1e-15 and bound <= 1e-14
+        assert abs(p - np.exp(-1.0 / (2 * pair.lam[0]))) <= 1e-15 and bound <= 1e-14
 
     def test_cutoff_found_once_per_call_that_sums(self, monkeypatch):
         # the truncation-bound bisection sets the grid's last node: a lone mode or pair, which
@@ -1415,8 +1445,8 @@ class TestMultiplierBall:
         monkeypatch.setattr(MultiplierBall, "_cutoff_for",
                             lambda law: calls.append(law) or real(law))
         lone, _ = lone_modes_ball({0: 1.0})
-        pair, _ = lone_modes_ball({1: 0.6, 7: 0.8})
-        plain, lat = lone_modes_ball({1: 1.0, 7: 1.0, 2: 0.1, 6: 0.1})
+        pair, _ = lone_modes_ball({1: PAIR_ROOT})
+        plain, lat = lone_modes_ball({1: 1.0, 2: 0.1})
         assert lone.dof.tolist() == [1.0] and pair.dof.tolist() == [2.0] and plain.lam.size == 2
         for law in (lone, pair):
             escape_row(law, 1.0)
@@ -1431,8 +1461,7 @@ class TestMultiplierBall:
     def test_groups_merge_equal_lambdas(self):
         """64^2 radial root: 4096 modes collapse to one group per distinct |l|^2."""
         lat = build_lattice(2, 64)
-        root = symbol_values(bessel_op(-1.0), lat)
-        ball = MultiplierBall(root, lat)
+        ball = diagonal_ball(symbol_values(bessel_op(-1.0), lat).real, lat)
         assert ball.dof.sum() == lat.size
         assert ball.lam.size == np.unique(lat.weights).size
 
@@ -1442,24 +1471,26 @@ class TestMultiplierBall:
         Its first three cumulants, tr A + c, 2 tr A^2 + |b|^2 and
         8 tr A^3 + 6 b^T A b, must equal those of R + sum_g lambda_g
         chi^2(h_g, nc_g), 2^(k-1) (k-1)! sum_g lambda_g^k (h_g + k nc_g).
-        Complex non-even root, non-Hermitian offset, zeta != 0.
+        A real diagonal root whose cosine and sine values differ, the draw
+        Q^H diag(root) Q xi; a non-Hermitian offset, zeta != 0.
         """
         lat = build_lattice(2, 6)
         rng = np.random.default_rng(5)
         k = lat.size
-        root = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        root = rng.standard_normal(k)
         offset = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         zeta = -0.7
         w = (1.0 + lat.weights) ** zeta
         # xi = fftn(z) / sqrt(K) as a matrix on the flattened grid
         fourier = np.fft.fftn(np.eye(k).reshape(k, *lat.shape), axes=(1, 2)).reshape(k, k).T
-        m = root[:, None] * fourier / np.sqrt(k)
+        q = _rows_to_cosine_sine(lat, np.eye(k)).T
+        m = q.conj().T @ (root[:, None] * (q @ fourier)) / np.sqrt(k)
         a = (m.conj().T @ (w[:, None] * m)).real
         b = 2.0 * (m.conj().T @ (w * offset)).real
         c = float(np.sum(w * np.abs(offset) ** 2))
         expected = [np.trace(a) + c, 2.0 * np.trace(a @ a) + b @ b,
                     8.0 * np.trace(a @ a @ a) + 6.0 * b @ a @ b]
-        ball = MultiplierBall(root, lat, zeta)
+        ball = MultiplierBall(root, w[lat._mode_order], lat)
         nc, shift = noncentrality_row(ball, offset)
         lam, dof = ball.lam, ball.dof
         got = [np.sum(lam * (dof + nc)) + shift, 2.0 * np.sum(lam**2 * (dof + 2 * nc)),
@@ -1470,10 +1501,16 @@ class TestMultiplierBall:
     def test_exact_matches_monte_carlo(self, case, credible_ball_prob):
         post, zeta, offset = mc_vs_exact_case(case)
         lat = post.mean.lattice
-        ball = MultiplierBall(symbol_values(post.sqrt_cov, lat), lat, zeta)
+        root = symbol_values(post.sqrt_cov, lat)
+        if case == "non_even":  # a complex root has no law: the constructor refuses it
+            order = lat._mode_order
+            with pytest.raises(ValueError, match="real root"):
+                MultiplierBall(root[order], sobolev_weight(lat, zeta)[order], lat)
+            return
+        ball = diagonal_ball(root.real, lat, zeta)
         # radius at the mean of S, where the escape probability is far from 0 and 1
         w = (1.0 + lat.weights) ** zeta
-        mean_s = np.sum(w * np.abs(symbol_values(post.sqrt_cov, lat)) ** 2)
+        mean_s = np.sum(w * root.real**2)
         if offset is not None:
             mean_s += np.sum(w * np.abs(offset) ** 2)
         radius = float(np.sqrt(mean_s))
@@ -1485,7 +1522,7 @@ class TestMultiplierBall:
     def test_far_tails_are_exact_zero_and_one(self):
         post, zeta, offset = mc_vs_exact_case("noncentral")
         lat = post.mean.lattice
-        ball = MultiplierBall(symbol_values(post.sqrt_cov, lat), lat, zeta)
+        ball = diagonal_ball(symbol_values(post.sqrt_cov, lat).real, lat, zeta)
         assert escape_row(ball, 100.0, offset)[0] == 0.0
         assert escape_row(ball, 1e-3)[0] == 1.0
         assert escape_row(ball, 0.0, offset) == (1.0, 0.0)
@@ -1496,9 +1533,9 @@ PAIR_RADII_SQ = np.geomspace(0.5, 300.0, 7)
 
 def pair_laws(n_laws=24, groups=8, seed=101):
     """(law, lattice) for central multiplier laws of ``groups`` conjugate pairs with distinct
-    lambda drawn from [0.05, 3]: a root on a 6 x 6 lattice that is zero on the self-conjugate
-    modes and on the pairs left out, under random H^zeta weights, with random phases and
-    random shares of each pair's A = w_l |rho_l|^2 + w_-l |rho_-l|^2 = 2 lambda."""
+    lambda drawn from [0.05, 3]: a real, even root on a 6 x 6 lattice that is zero on the
+    self-conjugate modes and on the pairs left out, under random H^zeta weights, with
+    w_l rho_l^2 = lambda on both members of each pair, its cosine and its sine."""
     lat = build_lattice(2, 6)
     idx = np.arange(lat.size)
     pairs = idx[idx < lat.conj_index]
@@ -1506,13 +1543,11 @@ def pair_laws(n_laws=24, groups=8, seed=101):
     for _ in range(n_laws):
         zeta = rng.uniform(-1.0, 1.0)
         w = sobolev_weight(lat, zeta)
-        root = np.zeros(lat.size, dtype=complex)
-        for l, lam, share in zip(rng.choice(pairs, groups, replace=False),
-                                 rng.uniform(0.05, 3.0, groups), rng.uniform(0.1, 0.9, groups)):
-            for mode, part in ((l, share), (lat.conj_index[l], 1.0 - share)):
-                phase = np.exp(2j * np.pi * rng.uniform())
-                root[mode] = np.sqrt(2.0 * lam * part / w[mode]) * phase
-        yield MultiplierBall(root, lat, zeta), lat
+        root = np.zeros(lat.size)
+        for l, lam in zip(rng.choice(pairs, groups, replace=False),
+                          rng.uniform(0.05, 3.0, groups)):
+            root[l] = root[lat.conj_index[l]] = np.sqrt(lam / w[l])
+        yield diagonal_ball(root, lat, zeta), lat
 
 
 class TestCentralPairOracle:
@@ -1593,13 +1628,13 @@ class TestLonePairTail:
     quadrature of its density: every row within the law's own stated bound."""
 
     def test_conjugate_pair_within_stated_bound(self, noncentral_pair_tail):
-        # rho(1) = 0.6, rho(-1) = 0.8: lambda = 1/2, and o = (0.6, 0.8) t gives B / A = t,
-        # R = 0 and nc = 2 t^2
-        ball, lat = lone_modes_ball({1: 0.6, 7: 0.8})
+        # rho(1) = rho(-1) = sqrt(1/2): lambda = 1/2, and o_1 = o_-1 = rho t, a real field,
+        # gives R = 0 and nc = 2 t^2 on the cosine
+        ball, lat = lone_modes_ball({1: PAIR_ROOT})
         cases = list(pair_cases())
         offsets = np.zeros((len(cases), lat.size), dtype=complex)
         for row, (_, nc) in zip(offsets, cases):
-            row[1], row[7] = 0.6 * math.sqrt(nc / 2), 0.8 * math.sqrt(nc / 2)
+            row[1] = row[7] = PAIR_ROOT * math.sqrt(nc / 2)
         nc_law, shift = ball._noncentralities(offsets)
         np.testing.assert_allclose(nc_law[:, 0], [nc for _, nc in cases], rtol=1e-12)
         integral = 0
@@ -1730,8 +1765,32 @@ class TestDenseBall:
         with pytest.raises(ValueError, match="central tails only"):
             escape_row(central, np.sqrt(trace), np.ones(lat.size))
 
+    def test_diagonal_root_matches_its_dense_matrix(self):
+        # one constructor, two branches: the K values of a multiplier root against the
+        # same root as a K x K matrix, whose eigh and projection the dense branch reads
+        lat = build_lattice(2, 8)
+        trace, root, w = _trace_root(diagonal_model(lat), lat, -0.5)
+        diagonal, dense = MultiplierBall(root, w, lat), MultiplierBall(np.diag(root), w, lat)
+        assert dense._proj.shape == (lat.size, lat.size)
+        rng = np.random.default_rng(8)
+        field = apply(bessel_op(-1.0), sample_white_noise(lat, rng)).coeffs
+        scale = np.sqrt(trace) / np.linalg.norm(field)
+        offsets = np.stack([x * scale * field for x in (0.0, 0.5, 1.0)]  # real fields
+                           + [0.3 * scale * (field + 1j * rng.standard_normal(lat.size))])
+        rows = 0
+        for radius in np.sqrt(trace) * np.array([0.6, 0.9, 1.2, 1.6]):
+            for stack in (None, offsets):
+                (p, bound), (p_dense, bound_dense) = (law._escape_probs(radius, stack)
+                                                      for law in (diagonal, dense))
+                assert np.all(np.abs(p - p_dense) <= bound + bound_dense + 1e-15)
+                rows += np.count_nonzero((p > 1e-6) & (p < 1.0 - 1e-6))
+        assert rows >= 12  # most rows come from the integral, not a settled tail
+
     def test_rejects_root_of_wrong_shape(self):
-        lat, model = pencil_case("even-prior", n=8)
-        w = np.ones(lat.size)
-        with pytest.raises(ValueError, match="do not fit K = 64"):
-            MultiplierBall._from_cosine_sine_root(np.eye(lat.size + 1), w, lat)
+        # a K + 1 square, weights of the wrong size, or a complex root
+        lat = build_lattice(2, 8)
+        k, w = lat.size, np.ones(lat.size)
+        for root, weights in ((np.eye(k + 1), w), (np.eye(k), w[1:]), (np.ones(k), w[1:]),
+                              (np.eye(k, dtype=complex), w), (np.ones(k, dtype=complex), w)):
+            with pytest.raises(ValueError, match="real root of shape .64,. or .64, 64."):
+                MultiplierBall(root, weights, lat)
