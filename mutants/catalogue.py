@@ -35,10 +35,9 @@ MUTANTS = (
            "RatePrediction((2.0 * t - t0 + r) / (t0 + r)", "RatePrediction((2.0 * t0 - t + r) / (t0 + r)"),
     Mutant("bayes-split-swap", RATES,
            "elif z <= t - params.s - 2.0 * t0:", "elif z <= t0 - params.s - 2.0 * t:"),
+    # (the frequentist exponent and kappa0 are one expression)
     Mutant("frequentist-penalty-sign", RATES,
-           "exponent = 2.0 * (tau - 3.0 * (t0 - t))", "exponent = 2.0 * (tau - 3.0 * (t - t0))"),
-    Mutant("kappa0-penalty-sign", RATES,
-           "kappa0 = 2.0 * (tau - 3.0 * (t0 - t))", "kappa0 = 2.0 * (tau - 3.0 * (t - t0))"),
+           "return 2.0 * (tau - 3.0 * (t0 - t))", "return 2.0 * (tau - 3.0 * (t - t0))"),
     Mutant("credible-split-swap", RATES,
            "if zeta1 <= -s - t0:", "if zeta1 <= -s - t:"),
     # the diagonal posterior: delta for delta^2 in the precision
@@ -53,12 +52,15 @@ MUTANTS = (
            "block[1:] * (model.delta / np.sqrt(block[0] + model.delta))"),
     # the runners' dense trace and ball law: the weights in cosine/sine order
     Mutant("trace-root-weights", POSTERIOR,
-           "root, w = _cov_factor(model, lattice), w[order]",
-           "root, w = _cov_factor(model, lattice), w"),
+           "root, w = _cov_factor(model, lattice, noise), w[order]",
+           "root, w = _cov_factor(model, lattice, noise), w"),
     # the diagonal ball law: a posterior symbol that is not even in l has no law
-    Mutant("trace-root-even-refusal", POSTERIOR,
-           "c = _even(model.delta**2 / (asq + prec), lattice)",
-           "c = model.delta**2 / (asq + prec)"),
+    Mutant("trace-root-even-refusal", POSTERIOR, "c = _hermitian(c, lattice)", "pass"),
+    # the contraction runner's error law: the data-noise variance of the mean dropped, so
+    # the law is the posterior's alone
+    Mutant("contraction-law-noise-term", POSTERIOR,
+           "c = model.delta**2 * (denom + asq) / denom**2",
+           "c = model.delta**2 * denom / denom**2"),
     # the cosine/sine basis and the Sobolev bracket
     Mutant("butterfly-sign", LATTICE, "b *= -2.0", "b *= 2.0"),
     # the basis's entry rule: a matrix whose form is complex would be read as its real part
@@ -100,15 +102,15 @@ MUTANTS = (
     Mutant("central-dense-law-last-eigenvalue", BALL,
            "self._group(np.linalg.eigvalsh(m))",
            "self._group(np.linalg.eigvalsh(m)[:-1])"),
-    # the dense replicate loop: each delta's rows of the one replicate-major lockstep solve
+    # the dense bayes replicate loop: each delta's rows of the one replicate-major lockstep
+    # solve
     Mutant("lockstep-replicate-offset", EXPERIMENTS,
-           "block = lockstep[j::n, 0] - u_rows",
-           "block = lockstep[j * n_rep:(j + 1) * n_rep, 0] - u_rows"),
+           "sq = np.abs(lockstep[j::n, 0] - u_rows) ** 2 @ zw.T",
+           "sq = np.abs(lockstep[j * n_rep:(j + 1) * n_rep, 0] - u_rows) ** 2 @ zw.T"),
     # the replicate loop's drop rule, for every kind of model: a row with any non-finite
     # entry (a failed solve, or a non-finite form) is dropped
     Mutant("diagonal-drop-any-entry", EXPERIMENTS,
-           "ok = np.isfinite(block.reshape(n_rep, -1)).all(axis=1)",
-           "ok = np.isfinite(block.reshape(n_rep, -1)).any(axis=1)"),
+           "ok = np.isfinite(sq).all(axis=1)", "ok = np.isfinite(sq).any(axis=1)"),
     # the diagonal runners' error forms: the bias, noise and cross weights of mean - u
     Mutant("error-forms-bias-square", EXPERIMENTS,
            "sq_u, zw, beta**2)", "sq_u, zw, beta)"),

@@ -4,8 +4,9 @@ Forward operators are Fourier multipliers (possibly hypoelliptic: symbol
 decay sandwiched between two orders), priors are Gaussian with spectral
 covariances, and the noise is Gaussian white noise.  The package computes
 MAP/CM estimates and posterior Gaussians, predicts convergence and
-contraction exponents, and runs the Monte-Carlo experiments that verify
-the predicted log-log slopes empirically.
+contraction exponents, and runs the experiments that hold the predicted
+log-log slopes against measured ones: replicate means for the Bayes risk,
+exact Gaussian laws for the frequentist risk, contraction and credible balls.
 """
 
 from .lattice import (

@@ -319,7 +319,7 @@ def _build_parser() -> _Parser:
 
     for name, func, help_text in (
         ("estimate", cmd_estimate, "compute one MAP estimate and posterior trace"),
-        ("experiment", cmd_experiment, "run a Monte-Carlo experiment from config"),
+        ("experiment", cmd_experiment, "run a rate experiment from config"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI config path")
@@ -328,7 +328,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--force", action="store_true", help="overwrite outputs")
         if name == "experiment":
             p.add_argument("--threads", type=int, default=None,
-                           help="replicate worker threads")
+                           help="replicate worker threads (bayes only)")
         p.set_defaults(func=func)
     return parser
 

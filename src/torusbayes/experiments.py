@@ -1,22 +1,17 @@
 """Experiment runners over noise grids and the deterministic deblurring sweep.
 
-Each runner measures an empirical quantity over a decreasing noise grid,
-fits a log-log slope on the pre-saturation rows, and attaches the
-predicted exponent so tables are self-describing.  Replicates are
-parallelizable: replicate i always uses generators seeded by
-(master_seed, stream, i), and results are reduced in ascending replicate
-order, so thread count never changes the output.  For a diagonal model the
-bayes, frequentist and deblurring runners form no posterior mean: each
-error is the root of three weighted quadratic forms of the draws
-(:func:`_error_forms`), one delta at a time.  The other statistics read
-the offsets mean - u of every replicate at one delta as one stack, the
-means from the one mean kernel :func:`posterior._map_means`, and ball
-probabilities come from one exact law per delta, multiplier or dense
-(:class:`_ball.MultiplierBall`, built by :func:`posterior._trace_ball`); no
-runner samples the posterior.
-Seed streams: 0 truth, 1 data noise, 2 ``c0`` calibration.  A mean or a
-form in the replicate loop that is not finite (a failed solve) leaves its
-(replicate, delta) pair NaN, counted in ``dropped``.
+Each runner measures a quantity over a decreasing noise grid, fits a log-log
+slope on the pre-saturation rows, and attaches the predicted exponent so
+tables are self-describing.  Only ``bayes`` draws: replicate i seeds its
+generators by (master_seed, stream, i), stream 0 the truth and 1 the data
+noise, and results are reduced in ascending replicate order, so thread count
+never changes the output.  The frequentist, contraction and credible runners
+draw nothing: each reads one exact Gaussian law per delta, multiplier or
+dense (:func:`posterior._biases`, :func:`posterior._noise_trace` and
+:func:`posterior._trace_ball`), and its rows carry ``n`` 0 and their stated
+error in ``stderr``.  For a diagonal model the bayes and deblurring runners
+form no posterior mean: each error is the root of three weighted quadratic
+forms (:func:`_error_forms`), one delta at a time.
 """
 
 from __future__ import annotations
@@ -35,10 +30,11 @@ from .lattice import sobolev_weight
 from .operators import Operator, apply, bessel_op, compose
 from .posterior import (
     GaussianModel,
-    SolverError,
+    _biases,
     _diag_weights,
     _is_diagonal,
     _map_means,
+    _noise_trace,
     _trace_ball,
     _trace_root,
     _values,
@@ -255,10 +251,10 @@ def _rate_rows(experiment: str, deltas, zeta: float, samples: np.ndarray,
     return rows
 
 
-def _over_replicates(reduce, samples: np.ndarray) -> list:
-    """``reduce`` (np.nanmean or np.nanmax) over replicates; NaN, silently, where all failed."""
+def _replicate_mean(samples: np.ndarray) -> list:
+    """The mean over replicates of the non-NaNs; NaN, silently, where all failed."""
     failed = np.all(np.isnan(samples), axis=0)
-    return np.where(failed, np.nan, reduce(np.where(failed, 0.0, samples), axis=0)).tolist()
+    return np.where(failed, np.nan, np.nanmean(np.where(failed, 0.0, samples), axis=0)).tolist()
 
 
 def make_hat_truth(lattice: FrequencyLattice) -> TruthField:
@@ -276,10 +272,6 @@ def make_hat_truth(lattice: FrequencyLattice) -> TruthField:
         forward_transform(lattice, values),
         "tensor pyramid, height 1, half-width pi/2, centered at (pi, pi)",
     )
-
-
-def _replicate_seed(master_seed: int, stream: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((master_seed, stream, index))
 
 
 def _checked_truth(truth: TruthField | None, lattice: FrequencyLattice) -> TruthField:
@@ -300,9 +292,9 @@ def _error_forms(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray
     Mode by mode mean - u = beta u + nu e with beta = -p / D, nu = delta conj(a) / D,
     p = delta^2 / c_U and D = |a|^2 + p, so |mean - u|^2 weighs |u|^2 by beta^2, |e|^2 by
     |nu|^2 and Re(conj(A u) e) by -2 p delta / D^2.  ``zw`` holds the H^zeta weights, one row
-    per zeta; ``sq_u`` the rows |u|^2, one per replicate or one for all of them (a fixed
-    truth); ``sq_e`` and ``cross`` the rows |e|^2 and Re(conj(A u) e), one per replicate, or
-    None for noiseless data, whose noise and cross forms are 0.
+    per zeta; ``sq_u``, ``sq_e`` and ``cross`` the rows |u|^2, |e|^2 and Re(conj(A u) e), one
+    per replicate, or ``sq_e`` and ``cross`` None for noiseless data, whose noise and cross
+    forms are 0.
     """
     _, asq, prec = _diag_weights(model, lattice)
     denom = asq + prec
@@ -316,40 +308,33 @@ def _error_forms(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray
 
 
 def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, truth,
-                      statistic, width: int = 1, zw: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, int]:
-    """The rate runners' replicate loop: a (replicate, delta, width) array and the drop count.
+                      zw: np.ndarray) -> tuple[np.ndarray, int]:
+    """The bayes runner's replicate loop: the (replicate, delta, column) H^zeta errors of
+    mean - u, for the (zeta, K) H^zeta weights ``zw``, and the drop count.
 
     Replicate i takes u and A u from ``truth`` and e from stream 1, drawn by its own pool
-    task.  ``statistic(j, block)`` maps model j's block, one row per replicate, to those
-    replicates' rows.  Given ``zw``, the (zeta, K) H^zeta weights, the models are diagonal
-    and form no mean: ``truth`` is a fixed pair of K-vectors or a function of i, and each
-    task keeps its replicate's real K-vectors |u|^2 (once for a fixed truth), |e|^2 and
-    Re(conj(A u) e), which :func:`_error_forms` contracts into the block of
-    (replicate, zeta, 3) forms.  Without ``zw``, ``truth`` is a pair of K-vectors (a fixed
-    truth) or of (replicate, K) stacks, read as they are; each task writes its row of the
-    (replicate, K) stack of e, and the block is every mean - u from
-    :func:`posterior._map_means`: one call per delta for diagonal models, one lockstep call
-    of all n_replicates x n_delta rows, replicate-major, for other models.  A row of the
-    block that is not finite (a failed solve) is NaN in the result and one drop.
+    task.  Diagonal models form no mean: ``truth(i)`` is replicate i's pair of K-vectors,
+    each task keeps |u|^2, |e|^2 and Re(conj(A u) e), and :func:`_error_forms` contracts
+    them into the squared norms of the bias, the noise and their cross term; the columns
+    are the errors, then the bias and the noise norms, one per zeta each.  Otherwise
+    ``truth`` is a pair of (replicate, K) stacks, one lockstep :func:`posterior._map_means`
+    call solves all n_replicates x n_delta rows, replicate-major, and the columns are the
+    errors.  A replicate whose squared norms at a delta are not all finite (a failed solve)
+    is NaN there and one drop.
     """
     n, n_rep, size = len(models), cfg.n_replicates, lattice.size
+    diagonal = _is_diagonal(models[0])
 
     def noise(i: int) -> np.ndarray:
-        return sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 1, i)).coeffs
+        return sample_white_noise(lattice, (cfg.master_seed, 1, i)).coeffs
 
-    if zw is not None:
-        fixed = not callable(truth)
-        sq_u = np.empty((1 if fixed else n_rep, size))
-        sq_e, cross = np.empty((2, n_rep, size))
-        if fixed:
-            sq_u[0] = truth[0].real**2 + truth[0].imag**2
+    if diagonal:
+        sq_u, sq_e, cross = np.empty((3, n_rep, size))
 
         def work(i: int) -> None:  # each task writes its own rows
-            u, au = truth if fixed else truth(i)
+            u, au = truth(i)
             e = noise(i)
-            if not fixed:
-                sq_u[i] = u.real**2 + u.imag**2
+            sq_u[i] = u.real**2 + u.imag**2
             sq_e[i] = e.real**2 + e.imag**2
             cross[i] = au.real * e.real + au.imag * e.imag
     else:
@@ -359,31 +344,23 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, 
         def work(i: int) -> None:  # each task writes its own row
             e_rows[i] = noise(i)
 
-        def data(model: GaussianModel, out: np.ndarray | None = None) -> np.ndarray:
-            """A u + delta e of every replicate at the noise level of ``model``."""
-            out = np.multiply(model.delta, e_rows, out=out)
-            return np.add(au_rows, out, out=out)
-
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
         mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
         list(mapped(work, range(n_rep)))
-    lockstep = None
-    if zw is None and not _is_diagonal(models[0]):  # row i n + j: replicate i at delta j
+    if not diagonal:  # row i n + j: replicate i at delta j, A u + delta e
         rows = np.empty((n_rep, n, size), np.complex128)
         for j, model in enumerate(models):
-            data(model, rows[:, j])
+            np.add(au_rows, np.multiply(model.delta, e_rows, out=rows[:, j]), out=rows[:, j])
         lockstep = _map_means(models * n_rep, lattice, rows.reshape(n_rep * n, 1, size))
-    out = np.full((n_rep, n, width), np.nan)
-    for j, model in enumerate(models):  # one delta's weights or means at a time
-        if zw is not None:
-            block = _error_forms(model, lattice, zw, sq_u, sq_e, cross)
-        elif lockstep is None:  # mean - u of every replicate, in place
-            block = _map_means([model], lattice, data(model)[None])[0]
-            block -= u_rows
+    out = np.full((n_rep, n, 3 * len(zw) if diagonal else len(zw)), np.nan)
+    for j, model in enumerate(models):  # one delta's forms or means at a time
+        if diagonal:
+            forms = np.moveaxis(_error_forms(model, lattice, zw, sq_u, sq_e, cross), 2, 0)
+            sq = np.concatenate([np.maximum(forms.sum(axis=0), 0.0), forms[0], forms[1]], axis=1)
         else:
-            block = lockstep[j::n, 0] - u_rows
-        ok = np.isfinite(block.reshape(n_rep, -1)).all(axis=1)
-        out[ok, j] = statistic(j, block if ok.all() else block[ok])
+            sq = np.abs(lockstep[j::n, 0] - u_rows) ** 2 @ zw.T
+        ok = np.isfinite(sq).all(axis=1)
+        out[ok, j] = np.sqrt(sq[ok])
     return out, int(np.isnan(out[:, :, 0]).sum())
 
 
@@ -406,128 +383,105 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
     root, fwd = _values(cfg.prior.sqrt_cov, lattice), _values(cfg.fwd, lattice)
 
     def prior_draw(i: int) -> np.ndarray:
-        xi = sample_white_noise(lattice, _replicate_seed(cfg.master_seed, 0, i)).coeffs
+        xi = sample_white_noise(lattice, (cfg.master_seed, 0, i)).coeffs
         return root * xi if root.ndim == 1 else root @ xi
 
     nz = len(zetas)
     split = _is_diagonal(models[0])
     if split:
-        def errors(j, forms):  # H^zeta norms of mean - u, then of its bias and noise
-            bias, noise, cross = np.moveaxis(forms, 2, 0)
-            return np.sqrt(np.concatenate([np.maximum(bias + noise + cross, 0.0), bias, noise],
-                                          axis=1))
-
         def truth(i: int):  # a diagonal model: K symbol values each
             u = prior_draw(i)
             return u, fwd * u
-
-        stats, dropped = _replicate_solves(cfg, lattice, models, truth, errors, 3 * nz, zw)
-    else:
-        # a dense map takes A U for every replicate in one product
+    else:  # a dense map takes A U for every replicate in one product
         u = np.stack([prior_draw(i) for i in range(cfg.n_replicates)])
-        au = fwd * u if fwd.ndim == 1 else u @ fwd.T
-        stats, dropped = _replicate_solves(cfg, lattice, models, (u, au),
-                                           lambda j, diff: np.sqrt(np.abs(diff) ** 2 @ zw.T),
-                                           nz)
+        truth = (u, fwd * u if fwd.ndim == 1 else u @ fwd.T)
+    stats, dropped = _replicate_solves(cfg, lattice, models, truth, zw)
     rows, fits = [], []
     for k, zeta in enumerate(zetas):
         pred = bayes_rate(models[0].params(zeta))
         zeta_rows = _rate_rows("bayes", deltas, zeta, stats[:, :, k], pred.exponent, pred.regime)
         rows.extend(zeta_rows)
         fits.append(_zeta_fit(zeta, deltas, [r.mean_error for r in zeta_rows], pred))
-    extras = {"bias_mean": _over_replicates(np.nanmean, stats[:, :, nz:2 * nz]),
-              "noise_mean": _over_replicates(np.nanmean, stats[:, :, 2 * nz:])} if split else {}
+    extras = {"bias_mean": _replicate_mean(stats[:, :, nz:2 * nz]),
+              "noise_mean": _replicate_mean(stats[:, :, 2 * nz:])} if split else {}
     extras.update(deltas=list(deltas), zetas=list(zetas))
     return RateTable("bayes", tuple(rows), tuple(fits), dropped, extras)
 
 
 def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None = None) -> RateTable:
-    """Fixed-truth experiment: M = A u_true + delta E, squared-L2 risk (MISE)."""
+    """Fixed-truth experiment: the exact mean integrated squared L2 error (MISE) of the
+    posterior mean for data A u_true + delta E over the noise E.
+
+    MISE = |bias|^2 + E |N E|^2 for the bias E mean - u (:func:`posterior._biases`) and the
+    mean's data-noise part N E (:func:`posterior._noise_trace`), multiplier or dense.  Each
+    row is exact: ``stderr`` 0.0 and ``n`` 0.
+    """
     lattice = cfg.lattice()
     truth = _checked_truth(truth, lattice)
-    u = truth.u_dagger
-    deltas = cfg.deltas
-    models = [cfg.model(d) for d in deltas]
-    fixed = (u.coeffs, apply(cfg.fwd, u).coeffs)
+    models = [cfg.model(d) for d in cfg.deltas]
     params = models[0].params()
     pred = frequentist_rate(params)
-    if _is_diagonal(models[0]):  # no mean: the bias form of the fixed truth once per delta
-        stats, dropped = _replicate_solves(cfg, lattice, models, fixed,
-                                           lambda j, forms: np.maximum(forms.sum(axis=2), 0.0),
-                                           zw=np.ones((1, lattice.size)))
-    else:
-        stats, dropped = _replicate_solves(
-            cfg, lattice, models, fixed,
-            lambda j, diff: np.sum(np.abs(diff) ** 2, axis=1, keepdims=True))
-    rows = _rate_rows("frequentist", deltas, 0.0, stats[:, :, 0], pred.exponent, pred.regime)
-    fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
+    mise = [float(np.vdot(bias, bias).real) + _noise_trace(model, lattice)
+            for model, bias in zip(models, _biases(models, lattice, truth.u_dagger.coeffs))]
+    rows = tuple(RateRow("frequentist", delta, 0.0, value, 0.0, 0, pred.exponent, pred.regime)
+                 for delta, value in zip(cfg.deltas, mise))
     extras = {
         "truth": truth.description,
-        "truth_h_tau_norm": sobolev_norm(u, params.tau),
-        "deltas": list(deltas),
+        "truth_h_tau_norm": sobolev_norm(truth.u_dagger, params.tau),
+        "deltas": list(cfg.deltas),
     }
-    return RateTable("frequentist", tuple(rows), fits, dropped, extras)
+    return RateTable("frequentist", rows, (_zeta_fit(0.0, cfg.deltas, mise, pred),), 0, extras)
 
 
 def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> RateTable:
-    """Posterior mass escaping an L2 ball of radius c0 delta^kappa around the truth.
+    """Expected posterior mass escaping an L2 ball of radius c0 delta^kappa around the truth.
 
-    Outer replicates draw the noise in the data.  The escape probability of
-    each replicate is computed exactly by the ball law of
-    :class:`_ball.MultiplierBall` (:func:`posterior._trace_ball`), multiplier
-    or dense, one ``_escape_probs`` call per delta for the (replicate, K)
-    stack of every replicate's offset mean - truth; each delta's law is built
-    where its rows are read and dropped after, so at most one dense K x K
-    projection is held.  The largest stated error bound per delta goes to
-    ``extras["ball_prob_error"]``.  ``n_mc`` is not read.  Reports the escape
-    probability per delta together with the Markov-inequality estimate
-    (Tr(C_delta) + |mean - truth|^2) / radius^2, which must dominate it.
-    If ``c0`` is not set it is calibrated at the middle delta so the radius
-    there equals the root-mean-square posterior deviation from the truth.
+    Over the data noise a posterior draw minus the truth is one Gaussian, mean the bias
+    E mean - u (:func:`posterior._biases`) and covariance C + N N^H, the posterior's plus
+    that of the mean's data-noise part.  Each delta's escape probability is one
+    ``_escape_probs`` call of that exact law (:func:`posterior._trace_ball` with ``noise``),
+    multiplier or dense, with the bias as its one offset; each law is dropped before the
+    next is built, so at most one dense K x K projection is held.  Each row is exact: the
+    law's stated error bound in ``stderr`` and ``extras["ball_prob_error"]``, ``n`` 0;
+    ``n_mc`` is not read.  ``extras["markov_mean"]`` holds the Markov bound
+    min(1, E S / radius^2), E S = tr(C + N N^H) + |bias|^2, which must dominate the
+    escape probability.  An unset ``c0`` makes the radius at the middle delta sqrt(E S).
     """
     if cfg.kappa is None:
         raise ValueError("contraction experiment needs kappa")
     lattice = cfg.lattice()
     u = _checked_truth(truth, lattice).u_dagger
     deltas = cfg.deltas
-    au = apply(cfg.fwd, u)
     models = [cfg.model(d) for d in deltas]
     pred = contraction_rate(models[0].params(), cfg.kappa)
-
+    biases = _biases(models, lattice, u.coeffs)
+    sq_bias = [float(np.vdot(bias, bias).real) for bias in biases]
     c0 = cfg.c0
     if c0 is None:
         mid = len(deltas) // 2
-        rng = _replicate_seed(cfg.master_seed, 2, 0)
-        noise = np.stack([sample_white_noise(lattice, rng).coeffs for _ in range(4)])
-        means = _map_means([models[mid]], lattice, (au.coeffs + deltas[mid] * noise)[None])
-        if not np.isfinite(means).all():
-            raise SolverError("posterior mean not finite", [])
-        trace = _trace_root(models[mid], lattice, 0.0)[0]
-        sq = [trace + np.sum(np.abs(mean - u.coeffs) ** 2) for mean in means[0]]
-        c0 = float(np.sqrt(np.mean(sq)) / deltas[mid] ** cfg.kappa)
+        trace = _trace_root(models[mid], lattice, 0.0, noise=True)[0]
+        c0 = float(np.sqrt(trace + sq_bias[mid]) / deltas[mid] ** cfg.kappa)
 
-    radii = [c0 * delta**cfg.kappa for delta in deltas]
-
-    def escape(j, offsets):  # every replicate's offset at one delta in one call of its law
-        trace, ball = _trace_ball(models[j], lattice, 0.0)
-        direct, error = ball._escape_probs(radii[j], offsets)
-        markov = np.minimum(1.0, (trace + np.sum(np.abs(offsets) ** 2, axis=-1)) / radii[j] ** 2)
-        return np.stack([direct, markov, error], axis=1)
-
-    stats, dropped = _replicate_solves(cfg, lattice, models, (u.coeffs, au.coeffs), escape, 3)
-    direct, markov, error = np.moveaxis(stats, 2, 0)  # (replicate, delta) each
-    rows = _rate_rows("contraction", deltas, 0.0, direct, pred.extra["decay"], pred.regime)
+    rows, markov = [], []
+    for delta, model, bias, sq in zip(deltas, models, biases, sq_bias):
+        radius = c0 * delta**cfg.kappa
+        trace, ball = _trace_ball(model, lattice, 0.0, noise=True)
+        (p,), (bound,) = ball._escape_probs(radius, bias[None])
+        del ball  # before the next law is built
+        markov.append(min(1.0, (trace + sq) / radius**2))
+        rows.append(RateRow("contraction", delta, 0.0, float(p), float(bound), 0,
+                            pred.extra["decay"], pred.regime))
     fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
     extras = {
         "c0": c0,
         "kappa": cfg.kappa,
         "kappa0": pred.extra["kappa0"],
-        "markov_mean": _over_replicates(np.nanmean, markov),
+        "markov_mean": markov,
         "ball_prob_method": "exact",
-        "ball_prob_error": _over_replicates(np.nanmax, error),
+        "ball_prob_error": [r.stderr for r in rows],
         "deltas": list(deltas),
     }
-    return RateTable("contraction", tuple(rows), fits, dropped, extras)
+    return RateTable("contraction", tuple(rows), fits, 0, extras)
 
 
 def run_credible(cfg: ExperimentConfig) -> RateTable:

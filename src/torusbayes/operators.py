@@ -59,9 +59,9 @@ class MultiplierOp:
     evaluated once: the K symbol values of a forward map or a prior root
     ("symbol") or the real ones of a prior covariance ("prior symbol"); and, as
     :class:`DenseOp` does, what a model with a dense partner reads: the
-    cosine/sine form of a prior covariance symbol c ("prior form"; K values
-    when even in l, else a K x K matrix) and the pencil of a forward map
-    ("pencil").  Not part of repr, equality or hash.
+    cosine/sine form of a prior covariance symbol c ("prior form"; K values,
+    as c must be even in l) and the pencil of a forward map ("pencil").  Not
+    part of repr, equality or hash.
     """
 
     symbol: Callable[[FrequencyLattice], np.ndarray]

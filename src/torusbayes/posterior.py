@@ -179,10 +179,10 @@ def _prior_symbol(cov: MultiplierOp, lattice: FrequencyLattice) -> np.ndarray:
                  lambda: np.array(_positive_real(symbol_values(cov, lattice))))
 
 
-def _even(c: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
-    """The multiplier symbol ``c`` > 0 on ``lattice``; raises ValueError unless it is even in
-    l, as the symbol of a multiplier that maps real fields to real fields is."""
-    if np.abs(c - c[lattice.conj_index]).max() > _CS_REAL_TOL * c.max():
+def _hermitian(c: np.ndarray, lattice: FrequencyLattice) -> np.ndarray:
+    """The multiplier symbol ``c`` on ``lattice``; raises ValueError unless c(-l) = conj(c(l)),
+    as for a multiplier that maps real fields to real fields: a real c must be even in l."""
+    if np.abs(c - np.conj(c[lattice.conj_index])).max() > _CS_REAL_TOL * np.abs(c).max():
         raise ValueError("operator does not map real fields to real fields")
     return c
 
@@ -196,7 +196,7 @@ def _prior_form(cov: Operator, lattice: FrequencyLattice) -> np.ndarray:
     """
     def make() -> np.ndarray:
         if isinstance(cov, MultiplierOp):
-            return _even(_prior_symbol(cov, lattice), lattice)[_cosine_sine_modes(lattice)[0]]
+            return _hermitian(_prior_symbol(cov, lattice), lattice)[_cosine_sine_modes(lattice)[0]]
         return _to_cosine_sine(lattice, densify(cov, lattice).matrix)
 
     return _kept(cov._cs, ("prior form", lattice), make)
@@ -455,10 +455,14 @@ def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | N
     return float(np.sum(sobolev_weight(lattice, q) * diag))
 
 
-def _cov_factor(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
+def _cov_factor(model: GaussianModel, lattice: FrequencyLattice, noise: bool = False) -> np.ndarray:
     """X = F diag(delta / sqrt(lam + delta^2)) of the pencil: X X^T is the posterior
-    covariance C_cs of a model that is not diagonal, in the cosine/sine basis."""
+    covariance C_cs of a model that is not diagonal, in the cosine/sine basis.  ``noise``
+    adds the covariance F diag(delta^2 lam / (lam + delta^2)^2) F^T of the mean's data noise."""
     block = _pencil(model, lattice)
+    if noise:
+        lam, d2 = block[0], model.delta**2
+        return block[1:] * (model.delta * np.sqrt(2.0 * lam + d2) / (lam + d2))
     return block[1:] * (model.delta / np.sqrt(block[0] + model.delta**2))
 
 
@@ -476,8 +480,8 @@ def _dense_cov(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray
                    f"postcov({model.fwd.label})")
 
 
-def _trace_root(model: GaussianModel, lattice: FrequencyLattice,
-                zeta: float) -> tuple[float, np.ndarray, np.ndarray]:
+def _trace_root(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
+                noise: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
     """The H^zeta trace of the posterior covariance C on ``lattice``, a real root of C in the
     cosine/sine basis and the H^zeta weights in cosine/sine order, where they are diagonal,
     that the ball statistic |C^{1/2} xi + o|^2 reads it with.
@@ -488,30 +492,63 @@ def _trace_root(model: GaussianModel, lattice: FrequencyLattice,
     that is not raises ValueError, as a prior that is not does for a dense model.  A dense
     model takes the real X of :func:`_cov_factor`, X X^T = C_cs: Q^H X z, z = Q xi real
     standard normal, has the law of C^{1/2} xi, and the trace is sum_j w_j |X_j|^2 over
-    the rows X_j.
+    the rows X_j.  With ``noise`` the covariance is C + N N^H, that of C^{1/2} xi + N e over
+    the data noise e too, N e the mean's data-noise part: per mode c = delta^2 (D + |a|^2) / D^2
+    with D = |a|^2 + delta^2 / c_U, which needs a forward symbol that keeps real fields real.
     """
     w = sobolev_weight(lattice, zeta)
     order = _cosine_sine_modes(lattice)[0]
     if _is_diagonal(model):
-        _, asq, prec = _diag_weights(model, lattice)
-        c = _even(model.delta**2 / (asq + prec), lattice)
+        a, asq, prec = _diag_weights(model, lattice)
+        denom = asq + prec
+        if noise:
+            _hermitian(a, lattice)
+            c = model.delta**2 * (denom + asq) / denom**2
+        else:
+            c = model.delta**2 / denom
+        c = _hermitian(c, lattice)
         return float(np.sum(w * c)), np.sqrt(c)[order], w[order]
-    root, w = _cov_factor(model, lattice), w[order]
+    root, w = _cov_factor(model, lattice, noise), w[order]
     return float(w @ np.einsum("ij,ij->i", root, root)), root, w
 
 
 def _trace_ball(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
-                offsets: bool = True) -> tuple[float, MultiplierBall]:
+                offsets: bool = True, noise: bool = False) -> tuple[float, MultiplierBall]:
     """The trace of :func:`_trace_root` and the exact law of the H^zeta ball statistic
-    |C^{1/2} xi + o|^2 for spectral white noise xi, built from its root and weights.
+    |C^{1/2} xi + o|^2 for spectral white noise xi (with ``noise``, of |C^{1/2} xi + N e + o|^2
+    over the data noise e too), built from its root and weights.
 
     The law keeps O(G + T + n) numbers beyond its K-sized term indices (see
     :class:`MultiplierBall`).  A dense law that reads offsets also keeps a K x K
     projection; with ``offsets`` False a dense law is eigenvalues only and reads central
     tails, while a diagonal one, whose projection is K values, reads offsets either way.
     """
-    trace, root, w = _trace_root(model, lattice, zeta)
+    trace, root, w = _trace_root(model, lattice, zeta, noise)
     return trace, MultiplierBall(root, w, lattice, offsets)
+
+
+def _biases(models, lattice: FrequencyLattice, u: np.ndarray) -> np.ndarray:
+    """E mean - u over the data noise for the truth coefficients ``u``, one row per model of
+    a lockstep set: -(p / D) u mode by mode for diagonal models, p = delta^2 / c_U and
+    D = |a|^2 + p, else one :func:`_map_means` call on the noiseless data A u, minus u."""
+    if _is_diagonal(models[0]):
+        weights = (_diag_weights(model, lattice) for model in models)
+        return np.stack([-(prec / (asq + prec)) * u for _, asq, prec in weights])
+    au = apply(models[0].fwd, SpectralField(lattice, u)).coeffs
+    return _map_means(models, lattice, np.broadcast_to(au, (len(models), 1, u.size)))[:, 0] - u
+
+
+def _noise_trace(model: GaussianModel, lattice: FrequencyLattice) -> float:
+    """E |N e|^2 for the data-noise part N e of the posterior mean: sum_l delta^2 |a|^2 / D^2
+    for a diagonal model, else delta^2 sum_k lam_k |F_k|^2 / (lam_k + delta^2)^2 over the
+    columns F_k of the pencil."""
+    d2 = model.delta**2
+    if _is_diagonal(model):
+        _, asq, prec = _diag_weights(model, lattice)
+        return float(np.sum(d2 * asq / (asq + prec) ** 2))
+    block = _pencil(model, lattice)
+    lam, f = block[0], block[1:]
+    return float(d2 * (lam / (lam + d2) ** 2) @ np.einsum("jk,jk->k", f, f))
 
 
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:

@@ -114,16 +114,22 @@ def bayes_rate(params: SmoothnessParams) -> RatePrediction:
     return pred
 
 
-def frequentist_rate(params: SmoothnessParams) -> RatePrediction:
-    """Exponent of the mean integrated squared L2 error for a fixed truth in H^tau."""
+def _truth_exponent(params: SmoothnessParams) -> tuple[float, list[str]]:
+    """2 (tau - 3 (t0 - t)) / (t0 + r), the squared L2 risk's exponent and kappa0 for a
+    fixed truth in H^tau, and the flags of its hypotheses tau > 0 and t0 <= t + tau / 3."""
     tau, t, t0, r = params.tau, params.t, params.t0, params.r
     msgs: list[str] = []
     _flag(tau > 0, f"tau > 0 violated (tau={tau})", msgs)
-    _flag(params.r > params.s > params.d / 2,
-          f"r > s > d/2 violated (r={params.r}, s={params.s}, d={params.d})", msgs)
     _flag(t0 <= t + tau / 3.0,
           f"t0 <= t + tau/3 violated (t0={t0}, t={t}, tau={tau})", msgs)
-    exponent = 2.0 * (tau - 3.0 * (t0 - t)) / (t0 + r)
+    return 2.0 * (tau - 3.0 * (t0 - t)) / (t0 + r), msgs
+
+
+def frequentist_rate(params: SmoothnessParams) -> RatePrediction:
+    """Exponent of the mean integrated squared L2 error for a fixed truth in H^tau."""
+    exponent, msgs = _truth_exponent(params)
+    _flag(params.r > params.s > params.d / 2,
+          f"r > s > d/2 violated (r={params.r}, s={params.s}, d={params.d})", msgs)
     pred = RatePrediction(exponent, "mise", not msgs, tuple(msgs))
     _emit(msgs)
     return pred
@@ -134,14 +140,9 @@ def contraction_rate(params: SmoothnessParams, kappa: float | None = None) -> Ra
 
     The posterior probability of the complement of an L2 ball of radius
     ``c0 delta^kappa`` decays like ``delta^{2 (kappa0 - kappa)}`` with
-    ``kappa0 = 2 (tau - 3 (t0 - t)) / (t0 + r)``.
+    ``kappa0 = 2 (tau - 3 (t0 - t)) / (t0 + r)``, the frequentist exponent.
     """
-    tau, t, t0, r = params.tau, params.t, params.t0, params.r
-    msgs: list[str] = []
-    _flag(tau > 0, f"tau > 0 violated (tau={tau})", msgs)
-    _flag(t0 <= t + tau / 3.0,
-          f"t0 <= t + tau/3 violated (t0={t0}, t={t}, tau={tau})", msgs)
-    kappa0 = 2.0 * (tau - 3.0 * (t0 - t)) / (t0 + r)
+    kappa0, msgs = _truth_exponent(params)
     extra = {"kappa0": kappa0}
     if kappa is not None:
         _flag(kappa < kappa0, f"kappa < kappa0 violated (kappa={kappa}, kappa0={kappa0})", msgs)

@@ -2,8 +2,9 @@
 
 Besides the unblocked cosine/sine transcription they are the oracles that no
 production path calls: the direct dense MAP solve, the Monte Carlo ball
-probabilities, the exact tail of a central law of conjugate pairs and the
-quadrature tail of one noncentral pair.  :func:`diagonal_ball`, which test
+probabilities, the exact tail of a central law of conjugate pairs, the
+quadrature tail of one noncentral pair and the replicate means of the
+frequentist and contraction statistics.  :func:`diagonal_ball`, which test
 modules import, builds the ball law of a multiplier root.
 """
 
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 
 from torusbayes._ball import MultiplierBall
-from torusbayes.fields import _rng
-from torusbayes.lattice import _cosine_sine_modes, _white_coeffs, sobolev_weight
-from torusbayes.posterior import _values
+from torusbayes.experiments import make_hat_truth
+from torusbayes.fields import _rng, sample_white_noise
+from torusbayes.lattice import SpectralField, _cosine_sine_modes, _white_coeffs, sobolev_weight
+from torusbayes.operators import apply
+from torusbayes.posterior import _trace_ball, _values, map_estimate
 
 
 def _unblocked_from_cosine_sine(lat, m):
@@ -181,3 +184,37 @@ def noncentral_pair_tail():
     """The tail of a noncentral chi-square with two degrees of freedom, by quadrature of its
     density: an oracle for the ball law of one group of two degrees of freedom."""
     return _noncentral_pair_tail
+
+
+def _replicate_rows(cfg, n_rep: int, c0: float | None = None) -> dict:
+    """The replicate oracle of the exact ``frequentist`` and ``contraction`` rows of ``cfg``
+    under the hat truth u: per noise level, the mean and standard error over ``n_rep``
+    replicates of |mean - u|^2 ("mise") and, given ``c0``, of the posterior's exact
+    probability of escaping the L2 ball of radius c0 delta^kappa around u ("escape").
+    Replicate i draws its data noise e_i from default_rng((cfg.master_seed, 1, i)) and solves
+    for the mean of A u + delta e_i by ``map_estimate``, one replicate at a time.  Returns
+    (delta, 2) arrays of (mean, standard error)."""
+    lat = cfg.lattice()
+    u = make_hat_truth(lat).u_dagger.coeffs
+    au = apply(cfg.fwd, SpectralField(lat, u)).coeffs
+    noise = [sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i))).coeffs
+             for i in range(n_rep)]
+    out = {"mise": [], "escape": []}
+    for delta in cfg.deltas:
+        model = cfg.model(delta)
+        diffs = np.stack([map_estimate(model, SpectralField(lat, au + delta * e)).coeffs - u
+                          for e in noise])
+        samples = {"mise": np.sum(np.abs(diffs) ** 2, axis=1)}
+        if c0 is not None:
+            ball = _trace_ball(model, lat, 0.0)[1]
+            samples["escape"] = ball._escape_probs(c0 * delta**cfg.kappa, diffs)[0]
+        for key, x in samples.items():
+            out[key].append((x.mean(), x.std(ddof=1) / math.sqrt(n_rep)))
+    return {key: np.array(rows) for key, rows in out.items()}
+
+
+@pytest.fixture
+def replicate_rows():
+    """Replicate means of the frequentist and contraction statistics, the oracle of their
+    exact rows."""
+    return _replicate_rows

@@ -1,6 +1,7 @@
 """Experiment runners: fits, hat truth, reproducibility, table plumbing."""
 
 import csv
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -23,7 +24,7 @@ from torusbayes.experiments import (
     write_rate_csv,
 )
 from torusbayes.fields import gaussian_prior, sample_white_noise, sobolev_norm
-from torusbayes.lattice import SpectralField, build_lattice, inverse_transform
+from torusbayes.lattice import SpectralField, build_lattice, inverse_transform, sobolev_weight
 from torusbayes.operators import (
     MultiplierOp,
     apply,
@@ -59,6 +60,15 @@ def dense_fwd(lat):
     """bessel(-1) with a smooth positive coefficient: a dense, non-commuting forward map."""
     x = lat.grid_axes()[0]
     return variable_coeff_op(1.0 + 0.5 * np.outer(np.sin(x), np.cos(x)), bessel_op(-1.0), lat)
+
+
+def assert_within_oracle(table, ref):
+    """Each exact row of ``table`` within 4 SE of its replicate mean in ``ref``, rows of
+    (mean, SE) from the ``replicate_rows`` oracle, plus 1e-10 for the stated errors of the
+    exact ball laws on both sides."""
+    assert len(table.rows) == len(ref)
+    for row, (mean, se) in zip(table.rows, ref):
+        assert abs(row.mean_error - mean) <= 4.0 * se + 1e-10, (row.delta, row.mean_error, mean, se)
 
 
 @pytest.mark.parametrize("mode, run", [
@@ -307,14 +317,6 @@ class TestBayesExperiment:
 
 
 class TestFrequentistExperiment:
-    def test_stderr_shrinks_with_replicates(self):
-        t8 = run_frequentist_convergence(small_cfg("frequentist"))
-        t32 = run_frequentist_convergence(small_cfg("frequentist", n_replicates=32))
-        r8 = np.array([r.stderr for r in t8.rows])
-        r32 = np.array([r.stderr for r in t32.rows])
-        ratio = np.mean(r32 / r8)
-        assert 0.25 < ratio < 0.85  # expected 1/2 with MC noise around it
-
     def test_zero_truth_leaves_pure_noise(self):
         cfg = small_cfg("frequentist")
         lat = cfg.lattice()
@@ -323,7 +325,7 @@ class TestFrequentistExperiment:
 
         t_zero = run_frequentist_convergence(cfg, TruthField(zero, "zero"))
         t_hat = run_frequentist_convergence(cfg)
-        # zero truth has no approximation bias; same noise draws, so the
+        # zero truth has no approximation bias and the same noise term, so the
         # mean squared error is smaller at every noise level
         for rz, rh in zip(t_zero.rows, t_hat.rows):
             assert rz.mean_error < rh.mean_error
@@ -401,36 +403,31 @@ class TestContractionExperiment:
         t3 = run_contraction(small_cfg("contraction", threads=3, **dense))
         assert t1.rows == t3.rows and t1.extras == t3.extras
 
+    @pytest.mark.filterwarnings("ignore::torusbayes.rates.HypothesisWarning")
+    def test_forward_map_not_keeping_real_fields_real_refused(self):
+        # i bessel(-1): |a|^2 and the posterior are even, but the mean's data noise is not
+        # a real field, so the error law of a real Gaussian does not hold
+        bessel = bessel_op(-1.0)
+        fwd = MultiplierOp(lambda lat: 1j * bessel.symbol(lat), 2.0, 2.0)
+        with pytest.raises(ValueError, match="does not map real fields to real fields"):
+            run_contraction(small_cfg("contraction", fwd=fwd, n_per_dim=8))
+
     @pytest.mark.parametrize("case", PENCIL_CASES)
-    def test_dense_rows_are_exact(self, case, credible_ball_prob):
-        # each row, the mean of the replicates' exact escape probabilities, against the
-        # mean of Monte Carlo estimates on the same offsets (the Hermitian root's draws)
+    def test_dense_rows_are_exact(self, case, replicate_rows):
+        # exact rows with the law's bound in stderr and n = 0, each within 4 SE of the mean
+        # of 64 replicates' exact escape probabilities at their own offsets mean - u
         lat, model = pencil_case(case, n=8)
         cfg = small_cfg("contraction", fwd=model.fwd, prior=model.prior, n_per_dim=8)
         if refused(case, lambda: run_contraction(cfg)):
             return
         table = run_contraction(cfg)
         assert table.extras["ball_prob_method"] == "exact" and table.dropped == 0
-        assert max(table.extras["ball_prob_error"]) <= 1e-10
-        u = make_hat_truth(lat).u_dagger
-        au = apply(cfg.fwd, u).coeffs
-        n_mc, resolved = 4000, 0
-        for j, (row, bound) in enumerate(zip(table.rows, table.extras["markov_mean"])):
-            assert row.n == cfg.n_replicates and row.mean_error <= bound + 1e-12
-            model = cfg.model(row.delta)
-            radius = table.extras["c0"] * row.delta**cfg.kappa
-            sampled = []
-            for i in range(cfg.n_replicates):
-                e = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i)))
-                post = posterior(model, SpectralField(lat, au + row.delta * e.coeffs))
-                p_in, _ = credible_ball_prob(post, 0.0, radius, n_mc, (j, i),
-                                             offset=post.mean.coeffs - u.coeffs)
-                sampled.append(1.0 - p_in)
-            p = row.mean_error
-            se = np.sqrt(p * (1.0 - p) / n_mc / cfg.n_replicates)  # at least the mean's SE
-            assert abs(np.mean(sampled) - p) <= 4.0 * se + 1e-12, (row.delta, p, sampled)
-            resolved += 0.05 < p < 0.95
-        assert resolved >= 2
+        assert [r.stderr for r in table.rows] == table.extras["ball_prob_error"]
+        assert all(r.stderr <= 1e-10 and r.n == 0 for r in table.rows)
+        markov = table.extras["markov_mean"]
+        assert all(row.mean_error <= bound + 1e-12 for row, bound in zip(table.rows, markov))
+        assert_within_oracle(table, replicate_rows(cfg, 64, table.extras["c0"])["escape"])
+        assert sum(0.05 < r.mean_error < 0.95 for r in table.rows) >= 2
 
 
 def uneven_prior():
@@ -461,7 +458,8 @@ def replicate_stats(monkeypatch):
 
 
 class TestErrorForms:
-    """The diagonal runners' errors from weighted quadratic forms against explicit means."""
+    """The diagonal runners' errors from weighted quadratic forms, and the exact MISE,
+    against explicit means."""
 
     @pytest.mark.filterwarnings("ignore::torusbayes.rates.HypothesisWarning")  # heat: t < t0
     @pytest.mark.parametrize("mode", ["bayes", "frequentist", "appendix_b"])
@@ -476,8 +474,8 @@ class TestErrorForms:
         def check(value, ref):
             rel.append(abs(value - ref) / ref)
 
-        got = stats[0] if stats else None  # (replicate, delta, MISE | error, bias, noise)
-        for i in range(cfg.n_replicates if mode != "appendix_b" else 1):
+        got = stats[0] if stats else None  # (replicate, delta, error, bias, noise)
+        for i in range(cfg.n_replicates if mode == "bayes" else 1):
             if mode == "bayes":
                 xi = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 0, i)))
                 u = apply(cfg.prior.sqrt_cov, xi)
@@ -487,17 +485,18 @@ class TestErrorForms:
             e = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i)))
             for j, delta in enumerate(cfg.deltas):
                 model = cfg.model(delta)
+                bias = SpectralField(lat, map_estimate(model, au).coeffs - u.coeffs)
                 if mode == "appendix_b":  # noiseless data
-                    diff = SpectralField(lat, map_estimate(model, au).coeffs - u.coeffs)
                     for z in cfg.zetas:
-                        check(result.raw_errors[z][j], sobolev_norm(diff, z))
+                        check(result.raw_errors[z][j], sobolev_norm(bias, z))
+                    continue
+                if mode == "frequentist":  # E e e^H = I: the means of delta times unit data
+                    noise = _map_means([model], lat, delta * np.eye(lat.size)[None])[0]
+                    check(result.rows[j].mean_error,
+                          sobolev_norm(bias, 0.0) ** 2 + np.sum(np.abs(noise) ** 2))
                     continue
                 m = SpectralField(lat, au.coeffs + delta * e.coeffs)
                 diff = SpectralField(lat, map_estimate(model, m).coeffs - u.coeffs)
-                if mode == "frequentist":
-                    check(got[i, j, 0], sobolev_norm(diff, 0.0) ** 2)
-                    continue
-                bias = SpectralField(lat, map_estimate(model, au).coeffs - u.coeffs)
                 noise = map_estimate(model, SpectralField(lat, delta * e.coeffs))
                 nz = len(cfg.zetas)
                 for k, z in enumerate(cfg.zetas):
@@ -521,17 +520,18 @@ class TestErrorForms:
                 assert abs(sq[:, j, k].mean() - exact) <= 4.0 * se, (delta, zeta)
 
 
-REPLICATE_MODES = ("bayes", "frequentist", "contraction")
-REPLICATE_EXTRAS = ("bias_mean", "noise_mean", "markov_mean", "ball_prob_error")
-FORM_MODES = ("bayes", "frequentist")  # diagonal models: error forms, no mean
+REPLICATE_MODES = ("bayes",)  # the one mode that draws replicates
+REPLICATE_EXTRAS = ("bias_mean", "noise_mean")
+FORM_MODES = ("bayes",)  # diagonal models: error forms, no mean
 
 
-def failing_at(monkeypatch, fails, mode="contraction"):
-    """Make a (replicate, delta) pair of ``mode``'s runner fail where ``fails(delta, k)``
+def failing_at(monkeypatch, fails, kernel="_map_means"):
+    """Make a (replicate, delta) pair of the bayes runner fail where ``fails(delta, k)``
     holds, k counting the pairs computed at that delta: the last entry of its replicate's
-    row of the error forms (:func:`experiments._error_forms`) in the form modes, or of the
-    means (:func:`posterior._map_means`) in ``contraction``, is NaN, which must drop the
-    whole row.  Returns the list of deltas in the order the pairs are computed."""
+    row of the ``kernel``'s output, the error forms (:func:`experiments._error_forms`) of a
+    diagonal model or the means (:func:`posterior._map_means`) of a dense one, is NaN, which
+    must drop the whole row.  Returns the list of deltas in the order the pairs are
+    computed."""
     calls = []
 
     def mark(out, models):  # out[j] holds the rows of models[j]
@@ -542,7 +542,7 @@ def failing_at(monkeypatch, fails, mode="contraction"):
                     row.flat[-1] = np.nan
         return out
 
-    if mode in FORM_MODES:
+    if kernel == "_error_forms":
         real = experiments._error_forms
         monkeypatch.setattr(experiments, "_error_forms",
                             lambda model, *args: mark(real(model, *args)[None], [model])[0])
@@ -571,7 +571,8 @@ def recording_solves(monkeypatch):
 
 
 class TestReplicateLoop:
-    """The solve loop shared by the bayes, frequentist and contraction runners."""
+    """The bayes runner's replicate loop, and per-replicate solves as the oracle of the exact
+    contraction rows."""
 
     def test_dense_run_solves_every_replicate_in_one_call(self, monkeypatch):
         calls = recording_solves(monkeypatch)
@@ -606,19 +607,20 @@ class TestReplicateLoop:
 
     @pytest.mark.parametrize("mode", FORM_MODES)
     def test_diagonal_run_forms_each_delta_once(self, mode, monkeypatch):
-        # no mean is solved: one kernel call per delta holds every replicate's rows, and
-        # the frequentist truth's |u|^2 is one row for all of them
+        # no mean is solved: one kernel call per delta holds every replicate's rows
         solves, forms = recording_solves(monkeypatch), recording(monkeypatch, "_error_forms")
         cfg = small_cfg(mode)
         run_experiment(cfg)
         n = cfg.n_replicates
         assert solves == []
         assert [(model.delta, [len(rows) for rows in args[2:]]) for model, *args in forms] == \
-            [(delta, [n if mode == "bayes" else 1, n, n]) for delta in cfg.deltas]
+            [(delta, [n, n, n]) for delta in cfg.deltas]
 
     def test_diagonal_contraction_calls_the_law_once_per_delta(self, monkeypatch):
-        # with c0 given, one solve and one law call per delta each hold every replicate
-        solves, calls = recording_solves(monkeypatch), []
+        # no mean is solved: the bias of each delta is the one offset of its law's one call
+        solves, calls = [], []
+        monkeypatch.setattr(sys.modules["torusbayes.posterior"], "_map_means",
+                            lambda *args: solves.append(args))
         real = MultiplierBall._escape_probs
 
         def law(ball, radius, offsets=None):
@@ -626,69 +628,52 @@ class TestReplicateLoop:
             return real(ball, radius, offsets)
 
         monkeypatch.setattr(MultiplierBall, "_escape_probs", law)
-        cfg = small_cfg("contraction", c0=1.0, threads=2)
+        cfg = small_cfg("contraction", c0=1.0)
         assert run_contraction(cfg).dropped == 0
-        shape = (cfg.n_replicates, cfg.lattice().size)
-        assert [([m.delta for m in models], data.shape) for models, _, data in solves] == \
-            [([delta], (1, *shape)) for delta in cfg.deltas]
-        assert calls == [shape] * len(cfg.deltas)
+        assert solves == [] and calls == [(1, cfg.lattice().size)] * len(cfg.deltas)
 
-    def test_diagonal_contraction_rows_match_per_replicate_solves(self):
+    def test_diagonal_contraction_rows_match_per_replicate_solves(self, replicate_rows):
+        # the contraction default's exact rows, the expected escape over the data noise,
+        # against the mean of 64 replicates' exact escape probabilities at their own
+        # offsets mean - u
         cfg = default_config("contraction")
         table = run_contraction(cfg)
-        lat = cfg.lattice()
-        u = make_hat_truth(lat).u_dagger
-        au = apply(cfg.fwd, u).coeffs
-        models = [cfg.model(delta) for delta in cfg.deltas]
-        laws = [_trace_ball(model, lat, 0.0) for model in models]
-        stats = np.empty((3, cfg.n_replicates, len(cfg.deltas)))
-        for i in range(cfg.n_replicates):
-            e = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i))).coeffs
-            for j, (delta, model, (trace, ball)) in enumerate(zip(cfg.deltas, models, laws)):
-                diff = map_estimate(model, SpectralField(lat, au + delta * e)).coeffs - u.coeffs
-                radius = table.extras["c0"] * delta**cfg.kappa
-                p, bound = escape_row(ball, radius, diff)
-                markov = min(1.0, (trace + np.sum(np.abs(diff) ** 2)) / radius**2)
-                stats[:, i, j] = p, markov, bound
-        pred = table.rows[0]
-        ref = experiments._rate_rows("contraction", cfg.deltas, 0.0, stats[0],
-                                     pred.predicted_exponent, pred.regime)
-        got = np.array([[r.mean_error, r.stderr] for r in table.rows])
-        want = np.array([[r.mean_error, r.stderr] for r in ref])
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert [r.n for r in table.rows] == [r.n for r in ref]
-        np.testing.assert_allclose(table.extras["markov_mean"], stats[1].mean(axis=0),
-                                   rtol=1e-12, atol=0)
-        np.testing.assert_allclose(table.extras["ball_prob_error"], stats[2].max(axis=0),
-                                   rtol=1e-12, atol=0)
+        ref = replicate_rows(cfg, 64, table.extras["c0"])
+        assert_within_oracle(table, ref["escape"])
+        assert sum(0.05 < r.mean_error < 0.95 for r in table.rows) >= 3
 
     def test_lockstep_rows_equal_per_replicate_solves(self, monkeypatch):
         # at 16^2 the stacked product rounds each row as the 5-row one does; at 8^2
         # OpenBLAS (0.3.31) picks a small-matrix kernel whose rounding depends on the rows
         lat = build_lattice(2, 16)
-        cfg = small_cfg("frequentist", fwd=dense_fwd(lat), n_per_dim=16)
+        cfg = small_cfg(fwd=dense_fwd(lat), n_per_dim=16)
         calls = recording_solves(monkeypatch)
-        table = run_frequentist_convergence(cfg)
+        table = run_bayes_convergence(cfg)
         ((models, _, data),) = calls
         lockstep = _map_means(models, lat, data)
         n = len(cfg.deltas)
-        u = make_hat_truth(lat).u_dagger.coeffs
-        mise = np.empty((cfg.n_replicates, n))
+        means = np.empty((cfg.n_replicates, n, lat.size), np.complex128)
         for i in range(cfg.n_replicates):
             rows = _map_means(models[i * n:(i + 1) * n], lat, data[i * n:(i + 1) * n])
             assert lockstep[i * n:(i + 1) * n].tobytes() == rows.tobytes()
-            mise[i] = [np.sum(np.abs(row - u) ** 2) for row in rows[:, 0]]
+            means[i] = rows[:, 0]
         # each replicate's statistics read its own rows of the one lockstep solve
+        root = symbol_values(cfg.prior.sqrt_cov, lat)
+        u = np.stack([root * sample_white_noise(lat, (cfg.master_seed, 0, i)).coeffs
+                      for i in range(cfg.n_replicates)])
+        zw = np.stack([sobolev_weight(lat, z) for z in cfg.zetas])
+        errors = np.stack([np.sqrt(np.abs(means[:, j] - u) ** 2 @ zw.T) for j in range(n)], axis=1)
         pred = table.rows[0]
-        assert table.rows == tuple(experiments._rate_rows(
-            "frequentist", cfg.deltas, 0.0, mise, pred.predicted_exponent, pred.regime))
+        assert table.rows[:n] == tuple(experiments._rate_rows(
+            "bayes", cfg.deltas, cfg.zetas[0], errors[:, :, 0], pred.predicted_exponent,
+            pred.regime))
 
     @pytest.mark.parametrize("mode", REPLICATE_MODES)
     def test_failed_solve_drops_one_pair(self, mode, monkeypatch):
         ref = run_experiment(small_cfg(mode))
-        cfg = small_cfg(mode, c0=ref.extras.get("c0"))  # no calibration solves
+        cfg = small_cfg(mode)
         bad = cfg.deltas[2]
-        calls = failing_at(monkeypatch, lambda delta, k: delta == bad and k == 0, mode)
+        calls = failing_at(monkeypatch, lambda delta, k: delta == bad and k == 0, "_error_forms")
         table = run_experiment(cfg)
         assert table.dropped == 1 and len(calls) == cfg.n_replicates * len(cfg.deltas)
         for row, base in zip(table.rows, ref.rows):
@@ -708,21 +693,10 @@ class TestReplicateLoop:
         # rows as before
         dense = dict(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
         ref = run_experiment(small_cfg(mode, **dense))
-        cfg = small_cfg(mode, c0=ref.extras.get("c0"), **dense)  # no calibration solves
+        cfg = small_cfg(mode, **dense)
         calls = failing_at(monkeypatch, lambda delta, k: delta == cfg.deltas[2] and k == 3)
-        offsets, real = [], MultiplierBall._escape_probs
-
-        def law(ball, radius, rows=None):
-            offsets.append(rows)
-            return real(ball, radius, rows)
-
-        monkeypatch.setattr(MultiplierBall, "_escape_probs", law)
         table = run_experiment(cfg)
         assert table.dropped == 1 and len(calls) == cfg.n_replicates * len(cfg.deltas)
-        if mode == "contraction":  # the law reads the other replicates' offsets only
-            assert [len(rows) for rows in offsets] == \
-                [cfg.n_replicates - (j == 2) for j in range(len(cfg.deltas))]
-            assert all(np.isfinite(rows).all() for rows in offsets)
         for row, base in zip(table.rows, ref.rows):
             if row.delta == cfg.deltas[2]:
                 assert row.n == base.n - 1 and np.isfinite([row.mean_error, row.stderr]).all()
@@ -734,7 +708,7 @@ class TestReplicateLoop:
         # the row reports n = 0 and NaNs, the fit skips it, and numpy warns nothing
         cfg = small_cfg(mode)
         bad = cfg.deltas[1]
-        failing_at(monkeypatch, lambda delta, k: delta == bad, mode)
+        failing_at(monkeypatch, lambda delta, k: delta == bad, "_error_forms")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = run_experiment(cfg)
@@ -752,15 +726,55 @@ class TestReplicateLoop:
                 assert np.all(np.isnan(values[1])) and np.all(np.isfinite(np.delete(values, 1, 0)))
 
     def test_single_solve_has_nan_stderr(self, monkeypatch):
-        cfg = small_cfg("frequentist")
+        cfg = small_cfg()
         bad = cfg.deltas[1]
-        failing_at(monkeypatch, lambda delta, k: delta == bad and k > 0, "frequentist")
+        failing_at(monkeypatch, lambda delta, k: delta == bad and k > 0, "_error_forms")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = run_frequentist_convergence(cfg)
+            table = run_bayes_convergence(cfg)
         row = table.rows[1]
         assert table.dropped == cfg.n_replicates - 1 and row.n == 1
         assert np.isfinite(row.mean_error) and np.isnan(row.stderr)
+
+
+class TestExactRows:
+    """The frequentist and contraction runners read one exact Gaussian error law per delta:
+    their rows hold against the replicate oracle ``replicate_rows`` and draw nothing."""
+
+    @pytest.mark.filterwarnings("ignore::torusbayes.rates.HypothesisWarning")  # heat: t < t0
+    @pytest.mark.parametrize("case", ["heat-frequentist", "phi-bessel-frequentist",
+                                      "phi-bessel-contraction"])
+    def test_rows_match_replicate_oracle(self, case, replicate_rows):
+        mode = case.rsplit("-", 1)[1]
+        fwd = heat_op(1) if case.startswith("heat") else dense_fwd(build_lattice(2, 16))
+        cfg = small_cfg(mode, fwd=fwd)
+        table = run_experiment(cfg)
+        ref = replicate_rows(cfg, 64, table.extras.get("c0"))
+        assert_within_oracle(table, ref["escape" if mode == "contraction" else "mise"])
+        if mode == "contraction":
+            assert sum(0.05 < r.mean_error < 0.95 for r in table.rows) >= 2
+
+    @pytest.mark.parametrize("kind", ["multiplier", "dense"])
+    @pytest.mark.parametrize("mode", ["frequentist", "contraction"])
+    def test_rows_draw_nothing(self, mode, kind, monkeypatch):
+        # rows, fits and extras identical across seed, replicates and threads, with the
+        # replicate loop, the seeded noise draws and the thread pool out of reach
+        dense = dict(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8) if kind == "dense" else {}
+        ref = run_experiment(small_cfg(mode, **dense))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact runner reached the replicate machinery")
+
+        for name in ("_replicate_solves", "sample_white_noise", "ThreadPoolExecutor"):
+            monkeypatch.setattr(experiments, name, refuse)
+        for overrides in (dict(master_seed=7), dict(n_replicates=32), dict(threads=3)):
+            table = run_experiment(small_cfg(mode, **dense, **overrides))
+            assert (table.rows, table.fits, table.extras) == (ref.rows, ref.fits, ref.extras)
+        assert ref.dropped == 0 and all(r.n == 0 for r in ref.rows)
+        if mode == "frequentist":
+            assert all(r.stderr == 0.0 for r in ref.rows)
+        else:
+            assert [r.stderr for r in ref.rows] == ref.extras["ball_prob_error"]
 
 
 class TestLawMemory:
