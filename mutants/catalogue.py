@@ -48,8 +48,12 @@ MUTANTS = (
     Mutant("pencil-shift-delta", POSTERIOR,
            "y /= lam + delta2[:, None]", "y /= lam + np.sqrt(delta2[:, None])"),
     Mutant("cov-factor-delta", POSTERIOR,
-           "block[1:] * (model.delta / np.sqrt(block[0] + model.delta**2))",
-           "block[1:] * (model.delta / np.sqrt(block[0] + model.delta))"),
+           "if noise else model.delta / np.sqrt(block[0] + d2)))",
+           "if noise else model.delta / np.sqrt(block[0] + model.delta)))"),
+    # the pencil's classes: those of S alone, which a map with a null space leaves
+    # uncoupled where only the prior form joins them
+    Mutant("pencil-classes-prior-form", POSTERIOR,
+           "for idx in _classes(s, c_form))", "for idx in _classes(s))"),
     # the runners' dense trace and ball law: the weights in cosine/sine order
     Mutant("trace-root-weights", POSTERIOR,
            "root, w = _cov_factor(model, lattice, noise), w[order]",
@@ -100,8 +104,8 @@ MUTANTS = (
            "np.multiply(-2.0, x.imag, out=den.imag)", "np.multiply(2.0, x.imag, out=den.imag)"),
     # the dense law for central tails: eigenvalues only, every one of them
     Mutant("central-dense-law-last-eigenvalue", BALL,
-           "self._group(np.linalg.eigvalsh(m))",
-           "self._group(np.linalg.eigvalsh(m)[:-1])"),
+           "mu = np.linalg.eigvalsh(m)",
+           "mu = np.linalg.eigvalsh(m)[:-1]"),
     # the dense bayes replicate loop: each delta's rows of the one replicate-major lockstep
     # solve
     Mutant("lockstep-replicate-offset", EXPERIMENTS,

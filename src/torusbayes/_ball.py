@@ -3,9 +3,9 @@
 :class:`MultiplierBall` is the law of S = sum_l w_l |(C^{1/2} xi + o)_l|^2 for spectral white
 noise xi, H^zeta weights w and an offset o: a shift plus a weighted sum of independent
 noncentral chi-squares (Imhof 1961; Davies 1980).  It is built from a real root of C in the
-cosine/sine basis, K values for a multiplier posterior (the diagonal case) or a K x K
-matrix, and :meth:`MultiplierBall._escape_probs` evaluates its tail for a stack of offsets
-with a stated absolute error.  :func:`posterior._trace_ball` builds the law of a model.
+cosine/sine basis, K values for a multiplier posterior (the diagonal case) or square blocks
+on classes of coordinates, and :meth:`MultiplierBall._escape_probs` evaluates its tail for a
+stack of offsets with a stated absolute error.  :func:`posterior._trace_ball` builds the law.
 """
 
 from __future__ import annotations
@@ -101,7 +101,9 @@ class MultiplierBall:
     diagonal case: each cosine and each sine coordinate of mode l has variance c_l, so
     its root is the K values sqrt(c) in cosine/sine order, mu = w c, V = I and
     t = Re(Q o) w sqrt(c), with no ``eigh``.  Equal mu are merged into groups
-    lambda_g chi^2(h_g, nc_g), adding degrees of freedom and noncentralities.
+    lambda_g chi^2(h_g, nc_g), adding degrees of freedom and noncentralities.  Blocks
+    (idx, R_c) of a root on classes idx, each increasing (:func:`posterior._pencil`; a K x K
+    root is the one class arange(K)), take one ``eigh`` per class, whose mu concatenate.
 
     The groups and the central Chernoff tables depend only on the root and the weights;
     only nc_g and R depend on the offset, so one instance serves every replicate, and
@@ -111,31 +113,46 @@ class MultiplierBall:
     points: each call builds the integration grid of each period it reads (a power of
     two) and, when it reads offsets, the G x T and G x n noncentral tables in one scratch
     buffer, and drops them when it returns.  A dense law that reads offsets keeps its
-    K x K projection sqrt(w) Y V; with ``offsets`` False one ``eigvalsh`` gives mu, it
-    keeps no projection and reads central tails only.
+    projection sqrt(w) Y V, block-diagonal: per class its coordinates, its live terms'
+    places in group order and their columns; with ``offsets`` False ``eigvalsh`` gives mu,
+    it keeps no projection and reads central tails only.
     """
 
     def __init__(self, root, w: np.ndarray, lattice: FrequencyLattice, offsets: bool = True):
-        k, root = lattice.size, np.asarray(root)
-        if np.iscomplexobj(root) or root.shape not in ((k,), (k, k)) or w.shape != (k,):
-            raise ValueError(f"real root of shape ({k},) or ({k}, {k}) and weights ({k},) "
-                             f"needed, got {root.dtype} {root.shape} and {w.shape}")
+        k, diagonal = lattice.size, isinstance(root, np.ndarray)  # else blocks (idx, R_c)
+        real = (np.isrealobj(root) and root.shape == (k,) if diagonal else
+                np.array_equal(np.sort(np.concatenate([idx for idx, _ in root])), np.arange(k))
+                and all(np.isrealobj(x) and x.shape == (idx.size,) * 2
+                        and np.all(np.diff(idx) > 0) for idx, x in root))
+        if not real or w.shape != (k,):
+            raise ValueError(f"real root of shape ({k},), or a list of its real square blocks "
+                             f"on a partition of the coordinates, and weights ({k},) needed")
         self._w = w[np.argsort(lattice._mode_order)]  # in exponential order
         self._lattice, self._proj = lattice, None
-        if root.ndim == 1:  # Y^T Y = diag(w root^2): V = I and the projection w root
+        if diagonal:  # Y^T Y = diag(w root^2): V = I and the projection w root
             self._terms = self._group(w * root**2)
             self._proj = (w * root)[self._terms]
             return
-        y = np.sqrt(w)[:, None] * root
-        m = y.T @ y
-        if not offsets:
-            del y
-            self._group(np.linalg.eigvalsh(m))
-            return
-        mu, v = np.linalg.eigh(m)
+        mus, factors = [], []
+        for idx, x in root:
+            sw = np.sqrt(w[idx])
+            y = sw[:, None] * x
+            m = y.T @ y
+            if offsets:
+                mu, v = np.linalg.eigh(m)
+                factors.append((idx, sw, y, v))
+            else:
+                del y
+                mu = np.linalg.eigvalsh(m)
+            mus.append(mu)
         del m
-        terms = self._group(mu)
-        self._proj = np.sqrt(w)[:, None] * (y @ v[:, terms])
+        terms = self._group(np.concatenate(mus))
+        if offsets:  # each class's block: the columns of its live terms, in group order
+            self._proj, first = [], 0
+            for idx, sw, y, v in factors:
+                places = np.flatnonzero((terms >= first) & (terms < first + idx.size))
+                self._proj.append((idx, places, sw[:, None] * (y @ v[:, terms[places] - first])))
+                first += idx.size
 
     def _group(self, quad: np.ndarray) -> np.ndarray:
         """Merge the terms lambda = quad > 0, one degree of freedom each, into groups of
@@ -225,8 +242,8 @@ class MultiplierBall:
 
     def _noncentralities(self, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Noncentralities nc (n, G) and shifts R (n,) of an (n, K) stack of offsets, real
-        or complex: t = Re(Q o) times the projection, a product for a dense root and a
-        scaling of the live terms for a diagonal one."""
+        or complex: t = Re(Q o) times the projection, a product per class for a dense root
+        and a scaling of the live terms for a diagonal one."""
         if offsets.ndim != 2 or offsets.shape[1] != self._w.size:
             raise ValueError(f"offsets have shape {offsets.shape}, expected (n, {self._w.size})")
         re, im = offsets.real, offsets.imag  # sum_l w_l |o_l|^2, with no BLAS dot per row
@@ -238,8 +255,12 @@ class MultiplierBall:
         if self._proj is None:
             raise ValueError("this dense law was built for central tails only")
         qo = _rows_to_cosine_sine(self._lattice, offsets).real
-        t = (np.take(qo, self._terms, axis=1) * self._proj if self._proj.ndim == 1
-             else qo @ self._proj)
+        if isinstance(self._proj, np.ndarray):
+            t = np.take(qo, self._terms, axis=1) * self._proj
+        else:  # per class; one class holds the K coordinates in order: no gather
+            t = np.empty((len(qo), self._nc_coef.size))
+            for idx, places, proj in self._proj:
+                t[:, places] = (qo if len(self._proj) == 1 else qo[:, idx]) @ proj
         t *= t
         t *= self._nc_coef
         nc = np.add.reduceat(t, self._starts, axis=1)

@@ -258,8 +258,9 @@ def cmd_experiment(args) -> int:
     results_path = os.path.join(args.out, "results.csv")
     guard = [manifest_path] if cfg.mode == "appendix_b" else [manifest_path, results_path]
     _overwrite_guard(guard, args.force)
-    manifest = {"command": "experiment", "mode": cfg.mode, "config": _config_echo(parser),
-                "master_seed": cfg.master_seed, "threads": cfg.threads}
+    manifest = {"command": "experiment", "mode": cfg.mode, "config": _config_echo(parser)}
+    if cfg.mode == "bayes":  # the one mode that draws replicates
+        manifest.update(master_seed=cfg.master_seed, threads=cfg.threads)
 
     def body() -> str:
         with warnings.catch_warnings(record=True) as caught:

@@ -18,8 +18,8 @@ one decomposition F^T C_U^{-1} F = I, F^T G F = diag(lam) of the pencil
 at every delta (Golub & Van Loan, Matrix Computations, 8.7).  F = R V comes
 from a factor R R^T = C_U and one ``eigh`` of S = (A_cs R)^T (A_cs R) =
 V diag(lam) V^T, the prior-preconditioned Hessian of Spantini et al. (2015);
-the forward operator keeps it.  Each mean then costs two real K^2 products,
-the covariance one more.
+the forward operator keeps it, split into the classes of coordinates that S and
+C_U couple (:func:`_pencil`): a mean costs two real K^2 products or less, C one more.
 
 For the ball statistic |C^{1/2} xi + o|^2_{H^zeta} the module gives the H^zeta
 trace of C and the root that the statistic's exact law is built from
@@ -80,6 +80,7 @@ __all__ = [
 ]
 
 CG_TOL = 1e-10
+_COUPLING_TOL = 1e-14  # the share of its largest entry past which an entry couples (_classes)
 # the package's one lock: guards every array kept between calls, in the operators' _cs
 # (see _kept and _pencil); re-entrant, as a prior may be another model's posterior
 _DIAG_LOCK = threading.RLock()
@@ -215,55 +216,89 @@ def _values(op: Operator, lattice: FrequencyLattice) -> np.ndarray:
     return _symbol(op, lattice) if isinstance(op, MultiplierOp) else densify(op, lattice).matrix
 
 
-def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """The real (K + 1) x K block [lam; F] of the pencil (G, C_U^{-1}) of a model that is
-    not diagonal: F^T C_U^{-1} F = I and F^T G F = diag(lam), lam >= 0, in the cosine/sine
-    basis.
+def _classes(*forms: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the graph joining i and j where |m_ij| exceeds
+    _COUPLING_TOL times the largest |m| of a symmetric K x K matrix m of ``forms`` (K values
+    couple none): each its coordinates in increasing order, in the order of their first.
+    A breadth-first search reads its frontier's rows 64 at a time and ends a step once all
+    are reached: a graph that couples every coordinate costs a pass for the largest |m| and
+    a few rows, a split one each row once.  S is exactly symmetric; a dense prior form's
+    rounding moves an entry across the threshold only within the threshold's perturbation."""
+    mats = [(m, _COUPLING_TOL * max(m.max(), -m.min())) for m in forms if m.ndim == 2]
+    label, classes = np.full(len(forms[0]), -1), []
+    while (rest := np.flatnonzero(label < 0)).size:
+        label[rest[0]], front = len(classes), rest[:1]
+        while front.size:
+            near = label >= 0
+            for lo in range(0, front.size, 64):
+                if near.all():
+                    break
+                for m, tol in mats:
+                    near |= np.any(np.abs(m[front[lo:lo + 64]]) > tol, axis=0)
+            front = np.flatnonzero(near & (label < 0))
+            label[front] = len(classes)
+        classes.append(np.flatnonzero(label == len(classes)))
+    return classes
+
+
+def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> tuple:
+    """The pencil (G, C_U^{-1}) of a model that is not diagonal, in the cosine/sine basis:
+    per class of coordinates idx that S and C_U couple (:func:`_classes`), a real block
+    [lam; F] of idx.size + 1 rows, F^T C_U^{-1} F = I and F^T G F = diag(lam), lam >= 0.
 
     F = R V for R R^T = C_U (the root of the K values of :func:`_prior_form`, else its
-    Cholesky factor) and one ``eigh`` S = (A_cs R)^T (A_cs R) = V diag(lam) V^T.  The
-    forward operator keeps one block per lattice, read-only, with the prior form it was
-    built for: a prior of equal form reads it, any other replaces it.  Raises ValueError
-    unless C_U is positive definite and A and C_U map real fields to real fields.
+    Cholesky factor) and one ``eigh`` per class S = (A_cs R)^T (A_cs R) = V diag(lam) V^T.
+    A map phi A, A a multiplier, couples l only with l + supp phi_hat, so S splits; its
+    entries below _COUPLING_TOL of its largest are dropped.  The forward operator keeps the
+    classes per lattice, read-only, with the prior form they were built for: a prior of
+    equal form reads them, any other replaces them.  Raises ValueError unless C_U is
+    positive definite and A and C_U map real fields to real fields.
     """
     fwd, c_form = model.fwd, _prior_form(model.prior.cov, lattice)
     with _DIAG_LOCK:
         kept = fwd._cs.get(("pencil", lattice))
         if kept is not None and (kept[0] is c_form or np.array_equal(kept[0], c_form)):
             return kept[1]
-        fwd._cs.pop(("pencil", lattice), None)  # the old block is freed before a new one
+        fwd._cs.pop(("pencil", lattice), None)  # the old blocks are freed before new ones
         try:
             root = np.sqrt(c_form) if c_form.ndim == 1 else np.linalg.cholesky(c_form)
         except np.linalg.LinAlgError as exc:
             raise ValueError("prior covariance not positive definite") from exc
-        # the kept block comes before A_cs and the products' temporaries: made after any of
-        # them, it pinned the heap above their holes (dense-vc benchmark peak RSS 126 -> 142
-        # MiB, glibc)
-        block = np.empty((lattice.size + 1, lattice.size))
         a = _values(fwd, lattice)
         a_cs = _to_cosine_sine(lattice, np.diag(a) if a.ndim == 1 else a)
         a_cs = np.multiply(a_cs, root, out=a_cs) if root.ndim == 1 else a_cs @ root  # B = A_cs R
         s = a_cs.T @ a_cs
         del a_cs  # each K x K temporary is dropped as soon as it is used
-        lam, vecs = np.linalg.eigh(s)
+        # the kept blocks come before the eigh temporaries: a kept K x K block made after
+        # A_cs pinned the heap above its hole (dense-vc benchmark peak RSS 126 -> 142 MiB, glibc)
+        pencil = tuple((idx, np.empty((idx.size + 1, idx.size))) for idx in _classes(s, c_form))
+        for idx, block in pencil:
+            whole = idx.size == lattice.size  # one class: the arithmetic of the whole pencil
+            lam, vecs = np.linalg.eigh(s if whole else s[np.ix_(idx, idx)])
+            block[0] = np.maximum(lam, 0.0)  # S is semidefinite: rounding clipped
+            if root.ndim == 1:
+                np.multiply(root[idx, None], vecs, out=block[1:])
+            else:
+                np.matmul(root if whole else root[np.ix_(idx, idx)], vecs, out=block[1:])
+            idx.setflags(write=False)
+            block.setflags(write=False)
         del s
-        block[0] = np.maximum(lam, 0.0)  # S is semidefinite: rounding clipped
-        if root.ndim == 1:
-            np.multiply(root[:, None], vecs, out=block[1:])
-        else:
-            np.matmul(root, vecs, out=block[1:])
-        block.setflags(write=False)
-        fwd._cs["pencil", lattice] = (c_form, block)
-    return block
+        fwd._cs["pencil", lattice] = (c_form, pencil)
+    return pencil
 
 
-def _pencil_solve(block: np.ndarray, b: np.ndarray, delta2: np.ndarray) -> np.ndarray:
+def _pencil_solve(pencil: tuple, b: np.ndarray, delta2: np.ndarray) -> np.ndarray:
     """Rows x_i = F (F^T b_i) / (lam + delta2_i) = (G + delta2_i C_U^{-1})^{-1} b_i of a real
-    (n, K) stack ``b`` for the pencil ``block`` [lam; F]: two K^2 products per row."""
-    lam, f = block[0], block[1:]
-    y = b @ f
-    y /= lam + delta2[:, None]
-    return y @ f.T
+    (n, K) stack ``b``: two products per row and class (idx, [lam; F]) of the pencil."""
+    if len(pencil) == 1:  # one class: the whole pencil, with no gather
+        pencil = [(slice(None), pencil[0][1])]
+    x = np.empty(b.shape)
+    for idx, block in pencil:
+        lam, f = block[0], block[1:]
+        y = b[:, idx] @ f
+        y /= lam + delta2[:, None]
+        x[:, idx] = y @ f.T
+    return x
 
 
 @np.errstate(invalid="ignore", over="ignore")  # an inf datum: 0 * inf, a row not finite
@@ -288,7 +323,7 @@ def _map_means(models, lattice: FrequencyLattice, data) -> np.ndarray:
             a, asq, prec = _diag_weights(mdl, lattice)
             np.divide(np.multiply(np.conj(a), m, out=mean), asq + prec, out=mean)
         return means
-    block = _pencil(model, lattice)
+    pencil = _pencil(model, lattice)
     a = _values(model.fwd, lattice)
     stack = np.reshape(data, (-1, lattice.size))
     # B = Q A^H M; a dense A^H M through one product with A, with no conjugate copy of A
@@ -298,7 +333,7 @@ def _map_means(models, lattice: FrequencyLattice, data) -> np.ndarray:
     delta2 = np.repeat([m.delta**2 for m in models], n // len(models))
     if np.iscomplexobj(b):
         b, delta2 = np.concatenate([b.real, b.imag]), np.tile(delta2, 2)  # two real rows each
-    x = _pencil_solve(block, b, delta2)
+    x = _pencil_solve(pencil, b, delta2)
     if len(x) > n:
         x = x[:n] + 1j * x[n:]
     return _rows_from_cosine_sine(lattice, x).reshape(np.shape(data))
@@ -455,21 +490,25 @@ def posterior_trace(cov: Operator, q: float = 0.0, lattice: FrequencyLattice | N
     return float(np.sum(sobolev_weight(lattice, q) * diag))
 
 
-def _cov_factor(model: GaussianModel, lattice: FrequencyLattice, noise: bool = False) -> np.ndarray:
-    """X = F diag(delta / sqrt(lam + delta^2)) of the pencil: X X^T is the posterior
-    covariance C_cs of a model that is not diagonal, in the cosine/sine basis.  ``noise``
-    adds the covariance F diag(delta^2 lam / (lam + delta^2)^2) F^T of the mean's data noise."""
-    block = _pencil(model, lattice)
-    if noise:
-        lam, d2 = block[0], model.delta**2
-        return block[1:] * (model.delta * np.sqrt(2.0 * lam + d2) / (lam + d2))
-    return block[1:] * (model.delta / np.sqrt(block[0] + model.delta**2))
+def _cov_factor(model: GaussianModel, lattice: FrequencyLattice, noise: bool = False) -> list:
+    """Per class (idx, X) of the pencil, X = F diag(delta / sqrt(lam + delta^2)): the blocks
+    X X^T of the posterior covariance C_cs, 0 elsewhere, of a model that is not diagonal.
+    ``noise`` adds F diag(delta^2 lam / (lam + delta^2)^2) F^T, that of the mean's data noise."""
+    d2 = model.delta**2
+    return [(idx, block[1:] * (model.delta * np.sqrt(2.0 * block[0] + d2) / (block[0] + d2)
+                               if noise else model.delta / np.sqrt(block[0] + d2)))
+            for idx, block in _pencil(model, lattice)]
 
 
 def _cov_cs(model: GaussianModel, lattice: FrequencyLattice) -> np.ndarray:
-    """C_cs = X X^T of :func:`_cov_factor`, which numpy forms exactly symmetric."""
-    x = _cov_factor(model, lattice)
-    return x @ x.T
+    """C_cs from the blocks X X^T of :func:`_cov_factor`, which numpy forms exactly symmetric."""
+    parts = _cov_factor(model, lattice)
+    if len(parts) == 1:
+        return parts[0][1] @ parts[0][1].T
+    c_cs = np.zeros((lattice.size,) * 2)
+    for idx, x in parts:
+        c_cs[np.ix_(idx, idx)] = x @ x.T
+    return c_cs
 
 
 def _dense_cov(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray) -> DenseOp:
@@ -490,11 +529,11 @@ def _trace_root(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
     sum_l w_l c_l in exponential order and the root sqrt(c) as K values in cosine/sine
     order, the variance of a mode's cosine and of its sine.  That needs c even in l: a c
     that is not raises ValueError, as a prior that is not does for a dense model.  A dense
-    model takes the real X of :func:`_cov_factor`, X X^T = C_cs: Q^H X z, z = Q xi real
-    standard normal, has the law of C^{1/2} xi, and the trace is sum_j w_j |X_j|^2 over
-    the rows X_j.  With ``noise`` the covariance is C + N N^H, that of C^{1/2} xi + N e over
-    the data noise e too, N e the mean's data-noise part: per mode c = delta^2 (D + |a|^2) / D^2
-    with D = |a|^2 + delta^2 / c_U, which needs a forward symbol that keeps real fields real.
+    model takes the class blocks (idx, X) of :func:`_cov_factor`, a real root of C_cs: Q^H X z
+    for z = Q xi real standard normal has the law of C^{1/2} xi, the trace is sum_j w_j |X_j|^2
+    over the rows X_j.  With ``noise`` the covariance is C + N N^H, that of C^{1/2} xi + N e
+    over the data noise e too, N e the mean's data-noise part: per mode c = delta^2 (D + |a|^2)
+    / D^2, D = |a|^2 + delta^2 / c_U, which needs a forward symbol that keeps real fields real.
     """
     w = sobolev_weight(lattice, zeta)
     order = _cosine_sine_modes(lattice)[0]
@@ -509,7 +548,7 @@ def _trace_root(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
         c = _hermitian(c, lattice)
         return float(np.sum(w * c)), np.sqrt(c)[order], w[order]
     root, w = _cov_factor(model, lattice, noise), w[order]
-    return float(w @ np.einsum("ij,ij->i", root, root)), root, w
+    return float(sum(w[idx] @ np.einsum("ij,ij->i", x, x) for idx, x in root)), root, w
 
 
 def _trace_ball(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
@@ -519,8 +558,8 @@ def _trace_ball(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
     over the data noise e too), built from its root and weights.
 
     The law keeps O(G + T + n) numbers beyond its K-sized term indices (see
-    :class:`MultiplierBall`).  A dense law that reads offsets also keeps a K x K
-    projection; with ``offsets`` False a dense law is eigenvalues only and reads central
+    :class:`MultiplierBall`).  A dense law that reads offsets also keeps a projection, a
+    block per class; with ``offsets`` False a dense law is eigenvalues only and reads central
     tails, while a diagonal one, whose projection is K values, reads offsets either way.
     """
     trace, root, w = _trace_root(model, lattice, zeta, noise)
@@ -541,14 +580,13 @@ def _biases(models, lattice: FrequencyLattice, u: np.ndarray) -> np.ndarray:
 def _noise_trace(model: GaussianModel, lattice: FrequencyLattice) -> float:
     """E |N e|^2 for the data-noise part N e of the posterior mean: sum_l delta^2 |a|^2 / D^2
     for a diagonal model, else delta^2 sum_k lam_k |F_k|^2 / (lam_k + delta^2)^2 over the
-    columns F_k of the pencil."""
+    columns F_k of the pencil's classes."""
     d2 = model.delta**2
     if _is_diagonal(model):
         _, asq, prec = _diag_weights(model, lattice)
         return float(np.sum(d2 * asq / (asq + prec) ** 2))
-    block = _pencil(model, lattice)
-    lam, f = block[0], block[1:]
-    return float(d2 * (lam / (lam + d2) ** 2) @ np.einsum("jk,jk->k", f, f))
+    return float(sum(d2 * (b[0] / (b[0] + d2) ** 2) @ np.einsum("jk,jk->k", b[1:], b[1:])
+                     for _, b in _pencil(model, lattice)))
 
 
 def posterior(model: GaussianModel, m: SpectralField) -> PosteriorGaussian:

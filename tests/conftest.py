@@ -5,7 +5,8 @@ production path calls: the direct dense MAP solve, the Monte Carlo ball
 probabilities, the exact tail of a central law of conjugate pairs, the
 quadrature tail of one noncentral pair and the replicate means of the
 frequentist and contraction statistics.  :func:`diagonal_ball`, which test
-modules import, builds the ball law of a multiplier root.
+modules import, builds the ball law of a multiplier root; :func:`full_pencil` and
+:func:`class_shapes` read the classes of a kept pencil.
 """
 
 import decimal
@@ -57,6 +58,25 @@ def diagonal_ball(root, lattice, zeta: float = 0.0) -> MultiplierBall:
     assert np.isrealobj(root) and np.array_equal(root, root[lattice.conj_index])
     order = lattice._mode_order
     return MultiplierBall(root[order], sobolev_weight(lattice, zeta)[order], lattice)
+
+
+def full_pencil(pencil, k: int):
+    """lam and F of the whole K x K pencil from the classes (idx, [lam; F]) that
+    ``posterior._pencil`` keeps: F block-diagonal on the classes, its columns class by
+    class.  Checks that the classes are real blocks on a partition of the K coordinates."""
+    lam, f, first = np.empty(k), np.zeros((k, k)), 0
+    for idx, block in pencil:
+        assert block.dtype == np.float64 and block.shape == (idx.size + 1, idx.size)
+        cols = slice(first, first + idx.size)
+        lam[cols], f[idx, cols] = block[0], block[1:]
+        first += idx.size
+    assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in pencil])), np.arange(k))
+    return lam, f
+
+
+def class_shapes(pencil) -> list[tuple[int, int]]:
+    """The shape of each class's ``eigh`` matrix, in the pencil's class order."""
+    return [(idx.size, idx.size) for idx, _ in pencil]
 
 
 def _map_estimate_discrete(a_mat, c_mat, delta: float, mvec) -> np.ndarray:

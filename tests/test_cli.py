@@ -269,6 +269,20 @@ class TestExperiment:
         assert (out / "series_zeta-3.01.dat").exists()
         assert (out / "series_zeta+0.dat").exists()
 
+    @pytest.mark.parametrize("mode", ["bayes", "frequentist"])
+    def test_manifest_records_seed_and_threads_for_bayes_only(self, tmp_path, capsys, mode):
+        # only bayes draws replicates, so only its manifest names their seed and threads
+        cfg = write_ini(tmp_path, EXPERIMENT_INI.replace("mode = bayes", f"mode = {mode}"))
+        out = tmp_path / "run"
+        args = ["experiment", "--config", cfg, "--out", str(out), "--seed", "7", "--threads", "2"]
+        assert main(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        if mode == "bayes":
+            assert manifest["master_seed"] == 7 and manifest["threads"] == 2
+        else:
+            assert "master_seed" not in manifest and "threads" not in manifest
+
     def test_appendix_b_outputs(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, APPENDIX_INI)
         out = tmp_path / "run"

@@ -48,6 +48,7 @@ from torusbayes.posterior import (
     posterior_trace,
 )
 from test_posterior import PENCIL_CASES, counting_eigen, escape_row, pencil_case, refused
+from conftest import class_shapes
 
 
 def small_cfg(mode="bayes", **overrides):
@@ -60,6 +61,13 @@ def dense_fwd(lat):
     """bessel(-1) with a smooth positive coefficient: a dense, non-commuting forward map."""
     x = lat.grid_axes()[0]
     return variable_coeff_op(1.0 + 0.5 * np.outer(np.sin(x), np.cos(x)), bessel_op(-1.0), lat)
+
+
+def connected_fwd(lat):
+    """bessel(-1) with a random positive coefficient, whose full Fourier support couples
+    every cosine/sine coordinate: a forward map whose pencil is one class."""
+    phi = 1.0 + 0.5 * np.random.default_rng(3).random(lat.shape)
+    return variable_coeff_op(phi, bessel_op(-1.0), lat)
 
 
 def assert_within_oracle(table, ref):
@@ -643,10 +651,23 @@ class TestReplicateLoop:
         assert sum(0.05 < r.mean_error < 0.95 for r in table.rows) >= 3
 
     def test_lockstep_rows_equal_per_replicate_solves(self, monkeypatch):
-        # at 16^2 the stacked product rounds each row as the 5-row one does; at 8^2
-        # OpenBLAS (0.3.31) picks a small-matrix kernel whose rounding depends on the rows
+        # connected_fwd is one class of 256 coordinates: with K = 256 the stacked product
+        # rounds each row as the 5-row one does, byte for byte
+        self.check_lockstep_rows(connected_fwd, monkeypatch)
+
+    def test_split_map_lockstep_rows_match_per_replicate_solves(self, monkeypatch):
+        # for other sizes, as at 8^2 or for the 62- to 66-coordinate classes of dense_fwd at
+        # 16^2, OpenBLAS (0.3.31) rounds each row by the height of the stack: the rows agree
+        # to rounding
+        self.check_lockstep_rows(dense_fwd, monkeypatch)
+
+    @staticmethod
+    def check_lockstep_rows(fwd, monkeypatch):
+        """The bayes runner's lockstep rows against per-replicate solves, bytewise for
+        connected_fwd and within 1e-14 of each row's largest entry otherwise, and each
+        replicate's statistics from its own lockstep rows."""
         lat = build_lattice(2, 16)
-        cfg = small_cfg(fwd=dense_fwd(lat), n_per_dim=16)
+        cfg = small_cfg(fwd=fwd(lat), n_per_dim=16)
         calls = recording_solves(monkeypatch)
         table = run_bayes_convergence(cfg)
         ((models, _, data),) = calls
@@ -655,8 +676,12 @@ class TestReplicateLoop:
         means = np.empty((cfg.n_replicates, n, lat.size), np.complex128)
         for i in range(cfg.n_replicates):
             rows = _map_means(models[i * n:(i + 1) * n], lat, data[i * n:(i + 1) * n])
-            assert lockstep[i * n:(i + 1) * n].tobytes() == rows.tobytes()
-            means[i] = rows[:, 0]
+            own = lockstep[i * n:(i + 1) * n]
+            if fwd is connected_fwd:
+                assert own.tobytes() == rows.tobytes()
+            scale = np.abs(rows).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(own - rows) <= 1e-14 * scale)
+            means[i] = own[:, 0]
         # each replicate's statistics read its own rows of the one lockstep solve
         root = symbol_values(cfg.prior.sqrt_cov, lat)
         u = np.stack([root * sample_white_noise(lat, (cfg.master_seed, 0, i)).coeffs
@@ -822,7 +847,8 @@ class TestLawMemory:
         _pencil(cfg.model(cfg.deltas[0]), lat)  # kept before the count
         calls = counting_eigen(monkeypatch)
         table = run_credible(cfg)
-        assert calls == [("eigvalsh", (lat.size, lat.size))] * len(cfg.deltas)
+        shapes = class_shapes(_pencil(cfg.model(cfg.deltas[0]), lat))
+        assert calls == [("eigvalsh", shape) for shape in shapes] * len(cfg.deltas)
         # rows of the laws that keep a projection, to rounding
         radii = [table.extras["c1"] * delta ** table.extras["alpha"] for delta in cfg.deltas]
         full = [escape_row(_trace_ball(cfg.model(delta), lat, cfg.zeta1)[1], radius)
@@ -840,17 +866,18 @@ class TestLawMemory:
         live, real = [], MultiplierBall.__init__
 
         def build(ball, *args):
-            assert all(proj() is None for proj in live)  # every earlier projection is gone
+            # every block of every earlier projection is gone
+            assert all(proj() is None for blocks in live for proj in blocks)
             real(ball, *args)
-            live.append(weakref.ref(ball._proj))
+            live.append([weakref.ref(proj) for _, _, proj in ball._proj])
 
         monkeypatch.setattr(MultiplierBall, "__init__", build)
-        _pencil(model, lat)  # kept before the count
+        shapes = class_shapes(_pencil(model, lat))  # kept before the count
         calls = counting_eigen(monkeypatch)
         table = run_contraction(cfg)
         assert len(live) == len(cfg.deltas) and table.rows == ref.rows
-        # one eigh per delta for its law, and none more for the calibration's trace
-        assert calls == [("eigh", (lat.size, lat.size))] * len(cfg.deltas)
+        # one eigh per class and delta for its law, and none more for the calibration's trace
+        assert calls == [("eigh", shape) for shape in shapes] * len(cfg.deltas)
 
 
 class TestUnevenDiagonalModel:

@@ -49,13 +49,18 @@ from torusbayes.posterior import (
     GaussianModel,
     PosteriorGaussian,
     SolverError,
+    _COUPLING_TOL,
+    _biases,
+    _classes,
     _cov_factor,
     _cov_cs,
     _dense_cov,
     _map_means,
+    _noise_trace,
     _pcg,
     _pencil,
     _pencil_solve,
+    _prior_form,
     _trace_ball,
     _trace_root,
     map_estimate,
@@ -65,7 +70,7 @@ from torusbayes.posterior import (
     posterior_trace,
     sample_posterior,
 )
-from conftest import diagonal_ball
+from conftest import class_shapes, diagonal_ball, full_pencil
 
 
 # the package re-exports the function posterior under the module's name
@@ -146,17 +151,20 @@ class TestMapEstimate:
         map_estimate(other, m)
         assert model.fwd._cs["symbol", lat] is a
         assert model.prior.cov._cs["prior symbol", lat] is c_u
-        # a dense model's forward map keeps the pencil [lam; F], read-only, with the prior
-        # form it was built for, K values: the even c_U in cosine/sine order;
-        # F^T C_U^{-1} F = I and F^T A_cs^T A_cs F = diag(lam)
+        # a dense model's forward map keeps the pencil, one (idx, [lam; F]) per class,
+        # read-only, with the prior form it was built for, K values: the even c_U in
+        # cosine/sine order; F^T C_U^{-1} F = I and F^T A_cs^T A_cs F = diag(lam).  A phi
+        # with full Fourier support couples every coordinate: one class, the whole pencil
         dense_lat, dense = dense_model
         k = dense_lat.size
         dense_m = SpectralField(dense_lat, sample_white_noise(dense_lat, 5).coeffs)
         first = map_estimate(dense, dense_m)
         assert keeps_nothing(dense)
-        c_form, block = stored = dense.fwd._cs["pencil", dense_lat]
+        c_form, pencil = stored = dense.fwd._cs["pencil", dense_lat]
+        ((idx, block),) = pencil
+        assert np.array_equal(idx, np.arange(k))
         assert block.shape == (k + 1, k) and block.dtype == np.float64
-        assert not c_form.flags.writeable and not block.flags.writeable
+        assert not any(a.flags.writeable for a in (c_form, idx, block))
         c_u = symbol_values(dense.prior.cov, dense_lat).real
         assert np.array_equal(np.sort(c_form), np.sort(c_u))
         lam, f = block[0], block[1:]
@@ -470,9 +478,15 @@ class TestDensePosterior:
         # the result, the real C_cs and the transform's blocks; a conjugate copy of C, a
         # second real K x K buffer or a full-size transform temporary exceeds it
         assert peak < 1.7 * full
-        x = _cov_factor(model, lat)
-        assert c_cs.tobytes() == (x @ x.T).tobytes()
-        assert cov.matrix.tobytes() == unblocked_from_cosine_sine(lat, x @ x.T).tobytes()
+        # each class's block is X X^T of its factor, and the classes couple nothing
+        parts = _cov_factor(model, lat)
+        assert len(parts) == 4
+        off = np.ones(c_cs.shape, bool)
+        for idx, x in parts:
+            assert c_cs[np.ix_(idx, idx)].tobytes() == (x @ x.T).tobytes()
+            off[np.ix_(idx, idx)] = False
+        assert not c_cs[off].any()
+        assert cov.matrix.tobytes() == unblocked_from_cosine_sine(lat, c_cs).tobytes()
 
     def test_indefinite_normal_matrix_raises(self):
         lat = build_lattice(1, 8)
@@ -492,11 +506,10 @@ class TestCosineSineNormal:
         return a.conj().T @ a + delta**2 * np.linalg.inv(densify(model.prior.cov, lat).matrix)
 
     def assert_pencil(self, model, lat):
-        """The kept pencil is real and F^T N F = diag(lam + delta^2) for the reference
-        normal matrix N at two noise levels."""
-        block = _pencil(model, lat)
-        assert block.dtype == np.float64
-        lam, f = block[0], block[1:]
+        """The kept pencil is real blocks on a partition of the coordinates, and
+        F^T N F = diag(lam + delta^2) for its block-diagonal F and the reference normal
+        matrix N at two noise levels."""
+        lam, f = full_pencil(_pencil(model, lat), lat.size)
         for delta in (model.delta, 10.0 * model.delta):
             ref = _to_cosine_sine(lat, self.normal(model, lat, delta))
             want = lam + delta**2
@@ -553,10 +566,10 @@ class TestCosineSineMap:
         def check(model, m):
             dtypes = []
 
-            def recording(block, b, delta2):
-                assert block.dtype == np.float64
+            def recording(pencil, b, delta2):
+                assert all(block.dtype == np.float64 for _, block in pencil)
                 dtypes.extend([b.dtype] * len(b))  # one per row of the stack
-                return _pencil_solve(block, b, delta2)
+                return _pencil_solve(pencil, b, delta2)
 
             monkeypatch.setattr(posterior_module, "_pencil_solve", recording)
             lat = m.lattice
@@ -644,9 +657,9 @@ class TestCosineSineMap:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert len(calls) == 1
-        block = fwd._cs["pencil", lat][1]
-        assert not block.flags.writeable
-        assert all(_pencil(model, lat) is block for model in models)
+        pencil = fwd._cs["pencil", lat][1]
+        assert not any(a.flags.writeable for part in pencil for a in part)
+        assert all(_pencil(model, lat) is pencil for model in models)
         assert all(results[i].tobytes() == results[i + 4].tobytes() for i in range(4))
         posterior(models[0], m)  # the covariance reads the same pencil
         assert len(calls) == 1
@@ -698,13 +711,12 @@ class TestCosineSineMap:
         a_mat = fwd.matrix
         for delta in (0.1, 0.01, 0.001):
             model = quiet_model(fwd, prior, 1.01, 2, delta)
-            block = _pencil(model, lat)
+            pencil = _pencil(model, lat)
             c_inv = np.diag(1.0 / symbol_values(prior.cov, lat))
             ref = to_cs(lat, a_mat.conj().T @ a_mat + delta**2 * c_inv)
-            lam, f = block[0], block[1:]
-            assert block.dtype == np.float64
+            lam, f = full_pencil(pencil, lat.size)
             assert np.abs(f.T @ ref @ f - np.diag(lam + delta**2)).max() <= 1e-12 * (lam.max() + delta**2)
-            assert fwd._cs["pencil", lat][1] is block
+            assert fwd._cs["pencil", lat][1] is pencil
         assert calls.count(2) == 1
 
     def test_dense_prior_factored_once_per_pencil(self, monkeypatch):
@@ -922,7 +934,7 @@ class TestPencil:
             return
         means = _map_means(models, lat, data)
         a_mat, c_mat = model.fwd.matrix, densify(model.prior.cov, lat).matrix
-        assert _pencil(model, lat).dtype == np.float64
+        assert all(block.dtype == np.float64 for _, block in _pencil(model, lat))
         for delta, m, mean in zip(deltas, data, means):
             ref = map_estimate_discrete(a_mat, c_mat, delta, m[0])
             assert np.linalg.norm(mean[0] - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -960,14 +972,17 @@ class TestPencil:
             return model.fwd._cs["pencil", lat][1]
 
         first = solve(model.prior)
-        assert calls == [(lat.size, lat.size)]
+        assert len(first) == 4 and calls == class_shapes(first)  # one eigh per class
         # an equal prior built anew reads the kept pencil
         assert solve(gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0)))) is first
-        assert len(calls) == 1
+        assert len(calls) == 4
         # a different prior replaces it, and the first prior then replaces that one
         other = solve(gaussian_prior(bessel_op(-1.0)))
-        assert len(calls) == 2 and other is not first
-        assert np.array_equal(solve(model.prior), first) and len(calls) == 3
+        assert calls[4:] == class_shapes(other) and other is not first
+        again = solve(model.prior)
+        assert len(calls) == 4 + len(other) + 4
+        assert all(np.array_equal(a, b) for part, ref in zip(again, first)
+                   for a, b in zip(part, ref))
 
     def test_alternating_priors_across_threads(self, map_estimate_discrete):
         # threads that alternate between two priors keep replacing the one kept pencil;
@@ -1002,18 +1017,17 @@ class TestPencil:
 
     @pytest.mark.parametrize("case", ["even-prior", "complex-map"])
     def test_runner_root_and_trace(self, case, monkeypatch):
-        # the runners' trace and ball law from the kept pencil: per call, one eigh of
-        # M = Y^T Y for a law that reads offsets, or one eigvalsh of it for one that reads
-        # central tails only, whose trace is the same number; the pencil's real factor X
-        # stands in for the Hermitian root H.  A map that keeps no real field real is
-        # refused before any decomposition.
+        # the runners' trace and ball law from the kept pencil: per call and class, one
+        # eigh of M = Y^T Y for a law that reads offsets, or one eigvalsh of it for one
+        # that reads central tails only, whose trace is the same number; the pencil's real
+        # block-diagonal factor X stands in for the Hermitian root H.  A map that keeps no
+        # real field real is refused before any decomposition.
         lat, model = pencil_case(case, n=8)
         calls = counting_eigen(monkeypatch)
         if refused(case, lambda: _trace_ball(model, lat, 0.0, offsets=False)):
             assert calls == []
             return
         herm = _to_cosine_sine(lat, posterior(model, sample_white_noise(lat, 7)).sqrt_cov.matrix)
-        k = lat.size
         for zeta in (0.0, -1.5):
             ref = posterior_trace(posterior_covariance(model, lat), zeta)
             w = sobolev_weight(lat, zeta)[_cosine_sine_modes(lat)[0]]
@@ -1023,7 +1037,7 @@ class TestPencil:
             for offsets, law_call in ((True, "eigh"), (False, "eigvalsh")):
                 calls.clear()
                 trace, ball = _trace_ball(model, lat, zeta, offsets)
-                assert calls == [(law_call, (k, k))]
+                assert calls == [(law_call, shape) for shape in class_shapes(_pencil(model, lat))]
                 traces.append(trace)
                 assert abs(trace - ref) <= 1e-12 * ref
                 # the law's eigenvalues, each with one degree of freedom, are those of
@@ -1033,6 +1047,130 @@ class TestPencil:
                 assert abs(ball.lam @ ball.dof - trace) <= 1e-12 * trace
                 assert (ball._proj is not None) == offsets
             assert traces[0] == traces[1]
+
+
+class TestPencilClasses:
+    """The pencil splits into the classes of coordinates that S and the prior form couple,
+    and a split pencil gives the numbers of the whole one to rounding."""
+
+    @staticmethod
+    def forms(model, lat):
+        """S = (A_cs R)^T (A_cs R) and the prior form of a model with a multiplier prior."""
+        c_form = _prior_form(model.prior.cov, lat)
+        b = _to_cosine_sine(lat, model.fwd.matrix) * np.sqrt(c_form)
+        return b.T @ b, c_form
+
+    @staticmethod
+    def phi_model(lat, phi):
+        return quiet_model(variable_coeff_op(phi, bessel_op(-1.0), lat),
+                           gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0))), 1.01, 2, 0.05)
+
+    def test_benchmark_phi_splits_into_closed_classes(self):
+        # phi = 1 + sin x cos y / 2 couples l only with l + (+-1, +-1), and flips cosine and
+        # sine with each step: four classes, none joined to another by an entry of S past
+        # the threshold, each connected
+        lat, model = pencil_case("even-prior")
+        s, c_form = self.forms(model, lat)
+        classes = _classes(s, c_form)
+        assert len(classes) == 4 and sorted(c.size for c in classes) == [62, 64, 64, 66]
+        assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(lat.size))
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        tol = _COUPLING_TOL * np.abs(s).max()
+        for c in classes:
+            inside = np.zeros(lat.size, bool)
+            inside[c] = True
+            assert np.abs(s[np.ix_(inside, ~inside)]).max() <= tol
+            # connected: a walk along the coupled entries from its first coordinate covers it
+            reached = np.zeros(lat.size, bool)
+            reached[c[0]] = True
+            for _ in range(c.size):
+                reached |= (np.abs(s[reached]) > tol).any(axis=0)
+            assert np.array_equal(reached, inside)
+        assert [idx.tolist() for idx, _ in _pencil(model, lat)] == [c.tolist() for c in classes]
+
+    def test_x_only_phi_gives_one_class_per_ly_coset(self):
+        # phi(x) couples l only with l + (+-1, 0), cosines and sines alike: the coordinates
+        # of the modes with one |l_y| form one class, n / 2 + 1 classes in all
+        lat = build_lattice(2, 16)
+        x = lat.grid_axes()[0]
+        phi = np.repeat((1.0 + 0.5 * np.sin(x) + 0.25 * np.cos(x))[:, None], lat.n_per_dim, 1)
+        classes = _classes(*self.forms(self.phi_model(lat, phi), lat))
+        ly = np.abs(lat.freqs[lat._mode_order, 1])  # |l_y| of each cosine/sine coordinate
+        assert len(classes) == lat.n_per_dim // 2 + 1
+        assert sorted(int(ly[c[0]]) for c in classes) == list(range(lat.n_per_dim // 2 + 1))
+        assert all(np.all(ly[c] == ly[c[0]]) for c in classes)
+
+    def test_connected_graph_gives_one_class(self):
+        # a phi with full Fourier support, or a dense prior whose form couples every
+        # coordinate (its Cholesky factor has no structure), gives one class
+        lat = build_lattice(2, 8)
+        rng = np.random.default_rng(4)
+        model = self.phi_model(lat, 1.0 + 0.5 * rng.random(lat.shape))
+        ((idx, block),) = _pencil(model, lat)
+        assert np.array_equal(idx, np.arange(lat.size)) and block.shape == (lat.size + 1, lat.size)
+        b = rng.standard_normal((lat.size, lat.size))
+        c_cs = b @ b.T / lat.size + np.eye(lat.size)
+        prior = gaussian_prior(DenseOp(lat, lattice_module._from_cosine_sine(lat, c_cs), 4.0, 4.0))
+        dense = quiet_model(pencil_case("even-prior", n=8)[1].fwd, prior, 1.01, 2, 0.05)
+        assert len(_pencil(dense, lat)) == 1
+        # a map that annihilates the modes of even l_x, among them the last coordinates in
+        # cosine/sine order: S = R^T G R couples none of those past the last one G keeps,
+        # and only the prior form joins them to the rest
+        odd = MultiplierOp(lambda lat: bessel_op(-1.0).symbol(lat) * (lat.freqs[:, 0] % 2 == 1),
+                           1.0, 1.0)
+        low = densify(odd, lat)
+        singular = quiet_model(low, prior, 1.01, 2, 0.05)
+        s = _to_cosine_sine(lat, low.matrix) @ np.linalg.cholesky(c_cs)
+        assert len(_classes(s.T @ s, np.diag(c_cs))) > 1
+        assert len(_pencil(singular, lat)) == 1
+        update = posterior_covariance_update(singular, lat).matrix
+        assert np.abs(posterior_covariance(singular, lat).matrix - update).max() < 1e-9
+
+    @pytest.mark.parametrize("case", ["even-prior", "dense-prior"])
+    def test_split_pencil_matches_one_class(self, case, monkeypatch):
+        # the same numbers from the whole pencil, one class, to rounding and to the cross
+        # entries of S (below _COUPLING_TOL of its largest) that the split drops
+        lat, model = pencil_case(case, n=8)
+        deltas = (0.1, 0.01, 0.001)
+
+        def numbers():
+            models = [quiet_model(model.fwd, model.prior, 1.01, 2, delta) for delta in deltas]
+            au = apply(model.fwd, sample_prior(gaussian_prior(bessel_op(-1.0)), lat, 3))
+            e = sample_white_noise(lat, 4)
+            data = np.stack([[(au + delta * e).coeffs, e.coeffs] for delta in deltas])
+            u = sample_prior(gaussian_prior(bessel_op(-1.0)), lat, 5).coeffs
+            out = {"means": _map_means(models, lat, data),
+                   "cov": np.stack([_cov_cs(m, lat) for m in models]),
+                   "noise": np.array([_noise_trace(m, lat) for m in models]),
+                   "biases": _biases(models, lat, u)}
+            rng = np.random.default_rng(6)
+            for m in models:
+                trace, ball = _trace_ball(m, lat, -0.5, noise=True)
+                offsets = np.sqrt(trace / lat.size) * (rng.standard_normal((2, lat.size))
+                                                       + 1j * rng.standard_normal((2, lat.size)))
+                for scale in (0.8, 1.2):
+                    radius = scale * np.sqrt(trace)
+                    out.setdefault("tails", []).append(ball._escape_probs(radius))
+                    out["tails"].append(ball._escape_probs(radius, offsets))
+            out["classes"] = len(_pencil(model, lat))
+            model.fwd._cs.clear()  # the next call builds its own pencil
+            return out
+
+        split = numbers()
+        monkeypatch.setattr(posterior_module, "_classes", lambda *forms: [np.arange(len(forms[0]))])
+        whole = numbers()
+        assert split["classes"] == 4 and whole["classes"] == 1
+        # each side's eigh rounds F by about eps |S| / gap; with eigenvalues of S down to
+        # 1e-6 of its largest the two differ by up to 3e-11 relative at delta = 1e-3 here
+        for key, axes in (("means", -1), ("biases", -1), ("cov", (1, 2))):
+            scale = np.abs(whole[key]).max(axis=axes, keepdims=True)
+            assert np.all(np.abs(split[key] - whole[key]) <= 1e-9 * scale), key
+        np.testing.assert_allclose(split["noise"], whole["noise"], rtol=1e-12, atol=0)
+        rows = 0
+        for (p, bound), (p_whole, bound_whole) in zip(split["tails"], whole["tails"]):
+            assert np.all(np.abs(p - p_whole) <= bound + bound_whole + 1e-14)
+            rows += np.count_nonzero((p > 1e-6) & (p < 1.0 - 1e-6))
+        assert rows >= 12  # central and noncentral rows read through the integral
 
 
 class TestDeferredRoot:
@@ -1770,8 +1908,11 @@ class TestDenseBall:
         # same root as a K x K matrix, whose eigh and projection the dense branch reads
         lat = build_lattice(2, 8)
         trace, root, w = _trace_root(diagonal_model(lat), lat, -0.5)
-        diagonal, dense = MultiplierBall(root, w, lat), MultiplierBall(np.diag(root), w, lat)
-        assert dense._proj.shape == (lat.size, lat.size)
+        one_class = [(np.arange(lat.size), np.diag(root))]
+        diagonal, dense = MultiplierBall(root, w, lat), MultiplierBall(one_class, w, lat)
+        ((idx, places, proj),) = dense._proj
+        assert np.array_equal(idx, np.arange(lat.size)) and proj.shape == (lat.size, lat.size)
+        assert np.array_equal(places, np.arange(lat.size))
         rng = np.random.default_rng(8)
         field = apply(bessel_op(-1.0), sample_white_noise(lat, rng)).coeffs
         scale = np.sqrt(trace) / np.linalg.norm(field)
@@ -1787,10 +1928,16 @@ class TestDenseBall:
         assert rows >= 12  # most rows come from the integral, not a settled tail
 
     def test_rejects_root_of_wrong_shape(self):
-        # a K + 1 square, weights of the wrong size, or a complex root
+        # blocks on K + 1 coordinates, a block of the wrong size, a class out of order, a K x K
+        # array that is not a list of blocks, weights of the wrong size, or a complex root
         lat = build_lattice(2, 8)
         k, w = lat.size, np.ones(lat.size)
-        for root, weights in ((np.eye(k + 1), w), (np.eye(k), w[1:]), (np.ones(k), w[1:]),
-                              (np.eye(k, dtype=complex), w), (np.ones(k, dtype=complex), w)):
-            with pytest.raises(ValueError, match="real root of shape .64,. or .64, 64."):
+        one = np.arange(k)
+        for root, weights in (([(np.arange(k + 1), np.eye(k + 1))], w),
+                              ([(one[:8], np.eye(8)), (one[8:], np.eye(k - 7))], w),
+                              ([(one[::-1], np.eye(k))], w),
+                              (np.eye(k), w), ([(one, np.eye(k))], w[1:]), (np.ones(k), w[1:]),
+                              ([(one, np.eye(k, dtype=complex))], w),
+                              (np.ones(k, dtype=complex), w)):
+            with pytest.raises(ValueError, match="real root of shape .64,., or a list of its real"):
                 MultiplierBall(root, weights, lat)
