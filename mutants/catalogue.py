@@ -115,7 +115,10 @@ MUTANTS = (
     # entry (a failed solve, or a non-finite form) is dropped
     Mutant("diagonal-drop-any-entry", EXPERIMENTS,
            "ok = np.isfinite(sq).all(axis=1)", "ok = np.isfinite(sq).any(axis=1)"),
-    # the diagonal runners' error forms: the bias, noise and cross weights of mean - u
+    # the deblurring sweep's errors: the H^zeta norm of the bias reads its squared moduli
+    Mutant("appendix-b-bias-square", EXPERIMENTS,
+           "u.coeffs)[0]) ** 2)", "u.coeffs)[0]))"),
+    # the diagonal bayes runner's error forms: the bias, noise and cross weights of mean - u
     Mutant("error-forms-bias-square", EXPERIMENTS,
            "sq_u, zw, beta**2)", "sq_u, zw, beta)"),
     Mutant("error-forms-noise-delta", EXPERIMENTS,

@@ -257,10 +257,10 @@ class MultiplierBall:
         qo = _rows_to_cosine_sine(self._lattice, offsets).real
         if isinstance(self._proj, np.ndarray):
             t = np.take(qo, self._terms, axis=1) * self._proj
-        else:  # per class; one class holds the K coordinates in order: no gather
+        else:  # per class
             t = np.empty((len(qo), self._nc_coef.size))
             for idx, places, proj in self._proj:
-                t[:, places] = (qo if len(self._proj) == 1 else qo[:, idx]) @ proj
+                t[:, places] = qo[:, idx] @ proj
         t *= t
         t *= self._nc_coef
         nc = np.add.reduceat(t, self._starts, axis=1)

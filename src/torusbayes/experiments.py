@@ -9,9 +9,11 @@ never changes the output.  The frequentist, contraction and credible runners
 draw nothing: each reads one exact Gaussian law per delta, multiplier or
 dense (:func:`posterior._biases`, :func:`posterior._noise_trace` and
 :func:`posterior._trace_ball`), and its rows carry ``n`` 0 and their stated
-error in ``stderr``.  For a diagonal model the bayes and deblurring runners
-form no posterior mean: each error is the root of three weighted quadratic
-forms (:func:`_error_forms`), one delta at a time.
+error in ``stderr``.  The deblurring runner reads the deterministic part of
+that law, the bias E mean - u of noiseless data (:func:`posterior._biases`).
+For a diagonal model the bayes runner forms no posterior mean: each error is
+the root of three weighted quadratic forms (:func:`_error_forms`), one delta
+at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .fields import GaussianPrior, gaussian_prior, sample_white_noise, sobolev_norm
 from .lattice import FrequencyLattice, SpectralField, build_lattice, forward_transform
 from .lattice import sobolev_weight
-from .operators import Operator, apply, bessel_op, compose
+from .operators import Operator, bessel_op, compose
 from .posterior import (
     GaussianModel,
     _biases,
@@ -38,7 +40,6 @@ from .posterior import (
     _trace_ball,
     _trace_root,
     _values,
-    map_estimate,
 )
 from .rates import RatePrediction, bayes_rate, contraction_rate, credible_rate, frequentist_rate
 
@@ -284,8 +285,7 @@ def _checked_truth(truth: TruthField | None, lattice: FrequencyLattice) -> Truth
 
 
 def _error_forms(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray,
-                 sq_u: np.ndarray, sq_e: np.ndarray | None = None,
-                 cross: np.ndarray | None = None) -> np.ndarray:
+                 sq_u: np.ndarray, sq_e: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Squared H^zeta norms of the bias and the noise of mean - u, and their cross term, at
     the noise level of a diagonal ``model``: a (replicate, zeta, 3) array.
 
@@ -293,61 +293,63 @@ def _error_forms(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray
     p = delta^2 / c_U and D = |a|^2 + p, so |mean - u|^2 weighs |u|^2 by beta^2, |e|^2 by
     |nu|^2 and Re(conj(A u) e) by -2 p delta / D^2.  ``zw`` holds the H^zeta weights, one row
     per zeta; ``sq_u``, ``sq_e`` and ``cross`` the rows |u|^2, |e|^2 and Re(conj(A u) e), one
-    per replicate, or ``sq_e`` and ``cross`` None for noiseless data, whose noise and cross
-    forms are 0.
+    per replicate.
     """
     _, asq, prec = _diag_weights(model, lattice)
     denom = asq + prec
     beta = prec / denom  # -beta; only its square and the cross weight read it
-    forms = np.zeros((len(sq_u if sq_e is None else sq_e), len(zw), 3))
+    forms = np.empty((len(sq_u), len(zw), 3))
     forms[:, :, 0] = np.einsum("ik,zk,k->iz", sq_u, zw, beta**2)
-    if sq_e is not None:
-        forms[:, :, 1] = np.einsum("ik,zk,k->iz", sq_e, zw, model.delta**2 * asq / denom**2)
-        forms[:, :, 2] = np.einsum("ik,zk,k->iz", cross, zw, -2.0 * model.delta * beta / denom)
+    forms[:, :, 1] = np.einsum("ik,zk,k->iz", sq_e, zw, model.delta**2 * asq / denom**2)
+    forms[:, :, 2] = np.einsum("ik,zk,k->iz", cross, zw, -2.0 * model.delta * beta / denom)
     return forms
 
 
-def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models, truth,
+def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models,
                       zw: np.ndarray) -> tuple[np.ndarray, int]:
     """The bayes runner's replicate loop: the (replicate, delta, column) H^zeta errors of
     mean - u, for the (zeta, K) H^zeta weights ``zw``, and the drop count.
 
-    Replicate i takes u and A u from ``truth`` and e from stream 1, drawn by its own pool
-    task.  Diagonal models form no mean: ``truth(i)`` is replicate i's pair of K-vectors,
-    each task keeps |u|^2, |e|^2 and Re(conj(A u) e), and :func:`_error_forms` contracts
-    them into the squared norms of the bias, the noise and their cross term; the columns
-    are the errors, then the bias and the noise norms, one per zeta each.  Otherwise
-    ``truth`` is a pair of (replicate, K) stacks, one lockstep :func:`posterior._map_means`
-    call solves all n_replicates x n_delta rows, replicate-major, and the columns are the
-    errors.  A replicate whose squared norms at a delta are not all finite (a failed solve)
-    is NaN there and one drop.
+    Replicate i draws u = C_U^{1/2} xi from stream 0 and e from stream 1 in its own pool
+    task.  Diagonal models form no mean: each task keeps |u|^2, |e|^2 and Re(conj(A u) e),
+    and :func:`_error_forms` contracts them into the squared norms of the bias, the noise
+    and their cross term; the columns are the errors, then the bias and the noise norms,
+    one per zeta each.  Otherwise each task keeps its u and e, one product with A maps the
+    whole u stack after the pool, one lockstep :func:`posterior._map_means` call solves
+    all n_replicates x n_delta rows, replicate-major, and the columns are the errors.  A
+    replicate whose squared norms at a delta are not all finite (a failed solve) is NaN
+    there and one drop.
     """
     n, n_rep, size = len(models), cfg.n_replicates, lattice.size
     diagonal = _is_diagonal(models[0])
+    # prior root and forward map, K values kept on each operator, or a K x K matrix
+    root, fwd = _values(cfg.prior.sqrt_cov, lattice), _values(cfg.fwd, lattice)
 
-    def noise(i: int) -> np.ndarray:
-        return sample_white_noise(lattice, (cfg.master_seed, 1, i)).coeffs
+    def draws(i: int) -> tuple[np.ndarray, np.ndarray]:
+        xi, e = (sample_white_noise(lattice, (cfg.master_seed, stream, i)).coeffs
+                 for stream in (0, 1))
+        return root * xi if root.ndim == 1 else root @ xi, e
 
     if diagonal:
         sq_u, sq_e, cross = np.empty((3, n_rep, size))
 
         def work(i: int) -> None:  # each task writes its own rows
-            u, au = truth(i)
-            e = noise(i)
+            u, e = draws(i)
+            au = fwd * u
             sq_u[i] = u.real**2 + u.imag**2
             sq_e[i] = e.real**2 + e.imag**2
             cross[i] = au.real * e.real + au.imag * e.imag
     else:
-        e_rows = np.empty((n_rep, size), np.complex128)
-        u_rows, au_rows = truth
+        u_rows, e_rows = np.empty((2, n_rep, size), np.complex128)
 
-        def work(i: int) -> None:  # each task writes its own row
-            e_rows[i] = noise(i)
+        def work(i: int) -> None:  # each task writes its own rows
+            u_rows[i], e_rows[i] = draws(i)
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
         mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
         list(mapped(work, range(n_rep)))
     if not diagonal:  # row i n + j: replicate i at delta j, A u + delta e
+        au_rows = fwd * u_rows if fwd.ndim == 1 else u_rows @ fwd.T
         rows = np.empty((n_rep, n, size), np.complex128)
         for j, model in enumerate(models):
             np.add(au_rows, np.multiply(model.delta, e_rows, out=rows[:, j]), out=rows[:, j])
@@ -379,23 +381,9 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
     deltas, zetas = cfg.deltas, cfg.zetas
     models = [cfg.model(d) for d in deltas]
     zw = np.stack([sobolev_weight(lattice, z) for z in zetas])
-    # prior root and forward map, K values kept on each operator, or a K x K matrix
-    root, fwd = _values(cfg.prior.sqrt_cov, lattice), _values(cfg.fwd, lattice)
-
-    def prior_draw(i: int) -> np.ndarray:
-        xi = sample_white_noise(lattice, (cfg.master_seed, 0, i)).coeffs
-        return root * xi if root.ndim == 1 else root @ xi
-
+    stats, dropped = _replicate_solves(cfg, lattice, models, zw)
     nz = len(zetas)
     split = _is_diagonal(models[0])
-    if split:
-        def truth(i: int):  # a diagonal model: K symbol values each
-            u = prior_draw(i)
-            return u, fwd * u
-    else:  # a dense map takes A U for every replicate in one product
-        u = np.stack([prior_draw(i) for i in range(cfg.n_replicates)])
-        truth = (u, fwd * u if fwd.ndim == 1 else u @ fwd.T)
-    stats, dropped = _replicate_solves(cfg, lattice, models, truth, zw)
     rows, fits = [], []
     for k, zeta in enumerate(zetas):
         pred = bayes_rate(models[0].params(zeta))
@@ -558,15 +546,10 @@ def run_appendix_b(cfg: ExperimentConfig, truth: TruthField | None = None) -> Cu
     u = _checked_truth(truth, lattice).u_dagger
     deltas = np.asarray(cfg.deltas)
     zw = np.stack([sobolev_weight(lattice, z) for z in cfg.zetas])
-    sq_u = (u.coeffs.real**2 + u.coeffs.imag**2)[None]
     errors = np.empty((len(cfg.zetas), len(deltas)))
-    for j, delta in enumerate(deltas):  # one delta's model and weights at a time
+    for j, delta in enumerate(deltas):  # noiseless data: mean - u is its bias alone
         model = cfg.model(delta)
-        if _is_diagonal(model):  # noiseless data: mean - u is its bias alone
-            errors[:, j] = np.sqrt(_error_forms(model, lattice, zw, sq_u)[0, :, 0])
-        else:
-            diff = map_estimate(model, apply(cfg.fwd, u)).coeffs - u.coeffs
-            errors[:, j] = np.sqrt(zw @ np.abs(diff) ** 2)
+        errors[:, j] = np.sqrt(zw @ np.abs(_biases([model], lattice, u.coeffs)[0]) ** 2)
     curves, bounds, normalizers, predictions = {}, {}, {}, {}
     for z, err in zip(cfg.zetas, errors):
         pred = bayes_rate(model.params(z))  # the same for every delta

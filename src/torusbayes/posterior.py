@@ -290,8 +290,6 @@ def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> tuple:
 def _pencil_solve(pencil: tuple, b: np.ndarray, delta2: np.ndarray) -> np.ndarray:
     """Rows x_i = F (F^T b_i) / (lam + delta2_i) = (G + delta2_i C_U^{-1})^{-1} b_i of a real
     (n, K) stack ``b``: two products per row and class (idx, [lam; F]) of the pencil."""
-    if len(pencil) == 1:  # one class: the whole pencil, with no gather
-        pencil = [(slice(None), pencil[0][1])]
     x = np.empty(b.shape)
     for idx, block in pencil:
         lam, f = block[0], block[1:]
