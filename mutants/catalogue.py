@@ -106,11 +106,16 @@ MUTANTS = (
     Mutant("central-dense-law-last-eigenvalue", BALL,
            "mu = np.linalg.eigvalsh(m)",
            "mu = np.linalg.eigvalsh(m)[:-1]"),
-    # the dense bayes replicate loop: each delta's rows of the one replicate-major lockstep
-    # solve
+    # the dense bayes errors from the kept pencil, delta F (g - delta h) / (lam + delta^2):
+    # the offset delta h of each replicate's rows g without its delta (the name is that of
+    # the lockstep solve these errors replaced), and h = F^{-1} Q u of a dense prior solved
+    # with F^T
     Mutant("lockstep-replicate-offset", EXPERIMENTS,
-           "sq = np.abs(lockstep[j::n, 0] - u_rows) ** 2 @ zw.T",
-           "sq = np.abs(lockstep[j * n_rep:(j + 1) * n_rep, 0] - u_rows) ** 2 @ zw.T"),
+           "y = (g[:, idx] - d * h[:, idx]) * (d / (block[0] + d**2))",
+           "y = (g[:, idx] - h[:, idx]) * (d / (block[0] + d**2))"),
+    Mutant("pencil-errors-dense-prior-solve", EXPERIMENTS,
+           "else np.linalg.solve(block[1:], h[:, idx].T).T)",
+           "else np.linalg.solve(block[1:].T, h[:, idx].T).T)"),
     # the replicate loop's drop rule, for every kind of model: a row with any non-finite
     # entry (a failed solve, or a non-finite form) is dropped
     Mutant("diagonal-drop-any-entry", EXPERIMENTS,

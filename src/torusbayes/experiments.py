@@ -11,9 +11,9 @@ dense (:func:`posterior._biases`, :func:`posterior._noise_trace` and
 :func:`posterior._trace_ball`), and its rows carry ``n`` 0 and their stated
 error in ``stderr``.  The deblurring runner reads the deterministic part of
 that law, the bias E mean - u of noiseless data (:func:`posterior._biases`).
-For a diagonal model the bayes runner forms no posterior mean: each error is
-the root of three weighted quadratic forms (:func:`_error_forms`), one delta
-at a time.
+The bayes runner forms no posterior mean: each error is the root of weighted
+quadratic forms of the draws, mode by mode (:func:`_error_forms`) or through
+the kept pencil (:func:`_pencil_errors`), one delta at a time.
 """
 
 from __future__ import annotations
@@ -28,15 +28,16 @@ import numpy as np
 
 from .fields import GaussianPrior, gaussian_prior, sample_white_noise, sobolev_norm
 from .lattice import FrequencyLattice, SpectralField, build_lattice, forward_transform
-from .lattice import sobolev_weight
+from .lattice import _cosine_sine_modes, _rows_to_cosine_sine, sobolev_weight
 from .operators import Operator, bessel_op, compose
 from .posterior import (
     GaussianModel,
     _biases,
     _diag_weights,
     _is_diagonal,
-    _map_means,
     _noise_trace,
+    _pencil,
+    _prior_form,
     _trace_ball,
     _trace_root,
     _values,
@@ -305,6 +306,20 @@ def _error_forms(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray
     return forms
 
 
+def _pencil_errors(model: GaussianModel, lattice: FrequencyLattice, zw: np.ndarray,
+                   g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Squared H^zeta norms of mean - u at the noise level of a dense ``model``, a (replicate,
+    zeta) array: per class (idx, [lam; F]) of the kept pencil (:func:`posterior._pencil`),
+    F^T G F = diag(lam) makes it delta F (g - delta h) / (lam + delta^2) in the cosine/sine
+    basis, for the rows g = F^T Q A^H e and h = F^{-1} Q u, one per replicate.  ``zw`` holds
+    the H^zeta weights in cosine/sine order, one row per zeta."""
+    d, sq = model.delta, np.zeros((len(g), len(zw)))
+    for idx, block in _pencil(model, lattice):
+        y = (g[:, idx] - d * h[:, idx]) * (d / (block[0] + d**2))
+        sq += np.abs(y @ block[1:].T) ** 2 @ zw[:, idx].T
+    return sq
+
+
 def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models,
                       zw: np.ndarray) -> tuple[np.ndarray, int]:
     """The bayes runner's replicate loop: the (replicate, delta, column) H^zeta errors of
@@ -314,11 +329,11 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models,
     task.  Diagonal models form no mean: each task keeps |u|^2, |e|^2 and Re(conj(A u) e),
     and :func:`_error_forms` contracts them into the squared norms of the bias, the noise
     and their cross term; the columns are the errors, then the bias and the noise norms,
-    one per zeta each.  Otherwise each task keeps its u and e, one product with A maps the
-    whole u stack after the pool, one lockstep :func:`posterior._map_means` call solves
-    all n_replicates x n_delta rows, replicate-major, and the columns are the errors.  A
-    replicate whose squared norms at a delta are not all finite (a failed solve) is NaN
-    there and one drop.
+    one per zeta each.  Otherwise each task keeps its u and e; after the pool one product
+    with A^H maps the e stack, and per pencil class products with F give g = F^T Q A^H e
+    and h = F^T C_U^{-1} Q u (a solve with F for a dense prior), which
+    :func:`_pencil_errors` contracts into the errors, the columns.  A replicate whose
+    squared norms at a delta are not all finite (a failed solve) is NaN there and one drop.
     """
     n, n_rep, size = len(models), cfg.n_replicates, lattice.size
     diagonal = _is_diagonal(models[0])
@@ -348,19 +363,23 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models,
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
         mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
         list(mapped(work, range(n_rep)))
-    if not diagonal:  # row i n + j: replicate i at delta j, A u + delta e
-        au_rows = fwd * u_rows if fwd.ndim == 1 else u_rows @ fwd.T
-        rows = np.empty((n_rep, n, size), np.complex128)
-        for j, model in enumerate(models):
-            np.add(au_rows, np.multiply(model.delta, e_rows, out=rows[:, j]), out=rows[:, j])
-        lockstep = _map_means(models * n_rep, lattice, rows.reshape(n_rep * n, 1, size))
+    if not diagonal:  # the rows g and h in cosine/sine order, each class's from its block
+        pencil, c_form = _pencil(models[0], lattice), _prior_form(cfg.prior.cov, lattice)
+        g = _rows_to_cosine_sine(lattice, np.conj(fwd) * e_rows if fwd.ndim == 1
+                                 else (e_rows.conj() @ fwd).conj())  # no copy of A
+        h = _rows_to_cosine_sine(lattice, u_rows)
+        for idx, block in pencil:  # in place per class; solve: a 2-d b, as numpy 1 and 2 agree
+            g[:, idx] = g[:, idx] @ block[1:]
+            h[:, idx] = (h[:, idx] / c_form[idx] @ block[1:] if c_form.ndim == 1
+                         else np.linalg.solve(block[1:], h[:, idx].T).T)
+        zw = zw[:, _cosine_sine_modes(lattice)[0]]
     out = np.full((n_rep, n, 3 * len(zw) if diagonal else len(zw)), np.nan)
-    for j, model in enumerate(models):  # one delta's forms or means at a time
+    for j, model in enumerate(models):  # one delta's forms at a time
         if diagonal:
             forms = np.moveaxis(_error_forms(model, lattice, zw, sq_u, sq_e, cross), 2, 0)
             sq = np.concatenate([np.maximum(forms.sum(axis=0), 0.0), forms[0], forms[1]], axis=1)
         else:
-            sq = np.abs(lockstep[j::n, 0] - u_rows) ** 2 @ zw.T
+            sq = _pencil_errors(model, lattice, zw, g, h)
         ok = np.isfinite(sq).all(axis=1)
         out[ok, j] = np.sqrt(sq[ok])
     return out, int(np.isnan(out[:, :, 0]).sum())
@@ -374,8 +393,8 @@ def run_bayes_convergence(cfg: ExperimentConfig) -> RateTable:
     fitted slope.  For a diagonal model no mean is formed: the H^zeta error
     per delta is the root of three weighted quadratic forms of U and E (see
     :func:`_error_forms`), whose bias and noise parts are reported in
-    ``extras``; other models solve for the mean, have no such split and
-    report neither.
+    ``extras``; other models read mean - u from the kept pencil
+    (:func:`_pencil_errors`), have no such split and report neither.
     """
     lattice = cfg.lattice()
     deltas, zetas = cfg.deltas, cfg.zetas

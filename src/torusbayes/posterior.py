@@ -302,9 +302,9 @@ def _pencil_solve(pencil: tuple, b: np.ndarray, delta2: np.ndarray) -> np.ndarra
 @np.errstate(invalid="ignore", over="ignore")  # an inf datum: 0 * inf, a row not finite
 def _map_means(models, lattice: FrequencyLattice, data) -> np.ndarray:
     """Posterior means of the stacks ``data[j]``, (rows, K) coefficients on ``lattice`` each,
-    under ``models[j]``: noise-level models that share one forward map and prior.  Returns
-    the means as one array of the shape of ``data``; a row that is not finite in every
-    entry (data that is not finite) is a failed solve.
+    under ``models[j]``, noise-level models that share one forward map and prior, as one
+    array of the shape of ``data``, for :func:`map_estimate` and :func:`_biases` (no runner
+    solves for a replicate's mean); a row that is not finite in every entry is a failed solve.
 
     Diagonal models use the per-frequency formula conj(a) m_hat / (|a|^2 + delta^2 / c_U),
     in place in the result.  Otherwise one product with the symbol or the dense matrix gives

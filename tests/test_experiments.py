@@ -257,8 +257,8 @@ class TestBayesExperiment:
             run_bayes_convergence(cfg)
 
     def test_pencil_built_under_threads_gives_identical_rows(self):
-        # a fresh forward map per run: the pencil is built by the lockstep solve after the
-        # four workers have drawn every replicate
+        # a fresh forward map per run: the replicate loop builds the pencil after the four
+        # workers have drawn every replicate, before it forms the rows g and h
         lat = build_lattice(2, 8)
         runs = [run_bayes_convergence(small_cfg(fwd=dense_fwd(lat), n_per_dim=8, threads=threads))
                 for threads in (1, 4)]
@@ -514,85 +514,70 @@ REPLICATE_EXTRAS = ("bias_mean", "noise_mean")
 FORM_MODES = ("bayes",)  # diagonal models: error forms, no mean
 
 
-def failing_at(monkeypatch, fails, kernel="_map_means"):
+def failing_at(monkeypatch, fails, kernel):
     """Make a (replicate, delta) pair of the bayes runner fail where ``fails(delta, k)``
     holds, k counting the pairs computed at that delta: the last entry of its replicate's
     row of the ``kernel``'s output, the error forms (:func:`experiments._error_forms`) of a
-    diagonal model or the means (:func:`posterior._map_means`) of a dense one, is NaN, which
-    must drop the whole row.  Returns the list of deltas in the order the pairs are
-    computed."""
-    calls = []
+    diagonal model or the squared norms (:func:`experiments._pencil_errors`) of a dense one,
+    is NaN, which must drop the whole row.  Returns the list of deltas in the order the
+    pairs are computed."""
+    real, calls = getattr(experiments, kernel), []
 
-    def mark(out, models):  # out[j] holds the rows of models[j]
-        for model, block in zip(models, out):
-            for row in block:
-                calls.append(model.delta)
-                if fails(model.delta, calls.count(model.delta) - 1):
-                    row.flat[-1] = np.nan
+    def mark(model, *args):  # one delta's kernel call, a row per replicate
+        out = real(model, *args)
+        for row in out:
+            calls.append(model.delta)
+            if fails(model.delta, calls.count(model.delta) - 1):
+                row.flat[-1] = np.nan
         return out
 
-    if kernel == "_error_forms":
-        real = experiments._error_forms
-        monkeypatch.setattr(experiments, "_error_forms",
-                            lambda model, *args: mark(real(model, *args)[None], [model])[0])
-    else:
-        real = experiments._map_means
-        monkeypatch.setattr(experiments, "_map_means",
-                            lambda models, *args: mark(real(models, *args), models))
+    monkeypatch.setattr(experiments, kernel, mark)
     return calls
 
 
-def recording(monkeypatch, name):
-    """Patch ``experiments.<name>`` to record the arguments of each call."""
-    real, calls = getattr(experiments, name), []
+def recording(monkeypatch, name, module=experiments):
+    """Patch ``module.<name>`` to record the arguments of each call."""
+    real, calls = getattr(module, name), []
 
     def record(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, name, record)
+    monkeypatch.setattr(module, name, record)
     return calls
 
 
 def recording_solves(monkeypatch):
-    """Patch the runners' lockstep solver to record each call's models and data."""
-    return recording(monkeypatch, "_map_means")
+    """Patch the package's one mean solver, :func:`posterior._map_means`, to record the
+    arguments of each call."""
+    return recording(monkeypatch, "_map_means", sys.modules["torusbayes.posterior"])
+
+
+def dense_case(case, lat):
+    """Config overrides of a dense bayes run on ``lat``: dense_fwd (four pencil classes at
+    16^2), connected_fwd (one class), or dense_fwd under the default prior densified, whose
+    rows h come from a solve with each class's F."""
+    if case == "densified-prior":
+        prior = default_config("bayes").prior
+        return dict(fwd=dense_fwd(lat), prior=gaussian_prior(densify(prior.cov, lat), prior.r))
+    return dict(fwd={"dense_fwd": dense_fwd, "connected_fwd": connected_fwd}[case](lat))
 
 
 class TestReplicateLoop:
     """The bayes runner's replicate loop, and per-replicate solves as the oracle of the exact
     contraction rows."""
 
-    def test_dense_run_solves_every_replicate_in_one_call(self, monkeypatch):
-        calls = recording_solves(monkeypatch)
-        cfg = small_cfg(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
-        assert run_bayes_convergence(cfg).dropped == 0
-        ((models, lat, data),) = calls
-        n = len(cfg.deltas)
-        # replicate-major, one row per model: rows i n ... i n + n - 1 are A u_i + delta_j e_i
-        assert lat == cfg.lattice() and data.shape == (cfg.n_replicates * n, 1, lat.size)
-        assert [m.delta for m in models] == list(cfg.deltas) * cfg.n_replicates
-        for i in range(cfg.n_replicates):
-            e = sample_white_noise(lat, np.random.default_rng((cfg.master_seed, 1, i)))
-            rows = data[i * n:(i + 1) * n, 0]
-            for delta, row in zip(cfg.deltas, rows):
-                diff = row - rows[0]
-                assert np.allclose(diff, (delta - cfg.deltas[0]) * e.coeffs, rtol=0, atol=1e-15)
-
-    def test_dense_prior_draws_forward_mapped_together(self, monkeypatch):
-        # the stack of prior draws goes through A in one product: each row is A u_i to rounding
-        calls = recording_solves(monkeypatch)
+    @pytest.mark.parametrize("case", ["dense_fwd", "densified-prior"])
+    def test_dense_run_forms_each_delta_once(self, case, monkeypatch):
+        # no mean is solved: one kernel call per delta holds every replicate's rows g and h
+        solves, errors = recording_solves(monkeypatch), recording(monkeypatch, "_pencil_errors")
         lat = build_lattice(2, 8)
-        cfg = small_cfg(fwd=dense_fwd(lat), n_per_dim=8)
-        run_bayes_convergence(cfg)
-        ((_, _, data),) = calls
-        n, root = len(cfg.deltas), symbol_values(cfg.prior.sqrt_cov, lat)
-        for i in range(cfg.n_replicates):
-            xi, e = (sample_white_noise(lat, np.random.default_rng((cfg.master_seed, stream, i)))
-                     for stream in (0, 1))
-            au = cfg.fwd.matrix @ (root * xi.coeffs)
-            row = data[i * n, 0] - cfg.deltas[0] * e.coeffs
-            assert np.abs(row - au).max() < 1e-14 * np.abs(au).max()
+        cfg = small_cfg(n_per_dim=8, **dense_case(case, lat))
+        assert run_bayes_convergence(cfg).dropped == 0
+        n = cfg.n_replicates
+        assert solves == []
+        assert [(model.delta, g.shape, h.shape) for model, _, _, g, h in errors] == \
+            [(delta, (n, lat.size), (n, lat.size)) for delta in cfg.deltas]
 
     @pytest.mark.parametrize("mode", FORM_MODES)
     def test_diagonal_run_forms_each_delta_once(self, mode, monkeypatch):
@@ -631,48 +616,30 @@ class TestReplicateLoop:
         assert_within_oracle(table, ref["escape"])
         assert sum(0.05 < r.mean_error < 0.95 for r in table.rows) >= 3
 
-    def test_lockstep_rows_equal_per_replicate_solves(self, monkeypatch):
-        # connected_fwd is one class of 256 coordinates: with K = 256 the stacked product
-        # rounds each row as the 5-row one does, byte for byte
-        self.check_lockstep_rows(connected_fwd, monkeypatch)
-
-    def test_split_map_lockstep_rows_match_per_replicate_solves(self, monkeypatch):
-        # for other sizes, as at 8^2 or for the 62- to 66-coordinate classes of dense_fwd at
-        # 16^2, OpenBLAS (0.3.31) rounds each row by the height of the stack: the rows agree
-        # to rounding
-        self.check_lockstep_rows(dense_fwd, monkeypatch)
-
-    @staticmethod
-    def check_lockstep_rows(fwd, monkeypatch):
-        """The bayes runner's lockstep rows against per-replicate solves, bytewise for
-        connected_fwd and within 1e-14 of each row's largest entry otherwise, and each
-        replicate's statistics from its own lockstep rows."""
+    @pytest.mark.parametrize("case", ["dense_fwd", "connected_fwd", "densified-prior"])
+    def test_dense_rows_match_map_estimate(self, case, monkeypatch):
+        # each dense error against the H^zeta norm of map_estimate(model, A u_i + delta_j e_i)
+        # - u_i, with u_i and e_i redrawn from streams 0 and 1; four pencil classes or one
         lat = build_lattice(2, 16)
-        cfg = small_cfg(fwd=fwd(lat), n_per_dim=16)
-        calls = recording_solves(monkeypatch)
-        table = run_bayes_convergence(cfg)
-        ((models, _, data),) = calls
-        lockstep = _map_means(models, lat, data)
-        n = len(cfg.deltas)
-        means = np.empty((cfg.n_replicates, n, lat.size), np.complex128)
+        cfg = small_cfg(**dense_case(case, lat))
+        assert len(_pencil(cfg.model(cfg.deltas[0]), lat)) == (1 if case == "connected_fwd" else 4)
+        stats = replicate_stats(monkeypatch)
+        assert run_bayes_convergence(cfg).dropped == 0
+        (got,) = stats  # (replicate, delta, zeta)
+        assert got.shape == (cfg.n_replicates, len(cfg.deltas), len(cfg.zetas))
+        rel = []
         for i in range(cfg.n_replicates):
-            rows = _map_means(models[i * n:(i + 1) * n], lat, data[i * n:(i + 1) * n])
-            own = lockstep[i * n:(i + 1) * n]
-            if fwd is connected_fwd:
-                assert own.tobytes() == rows.tobytes()
-            scale = np.abs(rows).max(axis=-1, keepdims=True)
-            assert np.all(np.abs(own - rows) <= 1e-14 * scale)
-            means[i] = own[:, 0]
-        # each replicate's statistics read its own rows of the one lockstep solve
-        root = symbol_values(cfg.prior.sqrt_cov, lat)
-        u = np.stack([root * sample_white_noise(lat, (cfg.master_seed, 0, i)).coeffs
-                      for i in range(cfg.n_replicates)])
-        zw = np.stack([sobolev_weight(lat, z) for z in cfg.zetas])
-        errors = np.stack([np.sqrt(np.abs(means[:, j] - u) ** 2 @ zw.T) for j in range(n)], axis=1)
-        pred = table.rows[0]
-        assert table.rows[:n] == tuple(experiments._rate_rows(
-            "bayes", cfg.deltas, cfg.zetas[0], errors[:, :, 0], pred.predicted_exponent,
-            pred.regime))
+            xi, e = (sample_white_noise(lat, np.random.default_rng((cfg.master_seed, stream, i)))
+                     for stream in (0, 1))
+            u = apply(cfg.prior.sqrt_cov, xi)
+            au = apply(cfg.fwd, u)
+            for j, delta in enumerate(cfg.deltas):
+                m = SpectralField(lat, au.coeffs + delta * e.coeffs)
+                diff = SpectralField(lat, map_estimate(cfg.model(delta), m).coeffs - u.coeffs)
+                for k, zeta in enumerate(cfg.zetas):
+                    ref = sobolev_norm(diff, zeta)
+                    rel.append(abs(got[i, j, k] - ref) / ref)
+        assert max(rel) <= 1e-9
 
     @pytest.mark.parametrize("mode", REPLICATE_MODES)
     def test_failed_solve_drops_one_pair(self, mode, monkeypatch):
@@ -694,13 +661,13 @@ class TestReplicateLoop:
 
     @pytest.mark.parametrize("mode", REPLICATE_MODES)
     def test_dense_failed_solve_drops_one_pair(self, mode, monkeypatch):
-        # a row of the lockstep solve with one entry not finite is a failed solve: its
-        # replicate's row never reaches the statistic, one drop, and every other delta's
-        # rows as before
+        # a replicate's squared norms with one entry not finite are a failed solve: its
+        # row never reaches the statistic, one drop, and every other delta's rows as before
         dense = dict(fwd=dense_fwd(build_lattice(2, 8)), n_per_dim=8)
         ref = run_experiment(small_cfg(mode, **dense))
         cfg = small_cfg(mode, **dense)
-        calls = failing_at(monkeypatch, lambda delta, k: delta == cfg.deltas[2] and k == 3)
+        calls = failing_at(monkeypatch, lambda delta, k: delta == cfg.deltas[2] and k == 3,
+                           "_pencil_errors")
         table = run_experiment(cfg)
         assert table.dropped == 1 and len(calls) == cfg.n_replicates * len(cfg.deltas)
         for row, base in zip(table.rows, ref.rows):
