@@ -44,9 +44,14 @@ MUTANTS = (
     Mutant("diagonal-precision-delta", POSTERIOR,
            "model.delta**2 / _prior_symbol(model.prior.cov, lattice)",
            "model.delta / _prior_symbol(model.prior.cov, lattice)"),
-    # the dense posterior through the pencil
+    # the dense posterior through the pencil: the shift lam + delta^2 of the means and biases
     Mutant("pencil-shift-delta", POSTERIOR,
-           "y /= lam + delta2[:, None]", "y /= lam + np.sqrt(delta2[:, None])"),
+           "factor * y.take(idx, axis=1) / (block[0] + d2) @ block[1:].T",
+           "factor * y.take(idx, axis=1) / (block[0] + np.sqrt(d2)) @ block[1:].T"),
+    # the dense bias -delta^2 F h / (lam + delta^2): delta for delta^2 in its factor
+    Mutant("pencil-bias-factor", POSTERIOR,
+           "_pencil_field(mdl, lattice, h, -mdl.delta**2)",
+           "_pencil_field(mdl, lattice, h, -mdl.delta)"),
     Mutant("cov-factor-delta", POSTERIOR,
            "if noise else model.delta / np.sqrt(block[0] + d2)))",
            "if noise else model.delta / np.sqrt(block[0] + model.delta)))"),
@@ -108,14 +113,14 @@ MUTANTS = (
            "mu = np.linalg.eigvalsh(m)[:-1]"),
     # the dense bayes errors from the kept pencil, delta F (g - delta h) / (lam + delta^2):
     # the offset delta h of each replicate's rows g without its delta (the name is that of
-    # the lockstep solve these errors replaced), and h = F^{-1} Q u of a dense prior solved
-    # with F^T
+    # the lockstep solve these errors replaced), and, in the pencil's coordinate kernel,
+    # h = F^{-1} Q u of a dense prior solved with F^T
     Mutant("lockstep-replicate-offset", EXPERIMENTS,
            "y = (g[:, idx] - d * h[:, idx]) * (d / (block[0] + d**2))",
            "y = (g[:, idx] - h[:, idx]) * (d / (block[0] + d**2))"),
-    Mutant("pencil-errors-dense-prior-solve", EXPERIMENTS,
-           "else np.linalg.solve(block[1:], h[:, idx].T).T)",
-           "else np.linalg.solve(block[1:].T, h[:, idx].T).T)"),
+    Mutant("pencil-errors-dense-prior-solve", POSTERIOR,
+           "else np.linalg.solve(block[1:], x[:, idx].T).T)",
+           "else np.linalg.solve(block[1:].T, x[:, idx].T).T)"),
     # the replicate loop's drop rule, for every kind of model: a row with any non-finite
     # entry (a failed solve, or a non-finite form) is dropped
     Mutant("diagonal-drop-any-entry", EXPERIMENTS,
@@ -137,10 +142,10 @@ MUTANTS = (
     # map_estimate's finite check, which a diagonal mean with one NaN entry must fail
     Mutant("finite-row-check", POSTERIOR,
            "if not np.isfinite(mean).all():", "if not np.isfinite(mean).any():"),
-    # the stacked diagonal means: the conjugate of a complex forward symbol
+    # the diagonal mean: the conjugate of a complex forward symbol
     Mutant("diagonal-mean-conj", POSTERIOR,
-           "np.divide(np.multiply(np.conj(a), m, out=mean), asq + prec, out=mean)",
-           "np.divide(np.multiply(a, m, out=mean), asq + prec, out=mean)"),
+           "mean = np.conj(a) * m.coeffs / (asq + prec)",
+           "mean = a * m.coeffs / (asq + prec)"),
     # the lone-pair tail: X >= x iff N_{x/2} <= N_{nc/2}, the Poisson mean of the mixture
     # nc / 2, here nc
     Mutant("ball-pair-poisson-mean", BALL,

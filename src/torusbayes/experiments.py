@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import GaussianPrior, gaussian_prior, sample_white_noise, sobolev_norm
 from .lattice import FrequencyLattice, SpectralField, build_lattice, forward_transform
-from .lattice import _cosine_sine_modes, _rows_to_cosine_sine, sobolev_weight
+from .lattice import _cosine_sine_modes, sobolev_weight
 from .operators import Operator, bessel_op, compose
 from .posterior import (
     GaussianModel,
@@ -37,7 +37,7 @@ from .posterior import (
     _is_diagonal,
     _noise_trace,
     _pencil,
-    _prior_form,
+    _pencil_coords,
     _trace_ball,
     _trace_root,
     _values,
@@ -98,9 +98,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         deltas = tuple(float(x) for x in self.deltas)
         object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "zetas", tuple(float(z) for z in self.zetas))
-        if not self.zetas:
-            raise ValueError("zetas must not be empty")
+        zetas = tuple(float(z) for z in self.zetas)
+        object.__setattr__(self, "zetas", zetas)
+        if not zetas or not np.all(np.isfinite(zetas)) or len(set(zetas)) < len(zetas):
+            raise ValueError(f"zetas must be finite, distinct and not empty, got {zetas}")
         if len(deltas) < 4:
             raise ValueError("delta grid needs at least 4 points")
         if not np.all(np.isfinite(deltas)):  # NaN fails no comparison below
@@ -329,9 +330,9 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models,
     task.  Diagonal models form no mean: each task keeps |u|^2, |e|^2 and Re(conj(A u) e),
     and :func:`_error_forms` contracts them into the squared norms of the bias, the noise
     and their cross term; the columns are the errors, then the bias and the noise norms,
-    one per zeta each.  Otherwise each task keeps its u and e; after the pool one product
-    with A^H maps the e stack, and per pencil class products with F give g = F^T Q A^H e
-    and h = F^T C_U^{-1} Q u (a solve with F for a dense prior), which
+    one per zeta each.  Otherwise each task keeps its u and e; after the pool the pencil's
+    coordinate kernel (:func:`posterior._pencil_coords`) maps the e stack to the rows
+    g = F^T Q A^H e, through one product with A, and the u stack to h = F^{-1} Q u, which
     :func:`_pencil_errors` contracts into the errors, the columns.  A replicate whose
     squared norms at a delta are not all finite (a failed solve) is NaN there and one drop.
     """
@@ -363,15 +364,9 @@ def _replicate_solves(cfg: ExperimentConfig, lattice: FrequencyLattice, models,
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:  # starts no thread unless used
         mapped = pool.map if cfg.threads > 1 else map  # 1: the caller's thread, no extra heap
         list(mapped(work, range(n_rep)))
-    if not diagonal:  # the rows g and h in cosine/sine order, each class's from its block
-        pencil, c_form = _pencil(models[0], lattice), _prior_form(cfg.prior.cov, lattice)
-        g = _rows_to_cosine_sine(lattice, np.conj(fwd) * e_rows if fwd.ndim == 1
-                                 else (e_rows.conj() @ fwd).conj())  # no copy of A
-        h = _rows_to_cosine_sine(lattice, u_rows)
-        for idx, block in pencil:  # in place per class; solve: a 2-d b, as numpy 1 and 2 agree
-            g[:, idx] = g[:, idx] @ block[1:]
-            h[:, idx] = (h[:, idx] / c_form[idx] @ block[1:] if c_form.ndim == 1
-                         else np.linalg.solve(block[1:], h[:, idx].T).T)
+    if not diagonal:  # the rows g and h, each class's columns in place in cosine/sine order
+        g = _pencil_coords(models[0], lattice, e_rows, data=True)
+        h = _pencil_coords(models[0], lattice, u_rows)
         zw = zw[:, _cosine_sine_modes(lattice)[0]]
     out = np.full((n_rep, n, 3 * len(zw) if diagonal else len(zw)), np.nan)
     for j, model in enumerate(models):  # one delta's forms at a time

@@ -19,7 +19,9 @@ at every delta (Golub & Van Loan, Matrix Computations, 8.7).  F = R V comes
 from a factor R R^T = C_U and one ``eigh`` of S = (A_cs R)^T (A_cs R) =
 V diag(lam) V^T, the prior-preconditioned Hessian of Spantini et al. (2015);
 the forward operator keeps it, split into the classes of coordinates that S and
-C_U couple (:func:`_pencil`): a mean costs two real K^2 products or less, C one more.
+C_U couple (:func:`_pencil`).  In its coordinates g = F^T Q A^H m of data and
+h = F^{-1} Q u of a field (:func:`_pencil_coords`) the mean is F g / (lam + delta^2) and
+the bias of noiseless data -delta^2 F h / (lam + delta^2), with no cancellation.
 
 For the ball statistic |C^{1/2} xi + o|^2_{H^zeta} the module gives the H^zeta
 trace of C and the root that the statistic's exact law is built from
@@ -287,69 +289,58 @@ def _pencil(model: GaussianModel, lattice: FrequencyLattice) -> tuple:
     return pencil
 
 
-def _pencil_solve(pencil: tuple, b: np.ndarray, delta2: np.ndarray) -> np.ndarray:
-    """Rows x_i = F (F^T b_i) / (lam + delta2_i) = (G + delta2_i C_U^{-1})^{-1} b_i of a real
-    (n, K) stack ``b``: two products per row and class (idx, [lam; F]) of the pencil."""
-    x = np.empty(b.shape)
-    for idx, block in pencil:
-        lam, f = block[0], block[1:]
-        y = b[:, idx] @ f
-        y /= lam + delta2[:, None]
-        x[:, idx] = y @ f.T
+def _pencil_coords(model: GaussianModel, lattice: FrequencyLattice, rows, data=False) -> np.ndarray:
+    """An (n, K) stack ``rows`` in the coordinates of the pencil (:func:`_pencil`) of a model
+    that is not diagonal, each class's columns in place in cosine/sine order: g = F^T Q A^H m
+    for data rows m (``data``), through one product with A, else h = F^{-1} Q u for fields u,
+    (u_cs / c_U) F or a solve with F per class for a dense prior.  Real: rows that are complex
+    in the cosine/sine basis give n rows of their real parts, then n of their imaginary parts."""
+    pencil = _pencil(model, lattice)
+    if data:  # A^H M through one product with A, with no conjugate copy of A
+        a = _values(model.fwd, lattice)
+        rows = np.conj(a) * rows if a.ndim == 1 else (rows.conj() @ a).conj()
+    x = _rows_to_cosine_sine(lattice, rows)
+    if np.iscomplexobj(x):
+        x = np.concatenate([x.real, x.imag])
+    c_form = _prior_form(model.prior.cov, lattice)
+    if not data and c_form.ndim == 1:
+        x /= c_form
+    for idx, block in pencil:  # in place per class; solve: a 2-d b, as numpy 1 and 2 agree
+        x[:, idx] = (x[:, idx] @ block[1:] if data or c_form.ndim == 1
+                     else np.linalg.solve(block[1:], x[:, idx].T).T)
     return x
 
 
-@np.errstate(invalid="ignore", over="ignore")  # an inf datum: 0 * inf, a row not finite
-def _map_means(models, lattice: FrequencyLattice, data) -> np.ndarray:
-    """Posterior means of the stacks ``data[j]``, (rows, K) coefficients on ``lattice`` each,
-    under ``models[j]``, noise-level models that share one forward map and prior, as one
-    array of the shape of ``data``, for :func:`map_estimate` and :func:`_biases` (no runner
-    solves for a replicate's mean); a row that is not finite in every entry is a failed solve.
-
-    Diagonal models use the per-frequency formula conj(a) m_hat / (|a|^2 + delta^2 / c_U),
-    in place in the result.  Otherwise one product with the symbol or the dense matrix gives
-    the stack B = Q A^H M of every row, the kept pencil solves each row at its model's noise
-    level, and the rows x give the means Q^H x; complex B (data that is not a real field)
-    is solved as its real parts and its imaginary parts.
-    """
-    model = models[0]
-    if any(m.fwd != model.fwd or m.prior.cov != model.prior.cov for m in models):
-        raise ValueError("lockstep solves need models that share one forward map and prior")
-    if _is_diagonal(model):
-        means = np.empty(np.shape(data), np.complex128)
-        for mdl, m, mean in zip(models, data, means):
-            a, asq, prec = _diag_weights(mdl, lattice)
-            np.divide(np.multiply(np.conj(a), m, out=mean), asq + prec, out=mean)
-        return means
-    pencil = _pencil(model, lattice)
-    a = _values(model.fwd, lattice)
-    stack = np.reshape(data, (-1, lattice.size))
-    # B = Q A^H M; a dense A^H M through one product with A, with no conjugate copy of A
-    b = _rows_to_cosine_sine(lattice, np.conj(a) * stack if a.ndim == 1
-                             else (stack.conj() @ a).conj())
-    n = len(stack)
-    delta2 = np.repeat([m.delta**2 for m in models], n // len(models))
-    if np.iscomplexobj(b):
-        b, delta2 = np.concatenate([b.real, b.imag]), np.tile(delta2, 2)  # two real rows each
-    x = _pencil_solve(pencil, b, delta2)
-    if len(x) > n:
-        x = x[:n] + 1j * x[n:]
-    return _rows_from_cosine_sine(lattice, x).reshape(np.shape(data))
+def _pencil_field(model: GaussianModel, lattice: FrequencyLattice, y, factor) -> np.ndarray:
+    """The K coefficients Q^H F (factor y / (lam + delta^2)) at the noise level of ``model`` of
+    one row y of pencil coordinates (:func:`_pencil_coords`), or of two, its real and imaginary
+    parts; ``take`` gathers them in C order, the layout that sets how the products round."""
+    d2, x = model.delta**2, np.empty(y.shape)
+    for idx, block in _pencil(model, lattice):
+        x[:, idx] = factor * y.take(idx, axis=1) / (block[0] + d2) @ block[1:].T
+    return _rows_from_cosine_sine(lattice, x[:1] + 1j * x[1:] if len(x) == 2 else x)[0]
 
 
+@np.errstate(invalid="ignore", over="ignore")  # an inf datum: 0 * inf, a mean not finite
 def map_estimate(model: GaussianModel, m: SpectralField) -> SpectralField:
     """Posterior mean (equals the MAP point for this Gaussian conjugate pair).
 
-    The one-row case of :func:`_map_means`: the per-frequency formula for a
-    diagonal model, else F (F^T b) / (lam + delta^2) for b = Q A^H m and the
-    pencil :func:`_pencil` of the forward map and prior, built on first use and
-    shared by every noise level.  The mean it returns is finite in every entry;
-    raises SolverError if it is not, as for data with a NaN coefficient.
+    The per-frequency formula conj(a) m_hat / (|a|^2 + delta^2 / c_U) for a diagonal model,
+    else Q^H F (g / (lam + delta^2)) for the coordinates g = F^T Q A^H m of the data
+    (:func:`_pencil_coords`) in the pencil of the forward map and prior, built on first use
+    and shared by every noise level.  The mean it returns is finite in every entry; raises
+    SolverError if it is not, as for data with a NaN coefficient.
     """
-    mean = _map_means([model], m.lattice, m.coeffs[None, None])[0, 0]
+    lattice = m.lattice
+    if _is_diagonal(model):
+        a, asq, prec = _diag_weights(model, lattice)
+        mean = np.conj(a) * m.coeffs / (asq + prec)
+    else:
+        g = _pencil_coords(model, lattice, m.coeffs[None], data=True)
+        mean = _pencil_field(model, lattice, g, 1.0)
     if not np.isfinite(mean).all():
         raise SolverError("posterior mean not finite", [])
-    return SpectralField(m.lattice, mean)
+    return SpectralField(lattice, mean)
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -566,13 +557,17 @@ def _trace_ball(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
 
 def _biases(models, lattice: FrequencyLattice, u: np.ndarray) -> np.ndarray:
     """E mean - u over the data noise for the truth coefficients ``u``, one row per model of
-    a lockstep set: -(p / D) u mode by mode for diagonal models, p = delta^2 / c_U and
-    D = |a|^2 + p, else one :func:`_map_means` call on the noiseless data A u, minus u."""
-    if _is_diagonal(models[0]):
-        weights = (_diag_weights(model, lattice) for model in models)
+    a set that shares one forward map and prior: -(p / D) u mode by mode for diagonal models,
+    p = delta^2 / c_U and D = |a|^2 + p, else Q^H F (-delta^2 h / (lam + delta^2)) for the
+    pencil coordinates h = F^{-1} Q u (:func:`_pencil_coords`): no mean, no product with A."""
+    model = models[0]
+    if any(m.fwd != model.fwd or m.prior.cov != model.prior.cov for m in models):
+        raise ValueError("biases need models that share one forward map and prior")
+    if _is_diagonal(model):
+        weights = (_diag_weights(mdl, lattice) for mdl in models)
         return np.stack([-(prec / (asq + prec)) * u for _, asq, prec in weights])
-    au = apply(models[0].fwd, SpectralField(lattice, u)).coeffs
-    return _map_means(models, lattice, np.broadcast_to(au, (len(models), 1, u.size)))[:, 0] - u
+    h = _pencil_coords(model, lattice, u[None])
+    return np.stack([_pencil_field(mdl, lattice, h, -mdl.delta**2) for mdl in models])
 
 
 def _noise_trace(model: GaussianModel, lattice: FrequencyLattice) -> float:

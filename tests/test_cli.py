@@ -362,6 +362,20 @@ class TestExperiment:
         assert f"invalid experiment config: {name} must be finite" in err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("ini, zetas, message", [
+        (EXPERIMENT_INI, "nan", "zetas must be finite"),
+        (EXPERIMENT_INI, "0, inf", "zetas must be finite"),
+        (APPENDIX_INI, "0, 0", "zetas must be finite, distinct"),
+    ], ids=["nan", "inf", "duplicate"])
+    def test_bad_zetas_are_config_errors(self, tmp_path, capsys, ini, zetas, message):
+        # a duplicate would write one curve file twice, a non-finite zeta fail the run
+        text = ini.replace(ini[ini.index("zetas = "):].splitlines()[0], f"zetas = {zetas}")
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", write_ini(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid experiment config: " + message in err
+        assert not out.exists()
+
     def test_experiment_overwrite_refused(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, EXPERIMENT_INI)
         out = tmp_path / "run"

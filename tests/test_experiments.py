@@ -39,7 +39,7 @@ from torusbayes import experiments
 from torusbayes._ball import MultiplierBall, _Grid
 from torusbayes.fields import operator_sqrt
 from torusbayes.posterior import (
-    _map_means,
+    _biases,
     _pencil,
     _trace_ball,
     map_estimate,
@@ -207,7 +207,11 @@ class TestExperimentConfig:
         ("credible", dict(c1=-0.5), "c1 must be positive"),
         ("credible", dict(c1=float("nan")), "c1 must be positive"),
         ("bayes", dict(zetas=()), "zetas"),
-    ], ids=["c0-zero", "c0-negative", "c1-negative", "c1-nan", "no-zetas"])
+        ("bayes", dict(zetas=(float("nan"),)), "zetas must be finite"),
+        ("appendix_b", dict(zetas=(0.0, float("inf"))), "zetas must be finite"),
+        ("appendix_b", dict(zetas=(0.0, 0.0)), "distinct"),
+    ], ids=["c0-zero", "c0-negative", "c1-negative", "c1-nan", "no-zetas", "zetas-nan",
+            "zetas-inf", "zetas-duplicate"])
     def test_rejects_bad_ball_constants(self, mode, overrides, match):
         with pytest.raises(ValueError, match=match):
             small_cfg(mode, **overrides)
@@ -480,7 +484,8 @@ class TestErrorForms:
                         check(result.raw_errors[z][j], sobolev_norm(bias, z))
                     continue
                 if mode == "frequentist":  # E e e^H = I: the means of delta times unit data
-                    noise = _map_means([model], lat, delta * np.eye(lat.size)[None])[0]
+                    noise = np.stack([map_estimate(model, SpectralField(lat, row)).coeffs
+                                      for row in delta * np.eye(lat.size)])
                     check(result.rows[j].mean_error,
                           sobolev_norm(bias, 0.0) ** 2 + np.sum(np.abs(noise) ** 2))
                     continue
@@ -548,9 +553,9 @@ def recording(monkeypatch, name, module=experiments):
 
 
 def recording_solves(monkeypatch):
-    """Patch the package's one mean solver, :func:`posterior._map_means`, to record the
+    """Patch the package's mean solver, :func:`posterior.map_estimate`, to record the
     arguments of each call."""
-    return recording(monkeypatch, "_map_means", sys.modules["torusbayes.posterior"])
+    return recording(monkeypatch, "map_estimate", sys.modules["torusbayes.posterior"])
 
 
 def dense_case(case, lat):
@@ -592,9 +597,7 @@ class TestReplicateLoop:
 
     def test_diagonal_contraction_calls_the_law_once_per_delta(self, monkeypatch):
         # no mean is solved: the bias of each delta is the one offset of its law's one call
-        solves, calls = [], []
-        monkeypatch.setattr(sys.modules["torusbayes.posterior"], "_map_means",
-                            lambda *args: solves.append(args))
+        solves, calls = recording_solves(monkeypatch), []
         real = MultiplierBall._escape_probs
 
         def law(ball, radius, offsets=None):
@@ -768,7 +771,8 @@ class TestLawMemory:
             models = [cfg.model(delta) for delta in cfg.deltas]
             laws = [_trace_ball(model, lat, 0.0) for model in models]
             for model, (trace, ball) in zip(models, laws):
-                offsets = _map_means([model], lat, (au + model.delta * e)[None])[0]
+                offsets = np.stack([map_estimate(model, SpectralField(lat, au + model.delta * row))
+                                    .coeffs for row in e])
                 offsets -= u.coeffs
                 radius = np.sqrt(trace + np.mean(np.sum(np.abs(offsets) ** 2, axis=1)))
                 p, _ = ball._escape_probs(radius, offsets)
@@ -969,15 +973,25 @@ class TestAppendixB:
         assert by_name.curves == direct.curves
 
     def test_dense_errors_are_norms_of_noiseless_means(self):
-        # each delta's errors: the H^zeta norms of map_estimate(model, A u) - u, byte for byte
+        # each delta's errors are the H^zeta norms of the bias E mean - u, byte for byte, and
+        # the bias is within 1e-11 relative of an oracle in the exponential basis:
+        # -delta^2 C^{1/2} V diag(1 / (lam + delta^2)) V^H C^{-1/2} u, from one complex eigh
+        # V diag(lam) V^H of C^{1/2} A^H A C^{1/2}.  The noiseless mean minus u cancels: it is
+        # 1.4e-9 relative off at delta = 1.6e-4 and 1.4e-6 at 5e-6.
         lat = build_lattice(2, 8)
         cfg = default_config("appendix_b", fwd=dense_fwd(lat), n_per_dim=8)
         curves = run_appendix_b(cfg)
-        u = make_hat_truth(lat).u_dagger
+        u = make_hat_truth(lat).u_dagger.coeffs
+        root = np.sqrt(symbol_values(cfg.prior.cov, lat).real)  # C^{1/2}, a multiplier
+        b = cfg.fwd.matrix * root
+        lam, v = np.linalg.eigh(b.conj().T @ b)
+        w = v.conj().T @ (u / root)
         zw = np.stack([sobolev_weight(lat, z) for z in cfg.zetas])
         for j, delta in enumerate(cfg.deltas):
-            diff = map_estimate(cfg.model(delta), apply(cfg.fwd, u)).coeffs - u.coeffs
-            norms = np.sqrt(zw @ np.abs(diff) ** 2)
+            bias = _biases([cfg.model(delta)], lat, u)[0]
+            ref = -delta**2 * root * (v @ (w / (lam + delta**2)))
+            assert np.linalg.norm(bias - ref) <= 1e-11 * np.linalg.norm(ref), delta
+            norms = np.sqrt(zw @ np.abs(bias) ** 2)
             assert [curves.raw_errors[z][j] for z in cfg.zetas] == norms.tolist(), delta
 
 

@@ -55,11 +55,10 @@ from torusbayes.posterior import (
     _cov_factor,
     _cov_cs,
     _dense_cov,
-    _map_means,
     _noise_trace,
     _pcg,
     _pencil,
-    _pencil_solve,
+    _pencil_coords,
     _prior_form,
     _trace_ball,
     _trace_root,
@@ -561,17 +560,18 @@ class TestCosineSineMap:
     @pytest.fixture
     def solve_dtypes(self, monkeypatch, map_estimate_discrete):
         """``check(model, m)``: map_estimate against the direct solve; returns the dtypes of
-        the right-hand sides its pencil solves."""
+        the rows of pencil coordinates its data maps to."""
 
         def check(model, m):
             dtypes = []
 
-            def recording(pencil, b, delta2):
-                assert all(block.dtype == np.float64 for _, block in pencil)
-                dtypes.extend([b.dtype] * len(b))  # one per row of the stack
-                return _pencil_solve(pencil, b, delta2)
+            def recording(model, lattice, rows, data=False):
+                assert all(block.dtype == np.float64 for _, block in _pencil(model, lattice))
+                coords = _pencil_coords(model, lattice, rows, data)
+                dtypes.extend([coords.dtype] * len(coords))  # one per row of the stack
+                return coords
 
-            monkeypatch.setattr(posterior_module, "_pencil_solve", recording)
+            monkeypatch.setattr(posterior_module, "_pencil_coords", recording)
             lat = m.lattice
             est = map_estimate(model, m).coeffs
             ref = map_estimate_discrete(densify(model.fwd, lat).matrix,
@@ -740,7 +740,8 @@ class TestCosineSineMap:
 
 
 class TestLockstepSolves:
-    """_map_means: one data set at every noise level, one pencil solve for the whole stack."""
+    """Failed and degenerate one-row solves of map_estimate, and the lockstep conjugate
+    gradients oracle."""
 
     DELTAS = tuple(np.geomspace(1e-1, 1e-3, 5))
 
@@ -753,77 +754,38 @@ class TestLockstepSolves:
         models = [quiet_model(fwd, prior, 1.01, 2, delta) for delta in cls.DELTAS]
         au = apply(fwd, sample_prior(prior, lat, n)).coeffs
         e = sample_white_noise(lat, n + 1).coeffs
-        return lat, models, np.stack([[au + model.delta * e] for model in models])
-
-    @staticmethod
-    def recording(monkeypatch):
-        """Record the shape of the right-hand-side stack of every _pencil_solve call."""
-        shapes = []
-
-        def recording(block, b, delta2):
-            shapes.append(b.shape)
-            return _pencil_solve(block, b, delta2)
-
-        monkeypatch.setattr(posterior_module, "_pencil_solve", recording)
-        return shapes
-
-    @staticmethod
-    def assert_close(mean, ref):
-        assert np.linalg.norm(mean - ref) <= 1e-12 * np.linalg.norm(ref)
+        return lat, models, np.stack([au + model.delta * e for model in models])
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_rows_equal_one_row_solves(self, n, monkeypatch):
+    def test_row_that_cannot_converge_is_the_only_one_dropped(self, n, map_estimate_discrete):
+        # a NaN data set fails its solve alone: the kept pencil is untouched, and the other
+        # data sets give the same means, byte for byte, and the direct solve's
         lat, models, data = self.problem(n)
-        shapes = self.recording(monkeypatch)
-        means = _map_means(models, lat, data)
-        assert means.shape == data.shape
-        assert shapes == [(len(models), lat.size)]  # one real row per noise level, one call
-        for model, m, mean in zip(models, data, means):
-            self.assert_close(mean[0], map_estimate(model, SpectralField(lat, m[0])).coeffs)
-        assert shapes[1:] == [(1, lat.size)] * len(models)
-
-    @pytest.mark.parametrize("kind", ["diagonal", "dense"])
-    def test_rows_of_one_model_equal_one_row_per_model(self, kind):
-        # the (rows, K) stack of one model, as the diagonal per-delta and the c0 calls pass
-        # it, solves each row as a model per row does
-        lat, models, data = self.problem(8)
-        if kind == "diagonal":
-            models = [quiet_model(bessel_op(-1.0), m.prior, 1.01, 2, m.delta) for m in models]
-        stack = data[:, 0]
-        means = _map_means(models[:1], lat, stack[None])
-        assert means.shape == (1, len(stack), lat.size)
-        assert means[0].tobytes() == _map_means(models[:1] * len(stack), lat,
-                                                stack[:, None])[:, 0].tobytes()
-
-    @pytest.mark.parametrize("n", [8, 16])
-    def test_row_that_cannot_converge_is_the_only_one_dropped(self, n):
-        lat, models, data = self.problem(n)
+        means = [map_estimate(mdl, SpectralField(lat, m)).coeffs for mdl, m in zip(models, data)]
         bad = 2
-        data[bad] = np.nan
-        means = _map_means(models, lat, data)
-        assert not np.isfinite(means[bad]).any()
-        for j, (model, m) in enumerate(zip(models, data)):
-            if j != bad:
-                self.assert_close(means[j, 0], map_estimate(model, SpectralField(lat, m[0])).coeffs)
         with pytest.raises(SolverError, match="not finite"):
-            map_estimate(models[bad], SpectralField(lat, data[bad, 0]))
+            map_estimate(models[bad], SpectralField(lat, np.full(lat.size, np.nan + 0j)))
+        a_mat, c_mat = models[0].fwd.matrix, densify(models[0].prior.cov, lat).matrix
+        for j, (model, m) in enumerate(zip(models, data)):
+            mean = map_estimate(model, SpectralField(lat, m)).coeffs
+            assert mean.tobytes() == means[j].tobytes()
+            ref = map_estimate_discrete(a_mat, c_mat, model.delta, m)
+            assert np.linalg.norm(mean - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_non_finite_diagonal_row_is_the_only_one_dropped(self):
-        # one NaN coefficient leaves the other K - 1 entries of its mean finite
+        # one NaN coefficient fails the solve; mode by mode, no other entry of the mean reads it
         lat = build_lattice(2, 8)
         fwd, prior = bessel_op(-1.0), gaussian_prior(compose(bessel_op(-1.0), bessel_op(-1.0)))
-        models = [quiet_model(fwd, prior, 1.01, 2, delta) for delta in self.DELTAS]
         m = sample_white_noise(lat, 3)
-        data = np.tile(m.coeffs, (len(models), 1, 1))
-        bad = 2
-        data[bad, 0, 5] = np.nan
-        means = _map_means(models, lat, data)
-        assert np.flatnonzero(~np.isfinite(means[bad, 0])).tolist() == [5]
-        for j, model in enumerate(models):
-            if j != bad:
-                assert means[j, 0].tobytes() == map_estimate(model, m).coeffs.tobytes()
-        with pytest.raises(SolverError, match="not finite"):
-            map_estimate(models[bad], SpectralField(lat, data[bad, 0]))
+        for delta in self.DELTAS:
+            model = quiet_model(fwd, prior, 1.01, 2, delta)
+            coeffs = m.coeffs.copy()
+            coeffs[5] = np.nan
+            with pytest.raises(SolverError, match="not finite"):
+                map_estimate(model, SpectralField(lat, coeffs))
+            coeffs[5] = 0.0
+            mean, ref = (map_estimate(model, f).coeffs for f in (SpectralField(lat, coeffs), m))
+            assert mean[5] == 0 and np.delete(mean, 5).tobytes() == np.delete(ref, 5).tobytes()
 
     @pytest.mark.parametrize("kind", ["diagonal", "dense-prior", "dense-forward"])
     def test_infinite_datum_raises_solver_error_not_warning(self, kind):
@@ -843,14 +805,13 @@ class TestLockstepSolves:
                 map_estimate(model, SpectralField(lat, coeffs))
 
     def test_zero_row_converges_at_once(self):
-        lat, models, data = self.problem(8)
-        data[1] = 0.0
+        # zero data: a zero mean at every noise level, dense and diagonal, with no warning
+        lat, models, _ = self.problem(8)
+        models += [quiet_model(bessel_op(-1.0), m.prior, 1.01, 2, m.delta) for m in models]
+        zero = SpectralField(lat, np.zeros(lat.size, complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            means = _map_means(models, lat, data)
-        assert not np.any(means[1])
-        ref = map_estimate(models[0], SpectralField(lat, data[0, 0])).coeffs
-        self.assert_close(means[0, 0], ref)
+            assert not any(np.any(map_estimate(model, zero).coeffs) for model in models)
 
     def test_pcg_failed_row_keeps_others(self):
         # diagonal systems: a row with one eigenvalue converges in one step, one with
@@ -867,7 +828,7 @@ class TestLockstepSolves:
         lat, models, data = self.problem(8)
         other = quiet_model(models[0].fwd, gaussian_prior(bessel_op(-1.0)), 1.01, 2, 0.1)
         with pytest.raises(ValueError, match="share"):
-            _map_means([models[0], other], lat, data[:2])
+            _biases([models[0], other], lat, data[0])
 
 
 def diagonal_model(lat, delta=0.05):
@@ -929,15 +890,15 @@ class TestPencil:
         models = [quiet_model(model.fwd, model.prior, 1.01, 2, delta) for delta in deltas]
         au = apply(model.fwd, sample_prior(gaussian_prior(bessel_op(-1.0)), lat, 3))
         e = sample_white_noise(lat, 4)
-        data = np.stack([[(au + delta * e).coeffs] for delta in deltas])
-        if refused(case, lambda: _map_means(models, lat, data)):
+        data = [au + delta * e for delta in deltas]
+        if refused(case, lambda: map_estimate(models[0], data[0])):
             return
-        means = _map_means(models, lat, data)
+        means = [map_estimate(mdl, m).coeffs for mdl, m in zip(models, data)]
         a_mat, c_mat = model.fwd.matrix, densify(model.prior.cov, lat).matrix
         assert all(block.dtype == np.float64 for _, block in _pencil(model, lat))
         for delta, m, mean in zip(deltas, data, means):
-            ref = map_estimate_discrete(a_mat, c_mat, delta, m[0])
-            assert np.linalg.norm(mean[0] - ref) <= 1e-10 * np.linalg.norm(ref)
+            ref = map_estimate_discrete(a_mat, c_mat, delta, m.coeffs)
+            assert np.linalg.norm(mean - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_means_match_iterative_oracle(self):
         # lockstep conjugate gradients on the normal equations G + delta^2 C_U^{-1} in the
@@ -954,9 +915,28 @@ class TestPencil:
         diag = np.diag(gram) + deltas[:, None] ** 2 / c_form
         x, _ = _pcg(lambda p, rows: p @ gram + deltas[rows, None] ** 2 * p / c_form,
                     b, diag, CG_TOL, 10 * lat.size)
-        means = _map_means(models, lat, np.tile(m.coeffs, (len(deltas), 1, 1)))
-        for mean, ref in zip(means[:, 0], _rows_from_cosine_sine(lat, x)):
+        means = [map_estimate(mdl, m).coeffs for mdl in models]
+        for mean, ref in zip(means, _rows_from_cosine_sine(lat, x)):
             assert np.linalg.norm(mean - ref) <= 1e-7 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("case", ["even-prior", "dense-prior"])
+    def test_dense_bias_forms_no_mean(self, case, monkeypatch):
+        # the bias reads the truth's pencil coordinates alone, with no mean and no read of A,
+        # and equals -C C_U^{-1} u for the update-form covariance C, which rounds to ~1e-12
+        lat, model = pencil_case(case, n=8)
+        models = [quiet_model(model.fwd, model.prior, 1.01, 2, d) for d in (0.1, 0.01, 0.001)]
+        u = sample_prior(gaussian_prior(bessel_op(-1.0)), lat, 5).coeffs
+        c_inv_u = np.linalg.solve(densify(model.prior.cov, lat).matrix, u)
+        refs = [-posterior_covariance_update(mdl, lat).matrix @ c_inv_u for mdl in models]
+        _pencil(model, lat)  # kept before A is refused
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bias formed a mean or read the forward map")
+
+        for name in ("map_estimate", "apply", "_values", "densify"):
+            monkeypatch.setattr(posterior_module, name, refuse)
+        for bias, ref in zip(_biases(models, lat, u), refs):
+            assert np.linalg.norm(bias - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_one_eigh_per_operator_lattice_and_prior_value(self, monkeypatch):
         lat, model = pencil_case("even-prior", n=8)
@@ -966,8 +946,8 @@ class TestPencil:
 
         def solve(prior, deltas=(0.1, 0.01, 0.001)):
             models = [quiet_model(model.fwd, prior, 1.01, 2, delta) for delta in deltas]
-            _map_means(models, lat, np.tile(m.coeffs, (len(models), 1, 1)))
-            map_estimate(models[-1], m)
+            for mdl in models:
+                map_estimate(mdl, m)
             assert [key[0] for key in model.fwd._cs] == ["pencil"]  # at most one kept
             return model.fwd._cs["pencil", lat][1]
 
@@ -1139,7 +1119,8 @@ class TestPencilClasses:
             e = sample_white_noise(lat, 4)
             data = np.stack([[(au + delta * e).coeffs, e.coeffs] for delta in deltas])
             u = sample_prior(gaussian_prior(bessel_op(-1.0)), lat, 5).coeffs
-            out = {"means": _map_means(models, lat, data),
+            out = {"means": np.stack([[map_estimate(mdl, SpectralField(lat, row)).coeffs
+                                       for row in rows] for mdl, rows in zip(models, data)]),
                    "cov": np.stack([_cov_cs(m, lat) for m in models]),
                    "noise": np.array([_noise_trace(m, lat) for m in models]),
                    "biases": _biases(models, lat, u)}
