@@ -83,12 +83,16 @@ MUTANTS = (
     # exactly Hermitian white noise: a self-conjugate mode's rounding residue in im
     Mutant("white-self-conjugate-real", LATTICE,
            "coeffs.imag[..., real] = 0.0", "coeffs.imag[..., real] *= 1.0"),
-    # the runners: the 2% saturation filter of the slope fit, the Markov bound's trace term
+    # the runners: the 2% saturation filter of the slope fit, the Markov bound's squared radius
     Mutant("saturation-filter", EXPERIMENTS,
            "if abs(a - b) / max(a, b) < 0.02:", "if abs(a - b) / max(a, b) < 0.2:"),
     Mutant("markov-trace-radius", EXPERIMENTS,
-           "markov.append(min(1.0, traces[j] / radius**2))",
-           "markov.append(min(1.0, traces[j] / radius))"),
+           "r2, mean = radius * radius, traces[j] + sq[j]",
+           "r2, mean = radius, traces[j] + sq[j]"),
+    # the ball runners' calibration of an unset c0 or c1 at the middle delta
+    Mutant("escape-rows-calibration-index", EXPERIMENTS,
+           "n, mid, noise = len(models), len(models) // 2, offsets is not None",
+           "n, mid, noise = len(models), len(models) // 2 + 1, offsets is not None"),
     # the exact ball law: its tail against the complement, the diagonal root's projection
     # w root (not sqrt(w) root, which only H^zeta weights with zeta != 0 tell apart), and
     # each row's own grid period in a batch
@@ -127,7 +131,7 @@ MUTANTS = (
            "ok = np.isfinite(sq).all(axis=1)", "ok = np.isfinite(sq).any(axis=1)"),
     # the deblurring sweep's errors: the H^zeta norm of the bias reads its squared moduli
     Mutant("appendix-b-bias-square", EXPERIMENTS,
-           "u.coeffs)[0]) ** 2)", "u.coeffs)[0]))"),
+           "np.abs(next(biases)) ** 2)", "np.abs(next(biases)))"),
     # the diagonal bayes runner's error forms: the bias, noise and cross weights of mean - u
     Mutant("error-forms-bias-square", EXPERIMENTS,
            "sq_u, zw, beta**2)", "sq_u, zw, beta)"),

@@ -6,10 +6,10 @@ tables are self-describing.  Only ``bayes`` draws: replicate i seeds its
 generators by (master_seed, stream, i), stream 0 the truth and 1 the data
 noise, and results are reduced in ascending replicate order, so thread count
 never changes the output.  The frequentist, contraction and credible runners
-draw nothing: each reads one exact Gaussian law per delta, multiplier or
-dense (:func:`posterior._biases`, :func:`posterior._noise_trace` and
-:func:`posterior._trace_ball`), and its rows carry ``n`` 0 and their stated
-error in ``stderr``.  The deblurring runner reads the deterministic part of
+draw nothing: each reads one exact Gaussian law per delta, multiplier or dense
+(:func:`posterior._biases` and :func:`posterior._noise_trace`; the ball runners' rows
+all come from one kernel, :func:`_escape_rows`), and its rows carry ``n`` 0 and their
+stated error in ``stderr``.  The deblurring runner reads the deterministic part of
 that law, the bias E mean - u of noiseless data (:func:`posterior._biases`).
 The bayes runner forms no posterior mean: each error is the root of weighted
 quadratic forms of the draws, mode by mode (:func:`_error_forms`) or through
@@ -39,7 +39,6 @@ from .posterior import (
     _pencil,
     _pencil_coords,
     _trace_ball,
-    _trace_root,
     _values,
 )
 from .rates import RatePrediction, bayes_rate, contraction_rate, credible_rate, frequentist_rate
@@ -121,6 +120,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:  # NaN too
                 raise ValueError(f"{name} must be positive, got {value}")
+        for mode, name in (("contraction", "kappa"), ("credible", "zeta1")):
+            if self.mode == mode and getattr(self, name) is None:
+                raise ValueError(f"{mode} experiment needs {name}")
         for name in ("kappa", "c0", "zeta1", "alpha", "c1"):  # the ball law needs finite ones
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
@@ -435,16 +437,43 @@ def run_frequentist_convergence(cfg: ExperimentConfig, truth: TruthField | None 
     return RateTable("frequentist", rows, (_zeta_fit(0.0, cfg.deltas, mise, pred),), 0, extras)
 
 
+def _escape_rows(experiment: str, models, lattice: FrequencyLattice, zeta: float,
+                 exponent: float, scale: float | None, pred: RatePrediction, offsets=None):
+    """Exact rows of the escape P(|X|_{H^zeta} >= scale delta^exponent), one per model, their
+    Markov bounds min(1, E S / radius^2) for E S = trace + |offset|^2, traces and the scale.
+
+    X has one Gaussian law per model (:func:`posterior._trace_ball`): with ``offsets``, one per
+    model, that of a posterior draw minus the truth over the data noise, the offset its mean;
+    without, the central posterior law.  An unset ``scale`` makes the radius at the middle
+    model sqrt(E S); that law is built first and read for its own row.  Each law is read by
+    one ``_escape_probs`` call and dropped before the next is built, so at most one dense
+    K x K projection is held.  A radius squared to 0 or past the float range has bound 1 or 0.
+    """
+    n, mid, noise = len(models), len(models) // 2, offsets is not None
+    sq = [float(np.vdot(o, o).real) for o in offsets] if noise else [0.0] * n
+    rows, markov, traces = [None] * n, [None] * n, [None] * n
+    for j in [mid] + [j for j in range(n) if j != mid]:
+        traces[j], ball = _trace_ball(models[j], lattice, zeta, noise, noise)
+        if scale is None:
+            scale = float(np.sqrt(traces[j] + sq[j]) / models[j].delta**exponent)
+        radius = scale * models[j].delta**exponent
+        (p,), (bound,) = ball._escape_probs(radius, offsets[j][None] if noise else None)
+        del ball  # before the next law is built
+        r2, mean = radius * radius, traces[j] + sq[j]
+        markov[j] = 1.0 if mean >= r2 else mean / r2
+        rows[j] = RateRow(experiment, models[j].delta, zeta, float(p), float(bound), 0,
+                          pred.extra["decay"], pred.regime)
+    return rows, markov, traces, scale
+
+
 def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> RateTable:
     """Expected posterior mass escaping an L2 ball of radius c0 delta^kappa around the truth.
 
     Over the data noise a posterior draw minus the truth is one Gaussian, mean the bias
     E mean - u (:func:`posterior._biases`) and covariance C + N N^H, the posterior's plus
-    that of the mean's data-noise part.  Each delta's escape probability is one
-    ``_escape_probs`` call of that exact law (:func:`posterior._trace_ball` with ``noise``),
-    multiplier or dense, with the bias as its one offset; each law is dropped before the
-    next is built, so at most one dense K x K projection is held.  Each row is exact: the
-    law's stated error bound in ``stderr`` and ``extras["ball_prob_error"]``, ``n`` 0;
+    that of the mean's data-noise part.  Each delta's row is the exact escape probability
+    of that law, multiplier or dense, with the bias as its offset (:func:`_escape_rows`):
+    the law's stated error bound in ``stderr`` and ``extras["ball_prob_error"]``, ``n`` 0;
     ``n_mc`` is not read.  ``extras["markov_mean"]`` holds the Markov bound
     min(1, E S / radius^2), E S = tr(C + N N^H) + |bias|^2, which must dominate the
     escape probability.  An unset ``c0`` makes the radius at the middle delta sqrt(E S).
@@ -453,27 +482,11 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         raise ValueError("contraction experiment needs kappa")
     lattice = cfg.lattice()
     u = _checked_truth(truth, lattice).u_dagger
-    deltas = cfg.deltas
-    models = [cfg.model(d) for d in deltas]
+    models = [cfg.model(d) for d in cfg.deltas]
     pred = contraction_rate(models[0].params(), cfg.kappa)
-    biases = _biases(models, lattice, u.coeffs)
-    sq_bias = [float(np.vdot(bias, bias).real) for bias in biases]
-    c0 = cfg.c0
-    if c0 is None:
-        mid = len(deltas) // 2
-        trace = _trace_root(models[mid], lattice, 0.0, noise=True)[0]
-        c0 = float(np.sqrt(trace + sq_bias[mid]) / deltas[mid] ** cfg.kappa)
-
-    rows, markov = [], []
-    for delta, model, bias, sq in zip(deltas, models, biases, sq_bias):
-        radius = c0 * delta**cfg.kappa
-        trace, ball = _trace_ball(model, lattice, 0.0, noise=True)
-        (p,), (bound,) = ball._escape_probs(radius, bias[None])
-        del ball  # before the next law is built
-        markov.append(min(1.0, (trace + sq) / radius**2))
-        rows.append(RateRow("contraction", delta, 0.0, float(p), float(bound), 0,
-                            pred.extra["decay"], pred.regime))
-    fits = (_zeta_fit(0.0, deltas, [r.mean_error for r in rows], pred),)
+    rows, markov, _, c0 = _escape_rows("contraction", models, lattice, 0.0, cfg.kappa, cfg.c0,
+                                       pred, list(_biases(models, lattice, u.coeffs)))
+    fits = (_zeta_fit(0.0, cfg.deltas, [r.mean_error for r in rows], pred),)
     extras = {
         "c0": c0,
         "kappa": cfg.kappa,
@@ -481,7 +494,7 @@ def run_contraction(cfg: ExperimentConfig, truth: TruthField | None = None) -> R
         "markov_mean": markov,
         "ball_prob_method": "exact",
         "ball_prob_error": [r.stderr for r in rows],
-        "deltas": list(deltas),
+        "deltas": list(cfg.deltas),
     }
     return RateTable("contraction", tuple(rows), fits, 0, extras)
 
@@ -491,41 +504,24 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
 
     The ball is centred at the posterior mean, so the probability depends
     only on delta and no data is needed.  Every posterior, multiplier or
-    dense, gets the exact probability of its :class:`_ball.MultiplierBall`
-    law (:func:`posterior._trace_ball`), with the law's error bound in the
-    ``stderr`` column and ``n`` = 0; a dense law reads central tails only
-    and keeps its eigenvalues alone.  Per row the Markov bound
-    trace / radius^2 is attached; the slope is fitted on rows with p in
-    [10/n_mc, 0.9], the band a Monte Carlo sample of ``n_mc`` draws would
-    resolve, which is all that ``n_mc`` sets here.
+    dense, gets the exact probability of its central law (:func:`_escape_rows`), with the
+    law's error bound in the ``stderr`` column and ``n`` = 0; a dense law keeps its
+    eigenvalues alone.  An unset ``c1`` makes the radius at the middle delta the root of
+    the trace there.  Per row the Markov bound min(1, trace / radius^2) is attached; the
+    slope is fitted on rows with p in [10/n_mc, 0.9], the band a Monte Carlo sample of
+    ``n_mc`` draws would resolve, which is all that ``n_mc`` sets here.
     """
     if cfg.zeta1 is None:
         raise ValueError("credible experiment needs zeta1")
     lattice = cfg.lattice()
     deltas = cfg.deltas
     models = [cfg.model(d) for d in deltas]
-    laws = [_trace_ball(model, lattice, cfg.zeta1, offsets=False) for model in models]
     params = models[0].params()
     gamma = credible_rate(params, cfg.zeta1).extra["gamma"]
     alpha = cfg.alpha if cfg.alpha is not None else gamma / 4.0
     pred = credible_rate(params, cfg.zeta1, alpha)
-    traces = [trace for trace, _ in laws]
-    c1 = cfg.c1
-    if c1 is None:
-        mid = len(deltas) // 2
-        c1 = float(np.sqrt(traces[mid]) / deltas[mid] ** alpha)
-
-    rows = []
-    markov = []
-    errors = []
-    for j, (delta, (_, ball)) in enumerate(zip(deltas, laws)):
-        radius = c1 * delta**alpha
-        p, bound = ball._escape_probs(radius)
-        p_out, bound = float(p[0]), float(bound[0])
-        markov.append(min(1.0, traces[j] / radius**2))
-        errors.append(bound)
-        rows.append(RateRow("credible", delta, cfg.zeta1, p_out, bound,
-                            0, pred.extra["decay"], pred.regime))
+    rows, markov, traces, c1 = _escape_rows("credible", models, lattice, cfg.zeta1, alpha,
+                                            cfg.c1, pred)
 
     def band_fit(xs, ps) -> LoglogFit:
         band = np.flatnonzero((ps >= 10.0 / cfg.n_mc) & (ps <= 0.9))
@@ -542,7 +538,7 @@ def run_credible(cfg: ExperimentConfig) -> RateTable:
         "markov_bound": markov,
         "trace_zeta1": traces,
         "ball_prob_method": "exact",
-        "ball_prob_error": errors,
+        "ball_prob_error": [r.stderr for r in rows],
         "deltas": list(deltas),
     }
     return RateTable("credible", tuple(rows), fits, 0, extras)
@@ -560,13 +556,12 @@ def run_appendix_b(cfg: ExperimentConfig, truth: TruthField | None = None) -> Cu
     u = _checked_truth(truth, lattice).u_dagger
     deltas = np.asarray(cfg.deltas)
     zw = np.stack([sobolev_weight(lattice, z) for z in cfg.zetas])
-    errors = np.empty((len(cfg.zetas), len(deltas)))
-    for j, delta in enumerate(deltas):  # noiseless data: mean - u is its bias alone
-        model = cfg.model(delta)
-        errors[:, j] = np.sqrt(zw @ np.abs(_biases([model], lattice, u.coeffs)[0]) ** 2)
+    models = [cfg.model(delta) for delta in deltas]
+    biases = _biases(models, lattice, u.coeffs)  # noiseless data: mean - u is its bias alone
+    errors = np.stack([np.sqrt(zw @ np.abs(next(biases)) ** 2) for _ in models], axis=1)
     curves, bounds, normalizers, predictions = {}, {}, {}, {}
     for z, err in zip(cfg.zetas, errors):
-        pred = bayes_rate(model.params(z))  # the same for every delta
+        pred = bayes_rate(models[0].params(z))  # the same for every delta
         predictions[z] = pred
         normalizers[z] = 1.0 / err[-1]
         curves[z] = (err * normalizers[z]).tolist()

@@ -23,8 +23,8 @@ C_U couple (:func:`_pencil`).  In its coordinates g = F^T Q A^H m of data and
 h = F^{-1} Q u of a field (:func:`_pencil_coords`) the mean is F g / (lam + delta^2) and
 the bias of noiseless data -delta^2 F h / (lam + delta^2), with no cancellation.
 
-For the ball statistic |C^{1/2} xi + o|^2_{H^zeta} the module gives the H^zeta
-trace of C and the root that the statistic's exact law is built from
+For the ball statistic |C^{1/2} xi + o|^2_{H^zeta} one function gives the H^zeta
+trace of C and the statistic's exact law, both from one root of C
 (:func:`_trace_ball`; the law itself is :mod:`torusbayes._ball`), and
 :func:`sample_posterior` draws from the posterior.  Two oracles stay here:
 the update form :func:`posterior_covariance_update`, public, and the lockstep
@@ -508,21 +508,26 @@ def _dense_cov(model: GaussianModel, lattice: FrequencyLattice, c_cs: np.ndarray
                    f"postcov({model.fwd.label})")
 
 
-def _trace_root(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
-                noise: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
-    """The H^zeta trace of the posterior covariance C on ``lattice``, a real root of C in the
-    cosine/sine basis and the H^zeta weights in cosine/sine order, where they are diagonal,
-    that the ball statistic |C^{1/2} xi + o|^2 reads it with.
+def _trace_ball(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
+                offsets: bool = True, noise: bool = False) -> tuple[float, MultiplierBall]:
+    """The H^zeta trace of the posterior covariance C on ``lattice`` and the exact law of the
+    H^zeta ball statistic |C^{1/2} xi + o|^2 for spectral white noise xi, both read from one
+    real root of C in the cosine/sine basis and the H^zeta weights in cosine/sine order.
 
     A diagonal model reads its weights: c = delta^2 / (|a|^2 + delta^2 / c_U), the trace
-    sum_l w_l c_l in exponential order and the root sqrt(c) as K values in cosine/sine
-    order, the variance of a mode's cosine and of its sine.  That needs c even in l: a c
-    that is not raises ValueError, as a prior that is not does for a dense model.  A dense
-    model takes the class blocks (idx, X) of :func:`_cov_factor`, a real root of C_cs: Q^H X z
-    for z = Q xi real standard normal has the law of C^{1/2} xi, the trace is sum_j w_j |X_j|^2
-    over the rows X_j.  With ``noise`` the covariance is C + N N^H, that of C^{1/2} xi + N e
-    over the data noise e too, N e the mean's data-noise part: per mode c = delta^2 (D + |a|^2)
-    / D^2, D = |a|^2 + delta^2 / c_U, which needs a forward symbol that keeps real fields real.
+    sum_l w_l c_l and the root sqrt(c) as K values, the variance of a mode's cosine and of
+    its sine.  That needs c even in l: a c that is not raises ValueError, as a prior that is
+    not does for a dense model.  A dense model takes the class blocks (idx, X) of
+    :func:`_cov_factor`, a real root of C_cs: Q^H X z for z = Q xi real standard normal has
+    the law of C^{1/2} xi, the trace is sum_j w_j |X_j|^2 over the rows X_j.  With ``noise``
+    the covariance is C + N N^H, that of C^{1/2} xi + N e over the data noise e too, N e the
+    mean's data-noise part: per mode c = delta^2 (D + |a|^2) / D^2, D = |a|^2 + delta^2 / c_U,
+    which needs a forward symbol that keeps real fields real.
+
+    The law keeps O(G + T + n) numbers beyond its K-sized term indices (see
+    :class:`MultiplierBall`).  A dense law that reads offsets also keeps a projection, a
+    block per class; with ``offsets`` False a dense law is eigenvalues only and reads central
+    tails, while a diagonal one, whose projection is K values, reads offsets either way.
     """
     w = sobolev_weight(lattice, zeta)
     order = _cosine_sine_modes(lattice)[0]
@@ -535,39 +540,27 @@ def _trace_root(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
         else:
             c = model.delta**2 / denom
         c = _hermitian(c, lattice)
-        return float(np.sum(w * c)), np.sqrt(c)[order], w[order]
-    root, w = _cov_factor(model, lattice, noise), w[order]
-    return float(sum(w[idx] @ np.einsum("ij,ij->i", x, x) for idx, x in root)), root, w
-
-
-def _trace_ball(model: GaussianModel, lattice: FrequencyLattice, zeta: float,
-                offsets: bool = True, noise: bool = False) -> tuple[float, MultiplierBall]:
-    """The trace of :func:`_trace_root` and the exact law of the H^zeta ball statistic
-    |C^{1/2} xi + o|^2 for spectral white noise xi (with ``noise``, of |C^{1/2} xi + N e + o|^2
-    over the data noise e too), built from its root and weights.
-
-    The law keeps O(G + T + n) numbers beyond its K-sized term indices (see
-    :class:`MultiplierBall`).  A dense law that reads offsets also keeps a projection, a
-    block per class; with ``offsets`` False a dense law is eigenvalues only and reads central
-    tails, while a diagonal one, whose projection is K values, reads offsets either way.
-    """
-    trace, root, w = _trace_root(model, lattice, zeta, noise)
+        trace, root, w = float(np.sum(w * c)), np.sqrt(c)[order], w[order]
+    else:
+        root, w = _cov_factor(model, lattice, noise), w[order]
+        trace = float(sum(w[idx] @ np.einsum("ij,ij->i", x, x) for idx, x in root))
     return trace, MultiplierBall(root, w, lattice, offsets)
 
 
-def _biases(models, lattice: FrequencyLattice, u: np.ndarray) -> np.ndarray:
-    """E mean - u over the data noise for the truth coefficients ``u``, one row per model of
-    a set that shares one forward map and prior: -(p / D) u mode by mode for diagonal models,
-    p = delta^2 / c_U and D = |a|^2 + p, else Q^H F (-delta^2 h / (lam + delta^2)) for the
-    pencil coordinates h = F^{-1} Q u (:func:`_pencil_coords`): no mean, no product with A."""
+def _biases(models, lattice: FrequencyLattice, u: np.ndarray):
+    """E mean - u over the data noise for the truth coefficients ``u``, a row at a time, one
+    per model of a set that shares one forward map and prior: -(p / D) u mode by mode for
+    diagonal models, p = delta^2 / c_U and D = |a|^2 + p, else Q^H F (-delta^2 h / (lam +
+    delta^2)) for the pencil coordinates h = F^{-1} Q u (:func:`_pencil_coords`), formed
+    once at the call: no mean, no product with A."""
     model = models[0]
     if any(m.fwd != model.fwd or m.prior.cov != model.prior.cov for m in models):
         raise ValueError("biases need models that share one forward map and prior")
-    if _is_diagonal(model):
+    if _is_diagonal(model):  # a map, unlike a generator, keeps no row's weights past its row
         weights = (_diag_weights(mdl, lattice) for mdl in models)
-        return np.stack([-(prec / (asq + prec)) * u for _, asq, prec in weights])
+        return map(lambda w: -(w[2] / (w[1] + w[2])) * u, weights)
     h = _pencil_coords(model, lattice, u[None])
-    return np.stack([_pencil_field(mdl, lattice, h, -mdl.delta**2) for mdl in models])
+    return (_pencil_field(mdl, lattice, h, -mdl.delta**2) for mdl in models)
 
 
 def _noise_trace(model: GaussianModel, lattice: FrequencyLattice) -> float:

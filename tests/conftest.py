@@ -53,7 +53,7 @@ def unblocked_from_cosine_sine():
 def diagonal_ball(root, lattice, zeta: float = 0.0) -> MultiplierBall:
     """The ball law of the multiplier root ``root``, K real values in exponential order and
     even in l, under H^zeta weights: the diagonal root root[order] and the weights w[order]
-    in cosine/sine order, as ``posterior._trace_root`` gives them."""
+    in cosine/sine order, as ``posterior._trace_ball`` builds its law from them."""
     root = np.asarray(root)
     assert np.isrealobj(root) and np.array_equal(root, root[lattice.conj_index])
     order = lattice._mode_order

@@ -376,6 +376,31 @@ class TestExperiment:
         assert "invalid experiment config: " + message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, name", [("contraction", "kappa"), ("credible", "zeta1")])
+    def test_missing_ball_key_is_config_error(self, tmp_path, capsys, mode, name):
+        text = (EXPERIMENT_INI.replace("mode = bayes", f"mode = {mode}")
+                .replace("zetas = -3.01, 0", "zetas = 0"))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", write_ini(tmp_path, text), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid experiment config: {mode} experiment needs {name}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale, p", [("1e300", 0.0), ("1e-300", 1.0)], ids=["huge", "tiny"])
+    @pytest.mark.parametrize("mode, keys", [
+        ("contraction", "kappa = 0.2\nc0 = "), ("credible", "zeta1 = -3\nc1 = "),
+    ], ids=["contraction", "credible"])
+    def test_extreme_radius_constant(self, tmp_path, capsys, mode, keys, scale, p):
+        # a radius squared past the float range or to 0: every row and Markov bound is p
+        text = (EXPERIMENT_INI.replace("mode = bayes", f"mode = {mode}\n{keys}{scale}")
+                .replace("zetas = -3.01, 0", "zetas = 0"))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", write_ini(tmp_path, text), "--out", str(out)]) == 0
+        extras = json.loads((out / "manifest.json").read_text())["extras"]
+        markov = extras["markov_mean" if mode == "contraction" else "markov_bound"]
+        rows = (out / "results.csv").read_text().strip().splitlines()[1:]
+        assert [float(line.split(",")[3]) for line in rows] == markov == [p] * 6
+
     def test_experiment_overwrite_refused(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, EXPERIMENT_INI)
         out = tmp_path / "run"

@@ -373,9 +373,17 @@ class TestFrequentistExperiment:
 
 class TestContractionExperiment:
     def test_requires_kappa(self):
-        cfg = small_cfg("contraction", kappa=None)
-        with pytest.raises(ValueError, match="kappa"):
-            run_contraction(cfg)
+        # refused by the config of the mode, and by the runner for another mode's config
+        with pytest.raises(ValueError, match="contraction experiment needs kappa"):
+            small_cfg("contraction", kappa=None)
+        with pytest.raises(ValueError, match="contraction experiment needs kappa"):
+            run_contraction(small_cfg("bayes"))
+
+    @pytest.mark.parametrize("c0, p", [(1e300, 0.0), (1e-300, 1.0)], ids=["huge", "tiny"])
+    def test_extreme_radius_constant(self, c0, p):
+        # radius^2 past the float range or rounded to 0: P and the Markov bound at their limits
+        table = run_contraction(small_cfg("contraction", c0=c0))
+        assert [r.mean_error for r in table.rows] == table.extras["markov_mean"] == [p] * 5
 
     def test_markov_dominates_direct(self):
         cfg = small_cfg("contraction", n_mc=200)
@@ -897,9 +905,17 @@ class TestEscapeProb:
 
 class TestCredibleExperiment:
     def test_requires_zeta1(self):
-        cfg = small_cfg("credible", zeta1=None)
-        with pytest.raises(ValueError, match="zeta1"):
-            run_credible(cfg)
+        # refused by the config of the mode, and by the runner for another mode's config
+        with pytest.raises(ValueError, match="credible experiment needs zeta1"):
+            small_cfg("credible", zeta1=None)
+        with pytest.raises(ValueError, match="credible experiment needs zeta1"):
+            run_credible(small_cfg("bayes"))
+
+    @pytest.mark.parametrize("c1, p", [(1e300, 0.0), (1e-300, 1.0)], ids=["huge", "tiny"])
+    def test_extreme_radius_constant(self, c1, p):
+        # radius^2 past the float range or rounded to 0: P and the Markov bound at their limits
+        table = run_credible(small_cfg("credible", c1=c1))
+        assert [r.mean_error for r in table.rows] == table.extras["markov_bound"] == [p] * 5
 
     def test_markov_bound_holds_per_row(self):
         cfg = small_cfg("credible", n_mc=500)
@@ -988,12 +1004,22 @@ class TestAppendixB:
         w = v.conj().T @ (u / root)
         zw = np.stack([sobolev_weight(lat, z) for z in cfg.zetas])
         for j, delta in enumerate(cfg.deltas):
-            bias = _biases([cfg.model(delta)], lat, u)[0]
+            bias = np.stack(list(_biases([cfg.model(delta)], lat, u)))[0]
             ref = -delta**2 * root * (v @ (w / (lam + delta**2)))
             assert np.linalg.norm(bias - ref) <= 1e-11 * np.linalg.norm(ref), delta
             norms = np.sqrt(zw @ np.abs(bias) ** 2)
             assert [curves.raw_errors[z][j] for z in cfg.zetas] == norms.tolist(), delta
 
+
+    @pytest.mark.parametrize("case", ["dense_fwd", "densified-prior"])
+    def test_dense_run_forms_truth_coordinates_once(self, case, monkeypatch):
+        # h = F^{-1} Q u does not depend on delta: one coordinate call per run, not per delta
+        lat = build_lattice(2, 8)
+        cfg = default_config("appendix_b", n_per_dim=8, **dense_case(case, lat))
+        ref = run_appendix_b(cfg)
+        calls = recording(monkeypatch, "_pencil_coords", sys.modules["torusbayes.posterior"])
+        assert run_appendix_b(cfg).raw_errors == ref.raw_errors
+        assert [rows.shape for _, _, rows in calls] == [(1, lat.size)]
 
 class TestCsvOutput:
     def test_schema_and_roundtrip(self, tmp_path):

@@ -55,13 +55,13 @@ from torusbayes.posterior import (
     _cov_factor,
     _cov_cs,
     _dense_cov,
+    _diag_weights,
     _noise_trace,
     _pcg,
     _pencil,
     _pencil_coords,
     _prior_form,
     _trace_ball,
-    _trace_root,
     map_estimate,
     posterior,
     posterior_covariance,
@@ -1123,7 +1123,7 @@ class TestPencilClasses:
                                        for row in rows] for mdl, rows in zip(models, data)]),
                    "cov": np.stack([_cov_cs(m, lat) for m in models]),
                    "noise": np.array([_noise_trace(m, lat) for m in models]),
-                   "biases": _biases(models, lat, u)}
+                   "biases": np.stack(list(_biases(models, lat, u)))}
             rng = np.random.default_rng(6)
             for m in models:
                 trace, ball = _trace_ball(m, lat, -0.5, noise=True)
@@ -1888,7 +1888,10 @@ class TestDenseBall:
         # one constructor, two branches: the K values of a multiplier root against the
         # same root as a K x K matrix, whose eigh and projection the dense branch reads
         lat = build_lattice(2, 8)
-        trace, root, w = _trace_root(diagonal_model(lat), lat, -0.5)
+        model, order = diagonal_model(lat), _cosine_sine_modes(lat)[0]
+        _, asq, prec = _diag_weights(model, lat)
+        c, w = model.delta**2 / (asq + prec), sobolev_weight(lat, -0.5)
+        trace, root, w = np.sum(w * c), np.sqrt(c)[order], w[order]
         one_class = [(np.arange(lat.size), np.diag(root))]
         diagonal, dense = MultiplierBall(root, w, lat), MultiplierBall(one_class, w, lat)
         ((idx, places, proj),) = dense._proj
